@@ -64,41 +64,39 @@ let stats_of_case ~(spec : Gpu_hw.Spec.t) (c : Case.t) =
               (fun k evs ->
                 if Array.exists is_work evs then
                   Stats.count_active_warp st ~stage:k;
+                let pc = Stats.no_pc in
                 Array.iter
                   (function
-                    | Case.Alu { cls; _ } -> Stats.count_issue st ~stage:k cls
+                    | Case.Alu { cls; _ } ->
+                      Stats.count_issue st ~stage:k ~pc cls
                     | Case.Smem { fused; txns; _ } ->
-                      Stats.count_issue st ~stage:k
+                      Stats.count_issue st ~stage:k ~pc
                         (if fused then I.Class_ii else I.Class_mem);
                       if fused then Stats.count_mad st ~stage:k;
                       (* a conflict-free warp access needs one
                          transaction per coalescing group; the generator
                          only inflates *)
-                      Stats.count_smem st ~stage:k ~txns
+                      Stats.count_smem st ~stage:k ~pc ~txns
                         ~ideal:(min txns groups)
                     | Case.Atomic { txns; _ } ->
-                      Stats.count_issue st ~stage:k I.Class_mem;
+                      Stats.count_issue st ~stage:k ~pc I.Class_mem;
                       (* contention-free would be one transaction per
                          active coalescing group; the generator's txns
                          only inflate from there *)
-                      Stats.count_atomic st ~stage:k ~txns
+                      Stats.count_atomic st ~stage:k ~pc ~txns
                         ~ideal:(min txns groups)
                     | Case.Gmem { txns; _ } ->
-                      Stats.count_issue st ~stage:k I.Class_mem;
-                      let txns =
-                        Array.to_list
-                          (Array.map
-                             (fun (base, size) ->
-                               { Gpu_mem.Coalesce.base; size })
-                             txns)
+                      Stats.count_issue st ~stage:k ~pc I.Class_mem;
+                      let bytes =
+                        Array.fold_left (fun acc (_, size) -> acc + size) 0 txns
                       in
-                      Stats.count_gmem st ~stage:k ~txns
-                        ~requested:(Gpu_mem.Coalesce.bytes txns))
+                      Stats.count_gmem st ~stage:k ~pc
+                        ~txns:(Array.length txns) ~bytes ~requested:bytes)
                   evs;
                 (* the barrier terminating stage k issues in stage k,
                    like the interpreter's Bar *)
                 if k < b.nstages - 1 then begin
-                  Stats.count_issue st ~stage:k I.Class_ctrl;
+                  Stats.count_issue st ~stage:k ~pc I.Class_ctrl;
                   Stats.count_barrier st ~stage:k
                 end)
               stages)

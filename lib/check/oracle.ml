@@ -3,7 +3,8 @@
    These deliberately share no machinery with lib/mem: the coalescer
    oracle grows segments upward from min_segment instead of halving
    downward, and the bank oracle tallies (bank, word) pairs through
-   sorted lists instead of nested hash tables.  Agreement between two
+   sorted lists instead of per-bank tally arrays over a lane mask.
+   Agreement between two
    independently-derived implementations of the CUDA CC 1.2/1.3 protocol
    (paper Section 4.3) and the bank-conflict rule (Section 4.2) is the
    property the harness checks. *)
@@ -166,8 +167,9 @@ let bank_agrees a =
    multiplicity — unlike plain loads, two atomics on the same word cannot
    broadcast, because each read-modify-write must observe the previous
    one's write.  The count per bank is found by sorting the bank list and
-   taking the longest run (the implementation tallies through a hash
-   table, the opposite machinery); the group's cost is the busiest bank. *)
+   taking the longest run (the implementation counts into a per-bank
+   tally array, the opposite machinery); the group's cost is the busiest
+   bank. *)
 let atomic_group ~banks ~width lanes =
   let word_size = 4 in
   let hits = ref [] in

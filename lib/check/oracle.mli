@@ -2,9 +2,9 @@
     implemented with deliberately different machinery from [lib/mem]:
     the coalescer oracle grows segments upward from [min_segment]
     (the implementation halves downward), the bank oracle tallies
-    (bank, word) pairs through sorted lists (the implementation uses
-    hash tables).  The harness checks that both derivations of the
-    protocol agree on random access patterns. *)
+    (bank, word) pairs through sorted lists (the implementation counts
+    into per-bank tally arrays).  The harness checks that both derivations
+    of the protocol agree on random access patterns. *)
 
 type access = {
   group : int;  (** lanes per transaction issue (half-warp = 16) *)
@@ -34,7 +34,7 @@ val bank_agrees : access -> (unit, string) result
 (** Reference contention-serialized atomic transaction count: one bank
     entry per lane-word access {e with} multiplicity (same-word atomics
     serialize, they never broadcast), counted by sorting and run-length
-    instead of the implementation's hash tables. *)
+    instead of the implementation's per-bank tally arrays. *)
 val atomic_warp : access -> int
 
 (** Reference contention-free count: one transaction per issue group with

@@ -11,166 +11,194 @@
    Accesses wider than one word span several banks: a 64-bit access on
    GT200 touches two adjacent 4-byte words, so even a perfectly strided
    64-bit pattern costs two transactions per half-warp — every word a lane
-   touches is tallied in its bank. *)
+   touches is tallied in its bank.
+
+   One counting core serves every entry point.  It reads lanes in the
+   [Lanes] form (an address buffer plus an active-lane mask) and tallies
+   into a caller-owned [scratch], so the functional simulator counts each
+   shared access without allocating; the [int option array] functions at
+   the end stage their argument into that form and run the same core. *)
 
 let word_size = 4
 
-(* Words [addr/4 .. (addr+width-1)/4] touched by one lane's access.
-   Negative addresses are rejected: OCaml's [/] and [mod] truncate toward
-   zero, so [-1 / 4 = 0] would silently tally the access in word 0 of
-   bank 0 instead of failing like [Machine.shared_check] does. *)
-let iter_words ~width addr f =
-  if addr < 0 then
-    invalid_arg (Printf.sprintf "Bank: negative address %d" addr);
-  let first = addr / word_size in
-  let last = (addr + width - 1) / word_size in
-  for w = first to last do
-    f w
-  done
+(* Per-bank tallies: the distinct words seen in each bank (plain accesses)
+   or the accesses landing there (atomics), with bank [b]'s distinct words
+   at [words.(b * slots ..)].  A scratch belongs to its caller — one
+   simulated run, or one adapter call — never to this module, so domains
+   counting at once never share one. *)
+type scratch = {
+  mutable tally : int array;
+  mutable words : int array;
+  mutable slots : int; (* word slots per bank *)
+}
 
-let check_width ~who width =
-  if width <= 0 then
-    invalid_arg (Printf.sprintf "Bank.%s: width must be > 0" who)
+let scratch () = { tally = [||]; words = [||]; slots = 0 }
 
-(* Conflict degree of the access group [addresses.(start .. start+len-1)]:
-   the maximum, over banks, of the number of *distinct* words addressed in
-   that bank.  The range form exists so [warp_transactions] can walk a
-   warp's groups without allocating a slice per group — this runs once per
-   shared access in the functional simulator's hot path. *)
-let conflict_degree_range ~width ~banks addresses start len =
-  if banks <= 0 then invalid_arg "Bank.conflict_degree: banks must be > 0";
-  check_width ~who:"conflict_degree" width;
-  let per_bank = Hashtbl.create 16 in
-  for i = start to start + len - 1 do
-    match addresses.(i) with
-    | None -> ()
-    | Some addr ->
-      iter_words ~width addr (fun w ->
-          let b = w mod banks in
-          let words =
-            match Hashtbl.find_opt per_bank b with
-            | Some ws -> ws
-            | None ->
-              let ws = Hashtbl.create 4 in
-              Hashtbl.add per_bank b ws;
-              ws
-          in
-          Hashtbl.replace words w ())
+(* Size [s] for one group of [group] lanes of [width] bytes over [banks]
+   banks; it only ever grows, so a run allocates here once. *)
+let reserve s ~banks ~group ~width =
+  let per_lane = ((width - 1) / word_size) + 2 in
+  let slots = max s.slots (min group Lanes.max_lanes * per_lane) in
+  if Array.length s.tally < banks then s.tally <- Array.make banks 0;
+  if Array.length s.words < banks * slots then
+    s.words <- Array.make (banks * slots) 0;
+  s.slots <- slots
+
+(* OCaml's [/] and [mod] truncate toward zero, so [-1 / 4 = 0] would
+   silently tally the access in word 0 of bank 0 instead of failing like
+   [Machine.shared_check] does. *)
+let negative addr =
+  invalid_arg (Printf.sprintf "Bank: negative address %d" addr)
+
+let positive ~what who n =
+  if n <= 0 then invalid_arg (Printf.sprintf "Bank.%s: %s must be > 0" who what)
+
+(* Degree of one issue group, whose active lanes are the bits of [gmask]
+   (bit 0 = lane [start]): the maximum over banks of the distinct words
+   addressed there when [distinct], else of every lane-word access with
+   multiplicity (atomics: same-word accesses cannot broadcast).  Words
+   [addr/4 .. (addr+width-1)/4] of each active lane are tallied. *)
+let group_degree s ~distinct ~width ~banks addrs start gmask =
+  let tally = s.tally and words = s.words and slots = s.slots in
+  let degree = ref 0 in
+  let m = ref gmask and lane = ref start in
+  while !m <> 0 do
+    if !m land 1 <> 0 then begin
+      let addr = addrs.(!lane) in
+      if addr < 0 then negative addr;
+      for w = addr / word_size to (addr + width - 1) / word_size do
+        let b = w mod banks in
+        let n = tally.(b) in
+        let k = ref 0 in
+        if distinct then begin
+          let base = b * slots in
+          while !k < n && words.(base + !k) <> w do
+            incr k
+          done;
+          if !k = n then words.(base + n) <- w
+        end
+        else k := n;
+        if !k = n then begin
+          tally.(b) <- n + 1;
+          if n + 1 > !degree then degree := n + 1
+        end
+      done
+    end;
+    m := !m lsr 1;
+    incr lane
   done;
-  Hashtbl.fold (fun _ words acc -> max acc (Hashtbl.length words)) per_bank 0
+  for b = 0 to banks - 1 do
+    tally.(b) <- 0
+  done;
+  !degree
 
-let conflict_degree ?(width = word_size) ~banks addresses =
-  conflict_degree_range ~width ~banks addresses 0 (Array.length addresses)
+let walk s ~distinct ~width ~banks ~group addrs mask =
+  reserve s ~banks ~group ~width;
+  let total = ref 0 and start = ref 0 in
+  while Lanes.more mask ~start:!start do
+    let gmask = Lanes.group_mask mask ~start:!start ~group in
+    if gmask <> 0 then
+      total :=
+        !total + group_degree s ~distinct ~width ~banks addrs !start gmask;
+    start := !start + group
+  done;
+  !total
 
-(* Number of serialized shared-memory transactions needed to serve one
-   access group: its conflict degree (0 if no lane is active, which costs no
-   transaction). *)
-let transactions ?width ~banks addresses =
-  conflict_degree ?width ~banks addresses
+(* --- The counting core -------------------------------------------------- *)
 
-(* Split a warp's lane addresses into half-warp groups of [group] lanes and
-   sum their transaction counts.  This is the effective transaction count
-   the performance model charges against shared-memory bandwidth. *)
-let warp_transactions ?(width = word_size) ~banks ~group addresses =
-  if group <= 0 then invalid_arg "Bank.warp_transactions: group must be > 0";
-  let n = Array.length addresses in
-  let rec go start acc =
-    if start >= n then acc
-    else
-      let len = min group (n - start) in
-      go (start + group)
-        (acc + conflict_degree_range ~width ~banks addresses start len)
-  in
-  go 0 0
+(* Effective transactions of a warp access split into issue groups of
+   [group] lanes: the sum of the groups' conflict degrees (0 for a group
+   with no active lane).  This is what the performance model charges
+   against shared-memory bandwidth. *)
+let conflicts s ~width ~banks ~group addrs ~mask =
+  positive ~what:"group" "warp_transactions" group;
+  positive ~what:"banks" "conflict_degree" banks;
+  positive ~what:"width" "conflict_degree" width;
+  walk s ~distinct:true ~width ~banks ~group addrs mask
 
 (* --- Atomic serialization (DESIGN §15) --------------------------------
 
    An atomic read-modify-write cannot be served by broadcast: two lanes
    hitting the *same* word must still serialize, because each one's read
-   must observe the previous one's write.  So where [conflict_degree]
-   counts distinct words per bank, the atomic degree counts every access
-   per bank *with multiplicity* — the maximum over banks of the total
+   must observe the previous one's write.  So where [conflicts] counts
+   distinct words per bank, the atomic degree counts every access per
+   bank *with multiplicity* — the maximum over banks of the total
    lane-word accesses landing there is how many back-to-back shared-memory
    cycles the group occupies. *)
-let atomic_degree_range ~width ~banks addresses start len =
-  if banks <= 0 then invalid_arg "Bank.atomic_degree: banks must be > 0";
-  check_width ~who:"atomic_degree" width;
-  let per_bank = Hashtbl.create 16 in
-  for i = start to start + len - 1 do
-    match addresses.(i) with
-    | None -> ()
-    | Some addr ->
-      iter_words ~width addr (fun w ->
-          let b = w mod banks in
-          let n =
-            match Hashtbl.find_opt per_bank b with
-            | Some n -> n
-            | None -> 0
-          in
-          Hashtbl.replace per_bank b (n + 1))
-  done;
-  Hashtbl.fold (fun _ n acc -> max acc n) per_bank 0
-
-(* Serialized transactions one access group of atomics needs: the maximum
-   over banks of the multiplicity-counted accesses (0 if no lane active). *)
-let atomic_transactions ?(width = word_size) ~banks addresses =
-  atomic_degree_range ~width ~banks addresses 0 (Array.length addresses)
-
-(* Sum of per-group atomic serialization over a warp's half-warp groups:
-   what the model charges the atomic component for this access. *)
-let warp_atomic_transactions ?(width = word_size) ~banks ~group addresses =
-  if group <= 0 then
-    invalid_arg "Bank.warp_atomic_transactions: group must be > 0";
-  let n = Array.length addresses in
-  let rec go start acc =
-    if start >= n then acc
-    else
-      let len = min group (n - start) in
-      go (start + group)
-        (acc + atomic_degree_range ~width ~banks addresses start len)
-  in
-  go 0 0
-
-(* Contention-free floor for the same access: one transaction per group
-   with at least one active lane — the count a conflict-free, fully
-   diverged-address atomic would achieve. *)
-let ideal_warp_atomic_transactions ~group addresses =
-  if group <= 0 then
-    invalid_arg "Bank.ideal_warp_atomic_transactions: group must be > 0";
-  let n = Array.length addresses in
-  let rec go start acc =
-    if start >= n then acc
-    else
-      let len = min group (n - start) in
-      let active = ref false in
-      for i = start to start + len - 1 do
-        if addresses.(i) <> None then active := true
-      done;
-      go (start + group) (acc + if !active then 1 else 0)
-  in
-  go 0 0
+let atomic_conflicts s ~width ~banks ~group addrs ~mask =
+  positive ~what:"group" "warp_atomic_transactions" group;
+  positive ~what:"banks" "atomic_degree" banks;
+  positive ~what:"width" "atomic_degree" width;
+  walk s ~distinct:false ~width ~banks ~group addrs mask
 
 (* Conflict-free transaction count for the same access: the widest active
    lane's word count per group with at least one active lane (a multi-word
    access needs that many transactions even without conflicts). *)
+let ideal ~width ~group addrs ~mask =
+  positive ~what:"group" "ideal_warp_transactions" group;
+  positive ~what:"width" "ideal_warp_transactions" width;
+  let total = ref 0 and start = ref 0 in
+  while Lanes.more mask ~start:!start do
+    let m = ref (Lanes.group_mask mask ~start:!start ~group)
+    and lane = ref !start
+    and widest = ref 0 in
+    while !m <> 0 do
+      if !m land 1 <> 0 then begin
+        let a = addrs.(!lane) in
+        let words = ((a + width - 1) / word_size) - (a / word_size) + 1 in
+        if words > !widest then widest := words
+      end;
+      m := !m lsr 1;
+      incr lane
+    done;
+    total := !total + !widest;
+    start := !start + group
+  done;
+  !total
+
+(* Contention-free floor for an atomic access: one transaction per group
+   with at least one active lane — the count a conflict-free, fully
+   diverged-address atomic would achieve. *)
+let ideal_atomic ~group ~mask =
+  positive ~what:"group" "ideal_warp_atomic_transactions" group;
+  let total = ref 0 and start = ref 0 in
+  while Lanes.more mask ~start:!start do
+    if Lanes.group_mask mask ~start:!start ~group <> 0 then incr total;
+    start := !start + group
+  done;
+  !total
+
+(* --- [int option array] entry points ------------------------------------ *)
+
+let stage = Lanes.of_options ~who:"Bank"
+
+(* One access group: the whole array. *)
+let conflict_degree ?(width = word_size) ~banks addresses =
+  let addrs, mask = stage addresses in
+  conflicts (scratch ()) ~width ~banks
+    ~group:(max 1 (Array.length addrs))
+    addrs ~mask
+
+let transactions = conflict_degree
+
+let warp_transactions ?(width = word_size) ~banks ~group addresses =
+  let addrs, mask = stage addresses in
+  conflicts (scratch ()) ~width ~banks ~group addrs ~mask
+
 let ideal_warp_transactions ?(width = word_size) ~group addresses =
-  if group <= 0 then
-    invalid_arg "Bank.ideal_warp_transactions: group must be > 0";
-  check_width ~who:"ideal_warp_transactions" width;
-  let words_of addr =
-    ((addr + width - 1) / word_size) - (addr / word_size) + 1
-  in
-  let n = Array.length addresses in
-  let rec go start acc =
-    if start >= n then acc
-    else
-      let len = min group (n - start) in
-      let widest = ref 0 in
-      for i = start to start + len - 1 do
-        match addresses.(i) with
-        | Some a -> widest := max !widest (words_of a)
-        | None -> ()
-      done;
-      go (start + group) (acc + !widest)
-  in
-  go 0 0
+  let addrs, mask = stage addresses in
+  ideal ~width ~group addrs ~mask
+
+let atomic_transactions ?(width = word_size) ~banks addresses =
+  let addrs, mask = stage addresses in
+  atomic_conflicts (scratch ()) ~width ~banks
+    ~group:(max 1 (Array.length addrs))
+    addrs ~mask
+
+let warp_atomic_transactions ?(width = word_size) ~banks ~group addresses =
+  let addrs, mask = stage addresses in
+  atomic_conflicts (scratch ()) ~width ~banks ~group addrs ~mask
+
+let ideal_warp_atomic_transactions ~group addresses =
+  let _, mask = stage addresses in
+  ideal_atomic ~group ~mask

@@ -10,7 +10,13 @@
    The issue group is a half-warp (16 threads) on real hardware; the paper's
    Figure 10 example uses 2 threads and an 8-byte segment, and its Figure 11
    what-if sweeps segment granularities of 32, 16 and 4 bytes, so all three
-   parameters are configurable. *)
+   parameters are configurable.
+
+   One core ([serve]) implements the protocol.  It reads lanes in the
+   [Lanes] form (address buffer plus active-lane mask) and writes
+   transactions into a caller-owned [scratch], so the functional simulator
+   coalesces each global access without allocating; the [int option array]
+   entry points stage their argument and run the same core. *)
 
 type txn = { base : int; size : int }
 
@@ -35,114 +41,114 @@ let check_config c =
     invalid_arg "Coalesce: min_segment > max_segment";
   if c.group <= 0 then invalid_arg "Coalesce: group must be positive"
 
-let check_addresses ~width addresses start len =
-  for i = start to start + len - 1 do
-    match addresses.(i) with
-    | Some a when a < 0 || a mod width <> 0 ->
-      invalid_arg
-        "Coalesce.group_transactions: addresses must be width-aligned"
-    | Some _ | None -> ()
-  done
+(* Transaction buffers the counting core writes into: transaction [i] is
+   [(bases.(i), sizes.(i))].  A warp access needs at most one transaction
+   per active lane.  Owned by the caller — one simulated run, or one call
+   — so concurrent domains never share one. *)
+type scratch = { bases : int array; sizes : int array }
 
-(* Serve the issue group [addresses.(start + i) for i < len] without
-   copying it (this runs once per global access in the functional
-   simulator's hot path).  [served_lane.(i)], false on entry for i < len,
-   flags lanes already served.  Transactions are consed onto [acc] in
-   reverse service order. *)
-let serve_group c ~width addresses start len served_lane acc =
-  let served = ref acc in
-  let remaining () =
-    let first = ref (-1) in
-    (try
-       for i = 0 to len - 1 do
-         if not served_lane.(i) then
-           match addresses.(start + i) with
-           | Some _ ->
-             first := i;
-             raise Exit
-           | None -> ()
-       done
-     with Exit -> ());
-    !first
+let scratch () =
+  { bases = Array.make Lanes.max_lanes 0; sizes = Array.make Lanes.max_lanes 0 }
+
+let misaligned () =
+  invalid_arg "Coalesce.group_transactions: addresses must be width-aligned"
+
+(* Serve the issue group whose active lanes are the bits of [gmask] (bit 0
+   = lane [start]), writing its transactions in service order into [s]
+   from index [k]; returns the new transaction count. *)
+let serve_group c s ~width addrs start gmask k =
+  let pending = ref gmask and k = ref k in
+  while !pending <> 0 do
+    (* Step 1: the max_segment-aligned segment holding the lowest pending
+       lane. *)
+    let leader = ref 0 in
+    while (!pending lsr !leader) land 1 = 0 do
+      incr leader
+    done;
+    let seg = c.max_segment in
+    let base = addrs.(start + !leader) / seg * seg in
+    (* Step 2: which pending lanes fall entirely inside it.  The leader
+       always leaves [pending], so the loop ends even for an access that
+       straddles its segment. *)
+    let lo = ref max_int and hi = ref 0 and members = ref (1 lsl !leader) in
+    let m = ref !pending and lane = ref 0 in
+    while !m <> 0 do
+      (if !m land 1 <> 0 then
+         let a = addrs.(start + !lane) in
+         if a >= base && a + width <= base + seg then begin
+           if a < !lo then lo := a;
+           if a + width > !hi then hi := a + width;
+           members := !members lor (1 lsl !lane)
+         end);
+      m := !m lsr 1;
+      incr lane
+    done;
+    (* Step 3: shrink while all members fit in one half. *)
+    let tbase = ref base and tsize = ref seg and fits = ref true in
+    while !fits && !tsize / 2 >= c.min_segment do
+      let half = !tsize / 2 in
+      if !hi <= !tbase + half then tsize := half
+      else if !lo >= !tbase + half then begin
+        tbase := !tbase + half;
+        tsize := half
+      end
+      else fits := false
+    done;
+    s.bases.(!k) <- !tbase;
+    s.sizes.(!k) <- !tsize;
+    incr k;
+    pending := !pending land lnot !members
+  done;
+  !k
+
+(* The counting core: serve the active lanes of [mask] in issue groups of
+   [c.group] threads.  Transactions land in [s] in service order; returns
+   how many. *)
+let serve c s ~width addrs ~mask =
+  check_config c;
+  if width > c.max_segment then
+    invalid_arg "Coalesce.group_transactions: access wider than a segment";
+  let m = ref mask and lane = ref 0 in
+  while !m <> 0 do
+    (if !m land 1 <> 0 then
+       let a = addrs.(!lane) in
+       if a < 0 || a mod width <> 0 then misaligned ());
+    m := !m lsr 1;
+    incr lane
+  done;
+  let k = ref 0 and start = ref 0 in
+  while Lanes.more mask ~start:!start do
+    let gmask = Lanes.group_mask mask ~start:!start ~group:c.group in
+    if gmask <> 0 then k := serve_group c s ~width addrs !start gmask !k;
+    start := !start + c.group
+  done;
+  !k
+
+(* --- [int option array] entry points ------------------------------------ *)
+
+let to_list s n =
+  let rec go i acc =
+    if i < 0 then acc
+    else go (i - 1) ({ base = s.bases.(i); size = s.sizes.(i) } :: acc)
   in
-  let rec serve () =
-    let leader = remaining () in
-    if leader < 0 then !served
-    else begin
-      let leader_addr =
-        match addresses.(start + leader) with
-        | Some a -> a
-        (* invariant, not input-reachable: [remaining] only ever returns
-           the index of an unserved active lane *)
-        | None -> assert false
-      in
-      (* Step 1: the max_segment-aligned segment holding the leader. *)
-      let seg = c.max_segment in
-      let base = leader_addr / seg * seg in
-      (* Step 2: which unserved threads fall entirely inside it. *)
-      let inside a = a >= base && a + width <= base + seg in
-      let lo = ref max_int and hi = ref 0 in
-      for i = 0 to len - 1 do
-        if not served_lane.(i) then
-          match addresses.(start + i) with
-          | Some a when inside a ->
-            lo := min !lo a;
-            hi := max !hi (a + width)
-          | Some _ | None -> ()
-      done;
-      (* Step 3: shrink while all members fit in one half. *)
-      let rec shrink base size =
-        if size / 2 >= c.min_segment then
-          let half = size / 2 in
-          if !hi <= base + half then shrink base half
-          else if !lo >= base + half then shrink (base + half) half
-          else (base, size)
-        else (base, size)
-      in
-      let tbase, tsize = shrink base seg in
-      for i = 0 to len - 1 do
-        if not served_lane.(i) then
-          match addresses.(start + i) with
-          | Some a when inside a -> served_lane.(i) <- true
-          | Some _ | None -> ()
-      done;
-      served := { base = tbase; size = tsize } :: !served;
-      serve ()
-    end
-  in
-  serve ()
+  go (n - 1) []
+
+let transactions ~who c ~width addresses =
+  let addrs, mask = Lanes.of_options ~who addresses in
+  let s = scratch () in
+  to_list s (serve c s ~width addrs ~mask)
 
 (* Serve one issue group.  [addresses.(i) = Some a] is the byte address
    requested by thread [i]; [None] marks an inactive thread.  [width] is the
    access width in bytes.  Returns transactions in service order. *)
 let group_transactions c ~width addresses =
   check_config c;
-  let n = Array.length addresses in
-  if n > c.group then
+  if Array.length addresses > c.group then
     invalid_arg "Coalesce.group_transactions: more threads than group size";
-  if width > c.max_segment then
-    invalid_arg "Coalesce.group_transactions: access wider than a segment";
-  check_addresses ~width addresses 0 n;
-  List.rev (serve_group c ~width addresses 0 n (Array.make (max n 1) false) [])
+  transactions ~who:"Coalesce.group_transactions" c ~width addresses
 
-(* Serve a full warp: split into issue groups of [c.group] threads, reusing
-   one served-lane buffer across the groups. *)
-let warp_transactions c ~width addresses =
-  check_config c;
-  if width > c.max_segment then
-    invalid_arg "Coalesce.group_transactions: access wider than a segment";
-  let n = Array.length addresses in
-  check_addresses ~width addresses 0 n;
-  let served_lane = Array.make c.group false in
-  let rec go start acc =
-    if start >= n then List.rev acc
-    else begin
-      let len = min c.group (n - start) in
-      Array.fill served_lane 0 len false;
-      go (start + c.group) (serve_group c ~width addresses start len served_lane acc)
-    end
-  in
-  go 0 []
+(* Serve a full warp, split into issue groups of [c.group] threads. *)
+let warp_transactions = transactions ~who:"Coalesce.warp_transactions"
 
 let bytes txns = List.fold_left (fun acc t -> acc + t.size) 0 txns
 

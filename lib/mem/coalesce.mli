@@ -12,9 +12,28 @@ type config = {
 
 val config_of_spec : Gpu_hw.Spec.t -> config
 
-(** Transactions serving one issue group.  [addresses.(i) = Some a] is the
-    byte address requested by thread [i] ([None] = inactive); [width] is the
-    access width in bytes.  Addresses must be width-aligned. *)
+(** {2 Counting core} *)
+
+(** Transaction buffers: after {!serve} returns [n], transaction [i < n]
+    is [(bases.(i), sizes.(i))].  Owned by the caller — one simulated run,
+    or one call — so concurrent domains never share one. *)
+type scratch = private { bases : int array; sizes : int array }
+
+val scratch : unit -> scratch
+
+(** [serve c s ~width addrs ~mask] serves the active lanes of [mask] (in the
+    {!Lanes} form) in issue groups of [c.group] threads, writing the
+    transactions into [s] in service order, and returns how many.  Active
+    addresses must be width-aligned.  Allocates nothing. *)
+val serve : config -> scratch -> width:int -> int array -> mask:int -> int
+
+(** {2 [int option array] entry points}
+
+    [addresses.(i) = Some a] is the byte address requested by thread [i]
+    ([None] = inactive); both stage their argument (at most
+    {!Lanes.max_lanes} lanes) and run {!serve}. *)
+
+(** Transactions serving one issue group (at most [c.group] threads). *)
 val group_transactions : config -> width:int -> int option array -> txn list
 
 (** Serve a full warp by splitting it into issue groups. *)

@@ -12,8 +12,10 @@
    Tables are built against a device spec, so the model recalibrates
    automatically when evaluating architectural variants.
 
-   Calibration is expensive (~190 functional+timing simulations), so this
-   module attacks the cost on three fronts, all preserving bit-identical
+   Calibration is expensive (160 instruction and shared-memory
+   microbenchmarks, each a marginal pair of one-block functional+timing
+   simulations, plus the global-memory points), so this module attacks the
+   cost on three fronts, all preserving bit-identical
    results (the measurements are pure integer-cycle functions of the
    spec):
    - the grid of independent measurements fans out over the

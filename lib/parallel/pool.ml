@@ -11,6 +11,9 @@
      backtrace), further chunks stop being claimed, and the caller
      re-raises the lowest-indexed recorded exception once the batch
      drains.
+   - Once every chunk is claimed, the caller withdraws the helper entries
+     no worker has dequeued and waits for the dequeued ones to return, so
+     a returned batch leaves nothing of itself queued or running.
    - Calls from inside a worker run serially inline (a Domain.DLS flag),
      so nested parallelism cannot oversubscribe or deadlock. *)
 
@@ -140,6 +143,7 @@ type batch = {
   chunk : int;
   mutable next : int; (* next unclaimed index *)
   mutable running : int; (* drainers currently inside a chunk *)
+  mutable helpers : int; (* helper entries queued or running, not withdrawn *)
   mutable failed : (int * exn * Printexc.raw_backtrace) option;
 }
 
@@ -222,19 +226,48 @@ let run ?jobs n f =
           chunk;
           next = 0;
           running = 0;
+          helpers;
           failed = None;
         }
       in
+      (* One closure for every helper entry, so the caller can find and
+         withdraw the entries no worker claimed. *)
+      let helper () =
+        drain batch f;
+        Mutex.lock batch.b_lock;
+        batch.helpers <- batch.helpers - 1;
+        if batch.helpers = 0 then Condition.broadcast batch.b_done;
+        Mutex.unlock batch.b_lock
+      in
       Mutex.lock p.lock;
       for _ = 1 to helpers do
-        Queue.add (fun () -> drain batch f) p.queue
+        Queue.add helper p.queue
       done;
       note_queue p;
       Condition.broadcast p.work;
       Mutex.unlock p.lock;
       drain batch f;
+      (* Every chunk is claimed.  Withdraw the helper entries still queued
+         (they would only find nothing to do), then wait for the claimed
+         ones to finish: when [run] returns, no trace of the batch is left
+         in the pool, which is then indistinguishable from a fresh one. *)
+      Mutex.lock p.lock;
+      let withdrawn = ref 0 in
+      let others = Queue.create () in
+      Queue.iter
+        (fun task ->
+          if task == helper then incr withdrawn else Queue.add task others)
+        p.queue;
+      Queue.clear p.queue;
+      Queue.transfer others p.queue;
+      note_queue p;
+      Mutex.unlock p.lock;
       Mutex.lock batch.b_lock;
-      while not (batch.next >= batch.total && batch.running = 0) do
+      batch.helpers <- batch.helpers - !withdrawn;
+      while
+        not
+          (batch.next >= batch.total && batch.running = 0 && batch.helpers = 0)
+      do
         Condition.wait batch.b_done batch.b_lock
       done;
       let failed = batch.failed in

@@ -7,9 +7,28 @@
    until it reaches a barrier or exits, then the next warp runs.  This is
    functionally exact for programs whose cross-warp shared-memory
    communication is barrier-delimited — which the barrier programming model
-   requires anyway. *)
+   requires anyway.
+
+   The hot path allocates nothing but the trace events it records
+   (DESIGN §18):
+   - registers and shared memory are unboxed [Bytes], predicates and the
+     SIMT stack are lane masks in [int]s;
+   - each program is decoded once per run ([prepare]): branch targets,
+     cost class, operand slots with immediates already converted, and the
+     static trace sources, so a non-memory instruction records one shared
+     event per pc;
+   - every opcode runs a direct, closure-free lane loop;
+   - memory instructions stage their lane addresses into the run's [int]
+     buffer and hand it with the lane mask to the allocation-free
+     [Bank]/[Coalesce] core.
+   The per-lane code and its value conversions ([Conv]) live in this one
+   compilation unit on purpose: the build compiles modules [-opaque], so a
+   helper in another module taking or returning [int64], [int32] or
+   [float] would box on every call. *)
 
 module I = Gpu_isa.Instr
+module Bank = Gpu_mem.Bank
+module Coalesce = Gpu_mem.Coalesce
 
 exception Stuck of string
 
@@ -17,7 +36,7 @@ let stuck fmt = Printf.ksprintf (fun s -> raise (Stuck s)) fmt
 
 type config = {
   spec : Gpu_hw.Spec.t;
-  coalesce : Gpu_mem.Coalesce.config;
+  coalesce : Coalesce.config;
   collect_trace : bool;
   max_warp_instructions : int; (* runaway-kernel guard *)
   inject_stuck_at : int option; (* fault injection: trap at this issue *)
@@ -27,21 +46,81 @@ let config ?(collect_trace = false) ?(max_warp_instructions = 500_000_000)
     ?inject_stuck_at spec =
   {
     spec;
-    coalesce = Gpu_mem.Coalesce.config_of_spec spec;
+    coalesce = Coalesce.config_of_spec spec;
     collect_trace;
     max_warp_instructions;
     inject_stuck_at;
   }
 
-type frame = { mutable pc : int; rpc : int; mask : int }
+(* --- Register values -------------------------------------------------- *)
+
+(* Register values are 64-bit bit patterns.  32-bit integer and
+   single-precision operations use the low word (zero-extended back in, so
+   values have a canonical form); the double-precision class IV operations
+   use the full width — an architectural simplification over real register
+   pairs, noted in DESIGN.md.  [Value] re-exports these for host code. *)
+module Conv = struct
+  type t = int64
+
+  let low_mask = 0xFFFF_FFFFL
+
+  let[@inline] of_i32 (x : int32) : t = Int64.logand (Int64.of_int32 x) low_mask
+
+  let[@inline] to_i32 (v : t) : int32 = Int64.to_int32 v
+
+  (* Round an OCaml float to the nearest single-precision value. *)
+  let[@inline] round_f32 (x : float) : float =
+    Int32.float_of_bits (Int32.bits_of_float x)
+
+  let[@inline] of_f32 (x : float) : t = of_i32 (Int32.bits_of_float x)
+
+  let[@inline] to_f32 (v : t) : float = Int32.float_of_bits (to_i32 v)
+
+  let[@inline] of_f64 (x : float) : t = Int64.bits_of_float x
+
+  let[@inline] to_f64 (v : t) : float = Int64.float_of_bits v
+
+  let[@inline] of_int (x : int) : t = Int64.logand (Int64.of_int x) low_mask
+
+  let[@inline] to_int (v : t) : int = Int32.to_int (to_i32 v)
+end
+
+open Conv
+
+let negative_address () = invalid_arg "Value.to_address: negative address"
+
+(* Byte address held in a register, as a non-negative int. *)
+let[@inline] to_address (v : t) =
+  let a = to_int v in
+  if a < 0 then negative_address () else a
+
+(* --- Machine state ------------------------------------------------------ *)
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+
+let lanes = 32
+
+let num_preds = 4
+
+(* Register [r] of lane [l] is the 8 bytes at [r * row + 8 * l]. *)
+let row = 8 * lanes
+
+let full_mask n = (1 lsl n) - 1
 
 type warp = {
   wid : int;
   base_tid : int; (* tid of lane 0 *)
-  nlanes : int;
-  regs : Value.t array; (* nregs x 32, laid out reg-major *)
-  preds : bool array; (* npreds x 32 *)
-  mutable stack : frame list;
+  regs : Bytes.t; (* nregs rows of 32 lanes *)
+  preds : int array; (* one lane mask per predicate register *)
+  (* SIMT reconvergence stack, frames [0, sp): frame [sp - 1] is the
+     executing one *)
+  mutable sp : int;
+  mutable fpc : int array;
+  mutable frpc : int array; (* reconvergence pc, -1 for the bottom frame *)
+  mutable fmask : int array;
   mutable finished : bool;
   mutable at_barrier : bool;
   mutable issued : int;
@@ -53,25 +132,21 @@ type block = {
   bid : int;
   grid : int; (* blocks in the launch, for %nctaid *)
   nthreads : int;
-  shared : int32 array; (* shared memory words *)
+  shared : Bytes.t; (* shared memory words *)
   warps : warp array;
   mutable stage : int;
 }
-
-let num_preds = 4
-
-let lanes = 32
-
-let full_mask n = (1 lsl n) - 1
 
 let make_warp ~wid ~base_tid ~nlanes ~nregs =
   {
     wid;
     base_tid;
-    nlanes;
-    regs = Array.make (max 1 nregs * lanes) Value.zero;
-    preds = Array.make (num_preds * lanes) false;
-    stack = [ { pc = 0; rpc = -1; mask = full_mask nlanes } ];
+    regs = Bytes.make (max 1 nregs * row) '\000';
+    preds = Array.make num_preds 0;
+    sp = 1;
+    fpc = Array.make 4 0;
+    frpc = Array.make 4 (-1);
+    fmask = Array.make 4 (full_mask nlanes);
     finished = false;
     at_barrier = false;
     issued = 0;
@@ -91,60 +166,83 @@ let make_block ~bid ~grid ~nthreads ~smem_bytes ~nregs =
     bid;
     grid;
     nthreads;
-    shared = Array.make (max 1 ((smem_bytes + 3) / 4)) 0l;
+    shared = Bytes.make (4 * max 1 ((smem_bytes + 3) / 4)) '\000';
     warps;
     stage = 0;
   }
 
-(* --- Register access -------------------------------------------------- *)
+let set_param block (I.R r) v =
+  Array.iter
+    (fun w ->
+      for lane = 0 to lanes - 1 do
+        set64 w.regs ((r * row) + (8 * lane)) v
+      done)
+    block.warps
 
-let get_reg w (I.R r) lane = w.regs.((r * lanes) + lane)
+let trace block =
+  {
+    Trace.block = block.bid;
+    warps = Array.map (fun w -> Trace.finish w.trace) block.warps;
+  }
 
-let set_reg w (I.R r) lane v = w.regs.((r * lanes) + lane) <- v
+let push w ~pc ~rpc ~mask =
+  if w.sp = Array.length w.fpc then begin
+    let grow a = Array.append a a in
+    w.fpc <- grow w.fpc;
+    w.frpc <- grow w.frpc;
+    w.fmask <- grow w.fmask
+  end;
+  w.fpc.(w.sp) <- pc;
+  w.frpc.(w.sp) <- rpc;
+  w.fmask.(w.sp) <- mask;
+  w.sp <- w.sp + 1
 
-let get_pred w (I.P p) lane = w.preds.((p * lanes) + lane)
-
-let set_pred w (I.P p) lane v = w.preds.((p * lanes) + lane) <- v
+(* Pop reconverged frames: a frame whose pc reached its reconvergence point
+   transfers control to the next stacked side (or the continuation). *)
+let pop_reconverged w =
+  while w.sp > 1 && w.fpc.(w.sp - 1) = w.frpc.(w.sp - 1) do
+    w.sp <- w.sp - 1
+  done
 
 (* --- Shared-memory access --------------------------------------------- *)
 
 let shared_check block addr width =
-  let bytes = 4 * Array.length block.shared in
+  let bytes = Bytes.length block.shared in
   if addr < 0 || addr + width > bytes then
     stuck "block %d: shared access at %#x outside [0, %#x)" block.bid addr
       bytes;
   if addr mod width <> 0 then
     stuck "block %d: misaligned shared access at %#x" block.bid addr
 
-let shared_load32 block addr =
+let[@inline] shared_load32 block addr =
   shared_check block addr 4;
-  Value.of_i32 block.shared.(addr / 4)
+  get32 block.shared addr
 
-let shared_store32 block addr v =
+let[@inline] shared_store32 block addr v =
   shared_check block addr 4;
-  block.shared.(addr / 4) <- Value.to_i32 v
+  set32 block.shared addr v
 
 (* --- ALU semantics ---------------------------------------------------- *)
 
-let sext24 x = Int32.shift_right (Int32.shift_left x 8) 8
+let[@inline] sext24 x = Int32.shift_right (Int32.shift_left x 8) 8
 
-let exec_ibinop op a b =
+let[@inline] exec_ibinop op (a : int32) b =
   let open Int32 in
   match op with
   | I.Add -> add a b
   | I.Sub -> sub a b
   | I.Mul24 -> mul (sext24 a) (sext24 b)
   | I.Mul -> mul a b
-  | I.Min -> if compare a b <= 0 then a else b
-  | I.Max -> if compare a b >= 0 then a else b
+  | I.Min -> if a <= b then a else b
+  | I.Max -> if a >= b then a else b
   | I.And -> logand a b
   | I.Or -> logor a b
   | I.Xor -> logxor a b
   | I.Shl -> shift_left a (to_int (logand b 31l))
   | I.Shr -> shift_right a (to_int (logand b 31l))
 
-let exec_fbinop op a b =
-  Value.round_f32
+let[@inline] exec_fbinop op (a : float) b =
+  round_f32
     (match op with
     | I.Fadd -> a +. b
     | I.Fsub -> a -. b
@@ -152,10 +250,11 @@ let exec_fbinop op a b =
     | I.Fmin -> if a <= b then a else b
     | I.Fmax -> if a >= b then a else b)
 
-let exec_dbinop op a b = match op with I.Dadd -> a +. b | I.Dmul -> a *. b
+let[@inline] exec_dbinop op a b =
+  match op with I.Dadd -> a +. b | I.Dmul -> a *. b
 
-let exec_sfu op a =
-  Value.round_f32
+let[@inline] exec_sfu op a =
+  round_f32
     (match op with
     | I.Rcp -> 1.0 /. a
     | I.Rsqrt -> 1.0 /. sqrt a
@@ -164,19 +263,25 @@ let exec_sfu op a =
     | I.Lg2 -> log a /. log 2.0
     | I.Ex2 -> Float.pow 2.0 a)
 
-let compare_values cmp ty (a : Value.t) (b : Value.t) =
+let[@inline] exec_cvt op x =
+  match op with
+  | I.I2f -> of_f32 (round_f32 (Int32.to_float (to_i32 x)))
+  | I.F2i -> of_i32 (Int32.of_float (to_f32 x))
+  | I.F2i_rni -> of_i32 (Int32.of_float (Float.round (to_f32 x)))
+
+let[@inline] compare_values cmp ty (a : t) (b : t) =
   match ty with
   | I.S32 ->
-    let c = Int32.compare (Value.to_i32 a) (Value.to_i32 b) in
+    let x = to_i32 a and y = to_i32 b in
     (match cmp with
-    | I.Eq -> c = 0
-    | I.Ne -> c <> 0
-    | I.Lt -> c < 0
-    | I.Le -> c <= 0
-    | I.Gt -> c > 0
-    | I.Ge -> c >= 0)
+    | I.Eq -> x = y
+    | I.Ne -> x <> y
+    | I.Lt -> x < y
+    | I.Le -> x <= y
+    | I.Gt -> x > y
+    | I.Ge -> x >= y)
   | I.F32 ->
-    let x = Value.to_f32 a and y = Value.to_f32 b in
+    let x = to_f32 a and y = to_f32 b in
     (match cmp with
     | I.Eq -> x = y
     | I.Ne -> x <> y
@@ -185,7 +290,45 @@ let compare_values cmp ty (a : Value.t) (b : Value.t) =
     | I.Gt -> x > y
     | I.Ge -> x >= y)
 
-(* --- Trace helpers ---------------------------------------------------- *)
+(* --- Decoding ----------------------------------------------------------- *)
+
+(* One instruction, decoded once per run. *)
+type decoded = {
+  op : I.op;
+  cls : I.cost_class;
+  guard : int; (* guard predicate register, or -1 *)
+  sense : bool; (* lanes run where the guard equals this *)
+  work : bool; (* counts its warp active in the stage *)
+  mad : bool;
+  target : int; (* resolved branch target pc, or -1 *)
+  reconv : int; (* resolved reconvergence pc, or -1 *)
+  dst : int; (* trace destination *)
+  srcs : int array; (* trace sources, in recording order *)
+  event : Trace.event; (* the event every issue of a non-memory op records *)
+  (* Operand slots a, b, c: lane [l] of slot a reads the 8 bytes at
+     [xa + 8 * l] of the register file, or of [ka] when the operand is an
+     immediate — converted to a register value at decode time and
+     broadcast to every lane, so the lane loops never branch on it. *)
+  xa : int;
+  ka : Bytes.t option;
+  xb : int;
+  kb : Bytes.t option;
+  xc : int;
+  kc : Bytes.t option;
+}
+
+let broadcast v =
+  let b = Bytes.create row in
+  for lane = 0 to lanes - 1 do
+    set64 b (8 * lane) v
+  done;
+  Some b
+
+let slot = function
+  | Some (I.Reg (I.R r)) -> (r * row, None)
+  | Some (I.Imm v) -> (0, broadcast (of_i32 v))
+  | Some (I.Fimm f) -> (0, broadcast (of_f32 (round_f32 f)))
+  | None -> (0, None)
 
 let reg_id (I.R r) = r
 
@@ -195,185 +338,215 @@ let operand_srcs acc = function
   | I.Reg r -> reg_id r :: acc
   | I.Imm _ | I.Fimm _ -> acc
 
-let record cfg w ~cls ~dst ~srcs ~mem ~bar =
-  if cfg.collect_trace then
-    Trace.add w.trace { Trace.cls; dst; srcs = Array.of_list srcs; mem; bar }
+(* Static trace registers of an instruction; the order of [srcs] is part
+   of the trace format. *)
+let trace_regs (instr : I.t) =
+  let os = operand_srcs in
+  let pred_srcs =
+    match instr.pred with Some (p, _) -> [ pred_id p ] | None -> []
+  in
+  match instr.op with
+  | I.Mov (d, a) | I.Sfu (_, d, a) | I.Cvt (_, d, a) ->
+    (reg_id d, os pred_srcs a)
+  | I.Mov_sreg (d, _) -> (reg_id d, pred_srcs)
+  | I.Iop (_, d, a, b) | I.Fop (_, d, a, b) | I.Dop (_, d, a, b) ->
+    (reg_id d, os (os pred_srcs a) b)
+  | I.Imad (d, a, b, c) | I.Fmad (d, a, b, c) | I.Dfma (d, a, b, c) ->
+    (reg_id d, os (os (os pred_srcs a) b) c)
+  | I.Setp (_, _, p, a, b) -> (pred_id p, os (os pred_srcs a) b)
+  | I.Selp (d, a, b, p) -> (reg_id d, pred_id p :: os (os pred_srcs a) b)
+  | I.Fmad_smem (d, a, m, c) ->
+    (reg_id d, os (os (reg_id m.base :: pred_srcs) a) c)
+  | I.Ld (_, _, d, m) -> (reg_id d, reg_id m.base :: pred_srcs)
+  | I.St (_, _, m, s) -> (Trace.no_reg, os (reg_id m.base :: pred_srcs) s)
+  | I.Atom (_, d, m, s, swap) ->
+    let base = os (reg_id m.base :: pred_srcs) s in
+    (reg_id d, match swap with Some sw -> os base sw | None -> base)
+  | I.Bra _ | I.Bar | I.Exit -> (Trace.no_reg, pred_srcs)
+  | I.Bra_pred (p, _, _, _) -> (Trace.no_reg, pred_id p :: pred_srcs)
+
+let decode program (instr : I.t) =
+  let cls = I.classify instr in
+  let dst, srcs = trace_regs instr in
+  let srcs = Array.of_list srcs in
+  let pc = Gpu_isa.Program.target_pc program in
+  let target, reconv =
+    match instr.op with
+    | I.Bra l -> (pc l, -1)
+    | I.Bra_pred (_, _, l, r) -> (pc l, pc r)
+    | _ -> (-1, -1)
+  in
+  let a, b, c =
+    match instr.op with
+    | I.Mov (_, a) | I.Sfu (_, _, a) | I.Cvt (_, _, a) | I.St (_, _, _, a) ->
+      (Some a, None, None)
+    | I.Iop (_, _, a, b)
+    | I.Fop (_, _, a, b)
+    | I.Dop (_, _, a, b)
+    | I.Setp (_, _, _, a, b)
+    | I.Selp (_, a, b, _) ->
+      (Some a, Some b, None)
+    | I.Imad (_, a, b, c) | I.Fmad (_, a, b, c) | I.Dfma (_, a, b, c) ->
+      (Some a, Some b, Some c)
+    | I.Fmad_smem (_, a, _, c) -> (Some a, None, Some c)
+    | I.Atom (_, _, _, s, swap) -> (Some s, swap, None)
+    | I.Mov_sreg _ | I.Ld _ | I.Bra _ | I.Bra_pred _ | I.Bar | I.Exit ->
+      (None, None, None)
+  in
+  let xa, ka = slot a and xb, kb = slot b and xc, kc = slot c in
+  let guard, sense =
+    match instr.pred with Some (I.P p, s) -> (p, s) | None -> (-1, true)
+  in
+  {
+    op = instr.op;
+    cls;
+    guard;
+    sense;
+    (* A warp is "active" in a stage once it issues real work there with
+       at least one enabled lane; the control skeleton every warp runs to
+       skip a guarded region (setp, branches, barriers) does not count, so
+       the per-step warp-level parallelism of workloads like cyclic
+       reduction is what the paper reports (8, 4, 2, 1 warps). *)
+    work =
+      (match instr.op with
+      | I.Setp _ | I.Bra _ | I.Bra_pred _ | I.Bar | I.Exit -> false
+      | I.Mov _ | I.Mov_sreg _ | I.Iop _ | I.Imad _ | I.Fop _ | I.Fmad _
+      | I.Fmad_smem _ | I.Dop _ | I.Dfma _ | I.Sfu _ | I.Cvt _ | I.Selp _
+      | I.Ld _ | I.St _ | I.Atom _ ->
+        true);
+    mad = (match instr.op with I.Fmad _ | I.Fmad_smem _ -> true | _ -> false);
+    target;
+    reconv;
+    dst;
+    srcs;
+    event =
+      {
+        Trace.cls;
+        dst;
+        srcs;
+        mem = Trace.No_mem;
+        bar = (match instr.op with I.Bar -> true | _ -> false);
+      };
+    xa;
+    ka;
+    xb;
+    kb;
+    xc;
+    kc;
+  }
+
+(* A program decoded for one [Sim.run], with the run's scratch buffers:
+   the staged lane addresses of the current memory instruction and the
+   bank/coalescing tallies.  Owned by the run, so concurrent runs on
+   several domains never share them. *)
+type run = {
+  cfg : config;
+  code : decoded array;
+  addrs : int array;
+  bank : Bank.scratch;
+  coal : Coalesce.scratch;
+}
+
+let prepare cfg program =
+  {
+    cfg;
+    code = Array.map (decode program) (Gpu_isa.Program.code program);
+    addrs = Array.make lanes 0;
+    bank = Bank.scratch ();
+    coal = Coalesce.scratch ();
+  }
 
 (* --- Instruction execution -------------------------------------------- *)
 
 type outcome = Continue | Hit_barrier | Exited
 
-(* Pop reconverged frames: a frame whose pc reached its reconvergence point
-   transfers control to the next stacked side (or the continuation). *)
-let rec pop_reconverged w =
-  match w.stack with
-  | fr :: (_ :: _ as rest) when fr.pc = fr.rpc ->
-    w.stack <- rest;
-    pop_reconverged w
-  | _ -> ()
+(* The bytes an operand slot reads: the register file, or the broadcast
+   immediate. *)
+let source regs = function None -> regs | Some k -> k
 
-let enabled_mask w fr (instr : I.t) =
-  match instr.pred with
-  | None -> fr.mask
-  | Some (p, sense) ->
-    let m = ref 0 in
-    for lane = 0 to lanes - 1 do
-      if fr.mask land (1 lsl lane) <> 0 && get_pred w p lane = sense then
-        m := !m lor (1 lsl lane)
+let[@inline] operand src x lane = get64 src (x + (8 * lane))
+
+let[@inline] enabled em lane = em land (1 lsl lane) <> 0
+
+(* Stage the enabled lanes' addresses of a memory access into [run.addrs];
+   a negative address raises before any lane executes. *)
+let stage_addresses run w em (m : I.maddr) =
+  let addrs = run.addrs and regs = w.regs in
+  let base = reg_id m.base * row and offset = m.offset in
+  for lane = 0 to lanes - 1 do
+    if enabled em lane then
+      addrs.(lane) <- to_address (get64 regs (base + (8 * lane))) + offset
+  done
+
+(* Record the shared event of a non-memory instruction. *)
+let record cfg w d = if cfg.collect_trace then Trace.add w.trace d.event
+
+(* A memory instruction's event carries its dynamic transactions. *)
+let record_mem w d mem =
+  Trace.add w.trace
+    { Trace.cls = d.cls; dst = d.dst; srcs = d.srcs; mem; bar = false }
+
+let count_smem run st block w d ~pc ~width em =
+  let spec = run.cfg.spec in
+  let group = spec.Gpu_hw.Spec.coalesce_threads in
+  let txns =
+    Bank.conflicts run.bank ~width ~banks:spec.Gpu_hw.Spec.smem_banks ~group
+      run.addrs ~mask:em
+  in
+  let ideal = Bank.ideal ~width ~group run.addrs ~mask:em in
+  Stats.count_smem st ~stage:block.stage ~pc ~txns ~ideal;
+  if run.cfg.collect_trace then record_mem w d (Trace.Smem txns)
+
+let count_atomic run st block w d ~pc em =
+  let spec = run.cfg.spec in
+  let group = spec.Gpu_hw.Spec.coalesce_threads in
+  let txns =
+    Bank.atomic_conflicts run.bank ~width:4
+      ~banks:spec.Gpu_hw.Spec.smem_banks ~group run.addrs ~mask:em
+  in
+  let ideal = Bank.ideal_atomic ~group ~mask:em in
+  Stats.count_atomic st ~stage:block.stage ~pc ~txns ~ideal;
+  if run.cfg.collect_trace then record_mem w d (Trace.Smem_atomic txns)
+
+let count_gmem run st block w d ~pc ~width ~store em =
+  let coal = run.coal in
+  let n = Coalesce.serve run.cfg.coalesce coal ~width run.addrs ~mask:em in
+  let bytes = ref 0 in
+  for i = 0 to n - 1 do
+    bytes := !bytes + coal.sizes.(i)
+  done;
+  Stats.count_gmem st ~stage:block.stage ~pc ~txns:n ~bytes:!bytes
+    ~requested:(Gpu_mem.Lanes.count em * width);
+  if run.cfg.collect_trace then begin
+    let txns = Array.make n (0, 0) in
+    for i = 0 to n - 1 do
+      txns.(i) <- (coal.bases.(i), coal.sizes.(i))
     done;
-    !m
+    record_mem w d
+      (if store then Trace.Gmem_store txns else Trace.Gmem_load txns)
+  end
 
-(* Per-lane addresses of a memory access, [None] for disabled lanes. *)
-let lane_addresses w ~mask (m : I.maddr) =
-  Array.init lanes (fun lane ->
-      if mask land (1 lsl lane) <> 0 then
-        Some (Value.to_address (get_reg w m.base lane) + m.offset)
-      else None)
-
-(* Execute one warp-instruction.  [stats] may be [None] when re-running for
-   outputs only. *)
-let step cfg ~program ~gmem ~(stats : Stats.t option) block w =
-  pop_reconverged w;
-  let fr = match w.stack with [] -> stuck "empty SIMT stack" | f :: _ -> f in
-  let code = Gpu_isa.Program.code program in
-  if fr.pc < 0 || fr.pc >= Array.length code then
-    stuck "block %d warp %d: pc %d outside program" block.bid w.wid fr.pc;
-  let instr = code.(fr.pc) in
-  (* Captured before [advance ()] so the memory-access closures below
-     charge their statistics to the issuing pc, not its successor. *)
-  let pc = fr.pc in
-  w.issued <- w.issued + 1;
-  if w.issued > cfg.max_warp_instructions then
-    stuck "block %d warp %d: exceeded %d instructions (runaway kernel?)"
-      block.bid w.wid cfg.max_warp_instructions;
-  (match cfg.inject_stuck_at with
-  | Some n when w.issued = n ->
-    stuck "block %d warp %d: injected trap at issue %d (pc %d)" block.bid
-      w.wid n fr.pc
-  | Some _ | None -> ());
-  let cls = I.classify instr in
-  let em = enabled_mask w fr instr in
-  (* A warp is "active" in a stage once it issues real work there with at
-     least one enabled lane; the control skeleton every warp runs to skip a
-     guarded region (setp, branches, barriers) does not count, so the
-     per-step warp-level parallelism of workloads like cyclic reduction is
-     what the paper reports (8, 4, 2, 1 warps). *)
-  let work_instruction =
-    match instr.op with
-    | I.Setp _ | I.Bra _ | I.Bra_pred _ | I.Bar | I.Exit -> false
-    | I.Mov _ | I.Mov_sreg _ | I.Iop _ | I.Imad _ | I.Fop _ | I.Fmad _
-    | I.Fmad_smem _ | I.Dop _ | I.Dfma _ | I.Sfu _ | I.Cvt _ | I.Selp _
-    | I.Ld _ | I.St _ | I.Atom _ ->
-      true
-  in
-  (match stats with
-  | Some st ->
-    Stats.count_issue st ~stage:block.stage ~pc cls;
-    if work_instruction && em <> 0 && block.stage > w.counted_stage then begin
-      w.counted_stage <- block.stage;
-      Stats.count_active_warp st ~stage:block.stage
-    end;
-    (match instr.op with
-    | I.Fmad _ | I.Fmad_smem _ -> Stats.count_mad st ~stage:block.stage
-    | _ -> ())
-  | None -> ());
-  let pred_srcs =
-    match instr.pred with Some (p, _) -> [ pred_id p ] | None -> []
-  in
-  let each_lane f =
+(* Run the lanes of a straight-line (non-control) instruction.  A memory
+   instruction counts its accesses and records its own event; the others
+   record their pc's static event. *)
+let execute run ~gmem ~stats:st block w d ~pc em =
+  let cfg = run.cfg in
+  let regs = w.regs in
+  let sa = source regs d.ka and sb = source regs d.kb in
+  let sc = source regs d.kc in
+  let xa = d.xa and xb = d.xb and xc = d.xc in
+  match d.op with
+  | I.Mov (dr, _) ->
+    let o = reg_id dr * row in
     for lane = 0 to lanes - 1 do
-      if em land (1 lsl lane) <> 0 then f lane
-    done
-  in
-  let operand o lane =
-    match o with
-    | I.Reg r -> get_reg w r lane
-    | I.Imm v -> Value.of_i32 v
-    | I.Fimm f -> Value.of_f32 (Value.round_f32 f)
-  in
-  let alu1 d a compute =
-    each_lane (fun lane -> set_reg w d lane (compute (operand a lane)));
-    record cfg w ~cls ~dst:(reg_id d)
-      ~srcs:(operand_srcs pred_srcs a)
-      ~mem:Trace.No_mem ~bar:false
-  in
-  let alu2 d a b compute =
-    each_lane (fun lane ->
-        set_reg w d lane (compute (operand a lane) (operand b lane)));
-    record cfg w ~cls ~dst:(reg_id d)
-      ~srcs:(operand_srcs (operand_srcs pred_srcs a) b)
-      ~mem:Trace.No_mem ~bar:false
-  in
-  let alu3 d a b c compute =
-    each_lane (fun lane ->
-        set_reg w d lane
-          (compute (operand a lane) (operand b lane) (operand c lane)));
-    record cfg w ~cls ~dst:(reg_id d)
-      ~srcs:(operand_srcs (operand_srcs (operand_srcs pred_srcs a) b) c)
-      ~mem:Trace.No_mem ~bar:false
-  in
-  let advance () = fr.pc <- fr.pc + 1 in
-  let count_smem_access ~width addresses srcs dst =
-    let spec = cfg.spec in
-    let txns =
-      Gpu_mem.Bank.warp_transactions ~width
-        ~banks:spec.Gpu_hw.Spec.smem_banks
-        ~group:spec.Gpu_hw.Spec.coalesce_threads addresses
-    in
-    let ideal =
-      Gpu_mem.Bank.ideal_warp_transactions ~width
-        ~group:spec.Gpu_hw.Spec.coalesce_threads addresses
-    in
-    (match stats with
-    | Some st -> Stats.count_smem st ~stage:block.stage ~pc ~txns ~ideal
-    | None -> ());
-    record cfg w ~cls ~dst ~srcs ~mem:(Trace.Smem txns) ~bar:false
-  in
-  let count_atomic_access ~width addresses srcs dst =
-    let spec = cfg.spec in
-    let txns =
-      Gpu_mem.Bank.warp_atomic_transactions ~width
-        ~banks:spec.Gpu_hw.Spec.smem_banks
-        ~group:spec.Gpu_hw.Spec.coalesce_threads addresses
-    in
-    let ideal =
-      Gpu_mem.Bank.ideal_warp_atomic_transactions
-        ~group:spec.Gpu_hw.Spec.coalesce_threads addresses
-    in
-    (match stats with
-    | Some st -> Stats.count_atomic st ~stage:block.stage ~pc ~txns ~ideal
-    | None -> ());
-    record cfg w ~cls ~dst ~srcs ~mem:(Trace.Smem_atomic txns) ~bar:false
-  in
-  let count_gmem_access ~width ~kind addresses srcs dst =
-    let txns =
-      Gpu_mem.Coalesce.warp_transactions cfg.coalesce ~width addresses
-    in
-    let active =
-      Array.fold_left
-        (fun acc a -> match a with Some _ -> acc + 1 | None -> acc)
-        0 addresses
-    in
-    (match stats with
-    | Some st ->
-      Stats.count_gmem st ~stage:block.stage ~pc ~txns
-        ~requested:(active * width)
-    | None -> ());
-    let arr =
-      Array.of_list
-        (List.map (fun (t : Gpu_mem.Coalesce.txn) -> (t.base, t.size)) txns)
-    in
-    let mem =
-      match kind with
-      | `Load -> Trace.Gmem_load arr
-      | `Store -> Trace.Gmem_store arr
-    in
-    record cfg w ~cls ~dst ~srcs ~mem ~bar:false
-  in
-  match instr.op with
-  | I.Mov (d, s) -> alu1 d s (fun a -> a); advance (); Continue
-  | I.Mov_sreg (d, s) ->
-    each_lane (fun lane ->
+      if enabled em lane then
+        set64 regs (o + (8 * lane)) (operand sa xa lane)
+    done;
+    record cfg w d
+  | I.Mov_sreg (dr, s) ->
+    let o = reg_id dr * row in
+    for lane = 0 to lanes - 1 do
+      if enabled em lane then
         let v =
           match s with
           | I.Tid_x -> w.base_tid + lane
@@ -383,252 +556,290 @@ let step cfg ~program ~gmem ~(stats : Stats.t option) block w =
           | I.Laneid -> lane
           | I.Warpid -> w.wid
         in
-        set_reg w d lane (Value.of_int v));
-    record cfg w ~cls ~dst:(reg_id d) ~srcs:pred_srcs ~mem:Trace.No_mem
-      ~bar:false;
-    advance ();
-    Continue
-  | I.Iop (op, d, a, b) ->
-    alu2 d a b (fun x y ->
-        Value.of_i32 (exec_ibinop op (Value.to_i32 x) (Value.to_i32 y)));
-    advance ();
-    Continue
-  | I.Imad (d, a, b, c) ->
-    alu3 d a b c (fun x y z ->
-        Value.of_i32
-          (Int32.add
-             (Int32.mul (sext24 (Value.to_i32 x)) (sext24 (Value.to_i32 y)))
-             (Value.to_i32 z)));
-    advance ();
-    Continue
-  | I.Fop (op, d, a, b) ->
-    alu2 d a b (fun x y ->
-        Value.of_f32 (exec_fbinop op (Value.to_f32 x) (Value.to_f32 y)));
-    advance ();
-    Continue
-  | I.Fmad (d, a, b, c) ->
-    alu3 d a b c (fun x y z ->
-        Value.of_f32
-          (Value.round_f32
-             ((Value.to_f32 x *. Value.to_f32 y) +. Value.to_f32 z)));
-    advance ();
-    Continue
-  | I.Dop (op, d, a, b) ->
-    alu2 d a b (fun x y ->
-        Value.of_f64 (exec_dbinop op (Value.to_f64 x) (Value.to_f64 y)));
-    advance ();
-    Continue
-  | I.Dfma (d, a, b, c) ->
-    alu3 d a b c (fun x y z ->
-        Value.of_f64
-          (Float.fma (Value.to_f64 x) (Value.to_f64 y) (Value.to_f64 z)));
-    advance ();
-    Continue
-  | I.Sfu (op, d, a) ->
-    alu1 d a (fun x -> Value.of_f32 (exec_sfu op (Value.to_f32 x)));
-    advance ();
-    Continue
-  | I.Cvt (op, d, a) ->
-    alu1 d a (fun x ->
-        match op with
-        | I.I2f ->
-          Value.of_f32 (Value.round_f32 (Int32.to_float (Value.to_i32 x)))
-        | I.F2i -> Value.of_i32 (Int32.of_float (Value.to_f32 x))
-        | I.F2i_rni ->
-          Value.of_i32 (Int32.of_float (Float.round (Value.to_f32 x))));
-    advance ();
-    Continue
-  | I.Setp (cmp, ty, p, a, b) ->
-    each_lane (fun lane ->
-        set_pred w p lane
-          (compare_values cmp ty (operand a lane) (operand b lane)));
-    record cfg w ~cls ~dst:(pred_id p)
-      ~srcs:(operand_srcs (operand_srcs pred_srcs a) b)
-      ~mem:Trace.No_mem ~bar:false;
-    advance ();
-    Continue
-  | I.Selp (d, a, b, p) ->
-    each_lane (fun lane ->
-        set_reg w d lane
-          (if get_pred w p lane then operand a lane else operand b lane));
-    record cfg w ~cls ~dst:(reg_id d)
-      ~srcs:(pred_id p :: operand_srcs (operand_srcs pred_srcs a) b)
-      ~mem:Trace.No_mem ~bar:false;
-    advance ();
-    Continue
-  | I.Fmad_smem (d, a, m, c) ->
-    let addresses = lane_addresses w ~mask:em m in
-    each_lane (fun lane ->
-        match addresses.(lane) with
-        | Some ad ->
-          let b = Value.to_f32 (shared_load32 block ad) in
-          set_reg w d lane
-            (Value.of_f32
-               (Value.round_f32
-                  ((Value.to_f32 (operand a lane) *. b)
-                  +. Value.to_f32 (operand c lane))));
-        | None -> ());
-    count_smem_access ~width:4 addresses
-      (operand_srcs (operand_srcs (reg_id m.base :: pred_srcs) a) c)
-      (reg_id d);
-    advance ();
-    Continue
-  | I.Ld (I.Shared, width, d, m) ->
+        set64 regs (o + (8 * lane)) (of_int v)
+    done;
+    record cfg w d
+  | I.Iop (op, dr, _, _) ->
+    let o = reg_id dr * row in
+    for lane = 0 to lanes - 1 do
+      if enabled em lane then
+        let x = to_i32 (operand sa xa lane)
+        and y = to_i32 (operand sb xb lane) in
+        set64 regs (o + (8 * lane)) (of_i32 (exec_ibinop op x y))
+    done;
+    record cfg w d
+  | I.Imad (dr, _, _, _) ->
+    let o = reg_id dr * row in
+    for lane = 0 to lanes - 1 do
+      if enabled em lane then
+        let x = to_i32 (operand sa xa lane)
+        and y = to_i32 (operand sb xb lane)
+        and z = to_i32 (operand sc xc lane) in
+        set64 regs
+          (o + (8 * lane))
+          (of_i32 (Int32.add (Int32.mul (sext24 x) (sext24 y)) z))
+    done;
+    record cfg w d
+  | I.Fop (op, dr, _, _) ->
+    let o = reg_id dr * row in
+    for lane = 0 to lanes - 1 do
+      if enabled em lane then
+        let x = to_f32 (operand sa xa lane)
+        and y = to_f32 (operand sb xb lane) in
+        set64 regs (o + (8 * lane)) (of_f32 (exec_fbinop op x y))
+    done;
+    record cfg w d
+  | I.Fmad (dr, _, _, _) ->
+    let o = reg_id dr * row in
+    for lane = 0 to lanes - 1 do
+      if enabled em lane then
+        let x = to_f32 (operand sa xa lane)
+        and y = to_f32 (operand sb xb lane)
+        and z = to_f32 (operand sc xc lane) in
+        set64 regs (o + (8 * lane)) (of_f32 (round_f32 ((x *. y) +. z)))
+    done;
+    record cfg w d
+  | I.Dop (op, dr, _, _) ->
+    let o = reg_id dr * row in
+    for lane = 0 to lanes - 1 do
+      if enabled em lane then
+        let x = to_f64 (operand sa xa lane)
+        and y = to_f64 (operand sb xb lane) in
+        set64 regs (o + (8 * lane)) (of_f64 (exec_dbinop op x y))
+    done;
+    record cfg w d
+  | I.Dfma (dr, _, _, _) ->
+    let o = reg_id dr * row in
+    for lane = 0 to lanes - 1 do
+      if enabled em lane then
+        let x = to_f64 (operand sa xa lane)
+        and y = to_f64 (operand sb xb lane)
+        and z = to_f64 (operand sc xc lane) in
+        set64 regs (o + (8 * lane)) (of_f64 (Float.fma x y z))
+    done;
+    record cfg w d
+  | I.Sfu (op, dr, _) ->
+    let o = reg_id dr * row in
+    for lane = 0 to lanes - 1 do
+      if enabled em lane then
+        let x = to_f32 (operand sa xa lane) in
+        set64 regs (o + (8 * lane)) (of_f32 (exec_sfu op x))
+    done;
+    record cfg w d
+  | I.Cvt (op, dr, _) ->
+    let o = reg_id dr * row in
+    for lane = 0 to lanes - 1 do
+      if enabled em lane then
+        set64 regs (o + (8 * lane)) (exec_cvt op (operand sa xa lane))
+    done;
+    record cfg w d
+  | I.Setp (cmp, ty, I.P p, _, _) ->
+    let bits = ref 0 in
+    for lane = 0 to lanes - 1 do
+      if
+        enabled em lane
+        && compare_values cmp ty
+             (operand sa xa lane)
+             (operand sb xb lane)
+      then bits := !bits lor (1 lsl lane)
+    done;
+    if em <> 0 then w.preds.(p) <- (w.preds.(p) land lnot em) lor !bits;
+    record cfg w d
+  | I.Selp (dr, _, _, I.P p) ->
+    let o = reg_id dr * row in
+    for lane = 0 to lanes - 1 do
+      if enabled em lane then
+        set64 regs
+          (o + (8 * lane))
+          (if enabled w.preds.(p) lane then operand sa xa lane
+           else operand sb xb lane)
+    done;
+    record cfg w d
+  | I.Fmad_smem (dr, _, m, _) ->
+    stage_addresses run w em m;
+    let addrs = run.addrs and o = reg_id dr * row in
+    for lane = 0 to lanes - 1 do
+      if enabled em lane then begin
+        let b = Int32.float_of_bits (shared_load32 block addrs.(lane)) in
+        let x = to_f32 (operand sa xa lane)
+        and z = to_f32 (operand sc xc lane) in
+        set64 regs (o + (8 * lane)) (of_f32 (round_f32 ((x *. b) +. z)))
+      end
+    done;
+    count_smem run st block w d ~pc ~width:4 em
+  | I.Ld (I.Shared, width, dr, m) ->
     if width <> 4 then stuck "shared loads must be 32-bit";
-    let addresses = lane_addresses w ~mask:em m in
-    each_lane (fun lane ->
-        match addresses.(lane) with
-        | Some a -> set_reg w d lane (shared_load32 block a)
-        | None -> ());
-    count_smem_access ~width addresses (reg_id m.base :: pred_srcs)
-      (reg_id d);
-    advance ();
-    Continue
-  | I.St (I.Shared, width, m, s) ->
+    stage_addresses run w em m;
+    let addrs = run.addrs and o = reg_id dr * row in
+    for lane = 0 to lanes - 1 do
+      if enabled em lane then
+        set64 regs
+          (o + (8 * lane))
+          (of_i32 (shared_load32 block addrs.(lane)))
+    done;
+    count_smem run st block w d ~pc ~width em
+  | I.St (I.Shared, width, m, _) ->
     if width <> 4 then stuck "shared stores must be 32-bit";
-    let addresses = lane_addresses w ~mask:em m in
-    each_lane (fun lane ->
-        match addresses.(lane) with
-        | Some a -> shared_store32 block a (operand s lane)
-        | None -> ());
-    count_smem_access ~width addresses
-      (operand_srcs (reg_id m.base :: pred_srcs) s)
-      Trace.no_reg;
-    advance ();
-    Continue
-  | I.Ld (I.Global, width, d, m) ->
-    let addresses = lane_addresses w ~mask:em m in
-    each_lane (fun lane ->
-        match addresses.(lane) with
-        | Some a ->
-          set_reg w d lane
-            (if width = 8 then Memory.load64 gmem a
-             else Value.of_i32 (Memory.load32 gmem a))
-        | None -> ());
-    count_gmem_access ~width ~kind:`Load addresses
-      (reg_id m.base :: pred_srcs)
-      (reg_id d);
-    advance ();
-    Continue
-  | I.St (I.Global, width, m, s) ->
-    let addresses = lane_addresses w ~mask:em m in
-    each_lane (fun lane ->
-        match addresses.(lane) with
-        | Some a ->
-          if width = 8 then Memory.store64 gmem a (operand s lane)
-          else Memory.store32 gmem a (Value.to_i32 (operand s lane))
-        | None -> ());
-    count_gmem_access ~width ~kind:`Store addresses
-      (operand_srcs (reg_id m.base :: pred_srcs) s)
-      Trace.no_reg;
-    advance ();
-    Continue
-  | I.Atom (op, d, m, s, swap) ->
+    stage_addresses run w em m;
+    let addrs = run.addrs in
+    for lane = 0 to lanes - 1 do
+      if enabled em lane then
+        shared_store32 block addrs.(lane) (to_i32 (operand sa xa lane))
+    done;
+    count_smem run st block w d ~pc ~width em
+  | I.Ld (I.Global, width, dr, m) ->
+    stage_addresses run w em m;
+    let addrs = run.addrs and o = reg_id dr * row in
+    for lane = 0 to lanes - 1 do
+      if enabled em lane then
+        set64 regs
+          (o + (8 * lane))
+          (if width = 8 then Memory.load64 gmem addrs.(lane)
+           else of_int (Memory.load32 gmem addrs.(lane)))
+    done;
+    count_gmem run st block w d ~pc ~width ~store:false em
+  | I.St (I.Global, width, m, _) ->
+    stage_addresses run w em m;
+    let addrs = run.addrs in
+    for lane = 0 to lanes - 1 do
+      if enabled em lane then
+        if width = 8 then
+          Memory.store64 gmem addrs.(lane) (operand sa xa lane)
+        else
+          Memory.store32 gmem addrs.(lane)
+            (Int64.to_int (operand sa xa lane))
+    done;
+    count_gmem run st block w d ~pc ~width ~store:true em
+  | I.Atom (op, dr, m, _, swap) ->
     (match (op, swap) with
     | I.Acas, None -> stuck "atom.cas needs a swap operand"
     | (I.Aadd | I.Amin | I.Amax), Some _ ->
       stuck "atom.%s takes no swap operand" (I.atomic_op_name op)
     | I.Acas, Some _ | (I.Aadd | I.Amin | I.Amax), None -> ());
-    let addresses = lane_addresses w ~mask:em m in
+    stage_addresses run w em m;
+    let addrs = run.addrs and o = reg_id dr * row in
     (* Lanes perform their read-modify-writes in lane order, each one
        observing the previous lane's write — the serialization the
-       transaction count below charges for. *)
-    each_lane (fun lane ->
-        match addresses.(lane) with
-        | Some a ->
-          let old = shared_load32 block a in
-          set_reg w d lane old;
-          let src = Value.to_i32 (operand s lane) in
-          let oldv = Value.to_i32 old in
-          let nv =
-            match op with
-            | I.Aadd -> Int32.add oldv src
-            | I.Amin -> if Int32.compare oldv src <= 0 then oldv else src
-            | I.Amax -> if Int32.compare oldv src >= 0 then oldv else src
-            | I.Acas ->
-              let sw =
-                match swap with Some sw -> sw | None -> assert false
-              in
-              if Int32.equal oldv src then Value.to_i32 (operand sw lane)
-              else oldv
-          in
-          shared_store32 block a (Value.of_i32 nv)
-        | None -> ());
-    let srcs =
-      let base = operand_srcs (reg_id m.base :: pred_srcs) s in
-      match swap with Some sw -> operand_srcs base sw | None -> base
+       transaction count below charges for.  The destination is written
+       before the sources are read, so a source aliasing it sees the old
+       value. *)
+    for lane = 0 to lanes - 1 do
+      if enabled em lane then begin
+        let a = addrs.(lane) in
+        let old = shared_load32 block a in
+        set64 regs (o + (8 * lane)) (of_i32 old);
+        let src = to_i32 (operand sa xa lane) in
+        let nv =
+          match op with
+          | I.Aadd -> Int32.add old src
+          | I.Amin -> if old <= src then old else src
+          | I.Amax -> if old >= src then old else src
+          | I.Acas ->
+            if old = src then to_i32 (operand sb xb lane) else old
+        in
+        shared_store32 block a nv
+      end
+    done;
+    count_atomic run st block w d ~pc em
+  | I.Bra _ | I.Bra_pred _ | I.Bar | I.Exit -> () (* see [step] *)
+
+(* Execute one warp-instruction. *)
+let step run ~gmem ~stats:st block w =
+  let cfg = run.cfg in
+  pop_reconverged w;
+  if w.sp = 0 then stuck "empty SIMT stack";
+  let top = w.sp - 1 in
+  let pc = w.fpc.(top) in
+  let code = run.code in
+  if pc < 0 || pc >= Array.length code then
+    stuck "block %d warp %d: pc %d outside program" block.bid w.wid pc;
+  let d = code.(pc) in
+  w.issued <- w.issued + 1;
+  if w.issued > cfg.max_warp_instructions then
+    stuck "block %d warp %d: exceeded %d instructions (runaway kernel?)"
+      block.bid w.wid cfg.max_warp_instructions;
+  (match cfg.inject_stuck_at with
+  | Some n when w.issued = n ->
+    stuck "block %d warp %d: injected trap at issue %d (pc %d)" block.bid
+      w.wid n pc
+  | Some _ | None -> ());
+  let fmask = w.fmask.(top) in
+  let em =
+    if d.guard < 0 then fmask
+    else
+      let p = w.preds.(d.guard) in
+      fmask land (if d.sense then p else lnot p)
+  in
+  let stage = block.stage in
+  Stats.count_issue st ~stage ~pc d.cls;
+  if d.work && em <> 0 && stage > w.counted_stage then begin
+    w.counted_stage <- stage;
+    Stats.count_active_warp st ~stage
+  end;
+  if d.mad then Stats.count_mad st ~stage;
+  match d.op with
+  | I.Bra _ ->
+    record cfg w d;
+    w.fpc.(top) <- d.target;
+    Continue
+  | I.Bra_pred (I.P p, sense, _, _) ->
+    record cfg w d;
+    let taken =
+      if em = 0 then 0
+      else em land (if sense then w.preds.(p) else lnot w.preds.(p))
     in
-    count_atomic_access ~width:4 addresses srcs (reg_id d);
-    advance ();
-    Continue
-  | I.Bra l ->
-    record cfg w ~cls ~dst:Trace.no_reg ~srcs:pred_srcs ~mem:Trace.No_mem
-      ~bar:false;
-    fr.pc <- Gpu_isa.Program.target_pc program l;
-    Continue
-  | I.Bra_pred (p, sense, target_label, reconv_label) ->
-    record cfg w ~cls ~dst:Trace.no_reg ~srcs:(pred_id p :: pred_srcs)
-      ~mem:Trace.No_mem ~bar:false;
-    let taken = ref 0 in
-    each_lane (fun lane ->
-        if get_pred w p lane = sense then taken := !taken lor (1 lsl lane));
-    let target = Gpu_isa.Program.target_pc program target_label in
-    if !taken = 0 then advance ()
-    else if !taken = em && em = fr.mask then fr.pc <- target
+    if taken = 0 then w.fpc.(top) <- pc + 1
+    else if taken = em && em = fmask then w.fpc.(top) <- d.target
     else begin
       (* Divergence: the current frame becomes the reconvergence
-         continuation; the two sides are pushed above it. *)
-      let reconv = Gpu_isa.Program.target_pc program reconv_label in
-      let fall_mask = fr.mask land lnot !taken in
-      let next_pc = fr.pc + 1 in
-      fr.pc <- reconv;
-      let sides =
-        List.filter
-          (fun f -> f.mask <> 0)
-          [
-            { pc = next_pc; rpc = reconv; mask = fall_mask };
-            { pc = target; rpc = reconv; mask = !taken };
-          ]
-      in
-      w.stack <- sides @ w.stack
+         continuation; the two sides are pushed above it, the
+         fall-through side on top. *)
+      let fall = fmask land lnot taken in
+      w.fpc.(top) <- d.reconv;
+      push w ~pc:d.target ~rpc:d.reconv ~mask:taken;
+      if fall <> 0 then push w ~pc:(pc + 1) ~rpc:d.reconv ~mask:fall
     end;
     Continue
   | I.Bar ->
-    (match stats with
-    | Some st -> Stats.count_barrier st ~stage:block.stage
-    | None -> ());
-    record cfg w ~cls ~dst:Trace.no_reg ~srcs:pred_srcs ~mem:Trace.No_mem
-      ~bar:true;
-    advance ();
+    Stats.count_barrier st ~stage;
+    record cfg w d;
+    w.fpc.(top) <- pc + 1;
     w.at_barrier <- true;
     Hit_barrier
   | I.Exit ->
-    record cfg w ~cls ~dst:Trace.no_reg ~srcs:pred_srcs ~mem:Trace.No_mem
-      ~bar:false;
+    record cfg w d;
     w.finished <- true;
     Exited
+  | I.Mov _ | I.Mov_sreg _ | I.Iop _ | I.Imad _ | I.Fop _ | I.Fmad _
+  | I.Fmad_smem _ | I.Dop _ | I.Dfma _ | I.Sfu _ | I.Cvt _ | I.Setp _
+  | I.Selp _ | I.Ld _ | I.St _ | I.Atom _ ->
+    execute run ~gmem ~stats:st block w d ~pc em;
+    w.fpc.(top) <- pc + 1;
+    Continue
+
+let rec any_unfinished warps i =
+  i < Array.length warps
+  && ((not warps.(i).finished) || any_unfinished warps (i + 1))
+
+let rec any_at_barrier warps i =
+  i < Array.length warps
+  && (warps.(i).at_barrier || any_at_barrier warps (i + 1))
 
 (* Run all warps of a block to completion, respecting barriers. *)
-let run_block cfg ~program ~gmem ~stats block =
-  let unfinished () =
-    Array.exists (fun w -> not w.finished) block.warps
-  in
-  while unfinished () do
+let run_block run ~gmem ~stats block =
+  let warps = block.warps in
+  while any_unfinished warps 0 do
     (* Run every unfinished warp up to its next barrier (or exit). *)
-    Array.iter
-      (fun w ->
-        if not w.finished then begin
-          w.at_barrier <- false;
-          let rec go () =
-            match step cfg ~program ~gmem ~stats block w with
-            | Continue -> go ()
-            | Hit_barrier | Exited -> ()
-          in
-          go ()
-        end)
-      block.warps;
+    for i = 0 to Array.length warps - 1 do
+      let w = warps.(i) in
+      if not w.finished then begin
+        w.at_barrier <- false;
+        while step run ~gmem ~stats block w = Continue do
+          ()
+        done
+      end
+    done;
     (* All warps are now at a barrier or done; release the barrier and
        enter the next stage. *)
-    if Array.exists (fun w -> w.at_barrier) block.warps then
-      block.stage <- block.stage + 1
+    if any_at_barrier warps 0 then block.stage <- block.stage + 1
   done

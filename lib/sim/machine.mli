@@ -2,7 +2,9 @@
     analog): warps of 32 lanes execute the native ISA in lockstep, branch
     divergence uses a reconvergence stack driven by the post-dominator
     labels in conditional branches, and a block's warps run round-robin
-    between barriers.  Most users want {!Sim.run} instead. *)
+    between barriers.  Executing a warp-instruction allocates nothing but
+    the trace event it records (DESIGN §18).  Most users want {!Sim.run}
+    instead. *)
 
 exception Stuck of string
 (** Raised on invalid execution: bad pc, shared-memory fault, runaway
@@ -19,58 +21,45 @@ val config :
   ?inject_stuck_at:int -> Gpu_hw.Spec.t ->
   config
 
-type warp = {
-  wid : int;
-  base_tid : int;
-  nlanes : int;
-  regs : Value.t array;  (** nregs x 32, register-major *)
-  preds : bool array;
-  mutable stack : frame list;
-  mutable finished : bool;
-  mutable at_barrier : bool;
-  mutable issued : int;
-  mutable counted_stage : int;
-  trace : Trace.builder;
-}
+(** Register values: 64-bit bit patterns.  Integer and single-precision
+    operations use the (zero-extended) low word; double precision uses the
+    full width — a simplification over real register pairs.  Defined here
+    so the interpreter's lane loops inline them; {!Value} re-exports them. *)
+module Conv : sig
+  type t = int64
 
-and frame = { mutable pc : int; rpc : int; mask : int }
+  val of_i32 : int32 -> t
+  val to_i32 : t -> int32
 
-type block = {
-  bid : int;
-  grid : int;
-  nthreads : int;
-  shared : int32 array;
-  warps : warp array;
-  mutable stage : int;
-}
+  (** Round an OCaml float to the nearest single-precision value. *)
+  val round_f32 : float -> float
 
-val lanes : int
-val num_preds : int
+  val of_f32 : float -> t
+  val to_f32 : t -> float
+  val of_f64 : float -> t
+  val to_f64 : t -> float
+  val of_int : int -> t
+  val to_int : t -> int
+end
+
+(** A program decoded for one simulation run (resolved branches, operand
+    slots, static trace events) together with the run's scratch buffers.
+    Owned by one run: never share one between domains. *)
+type run
+
+val prepare : config -> Gpu_isa.Program.t -> run
+
+type block
+
 val make_block :
   bid:int -> grid:int -> nthreads:int -> smem_bytes:int -> nregs:int -> block
 
-val get_reg : warp -> Gpu_isa.Instr.reg -> int -> Value.t
-val set_reg : warp -> Gpu_isa.Instr.reg -> int -> Value.t -> unit
-val get_pred : warp -> Gpu_isa.Instr.pred -> int -> bool
-val set_pred : warp -> Gpu_isa.Instr.pred -> int -> bool -> unit
-
-type outcome = Continue | Hit_barrier | Exited
-
-(** Execute one warp-instruction of the warp's current stack top. *)
-val step :
-  config ->
-  program:Gpu_isa.Program.t ->
-  gmem:Memory.t ->
-  stats:Stats.t option ->
-  block ->
-  warp ->
-  outcome
+(** [set_param block r v] writes [v] into register [r] of every lane of
+    every warp (the driver's parameter-passing convention). *)
+val set_param : block -> Gpu_isa.Instr.reg -> Conv.t -> unit
 
 (** Run all warps of a block to completion, respecting barriers. *)
-val run_block :
-  config ->
-  program:Gpu_isa.Program.t ->
-  gmem:Memory.t ->
-  stats:Stats.t option ->
-  block ->
-  unit
+val run_block : run -> gmem:Memory.t -> stats:Stats.t -> block -> unit
+
+(** The block's recorded trace (empty warps unless [collect_trace]). *)
+val trace : block -> Trace.block_trace

@@ -1,6 +1,6 @@
-(** Global device memory: a flat 32-bit word array addressed by byte, with
-    the driver-side buffer allocator (the cudaMalloc analog; bases are
-    256-byte aligned, which matters for coalescing). *)
+(** Global device memory: a flat buffer of unboxed 32-bit words addressed
+    by byte, with the driver-side buffer allocator (the cudaMalloc analog;
+    bases are 256-byte aligned, which matters for coalescing). *)
 
 type t
 
@@ -9,11 +9,12 @@ exception Fault of string
 val create : bytes:int -> t
 val size_bytes : t -> int
 
-(** Loads and stores raise {!Fault} on out-of-bounds or misaligned
-    accesses. *)
-val load32 : t -> int -> int32
+(** Loads and stores raise {!Fault} on out-of-bounds, misaligned or
+    poisoned accesses.  32-bit words cross as immediates: [load32] returns
+    the word sign-extended, [store32] stores the low 32 bits. *)
+val load32 : t -> int -> int
 
-val store32 : t -> int -> int32 -> unit
+val store32 : t -> int -> int -> unit
 val load64 : t -> int -> int64
 val store64 : t -> int -> int64 -> unit
 
@@ -31,6 +32,9 @@ type allocation = { base : int; length : int (** words *) }
 val layout : int list -> allocation list * int
 
 val copy_in : t -> allocation -> int32 array -> unit
+
+(** Write a buffer back to the caller's array; only words that differ are
+    stored, so unchanged inputs cost no allocation. *)
 val copy_out : t -> allocation -> int32 array -> unit
 val floats_to_words : float array -> int32 array
 val words_to_floats : int32 array -> float array

@@ -67,9 +67,11 @@ let run_into ?(collect_trace = false) ?block_ids
   let param_bases =
     List.map2 (fun (name, _) a -> (name, a.Memory.base)) buffers allocs
   in
-  let cfg =
-    Machine.config ~collect_trace ?max_warp_instructions ?inject_stuck_at
-      spec
+  let run =
+    Machine.prepare
+      (Machine.config ~collect_trace ?max_warp_instructions ?inject_stuck_at
+         spec)
+      k.program
   in
   let ids =
     match block_ids with
@@ -92,27 +94,14 @@ let run_into ?(collect_trace = false) ?block_ids
       in
       (* Driver writes parameter base addresses into the convention
          registers of every warp and lane. *)
-      Array.iter
-        (fun w ->
-          List.iter
-            (fun (name, base) ->
-              let r = List.assoc name k.param_regs in
-              for lane = 0 to Machine.lanes - 1 do
-                Machine.set_reg w (I.R r) lane (Value.of_int base)
-              done)
-            param_bases)
-        blk.Machine.warps;
-      Machine.run_block cfg ~program:k.program ~gmem ~stats:(Some stats) blk;
-      if collect_trace then
-        traces :=
-          {
-            Trace.block = bid;
-            warps =
-              Array.map
-                (fun w -> Trace.finish w.Machine.trace)
-                blk.Machine.warps;
-          }
-          :: !traces;
+      List.iter
+        (fun (name, base) ->
+          Machine.set_param blk
+            (I.R (List.assoc name k.param_regs))
+            (Value.of_int base))
+        param_bases;
+      Machine.run_block run ~gmem ~stats blk;
+      if collect_trace then traces := Machine.trace blk :: !traces;
       incr completed)
     ids;
   current_block := None;

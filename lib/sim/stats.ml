@@ -34,7 +34,7 @@ type stage = {
   mutable atomic_txns : int; (* contention-serialized half-warp txns *)
   mutable atomic_ideal_txns : int; (* same accesses, contention-free *)
   mutable gmem_accesses : int; (* warp-level global-memory instructions *)
-  mutable gmem_txns : (int * int) list; (* transaction size -> count *)
+  mutable gmem_txns : int; (* coalesced transactions *)
   mutable gmem_requested_bytes : int;
   mutable gmem_transferred_bytes : int;
   mutable barriers : int;
@@ -59,7 +59,7 @@ let empty_stage () =
     atomic_txns = 0;
     atomic_ideal_txns = 0;
     gmem_accesses = 0;
-    gmem_txns = [];
+    gmem_txns = 0;
     gmem_requested_bytes = 0;
     gmem_transferred_bytes = 0;
     barriers = 0;
@@ -103,60 +103,42 @@ let stage t i =
   end;
   t.stages.(i)
 
-let count_issue t ~stage:i ?pc cls =
+let no_pc = -1
+
+(* Each [count_*] below also charges [pc] to its per-pc site array unless
+   [pc] is [no_pc]; a plain [int] rather than an option, so a call
+   allocates nothing. *)
+let count_issue t ~stage:i ~pc cls =
   let s = stage t i in
   let k = class_index cls in
   s.issued.(k) <- s.issued.(k) + 1;
-  match pc with
-  | Some pc -> s.site_issued <- site_add s.site_issued pc 1
-  | None -> ()
+  if pc >= 0 then s.site_issued <- site_add s.site_issued pc 1
 
 let count_mad t ~stage:i =
   let s = stage t i in
   s.mads <- s.mads + 1
 
-let count_smem ?pc t ~stage:i ~txns ~ideal =
+let count_smem t ~stage:i ~pc ~txns ~ideal =
   let s = stage t i in
   s.smem_accesses <- s.smem_accesses + 1;
   s.smem_txns <- s.smem_txns + txns;
   s.smem_ideal_txns <- s.smem_ideal_txns + ideal;
-  match pc with
-  | Some pc -> s.site_smem_txns <- site_add s.site_smem_txns pc txns
-  | None -> ()
+  if pc >= 0 then s.site_smem_txns <- site_add s.site_smem_txns pc txns
 
-let count_atomic ?pc t ~stage:i ~txns ~ideal =
+let count_atomic t ~stage:i ~pc ~txns ~ideal =
   let s = stage t i in
   s.atomic_accesses <- s.atomic_accesses + 1;
   s.atomic_txns <- s.atomic_txns + txns;
   s.atomic_ideal_txns <- s.atomic_ideal_txns + ideal;
-  match pc with
-  | Some pc -> s.site_atomic_txns <- site_add s.site_atomic_txns pc txns
-  | None -> ()
+  if pc >= 0 then s.site_atomic_txns <- site_add s.site_atomic_txns pc txns
 
-let count_gmem ?pc t ~stage:i ~txns ~requested =
+let count_gmem t ~stage:i ~pc ~txns ~bytes ~requested =
   let s = stage t i in
   s.gmem_accesses <- s.gmem_accesses + 1;
-  (match pc with
-  | Some pc ->
-    let moved =
-      List.fold_left
-        (fun acc (tx : Gpu_mem.Coalesce.txn) -> acc + tx.size)
-        0 txns
-    in
-    s.site_gmem_bytes <- site_add s.site_gmem_bytes pc moved
-  | None -> ());
-  List.iter
-    (fun (tx : Gpu_mem.Coalesce.txn) ->
-      let count =
-        match List.assoc_opt tx.size s.gmem_txns with
-        | Some c -> c
-        | None -> 0
-      in
-      s.gmem_txns <- (tx.size, count + 1) :: List.remove_assoc tx.size
-                       s.gmem_txns;
-      s.gmem_transferred_bytes <- s.gmem_transferred_bytes + tx.size)
-    txns;
-  s.gmem_requested_bytes <- s.gmem_requested_bytes + requested
+  s.gmem_txns <- s.gmem_txns + txns;
+  s.gmem_transferred_bytes <- s.gmem_transferred_bytes + bytes;
+  s.gmem_requested_bytes <- s.gmem_requested_bytes + requested;
+  if pc >= 0 then s.site_gmem_bytes <- site_add s.site_gmem_bytes pc bytes
 
 let count_barrier t ~stage:i =
   let s = stage t i in
@@ -171,9 +153,6 @@ let count_active_warp t ~stage:i =
 let issued_of s cls = s.issued.(class_index cls)
 
 let total_issued s = Array.fold_left ( + ) 0 s.issued
-
-let gmem_txn_count s =
-  List.fold_left (fun acc (_, c) -> acc + c) 0 s.gmem_txns
 
 type site = {
   pc : int;
@@ -228,13 +207,7 @@ let merge_stage ~into:(a : stage) (b : stage) =
   a.atomic_txns <- a.atomic_txns + b.atomic_txns;
   a.atomic_ideal_txns <- a.atomic_ideal_txns + b.atomic_ideal_txns;
   a.gmem_accesses <- a.gmem_accesses + b.gmem_accesses;
-  List.iter
-    (fun (size, c) ->
-      let c0 =
-        match List.assoc_opt size a.gmem_txns with Some c -> c | None -> 0
-      in
-      a.gmem_txns <- (size, c0 + c) :: List.remove_assoc size a.gmem_txns)
-    b.gmem_txns;
+  a.gmem_txns <- a.gmem_txns + b.gmem_txns;
   a.gmem_requested_bytes <- a.gmem_requested_bytes + b.gmem_requested_bytes;
   a.gmem_transferred_bytes <-
     a.gmem_transferred_bytes + b.gmem_transferred_bytes;
@@ -290,7 +263,7 @@ let pp_stage ppf (s : stage) =
      (%d B moved, %d B requested)@,barriers: %d@]"
     (String.concat " " classes)
     s.mads s.smem_txns s.smem_ideal_txns s.atomic_txns s.atomic_ideal_txns
-    (gmem_txn_count s)
+    s.gmem_txns
     s.gmem_transferred_bytes s.gmem_requested_bytes s.barriers
 
 let pp ppf t =

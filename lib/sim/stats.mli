@@ -17,7 +17,7 @@ type stage = {
   mutable atomic_txns : int;  (** contention-serialized half-warp txns *)
   mutable atomic_ideal_txns : int;  (** same accesses, contention-free *)
   mutable gmem_accesses : int;  (** warp-level global-memory instructions *)
-  mutable gmem_txns : (int * int) list;  (** transaction size -> count *)
+  mutable gmem_txns : int;  (** coalesced transactions *)
   mutable gmem_requested_bytes : int;
   mutable gmem_transferred_bytes : int;
   mutable barriers : int;
@@ -49,24 +49,27 @@ val stage : t -> int -> stage
 
 (** {2 Collection (used by the simulator)} *)
 
-(** The [?pc] argument on the counting functions additionally charges the
-    count to that program counter for hotspot attribution; omitting it
-    (synthetic stats, tests) keeps only the per-class aggregates. *)
+(** The [~pc] argument additionally charges the count to that program
+    counter for hotspot attribution; {!no_pc} (synthetic stats, tests)
+    keeps only the per-class aggregates.  Counting allocates nothing once
+    the per-pc arrays have grown to the program's length. *)
+
+val no_pc : int
 
 val count_issue :
-  t -> stage:int -> ?pc:int -> Gpu_isa.Instr.cost_class -> unit
+  t -> stage:int -> pc:int -> Gpu_isa.Instr.cost_class -> unit
 
 val count_mad : t -> stage:int -> unit
 
-val count_smem :
-  ?pc:int -> t -> stage:int -> txns:int -> ideal:int -> unit
+val count_smem : t -> stage:int -> pc:int -> txns:int -> ideal:int -> unit
 
 val count_atomic :
-  ?pc:int -> t -> stage:int -> txns:int -> ideal:int -> unit
+  t -> stage:int -> pc:int -> txns:int -> ideal:int -> unit
 
+(** One warp-level global access: [txns] coalesced transactions moving
+    [bytes] in total, for [requested] bytes the active lanes asked for. *)
 val count_gmem :
-  ?pc:int -> t -> stage:int -> txns:Gpu_mem.Coalesce.txn list ->
-  requested:int -> unit
+  t -> stage:int -> pc:int -> txns:int -> bytes:int -> requested:int -> unit
 
 val count_barrier : t -> stage:int -> unit
 val count_active_warp : t -> stage:int -> unit
@@ -75,7 +78,6 @@ val count_active_warp : t -> stage:int -> unit
 
 val issued_of : stage -> Gpu_isa.Instr.cost_class -> int
 val total_issued : stage -> int
-val gmem_txn_count : stage -> int
 
 (** One program counter's share of a stage's work (hotspot attribution). *)
 type site = {
@@ -87,7 +89,7 @@ type site = {
 }
 
 (** Per-pc attribution rows of a stage, ascending pc, all-zero pcs
-    omitted.  Empty when the stage was collected without [?pc] (synthetic
+    omitted.  Empty when the stage was collected with {!no_pc} (synthetic
     stats). *)
 val sites : stage -> site list
 

@@ -1,35 +1,5 @@
-(* Register values are 64-bit bit patterns.  32-bit integer and
-   single-precision operations use the low word (zero-extended back in, so
-   values have a canonical form); the double-precision class IV operations
-   use the full width — an architectural simplification over real register
-   pairs, noted in DESIGN.md. *)
+(* Register values for host code (workload inputs, tests).  The
+   definitions live in [Machine.Conv], where the interpreter's lane loops
+   inline them. *)
 
-type t = int64
-
-let zero = 0L
-
-let low_mask = 0xFFFF_FFFFL
-
-let of_i32 (x : int32) : t = Int64.logand (Int64.of_int32 x) low_mask
-
-let to_i32 (v : t) : int32 = Int64.to_int32 v
-
-(* Round an OCaml float to the nearest single-precision value. *)
-let round_f32 (x : float) : float = Int32.float_of_bits (Int32.bits_of_float x)
-
-let of_f32 (x : float) : t = of_i32 (Int32.bits_of_float x)
-
-let to_f32 (v : t) : float = Int32.float_of_bits (to_i32 v)
-
-let of_f64 (x : float) : t = Int64.bits_of_float x
-
-let to_f64 (v : t) : float = Int64.float_of_bits v
-
-let of_int (x : int) : t = of_i32 (Int32.of_int x)
-
-let to_int (v : t) : int = Int32.to_int (to_i32 v)
-
-(* Byte address held in a register, as a non-negative int. *)
-let to_address (v : t) : int =
-  let a = Int32.to_int (to_i32 v) in
-  if a < 0 then invalid_arg "Value.to_address: negative address" else a
+include Machine.Conv

@@ -1,10 +1,10 @@
 (** Register values: 64-bit bit patterns.  Integer and single-precision
     operations use the (zero-extended) low word; double-precision uses the
-    full width — a simplification over real register pairs. *)
+    full width — a simplification over real register pairs.  Re-exports
+    {!Machine.Conv}. *)
 
 type t = int64
 
-val zero : t
 val of_i32 : int32 -> t
 val to_i32 : t -> int32
 
@@ -17,6 +17,3 @@ val of_f64 : float -> t
 val to_f64 : t -> float
 val of_int : int -> t
 val to_int : t -> int
-
-(** Byte address held in a register; raises on negative values. *)
-val to_address : t -> int

@@ -96,6 +96,42 @@ let test_no_leaks_after_exception () =
     (Array.init 48 (fun i -> i * 3))
     (Pool.parallel_init ~jobs:4 48 (fun i -> i * 3))
 
+(* Regression for a batch leaving its unclaimed helper entries queued
+   after it returned.  The interleaving is forced: every worker is parked
+   on a latch, so the caller drains the whole batch alone and no helper
+   entry is ever claimed; [run] must withdraw them before returning. *)
+let test_unclaimed_helpers_withdrawn () =
+  let jobs = Pool.current_jobs () in
+  Pool.set_jobs 3;
+  ignore (Pool.parallel_init 2 Fun.id);
+  let workers = Pool.worker_count () in
+  let parked = Atomic.make 0 and release = Atomic.make false in
+  let finally () =
+    Atomic.set release true;
+    ignore (Pool.drain_async ~timeout_s:10.0 ());
+    Pool.set_jobs jobs
+  in
+  Fun.protect ~finally @@ fun () ->
+  for _ = 1 to workers do
+    Pool.async (fun () ->
+        Atomic.incr parked;
+        while not (Atomic.get release) do
+          Unix.sleepf 0.001
+        done)
+  done;
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Atomic.get parked < workers && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  Alcotest.(check int) "every worker parked" workers (Atomic.get parked);
+  Alcotest.(check (array int))
+    "caller computes the batch alone"
+    (Array.init 64 (fun i -> i * i))
+    (Pool.parallel_init 64 (fun i -> i * i));
+  Alcotest.(check int) "no helper entries left queued" 0 (Pool.queue_length ());
+  Atomic.set release true;
+  Alcotest.(check bool) "parked tasks drain" true (Pool.drain_async ())
+
 let test_async_drain () =
   let hits = Atomic.make 0 in
   for _ = 1 to 20 do
@@ -433,6 +469,8 @@ let () =
           Alcotest.test_case "nested calls" `Quick test_nested_calls;
           Alcotest.test_case "no leaks after exception" `Quick
             test_no_leaks_after_exception;
+          Alcotest.test_case "unclaimed helper entries withdrawn" `Quick
+            test_unclaimed_helpers_withdrawn;
           Alcotest.test_case "async submit and drain" `Quick
             test_async_drain;
           Alcotest.test_case "async swallows exceptions" `Quick

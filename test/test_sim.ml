@@ -647,6 +647,50 @@ let test_block_sampling_scales () =
     (Stats.total_issued tf)
     (Stats.total_issued ts * 4)
 
+(* --- allocation budget ---------------------------------------------------- *)
+
+(* The interpreter's hot path allocates nothing but the trace events it
+   records (DESIGN §18).  Minor-heap words per warp-instruction of a traced
+   one-block run stay far below what a boxed register file, per-lane
+   closures or per-access hash tables cost (hundreds to ~1500 words); a
+   helper that moves unboxed values across a module boundary would show
+   up here first. *)
+let words_per_warp_instr ~block ?(args = []) (program, smem_bytes) =
+  let params = List.mapi (fun i (name, _) -> (name, i)) args in
+  let k = Gpu_microbench.Runner.wrap ~param_regs:params ~smem_bytes program in
+  let spec = Gpu_microbench.Runner.relaxed Gpu_hw.Spec.gtx285 in
+  let before = Gc.minor_words () in
+  let r =
+    Sim.run ~collect_trace:true ~block_ids:[ 0 ] ~spec ~grid:1 ~block ~args k
+  in
+  let words = Gc.minor_words () -. before in
+  words /. float_of_int (Stats.total_issued (Stats.total r.Sim.stats))
+
+let test_allocation_budget () =
+  let module G = Gpu_microbench.Codegen in
+  (* Budgets leave >= 4x headroom over the measured 4.1, 11.3 and 22.9
+     words (a gmem event carries its transaction array); boxed registers
+     and per-lane closures cost 451, 1486 and 591. *)
+  let check name ~budget per_wi =
+    if per_wi > budget then
+      Alcotest.failf
+        "%s allocates %.1f words per warp-instruction (budget %.0f)" name
+        per_wi budget
+  in
+  check "instruction chain, 24 warps" ~budget:20.
+    (words_per_warp_instr ~block:(24 * 32)
+       (G.instruction_chain ~cls:I.Class_ii ~n:384, 0));
+  check "shared copy, 24 warps" ~budget:50.
+    (words_per_warp_instr ~block:(24 * 32)
+       (G.shared_copy ~threads:(24 * 32) ~n:256));
+  let program, words =
+    G.global_stream ~blocks:4 ~threads:256 ~txns_per_thread:16
+  in
+  check "global stream" ~budget:100.
+    (words_per_warp_instr ~block:256
+       ~args:[ ("buf", Array.make words 0l) ]
+       (program, 0))
+
 let () =
   Alcotest.run "sim"
     [
@@ -693,5 +737,10 @@ let () =
           Alcotest.test_case "launch errors" `Quick test_launch_errors;
           Alcotest.test_case "memory fault" `Quick test_memory_fault;
           Alcotest.test_case "runaway guard" `Quick test_runaway_guard;
+        ] );
+      ( "hot path",
+        [
+          Alcotest.test_case "allocation budget" `Quick
+            test_allocation_budget;
         ] );
     ]
