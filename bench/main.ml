@@ -755,7 +755,7 @@ let devices () =
       )
       reports
   in
-  let fleet = Gpu_serve.Protocol.devices in
+  let fleet = Spec.fleet in
   sweep "matmul 16x16, n=1024:"
     (List.map
        (fun (name, spec) ->
@@ -1120,89 +1120,6 @@ let write_perf_json path ~results ~total_seconds
   close_out oc;
   Stdlib.Printf.eprintf "bench: wrote %s\n%!" path
 
-(* Cross-run trajectory: BENCH_5.json accumulates one entry per --json
-   run (wall time per experiment plus the accuracy-ledger summaries of
-   the case-study workloads), so the perf history and the model-accuracy
-   history travel together in one append-only artifact. *)
-let trajectory_path = "BENCH_5.json"
-
-let update_trajectory ~results ~total_seconds ~c0 ~c1 =
-  let module J = Gpu_report.Jsonx in
-  let prior_runs =
-    if not (Sys.file_exists trajectory_path) then []
-    else begin
-      let ic = open_in_bin trajectory_path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match J.parse s with
-      | Ok v -> (
-        match Option.bind (J.member "runs" v) J.to_list with
-        | Some runs -> runs
-        | None -> [])
-      | Error m ->
-        Stdlib.Printf.eprintf
-          "bench: %s is corrupt (%s); starting a fresh trajectory\n%!"
-          trajectory_path m;
-        []
-    end
-  in
-  let run_id =
-    1
-    + List.fold_left
-        (fun acc r ->
-          match Option.bind (J.member "run" r) J.to_int with
-          | Some i -> max acc i
-          | None -> acc)
-        0 prior_runs
-  in
-  let ledger =
-    List.filter_map
-      (fun workload ->
-        match Gpu_report.Ledger.default_path ~workload with
-        | None -> None
-        | Some path ->
-          if not (Sys.file_exists path) then None
-          else
-            let records, _ = Gpu_report.Ledger.load ~path in
-            let s = Gpu_report.Ledger.summarize records in
-            Some
-              ( workload,
-                J.Obj
-                  [
-                    ("runs", J.Num (float_of_int s.Gpu_report.Ledger.runs));
-                    ( "median_abs_error",
-                      match s.Gpu_report.Ledger.median_abs_error with
-                      | Some e -> J.Num e
-                      | None -> J.Null );
-                  ] ))
-      [ "matmul"; "tridiag"; "spmv" ]
-  in
-  let entry =
-    J.Obj
-      [
-        ("run", J.Num (float_of_int run_id));
-        ("jobs", J.Num (float_of_int (Pool.current_jobs ())));
-        ("cache_state", J.Str (cache_state_of ~c0 ~c1));
-        ("total_seconds", J.Num total_seconds);
-        ( "experiments",
-          J.List
-            (List.map
-               (fun (name, _, dt, _) ->
-                 J.Obj [ ("name", J.Str name); ("seconds", J.Num dt) ])
-               results) );
-        ("ledger", J.Obj ledger);
-      ]
-  in
-  let doc =
-    J.Obj [ ("schema", J.Num 1.0); ("runs", J.List (prior_runs @ [ entry ])) ]
-  in
-  let oc = open_out trajectory_path in
-  output_string oc (J.encode doc);
-  output_char oc '\n';
-  close_out oc;
-  Stdlib.Printf.eprintf "bench: updated %s (run %d)\n%!" trajectory_path
-    run_id
-
 let usage () =
   Stdlib.print_string
     "usage: bench/main.exe [--list] [--bechamel] [--json [FILE]] \
@@ -1280,7 +1197,5 @@ let () =
     let c1 = Tables.counters () in
     match !json with
     | None -> ()
-    | Some path ->
-      write_perf_json path ~results ~total_seconds ~c0 ~c1;
-      update_trajectory ~results ~total_seconds ~c0 ~c1
+    | Some path -> write_perf_json path ~results ~total_seconds ~c0 ~c1
   end

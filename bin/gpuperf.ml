@@ -1,16 +1,22 @@
 (* gpuperf: command-line front end to the performance-analysis toolchain.
 
      gpuperf occupancy --threads 64 --regs 30 --smem 1088
-     gpuperf microbench [--class II] [--smem] [--gmem B T M]
-     gpuperf analyze (matmul|tridiag|spmv) [options]
+     gpuperf microbench [--gmem B,T,M]
+     gpuperf analyze WORKLOAD [--tile T] [--padded] [--format F] [--atomic]
+     gpuperf whatif WORKLOAD --variant DEV ...
+     gpuperf sweep-devices WORKLOAD [--format md|html|json]
      gpuperf disasm FILE.cubin / gpuperf asm FILE.asm -o FILE.cubin
      gpuperf coalesce --addresses 0,4,8,... [--segment 32]
-     gpuperf whatif (matmul|tridiag|spmv) ...
+     gpuperf check [--seed N] [--device DEV]
+     gpuperf trace WORKLOAD [-n N] / gpuperf report WORKLOAD [-n N]
      gpuperf serve [--port P | --unix PATH] [--queue N] ...
+     gpuperf trace-serve WORKLOAD [-n N] [--requests N]
 
-   Exit codes are POSIX-style: 0 on success, 1 when the toolchain reports
-   an analysis error (every such error is rendered as one stage-prefixed
-   diagnostic on stderr), 2 on command-line usage errors. *)
+   WORKLOAD is a name from [Gpu_workloads.Registry.names] and DEV one from
+   [Gpu_hw.Spec.fleet].  Exit codes are POSIX-style: 0 on success, 1 when
+   the toolchain reports an analysis error (every such error is rendered
+   as one stage-prefixed diagnostic on stderr), 2 on command-line usage
+   errors. *)
 
 open Cmdliner
 module D = Gpu_diag.Diag
@@ -225,88 +231,102 @@ let microbench_cmd =
       const run $ metrics_arg $ metrics_format_arg $ jobs_arg $ no_cache_arg
       $ gmem)
 
+(* --- workload parameters (shared by the workload subcommands) ------------ *)
+
+module R = Gpu_workloads.Registry
+module Jsonx = Gpu_obs.Jsonx
+
+(* The Section-6 variants and later-generation profiles: the fleet
+   without its head, the baseline. *)
+let variant_specs = List.tl Gpu_hw.Spec.fleet
+
+(* An unknown SpMV format is a usage error (exit 2) caught by cmdliner,
+   not a failure at analysis time. *)
+let spmv_format_conv =
+  let parse s =
+    match R.spmv_format_of_name s with
+    | Some _ -> Ok s
+    | None ->
+      Error
+        (`Msg
+          (Printf.sprintf "unknown SpMV format %S, expected %s" s
+             (Arg.doc_alts ~quoted:true R.spmv_format_names)))
+  in
+  Arg.conv ~docv:"FMT" (parse, Format.pp_print_string)
+
+(* The workload and its parameters.  Each flag is a spelling of the wire
+   key of the same name: the flags the user sets become [params] fields
+   and go through [Registry.of_fields], which owns every default and
+   range check, exactly as for a daemon request.  The SpMV layout is
+   [--format], or [--spmv-format] where [--format] picks the output. *)
+let params_term ?(spmv_flag = "format") ?(with_n = false) () =
+  let workload =
+    Arg.(
+      required
+      & pos 0 (some (enum (List.map (fun w -> (w, w)) R.names))) None
+      & info [] ~docv:"WORKLOAD" ~doc:("The workload: " ^ doc_alts R.names))
+  in
+  let tile =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "tile" ] ~doc:"Matmul tile (8|16|32)")
+  in
+  let padded =
+    Arg.(
+      value & flag
+      & info [ "padded" ] ~doc:"Tridiag: pad shared arrays (CR-NBC)")
+  in
+  let spmv_format =
+    Arg.(
+      value
+      & opt (some spmv_format_conv) None
+      & info [ spmv_flag ]
+          ~doc:
+            ("SpMV format (" ^ String.concat "|" R.spmv_format_names ^ ")"))
+  in
+  let atomic =
+    Arg.(
+      value & flag
+      & info [ "atomic" ]
+          ~doc:
+            "Reduce: use the atomic single-accumulator variant (every \
+             half-warp fully serialized) instead of the sequential tree")
+  in
+  let n =
+    if not with_n then Term.const None
+    else
+      Arg.(
+        value
+        & opt (some int) None
+        & info [ "n" ] ~docv:"N"
+            ~doc:
+              "Problem size: matmul matrix order (divisible by 64 and the \
+               tile) or tridiag system size (power of two); ignored by \
+               the other workloads")
+  in
+  let params workload tile padded spmv_format atomic n =
+    let num key = Option.map (fun v -> (key, Jsonx.Num (float_of_int v))) in
+    let set key b = if b then Some (key, Jsonx.Bool true) else None in
+    R.of_fields ~workload
+      (List.filter_map Fun.id
+         [
+           num "n" n; num "tile" tile; set "padded" padded;
+           Option.map (fun f -> ("format", Jsonx.Str f)) spmv_format;
+           set "atomic" atomic;
+         ])
+    |> Result.map_error (D.make D.Error D.Cli)
+  in
+  Term.(const params $ workload $ tile $ padded $ spmv_format $ atomic $ n)
+
+(* Inside [guard]: a parameter the registry rejects fails the command
+   with its Cli diagnostic (exit 1). *)
+let or_fail = function Ok v -> v | Error d -> D.fail d
+
 (* --- analyze ------------------------------------------------------------- *)
 
 let measure_flag =
   Arg.(value & flag & info [ "measure" ] ~doc:"Also run the timing simulator")
-
-let workload_conv =
-  Arg.enum
-    [
-      ("matmul", `Matmul); ("tridiag", `Tridiag); ("spmv", `Spmv);
-      ("reduce", `Reduce); ("histogram", `Histogram); ("degree", `Degree);
-    ]
-
-(* The architectural variants come from the serve protocol's device
-   fleet (its head is the baseline), so [--variant] names and the
-   daemon's [device] field can never drift apart. *)
-let variant_specs = List.tl Gpu_serve.Protocol.devices
-
-let report_of ?replay_sample ?timeline ~measure workload tile padded fmt
-    atomic dev =
-  match workload with
-  | `Matmul ->
-    Gpu_workloads.Matmul.analyze ?replay_sample ?timeline ~spec:dev ~measure
-      ~n:1024 ~tile ()
-  | `Tridiag ->
-    Gpu_workloads.Tridiag.analyze ?replay_sample ?timeline ~spec:dev ~measure
-      ~nsys:512 ~n:512 ~padded ()
-  | `Spmv ->
-    let m = Gpu_workloads.Spmv.qcd_like () in
-    Gpu_workloads.Spmv.analyze ?replay_sample ?timeline ~spec:dev ~measure m
-      fmt
-  | `Reduce ->
-    let variant =
-      if atomic then Gpu_workloads.Reduce.Atomic
-      else Gpu_workloads.Reduce.Sequential
-    in
-    Gpu_workloads.Reduce.analyze ?replay_sample ?timeline ~spec:dev ~measure
-      ~blocks:512 variant
-  | `Histogram ->
-    Gpu_workloads.Histogram.analyze ?replay_sample ?timeline ~spec:dev
-      ~measure ~blocks:256 ()
-  | `Degree ->
-    Gpu_workloads.Degree.analyze ?replay_sample ?timeline ~spec:dev ~measure
-      ~blocks:256 ()
-
-let tile_arg =
-  Arg.(value & opt int 16 & info [ "tile" ] ~doc:"Matmul tile (8|16|32)")
-
-let padded_arg =
-  Arg.(value & flag & info [ "padded" ] ~doc:"Tridiag: pad shared arrays \
-                                              (CR-NBC)")
-
-let atomic_arg =
-  Arg.(
-    value & flag
-    & info [ "atomic" ]
-        ~doc:
-          "Reduce: use the atomic single-accumulator variant (every \
-           half-warp fully serialized) instead of the sequential tree")
-
-(* An enum rather than a free-form string: an unknown format is a usage
-   error (exit 2) caught by cmdliner, not a [failwith] at analysis time. *)
-let fmt_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("ell", Gpu_workloads.Spmv.Ell);
-             ("bell", Gpu_workloads.Spmv.Bell_im);
-             ("bell+im", Gpu_workloads.Spmv.Bell_im);
-             ("bell+imiv", Gpu_workloads.Spmv.Bell_imiv);
-             ("imiv", Gpu_workloads.Spmv.Bell_imiv);
-           ])
-        Gpu_workloads.Spmv.Ell
-    & info [ "format" ] ~doc:"SpMV format (ell|bell+im|bell+imiv)")
-
-let workload_arg =
-  Arg.(
-    required
-    & pos 0 (some workload_conv) None
-    & info [] ~docv:"WORKLOAD"
-        ~doc:"matmul, tridiag, spmv, reduce, histogram or degree")
 
 (* Timing-replay cluster sampling: a CLI fraction becomes a seeded
    [Engine.sample] so repeated invocations pick the same cluster subset. *)
@@ -329,15 +349,12 @@ let replay_sample_of = function
     Some { Gpu_timing.Engine.target = Gpu_timing.Engine.Fraction f; seed = 0 }
 
 let analyze_cmd =
-  let run workload tile padded fmt atomic measure rsample metrics mfmt jobs
-      no_cache =
+  let run params measure rsample metrics mfmt jobs no_cache =
     with_metrics metrics mfmt @@ fun () ->
     guard D.Cli @@ fun () ->
     apply_calibration_opts jobs no_cache;
     let replay_sample = replay_sample_of rsample in
-    let r =
-      report_of ?replay_sample ~measure workload tile padded fmt atomic spec
-    in
+    let r = R.analyze ?replay_sample ~spec ~measure (or_fail params) in
     Fmt.pr "%a@." Gpu_model.Workflow.pp r;
     match r.Gpu_model.Workflow.measured with
     | Some m ->
@@ -350,9 +367,8 @@ let analyze_cmd =
     (Cmd.info "analyze"
        ~doc:"Run the full Figure-1 workflow on a case-study workload")
     Term.(
-      const run $ workload_arg $ tile_arg $ padded_arg $ fmt_arg $ atomic_arg
-      $ measure_flag $ replay_sample_arg $ metrics_arg $ metrics_format_arg
-      $ jobs_arg $ no_cache_arg)
+      const run $ params_term () $ measure_flag $ replay_sample_arg
+      $ metrics_arg $ metrics_format_arg $ jobs_arg $ no_cache_arg)
 
 (* --- whatif -------------------------------------------------------------- *)
 
@@ -360,23 +376,21 @@ let whatif_cmd =
   let variant_arg =
     Arg.(
       non_empty
-      & opt_all (enum (List.map (fun (n, s) -> (n, s)) variant_specs)) []
+      & opt_all (enum variant_specs) []
       & info [ "variant" ]
           ~doc:
-            "Device variant (repeatable): maxblocks16, banks17, segment16, \
-             segment4, bigregfile, bigsmem, earlyrelease, volta-like, \
-             ampere-like")
+            ("Device variant (repeatable): "
+            ^ String.concat ", " (List.map fst variant_specs)))
   in
-  let run workload tile padded fmt atomic variants metrics mfmt jobs no_cache
-      =
+  let run params variants metrics mfmt jobs no_cache =
     with_metrics metrics mfmt @@ fun () ->
     guard D.Cli @@ fun () ->
     apply_calibration_opts jobs no_cache;
+    let params = or_fail params in
     (* one variant per pool task: the per-variant table re-fit dominates *)
     match
       Gpu_parallel.Pool.parallel_map
-        (fun dev ->
-          report_of ~measure:false workload tile padded fmt atomic dev)
+        (fun dev -> R.analyze ~spec:dev params)
         (spec :: variants)
     with
     | [] -> assert false (* parallel_map preserves length *)
@@ -403,9 +417,8 @@ let whatif_cmd =
     (Cmd.info "whatif"
        ~doc:"Re-analyze a workload on architectural variants")
     Term.(
-      const run $ workload_arg $ tile_arg $ padded_arg $ fmt_arg $ atomic_arg
-      $ variant_arg $ metrics_arg $ metrics_format_arg $ jobs_arg
-      $ no_cache_arg)
+      const run $ params_term () $ variant_arg $ metrics_arg
+      $ metrics_format_arg $ jobs_arg $ no_cache_arg)
 
 (* --- disasm / asm --------------------------------------------------------- *)
 
@@ -553,9 +566,7 @@ let check_cmd =
   let device =
     Arg.(
       value
-      & opt
-          (enum Gpu_serve.Protocol.devices)
-          Gpu_hw.Spec.gtx285
+      & opt (enum Gpu_hw.Spec.fleet) Gpu_hw.Spec.gtx285
       & info [ "device" ] ~docv:"DEV"
           ~doc:
             "Device profile to check (any fleet name accepted by \
@@ -635,36 +646,16 @@ let trace_cmd =
             "Timeline ring-buffer capacity; past it the oldest slices are \
              dropped (and reported)")
   in
-  let n =
-    Arg.(
-      value
-      & opt int 1024
-      & info [ "n" ] ~docv:"N"
-          ~doc:
-            "Problem size: matmul matrix order (divisible by 64 and the \
-             tile) or tridiag system size (power of two); ignored by spmv")
-  in
-  let run workload tile padded fmt atomic n out capacity metrics mfmt jobs
-      no_cache =
+  let run params out capacity metrics mfmt jobs no_cache =
     with_metrics metrics mfmt @@ fun () ->
     guard D.Cli @@ fun () ->
     apply_calibration_opts jobs no_cache;
     if capacity < 1 then
       D.fail (D.error D.Cli "--trace-capacity must be >= 1, got %d" capacity);
+    let params = or_fail params in
     let tl = Gpu_obs.Timeline.create ~capacity () in
     Gpu_obs.Span.set_enabled true;
-    let r =
-      match workload with
-      | `Matmul ->
-        Gpu_workloads.Matmul.analyze ~spec ~measure:true ~timeline:tl ~n
-          ~tile ()
-      | `Tridiag ->
-        Gpu_workloads.Tridiag.analyze ~spec ~measure:true ~timeline:tl
-          ~nsys:512 ~n ~padded ()
-      | `Spmv | `Reduce | `Histogram | `Degree ->
-        report_of ~timeline:tl ~measure:true workload tile padded fmt atomic
-          spec
-    in
+    let r = R.analyze ~spec ~measure:true ~timeline:tl params in
     let oc = open_out_bin out in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
@@ -690,43 +681,27 @@ let trace_cmd =
          "Run the workflow with span + engine-timeline tracing and export \
           Chrome trace-event JSON")
     Term.(
-      const run $ workload_arg $ tile_arg $ padded_arg $ fmt_arg $ atomic_arg
-      $ n $ out $ capacity $ metrics_arg $ metrics_format_arg $ jobs_arg
-      $ no_cache_arg)
+      const run $ params_term ~with_n:true () $ out $ capacity $ metrics_arg
+      $ metrics_format_arg $ jobs_arg $ no_cache_arg)
 
 (* --- report ---------------------------------------------------------------- *)
 
+(* [--format] picks the output in [report] and [sweep-devices], so there
+   the spmv storage layout is [--spmv-format]. *)
+let render_fmt =
+  Arg.(
+    value
+    & opt
+        (enum
+           [
+             ("md", Gpu_report.Render.Md);
+             ("html", Gpu_report.Render.Html);
+             ("json", Gpu_report.Render.Json);
+           ])
+        Gpu_report.Render.Md
+    & info [ "format" ] ~docv:"FMT" ~doc:"Report format: md, html or json")
+
 let report_cmd =
-  let render_fmt =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("md", Gpu_report.Render.Md);
-               ("html", Gpu_report.Render.Html);
-               ("json", Gpu_report.Render.Json);
-             ])
-          Gpu_report.Render.Md
-      & info [ "format" ] ~docv:"FMT" ~doc:"Report format: md, html or json")
-  in
-  (* [--format] selects the report output here, so the spmv storage layout
-     moves to [--spmv-format] in this one subcommand. *)
-  let spmv_fmt =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("ell", Gpu_workloads.Spmv.Ell);
-               ("bell", Gpu_workloads.Spmv.Bell_im);
-               ("bell+im", Gpu_workloads.Spmv.Bell_im);
-               ("bell+imiv", Gpu_workloads.Spmv.Bell_imiv);
-               ("imiv", Gpu_workloads.Spmv.Bell_imiv);
-             ])
-          Gpu_workloads.Spmv.Ell
-      & info [ "spmv-format" ] ~doc:"SpMV format (ell|bell+im|bell+imiv)")
-  in
   let out =
     Arg.(
       value
@@ -738,15 +713,6 @@ let report_cmd =
     Arg.(
       value & opt int 5
       & info [ "top" ] ~docv:"N" ~doc:"Hotspot rows per table")
-  in
-  let n =
-    Arg.(
-      value
-      & opt int 1024
-      & info [ "n" ] ~docv:"N"
-          ~doc:
-            "Problem size: matmul matrix order (divisible by 64 and the \
-             tile) or tridiag system size (power of two); ignored by spmv")
   in
   let ledger_path =
     Arg.(
@@ -769,41 +735,24 @@ let report_cmd =
       & info [ "no-whatif" ]
           ~doc:"Skip the architectural-variant what-if section")
   in
-  let run workload tile padded sfmt atomic n fmt top out ledger_path
-      no_ledger no_whatif metrics mfmt jobs no_cache =
+  let run params fmt top out ledger_path no_ledger no_whatif metrics mfmt
+      jobs no_cache =
     with_metrics metrics mfmt @@ fun () ->
     guard D.Cli @@ fun () ->
     apply_calibration_opts jobs no_cache;
     if top < 1 then D.fail (D.error D.Cli "--top must be >= 1, got %d" top);
-    let analyze ?timeline dev measure =
-      match workload with
-      | `Matmul ->
-        Gpu_workloads.Matmul.analyze ~spec:dev ~measure ?timeline ~n ~tile ()
-      | `Tridiag ->
-        Gpu_workloads.Tridiag.analyze ~spec:dev ~measure ?timeline ~nsys:512
-          ~n ~padded ()
-      | `Spmv | `Reduce | `Histogram | `Degree ->
-        report_of ?timeline ~measure workload tile padded sfmt atomic dev
-    in
-    let workload_name =
-      match workload with
-      | `Matmul -> "matmul"
-      | `Tridiag -> "tridiag"
-      | `Spmv -> "spmv"
-      | `Reduce -> if atomic then "reduce-atomic" else "reduce"
-      | `Histogram -> "histogram"
-      | `Degree -> "degree"
-    in
+    let params = or_fail params in
+    let workload_name = R.label params in
     (* A timeline on the measured run populates the engine's per-stage
        busy counters for the report's stage summary. *)
     let tl = Gpu_obs.Timeline.create () in
-    let base = analyze ~timeline:tl spec true in
+    let base = R.analyze ~timeline:tl ~spec ~measure:true params in
     let whatif =
       if no_whatif then []
       else
         let reports =
           Gpu_parallel.Pool.parallel_map
-            (fun (_, dev) -> analyze dev false)
+            (fun (_, dev) -> R.analyze ~spec:dev params)
             variant_specs
         in
         let t0 =
@@ -872,44 +821,14 @@ let report_cmd =
           per-stage breakdown, hotspot attribution, what-if deltas and the \
           accuracy-ledger trend")
     Term.(
-      const run $ workload_arg $ tile_arg $ padded_arg $ spmv_fmt
-      $ atomic_arg $ n $ render_fmt $ top $ out $ ledger_path $ no_ledger
-      $ no_whatif $ metrics_arg $ metrics_format_arg $ jobs_arg
-      $ no_cache_arg)
+      const run
+      $ params_term ~spmv_flag:"spmv-format" ~with_n:true ()
+      $ render_fmt $ top $ out $ ledger_path $ no_ledger $ no_whatif
+      $ metrics_arg $ metrics_format_arg $ jobs_arg $ no_cache_arg)
 
 (* --- sweep-devices -------------------------------------------------------- *)
 
 let sweep_devices_cmd =
-  let render_fmt =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("md", Gpu_report.Render.Md);
-               ("html", Gpu_report.Render.Html);
-               ("json", Gpu_report.Render.Json);
-             ])
-          Gpu_report.Render.Md
-      & info [ "format" ] ~docv:"FMT" ~doc:"Report format: md, html or json")
-  in
-  (* [--format] selects the comparison output here, so (as in [report])
-     the spmv storage layout moves to [--spmv-format]. *)
-  let spmv_fmt =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("ell", Gpu_workloads.Spmv.Ell);
-               ("bell", Gpu_workloads.Spmv.Bell_im);
-               ("bell+im", Gpu_workloads.Spmv.Bell_im);
-               ("bell+imiv", Gpu_workloads.Spmv.Bell_imiv);
-               ("imiv", Gpu_workloads.Spmv.Bell_imiv);
-             ])
-          Gpu_workloads.Spmv.Ell
-      & info [ "spmv-format" ] ~doc:"SpMV format (ell|bell+im|bell+imiv)")
-  in
   let out =
     Arg.(
       value
@@ -917,19 +836,18 @@ let sweep_devices_cmd =
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:"Write the comparison to $(docv) instead of stdout")
   in
-  let run workload tile padded sfmt atomic fmt out metrics mfmt jobs no_cache
-      =
+  let run params fmt out metrics mfmt jobs no_cache =
     with_metrics metrics mfmt @@ fun () ->
     guard D.Cli @@ fun () ->
     apply_calibration_opts jobs no_cache;
+    let params = or_fail params in
     (* One device per pool task: each non-baseline spec pays its own
        microbenchmark calibration on first contact, after which the
        fingerprinted on-disk cache makes re-sweeps cheap. *)
-    let fleet = Gpu_serve.Protocol.devices in
+    let fleet = Gpu_hw.Spec.fleet in
     let reports =
       Gpu_parallel.Pool.parallel_map
-        (fun (_, dev) ->
-          report_of ~measure:false workload tile padded sfmt atomic dev)
+        (fun (_, dev) -> R.analyze ~spec:dev params)
         fleet
     in
     let baseline =
@@ -941,19 +859,10 @@ let sweep_devices_cmd =
           Gpu_report.Render.sweep_row ~device:name ~baseline r)
         fleet reports
     in
-    let workload_name =
-      match workload with
-      | `Matmul -> "matmul"
-      | `Tridiag -> "tridiag"
-      | `Spmv -> "spmv"
-      | `Reduce -> if atomic then "reduce-atomic" else "reduce"
-      | `Histogram -> "histogram"
-      | `Degree -> "degree"
-    in
     let doc =
       Gpu_report.Render.render_sweep fmt
         {
-          Gpu_report.Render.sweep_workload = workload_name;
+          Gpu_report.Render.sweep_workload = R.label params;
           sweep_rows = rows;
         }
     in
@@ -971,9 +880,8 @@ let sweep_devices_cmd =
           a per-device comparison: predicted time, speedup, component \
           totals and bottleneck-classification shifts")
     Term.(
-      const run $ workload_arg $ tile_arg $ padded_arg $ spmv_fmt
-      $ atomic_arg $ render_fmt $ out $ metrics_arg $ metrics_format_arg
-      $ jobs_arg $ no_cache_arg)
+      const run $ params_term ~spmv_flag:"spmv-format" () $ render_fmt $ out
+      $ metrics_arg $ metrics_format_arg $ jobs_arg $ no_cache_arg)
 
 (* --- serve ----------------------------------------------------------------- *)
 
@@ -1147,33 +1055,15 @@ let trace_serve_cmd =
             "Also run the timing simulator per request (adds the \
              timing-replay stage to the tracks)")
   in
-  let n =
-    Arg.(
-      value & opt int 256
-      & info [ "n" ] ~docv:"N"
-          ~doc:
-            "Problem size: matmul matrix order (divisible by 64 and the \
-             tile) or tridiag system size (power of two); ignored by \
-             the other workloads")
-  in
-  let run workload tile padded fmt atomic measure n requests out metrics
-      mfmt jobs no_cache =
+  let run params measure requests out metrics mfmt jobs no_cache =
     with_metrics metrics mfmt @@ fun () ->
     guard D.Cli @@ fun () ->
     if requests < 1 then
       D.fail (D.error D.Cli "--requests must be >= 1, got %d" requests);
     Option.iter Gpu_parallel.Pool.set_jobs jobs;
     if no_cache then Gpu_microbench.Tables.set_disk_cache false;
+    let params = or_fail params in
     let module SP = Gpu_serve.Protocol in
-    let params =
-      match workload with
-      | `Matmul -> SP.Matmul { n; tile }
-      | `Tridiag -> SP.Tridiag { nsys = 512; n; padded }
-      | `Spmv -> SP.Spmv { spmv_format = fmt }
-      | `Reduce -> SP.Reduce { r_blocks = 256; r_atomic = atomic }
-      | `Histogram -> SP.Histogram { h_blocks = 256; bins = 256; skew = 0.2 }
-      | `Degree -> SP.Degree { d_blocks = 256; nodes = 65536; hub = 0.1 }
-    in
     Gpu_obs.Span.set_enabled true;
     let cfg =
       {
@@ -1251,9 +1141,8 @@ let trace_serve_cmd =
           wire protocol, and export each captured request's span tree as \
           a Perfetto track next to the workflow spans")
     Term.(
-      const run $ workload_arg $ tile_arg $ padded_arg $ fmt_arg
-      $ atomic_arg $ measure $ n $ requests $ out $ metrics_arg
-      $ metrics_format_arg $ jobs_arg $ no_cache_arg)
+      const run $ params_term ~with_n:true () $ measure $ requests $ out
+      $ metrics_arg $ metrics_format_arg $ jobs_arg $ no_cache_arg)
 
 (* --- main ------------------------------------------------------------------ *)
 

@@ -130,140 +130,79 @@ let replay_sample_warning (m : Gpu_timing.Engine.result) =
         s.Gpu_timing.Engine.cycles_high;
     ]
 
-let analyze_compiled ?(spec = Spec.gtx285) ?sample ?replay_sample
-    ?(measure = false) ?timeline ?ctx ~grid ~block ~args
-    (k : Gpu_kernel.Compile.compiled) =
-  let attrs = span_attrs ~grid ~block k in
-  let occupancy =
-    stage_span ?ctx ~attrs "extract" (fun () -> occupancy_of ~spec ~block k)
-  in
-  let block_ids =
-    match sample with
-    | Some n when n < grid -> Some (List.init n Fun.id)
-    | Some _ | None -> None
-  in
-  let r =
-    stage_span ?ctx ~attrs "functional-sim" (fun () ->
-        Gpu_sim.Sim.run ~collect_trace:measure ?block_ids ~spec ~grid ~block
-          ~args k)
-  in
-  let scale = Gpu_sim.Sim.scale_factor r in
-  let tables =
-    stage_span ?ctx ~attrs "calibrate" (fun () ->
-        Gpu_microbench.Tables.for_spec spec)
-  in
-  let analysis =
-    stage_span ?ctx ~attrs "model" (fun () ->
-        Model.analyze
-          {
-            Model.in_spec = spec;
-            tables;
-            stats = r.stats;
-            scale;
-            in_grid = grid;
-            in_block = block;
-            in_occupancy = occupancy;
-            blocks_run = r.blocks_run;
-          })
-  in
-  let measured =
-    if measure then
-      stage_span ?ctx ~attrs "timing-replay" (fun () ->
-          let traces = replicate_traces ~grid r.traces in
-          Some
-            (Gpu_timing.Engine.run
-               ~homogeneous:(replay_homogeneous ~grid r)
-               ?timeline ?sample:replay_sample ~spec
-               ~max_resident_blocks:occupancy.Gpu_hw.Occupancy.blocks traces))
-    else None
-  in
-  {
-    kernel_name = Gpu_isa.Program.name k.program;
-    compiled = k;
-    launch = { grid; block };
-    stats = r.stats;
-    scale;
-    analysis;
-    measured;
-  }
-
-let analyze ?spec ?sample ?replay_sample ?measure ?timeline ?ctx ~grid
-    ~block ~args kernel =
-  let k =
-    stage_span ?ctx
-      ~attrs:[ ("kernel", kernel.Gpu_kernel.Ir.name) ]
-      "compile"
-      (fun () -> Gpu_kernel.Compile.compile kernel)
-  in
-  analyze_compiled ?spec ?sample ?replay_sample ?measure ?timeline ?ctx
-    ~grid ~block ~args k
-
-(* The [Result] face of the workflow: each stage's [_result] wrapper runs
-   in sequence, so the first failing stage's diagnostic surfaces and no
-   exception escapes.  Out-of-range warnings from the occupancy calculator
-   and the model are pooled into one list alongside the report. *)
-let analyze_compiled_result ?(spec = Spec.gtx285) ?sample ?replay_sample
-    ?(measure = false) ?timeline ?ctx ~grid ~block ~args
-    (k : Gpu_kernel.Compile.compiled) =
+(* The one pipeline.  Each stage runs its total [_result] face inside the
+   stage's span; a failing stage raises its diagnostic inside the span
+   (which then closes tagged with diag.severity/diag.stage) and the
+   handler at the bottom turns it back into [Error].  Out-of-range
+   warnings from the occupancy calculator, the model and a sampled
+   replay are pooled into one list alongside the report. *)
+let analyze_result ?(spec = Spec.gtx285) ?sample ?replay_sample
+    ?(measure = false) ?timeline ?ctx ~grid ~block ~args kernel =
   let module D = Gpu_diag.Diag in
-  let ( let* ) = Result.bind in
-  let attrs = span_attrs ~grid ~block k in
-  let* occupancy, occ_warnings =
-    stage_span ?ctx ~attrs "extract" (fun () ->
-        Gpu_hw.Occupancy.compute_result ~spec (demand_of ~spec ~block k))
+  let run_stage ~attrs name f =
+    stage_span ?ctx ~attrs name (fun () ->
+        match f () with Ok v -> v | Error d -> D.fail d)
   in
-  let block_ids =
-    match sample with
-    | Some n when n < grid -> Some (List.init (max n 0) Fun.id)
-    | Some _ | None -> None
-  in
-  let* r =
-    stage_span ?ctx ~attrs "functional-sim" (fun () ->
-        match
-          Gpu_sim.Sim.run_result ~collect_trace:measure ?block_ids ~spec
-            ~grid ~block ~args k
-        with
-        | Ok r -> Ok r
-        | Error f -> Error f.Gpu_sim.Sim.diag)
-  in
-  let scale = Gpu_sim.Sim.scale_factor r in
-  let tables =
-    stage_span ?ctx ~attrs "calibrate" (fun () ->
-        Gpu_microbench.Tables.for_spec spec)
-  in
-  let* analysis =
-    stage_span ?ctx ~attrs "model" (fun () ->
-        Model.analyze_result
-          {
-            Model.in_spec = spec;
-            tables;
-            stats = r.stats;
-            scale;
-            in_grid = grid;
-            in_block = block;
-            in_occupancy = occupancy;
-            blocks_run = r.blocks_run;
-          })
-  in
-  let* measured =
-    if measure then
-      stage_span ?ctx ~attrs "timing-replay" (fun () ->
-          D.protect ~stage:D.Timing (fun () ->
-              let traces = replicate_traces ~grid r.traces in
-              Some
-                (Gpu_timing.Engine.run
-                   ~homogeneous:(replay_homogeneous ~grid r)
-                   ?timeline ?sample:replay_sample ~spec
-                   ~max_resident_blocks:occupancy.Gpu_hw.Occupancy.blocks
-                   traces)))
-    else Ok None
-  in
-  let replay_warnings =
-    match measured with
-    | Some m -> replay_sample_warning m
-    | None -> []
-  in
-  Ok
+  match
+    let k =
+      run_stage
+        ~attrs:[ ("kernel", kernel.Gpu_kernel.Ir.name) ]
+        "compile"
+        (fun () -> Gpu_kernel.Compile.compile_result kernel)
+    in
+    let attrs = span_attrs ~grid ~block k in
+    let occupancy, occ_warnings =
+      run_stage ~attrs "extract" (fun () ->
+          Gpu_hw.Occupancy.compute_result ~spec (demand_of ~spec ~block k))
+    in
+    let block_ids =
+      match sample with
+      | Some n when n < grid -> Some (List.init (max n 0) Fun.id)
+      | Some _ | None -> None
+    in
+    let r =
+      run_stage ~attrs "functional-sim" (fun () ->
+          Gpu_sim.Sim.run_result ~collect_trace:measure ?block_ids ~spec ~grid
+            ~block ~args k
+          |> Result.map_error (fun (f : Gpu_sim.Sim.failure) -> f.diag))
+    in
+    let scale = Gpu_sim.Sim.scale_factor r in
+    let tables =
+      stage_span ?ctx ~attrs "calibrate" (fun () ->
+          Gpu_microbench.Tables.for_spec spec)
+    in
+    let analysis =
+      run_stage ~attrs "model" (fun () ->
+          Model.analyze_result
+            {
+              Model.in_spec = spec;
+              tables;
+              stats = r.stats;
+              scale;
+              in_grid = grid;
+              in_block = block;
+              in_occupancy = occupancy;
+              blocks_run = r.blocks_run;
+            })
+    in
+    let measured =
+      if measure then
+        run_stage ~attrs "timing-replay" (fun () ->
+            D.protect ~stage:D.Timing (fun () ->
+                let traces = replicate_traces ~grid r.traces in
+                Some
+                  (Gpu_timing.Engine.run
+                     ~homogeneous:(replay_homogeneous ~grid r)
+                     ?timeline ?sample:replay_sample ~spec
+                     ~max_resident_blocks:occupancy.Gpu_hw.Occupancy.blocks
+                     traces)))
+      else None
+    in
+    let replay_warnings =
+      match measured with
+      | Some m -> replay_sample_warning m
+      | None -> []
+    in
     ( {
         kernel_name = Gpu_isa.Program.name k.program;
         compiled = k;
@@ -274,18 +213,18 @@ let analyze_compiled_result ?(spec = Spec.gtx285) ?sample ?replay_sample
         measured;
       },
       occ_warnings @ analysis.Model.warnings @ replay_warnings )
+  with
+  | v -> Ok v
+  | exception D.Diag_error d -> Error d
 
-let analyze_result ?spec ?sample ?replay_sample ?measure ?timeline ?ctx
-    ~grid ~block ~args kernel =
-  let ( let* ) = Result.bind in
-  let* k =
-    stage_span ?ctx
-      ~attrs:[ ("kernel", kernel.Gpu_kernel.Ir.name) ]
-      "compile"
-      (fun () -> Gpu_kernel.Compile.compile_result kernel)
-  in
-  analyze_compiled_result ?spec ?sample ?replay_sample ?measure ?timeline
-    ?ctx ~grid ~block ~args k
+let analyze ?spec ?sample ?replay_sample ?measure ?timeline ?ctx ~grid
+    ~block ~args kernel =
+  match
+    analyze_result ?spec ?sample ?replay_sample ?measure ?timeline ?ctx ~grid
+      ~block ~args kernel
+  with
+  | Ok (report, _warnings) -> report
+  | Error d -> Gpu_diag.Diag.fail d
 
 let measured_seconds report =
   Option.map (fun (r : Gpu_timing.Engine.result) -> r.seconds)

@@ -45,51 +45,25 @@ val replicate_traces :
     single-cluster [homogeneous] fast path. *)
 val traces_homogeneous : Gpu_sim.Trace.block_trace list -> bool
 
-(** [analyze ~grid ~block ~args kernel] runs the full workflow.
-    [sample] limits functional simulation to the first n blocks (exact for
-    block-homogeneous workloads; statistics are scaled, traces replicated).
-    [measure] additionally replays the traces on the timing simulator;
-    [replay_sample] makes that replay simulate a seeded subset of
-    clusters ({!Gpu_timing.Engine.sample}) — the measurement is then an
-    extrapolation carried in [report.measured.sampled], and the
-    [_result] variants append a degraded-confidence warning;
+(** [analyze_result ~grid ~block ~args kernel] runs the full workflow,
+    totally: the first failing stage (compile, occupancy, launch,
+    simulation, model, trace replay) surfaces as its diagnostic, and its
+    span closes tagged with [diag.severity]/[diag.stage].  On success the
+    report is paired with the pooled warnings of the occupancy
+    calculator, the model (also in [report.analysis.warnings]) and a
+    sampled replay.
+
+    [sample] limits functional simulation to the first n blocks (exact
+    for block-homogeneous workloads; statistics are scaled, traces
+    replicated).  [measure] additionally replays the traces on the
+    timing simulator; [replay_sample] makes that replay simulate a
+    seeded subset of clusters ({!Gpu_timing.Engine.sample}) — the
+    measurement is then an extrapolation carried in
+    [report.measured.sampled], with a degraded-confidence warning;
     [timeline] is handed to {!Gpu_timing.Engine.run} to record the
     replay's per-pipeline busy intervals and warp states; [ctx] is a
     request-scoped {!Gpu_obs.Trace_ctx} every stage also records into
     (the serve daemon threads one per request). *)
-val analyze :
-  ?spec:Gpu_hw.Spec.t ->
-  ?sample:int ->
-  ?replay_sample:Gpu_timing.Engine.sample ->
-  ?measure:bool ->
-  ?timeline:Gpu_obs.Timeline.t ->
-  ?ctx:Gpu_obs.Trace_ctx.t ->
-  grid:int ->
-  block:int ->
-  args:(string * int32 array) list ->
-  Gpu_kernel.Ir.t ->
-  report
-
-(** Like {!analyze} for an already-compiled kernel. *)
-val analyze_compiled :
-  ?spec:Gpu_hw.Spec.t ->
-  ?sample:int ->
-  ?replay_sample:Gpu_timing.Engine.sample ->
-  ?measure:bool ->
-  ?timeline:Gpu_obs.Timeline.t ->
-  ?ctx:Gpu_obs.Trace_ctx.t ->
-  grid:int ->
-  block:int ->
-  args:(string * int32 array) list ->
-  Gpu_kernel.Compile.compiled ->
-  report
-
-(** Like {!analyze} but total: the first failing stage (compile, launch,
-    simulation, model, trace replay) surfaces as a diagnostic; no
-    exception escapes.  On success the report is paired with the pooled
-    out-of-calibrated-range warnings from the occupancy calculator and
-    the model (also available as [report.analysis.warnings] for the
-    model's share). *)
 val analyze_result :
   ?spec:Gpu_hw.Spec.t ->
   ?sample:int ->
@@ -103,8 +77,9 @@ val analyze_result :
   Gpu_kernel.Ir.t ->
   (report * Gpu_diag.Diag.t list, Gpu_diag.Diag.t) result
 
-(** Like {!analyze_result} for an already-compiled kernel. *)
-val analyze_compiled_result :
+(** {!analyze_result} without the warnings, raising
+    {!Gpu_diag.Diag.Diag_error} with the failing stage's diagnostic. *)
+val analyze :
   ?spec:Gpu_hw.Spec.t ->
   ?sample:int ->
   ?replay_sample:Gpu_timing.Engine.sample ->
@@ -114,12 +89,12 @@ val analyze_compiled_result :
   grid:int ->
   block:int ->
   args:(string * int32 array) list ->
-  Gpu_kernel.Compile.compiled ->
-  (report * Gpu_diag.Diag.t list, Gpu_diag.Diag.t) result
+  Gpu_kernel.Ir.t ->
+  report
 
 (** The degraded-confidence warning a sampled timing replay carries
-    (empty when the replay was exact).  The [_result] analyzers append
-    it automatically; the serve daemon reuses it for replays it sampled
+    (empty when the replay was exact).  {!analyze_result} appends it
+    automatically; the serve daemon reuses it for replays it sampled
     under deadline pressure. *)
 val replay_sample_warning : Gpu_timing.Engine.result -> Gpu_diag.Diag.t list
 

@@ -259,6 +259,27 @@ let with_min_segment bytes t =
 let with_early_release t =
   with_name (t.name ^ " +early-release") { t with early_release = true }
 
+(* --- The device fleet ---------------------------------------------------- *)
+
+(* The baseline, the Section-6 what-if variants and the later-generation
+   profiles, under the names the CLI's [--variant]/[--device] and the
+   daemon's [device] field accept. *)
+let fleet =
+  [
+    ("baseline", gtx285);
+    ("maxblocks16", with_max_blocks 16 gtx285);
+    ("banks17", with_banks 17 gtx285);
+    ("segment16", with_min_segment 16 gtx285);
+    ("segment4", with_min_segment 4 gtx285);
+    ("bigregfile", with_registers 32768 gtx285);
+    ("bigsmem", with_smem 32768 gtx285);
+    ("earlyrelease", with_early_release gtx285);
+    ("volta-like", volta_like);
+    ("ampere-like", ampere_like);
+  ]
+
+let device_of_name name = List.assoc_opt name fleet
+
 let pp ppf t =
   Fmt.pf ppf
     "@[<v>%s: %d SMs (%d clusters), %.3f GHz core, %.3f GHz mem, %d-bit \

@@ -95,4 +95,14 @@ val with_registers : int -> t -> t
 val with_smem : int -> t -> t
 val with_min_segment : int -> t -> t
 val with_early_release : t -> t
+
+(** The device fleet: [("baseline", gtx285)] first, then the paper's
+    Section-6 what-if variants of it, then {!volta_like} and
+    {!ampere_like}.  The only definition of the fleet: the CLI's
+    [--variant] and [--device] values, [gpuperf sweep-devices] rows and
+    the daemon's [device] field all resolve against it. *)
+val fleet : (string * t) list
+
+(** Look a device up by its fleet name. *)
+val device_of_name : string -> t option
 val pp : Format.formatter -> t -> unit

@@ -1,7 +1,7 @@
 (** Minimal JSON values and a recursive-descent parser — the reading
-    counterpart of {!Gpu_obs.Json_text}'s emission helpers.  Used by the
-    accuracy ledger (JSONL records) and the bench trajectory file; no
-    external dependencies. *)
+    counterpart of {!Json_text}'s emission helpers.  Used by the
+    accuracy ledger (JSONL records), the daemon's wire protocol and the
+    workload registry's parameter codec; no external dependencies. *)
 
 type t =
   | Null
@@ -16,7 +16,7 @@ type t =
 val parse : string -> (t, string) result
 
 (** Serialize compactly (no whitespace); numbers via
-    {!Gpu_obs.Json_text.number}, so [encode] ∘ [parse] is stable. *)
+    {!Json_text.number}, so [encode] ∘ [parse] is stable. *)
 val encode : t -> string
 
 (** {2 Accessors} — all total, [None] on a type or key mismatch. *)

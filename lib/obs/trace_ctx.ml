@@ -3,7 +3,7 @@
    One value of [t] accompanies a request from server admission through
    the worker pool into the analysis workflow.  It is threaded
    *explicitly* — captured by the closures handed to [Pool.async],
-   passed as [?ctx] down [Workflow.analyze*] — never stashed in
+   passed as [?ctx] down [Workflow.analyze] — never stashed in
    domain-local storage: the request hops domains (admission on the
    event loop, compute on a worker, completion back on the loop), so
    TLS would silently attribute spans to whichever domain touched it

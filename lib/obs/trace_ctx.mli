@@ -1,7 +1,7 @@
 (** Request-scoped trace context: a splitmix64-derived trace id plus a
     per-request span tree, threaded {e explicitly} (no domain-local
     storage) from server admission through [Pool.async] and
-    [Workflow.analyze*].  Spans share {!Span}'s epoch and microsecond
+    [Workflow.analyze].  Spans share {!Span}'s epoch and microsecond
     timebase, so request tracks and the global span track line up in
     one trace-event file. *)
 

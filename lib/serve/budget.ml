@@ -22,28 +22,8 @@ let default_limits =
    dominant arrays bounds both comfortably. *)
 let bytes_per_element = 64
 
-let working_set_bytes = function
-  | Protocol.Matmul { n; tile = _ } ->
-    (* A, B, C: three n x n matrices. *)
-    3 * n * n * bytes_per_element
-  | Protocol.Tridiag { nsys; n; padded } ->
-    (* Four coefficient arrays per system, padded to the next power of
-       two when requested. *)
-    let n = if padded then max n 1 else n in
-    4 * nsys * n * bytes_per_element
-  | Protocol.Spmv _ ->
-    (* The QCD-like matrix is a fixed size: ~1.9M nonzeros in 3x3
-       blocks plus index and vector arrays. *)
-    2 * 1024 * 1024 * bytes_per_element
-  | Protocol.Reduce { r_blocks; _ } ->
-    (* input (2*threads elements per block, threads = 128) + partials *)
-    r_blocks * 257 * bytes_per_element
-  | Protocol.Histogram { h_blocks; bins; _ } ->
-    (* input (threads * items per block) + per-block partial histograms *)
-    h_blocks * ((128 * 4) + bins) * bytes_per_element
-  | Protocol.Degree { d_blocks; nodes; _ } ->
-    (* src + dst endpoint arrays + per-block partial degree vectors *)
-    d_blocks * ((2 * 128 * 4) + nodes) * bytes_per_element
+let working_set_bytes p =
+  Gpu_workloads.Registry.working_set_elements p * bytes_per_element
 
 let deadline_at ~now ~limits (req : Protocol.request) =
   match (req.Protocol.deadline_ms, limits.default_deadline_ms) with

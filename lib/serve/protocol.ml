@@ -3,8 +3,8 @@
    return [Ok] or a [Serve]-stage diagnostic, never raise. *)
 
 module D = Gpu_diag.Diag
-module Jsonx = Gpu_report.Jsonx
-module Spmv = Gpu_workloads.Spmv
+module Jsonx = Gpu_obs.Jsonx
+module Registry = Gpu_workloads.Registry
 
 type endpoint = Tcp of string * int | Unix_socket of string
 
@@ -22,22 +22,7 @@ let format_of_name = function
   | "html" -> Some Html
   | _ -> None
 
-type params =
-  | Matmul of { n : int; tile : int }
-  | Tridiag of { nsys : int; n : int; padded : bool }
-  | Spmv of { spmv_format : Spmv.format }
-  | Reduce of { r_blocks : int; r_atomic : bool }
-  | Histogram of { h_blocks : int; bins : int; skew : float }
-  | Degree of { d_blocks : int; nodes : int; hub : float }
-
-let workload_name = function
-  | Matmul _ -> "matmul"
-  | Tridiag _ -> "tridiag"
-  | Spmv _ -> "spmv"
-  | Reduce _ -> "reduce" (* the atomic flag rides in params, so the
-                            name round-trips through the wire *)
-  | Histogram _ -> "histogram"
-  | Degree _ -> "degree"
+include Registry.Params
 
 type request = {
   id : string;
@@ -49,26 +34,7 @@ type request = {
   sample : int option;
 }
 
-(* The device fleet: the Section-6 what-if variants of the baseline plus
-   the built-in later-generation profiles (DESIGN §16).  The CLI resolves
-   its --variant names and `sweep-devices` rows against the same table,
-   so wire and command line can never drift. *)
-let devices =
-  let spec = Gpu_hw.Spec.gtx285 in
-  [
-    ("baseline", spec);
-    ("maxblocks16", Gpu_hw.Spec.with_max_blocks 16 spec);
-    ("banks17", Gpu_hw.Spec.with_banks 17 spec);
-    ("segment16", Gpu_hw.Spec.with_min_segment 16 spec);
-    ("segment4", Gpu_hw.Spec.with_min_segment 4 spec);
-    ("bigregfile", Gpu_hw.Spec.with_registers 32768 spec);
-    ("bigsmem", Gpu_hw.Spec.with_smem 32768 spec);
-    ("earlyrelease", Gpu_hw.Spec.with_early_release spec);
-    ("volta-like", Gpu_hw.Spec.volta_like);
-    ("ampere-like", Gpu_hw.Spec.ampere_like);
-  ]
-
-let device_of_name name = List.assoc_opt name devices
+let device_of_name = Gpu_hw.Spec.device_of_name
 
 (* --- request parsing ----------------------------------------------------- *)
 
@@ -83,39 +49,11 @@ let bad fmt =
               D.Error D.Serve m)))
     fmt
 
-let spmv_format_of_name = function
-  | "ell" -> Some Spmv.Ell
-  | "bell" | "bell+im" -> Some Spmv.Bell_im
-  | "imiv" | "bell+imiv" -> Some Spmv.Bell_imiv
-  | _ -> None
-
-let spmv_format_name = function
-  | Spmv.Ell -> "ell"
-  | Spmv.Bell_im -> "bell+im"
-  | Spmv.Bell_imiv -> "bell+imiv"
-
 let known_keys =
   [
     "id"; "workload"; "params"; "device"; "format"; "deadline_ms";
     "measure"; "sample"; "op";
   ]
-
-let known_param_keys =
-  [
-    "n"; "tile"; "nsys"; "padded"; "format"; "blocks"; "atomic"; "bins";
-    "skew"; "nodes"; "hub";
-  ]
-
-let get_int ~what ?default fields key =
-  match List.assoc_opt key fields with
-  | None -> (
-    match default with
-    | Some d -> d
-    | None -> bad "%s: missing required integer field %S" what key)
-  | Some v -> (
-    match Jsonx.to_int v with
-    | Some i -> i
-    | None -> bad "%s: field %S must be an integer" what key)
 
 let get_bool ~what ~default fields key =
   match List.assoc_opt key fields with
@@ -131,80 +69,6 @@ let get_string ~what ?default fields key =
     | None -> bad "%s: missing required string field %S" what key)
   | Some (Jsonx.Str s) -> s
   | Some _ -> bad "%s: field %S must be a string" what key
-
-let get_float ~what ~default fields key =
-  match List.assoc_opt key fields with
-  | None -> default
-  | Some v -> (
-    match Jsonx.to_float v with
-    | Some f -> f
-    | None -> bad "%s: field %S must be a number" what key)
-
-let positive ~what key v =
-  if v < 1 then bad "%s: field %S must be >= 1, got %d" what key v;
-  v
-
-let fraction ~what key v =
-  if not (v >= 0.0 && v <= 1.0) then
-    bad "%s: field %S must be in [0, 1], got %g" what key v;
-  v
-
-let parse_params ~workload fields =
-  List.iter
-    (fun (k, _) ->
-      if not (List.mem k known_param_keys) then
-        bad "params: unknown key %S" k)
-    fields;
-  let what = "params" in
-  match workload with
-  | "matmul" ->
-    Matmul
-      {
-        n = positive ~what "n" (get_int ~what ~default:1024 fields "n");
-        tile =
-          positive ~what "tile" (get_int ~what ~default:16 fields "tile");
-      }
-  | "tridiag" ->
-    Tridiag
-      {
-        nsys =
-          positive ~what "nsys" (get_int ~what ~default:512 fields "nsys");
-        n = positive ~what "n" (get_int ~what ~default:512 fields "n");
-        padded = get_bool ~what ~default:false fields "padded";
-      }
-  | "spmv" ->
-    let name = get_string ~what ~default:"ell" fields "format" in
-    (match spmv_format_of_name name with
-    | Some f -> Spmv { spmv_format = f }
-    | None ->
-      bad "params: unknown spmv format %S (ell, bell+im, bell+imiv)" name)
-  | "reduce" ->
-    Reduce
-      {
-        r_blocks =
-          positive ~what "blocks" (get_int ~what ~default:512 fields "blocks");
-        r_atomic = get_bool ~what ~default:false fields "atomic";
-      }
-  | "histogram" ->
-    Histogram
-      {
-        h_blocks =
-          positive ~what "blocks" (get_int ~what ~default:256 fields "blocks");
-        bins = positive ~what "bins" (get_int ~what ~default:64 fields "bins");
-        skew = fraction ~what "skew" (get_float ~what ~default:0.8 fields "skew");
-      }
-  | "degree" ->
-    Degree
-      {
-        d_blocks =
-          positive ~what "blocks" (get_int ~what ~default:256 fields "blocks");
-        nodes =
-          positive ~what "nodes" (get_int ~what ~default:64 fields "nodes");
-        hub = fraction ~what "hub" (get_float ~what ~default:0.3 fields "hub");
-      }
-  | w ->
-    bad "unknown workload %S (matmul, tridiag, spmv, reduce, histogram, \
-         degree)" w
 
 let parse_request line =
   match Jsonx.parse line with
@@ -232,11 +96,15 @@ let parse_request line =
         | Some (Jsonx.Obj f) -> f
         | Some _ -> bad "request: field \"params\" must be an object"
       in
-      let params = parse_params ~workload param_fields in
+      let params =
+        match Registry.of_fields ~workload param_fields with
+        | Ok p -> p
+        | Error m -> bad "%s" m
+      in
       let device = get_string ~what ~default:"baseline" fields "device" in
       if device_of_name device = None then
         bad "unknown device %S (%s)" device
-          (String.concat ", " (List.map fst devices));
+          (String.concat ", " (List.map fst Gpu_hw.Spec.fleet));
       let format_field =
         get_string ~what ~default:"json" fields "format"
       in
@@ -279,32 +147,14 @@ let parse_request line =
 
 let jint i = Jsonx.Num (float_of_int i)
 
-let params_to_json = function
-  | Matmul { n; tile } -> Jsonx.Obj [ ("n", jint n); ("tile", jint tile) ]
-  | Tridiag { nsys; n; padded } ->
-    Jsonx.Obj
-      [ ("nsys", jint nsys); ("n", jint n); ("padded", Jsonx.Bool padded) ]
-  | Spmv { spmv_format } ->
-    Jsonx.Obj [ ("format", Jsonx.Str (spmv_format_name spmv_format)) ]
-  | Reduce { r_blocks; r_atomic } ->
-    Jsonx.Obj [ ("blocks", jint r_blocks); ("atomic", Jsonx.Bool r_atomic) ]
-  | Histogram { h_blocks; bins; skew } ->
-    Jsonx.Obj
-      [ ("blocks", jint h_blocks); ("bins", jint bins);
-        ("skew", Jsonx.Num skew) ]
-  | Degree { d_blocks; nodes; hub } ->
-    Jsonx.Obj
-      [ ("blocks", jint d_blocks); ("nodes", jint nodes);
-        ("hub", Jsonx.Num hub) ]
-
 let request_to_json r =
   Jsonx.Obj
     (List.concat
        [
          [
            ("id", Jsonx.Str r.id);
-           ("workload", Jsonx.Str (workload_name r.params));
-           ("params", params_to_json r.params);
+           ("workload", Jsonx.Str (Registry.name r.params));
+           ("params", Jsonx.Obj (Registry.to_fields r.params));
            ("device", Jsonx.Str r.device);
            ("format", Jsonx.Str (format_name r.format));
          ];

@@ -14,7 +14,7 @@
     ([{"op":"ping"}], [{"op":"health"}], [{"op":"metrics"}]); see
     {!Server}. *)
 
-module Jsonx = Gpu_report.Jsonx
+module Jsonx = Gpu_obs.Jsonx
 
 (** Where the daemon listens and clients connect. *)
 type endpoint =
@@ -28,25 +28,17 @@ type format = Json | Md | Html
 
 val format_name : format -> string
 
-(** Workload selection plus parameters, mirroring the [gpuperf analyze]
-    subcommand.  Protocol-level validation only checks signs and ranges;
-    workload shape constraints (e.g. matmul's tile divisibility) are
-    enforced by kernel construction, whose failure is answered as an
-    error response (crash isolation). *)
-type params =
-  | Matmul of { n : int; tile : int }
-  | Tridiag of { nsys : int; n : int; padded : bool }
-  | Spmv of { spmv_format : Gpu_workloads.Spmv.format }
-  | Reduce of { r_blocks : int; r_atomic : bool }
-  | Histogram of { h_blocks : int; bins : int; skew : float }
-  | Degree of { d_blocks : int; nodes : int; hub : float }
-
-val workload_name : params -> string
+(** Workload selection plus parameters: {!Gpu_workloads.Registry.Params}
+    re-exported, so the wire's [workload]/[params] pair is decoded,
+    defaulted and range-checked by the registry alone. *)
+include module type of struct
+  include Gpu_workloads.Registry.Params
+end
 
 type request = {
   id : string;  (** client correlation token; echoed verbatim *)
   params : params;
-  device : string;  (** a name from {!devices} *)
+  device : string;  (** a name from {!Gpu_hw.Spec.fleet} *)
   format : format;
   deadline_ms : int option;
       (** per-request time budget from admission; [Some 0] is already
@@ -56,12 +48,7 @@ type request = {
   sample : int option;  (** functional-simulation block sample *)
 }
 
-(** The built-in device fleet: [("baseline", gtx285)] first, then the
-    architectural variants of the paper's Section 6 what-ifs.  The CLI's
-    [whatif] subcommand and the daemon's [device] field both resolve
-    against this list. *)
-val devices : (string * Gpu_hw.Spec.t) list
-
+(** {!Gpu_hw.Spec.device_of_name}, the daemon's [device] lookup. *)
 val device_of_name : string -> Gpu_hw.Spec.t option
 
 (** Parse one request line.  Diagnostics use the [Serve] stage; unknown

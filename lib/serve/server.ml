@@ -5,6 +5,7 @@ module Log = Gpu_obs.Log
 module Span = Gpu_obs.Span
 module Trace_ctx = Gpu_obs.Trace_ctx
 module P = Protocol
+module Registry = Gpu_workloads.Registry
 
 type config = {
   endpoint : P.endpoint;
@@ -284,13 +285,13 @@ let finish t infl ?ledger resp =
       if name <> "other" then Metrics.observe (h_stage name) (us /. 1e6))
     breakdown;
   log_access t ~trace_id:(Trace_ctx.id infl.ctx) ~id:infl.req.P.id
-    ~workload:(P.workload_name infl.req.P.params)
+    ~workload:(Registry.name infl.req.P.params)
     ~device:infl.req.P.device resp;
   (match ledger with
   | Some record when t.cfg.write_ledger -> (
     match
       Gpu_report.Ledger.default_path
-        ~workload:(P.workload_name infl.req.P.params)
+        ~workload:(Registry.label infl.req.P.params)
     with
     | Some path -> (
       match Gpu_report.Ledger.append ~path record with
@@ -304,7 +305,7 @@ let finish t infl ?ledger resp =
   | _ -> ());
   let label =
     Printf.sprintf "%s %s"
-      (P.workload_name infl.req.P.params)
+      (Registry.name infl.req.P.params)
       (P.status_name resp.P.status)
   in
   t.recent <-
@@ -315,37 +316,6 @@ let finish t infl ?ledger resp =
   respond t infl.i_conn resp
 
 (* --- the compute path (worker domains) ------------------------------------ *)
-
-let run_analysis ?replay_sample ?ctx (req : P.request) =
-  let spec =
-    match P.device_of_name req.P.device with
-    | Some s -> s
-    | None -> Gpu_hw.Spec.gtx285
-  in
-  let measure = req.P.measure in
-  let sample = req.P.sample in
-  match req.P.params with
-  | P.Matmul { n; tile } ->
-    Gpu_workloads.Matmul.analyze ~spec ~measure ?sample ?replay_sample ?ctx
-      ~n ~tile ()
-  | P.Tridiag { nsys; n; padded } ->
-    Gpu_workloads.Tridiag.analyze ~spec ~measure ?sample ?replay_sample ?ctx
-      ~nsys ~n ~padded ()
-  | P.Spmv { spmv_format } ->
-    Gpu_workloads.Spmv.analyze ~spec ~measure ?sample ?replay_sample ?ctx
-      (Gpu_workloads.Spmv.qcd_like ())
-      spmv_format
-  | P.Reduce { r_blocks; r_atomic } ->
-    Gpu_workloads.Reduce.analyze ~spec ~measure ?sample ?replay_sample ?ctx
-      ~blocks:r_blocks
-      (if r_atomic then Gpu_workloads.Reduce.Atomic
-       else Gpu_workloads.Reduce.Sequential)
-  | P.Histogram { h_blocks; bins; skew } ->
-    Gpu_workloads.Histogram.analyze ~spec ~measure ?sample ?replay_sample
-      ?ctx ~blocks:h_blocks ~bins ~skew ()
-  | P.Degree { d_blocks; nodes; hub } ->
-    Gpu_workloads.Degree.analyze ~spec ~measure ?sample ?replay_sample ?ctx
-      ~blocks:d_blocks ~nodes ~hub ()
 
 (* Deadline pressure → sampled replay: a measured request whose remaining
    budget is tight replays a seeded cluster subset (the seed derives from
@@ -363,7 +333,7 @@ let replay_sample_under_pressure (infl : inflight) ~now =
          })
 
 let render_success t (req : P.request) (report : Gpu_model.Workflow.report) =
-  let workload = P.workload_name req.P.params in
+  let workload = Registry.name req.P.params in
   let replay_sampled =
     match report.Gpu_model.Workflow.measured with
     | Some m -> Option.is_some m.Gpu_timing.Engine.sampled
@@ -433,9 +403,12 @@ let compute t infl =
     let replay_sample =
       replay_sample_under_pressure infl ~now:(Unix.gettimeofday ())
     in
+    let { P.device; measure; sample; params; _ } = infl.req in
     match
       D.protect ~stage:D.Exec (fun () ->
-          run_analysis ?replay_sample ~ctx:infl.ctx infl.req)
+          Registry.analyze
+            ?spec:(P.device_of_name device)
+            ~measure ?sample ?replay_sample ~ctx:infl.ctx params)
     with
     | Ok report ->
       let confidence, body, rendered, diags =
@@ -448,7 +421,7 @@ let compute t infl =
           Some
             (Gpu_report.Ledger.of_report ~git ~host
                ~trace_id:(Trace_ctx.id infl.ctx)
-               ~workload:(P.workload_name infl.req.P.params)
+               ~workload:(Registry.label infl.req.P.params)
                report)
         else None
       in
@@ -465,7 +438,7 @@ let compute t infl =
 let admit t conn (req : P.request) =
   Metrics.incr m_requests;
   let now = Unix.gettimeofday () in
-  let workload = P.workload_name req.P.params in
+  let workload = Registry.name req.P.params in
   let device = req.P.device in
   let limits = t.cfg.limits in
   let depth = queue_depth t in

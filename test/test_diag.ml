@@ -530,32 +530,63 @@ let test_workflow_result () =
       (Float.is_finite a.Gpu_model.Model.predicted_seconds);
     Alcotest.(check bool) "prediction is positive" true
       (a.Gpu_model.Model.predicted_seconds > 0.0));
-  (* compile failure propagates with its stage intact *)
-  (match
-     Gpu_model.Workflow.analyze_result ~grid:1 ~block:32 ~args:[]
-       {
-         Ir.name = "broken";
-         params = [];
-         shared = [];
-         body = [ Ir.Let ("x", Ir.Var "nope") ];
-       }
-   with
-  | Ok _ -> Alcotest.fail "broken kernel analyzed"
-  | Error d ->
-    Alcotest.(check bool) "compile stage" true (d.D.stage = D.Compile));
-  (* runtime fault propagates as an exec diagnostic *)
-  match
-    Gpu_model.Workflow.analyze_result ~grid:1 ~block:32
-      ~args:[ ("out", Array.make 8 0l) ]
-      {
-        Ir.name = "wild";
-        params = [ "out" ];
-        shared = [];
-        body = [ Ir.St_global ("out", Ir.i 1_000_000, Ir.i 1) ];
-      }
-  with
-  | Ok _ -> Alcotest.fail "wild kernel analyzed"
-  | Error d -> Alcotest.(check bool) "exec stage" true (d.D.stage = D.Exec)
+  (* Failures surface with their stage intact through both faces: the
+     raising [analyze] raises exactly the diagnostic [analyze_result]
+     returns, and with spans on the failing stage's span closes tagged
+     with it. *)
+  let broken =
+    {
+      Ir.name = "broken";
+      params = [];
+      shared = [];
+      body = [ Ir.Let ("x", Ir.Var "nope") ];
+    }
+  in
+  let wild =
+    {
+      Ir.name = "wild";
+      params = [ "out" ];
+      shared = [];
+      body = [ Ir.St_global ("out", Ir.i 1_000_000, Ir.i 1) ];
+    }
+  in
+  List.iter
+    (fun (what, kernel, args, stage, span) ->
+      let failure =
+        match
+          Gpu_model.Workflow.analyze_result ~grid:1 ~block:32 ~args kernel
+        with
+        | Ok _ -> Alcotest.failf "%s kernel analyzed" what
+        | Error d -> d
+      in
+      Alcotest.(check string) (what ^ ": result stage") (D.stage_name stage)
+        (D.stage_name failure.D.stage);
+      Gpu_obs.Span.clear ();
+      Gpu_obs.Span.set_enabled true;
+      let raised =
+        Fun.protect
+          ~finally:(fun () -> Gpu_obs.Span.set_enabled false)
+          (fun () ->
+            match Gpu_model.Workflow.analyze ~grid:1 ~block:32 ~args kernel with
+            | _ -> Alcotest.failf "%s kernel analyzed by the raising face" what
+            | exception D.Diag_error d -> d)
+      in
+      Alcotest.(check bool) (what ^ ": raises the same diagnostic") true
+        (raised = failure);
+      let tagged =
+        List.filter
+          (fun (c : Gpu_obs.Span.completed) ->
+            c.Gpu_obs.Span.name = span
+            && List.assoc_opt "diag.stage" c.Gpu_obs.Span.attrs
+               = Some (D.stage_name stage))
+          (Gpu_obs.Span.completed ())
+      in
+      Alcotest.(check int) (what ^ ": " ^ span ^ " span tagged") 1
+        (List.length tagged))
+    [
+      ("broken", broken, [], D.Compile, "compile");
+      ("wild", wild, [ ("out", Array.make 8 0l) ], D.Exec, "functional-sim");
+    ]
 
 (* --- gpuperf exit codes -------------------------------------------------- *)
 

@@ -121,7 +121,7 @@ let test_fleet_canonical_unique () =
   (* Calibration caches are keyed by name (process-wide) and by
      [Spec.canonical] fingerprint (on disk): every fleet entry must be
      pairwise distinct in both, or two devices would share tables. *)
-  let devices = Gpu_serve.Protocol.devices in
+  let devices = Spec.fleet in
   Alcotest.(check int) "fleet size" 10 (List.length devices);
   let rec pairs = function
     | [] -> ()

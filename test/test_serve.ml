@@ -185,8 +185,8 @@ let test_status_names () =
 let test_devices () =
   Alcotest.(check bool)
     "baseline heads the fleet" true
-    (List.hd P.devices = ("baseline", Gpu_hw.Spec.gtx285));
-  Alcotest.(check int) "ten devices" 10 (List.length P.devices);
+    (List.hd Gpu_hw.Spec.fleet = ("baseline", Gpu_hw.Spec.gtx285));
+  Alcotest.(check int) "ten devices" 10 (List.length Gpu_hw.Spec.fleet);
   Alcotest.(check bool)
     "lookup works" true
     (P.device_of_name "banks17" <> None && P.device_of_name "nope" = None);
@@ -277,13 +277,13 @@ let test_replay_sample_policy () =
 
 (* --- in-process server ---------------------------------------------------- *)
 
-let with_server ?(limits = Budget.default_limits) f =
+let with_server ?(limits = Budget.default_limits) ?(write_ledger = false) f =
   let cfg =
     {
       Server.endpoint = P.Tcp ("127.0.0.1", 0);
       limits;
       access_log = None;
-      write_ledger = false;
+      write_ledger;
     }
   in
   let t = ok_or_fail "Server.create" (Server.create cfg) in
@@ -405,6 +405,36 @@ let test_serve_markdown () =
     "rendered markdown report" true
     (String.length doc > 200
     && String.sub doc 0 1 = "#" (* title heading *))
+
+let test_serve_reduce_ledger () =
+  Lazy.force warm;
+  (* The suite's private GPUPERF_CACHE_DIR holds the ledgers. *)
+  let ledger w = Option.get (Gpu_report.Ledger.default_path ~workload:w) in
+  List.iter
+    (fun w -> if Sys.file_exists (ledger w) then Sys.remove (ledger w))
+    [ "reduce"; "reduce-atomic" ];
+  with_server ~write_ledger:true @@ fun _t ep ->
+  with_client ep @@ fun c ->
+  ok_or_fail "send"
+    (Client.send_line c
+       {|{"id":"ra","workload":"reduce","params":{"atomic":true}}|});
+  let resp =
+    ok_or_fail "parse" (P.parse_response (ok_or_fail "recv" (Client.recv_line c)))
+  in
+  Alcotest.(check bool) "completed" true (resp.P.status = P.Completed);
+  Alcotest.(check bool)
+    "the wire keeps the workload's wire name" true
+    (Option.bind resp.P.body (Jsonx.member "workload")
+    = Some (Jsonx.Str "reduce"));
+  (* the ledger append happens before the response is written *)
+  Alcotest.(check bool) "appended to reduce-atomic.jsonl" true
+    (Sys.file_exists (ledger "reduce-atomic"));
+  Alcotest.(check bool) "tree reduce ledger untouched" false
+    (Sys.file_exists (ledger "reduce"));
+  let records, _ = Gpu_report.Ledger.load ~path:(ledger "reduce-atomic") in
+  Alcotest.(check (list string)) "record labelled by kernel"
+    [ "reduce-atomic" ]
+    (List.map (fun r -> r.Gpu_report.Ledger.workload) records)
 
 let test_serve_deadline_zero () =
   with_server @@ fun _t ep ->
@@ -694,6 +724,8 @@ let () =
             `Quick test_serve_trace_breakdown;
           Alcotest.test_case "renders markdown bodies" `Quick
             test_serve_markdown;
+          Alcotest.test_case "atomic reduce keeps its own ledger" `Quick
+            test_serve_reduce_ledger;
           Alcotest.test_case "0ms deadline expires at admission" `Quick
             test_serve_deadline_zero;
           Alcotest.test_case "watchdog answers past-deadline compute" `Quick

@@ -444,6 +444,59 @@ let test_nbody_class_iii () =
   Alcotest.(check string) "instruction-bound" "instruction pipeline"
     (Component.name r.Workflow.analysis.Model.bottleneck)
 
+(* --- The served-workload registry ----------------------------------------- *)
+
+module R = Gpu_workloads.Registry
+
+(* The wire defaults the CLI, the daemon and the budget used before the
+   registry existed, spelled out. *)
+let wire_defaults =
+  [
+    ("matmul", R.Matmul { n = 1024; tile = 16 });
+    ("tridiag", R.Tridiag { nsys = 512; n = 512; padded = false });
+    ("spmv", R.Spmv { spmv_format = Spmv.Ell });
+    ("reduce", R.Reduce { r_blocks = 512; r_atomic = false });
+    ("histogram", R.Histogram { h_blocks = 256; bins = 64; skew = 0.8 });
+    ("degree", R.Degree { d_blocks = 256; nodes = 64; hub = 0.3 });
+  ]
+
+let non_defaults =
+  [
+    R.Matmul { n = 256; tile = 8 };
+    R.Tridiag { nsys = 64; n = 256; padded = true };
+    R.Spmv { spmv_format = Spmv.Bell_imiv };
+    R.Reduce { r_blocks = 32; r_atomic = true };
+    R.Histogram { h_blocks = 16; bins = 256; skew = 0.25 };
+    R.Degree { d_blocks = 8; nodes = 65536; hub = 1.0 };
+  ]
+
+let test_registry_defaults () =
+  Alcotest.(check (list string)) "wire order" (List.map fst wire_defaults)
+    R.names;
+  List.iter
+    (fun (w, expect) ->
+      Alcotest.(check bool) (w ^ " defaults") true
+        (R.of_fields ~workload:w [] = Ok expect))
+    wire_defaults
+
+let test_registry_roundtrip () =
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (R.label p ^ " survives to_fields/of_fields")
+        true
+        (R.of_fields ~workload:(R.name p) (R.to_fields p) = Ok p))
+    (List.map snd wire_defaults @ non_defaults)
+
+let test_registry_reduce_names () =
+  let tree = R.Reduce { r_blocks = 512; r_atomic = false } in
+  let atomic = R.Reduce { r_blocks = 512; r_atomic = true } in
+  Alcotest.(check (list string)) "one wire name" [ "reduce"; "reduce" ]
+    [ R.name tree; R.name atomic ];
+  Alcotest.(check (list string)) "one ledger label per kernel"
+    [ "reduce"; "reduce-atomic" ]
+    [ R.label tree; R.label atomic ]
+
 let () =
   Alcotest.run "workloads"
     [
@@ -507,5 +560,13 @@ let () =
           Alcotest.test_case "figure 11b/12 ranking" `Quick
             test_spmv_bottleneck_and_ranking;
           Alcotest.test_case "texture cache" `Quick test_spmv_cache_helps;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "wire defaults" `Quick test_registry_defaults;
+          Alcotest.test_case "codec round trip" `Quick
+            test_registry_roundtrip;
+          Alcotest.test_case "reduce name and label" `Quick
+            test_registry_reduce_names;
         ] );
     ]
