@@ -34,9 +34,6 @@ let print_diag d =
    workload drivers still use internally.  [D.protect] falls back on a
    generic conversion for anything not matched here. *)
 let convert_toolchain = function
-  | Gpu_isa.Encode.Decode_error m -> Some (D.make D.Error D.Disasm m)
-  | Gpu_isa.Asm.Parse_error { line; message } ->
-    Some (D.make ~location:(D.Line line) D.Error D.Asm message)
   | Gpu_kernel.Compile.Error m -> Some (D.make D.Error D.Compile m)
   | Gpu_sim.Sim.Launch_error m -> Some (D.make D.Error D.Launch m)
   | Gpu_sim.Machine.Stuck m | Gpu_sim.Memory.Fault m ->

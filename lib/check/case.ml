@@ -200,14 +200,7 @@ let to_text_string c = Fmt.str "@[<v>%a@]" pp c
 
 let cls_name = I.cost_class_name
 
-let cls_of_name = function
-  | "I" -> Some I.Class_i
-  | "II" -> Some I.Class_ii
-  | "III" -> Some I.Class_iii
-  | "IV" -> Some I.Class_iv
-  | "mem" -> Some I.Class_mem
-  | "ctrl" -> Some I.Class_ctrl
-  | _ -> None
+let cls_of_name = I.of_name I.cost_classes
 
 let ints_to_string a =
   if Array.length a = 0 then "-"

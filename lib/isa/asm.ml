@@ -14,6 +14,7 @@ type token =
   | Tpred of int
   | Tint of int32
   | Tfloat of float
+  | Taddr of Instr.maddr (* a bracketed address, folded by [args] *)
   | Tcomma
   | Tcolon
   | Tlbracket
@@ -44,20 +45,23 @@ let tokenize ~line s =
       else if c = '@' then go (i + 1) (Tat :: acc)
       else if c = '!' then go (i + 1) (Tbang :: acc)
       else if c = '$' then begin
-        (* $rN or $pN *)
+        (* $rN or $pN, N inside the register file *)
         if i + 1 >= n then fail ~line "dangling '$'";
         let kind = s.[i + 1] in
         let j = ref (i + 2) in
         while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do incr j done;
         if !j = i + 2 then fail ~line "register number expected";
-        let num = int_of_string (String.sub s (i + 2) (!j - i - 2)) in
-        let tok =
+        let digits = String.sub s (i + 2) (!j - i - 2) in
+        let what, bound, tok =
           match kind with
-          | 'r' -> Treg num
-          | 'p' -> Tpred num
+          | 'r' -> ("register", Instr.num_regs, fun num -> Treg num)
+          | 'p' -> ("predicate", Instr.num_preds, fun num -> Tpred num)
           | _ -> fail ~line "expected $r or $p"
         in
-        go !j (tok :: acc)
+        match int_of_string_opt digits with
+        | Some num when num < bound -> go !j (tok num :: acc)
+        | _ ->
+          fail ~line (Printf.sprintf "%s index %s out of range" what digits)
       end
       else if c = '-' || (c >= '0' && c <= '9') then begin
         let j = ref (i + 1) in
@@ -92,15 +96,6 @@ let tokenize ~line s =
 
 (* --- Parser ---------------------------------------------------------- *)
 
-let sreg_of_name ~line = function
-  | "%tid.x" -> Instr.Tid_x
-  | "%ntid.x" -> Instr.Ntid_x
-  | "%ctaid.x" -> Instr.Ctaid_x
-  | "%nctaid.x" -> Instr.Nctaid_x
-  | "%laneid" -> Instr.Laneid
-  | "%warpid" -> Instr.Warpid
-  | s -> fail ~line ("unknown special register " ^ s)
-
 let operand ~line = function
   | Treg r -> Instr.Reg (Instr.R r)
   | Tint v -> Instr.Imm v
@@ -115,68 +110,32 @@ let pred ~line = function
   | Tpred p -> Instr.P p
   | _ -> fail ~line "predicate register expected"
 
-
-(* [d, a, b] style splits: drop commas, expect exact token counts. *)
-let args toks = List.filter (function Tcomma -> false | _ -> true) toks
-
-let maddr ~line toks =
-  match toks with
-  | [ Tlbracket; Treg b; Trbracket ] -> { Instr.base = R b; offset = 0 }
-  | [ Tlbracket; Treg b; Tplus; Tint o; Trbracket ] ->
-    { Instr.base = R b; offset = Int32.to_int o }
+let maddr ~line = function
+  | Taddr m -> m
   | _ -> fail ~line "memory address expected"
 
-let ibinop_of_name = function
-  | "add.s32" -> Some Instr.Add
-  | "sub.s32" -> Some Instr.Sub
-  | "mul24.s32" -> Some Instr.Mul24
-  | "mul.s32" -> Some Instr.Mul
-  | "min.s32" -> Some Instr.Min
-  | "max.s32" -> Some Instr.Max
-  | "and.b32" -> Some Instr.And
-  | "or.b32" -> Some Instr.Or
-  | "xor.b32" -> Some Instr.Xor
-  | "shl.b32" -> Some Instr.Shl
-  | "shr.s32" -> Some Instr.Shr
-  | _ -> None
+(* The operands of an instruction: commas dropped, each bracketed address
+   folded into one [Taddr]. *)
+let rec args = function
+  | [] -> []
+  | Tcomma :: rest -> args rest
+  | Tlbracket :: Treg b :: Trbracket :: rest ->
+    Taddr { Instr.base = R b; offset = 0 } :: args rest
+  | Tlbracket :: Treg b :: Tplus :: Tint o :: Trbracket :: rest ->
+    Taddr { Instr.base = R b; offset = Int32.to_int o } :: args rest
+  | t :: rest -> t :: args rest
 
-let fbinop_of_name = function
-  | "add.f32" -> Some Instr.Fadd
-  | "sub.f32" -> Some Instr.Fsub
-  | "mul.f32" -> Some Instr.Fmul
-  | "min.f32" -> Some Instr.Fmin
-  | "max.f32" -> Some Instr.Fmax
-  | _ -> None
+(* The member of [table] spelled [s]; [what] names the table in the
+   error. *)
+let member ~line table what s =
+  match Instr.of_name table s with
+  | Some x -> x
+  | None -> fail ~line (Printf.sprintf "unknown %s %s" what s)
 
-let dbinop_of_name = function
-  | "add.f64" -> Some Instr.Dadd
-  | "mul.f64" -> Some Instr.Dmul
-  | _ -> None
-
-let sfu_of_name = function
-  | "rcp.f32" -> Some Instr.Rcp
-  | "rsqrt.f32" -> Some Instr.Rsqrt
-  | "sin.f32" -> Some Instr.Sin
-  | "cos.f32" -> Some Instr.Cos
-  | "lg2.f32" -> Some Instr.Lg2
-  | "ex2.f32" -> Some Instr.Ex2
-  | _ -> None
-
-let cmp_of_name ~line = function
-  | "eq" -> Instr.Eq
-  | "ne" -> Instr.Ne
-  | "lt" -> Instr.Lt
-  | "le" -> Instr.Le
-  | "gt" -> Instr.Gt
-  | "ge" -> Instr.Ge
-  | s -> fail ~line ("unknown comparison " ^ s)
-
-let cmp_type_of_name ~line = function
-  | "s32" -> Instr.S32
-  | "f32" -> Instr.F32
-  | s -> fail ~line ("unknown comparison type " ^ s)
-
-let split_dots s = String.split_on_char '.' s
+(* The [<space>.<width>] suffix [ld] and [st] share. *)
+let access ~line space width =
+  let sp = member ~line Instr.spaces "memory space" space in
+  (sp, member ~line Instr.widths "width" width)
 
 (* Parse the operation given mnemonic and remaining tokens. *)
 let parse_op ~line mnemonic rest =
@@ -197,124 +156,90 @@ let parse_op ~line mnemonic rest =
     | [ d; x ] -> f (reg ~line d) (operand ~line x)
     | _ -> fail ~line (mnemonic ^ ": one source operand expected")
   in
-  match ibinop_of_name mnemonic with
-  | Some o -> op2 (fun d x y -> Instr.Iop (o, d, x, y))
-  | None ->
-  match fbinop_of_name mnemonic with
-  | Some o -> op2 (fun d x y -> Instr.Fop (o, d, x, y))
-  | None ->
-  match dbinop_of_name mnemonic with
-  | Some o -> op2 (fun d x y -> Instr.Dop (o, d, x, y))
-  | None ->
-  match sfu_of_name mnemonic with
-  | Some o -> op1 (fun d x -> Instr.Sfu (o, d, x))
-  | None ->
-  match mnemonic with
-  | "mov.b32" -> (
-    match a with
-    | [ d; Tword w ] -> Instr.Mov_sreg (reg ~line d, sreg_of_name ~line w)
-    | [ d; x ] -> Instr.Mov (reg ~line d, operand ~line x)
-    | _ -> fail ~line "mov.b32: destination and source expected")
-  | "mad24.s32" -> op3 (fun d x y z -> Instr.Imad (d, x, y, z))
-  | "mad.f32" -> (
-    match a with
-    | [ d; x; Tlbracket; Treg b; Trbracket; z ] ->
-      Instr.Fmad_smem
-        (reg ~line d, operand ~line x, { Instr.base = R b; offset = 0 },
-         operand ~line z)
-    | [ d; x; Tlbracket; Treg b; Tplus; Tint o; Trbracket; z ] ->
-      Instr.Fmad_smem
-        (reg ~line d, operand ~line x,
-         { Instr.base = R b; offset = Int32.to_int o },
-         operand ~line z)
-    | _ -> op3 (fun d x y z -> Instr.Fmad (d, x, y, z)))
-  | "fma.f64" -> op3 (fun d x y z -> Instr.Dfma (d, x, y, z))
-  | "cvt.f32.s32" -> op1 (fun d x -> Instr.Cvt (I2f, d, x))
-  | "cvt.s32.f32" -> op1 (fun d x -> Instr.Cvt (F2i, d, x))
-  | "cvt.rni.s32.f32" -> op1 (fun d x -> Instr.Cvt (F2i_rni, d, x))
-  | "selp.b32" -> (
-    match a with
-    | [ d; x; y; p ] ->
-      Instr.Selp (reg ~line d, operand ~line x, operand ~line y, pred ~line p)
-    | _ -> fail ~line "selp.b32: dst, a, b, pred expected")
-  | "bra" -> (
-    match a with
-    | [ Tword l ] -> Instr.Bra l
-    | _ -> fail ~line "bra: label expected")
-  | "bar.sync" -> Instr.Bar
-  | "exit" -> Instr.Exit
-  | _ -> (
-    (* set.<cmp>.<ty> / ld.<space>.b<w> / st.<space>.b<w> *)
-    match split_dots mnemonic with
-    | [ "set"; c; ty ] -> (
+  (* mnemonics that spell their operator outright *)
+  let named table build () = Option.map build (Instr.of_name table mnemonic) in
+  match
+    List.find_map
+      (fun parse -> parse ())
+      Instr.
+        [
+          named ibinops (fun o -> op2 (fun d x y -> Iop (o, d, x, y)));
+          named fbinops (fun o -> op2 (fun d x y -> Fop (o, d, x, y)));
+          named dbinops (fun o -> op2 (fun d x y -> Dop (o, d, x, y)));
+          named sfu_ops (fun o -> op1 (fun d x -> Sfu (o, d, x)));
+          named cvt_ops (fun o -> op1 (fun d x -> Cvt (o, d, x)));
+        ]
+  with
+  | Some op -> op
+  | None -> (
+    match mnemonic with
+    | "mov.b32" -> (
       match a with
-      | [ p; x; y ] ->
-        Instr.Setp
-          ( cmp_of_name ~line c,
-            cmp_type_of_name ~line ty,
-            pred ~line p,
-            operand ~line x,
-            operand ~line y )
-      | _ -> fail ~line "set: pred, a, b expected")
-    | [ "ld"; space; width ] -> (
-      let sp =
-        match space with
-        | "global" -> Instr.Global
-        | "shared" -> Instr.Shared
-        | _ -> fail ~line ("unknown memory space " ^ space)
-      in
-      let w =
-        match width with
-        | "b32" -> 4
-        | "b64" -> 8
-        | _ -> fail ~line ("unknown width " ^ width)
-      in
+      | [ d; Tword w ] ->
+        Instr.Mov_sreg
+          (reg ~line d, member ~line Instr.sregs "special register" w)
+      | [ d; x ] -> Instr.Mov (reg ~line d, operand ~line x)
+      | _ -> fail ~line "mov.b32: destination and source expected")
+    | "mad24.s32" -> op3 (fun d x y z -> Instr.Imad (d, x, y, z))
+    | "mad.f32" -> (
       match a with
-      | d :: addr -> Instr.Ld (sp, w, reg ~line d, maddr ~line addr)
-      | [] -> fail ~line "ld: destination expected")
-    | [ "atom"; "shared"; opname; "b32" ] -> (
-      let o =
-        match opname with
-        | "add" -> Instr.Aadd
-        | "min" -> Instr.Amin
-        | "max" -> Instr.Amax
-        | "cas" -> Instr.Acas
-        | _ -> fail ~line ("unknown atomic operation " ^ opname)
-      in
-      let mk d addr x swap =
-        Instr.Atom (o, reg ~line d, addr, operand ~line x, swap)
-      in
+      | [ d; x; Taddr m; z ] ->
+        Instr.Fmad_smem (reg ~line d, operand ~line x, m, operand ~line z)
+      | _ -> op3 (fun d x y z -> Instr.Fmad (d, x, y, z)))
+    | "fma.f64" -> op3 (fun d x y z -> Instr.Dfma (d, x, y, z))
+    | "selp.b32" -> (
       match a with
-      | [ d; Tlbracket; Treg b; Trbracket; x ] ->
-        mk d { Instr.base = R b; offset = 0 } x None
-      | [ d; Tlbracket; Treg b; Tplus; Tint off; Trbracket; x ] ->
-        mk d { Instr.base = R b; offset = Int32.to_int off } x None
-      | [ d; Tlbracket; Treg b; Trbracket; x; y ] ->
-        mk d { Instr.base = R b; offset = 0 } x (Some (operand ~line y))
-      | [ d; Tlbracket; Treg b; Tplus; Tint off; Trbracket; x; y ] ->
-        mk d
-          { Instr.base = R b; offset = Int32.to_int off }
-          x
-          (Some (operand ~line y))
-      | _ -> fail ~line "atom: dst, [addr], src expected")
-    | [ "st"; space; width ] -> (
-      let sp =
-        match space with
-        | "global" -> Instr.Global
-        | "shared" -> Instr.Shared
-        | _ -> fail ~line ("unknown memory space " ^ space)
-      in
-      let w =
-        match width with
-        | "b32" -> 4
-        | "b64" -> 8
-        | _ -> fail ~line ("unknown width " ^ width)
-      in
-      match List.rev a with
-      | src :: rev_addr ->
-        Instr.St (sp, w, maddr ~line (List.rev rev_addr), operand ~line src)
-      | [] -> fail ~line "st: source expected")
-    | _ -> fail ~line ("unknown mnemonic " ^ mnemonic))
+      | [ d; x; y; p ] ->
+        Instr.Selp (reg ~line d, operand ~line x, operand ~line y, pred ~line p)
+      | _ -> fail ~line "selp.b32: dst, a, b, pred expected")
+    | "bra" -> (
+      match a with
+      | [ Tword l ] -> Instr.Bra l
+      | _ -> fail ~line "bra: label expected")
+    | "bar.sync" -> (
+      match a with
+      | [] | [ Tint 0l ] -> Instr.Bar
+      | _ -> fail ~line "bar.sync: barrier 0 expected")
+    | "exit" -> (
+      match a with
+      | [] -> Instr.Exit
+      | _ -> fail ~line "exit: no operands expected")
+    | _ -> (
+      (* set.<cmp>.<ty> / ld.<space>.<width> / st.<space>.<width> /
+         atom.shared.<op>.b32 *)
+      match String.split_on_char '.' mnemonic with
+      | [ "set"; c; ty ] -> (
+        match a with
+        | [ p; x; y ] ->
+          Instr.Setp
+            ( member ~line Instr.cmps "comparison" c,
+              member ~line Instr.cmp_types "comparison type" ty,
+              pred ~line p,
+              operand ~line x,
+              operand ~line y )
+        | _ -> fail ~line "set: pred, a, b expected")
+      | [ "ld"; space; width ] -> (
+        let sp, w = access ~line space width in
+        match a with
+        | [ d; m ] -> Instr.Ld (sp, w, reg ~line d, maddr ~line m)
+        | [] -> fail ~line "ld: destination expected"
+        | _ -> fail ~line "memory address expected")
+      | [ "st"; space; width ] -> (
+        let sp, w = access ~line space width in
+        match a with
+        | [ m; s ] -> Instr.St (sp, w, maddr ~line m, operand ~line s)
+        | [] -> fail ~line "st: source expected"
+        | _ -> fail ~line "memory address expected")
+      | [ "atom"; "shared"; o; "b32" ] -> (
+        let o = member ~line Instr.atomic_ops "atomic operation" o in
+        let atom d m x swap =
+          Instr.Atom (o, reg ~line d, m, operand ~line x, swap)
+        in
+        match a with
+        | [ d; Taddr m; x ] -> atom d m x None
+        | [ d; Taddr m; x; y ] -> atom d m x (Some (operand ~line y))
+        | _ -> fail ~line "atom: dst, [addr], src expected")
+      | _ -> fail ~line ("unknown mnemonic " ^ mnemonic)))
 
 let parse_tokens ~line toks =
   match toks with

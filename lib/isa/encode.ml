@@ -44,41 +44,13 @@ let put_maddr b (m : Instr.maddr) =
   put_reg b m.base;
   put_int b m.offset
 
-(* Enumerations are encoded by position in a canonical list; keeping the
-   lists here (rather than Obj magic) keeps decode total and explicit. *)
+(* An enumeration member is written as its row's position in [Instr]'s
+   table for it; decoding reads the row back, so decode stays total. *)
 
-let ibinops =
-  [ Instr.Add; Sub; Mul24; Mul; Min; Max; And; Or; Xor; Shl; Shr ]
-
-let fbinops = [ Instr.Fadd; Fsub; Fmul; Fmin; Fmax ]
-
-let dbinops = [ Instr.Dadd; Dmul ]
-
-let sfus = [ Instr.Rcp; Rsqrt; Sin; Cos; Lg2; Ex2 ]
-
-let cmps = [ Instr.Eq; Ne; Lt; Le; Gt; Ge ]
-
-let cmp_types = [ Instr.S32; F32 ]
-
-let cvts = [ Instr.I2f; F2i; F2i_rni ]
-
-let sregs = [ Instr.Tid_x; Ntid_x; Ctaid_x; Nctaid_x; Laneid; Warpid ]
-
-let spaces = [ Instr.Global; Shared ]
-
-let atomic_ops = [ Instr.Aadd; Amin; Amax; Acas ]
-
-let index_of xs x =
-  let rec go i = function
-    | [] -> invalid_arg "Encode.index_of"
-    | y :: rest -> if y = x then i else go (i + 1) rest
-  in
-  go 0 xs
-
-let nth_of name xs i =
-  match List.nth_opt xs i with
-  | Some x -> x
-  | None -> raise (Decode_error (Printf.sprintf "bad %s index %d" name i))
+let put_member b table x =
+  match List.find_index (fun (y, _) -> y = x) table with
+  | Some i -> put_u8 b i
+  | None -> invalid_arg "Encode.put_member: no table row"
 
 let put_op b op =
   match op with
@@ -89,10 +61,10 @@ let put_op b op =
   | Instr.Mov_sreg (d, s) ->
     put_u8 b 1;
     put_reg b d;
-    put_u8 b (index_of sregs s)
+    put_member b Instr.sregs s
   | Instr.Iop (o, d, x, y) ->
     put_u8 b 2;
-    put_u8 b (index_of ibinops o);
+    put_member b Instr.ibinops o;
     put_reg b d;
     put_operand b x;
     put_operand b y
@@ -104,7 +76,7 @@ let put_op b op =
     put_operand b z
   | Instr.Fop (o, d, x, y) ->
     put_u8 b 4;
-    put_u8 b (index_of fbinops o);
+    put_member b Instr.fbinops o;
     put_reg b d;
     put_operand b x;
     put_operand b y
@@ -116,7 +88,7 @@ let put_op b op =
     put_operand b z
   | Instr.Dop (o, d, x, y) ->
     put_u8 b 6;
-    put_u8 b (index_of dbinops o);
+    put_member b Instr.dbinops o;
     put_reg b d;
     put_operand b x;
     put_operand b y
@@ -128,18 +100,18 @@ let put_op b op =
     put_operand b z
   | Instr.Sfu (o, d, x) ->
     put_u8 b 8;
-    put_u8 b (index_of sfus o);
+    put_member b Instr.sfu_ops o;
     put_reg b d;
     put_operand b x
   | Instr.Cvt (o, d, x) ->
     put_u8 b 9;
-    put_u8 b (index_of cvts o);
+    put_member b Instr.cvt_ops o;
     put_reg b d;
     put_operand b x
   | Instr.Setp (c, ty, p, x, y) ->
     put_u8 b 10;
-    put_u8 b (index_of cmps c);
-    put_u8 b (index_of cmp_types ty);
+    put_member b Instr.cmps c;
+    put_member b Instr.cmp_types ty;
     put_pred b p;
     put_operand b x;
     put_operand b y
@@ -151,13 +123,13 @@ let put_op b op =
     put_pred b p
   | Instr.Ld (sp, w, d, m) ->
     put_u8 b 12;
-    put_u8 b (index_of spaces sp);
+    put_member b Instr.spaces sp;
     put_u8 b w;
     put_reg b d;
     put_maddr b m
   | Instr.St (sp, w, m, s) ->
     put_u8 b 13;
-    put_u8 b (index_of spaces sp);
+    put_member b Instr.spaces sp;
     put_u8 b w;
     put_maddr b m;
     put_operand b s
@@ -180,7 +152,7 @@ let put_op b op =
     put_operand b z
   | Instr.Atom (o, d, m, x, swap) -> (
     put_u8 b 19;
-    put_u8 b (index_of atomic_ops o);
+    put_member b Instr.atomic_ops o;
     put_reg b d;
     put_maddr b m;
     put_operand b x;
@@ -250,15 +222,22 @@ let get_string r =
    here, with a byte offset, rather than fault deep inside the simulator
    with a register-file index out of bounds. *)
 
-let max_reg_index = 4095
-
-let max_pred_index = 3
-
-let get_reg r =
+let get_index what bound r =
   let i = get_int r in
-  if i < 0 || i > max_reg_index then
-    raise (Decode_error (Printf.sprintf "register index %d out of range" i));
-  Instr.R i
+  if i < 0 || i >= bound then
+    raise (Decode_error (Printf.sprintf "%s index %d out of range" what i));
+  i
+
+let get_reg r = Instr.R (get_index "register" Instr.num_regs r)
+
+let get_pred r = Instr.P (get_index "predicate" Instr.num_preds r)
+
+(* The member of [table] at the position the next byte names. *)
+let nth_of what table r =
+  let i = get_u8 r in
+  match List.nth_opt table i with
+  | Some (x, _) -> x
+  | None -> raise (Decode_error (Printf.sprintf "bad %s index %d" what i))
 
 let get_operand r =
   match get_u8 r with
@@ -267,17 +246,11 @@ let get_operand r =
   | 2 -> Instr.Fimm (Int32.float_of_bits (get_i32 r))
   | t -> raise (Decode_error (Printf.sprintf "bad operand tag %d" t))
 
-let get_pred r =
-  let i = get_int r in
-  if i < 0 || i > max_pred_index then
-    raise
-      (Decode_error (Printf.sprintf "predicate index %d out of range" i));
-  Instr.P i
-
 let get_width r =
-  match get_u8 r with
-  | (4 | 8) as w -> w
-  | w -> raise (Decode_error (Printf.sprintf "bad access width %d" w))
+  let w = get_u8 r in
+  if not (List.mem_assoc w Instr.widths) then
+    raise (Decode_error (Printf.sprintf "bad access width %d" w));
+  w
 
 let get_maddr r =
   let base = get_reg r in
@@ -291,9 +264,9 @@ let get_op r =
     Instr.Mov (d, get_operand r)
   | 1 ->
     let d = get_reg r in
-    Instr.Mov_sreg (d, nth_of "sreg" sregs (get_u8 r))
+    Instr.Mov_sreg (d, nth_of "sreg" Instr.sregs r)
   | 2 ->
-    let o = nth_of "ibinop" ibinops (get_u8 r) in
+    let o = nth_of "ibinop" Instr.ibinops r in
     let d = get_reg r in
     let x = get_operand r in
     Instr.Iop (o, d, x, get_operand r)
@@ -303,7 +276,7 @@ let get_op r =
     let y = get_operand r in
     Instr.Imad (d, x, y, get_operand r)
   | 4 ->
-    let o = nth_of "fbinop" fbinops (get_u8 r) in
+    let o = nth_of "fbinop" Instr.fbinops r in
     let d = get_reg r in
     let x = get_operand r in
     Instr.Fop (o, d, x, get_operand r)
@@ -313,7 +286,7 @@ let get_op r =
     let y = get_operand r in
     Instr.Fmad (d, x, y, get_operand r)
   | 6 ->
-    let o = nth_of "dbinop" dbinops (get_u8 r) in
+    let o = nth_of "dbinop" Instr.dbinops r in
     let d = get_reg r in
     let x = get_operand r in
     Instr.Dop (o, d, x, get_operand r)
@@ -323,16 +296,16 @@ let get_op r =
     let y = get_operand r in
     Instr.Dfma (d, x, y, get_operand r)
   | 8 ->
-    let o = nth_of "sfu" sfus (get_u8 r) in
+    let o = nth_of "sfu" Instr.sfu_ops r in
     let d = get_reg r in
     Instr.Sfu (o, d, get_operand r)
   | 9 ->
-    let o = nth_of "cvt" cvts (get_u8 r) in
+    let o = nth_of "cvt" Instr.cvt_ops r in
     let d = get_reg r in
     Instr.Cvt (o, d, get_operand r)
   | 10 ->
-    let c = nth_of "cmp" cmps (get_u8 r) in
-    let ty = nth_of "cmp_type" cmp_types (get_u8 r) in
+    let c = nth_of "cmp" Instr.cmps r in
+    let ty = nth_of "cmp_type" Instr.cmp_types r in
     let p = get_pred r in
     let x = get_operand r in
     Instr.Setp (c, ty, p, x, get_operand r)
@@ -342,19 +315,24 @@ let get_op r =
     let y = get_operand r in
     Instr.Selp (d, x, y, get_pred r)
   | 12 ->
-    let sp = nth_of "space" spaces (get_u8 r) in
+    let sp = nth_of "space" Instr.spaces r in
     let w = get_width r in
     let d = get_reg r in
     Instr.Ld (sp, w, d, get_maddr r)
   | 13 ->
-    let sp = nth_of "space" spaces (get_u8 r) in
+    let sp = nth_of "space" Instr.spaces r in
     let w = get_width r in
     let m = get_maddr r in
     Instr.St (sp, w, m, get_operand r)
   | 14 -> Instr.Bra (get_string r)
   | 15 ->
     let p = get_pred r in
-    let sense = get_u8 r = 1 in
+    let sense =
+      match get_u8 r with
+      | 0 -> false
+      | 1 -> true
+      | t -> raise (Decode_error (Printf.sprintf "bad branch sense %d" t))
+    in
     let target = get_string r in
     Instr.Bra_pred (p, sense, target, get_string r)
   | 16 -> Instr.Bar
@@ -365,7 +343,7 @@ let get_op r =
     let m = get_maddr r in
     Instr.Fmad_smem (d, x, m, get_operand r)
   | 19 ->
-    let o = nth_of "atomic_op" atomic_ops (get_u8 r) in
+    let o = nth_of "atomic_op" Instr.atomic_ops r in
     let d = get_reg r in
     let m = get_maddr r in
     let x = get_operand r in

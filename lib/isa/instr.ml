@@ -14,24 +14,16 @@ type cost_class =
   | Class_mem (* memory instructions: timed by the memory pipelines *)
   | Class_ctrl (* control: barriers, exits *)
 
-let cost_class_name = function
-  | Class_i -> "I"
-  | Class_ii -> "II"
-  | Class_iii -> "III"
-  | Class_iv -> "IV"
-  | Class_mem -> "mem"
-  | Class_ctrl -> "ctrl"
-
-let all_cost_classes =
-  [ Class_i; Class_ii; Class_iii; Class_iv; Class_mem; Class_ctrl ]
-
 type reg = R of int
-
-let reg_index (R i) = i
 
 type pred = P of int
 
-let pred_index (P i) = i
+(* Register-file bounds: a thread names at most [num_regs] general-purpose
+   and [num_preds] predicate registers.  The assembler, the image decoder
+   and the simulator all enforce them. *)
+let num_regs = 4096
+
+let num_preds = 4
 
 (* Special (read-only) registers exposing the launch geometry to a thread. *)
 type sreg =
@@ -143,68 +135,107 @@ let is_memory i = match classify i with Class_mem -> true | _ -> false
 
 let is_barrier i = match i.op with Bar -> true | _ -> false
 
-(* Pretty-printing in a Decuda-like textual syntax. *)
+(* --- Register roles ---------------------------------------------------- *)
 
-let sreg_name = function
-  | Tid_x -> "%tid.x"
-  | Ntid_x -> "%ntid.x"
-  | Ctaid_x -> "%ctaid.x"
-  | Nctaid_x -> "%nctaid.x"
-  | Laneid -> "%laneid"
-  | Warpid -> "%warpid"
+type reg_ref = Gpr of reg | Prd of pred
 
-let ibinop_name = function
-  | Add -> "add.s32"
-  | Sub -> "sub.s32"
-  | Mul24 -> "mul24.s32"
-  | Mul -> "mul.s32"
-  | Min -> "min.s32"
-  | Max -> "max.s32"
-  | And -> "and.b32"
-  | Or -> "or.b32"
-  | Xor -> "xor.b32"
-  | Shl -> "shl.b32"
-  | Shr -> "shr.s32"
+let writes = function
+  | Mov (d, _) | Mov_sreg (d, _) | Iop (_, d, _, _) | Imad (d, _, _, _)
+  | Fop (_, d, _, _) | Fmad (d, _, _, _) | Fmad_smem (d, _, _, _)
+  | Dop (_, d, _, _) | Dfma (d, _, _, _) | Sfu (_, d, _) | Cvt (_, d, _)
+  | Selp (d, _, _, _) | Ld (_, _, d, _) | Atom (_, d, _, _, _) ->
+    Some (Gpr d)
+  | Setp (_, _, p, _, _) -> Some (Prd p)
+  | St _ | Bra _ | Bra_pred _ | Bar | Exit -> None
 
-let fbinop_name = function
-  | Fadd -> "add.f32"
-  | Fsub -> "sub.f32"
-  | Fmul -> "mul.f32"
-  | Fmin -> "min.f32"
-  | Fmax -> "max.f32"
+(* The address base first, then register operands in listing order, then
+   a predicate operand: the simulator's trace sources are this list
+   reversed onto the guard, so the order is part of the trace format. *)
+let reads op =
+  let opnd a rest =
+    match a with Reg r -> Gpr r :: rest | Imm _ | Fimm _ -> rest
+  in
+  match op with
+  | Mov (_, a) | Sfu (_, _, a) | Cvt (_, _, a) -> opnd a []
+  | Iop (_, _, a, b) | Fop (_, _, a, b) | Dop (_, _, a, b)
+  | Setp (_, _, _, a, b) ->
+    opnd a (opnd b [])
+  | Imad (_, a, b, c) | Fmad (_, a, b, c) | Dfma (_, a, b, c) ->
+    opnd a (opnd b (opnd c []))
+  | Fmad_smem (_, a, m, c) -> Gpr m.base :: opnd a (opnd c [])
+  | Selp (_, a, b, p) -> opnd a (opnd b [ Prd p ])
+  | Ld (_, _, _, m) -> [ Gpr m.base ]
+  | St (_, _, m, s) -> Gpr m.base :: opnd s []
+  | Atom (_, _, m, s, None) -> Gpr m.base :: opnd s []
+  | Atom (_, _, m, s, Some sw) -> Gpr m.base :: opnd s (opnd sw [])
+  | Bra_pred (p, _, _, _) -> [ Prd p ]
+  | Mov_sreg _ | Bra _ | Bar | Exit -> []
 
-let dbinop_name = function Dadd -> "add.f64" | Dmul -> "mul.f64"
+(* --- Spelling tables ---------------------------------------------------
 
-let sfu_name = function
-  | Rcp -> "rcp.f32"
-  | Rsqrt -> "rsqrt.f32"
-  | Sin -> "sin.f32"
-  | Cos -> "cos.f32"
-  | Lg2 -> "lg2.f32"
-  | Ex2 -> "ex2.f32"
+   Each enumeration is spelled once, here: every member beside its
+   listing text.  The printer below, the assembler ([Asm]), the image
+   codec ([Encode]) and the check-case format read these tables.  A
+   table's order is the image format — [Encode] writes a member as its
+   row's position — so a new member is appended, never inserted.  Tables
+   trade the compiler's exhaustiveness check for a single spelling; the
+   tests list every member themselves, so a missing row fails their
+   round trips. *)
 
-let cmp_name = function
-  | Eq -> "eq"
-  | Ne -> "ne"
-  | Lt -> "lt"
-  | Le -> "le"
-  | Gt -> "gt"
-  | Ge -> "ge"
+(* Not in the image: this order is [all_cost_classes]', the order every
+   report and histogram lists the classes in. *)
+let cost_classes =
+  [ (Class_i, "I"); (Class_ii, "II"); (Class_iii, "III"); (Class_iv, "IV");
+    (Class_mem, "mem"); (Class_ctrl, "ctrl") ]
 
-let cmp_type_name = function S32 -> "s32" | F32 -> "f32"
+let sregs =
+  [ (Tid_x, "%tid.x"); (Ntid_x, "%ntid.x"); (Ctaid_x, "%ctaid.x");
+    (Nctaid_x, "%nctaid.x"); (Laneid, "%laneid"); (Warpid, "%warpid") ]
 
-let cvt_name = function
-  | I2f -> "cvt.f32.s32"
-  | F2i -> "cvt.s32.f32"
-  | F2i_rni -> "cvt.rni.s32.f32"
+let ibinops =
+  [ (Add, "add.s32"); (Sub, "sub.s32"); (Mul24, "mul24.s32");
+    (Mul, "mul.s32"); (Min, "min.s32"); (Max, "max.s32"); (And, "and.b32");
+    (Or, "or.b32"); (Xor, "xor.b32"); (Shl, "shl.b32"); (Shr, "shr.s32") ]
 
-let atomic_op_name = function
-  | Aadd -> "add"
-  | Amin -> "min"
-  | Amax -> "max"
-  | Acas -> "cas"
+let fbinops =
+  [ (Fadd, "add.f32"); (Fsub, "sub.f32"); (Fmul, "mul.f32");
+    (Fmin, "min.f32"); (Fmax, "max.f32") ]
 
-let space_name = function Global -> "global" | Shared -> "shared"
+let dbinops = [ (Dadd, "add.f64"); (Dmul, "mul.f64") ]
+
+let sfu_ops =
+  [ (Rcp, "rcp.f32"); (Rsqrt, "rsqrt.f32"); (Sin, "sin.f32");
+    (Cos, "cos.f32"); (Lg2, "lg2.f32"); (Ex2, "ex2.f32") ]
+
+let cmps =
+  [ (Eq, "eq"); (Ne, "ne"); (Lt, "lt"); (Le, "le"); (Gt, "gt"); (Ge, "ge") ]
+
+let cmp_types = [ (S32, "s32"); (F32, "f32") ]
+
+let cvt_ops =
+  [ (I2f, "cvt.f32.s32"); (F2i, "cvt.s32.f32");
+    (F2i_rni, "cvt.rni.s32.f32") ]
+
+let spaces = [ (Global, "global"); (Shared, "shared") ]
+
+let atomic_ops = [ (Aadd, "add"); (Amin, "min"); (Amax, "max"); (Acas, "cas") ]
+
+(* Access widths in bytes.  The image stores the width itself, so this
+   table fixes the accepted widths, not their bytes. *)
+let widths = [ (4, "b32"); (8, "b64") ]
+
+(* A value no row lists — an access width other than 4 or 8, or a member
+   whose row is missing — prints as "?", so the printer never raises. *)
+let name table x = Option.value (List.assoc_opt x table) ~default:"?"
+
+let of_name table s =
+  List.find_map (fun (x, spelled) -> if spelled = s then Some x else None) table
+
+let cost_class_name = name cost_classes
+
+let all_cost_classes = List.map fst cost_classes
+
+(* --- Pretty-printing in a Decuda-like textual syntax ------------------ *)
 
 let pp_reg ppf (R i) = Fmt.pf ppf "$r%d" i
 
@@ -219,49 +250,41 @@ let pp_maddr ppf { base; offset } =
   if offset = 0 then Fmt.pf ppf "[%a]" pp_reg base
   else Fmt.pf ppf "[%a+%d]" pp_reg base offset
 
-let pp_op ppf = function
-  | Mov (d, s) -> Fmt.pf ppf "mov.b32 %a, %a" pp_reg d pp_operand s
-  | Mov_sreg (d, s) -> Fmt.pf ppf "mov.b32 %a, %s" pp_reg d (sreg_name s)
-  | Iop (o, d, a, b) ->
-    Fmt.pf ppf "%s %a, %a, %a" (ibinop_name o) pp_reg d pp_operand a
-      pp_operand b
-  | Imad (d, a, b, c) ->
-    Fmt.pf ppf "mad24.s32 %a, %a, %a, %a" pp_reg d pp_operand a pp_operand b
-      pp_operand c
-  | Fop (o, d, a, b) ->
-    Fmt.pf ppf "%s %a, %a, %a" (fbinop_name o) pp_reg d pp_operand a
-      pp_operand b
-  | Fmad (d, a, b, c) ->
-    Fmt.pf ppf "mad.f32 %a, %a, %a, %a" pp_reg d pp_operand a pp_operand b
-      pp_operand c
+let pp_op ppf op =
+  let po = pp_operand in
+  let op1 m d a = Fmt.pf ppf "%s %a, %a" m pp_reg d po a in
+  let op2 m d a b = Fmt.pf ppf "%s %a, %a, %a" m pp_reg d po a po b in
+  let op3 m d a b c =
+    Fmt.pf ppf "%s %a, %a, %a, %a" m pp_reg d po a po b po c
+  in
+  match op with
+  | Mov (d, s) -> op1 "mov.b32" d s
+  | Mov_sreg (d, s) -> Fmt.pf ppf "mov.b32 %a, %s" pp_reg d (name sregs s)
+  | Iop (o, d, a, b) -> op2 (name ibinops o) d a b
+  | Imad (d, a, b, c) -> op3 "mad24.s32" d a b c
+  | Fop (o, d, a, b) -> op2 (name fbinops o) d a b
+  | Fmad (d, a, b, c) -> op3 "mad.f32" d a b c
   | Fmad_smem (d, a, m, c) ->
-    Fmt.pf ppf "mad.f32 %a, %a, %a, %a" pp_reg d pp_operand a pp_maddr m
-      pp_operand c
-  | Dop (o, d, a, b) ->
-    Fmt.pf ppf "%s %a, %a, %a" (dbinop_name o) pp_reg d pp_operand a
-      pp_operand b
-  | Dfma (d, a, b, c) ->
-    Fmt.pf ppf "fma.f64 %a, %a, %a, %a" pp_reg d pp_operand a pp_operand b
-      pp_operand c
-  | Sfu (o, d, a) -> Fmt.pf ppf "%s %a, %a" (sfu_name o) pp_reg d pp_operand a
-  | Cvt (o, d, a) -> Fmt.pf ppf "%s %a, %a" (cvt_name o) pp_reg d pp_operand a
+    Fmt.pf ppf "mad.f32 %a, %a, %a, %a" pp_reg d po a pp_maddr m po c
+  | Dop (o, d, a, b) -> op2 (name dbinops o) d a b
+  | Dfma (d, a, b, c) -> op3 "fma.f64" d a b c
+  | Sfu (o, d, a) -> op1 (name sfu_ops o) d a
+  | Cvt (o, d, a) -> op1 (name cvt_ops o) d a
   | Setp (c, ty, p, a, b) ->
-    Fmt.pf ppf "set.%s.%s %a, %a, %a" (cmp_name c) (cmp_type_name ty) pp_pred
-      p pp_operand a pp_operand b
+    Fmt.pf ppf "set.%s.%s %a, %a, %a" (name cmps c) (name cmp_types ty) pp_pred
+      p po a po b
   | Selp (d, a, b, p) ->
-    Fmt.pf ppf "selp.b32 %a, %a, %a, %a" pp_reg d pp_operand a pp_operand b
-      pp_pred p
+    Fmt.pf ppf "selp.b32 %a, %a, %a, %a" pp_reg d po a po b pp_pred p
   | Ld (sp, w, d, m) ->
-    Fmt.pf ppf "ld.%s.b%d %a, %a" (space_name sp) (w * 8) pp_reg d pp_maddr m
+    Fmt.pf ppf "ld.%s.%s %a, %a" (name spaces sp) (name widths w) pp_reg d
+      pp_maddr m
   | St (sp, w, m, s) ->
-    Fmt.pf ppf "st.%s.b%d %a, %a" (space_name sp) (w * 8) pp_maddr m
-      pp_operand s
+    Fmt.pf ppf "st.%s.%s %a, %a" (name spaces sp) (name widths w) pp_maddr m
+      po s
   | Atom (o, d, m, s, swap) -> (
-    Fmt.pf ppf "atom.shared.%s.b32 %a, %a, %a" (atomic_op_name o) pp_reg d
-      pp_maddr m pp_operand s;
-    match swap with
-    | None -> ()
-    | Some sw -> Fmt.pf ppf ", %a" pp_operand sw)
+    Fmt.pf ppf "atom.shared.%s.b32 %a, %a, %a" (name atomic_ops o) pp_reg d
+      pp_maddr m po s;
+    match swap with None -> () | Some sw -> Fmt.pf ppf ", %a" po sw)
   | Bra l -> Fmt.pf ppf "bra %s" l
   | Bra_pred (p, sense, target, reconv) ->
     Fmt.pf ppf "@%s%a bra %s, %s"

@@ -18,12 +18,14 @@ val cost_class_name : cost_class -> string
 val all_cost_classes : cost_class list
 
 type reg = R of int
-
-val reg_index : reg -> int
-
 type pred = P of int
 
-val pred_index : pred -> int
+(** Register-file bounds: a thread names registers [$r0] to
+    [$r(num_regs - 1)] and predicates [$p0] to [$p(num_preds - 1)].  The
+    assembler, the image decoder and the simulator all enforce them. *)
+
+val num_regs : int
+val num_preds : int
 
 (** Special read-only registers exposing launch geometry (1-D grids). *)
 type sreg = Tid_x | Ntid_x | Ctaid_x | Nctaid_x | Laneid | Warpid
@@ -90,8 +92,48 @@ val classify_op : op -> cost_class
 val classify : t -> cost_class
 val is_memory : t -> bool
 val is_barrier : t -> bool
-val sreg_name : sreg -> string
-val atomic_op_name : atomic_op -> string
+
+(** {2 Register roles} *)
+
+type reg_ref = Gpr of reg | Prd of pred
+
+(** The register an operation writes, if any. *)
+val writes : op -> reg_ref option
+
+(** The registers an operation reads: the address base, then register
+    operands in listing order, then a predicate operand.  An instruction's
+    guard is not the operation's: see {!t}. *)
+val reads : op -> reg_ref list
+
+(** {2 Spelling tables}
+
+    One table per enumeration, each member beside its listing spelling.
+    The printer, {!Asm}, {!Encode} and the check-case format read their
+    names here.  The order is the image format: {!Encode} writes a member
+    as its row's position, so new members are appended. *)
+
+val cost_classes : (cost_class * string) list
+val sregs : (sreg * string) list
+val ibinops : (ibinop * string) list
+val fbinops : (fbinop * string) list
+val dbinops : (dbinop * string) list
+val sfu_ops : (sfu_op * string) list
+val cvt_ops : (cvt_op * string) list
+val cmps : (cmp * string) list
+val cmp_types : (cmp_type * string) list
+val atomic_ops : (atomic_op * string) list
+val spaces : (space * string) list
+
+(** Access widths in bytes: 4 is [b32], 8 is [b64]. *)
+val widths : (int * string) list
+
+(** [name table x] is the spelling of [x]; ["?"] when no row lists it
+    (an access width other than 4 or 8), so printing never raises. *)
+val name : ('a * string) list -> 'a -> string
+
+(** [of_name table s] is the member spelled [s]. *)
+val of_name : ('a * string) list -> string -> 'a option
+
 val pp_reg : Format.formatter -> reg -> unit
 val pp_pred : Format.formatter -> pred -> unit
 val pp_operand : Format.formatter -> operand -> unit

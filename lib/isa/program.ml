@@ -53,33 +53,17 @@ let labels_at t pc = List.filter_map
 (* Highest general-purpose register index used, or -1 if none.  The register
    demand of a kernel is [max_reg + 1]; occupancy computations use it. *)
 let max_reg t =
-  let top = ref (-1) in
-  let reg (Instr.R i) = if i > !top then top := i in
-  let operand = function
-    | Instr.Reg r -> reg r
-    | Instr.Imm _ | Instr.Fimm _ -> ()
+  let top acc = function
+    | Instr.Gpr (R i) -> max acc i
+    | Instr.Prd _ -> acc
   in
-  let maddr (m : Instr.maddr) = reg m.base in
-  let visit (i : Instr.t) =
-    match i.op with
-    | Mov (d, s) -> reg d; operand s
-    | Mov_sreg (d, _) -> reg d
-    | Iop (_, d, a, b) | Fop (_, d, a, b) | Dop (_, d, a, b) ->
-      reg d; operand a; operand b
-    | Imad (d, a, b, c) | Fmad (d, a, b, c) | Dfma (d, a, b, c) ->
-      reg d; operand a; operand b; operand c
-    | Fmad_smem (d, a, m, c) -> reg d; operand a; maddr m; operand c
-    | Sfu (_, d, a) | Cvt (_, d, a) -> reg d; operand a
-    | Setp (_, _, _, a, b) -> operand a; operand b
-    | Selp (d, a, b, _) -> reg d; operand a; operand b
-    | Ld (_, _, d, m) -> reg d; maddr m
-    | St (_, _, m, s) -> maddr m; operand s
-    | Atom (_, d, m, s, swap) ->
-      reg d; maddr m; operand s; Option.iter operand swap
-    | Bra _ | Bra_pred _ | Bar | Exit -> ()
-  in
-  Array.iter visit t.code;
-  !top
+  Array.fold_left
+    (fun acc (i : Instr.t) ->
+      let acc =
+        match Instr.writes i.op with Some w -> top acc w | None -> acc
+      in
+      List.fold_left top acc (Instr.reads i.op))
+    (-1) t.code
 
 let register_demand t = max_reg t + 1
 

@@ -60,46 +60,6 @@ let used_sregs body =
   List.iter stmt body;
   (!tid, !ctaid, !ntid, !nctaid)
 
-let ibin_op : Ir.ibin -> I.ibinop = function
-  | Ir.Add -> I.Add
-  | Ir.Sub -> I.Sub
-  | Ir.Mul -> I.Mul
-  | Ir.Mul24 -> I.Mul24
-  | Ir.Min -> I.Min
-  | Ir.Max -> I.Max
-  | Ir.And -> I.And
-  | Ir.Or -> I.Or
-  | Ir.Xor -> I.Xor
-  | Ir.Shl -> I.Shl
-  | Ir.Shr -> I.Shr
-
-let fbin_op : Ir.fbin -> I.fbinop = function
-  | Ir.Fadd -> I.Fadd
-  | Ir.Fsub -> I.Fsub
-  | Ir.Fmul -> I.Fmul
-  | Ir.Fmin -> I.Fmin
-  | Ir.Fmax -> I.Fmax
-
-let sfu_op : Ir.sfu -> I.sfu_op = function
-  | Ir.Rcp -> I.Rcp
-  | Ir.Rsqrt -> I.Rsqrt
-  | Ir.Sin -> I.Sin
-  | Ir.Cos -> I.Cos
-  | Ir.Lg2 -> I.Lg2
-  | Ir.Ex2 -> I.Ex2
-
-let cmp_op : Ir.cmp -> I.cmp = function
-  | Ir.Eq -> I.Eq
-  | Ir.Ne -> I.Ne
-  | Ir.Lt -> I.Lt
-  | Ir.Le -> I.Le
-  | Ir.Gt -> I.Gt
-  | Ir.Ge -> I.Ge
-
-let cmp_ty : Ir.cmp_type -> I.cmp_type = function
-  | Ir.S32 -> I.S32
-  | Ir.F32 -> I.F32
-
 let atomic_op : Ir.atomic -> I.atomic_op = function
   | Ir.Atomic_add -> I.Aadd
   | Ir.Atomic_min -> I.Amin
@@ -238,14 +198,14 @@ let rec compute st ?dst (e : Ir.exp) : I.operand =
     let oa = compute st a in
     let ob = compute st b in
     let d = destination st dst [ oa; ob ] in
-    emit st (I.Iop (ibin_op op, d, oa, ob));
+    emit st (I.Iop (op, d, oa, ob));
     finish st dst [ oa; ob ];
     I.Reg d
   | Ir.Fbin (op, a, b) ->
     let oa = compute st a in
     let ob = compute st b in
     let d = destination st dst [ oa; ob ] in
-    emit st (I.Fop (fbin_op op, d, oa, ob));
+    emit st (I.Fop (op, d, oa, ob));
     finish st dst [ oa; ob ];
     I.Reg d
   | Ir.Imad (a, b, c) ->
@@ -267,7 +227,7 @@ let rec compute st ?dst (e : Ir.exp) : I.operand =
   | Ir.Sfu (op, a) ->
     let oa = compute st a in
     let d = destination st dst [ oa ] in
-    emit st (I.Sfu (sfu_op op, d, oa));
+    emit st (I.Sfu (op, d, oa));
     finish st dst [ oa ];
     I.Reg d
   | Ir.I2f a ->
@@ -395,7 +355,7 @@ and leaf st dst o =
 and set_cond st (Ir.Cmp (op, ty, a, b)) =
   let oa = compute st a in
   let ob = compute st b in
-  emit st (I.Setp (cmp_op op, cmp_ty ty, pred0, oa, ob));
+  emit st (I.Setp (op, ty, pred0, oa, ob));
   free_operands st [ oa; ob ]
 
 let eval st e = compute st e

@@ -8,15 +8,20 @@
    interpret the bits.  Global arrays are kernel parameters bound at launch;
    shared arrays are declared with a static word count. *)
 
-type ibin = Add | Sub | Mul | Mul24 | Min | Max | And | Or | Xor | Shl | Shr
+(* The operators are the ISA's own types, restated as type equations so
+   that [Ir.Add] and the other [Ir.] paths keep working; [Compile] emits
+   them unchanged. *)
 
-type fbin = Fadd | Fsub | Fmul | Fmin | Fmax
+type ibin = Gpu_isa.Instr.ibinop =
+  | Add | Sub | Mul24 | Mul | Min | Max | And | Or | Xor | Shl | Shr
 
-type sfu = Rcp | Rsqrt | Sin | Cos | Lg2 | Ex2
+type fbin = Gpu_isa.Instr.fbinop = Fadd | Fsub | Fmul | Fmin | Fmax
 
-type cmp = Eq | Ne | Lt | Le | Gt | Ge
+type sfu = Gpu_isa.Instr.sfu_op = Rcp | Rsqrt | Sin | Cos | Lg2 | Ex2
 
-type cmp_type = S32 | F32
+type cmp = Gpu_isa.Instr.cmp = Eq | Ne | Lt | Le | Gt | Ge
+
+type cmp_type = Gpu_isa.Instr.cmp_type = S32 | F32
 
 type exp =
   | Int of int

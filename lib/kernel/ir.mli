@@ -6,11 +6,15 @@
     Values are untyped 32-bit words; integer and floating-point operators
     interpret the bits. *)
 
-type ibin = Add | Sub | Mul | Mul24 | Min | Max | And | Or | Xor | Shl | Shr
-type fbin = Fadd | Fsub | Fmul | Fmin | Fmax
-type sfu = Rcp | Rsqrt | Sin | Cos | Lg2 | Ex2
-type cmp = Eq | Ne | Lt | Le | Gt | Ge
-type cmp_type = S32 | F32
+(** The operators are the ISA's own ({!Gpu_isa.Instr}). *)
+
+type ibin = Gpu_isa.Instr.ibinop =
+  | Add | Sub | Mul24 | Mul | Min | Max | And | Or | Xor | Shl | Shr
+
+type fbin = Gpu_isa.Instr.fbinop = Fadd | Fsub | Fmul | Fmin | Fmax
+type sfu = Gpu_isa.Instr.sfu_op = Rcp | Rsqrt | Sin | Cos | Lg2 | Ex2
+type cmp = Gpu_isa.Instr.cmp = Eq | Ne | Lt | Le | Gt | Ge
+type cmp_type = Gpu_isa.Instr.cmp_type = S32 | F32
 
 type exp =
   | Int of int

@@ -103,8 +103,6 @@ external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
 
 let lanes = 32
 
-let num_preds = 4
-
 (* Register [r] of lane [l] is the 8 bytes at [r * row + 8 * l]. *)
 let row = 8 * lanes
 
@@ -142,7 +140,7 @@ let make_warp ~wid ~base_tid ~nlanes ~nregs =
     wid;
     base_tid;
     regs = Bytes.make (max 1 nregs * row) '\000';
-    preds = Array.make num_preds 0;
+    preds = Array.make I.num_preds 0;
     sp = 1;
     fpc = Array.make 4 0;
     frpc = Array.make 4 (-1);
@@ -332,38 +330,19 @@ let slot = function
 
 let reg_id (I.R r) = r
 
-let pred_id (I.P p) = Trace.pred_reg_base + p
-
-let operand_srcs acc = function
-  | I.Reg r -> reg_id r :: acc
-  | I.Imm _ | I.Fimm _ -> acc
+let trace_id = function
+  | I.Gpr r -> reg_id r
+  | I.Prd (I.P p) -> Trace.pred_reg_base + p
 
 (* Static trace registers of an instruction; the order of [srcs] is part
-   of the trace format. *)
+   of the trace format: the operation's reads, last first, then the
+   guard. *)
 let trace_regs (instr : I.t) =
-  let os = operand_srcs in
-  let pred_srcs =
-    match instr.pred with Some (p, _) -> [ pred_id p ] | None -> []
+  let guard =
+    match instr.pred with Some (p, _) -> [ trace_id (I.Prd p) ] | None -> []
   in
-  match instr.op with
-  | I.Mov (d, a) | I.Sfu (_, d, a) | I.Cvt (_, d, a) ->
-    (reg_id d, os pred_srcs a)
-  | I.Mov_sreg (d, _) -> (reg_id d, pred_srcs)
-  | I.Iop (_, d, a, b) | I.Fop (_, d, a, b) | I.Dop (_, d, a, b) ->
-    (reg_id d, os (os pred_srcs a) b)
-  | I.Imad (d, a, b, c) | I.Fmad (d, a, b, c) | I.Dfma (d, a, b, c) ->
-    (reg_id d, os (os (os pred_srcs a) b) c)
-  | I.Setp (_, _, p, a, b) -> (pred_id p, os (os pred_srcs a) b)
-  | I.Selp (d, a, b, p) -> (reg_id d, pred_id p :: os (os pred_srcs a) b)
-  | I.Fmad_smem (d, a, m, c) ->
-    (reg_id d, os (os (reg_id m.base :: pred_srcs) a) c)
-  | I.Ld (_, _, d, m) -> (reg_id d, reg_id m.base :: pred_srcs)
-  | I.St (_, _, m, s) -> (Trace.no_reg, os (reg_id m.base :: pred_srcs) s)
-  | I.Atom (_, d, m, s, swap) ->
-    let base = os (reg_id m.base :: pred_srcs) s in
-    (reg_id d, match swap with Some sw -> os base sw | None -> base)
-  | I.Bra _ | I.Bar | I.Exit -> (Trace.no_reg, pred_srcs)
-  | I.Bra_pred (p, _, _, _) -> (Trace.no_reg, pred_id p :: pred_srcs)
+  ( Option.fold ~none:Trace.no_reg ~some:trace_id (I.writes instr.op),
+    List.fold_left (fun acc r -> trace_id r :: acc) guard (I.reads instr.op) )
 
 let decode program (instr : I.t) =
   let cls = I.classify instr in
@@ -714,7 +693,7 @@ let execute run ~gmem ~stats:st block w d ~pc em =
     (match (op, swap) with
     | I.Acas, None -> stuck "atom.cas needs a swap operand"
     | (I.Aadd | I.Amin | I.Amax), Some _ ->
-      stuck "atom.%s takes no swap operand" (I.atomic_op_name op)
+      stuck "atom.%s takes no swap operand" (I.name I.atomic_ops op)
     | I.Acas, Some _ | (I.Aadd | I.Amin | I.Amax), None -> ());
     stage_addresses run w em m;
     let addrs = run.addrs and o = reg_id dr * row in

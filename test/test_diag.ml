@@ -146,7 +146,16 @@ let every_opcode_program () =
         I.St (I.Global, 4, addr, rg 2);
         I.St (I.Shared, 8, addr, rg 2);
       ]
-    @ [ I.Bra "top"; I.Bra_pred (I.P 1, true, "top", "join"); I.Bar ]
+    @ List.map
+        (fun op -> I.Atom (op, r0, addr, rg 2, None))
+        [ I.Aadd; I.Amin; I.Amax ]
+    @ [ I.Atom (I.Acas, r0, addr, rg 2, Some (rg 3)) ]
+    @ [
+        I.Bra "top";
+        I.Bra_pred (I.P 1, true, "top", "join");
+        I.Bra_pred (I.P 1, false, "top", "join");
+        I.Bar;
+      ]
   in
   let lines =
     [ P.Label "top" ]
@@ -164,6 +173,13 @@ let reference_image = lazy (Gpu_isa.Encode.encode (every_opcode_program ()))
 let test_roundtrip_every_opcode () =
   let p = every_opcode_program () in
   let listing = P.to_string p in
+  (* the image format and the listing syntax, pinned: any change to
+     either changes these digests *)
+  let md5 s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "image bytes" "2dfccccb6057e7d7ac1de33959c6df99"
+    (md5 (Lazy.force reference_image));
+  Alcotest.(check string) "listing text" "ef04813e894e875b00d7f04a113ae2de"
+    (md5 listing);
   (* binary: asm -> image -> disasm *)
   (match Gpu_isa.Encode.decode_result (Lazy.force reference_image) with
   | Error d -> Alcotest.fail ("decode of own encoding failed: " ^ d.D.message)
@@ -175,6 +191,30 @@ let test_roundtrip_every_opcode () =
   | Ok p' -> Alcotest.(check string) "asm round trip" listing (P.to_string p')
 
 (* --- seeded decoder corruption scenarios -------------------------------- *)
+
+(* The sense byte of a conditional branch is a tag like the others: only
+   0 and 1 decode, so a corrupt one cannot silently negate the branch. *)
+let test_branch_sense_byte () =
+  let image sense =
+    Gpu_isa.Encode.encode
+      (P.of_lines ~name:"b"
+         [
+           P.Label "top";
+           P.Instr (I.mk (I.Bra_pred (I.P 1, sense, "top", "top")));
+           P.Instr (I.mk I.Exit);
+         ])
+  in
+  let taken = image true and negated = image false in
+  let at = ref 0 in
+  while taken.[!at] = negated.[!at] do incr at done;
+  let patched = Bytes.of_string taken in
+  Bytes.set patched !at '\007';
+  match Gpu_isa.Encode.decode_result (Bytes.to_string patched) with
+  | Ok p -> Alcotest.failf "sense byte 7 decoded as %s" (P.to_string p)
+  | Error d ->
+    Alcotest.(check string) "message" "bad branch sense 7" d.D.message;
+    Alcotest.(check bool) "located just past the sense byte" true
+      (d.D.location = D.Byte_offset (!at + 1))
 
 let test_corrupt_image () =
   let image = Lazy.force reference_image in
@@ -630,6 +670,12 @@ let test_cli_exit_codes () =
       check_exit "corrupt image" 1 (gpuperf ("disasm " ^ bad)));
   with_temp_file ".asm" "kernel k\nmov r0, r1\nbogus!!!\n" (fun bad ->
       check_exit "malformed listing" 1
+        (gpuperf (Printf.sprintf "asm %s -o /dev/null" bad)));
+  (* a predicate outside the register file must fail at assembly, not
+     produce an image the disassembler rejects *)
+  with_temp_file ".asm" ".entry k\n  set.lt.s32 $p5, $r0, 1\n  exit\n"
+    (fun bad ->
+      check_exit "listing naming $p5" 1
         (gpuperf (Printf.sprintf "asm %s -o /dev/null" bad)))
 
 (* ------------------------------------------------------------------------- *)
@@ -652,6 +698,7 @@ let () =
         [
           Alcotest.test_case "round trip, every opcode" `Quick
             test_roundtrip_every_opcode;
+          Alcotest.test_case "branch sense byte" `Quick test_branch_sense_byte;
           Alcotest.test_case "corrupted images" `Quick test_corrupt_image;
           Alcotest.test_case "bit flips" `Quick test_flip_bits_image;
           Alcotest.test_case "truncated images" `Quick test_truncated_image;

@@ -108,7 +108,23 @@ let test_asm_errors () =
     (try
        ignore (Gpu_isa.Asm.parse "  frobnicate $r1, $r2\n");
        false
-     with Gpu_isa.Asm.Parse_error _ -> true)
+     with Gpu_isa.Asm.Parse_error _ -> true);
+  (* registers outside the register file, and operands the machine has no
+     meaning for, are rejected on their own line rather than assembled
+     into an image the decoder refuses or into a different instruction *)
+  List.iter
+    (fun bad ->
+      match Gpu_isa.Asm.parse (".entry k\n" ^ bad ^ "\n  exit\n") with
+      | _ -> Alcotest.failf "%s assembled" bad
+      | exception Gpu_isa.Asm.Parse_error { line; _ } ->
+        checki (bad ^ " rejected on its line") 2 line)
+    [
+      "  set.lt.s32 $p5, $r0, 1";
+      "  mov.b32 $r5000, 1";
+      "  mov.b32 $r99999999999999999999, 1";
+      "  bar.sync 7";
+      "  exit $r1, $r2";
+    ]
 
 let test_comments_and_blanks () =
   let p =
@@ -192,51 +208,87 @@ let gen_maddr =
     map2 (fun b off -> { I.base = b; offset = 4 * off }) gen_reg
       (int_bound 1000))
 
+(* Every constructor and every enumeration member, listed here rather
+   than read from [Instr]'s tables, so that a member missing from a table
+   fails the round trips below. *)
 let gen_op =
   QCheck.Gen.(
+    let sregs =
+      [ I.Tid_x; I.Ntid_x; I.Ctaid_x; I.Nctaid_x; I.Laneid; I.Warpid ]
+    in
     let ibinops =
       [ I.Add; I.Sub; I.Mul24; I.Mul; I.Min; I.Max; I.And; I.Or; I.Xor;
         I.Shl; I.Shr ]
     in
     let fbinops = [ I.Fadd; I.Fsub; I.Fmul; I.Fmin; I.Fmax ] in
+    let dbinops = [ I.Dadd; I.Dmul ] in
     let sfus = [ I.Rcp; I.Rsqrt; I.Sin; I.Cos; I.Lg2; I.Ex2 ] in
+    let cvts = [ I.I2f; I.F2i; I.F2i_rni ] in
     let cmps = [ I.Eq; I.Ne; I.Lt; I.Le; I.Gt; I.Ge ] in
+    let cmp_types = [ I.S32; I.F32 ] in
+    let spaces = [ I.Global; I.Shared ] in
+    let widths = [ 4; 8 ] in
+    let gen_pred = map (fun n -> I.P n) (int_bound 3) in
+    (* the labels [prop_encode_round_trip]'s programs define *)
+    let gen_label = oneofl [ "entry"; "end" ] in
+    let op2 build ops =
+      let* o = oneofl ops in
+      let* d = gen_reg in
+      let* a = gen_operand in
+      let* b = gen_operand in
+      return (build o d a b)
+    in
+    let op3 build =
+      let* d = gen_reg in
+      let* a = gen_operand in
+      let* b = gen_operand in
+      let* c = gen_operand in
+      return (build d a b c)
+    in
     oneof
       [
         map2 (fun d s -> I.Mov (d, s)) gen_reg gen_operand;
-        map (fun d -> I.Mov_sreg (d, I.Tid_x)) gen_reg;
-        (let* o = oneofl ibinops in
-         let* d = gen_reg in
-         let* a = gen_operand in
-         let* b = gen_operand in
-         return (I.Iop (o, d, a, b)));
-        (let* o = oneofl fbinops in
-         let* d = gen_reg in
-         let* a = gen_operand in
-         let* b = gen_operand in
-         return (I.Fop (o, d, a, b)));
-        (let* d = gen_reg in
-         let* a = gen_operand in
-         let* b = gen_operand in
-         let* c = gen_operand in
-         return (I.Fmad (d, a, b, c)));
+        map2 (fun d s -> I.Mov_sreg (d, s)) gen_reg (oneofl sregs);
+        op2 (fun o d a b -> I.Iop (o, d, a, b)) ibinops;
+        op3 (fun d a b c -> I.Imad (d, a, b, c));
+        op2 (fun o d a b -> I.Fop (o, d, a, b)) fbinops;
+        op3 (fun d a b c -> I.Fmad (d, a, b, c));
         (let* d = gen_reg in
          let* a = gen_operand in
          let* m = gen_maddr in
          let* c = gen_operand in
          return (I.Fmad_smem (d, a, m, c)));
+        op2 (fun o d a b -> I.Dop (o, d, a, b)) dbinops;
+        op3 (fun d a b c -> I.Dfma (d, a, b, c));
         (let* o = oneofl sfus in
          let* d = gen_reg in
          let* a = gen_operand in
          return (I.Sfu (o, d, a)));
+        (let* o = oneofl cvts in
+         let* d = gen_reg in
+         let* a = gen_operand in
+         return (I.Cvt (o, d, a)));
         (let* c = oneofl cmps in
-         let* p = map (fun n -> I.P n) (int_bound 3) in
+         let* ty = oneofl cmp_types in
+         let* p = gen_pred in
          let* a = gen_operand in
          let* b = gen_operand in
-         return (I.Setp (c, I.S32, p, a, b)));
+         return (I.Setp (c, ty, p, a, b)));
         (let* d = gen_reg in
+         let* a = gen_operand in
+         let* b = gen_operand in
+         let* p = gen_pred in
+         return (I.Selp (d, a, b, p)));
+        (let* sp = oneofl spaces in
+         let* w = oneofl widths in
+         let* d = gen_reg in
          let* m = gen_maddr in
-         return (I.Ld (I.Shared, 4, d, m)));
+         return (I.Ld (sp, w, d, m)));
+        (let* sp = oneofl spaces in
+         let* w = oneofl widths in
+         let* m = gen_maddr in
+         let* s = gen_operand in
+         return (I.St (sp, w, m, s)));
         (let* o = oneofl [ I.Aadd; I.Amin; I.Amax ] in
          let* d = gen_reg in
          let* m = gen_maddr in
@@ -247,9 +299,12 @@ let gen_op =
          let* x = gen_operand in
          let* y = gen_operand in
          return (I.Atom (I.Acas, d, m, x, Some y)));
-        (let* m = gen_maddr in
-         let* s = gen_operand in
-         return (I.St (I.Global, 4, m, s)));
+        map (fun l -> I.Bra l) gen_label;
+        (let* p = gen_pred in
+         let* sense = bool in
+         let* target = gen_label in
+         let* reconv = gen_label in
+         return (I.Bra_pred (p, sense, target, reconv)));
         return I.Bar;
         return I.Exit;
       ])

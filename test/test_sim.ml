@@ -545,6 +545,68 @@ let test_atomic_min_max_cas () =
   Alcotest.(check int) "atomic max reached 31 past the -5 seed" 31
     (Int32.to_int out.(33))
 
+(* The registers each trace event names feed the timing engine's
+   scoreboard, so their order is part of the trace format: the operation's
+   reads last first (an address base read first, a predicate operand
+   last), then the guard.  The literals are written out rather than
+   derived from [Instr.reads], so a change to the roles fails here. *)
+let test_trace_registers () =
+  let p n = Gpu_sim.Trace.pred_reg_base + n and none = Gpu_sim.Trace.no_reg in
+  let program =
+    Gpu_isa.Program.of_lines ~name:"roles"
+      [
+        ins (I.Mov_sreg (r 1, I.Tid_x));
+        ins (I.Setp (I.Lt, I.S32, I.P 1, I.Reg (r 1), I.Imm 16l));
+        ins (I.Selp (r 2, I.Reg (r 1), I.Imm 7l, I.P 1));
+        ins (I.Mov (r 3, I.Imm 0l));
+        ins
+          (I.Fmad_smem
+             (r 4, I.Reg (r 2), { I.base = r 3; offset = 4 }, I.Reg (r 4)));
+        ins (I.St (I.Shared, 4, { I.base = r 3; offset = 8 }, I.Reg (r 4)));
+        ins
+          (I.Atom
+             ( I.Acas, r 5, { I.base = r 3; offset = 0 }, I.Reg (r 1),
+               Some (I.Reg (r 2)) ));
+        pins ~pred:(I.P 1, false)
+          (I.Iop (I.Add, r 6, I.Reg (r 5), I.Reg (r 1)));
+        ins (I.Bra_pred (I.P 1, true, "done", "done"));
+        ins (I.Mov (r 6, I.Imm 1l));
+        Gpu_isa.Program.Label "done";
+        ins I.Exit;
+      ]
+  in
+  let k = Gpu_microbench.Runner.wrap ~param_regs:[] ~smem_bytes:16 program in
+  let res =
+    Sim.run ~collect_trace:true ~spec:Gpu_hw.Spec.gtx285 ~grid:1 ~block:32
+      ~args:[] k
+  in
+  let expected =
+    [
+      (1, [||]) (* mov %tid.x *);
+      (p 1, [| 1 |]) (* set *);
+      (2, [| p 1; 1 |]) (* selp *);
+      (3, [||]) (* mov imm *);
+      (4, [| 4; 2; 3 |]) (* mad.f32 with a shared operand *);
+      (none, [| 4; 3 |]) (* st *);
+      (5, [| 2; 1; 3 |]) (* atom.shared.cas *);
+      (6, [| 1; 5; p 1 |]) (* guarded add *);
+      (none, [| p 1 |]) (* predicated branch *);
+      (6, [||]) (* fall-through lanes' mov *);
+      (none, [||]) (* exit, reconverged *);
+    ]
+  in
+  match res.Sim.traces with
+  | [ t ] ->
+    let got =
+      Array.to_list
+        (Array.map
+           (fun (e : Gpu_sim.Trace.event) -> (e.dst, e.srcs))
+           t.Gpu_sim.Trace.warps.(0))
+    in
+    Alcotest.(check (list (pair int (array int))))
+      "dst and srcs of every event" expected got
+  | _ -> Alcotest.fail "expected a single block trace"
+
 let test_lane_and_warp_ids () =
   let k =
     compile
@@ -715,6 +777,7 @@ let () =
           Alcotest.test_case "computational density" `Quick
             test_stats_density;
           Alcotest.test_case "trace collection" `Quick test_trace_collection;
+          Alcotest.test_case "trace registers" `Quick test_trace_registers;
           Alcotest.test_case "trace builder" `Quick test_trace_builder;
           Alcotest.test_case "flat round trip" `Quick test_flat_round_trip;
           Alcotest.test_case "block sampling" `Quick
