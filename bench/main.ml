@@ -4,16 +4,13 @@
      dune exec bench/main.exe            -- run every experiment
      dune exec bench/main.exe -- fig3    -- run selected experiments
      dune exec bench/main.exe -- --list
-     dune exec bench/main.exe -- --json [FILE.json]  -- also write wall-time
-                                                 per experiment (default
-                                                 BENCH_perf.json)
      dune exec bench/main.exe -- --jobs N --no-cache
-     dune exec bench/main.exe -- --bechamel   -- Bechamel micro-timings of
-                                                 the library's own engines
 
    Experiments fan out over the gpu_parallel domain pool, one per task;
    each task's output is captured in a buffer and replayed in experiment
-   order, so the report reads identically to a serial run.
+   order, so the report reads identically to a serial run.  This harness
+   prints model results only; the toolchain's own speed is measured by
+   perfbench (perfbench/METRICS.md).
 
    "paper" lines quote the published numbers (GTX 285 hardware); "ours"
    lines are this reproduction (cycle timing simulator as the hardware
@@ -603,70 +600,6 @@ let ablation () =
      e.g. a doubled DRAM latency stretches the A-operand stalls the model \
      assumes hidden\n"
 
-(* --- Replay throughput (DESIGN §14) --------------------------------------- *)
-
-(* Synthetic fully-heterogeneous grid: every block has a distinct warp
-   count and distinct trace lengths, a barrier on every third block, and
-   a shared+global tail — the worst case for the replay engine (no
-   replication to intern, every cluster loaded differently).  Measures
-   the full replay and the 10% cluster-sampled replay, best of three
-   after a warmup.  The engine.events_replayed / engine.replay_ticks /
-   engine.clusters_parallel counters these runs bump land in the --json
-   metrics block. *)
-let replay () =
-  header "Replay" "timing-replay throughput, full vs sampled (DESIGN §14)";
-  let module E = Gpu_timing.Engine in
-  let module T = Gpu_sim.Trace in
-  let alu dst srcs cls = { T.cls; dst; srcs; mem = T.No_mem; bar = false } in
-  let chain n = Array.init n (fun _ -> alu 10 [| 10 |] I.Class_ii) in
-  let bar = { (alu T.no_reg [||] I.Class_ctrl) with T.bar = true } in
-  let warp_body b w =
-    let work = chain (60 + (13 * b mod 120) + (7 * w)) in
-    let tail =
-      [|
-        { T.cls = I.Class_mem; dst = 4; srcs = [||];
-          mem = T.Smem (1 + (w mod 3)); bar = false };
-        { T.cls = I.Class_mem; dst = 5; srcs = [| 4 |];
-          mem = T.Gmem_load [| (64 * b, 64); (4096 + (64 * w), 64) |];
-          bar = false };
-        alu T.no_reg [||] I.Class_ii;
-      |]
-    in
-    if b mod 3 = 0 then Array.concat [ [| bar |]; work; tail ]
-    else Array.append work tail
-  in
-  let het =
-    Array.init 1000 (fun b ->
-        { T.block = b;
-          warps = Array.init (1 + (b mod 5)) (fun w -> warp_body b w) })
-  in
-  let events = Array.fold_left (fun a b -> a + T.event_count b) 0 het in
-  let time ?sample () =
-    ignore (E.run ~homogeneous:false ?sample ~spec ~max_resident_blocks:8 het);
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      ignore
-        (E.run ~homogeneous:false ?sample ~spec ~max_resident_blocks:8 het);
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let full = time () in
-  let sampled = time ~sample:{ E.target = E.Fraction 0.1; seed = 0 } () in
-  Printf.printf "heterogeneous grid: %d blocks, %d events\n"
-    (Array.length het) events;
-  Printf.printf "full replay:     %7.3f ms  (%5.1f M events/s)\n" (1e3 *. full)
-    (float_of_int events /. full /. 1e6);
-  Printf.printf
-    "sampled (f=0.1): %7.3f ms  (%5.1fx full replay; %5.1f M grid events/s \
-     effectively timed)\n"
-    (1e3 *. sampled) (full /. sampled)
-    (float_of_int events /. sampled /. 1e6);
-  Printf.printf
-    "committed reference numbers and methodology: BENCH_7.json\n"
-
 (* --- Atomic contention (DESIGN §15) ---------------------------------------- *)
 
 (* The fourth cost class on its three atomic-bound workloads: sweep the
@@ -718,7 +651,8 @@ let atomic () =
     [ 0.0; 0.3; 1.0 ];
   row "reduce tree" (R.analyze ~measure:true ~blocks:512 R.Sequential);
   row "reduce atomic" (R.analyze ~measure:true ~blocks:512 R.Atomic);
-  Printf.printf "committed reference numbers: BENCH_8.json\n"
+  Printf.printf
+    "committed reference numbers: EXPERIMENTS.md, Atomic contention\n"
 
 (* --- Device fleet sweep (DESIGN §16) --------------------------------------- *)
 
@@ -768,105 +702,8 @@ let devices () =
            Gpu_workloads.Histogram.analyze ~spec ~measure:false ~skew:0.8
              ~blocks:256 () ))
        fleet);
-  Printf.printf "committed reference numbers: BENCH_9.json\n"
-
-(* --- Observability overhead (DESIGN §17) ------------------------------------ *)
-
-(* The serve path's per-request instrumentation, on vs off, over the
-   same serve-shaped unit of work: one matmul analysis wrapped the way
-   [Server.compute] wraps it (a [Trace_ctx] threaded through the
-   workflow, a stage breakdown, one structured access-log event).  The
-   off path is the bare analysis — byte-identical to what PR 9 ran — so
-   its time doubles as the regression reference.  Both medians and the
-   relative overhead land in the --json metrics block as gauges. *)
-let obs () =
-  header "Obs" "tracing + structured logging overhead, on vs off \
-                (DESIGN §17)";
-  let module Trace_ctx = Gpu_obs.Trace_ctx in
-  let module Log = Gpu_obs.Log in
-  let module Metrics = Gpu_obs.Metrics in
-  let iters = 15 in
-  let median samples =
-    let a = Array.of_list samples in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let time_iters f =
-    ignore (f ());
-    (* warmup: calibration tables, allocator *)
-    median
-      (List.init iters (fun _ ->
-           let t0 = Unix.gettimeofday () in
-           ignore (f ());
-           Unix.gettimeofday () -. t0))
-  in
-  let analyze ?ctx () = Matmul.analyze ?ctx ~measure:false ~n:512 ~tile:16 () in
-  let off = time_iters (fun () -> analyze ()) in
-  let log_path = Filename.temp_file "gpuperf_bench_obs" ".jsonl" in
-  let sink = Log.open_file log_path in
-  let on =
-    time_iters (fun () ->
-        let ctx = Trace_ctx.make () in
-        let t0 = Unix.gettimeofday () in
-        let r = Trace_ctx.span ctx "render" (fun () -> analyze ~ctx ()) in
-        let elapsed_ms = 1e3 *. (Unix.gettimeofday () -. t0) in
-        let bd = Trace_ctx.breakdown ctx ~total_us:(elapsed_ms *. 1000.) in
-        Log.event ~sink ~trace_id:(Trace_ctx.id ctx)
-          ~attrs:
-            [
-              ("workload", Log.S "matmul");
-              ("status", Log.S "ok");
-              ("elapsed_ms", Log.F elapsed_ms);
-              ("stages", Log.I (List.length bd));
-            ]
-          Log.Info ~component:"bench.obs" "request";
-        r)
-  in
-  (* Pure instrumentation microcost, noise-free: the per-request obs
-     work alone (ctx + 8 spans + breakdown + one log line) with a
-     trivial body, amortized over many iterations.  This is the number
-     the end-to-end comparison above buries in host jitter. *)
-  let micro_iters = 20_000 in
-  let micro =
-    let stages =
-      [ "queue-wait"; "compile"; "extract"; "functional-sim"; "calibrate";
-        "model"; "timing-replay"; "render" ]
-    in
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to micro_iters - 1 do
-      let ctx = Trace_ctx.make () in
-      List.iter (fun s -> Trace_ctx.span ctx s (fun () -> ())) stages;
-      let bd = Trace_ctx.breakdown ctx ~total_us:1000.0 in
-      if i land 7 = 0 then
-        (* serve logs one access line per request; keep the file small *)
-        Log.event ~sink ~trace_id:(Trace_ctx.id ctx)
-          ~attrs:[ ("stages", Log.I (List.length bd)) ]
-          Log.Info ~component:"bench.obs" "request"
-    done;
-    1e6 *. (Unix.gettimeofday () -. t0) /. float_of_int micro_iters
-  in
-  Log.close sink;
-  Sys.remove log_path;
-  let overhead_pct = 100.0 *. (on -. off) /. off in
-  let g name = Metrics.gauge ("bench.obs." ^ name) in
-  Metrics.set_gauge (g "off_ms") (1e3 *. off);
-  Metrics.set_gauge (g "on_ms") (1e3 *. on);
-  Metrics.set_gauge (g "overhead_pct") overhead_pct;
-  Metrics.set_gauge (g "instrumentation_us") micro;
-  Printf.printf "serve-shaped request (matmul 16x16, n=512), median of %d:\n"
-    iters;
-  Printf.printf "  off (bare analysis):            %8.3f ms\n" (1e3 *. off);
-  Printf.printf "  on  (ctx + breakdown + log):    %8.3f ms\n" (1e3 *. on);
-  Printf.printf "  end-to-end delta:               %+7.2f%% (host jitter \
-                 dominates)\n"
-    overhead_pct;
   Printf.printf
-    "  instrumentation alone:          %8.3f us/request (ctx + 8 spans \
-     + breakdown + log line, %d iters)\n"
-    micro micro_iters;
-  Printf.printf
-    "budget (DESIGN §17): < 2%% per request; the off path must stay \
-     within noise of the pre-observability baseline\n"
+    "committed reference numbers: EXPERIMENTS.md, Device fleet\n"
 
 (* --- Validation summary ----------------------------------------------------- *)
 
@@ -914,87 +751,6 @@ let validation () =
      model), bound assumes none — measured should fall between them when \
      the component accounting is right\n"
 
-(* --- Bechamel micro-timings of the library's own engines ------------------ *)
-
-let bechamel () =
-  let open Bechamel in
-  let coalesce_addrs = Array.init 32 (fun i -> Some (4 * 7 * i)) in
-  let cfg_coalesce = Gpu_mem.Coalesce.config_of_spec spec in
-  let saxpy =
-    Gpu_kernel.Compile.compile
-      {
-        Gpu_kernel.Ir.name = "saxpy";
-        params = [ "x"; "y" ];
-        shared = [];
-        body =
-          [
-            Gpu_kernel.Ir.Let ("gid", Gpu_kernel.Ir.(imad Ctaid Ntid Tid));
-            Gpu_kernel.Ir.St_global
-              ( "y",
-                Gpu_kernel.Ir.v "gid",
-                Gpu_kernel.Ir.fmad (Gpu_kernel.Ir.f 2.0)
-                  (Gpu_kernel.Ir.Ld_global ("x", Gpu_kernel.Ir.v "gid"))
-                  (Gpu_kernel.Ir.Ld_global ("y", Gpu_kernel.Ir.v "gid")) );
-          ];
-      }
-  in
-  let listing = Gpu_isa.Program.to_string saxpy.Gpu_kernel.Compile.program in
-  let image = Gpu_isa.Encode.encode saxpy.Gpu_kernel.Compile.program in
-  let run_sim () =
-    Gpu_sim.Sim.run ~grid:4 ~block:128
-      ~args:[ ("x", Array.make 512 0l); ("y", Array.make 512 0l) ]
-      saxpy
-  in
-  let trace =
-    (Gpu_sim.Sim.run ~collect_trace:true ~grid:1 ~block:128
-       ~args:[ ("x", Array.make 512 0l); ("y", Array.make 512 0l) ]
-       saxpy)
-      .Gpu_sim.Sim.traces
-  in
-  let blocks =
-    Array.init 30 (fun b -> { (List.hd trace) with Gpu_sim.Trace.block = b })
-  in
-  let tests =
-    [
-      Test.make ~name:"coalesce warp"
-        (Staged.stage (fun () ->
-             Gpu_mem.Coalesce.warp_transactions cfg_coalesce ~width:4
-               coalesce_addrs));
-      Test.make ~name:"bank conflict degree"
-        (Staged.stage (fun () ->
-             Gpu_mem.Bank.warp_transactions ~banks:16 ~group:16
-               coalesce_addrs));
-      Test.make ~name:"asm parse kernel"
-        (Staged.stage (fun () -> Gpu_isa.Asm.parse listing));
-      Test.make ~name:"cubin decode"
-        (Staged.stage (fun () -> Gpu_isa.Encode.decode image));
-      Test.make ~name:"functional sim 512 threads"
-        (Staged.stage (fun () -> ignore (run_sim ())));
-      Test.make ~name:"timing sim 30 blocks"
-        (Staged.stage (fun () ->
-             Gpu_timing.Engine.run ~spec ~max_resident_blocks:8 blocks));
-    ]
-  in
-  header "Bechamel" "micro-timings of the library engines (ns per run)";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 100) ()
-  in
-  let raw =
-    Benchmark.all cfg instances
-      (Test.make_grouped ~name:"gpuperf" ~fmt:"%s %s" tests)
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name ols_result ->
-      match Analyze.OLS.estimates ols_result with
-      | Some [ est ] -> Printf.printf "%-40s %12.1f ns/run\n" name est
-      | Some _ | None -> Printf.printf "%-40s (no estimate)\n" name)
-    results
-
 (* --- Driver ---------------------------------------------------------------- *)
 
 let experiments =
@@ -1017,10 +773,8 @@ let experiments =
     ("whatif", whatif);
     ("extras", extras);
     ("ablation", ablation);
-    ("replay", replay);
     ("atomic", atomic);
     ("devices", devices);
-    ("obs", obs);
     ("validation", validation);
   ]
 
@@ -1030,10 +784,9 @@ let experiments =
    serial run.  Exceptions are carried in the result so that every
    experiment's captured output still prints before the failure aborts. *)
 let run_experiments chosen =
-  let timed (name, f) =
+  let captured (name, f) =
     let buf = Buffer.create 4096 in
     Domain.DLS.set capture_buf (Some buf);
-    let t0 = Unix.gettimeofday () in
     let outcome =
       try
         f ();
@@ -1042,96 +795,34 @@ let run_experiments chosen =
         let bt = Printexc.get_raw_backtrace () in
         Error (e, bt)
     in
-    let dt = Unix.gettimeofday () -. t0 in
     Domain.DLS.set capture_buf None;
-    (name, Buffer.contents buf, dt, outcome)
+    (name, Buffer.contents buf, outcome)
   in
-  let results = Pool.parallel_map timed chosen in
+  let results = Pool.parallel_map captured chosen in
   List.iter
-    (fun (_, out, _, _) ->
+    (fun (_, out, _) ->
       Stdlib.print_string out;
       flush stdout)
     results;
   List.iter
-    (fun (name, _, _, outcome) ->
+    (fun (name, _, outcome) ->
       match outcome with
       | Ok () -> ()
       | Error (e, bt) ->
         Stdlib.Printf.eprintf "bench: experiment %s failed: %s\n%!" name
           (Printexc.to_string e);
         Printexc.raise_with_backtrace e bt)
-    results;
-  results
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Stdlib.Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* Perf-regression record: wall time per experiment plus calibration-work
-   counters, so CI can compare runs and assert the warm cache really skips
-   measurement (calibration_measurements = 0 on a warm run). *)
-let cache_state_of ~(c0 : Tables.counters) ~(c1 : Tables.counters) =
-  let calib_meas = c1.instr_smem_measurements - c0.instr_smem_measurements in
-  if not (Tables.disk_cache_enabled ()) then "disabled"
-  else if c1.calibrations - c0.calibrations = 0 then
-    if c1.cache_loads - c0.cache_loads > 0 then "warm" else "untouched"
-  else if calib_meas = 0 then "warm"
-  else "cold"
-
-let write_perf_json path ~results ~total_seconds
-    ~(c0 : Tables.counters) ~(c1 : Tables.counters) =
-  let b = Buffer.create 1024 in
-  let p fmt = Stdlib.Printf.bprintf b fmt in
-  let calib_meas = c1.instr_smem_measurements - c0.instr_smem_measurements in
-  let cache_state = cache_state_of ~c0 ~c1 in
-  p "{\n";
-  p "  \"schema\": 1,\n";
-  p "  \"jobs\": %d,\n" (Pool.current_jobs ());
-  p "  \"disk_cache\": %b,\n" (Tables.disk_cache_enabled ());
-  p "  \"cache_state\": \"%s\",\n" cache_state;
-  p "  \"calibration_measurements\": %d,\n" calib_meas;
-  p "  \"gmem_measurements\": %d,\n"
-    (c1.gmem_measurements - c0.gmem_measurements);
-  p "  \"cache_loads\": %d,\n" (c1.cache_loads - c0.cache_loads);
-  p "  \"calibrations\": %d,\n" (c1.calibrations - c0.calibrations);
-  p "  \"metrics\": %s,\n" (Gpu_obs.Metrics.dump_json ());
-  p "  \"experiments\": [\n";
-  List.iteri
-    (fun i (name, _, dt, _) ->
-      p "    { \"name\": \"%s\", \"seconds\": %.6f }%s\n" (json_escape name)
-        dt
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  p "  ],\n";
-  p "  \"total_seconds\": %.6f\n" total_seconds;
-  p "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Stdlib.Printf.eprintf "bench: wrote %s\n%!" path
+    results
 
 let usage () =
   Stdlib.print_string
-    "usage: bench/main.exe [--list] [--bechamel] [--json [FILE]] \
-     [--jobs N] [--no-cache] [EXPERIMENT...]\n"
+    "usage: bench/main.exe [--list] [--jobs N] [--no-cache] [EXPERIMENT...]\n"
 
 let () =
   Tables.set_on_diag (fun d ->
       Stdlib.Printf.eprintf "%s\n%!" (Gpu_diag.Diag.render ~prefix:"bench" d));
-  let json = ref None in
   let picks = ref [] in
   let list_only = ref false in
-  let run_bechamel = ref false in
   let rec parse = function
     | [] -> ()
     | "--help" :: _ | "-h" :: _ ->
@@ -1139,9 +830,6 @@ let () =
       exit 0
     | "--list" :: rest ->
       list_only := true;
-      parse rest
-    | "--bechamel" :: rest ->
-      run_bechamel := true;
       parse rest
     | "--no-cache" :: rest ->
       Tables.set_disk_cache false;
@@ -1153,15 +841,6 @@ let () =
         Stdlib.Printf.eprintf "bench: --jobs: %s\n" m;
         exit 2);
       parse rest
-    | "--json" :: rest -> (
-      match rest with
-      | f :: rest' when String.length f > 0 && f.[0] <> '-'
-                        && List.mem_assoc f experiments = false ->
-        json := Some f;
-        parse rest'
-      | _ ->
-        json := Some "BENCH_perf.json";
-        parse rest)
     | name :: rest ->
       picks := name :: !picks;
       parse rest
@@ -1169,8 +848,7 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   if !list_only then
     List.iter (fun (name, _) -> Stdlib.print_endline name) experiments
-  else if !run_bechamel then bechamel ()
-  else begin
+  else
     let chosen =
       match List.rev !picks with
       | [] ->
@@ -1190,12 +868,4 @@ let () =
               exit 1)
           picks
     in
-    let c0 = Tables.counters () in
-    let t0 = Unix.gettimeofday () in
-    let results = run_experiments chosen in
-    let total_seconds = Unix.gettimeofday () -. t0 in
-    let c1 = Tables.counters () in
-    match !json with
-    | None -> ()
-    | Some path -> write_perf_json path ~results ~total_seconds ~c0 ~c1
-  end
+    run_experiments chosen

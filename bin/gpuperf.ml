@@ -254,8 +254,9 @@ let spmv_format_conv =
 (* The workload and its parameters.  Each flag is a spelling of the wire
    key of the same name: the flags the user sets become [params] fields
    and go through [Registry.of_fields], which owns every default and
-   range check, exactly as for a daemon request.  The SpMV layout is
-   [--format], or [--spmv-format] where [--format] picks the output. *)
+   range check and rejects a flag the workload does not take, exactly as
+   for a daemon request.  The SpMV layout is [--format], or
+   [--spmv-format] where [--format] picks the output. *)
 let params_term ?(spmv_flag = "format") ?(with_n = false) () =
   let workload =
     Arg.(
@@ -299,8 +300,8 @@ let params_term ?(spmv_flag = "format") ?(with_n = false) () =
         & info [ "n" ] ~docv:"N"
             ~doc:
               "Problem size: matmul matrix order (divisible by 64 and the \
-               tile) or tridiag system size (power of two); ignored by \
-               the other workloads")
+               tile) or tridiag system size (power of two); the other \
+               workloads reject it")
   in
   let params workload tile padded spmv_format atomic n =
     let num key = Option.map (fun v -> (key, Jsonx.Num (float_of_int v))) in

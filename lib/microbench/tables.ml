@@ -64,8 +64,8 @@ type counters = {
 }
 
 (* The cells live in the process-wide Gpu_obs.Metrics registry (so
-   `--metrics` and the bench JSON see them); [counters ()] keeps the
-   record API the bench and tests already consume. *)
+   `--metrics` and perfbench see them); [counters ()] is the record view
+   the cache tests read. *)
 module M = Gpu_obs.Metrics
 
 let instr_smem_measured = M.counter "calib.measurements.instr_smem"

@@ -62,8 +62,6 @@ val set_on_diag : (Gpu_diag.Diag.t -> unit) -> unit
     {!for_spec} is unaffected. *)
 val set_disk_cache : bool -> unit
 
-val disk_cache_enabled : unit -> bool
-
 (** Drop the in-process per-spec tables (tests use this to exercise the
     disk-cache path).  Raises if a calibration is in flight. *)
 val clear_process_cache : unit -> unit
@@ -76,8 +74,9 @@ type counters = {
   calibrations : int;  (** full calibrations actually run *)
 }
 
-(** Monotonic process-wide counters (the cache smoke tests and the bench
-    harness read these to tell cold from warm runs). *)
+(** Monotonic process-wide counters (the cache tests read these to tell
+    cold from warm runs; [--metrics] exports the same cells as
+    [calib.*]). *)
 val counters : unit -> counters
 
 (** The constants string folded into the cache fingerprint (schema

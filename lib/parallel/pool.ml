@@ -49,7 +49,7 @@ let inside_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 (* Scheduler-pressure gauges (DESIGN §11): the introspection reads below
    ([queue_length] / [worker_count] / [pending_async]) exist for tests,
-   but /metrics and bench --json read the registry, so queue and worker
+   but /metrics and --metrics read the registry, so queue and worker
    state changes mirror into gauges.  [note_queue] must be called with
    [pool.lock] held. *)
 let g_queue = Gpu_obs.Metrics.gauge "pool.queue.length"

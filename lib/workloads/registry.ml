@@ -48,10 +48,10 @@ module type S = sig
 
   (** [of_fields ~workload fields] decodes the [params] object of a wire
       request.  Absent keys take the defaults of [decoders]; sizes must
-      be >= 1 and skew/hub in [0, 1]; a key that no workload uses, an
-      ill-typed value or an unknown workload is [Error message].  Kernel
-      shape constraints (matmul's tile divisibility) are left to kernel
-      construction. *)
+      be >= 1 and skew/hub in [0, 1]; a key the named workload does not
+      use, an ill-typed value or an unknown workload is [Error message].
+      Kernel shape constraints (matmul's tile divisibility) are left to
+      kernel construction. *)
   val of_fields :
     workload:string ->
     (string * Gpu_obs.Jsonx.t) list ->
@@ -222,22 +222,25 @@ include (
           ("hub", Jsonx.Num hub);
         ]
 
-    (* Every key some workload encodes; a key outside this union is a
-       misspelling. *)
+    (* Each workload's keys, the ones it encodes; any other key is a
+       misspelling or belongs to another workload. *)
     let known_keys =
-      List.concat_map
-        (fun (_, decode) -> List.map fst (to_fields (decode [])))
+      List.map
+        (fun (name, decode) -> (name, List.map fst (to_fields (decode []))))
         decoders
 
     let of_fields ~workload fields =
       match
-        List.iter
-          (fun (k, _) ->
-            if not (List.mem k known_keys) then
-              bad "params: unknown key %S" k)
-          fields;
         match List.assoc_opt workload decoders with
-        | Some decode -> decode fields
+        | Some decode ->
+          let keys = List.assoc workload known_keys in
+          List.iter
+            (fun (k, _) ->
+              if not (List.mem k keys) then
+                bad "params: unknown key %S for %s (%s)" k workload
+                  (String.concat ", " keys))
+            fields;
+          decode fields
         | None ->
           bad "unknown workload %S (%s)" workload (String.concat ", " names)
       with

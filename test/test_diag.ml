@@ -661,6 +661,8 @@ let test_cli_exit_codes () =
   check_exit "unknown subcommand" 2 (gpuperf "frobnicate");
   check_exit "unknown spmv format" 2 (gpuperf "analyze spmv --format bogus");
   check_exit "bad matmul tile" 1 (gpuperf "analyze matmul --tile 7");
+  check_exit "another workload's flag" 1
+    (gpuperf "analyze histogram --tile 16");
   with_temp_file ".cubin" (Lazy.force reference_image) (fun good ->
       check_exit "valid image" 0 (gpuperf ("disasm " ^ good)));
   let corrupt =

@@ -92,6 +92,8 @@ let test_request_rejections () =
       ("unknown workload", {|{"workload":"fft"}|});
       ("unknown key", {|{"workload":"matmul","dedline_ms":5}|});
       ("unknown param key", {|{"workload":"matmul","params":{"m":4}}|});
+      ( "another workload's param key",
+        {|{"workload":"histogram","params":{"tile":16}}|} );
       ("unknown device", {|{"workload":"matmul","device":"gtx9999"}|});
       ("unknown format", {|{"workload":"matmul","format":"pdf"}|});
       ("negative deadline", {|{"workload":"matmul","deadline_ms":-1}|});

@@ -439,6 +439,24 @@ let test_volta_like_full_block_launch () =
           (Hashtbl.mem expected s.Gpu_obs.Timeline.tid))
     (Gpu_obs.Timeline.slices tl)
 
+(* The replay counters the metrics registry exports: a full replay of a
+   heterogeneous grid counts every event of the grid exactly once, and
+   its replayed span in engine ticks. *)
+let test_replay_counters () =
+  let module M = Gpu_obs.Metrics in
+  let read name = M.value (M.counter name) in
+  let blocks = heterogeneous_grid 40 in
+  let events =
+    Array.fold_left (fun a b -> a + Trace.event_count b) 0 blocks
+  in
+  let events0 = read "engine.events_replayed" in
+  let ticks0 = read "engine.replay_ticks" in
+  ignore (Engine.run ~homogeneous:false ~spec ~max_resident_blocks:4 blocks);
+  Alcotest.(check int) "events replayed" events
+    (read "engine.events_replayed" - events0);
+  Alcotest.(check bool) "replay ticks advance" true
+    (read "engine.replay_ticks" > ticks0)
+
 let () =
   Alcotest.run "timing"
     [
@@ -473,6 +491,7 @@ let () =
             test_parallel_bit_identical;
           Alcotest.test_case "sampled replay bounds" `Quick
             test_sampled_bounds;
+          Alcotest.test_case "replay counters" `Quick test_replay_counters;
         ] );
       ( "timeline tracks",
         [
