@@ -4,15 +4,10 @@
    memory transactions the access generated.  Predicate registers share the
    register id space at [pred_reg_base + n].
 
-   Two representations live here.  The [event] record is the construction
-   and interchange form: the interpreter builds it, the checking harness
-   lowers generated cases to it, and the workflow compares it for
-   homogeneity.  [Flat] is the packed structure-of-arrays form the timing
-   engine replays: each warp trace decodes once into parallel int arrays
-   (one slot per event, flattened side arrays for the variable-length
-   parts), after which the replay hot loop is pure index arithmetic with
-   no per-event pointer chasing.  A [Flat.t] is immutable after [of_warp]
-   and safe to share read-only across blocks and domains. *)
+   The interpreter builds events, the checking harness lowers generated
+   cases to them, the workflow compares them for homogeneity, and the
+   timing engine cooks each distinct warp trace straight from its event
+   array before replay. *)
 
 module I = Gpu_isa.Instr
 
@@ -67,121 +62,43 @@ let mem_bytes = function
   | Gmem_load txns | Gmem_store txns ->
     Array.fold_left (fun acc (_, size) -> acc + size) 0 txns
 
-(* --- packed structure-of-arrays form ------------------------------------ *)
+(* --- interning key ------------------------------------------------------- *)
 
-module Flat = struct
-  (* Per-event kind codes.  The fused/plain shared-memory split is decided
-     here (an arithmetic class with a shared operand vs a plain LSU
-     load/store) so the replay loop dispatches on one integer. *)
-  let k_alu = 0
-  let k_smem = 1
-  let k_smem_fused = 2
-  let k_gmem_load = 3
-  let k_gmem_store = 4
-  let k_bar = 5
-  let k_atomic = 6
+(* [Hashtbl.hash] visits at most 100 values breadth-first, so for a trace
+   of 98 or more events it sees only the event pointers and its value
+   depends on the length alone.  This key instead mixes the length with at
+   most [key_samples] evenly spaced events' destination, sources and
+   memory shape (kind, transaction count, first transaction), so warps
+   that differ anywhere in those events key apart, at a cost independent
+   of the trace length. *)
+let key_samples = 16
 
-  type t = {
-    n : int; (* event count *)
-    kind : int array; (* n: one of the [k_*] codes *)
-    cls : int array; (* n: cost-class index (Stats.class_index) *)
-    dst : int array; (* n: destination register id, or [no_reg] *)
-    soff : int array; (* n+1: prefix offsets into [srcs] *)
-    srcs : int array; (* flattened source register ids *)
-    smem_txns : int array; (* n: half-warp transactions; 0 unless smem *)
-    goff : int array; (* n+1: prefix offsets into [gbase]/[gsize] *)
-    gbase : int array; (* flattened gmem transaction bases *)
-    gsize : int array; (* flattened gmem transaction sizes *)
-  }
+let mix h x = (h lxor x) * 0x100000001b3
 
-  let length t = t.n
+let mix_txns h txns =
+  let h = mix h (Array.length txns) in
+  if Array.length txns = 0 then h
+  else
+    let base, size = txns.(0) in
+    mix (mix h base) size
 
-  let of_warp (w : warp_trace) =
-    let n = Array.length w in
-    let nsrcs = ref 0 and ngmem = ref 0 in
-    Array.iter
-      (fun (e : event) ->
-        nsrcs := !nsrcs + Array.length e.srcs;
-        match e.mem with
-        | Gmem_load txns | Gmem_store txns ->
-          ngmem := !ngmem + Array.length txns
-        | No_mem | Smem _ | Smem_atomic _ -> ())
-      w;
-    let t =
-      {
-        n;
-        kind = Array.make n 0;
-        cls = Array.make n 0;
-        dst = Array.make n no_reg;
-        soff = Array.make (n + 1) 0;
-        srcs = Array.make !nsrcs 0;
-        smem_txns = Array.make n 0;
-        goff = Array.make (n + 1) 0;
-        gbase = Array.make !ngmem 0;
-        gsize = Array.make !ngmem 0;
-      }
-    in
-    let si = ref 0 and gi = ref 0 in
-    Array.iteri
-      (fun i (e : event) ->
-        t.cls.(i) <- Stats.class_index e.cls;
-        t.dst.(i) <- e.dst;
-        t.soff.(i) <- !si;
-        Array.iter
-          (fun s ->
-            t.srcs.(!si) <- s;
-            incr si)
-          e.srcs;
-        t.goff.(i) <- !gi;
-        (if e.bar then t.kind.(i) <- k_bar
-         else
-           match e.mem with
-           | No_mem -> t.kind.(i) <- k_alu
-           | Smem txns ->
-             t.kind.(i) <-
-               (if e.cls <> I.Class_mem then k_smem_fused else k_smem);
-             t.smem_txns.(i) <- txns
-           | Smem_atomic txns ->
-             t.kind.(i) <- k_atomic;
-             t.smem_txns.(i) <- txns
-           | Gmem_load txns | Gmem_store txns ->
-             t.kind.(i) <-
-               (match e.mem with
-               | Gmem_load _ -> k_gmem_load
-               | _ -> k_gmem_store);
-             Array.iter
-               (fun (base, size) ->
-                 t.gbase.(!gi) <- base;
-                 t.gsize.(!gi) <- size;
-                 incr gi)
-               txns))
-      w;
-    t.soff.(n) <- !si;
-    t.goff.(n) <- !gi;
-    t
+let mix_mem h = function
+  | No_mem -> mix h 0
+  | Smem txns -> mix (mix h 1) txns
+  | Smem_atomic txns -> mix (mix h 2) txns
+  | Gmem_load txns -> mix_txns (mix h 3) txns
+  | Gmem_store txns -> mix_txns (mix h 4) txns
 
-  (* Exact inverse of [of_warp] — the round-trip unit test pins the packed
-     encoding to the event form. *)
-  let to_events t =
-    Array.init t.n (fun i ->
-        let srcs = Array.sub t.srcs t.soff.(i) (t.soff.(i + 1) - t.soff.(i)) in
-        let txns () =
-          Array.init
-            (t.goff.(i + 1) - t.goff.(i))
-            (fun j ->
-              (t.gbase.(t.goff.(i) + j), t.gsize.(t.goff.(i) + j)))
-        in
-        let k = t.kind.(i) in
-        {
-          cls = Stats.class_of_index t.cls.(i);
-          dst = t.dst.(i);
-          srcs;
-          mem =
-            (if k = k_smem || k = k_smem_fused then Smem t.smem_txns.(i)
-             else if k = k_atomic then Smem_atomic t.smem_txns.(i)
-             else if k = k_gmem_load then Gmem_load (txns ())
-             else if k = k_gmem_store then Gmem_store (txns ())
-             else No_mem);
-          bar = k = k_bar;
-        })
-end
+let key (w : warp_trace) =
+  let n = Array.length w in
+  let k = min n key_samples in
+  let h = ref n in
+  for s = 0 to k - 1 do
+    let e = w.(s * n / k) in
+    h := mix !h e.dst;
+    for j = 0 to Array.length e.srcs - 1 do
+      h := mix !h e.srcs.(j)
+    done;
+    h := mix_mem !h e.mem
+  done;
+  Hashtbl.hash !h

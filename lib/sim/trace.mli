@@ -41,46 +41,10 @@ val event_count : block_trace -> int
 (** Global-memory transaction bytes of one event (0 for non-gmem). *)
 val mem_bytes : mem -> int
 
-(** {2 Packed structure-of-arrays form}
-
-    The replay-side encoding: one warp trace decoded once into parallel
-    int arrays, immutable afterwards and safe to share read-only across
-    blocks and domains.  The timing engine replays this form — the hot
-    loop is index arithmetic over the packed arrays instead of per-event
-    record and array chasing. *)
-
-module Flat : sig
-  (** Per-event kind codes stored in {!t.kind}. *)
-  val k_alu : int
-
-  val k_smem : int  (** plain shared load/store through the LSU *)
-
-  val k_smem_fused : int
-  (** arithmetic with a shared operand: holds the issue pipeline too *)
-
-  val k_gmem_load : int
-  val k_gmem_store : int
-  val k_bar : int
-
-  val k_atomic : int
-  (** shared-memory atomic: serialized transactions in [smem_txns] *)
-
-  type t = private {
-    n : int;  (** event count *)
-    kind : int array;  (** n: one of the [k_*] codes *)
-    cls : int array;  (** n: cost-class index ({!Stats.class_index}) *)
-    dst : int array;  (** n: destination register id, or {!no_reg} *)
-    soff : int array;  (** n+1: prefix offsets into [srcs] *)
-    srcs : int array;  (** flattened source register ids *)
-    smem_txns : int array;  (** n: half-warp transactions; 0 unless smem *)
-    goff : int array;  (** n+1: prefix offsets into [gbase]/[gsize] *)
-    gbase : int array;  (** flattened gmem transaction bases *)
-    gsize : int array;  (** flattened gmem transaction sizes *)
-  }
-
-  val length : t -> int
-  val of_warp : warp_trace -> t
-
-  (** Exact inverse of {!of_warp} (unit-tested round trip). *)
-  val to_events : t -> warp_trace
-end
+(** A content key for interning warp traces by physical identity: mixes
+    the trace length with at most 16 evenly spaced events' destination,
+    sources and memory shape.  Equal arrays get equal keys; its cost does
+    not grow with the trace length.  ([Hashtbl.hash] visits at most 100
+    values, so for traces of 98 events or more it depends on the length
+    alone.) *)
+val key : warp_trace -> int

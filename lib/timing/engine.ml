@@ -28,17 +28,19 @@
 
    Throughput (DESIGN §14): before replay every distinct warp trace —
    distinct by physical identity, which the workflow's cyclic trace
-   replication preserves — is decoded once into a [cooked] form: the
-   packed [Trace.Flat] arrays plus per-event pipeline costs precomputed
-   from the device parameters.  The replay loop is then index arithmetic
-   over shared read-only arrays.  On top of that, consecutive events of a
-   warp that would re-enter the event queue strictly before every queued
-   event are coalesced into one heap transaction (provably the same
-   schedule as push-then-pop), and on the heterogeneous path independent
-   clusters fan out over the domain pool with a deterministic
-   cluster-order reduction — bit-identical to the serial fold.  [?sample]
-   replays a seeded subset of clusters and extrapolates (see
-   {!sampled_estimate}).
+   replication preserves, interned under the content key [Trace.key] — is
+   cooked once per [run] straight from its events: per-event kind codes,
+   mapped registers and pipeline costs precomputed from the device
+   parameters.  The replay loop is then index arithmetic over shared
+   read-only arrays, and allocates nothing per event: the event queue is a
+   heap of int warp-slot indices into a per-cluster slot table.  On top of
+   that, consecutive events of a warp that would re-enter the event queue
+   strictly before every queued event are coalesced into one heap
+   transaction (provably the same schedule as push-then-pop), and on the
+   heterogeneous path independent clusters fan out over the domain pool
+   with a deterministic cluster-order reduction — bit-identical to the
+   serial fold.  [?sample] replays a seeded subset of clusters and
+   extrapolates (see {!sampled_estimate}).
 
    Observability: [run ?timeline] optionally records every pipeline busy
    interval and warp hold/park interval into a [Gpu_obs.Timeline], plus a
@@ -50,7 +52,6 @@
    mutable state, a timeline forces the serial cluster path. *)
 
 module Trace = Gpu_sim.Trace
-module Flat = Gpu_sim.Trace.Flat
 module Metrics = Gpu_obs.Metrics
 module Pool = Gpu_parallel.Pool
 
@@ -80,7 +81,6 @@ type result = {
   gmem_busy_cycles : int; (* summed over simulated clusters *)
   sms_simulated : int;
   clusters_simulated : int;
-  blocks_simulated : int;
   (* Conservation accounting over the simulated clusters: the checking
      harness (lib/check) asserts launched = retired and nothing left
      pending — a liveness violation (deadlocked barrier, leaked block
@@ -158,132 +158,129 @@ let make_params (spec : Gpu_hw.Spec.t) =
     gmem_txn_ticks;
   }
 
-(* --- pre-decoded traces -------------------------------------------------- *)
+(* --- cooked traces ------------------------------------------------------ *)
 
-(* One warp trace, decoded once per [run]: the packed [Flat] arrays plus
-   the per-event pipeline costs under the run's device parameters, so the
+(* Per-event kind codes.  The fused/plain shared-memory split is decided at
+   cook time (an arithmetic class with a shared operand vs a plain LSU
+   load/store) so the replay loop dispatches on one integer. *)
+let k_alu = 0
+let k_smem = 1
+let k_smem_fused = 2
+let k_gmem_load = 3
+let k_gmem_store = 4
+let k_bar = 5
+let k_atomic = 6
+
+(* One warp trace, cooked once per [run]: per-event kind codes, mapped
+   registers and pipeline costs under the run's device parameters, so the
    replay loop never touches an event record, never recomputes an issue
    occupancy and never folds over a transaction list.  Immutable, shared
    read-only across every block replicating this warp and across worker
    domains. *)
 type cooked = {
   n : int; (* event count *)
-  kind : int array; (* [Flat.k_*] code per event (shares the decode array) *)
+  kind : int array; (* [k_*] code per event *)
   soff : int array; (* source offsets into [msrcs], length n+1 *)
   occ : int array; (* issue-pipe ticks (alu, or the fused smem charge) *)
   busy : int array; (* smem/gmem pipe busy ticks *)
   hold : int array; (* warp hold ticks counted from the event's start *)
   mdst : int array; (* [map_reg]-mapped destination slot, or -1 *)
-  msrcs : int array; (* mapped sources, laid out like [Flat.srcs] *)
+  msrcs : int array; (* mapped sources, event by event *)
 }
 
+(* One pass over the events after sizing [msrcs]: only the arrays the
+   replay loop reads are allocated. *)
 let cook p (wt : Trace.warp_trace) =
-  let fl = Flat.of_warp wt in
-  let n = fl.Flat.n in
+  let n = Array.length wt in
+  let nsrcs = ref 0 in
+  for i = 0 to n - 1 do
+    nsrcs := !nsrcs + Array.length wt.(i).Trace.srcs
+  done;
+  let kind = Array.make n k_alu in
+  let soff = Array.make (n + 1) 0 in
   let occ = Array.make n 0 in
   let busy = Array.make n 0 in
   let hold = Array.make n 0 in
-  let mdst =
-    Array.map (fun d -> if d >= 0 then map_reg d else -1) fl.Flat.dst
+  let mdst = Array.make n (-1) in
+  let msrcs = Array.make !nsrcs 0 in
+  (* Atomics time like shared accesses — same pipe, same per-transaction
+     occupancy — but their transaction count is the contention-serialized
+     one and their busy ticks land in a separate counter. *)
+  let smem i txns =
+    busy.(i) <- txns * p.smem_access;
+    hold.(i) <- max p.warp_gap (txns * p.smem_replay)
   in
-  let msrcs = Array.map map_reg fl.Flat.srcs in
+  let gmem i txns =
+    busy.(i) <-
+      Array.fold_left (fun acc (_, size) -> acc + p.gmem_txn_ticks size) 0 txns;
+    hold.(i) <- max p.mem_dispatch p.warp_gap
+  in
+  let si = ref 0 in
   for i = 0 to n - 1 do
-    let k = fl.Flat.kind.(i) in
-    if k = Flat.k_alu then begin
-      let o = p.issue.(fl.Flat.cls.(i)) in
-      occ.(i) <- o;
-      hold.(i) <- max o p.warp_gap
-    end
-    else if k = Flat.k_smem || k = Flat.k_smem_fused || k = Flat.k_atomic
-    then begin
-      (* Atomics time like shared accesses — same pipe, same per-
-         transaction occupancy — but their transaction count is the
-         contention-serialized one and their busy ticks land in a
-         separate counter. *)
-      let txns = fl.Flat.smem_txns.(i) in
-      busy.(i) <- txns * p.smem_access;
-      if k = Flat.k_smem_fused then occ.(i) <- p.issue.(fl.Flat.cls.(i));
-      hold.(i) <- max p.warp_gap (txns * p.smem_replay)
-    end
-    else if k = Flat.k_gmem_load || k = Flat.k_gmem_store then begin
-      let b = ref 0 in
-      for j = fl.Flat.goff.(i) to fl.Flat.goff.(i + 1) - 1 do
-        b := !b + p.gmem_txn_ticks fl.Flat.gsize.(j)
-      done;
-      busy.(i) <- !b;
-      hold.(i) <- max p.mem_dispatch p.warp_gap
-    end
+    let (e : Trace.event) = wt.(i) in
+    soff.(i) <- !si;
+    for j = 0 to Array.length e.srcs - 1 do
+      msrcs.(!si) <- map_reg e.srcs.(j);
+      incr si
+    done;
+    if e.dst >= 0 then mdst.(i) <- map_reg e.dst;
+    if e.bar then kind.(i) <- k_bar
+    else
+      match e.mem with
+      | Trace.No_mem ->
+        let o = p.issue.(Gpu_sim.Stats.class_index e.cls) in
+        occ.(i) <- o;
+        hold.(i) <- max o p.warp_gap
+      | Trace.Smem txns when e.cls <> Gpu_isa.Instr.Class_mem ->
+        kind.(i) <- k_smem_fused;
+        occ.(i) <- p.issue.(Gpu_sim.Stats.class_index e.cls);
+        smem i txns
+      | Trace.Smem txns ->
+        kind.(i) <- k_smem;
+        smem i txns
+      | Trace.Smem_atomic txns ->
+        kind.(i) <- k_atomic;
+        smem i txns
+      | Trace.Gmem_load txns ->
+        kind.(i) <- k_gmem_load;
+        gmem i txns
+      | Trace.Gmem_store txns ->
+        kind.(i) <- k_gmem_store;
+        gmem i txns
   done;
-  (* Only the arrays the replay loop reads survive: the rest of the [Flat]
-     decode (classes, raw registers, transaction lists) dies young instead
-     of being promoted out of the minor heap on every run. *)
-  { n; kind = fl.Flat.kind; soff = fl.Flat.soff; occ; busy; hold; mdst; msrcs }
+  soff.(n) <- !si;
+  { n; kind; soff; occ; busy; hold; mdst; msrcs }
 
 (* A block lowered to its cooked warps: what the scheduler queues. *)
 type cblock = { cbid : int; cwarps : cooked array }
 
 (* Interning table keyed by *physical* identity of the warp-trace array:
    [Workflow.replicate_traces] replicates blocks by sharing the sampled
-   warp arrays, so a g-block grid built from n samples decodes n blocks'
-   worth of warps, not g.  Structural hashing is depth-bounded, and a
-   hash collision between distinct arrays merely cooks both. *)
+   warp arrays, so a g-block grid built from n samples cooks n blocks'
+   worth of warps, not g.  [Trace.key] hashes content at a fixed cost per
+   lookup; a key collision between distinct arrays only lengthens a
+   bucket, never merges their cooks. *)
 module WT = Hashtbl.Make (struct
   type t = Trace.warp_trace
 
   let equal = ( == )
-  let hash = Hashtbl.hash
+  let hash = Trace.key
 end)
 
-(* Cross-run cook memo: a serve daemon or benchmark loop replays the same
-   traces under the same device spec over and over, and every [cook] is
-   pure in (spec, warp trace).  Keys are weak (ephemeron): dropping a
-   trace or spec drops its cooked entry.  The spec key is structural —
-   [Spec.t] is plain data — while the trace key is physical, matching the
-   per-run intern table.  Guarded by a mutex because [run] is called
-   concurrently from serve worker domains; the lock covers only lookup
-   and insert, never the cook itself, so a racing duplicate cook is
-   wasted work, not a hazard. *)
-module Memo =
-  Ephemeron.K2.Make
-    (struct
-      type t = Gpu_hw.Spec.t
-
-      let equal = ( = )
-      let hash = Hashtbl.hash
-    end)
-    (struct
-      type t = Trace.warp_trace
-
-      let equal = ( == )
-      let hash = Hashtbl.hash
-    end)
-
-let memo : cooked Memo.t = Memo.create 256
-let memo_lock = Mutex.create ()
-
 (* A cooking function with one intern table for its whole lifetime: every
-   block cooked through the same cooker shares decodes for physically
+   block cooked through the same cooker shares cooks for physically
    shared warp arrays, no matter which cluster the blocks land on.  [run]
    makes one cooker per call and feeds it only the blocks it will
-   actually simulate, so a sampled replay never decodes the blocks it
-   skips. *)
+   actually simulate, so a sampled replay never cooks the blocks it
+   skips.  Nothing outlives the call: every production caller replays
+   traces it has just simulated, so a cross-run cache would never hit. *)
 let cooker p =
   let table = WT.create 64 in
-  let spec = p.spec in
   let cook_warp wt =
     match WT.find_opt table wt with
     | Some c -> c
     | None ->
-      let c =
-        match
-          Mutex.protect memo_lock (fun () -> Memo.find_opt memo (spec, wt))
-        with
-        | Some c -> c
-        | None ->
-          let c = cook p wt in
-          Mutex.protect memo_lock (fun () -> Memo.replace memo (spec, wt) c);
-          c
-      in
+      let c = cook p wt in
       WT.add table wt c;
       c
   in
@@ -320,21 +317,70 @@ type sm_state = {
 type block_state = {
   mutable live : int;
   mutable waiting : int;
-  mutable parked : warp_state list;
+  mutable parked : int;
+      (* slot of the last warp to park at the barrier, or -1; earlier
+         arrivals chain through [next_parked] *)
   bid : int; (* grid block id, for timeline track ids *)
   sm : sm_state;
 }
 
 and warp_state = {
   ck : cooked;
+  slot : int; (* index in its cluster's slot table: what the heap queues *)
   mutable idx : int;
   mutable ready : int;
   regs : int array; (* ready time per mapped register *)
   wid : int; (* warp index within its block *)
   mutable stage : int; (* barrier-delimited stage the warp is in *)
   mutable park_t : int; (* when the warp parked at the current barrier *)
+  mutable next_parked : int; (* slot of the previous arrival, or -1 *)
   block : block_state;
 }
+
+(* The event queue of one cluster: a heap of warp-slot indices keyed by
+   ready time, and the slot table they index.  Queueing ints instead of
+   [warp_state] pointers keeps the heap's sifts free of the write barrier.
+   A retired warp's slot goes on a free stack for the next launch, so the
+   table stays as small as the most warps ever resident at once. *)
+type queue = {
+  heap : Heap.t;
+  mutable slots : warp_state array; (* by slot: its current or last warp *)
+  mutable used : int; (* slots ever handed out *)
+  mutable free : int array; (* stack of retired slots, same capacity *)
+  mutable nfree : int;
+}
+
+let make_queue () =
+  { heap = Heap.create (); slots = [||]; used = 0; free = [||]; nfree = 0 }
+
+let take_slot q =
+  if q.nfree > 0 then begin
+    q.nfree <- q.nfree - 1;
+    q.free.(q.nfree)
+  end
+  else begin
+    q.used <- q.used + 1;
+    q.used - 1
+  end
+
+let set_slot q w =
+  let cap = Array.length q.slots in
+  if w.slot = cap then begin
+    let grow a fill =
+      let b = Array.make (max 16 (2 * cap)) fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    q.slots <- grow q.slots w;
+    q.free <- grow q.free 0
+  end;
+  q.slots.(w.slot) <- w
+
+let free_slot q w =
+  q.free.(q.nfree) <- w.slot;
+  q.nfree <- q.nfree + 1
+
+let enqueue q ~key w = Heap.add q.heap ~key w.slot
 
 (* --- timeline recorder -------------------------------------------------- *)
 
@@ -437,46 +483,48 @@ let charge_stage r ~stage ~alu ~smem ~atomic ~gmem =
 (* Launch one block's warps at [now].  Empty-trace warps retire through
    [warp_finished] like any other warp, so their slots return and an
    all-empty block still releases the SM. *)
-let rec launch_block p rc (pq : warp_state Heap.t) sm (cb : cblock) now =
+let rec launch_block p rc q sm (cb : cblock) now =
   let block =
     {
       live = Array.length cb.cwarps;
       waiting = 0;
-      parked = [];
+      parked = -1;
       bid = cb.cbid;
       sm;
     }
   in
   sm.warps_launched <- sm.warps_launched + Array.length cb.cwarps;
-  Array.iteri
-    (fun wid ck ->
-      let w =
-        {
-          ck;
-          idx = 0;
-          ready = now;
-          regs = Array.make reg_slots now;
-          wid;
-          stage = 0;
-          park_t = now;
-          block;
-        }
-      in
-      (match rc with
-      | None -> ()
-      | Some r ->
-        Gpu_obs.Timeline.set_thread r.tl ~pid:sm.cluster.pid
-          ~tid:(warp_tid r ~bid:block.bid ~wid)
-          (Printf.sprintf "b%d.w%d" block.bid wid));
-      if ck.n > 0 then Heap.add pq ~key:now w
-      else warp_finished p rc pq w now)
-    cb.cwarps
+  for wid = 0 to Array.length cb.cwarps - 1 do
+    let ck = cb.cwarps.(wid) in
+    let w =
+      {
+        ck;
+        slot = take_slot q;
+        idx = 0;
+        ready = now;
+        regs = Array.make reg_slots now;
+        wid;
+        stage = 0;
+        park_t = now;
+        next_parked = -1;
+        block;
+      }
+    in
+    set_slot q w;
+    (match rc with
+    | None -> ()
+    | Some r ->
+      Gpu_obs.Timeline.set_thread r.tl ~pid:sm.cluster.pid
+        ~tid:(warp_tid r ~bid:block.bid ~wid)
+        (Printf.sprintf "b%d.w%d" block.bid wid));
+    if ck.n > 0 then enqueue q ~key:now w else warp_finished p rc q w now
+  done
 
 (* Launch as many pending blocks as the SM's resources allow at [now].
    Normally a slot frees only when a whole block retires; under the
    early-release what-if (Section 5.2) per-warp slots free as warps
    retire. *)
-and try_launch p rc pq sm now =
+and try_launch p rc q sm now =
   match sm.pending with
   | [] -> ()
   | cb :: rest ->
@@ -489,14 +537,15 @@ and try_launch p rc pq sm now =
       sm.pending <- rest;
       sm.resident <- sm.resident + 1;
       sm.free_warp_slots <- sm.free_warp_slots - wpb;
-      launch_block p rc pq sm cb now;
-      try_launch p rc pq sm now
+      launch_block p rc q sm cb now;
+      try_launch p rc q sm now
     end
 
 (* A warp ran out of trace events at time [now]. *)
-and warp_finished p rc pq w now =
+and warp_finished p rc q w now =
   let block = w.block in
   let sm = block.sm in
+  free_slot q w;
   block.live <- block.live - 1;
   (* Whether *this* retirement emptied the block: released parked warps may
      recursively retire below and must not double-release the SM slot. *)
@@ -509,33 +558,36 @@ and warp_finished p rc pq w now =
   (* A finished warp no longer participates in barriers: release waiters if
      it was the last one standing outside. *)
   if block.live > 0 && block.waiting = block.live then
-    release_parked p rc pq block now;
+    release_parked p rc q block now;
   if block_done then begin
     sm.resident <- sm.resident - 1;
     sm.blocks_retired <- sm.blocks_retired + 1
   end;
-  try_launch p rc pq sm now
+  try_launch p rc q sm now
 
-(* Release every warp parked at a block's barrier at time [t].  The parked
-   list and arrival count clear *before* any warp re-queues: a released
-   warp whose trace ended at the barrier retires immediately, and that
-   retirement must see the barrier already drained, not re-release the
-   list it is being released from. *)
-and release_parked p rc pq block t =
-  let parked = block.parked in
-  block.parked <- [];
+(* Release every warp parked at a block's barrier at time [t], last
+   arrival first.  The parked chain and arrival count clear *before* any
+   warp re-queues: a released warp whose trace ended at the barrier
+   retires immediately, and that retirement must see the barrier already
+   drained, not re-release the chain it is being released from.  Each
+   link is read before its warp is released, since a retirement frees the
+   warp's slot for the launches it triggers. *)
+and release_parked p rc q block t =
+  let next = ref block.parked in
+  block.parked <- -1;
   block.waiting <- 0;
-  List.iter
-    (fun pw ->
-      (match rc with
-      | None -> ()
-      | Some r ->
-        if t > pw.park_t then
-          rec_warp r pw ~name:"barrier" ~start:pw.park_t ~dur:(t - pw.park_t));
-      pw.ready <- t;
-      if pw.idx >= pw.ck.n then warp_finished p rc pq pw t
-      else Heap.add pq ~key:t pw)
-    parked
+  while !next >= 0 do
+    let pw = q.slots.(!next) in
+    next := pw.next_parked;
+    (match rc with
+    | None -> ()
+    | Some r ->
+      if t > pw.park_t then
+        rec_warp r pw ~name:"barrier" ~start:pw.park_t ~dur:(t - pw.park_t));
+    pw.ready <- t;
+    if pw.idx >= pw.ck.n then warp_finished p rc q pw t
+    else enqueue q ~key:t pw
+  done
 
 (* In-order scoreboard invariant: a register's ready time never moves
    backward, because the dependence wait already includes the WAW check on
@@ -549,14 +601,14 @@ let write_reg w r time =
 
 (* Process a warp activation: the popped event plus any directly following
    events of the same warp that would re-enter the queue strictly before
-   every queued event.  For those the [Heap.add] / [Heap.pop] pair is a
+   every queued event.  For those the [Heap.add] / [Heap.pop_min] pair is a
    provable no-op — a key strictly below the root sifts to the root and
    pops right back — so the events coalesce into one heap transaction and
    the schedule (and every busy counter and timeline slice) is identical
    to the uncoalesced engine.  Ties never coalesce: with equal keys the
    pop could legitimately pick another warp.  Returns the max completion
    horizon the activation contributes to total time. *)
-let process p rc pq w now0 =
+let process p rc q w now0 =
   let ck = w.ck in
   let n = ck.n in
   let horizon = ref 0 in
@@ -584,7 +636,7 @@ let process p rc pq w now0 =
     end;
     let t = !t in
     let k = ck.kind.(i) in
-    if k = Flat.k_bar then begin
+    if k = k_bar then begin
       (* Barrier: advance past it, then park until the block catches up.
          Never coalesced: release re-queues peers at the same key. *)
       w.idx <- i + 1;
@@ -593,21 +645,22 @@ let process p rc pq w now0 =
       let block = w.block in
       if block.waiting + 1 = block.live then begin
         (* last arrival: release everyone *)
-        release_parked p rc pq block t;
-        if w.idx >= n then warp_finished p rc pq w t
-        else Heap.add pq ~key:t w
+        release_parked p rc q block t;
+        if w.idx >= n then warp_finished p rc q w t
+        else enqueue q ~key:t w
       end
       else begin
         w.park_t <- t;
         block.waiting <- block.waiting + 1;
-        block.parked <- w :: block.parked
+        w.next_parked <- block.parked;
+        block.parked <- w.slot
       end;
       if t > !horizon then horizon := t;
       running := false
     end
     else begin
       let h =
-        if k = Flat.k_alu then begin
+        if k = k_alu then begin
           let occ = ck.occ.(i) in
           let start = if t > sm.alu_free then t else sm.alu_free in
           sm.alu_free <- start + occ;
@@ -623,12 +676,12 @@ let process p rc pq w now0 =
             charge_stage r ~stage:w.stage ~alu:occ ~smem:0 ~atomic:0 ~gmem:0);
           complete
         end
-        else if k = Flat.k_smem || k = Flat.k_smem_fused then begin
+        else if k = k_smem || k = k_smem_fused then begin
           (* A fused arithmetic instruction with a shared operand (class II
              Fmad_smem) occupies both the issue pipeline and the shared
              pipeline; plain loads and stores dispatch through the LSU and
              only hold the shared pipeline. *)
-          let fused = k = Flat.k_smem_fused in
+          let fused = k = k_smem_fused in
           let busy = ck.busy.(i) in
           let start =
             if fused then
@@ -660,7 +713,7 @@ let process p rc pq w now0 =
               ~gmem:0);
           if dst >= 0 then complete else start + busy
         end
-        else if k = Flat.k_atomic then begin
+        else if k = k_atomic then begin
           (* Shared-memory atomic: dispatches through the LSU like a plain
              shared access and contends for the same pipe cursor, but its
              busy ticks are charged to the atomic counter — the transaction
@@ -698,20 +751,20 @@ let process p rc pq w now0 =
             rec_warp r w ~name:"gmem" ~start ~dur:(w.ready - start);
             charge_stage r ~stage:w.stage ~alu:0 ~smem:0 ~atomic:0
               ~gmem:busy);
-          if k = Flat.k_gmem_load then complete else start + busy
+          if k = k_gmem_load then complete else start + busy
         end
       in
       if h > !horizon then horizon := h;
       w.idx <- i + 1;
       if w.idx >= n then begin
-        warp_finished p rc pq w w.ready;
+        warp_finished p rc q w w.ready;
         running := false
       end
-      else if Heap.is_empty pq || w.ready < Heap.min_key pq then
+      else if Heap.is_empty q.heap || w.ready < Heap.min_key q.heap then
         (* coalesce: continue this warp without touching the heap *)
         now := w.ready
       else begin
-        Heap.add pq ~key:w.ready w;
+        enqueue q ~key:w.ready w;
         running := false
       end
     end
@@ -740,22 +793,7 @@ let run_cluster p rc ~cluster_index ~max_resident sm_blocks =
   let cluster =
     { gmem_free = 0; gmem_busy = 0; events = 0; pid = cluster_index + 1 }
   in
-  (* never scheduled: fills the heap's unused payload slots *)
-  let dummy_warp =
-    let sm =
-      {
-        alu_free = 0; smem_free = 0; alu_busy = 0; smem_busy = 0;
-        atomic_busy = 0; resident = 0; free_warp_slots = 0;
-        max_resident = 0; warp_slot_capacity = 0; pending = [];
-        warps_launched = 0; warps_retired = 0; blocks_retired = 0;
-        ord = 0; cluster;
-      }
-    in
-    { ck = cook p [||]; idx = 0; ready = 0; regs = [||]; wid = 0;
-      stage = 0; park_t = 0;
-      block = { live = 0; waiting = 0; parked = []; bid = 0; sm } }
-  in
-  let pq : warp_state Heap.t = Heap.create ~dummy:dummy_warp in
+  let q = make_queue () in
   (match rc with
   | None -> ()
   | Some r ->
@@ -800,23 +838,20 @@ let run_cluster p rc ~cluster_index ~max_resident sm_blocks =
           Gpu_obs.Timeline.set_thread r.tl ~pid:cluster.pid
             ~tid:((2 * ord) + 1)
             (Printf.sprintf "sm%d smem" ord));
-        try_launch p rc pq sm 0;
+        try_launch p rc q sm 0;
         sm)
       sm_blocks
   in
   let end_time = ref 0 in
   let guard = ref 0 in
-  let rec loop () =
-    match Heap.pop pq with
-    | None -> ()
-    | Some (now, w) ->
-      incr guard;
-      if !guard > 2_000_000_000 then failwith "Engine: runaway simulation";
-      let horizon = process p rc pq w now in
-      if horizon > !end_time then end_time := horizon;
-      loop ()
-  in
-  loop ();
+  while not (Heap.is_empty q.heap) do
+    let now = Heap.min_key q.heap in
+    let w = q.slots.(Heap.pop_min q.heap) in
+    incr guard;
+    if !guard > 2_000_000_000 then failwith "Engine: runaway simulation";
+    let horizon = process p rc q w now in
+    if horizon > !end_time then end_time := horizon
+  done;
   let sum f = Array.fold_left (fun acc sm -> acc + f sm) 0 sms in
   {
     co_end = !end_time;
@@ -1090,7 +1125,6 @@ let run ?(homogeneous = false) ?timeline ?sample ~(spec : Gpu_hw.Spec.t)
     gmem_busy_cycles = to_cycles !gmem;
     sms_simulated = nsel * spec.sms_per_cluster;
     clusters_simulated = nsel;
-    blocks_simulated = Array.length blocks;
     warps_launched = !launched;
     warps_retired = !retired;
     blocks_retired = !blocks_retired;

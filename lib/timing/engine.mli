@@ -53,7 +53,6 @@ type result = {
   gmem_busy_cycles : int;  (** summed over simulated clusters *)
   sms_simulated : int;
   clusters_simulated : int;
-  blocks_simulated : int;
   warps_launched : int;
       (** conservation accounting over the simulated clusters: the
           checking harness ([lib/check]) asserts launched = retired and
@@ -105,12 +104,11 @@ type sample = { target : sample_target; seed : int }
     recording paths cost one [None] match per event.
 
     Throughput: every distinct warp trace (by physical identity — the
-    workflow's cyclic replication shares warp arrays across blocks)
-    decodes once into packed cost arrays before replay, decodes are
-    memoized across runs per (spec, trace) so repeated replays of the
-    same traces never re-decode, and only the blocks actually selected
-    for simulation (after the homogeneous shortcut or [sample]'s subset)
-    are decoded at all; consecutive
+    workflow's cyclic replication shares warp arrays across blocks) is
+    cooked once per call into packed cost arrays before replay, and only
+    the blocks actually selected for simulation (after the homogeneous
+    shortcut or [sample]'s subset) are cooked at all; nothing is cached
+    across calls.  The replay allocates nothing per event.  Consecutive
     events of one warp that would re-enter the event queue strictly
     before every queued event coalesce into one heap transaction; and on
     the heterogeneous path without a timeline the independent clusters

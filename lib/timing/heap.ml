@@ -1,83 +1,88 @@
-(* Minimal binary min-heap keyed by integer time: the event queue of the
-   timing engine.
+(* Binary min-heap of int payloads keyed by integer time: the event queue of
+   the timing engine.  Payloads are warp-slot indices into a per-cluster
+   table (see [Engine]), so both arrays hold immediates: a sift step is two
+   plain int stores, with none of the write barrier ([caml_modify]) that
+   storing pointers into a long-lived array costs on every move.
 
-   The payload array stores values directly (no ['a option] box): the
-   caller provides a [dummy] to fill unused slots, which removes a [Some]
-   allocation plus an indirection per event in the engine's inner loop. *)
+   Both sifts move a hole instead of swapping, and make exactly the
+   comparisons of the textbook swap-based heap in the same order, so equal
+   keys pop in the same order as they always have: the engine's schedule
+   depends on that tie order. *)
 
-type 'a t = {
+type t = {
   mutable keys : int array;
-  mutable data : 'a array;
+  mutable data : int array;
   mutable size : int;
-  dummy : 'a;
 }
 
-let create ~dummy =
-  { keys = Array.make 64 0; data = Array.make 64 dummy; size = 0; dummy }
+let create () = { keys = Array.make 64 0; data = Array.make 64 0; size = 0 }
 
 let is_empty t = t.size = 0
 
-let length t = t.size
-
-(* The root key.  Undefined (not an error) on an empty heap: the engine's
-   coalescing test is [is_empty || key < min_key], which never reads the
-   root of an empty heap. *)
-let min_key t = t.keys.(0)
+let min_key t =
+  if t.size = 0 then invalid_arg "Heap.min_key: empty heap";
+  t.keys.(0)
 
 let grow t =
   let n = Array.length t.keys in
   let keys = Array.make (2 * n) 0 in
-  let data = Array.make (2 * n) t.dummy in
+  let data = Array.make (2 * n) 0 in
   Array.blit t.keys 0 keys 0 n;
   Array.blit t.data 0 data 0 n;
   t.keys <- keys;
   t.data <- data
 
-let swap t i j =
-  let k = t.keys.(i) in
-  t.keys.(i) <- t.keys.(j);
-  t.keys.(j) <- k;
-  let d = t.data.(i) in
-  t.data.(i) <- t.data.(j);
-  t.data.(j) <- d
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if t.keys.(i) < t.keys.(parent) then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && t.keys.(l) < t.keys.(!smallest) then smallest := l;
-  if r < t.size && t.keys.(r) < t.keys.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
 let add t ~key v =
   if t.size = Array.length t.keys then grow t;
-  t.keys.(t.size) <- key;
-  t.data.(t.size) <- v;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  let keys = t.keys and data = t.data in
+  (* the hole starts at the new leaf and rises past every strictly
+     greater parent *)
+  let i = ref t.size in
+  let rising = ref true in
+  while !rising && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let pk = keys.(parent) in
+    if key < pk then begin
+      keys.(!i) <- pk;
+      data.(!i) <- data.(parent);
+      i := parent
+    end
+    else rising := false
+  done;
+  keys.(!i) <- key;
+  data.(!i) <- v;
+  t.size <- t.size + 1
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let key = t.keys.(0) in
-    let v = t.data.(0) in
-    t.size <- t.size - 1;
-    t.keys.(0) <- t.keys.(t.size);
-    t.data.(0) <- t.data.(t.size);
-    (* invariant: slots below [size] hold live values; the freed tail slot
-       is reset to [dummy] so the heap never retains a popped payload *)
-    t.data.(t.size) <- t.dummy;
-    if t.size > 0 then sift_down t 0;
-    Some (key, v)
-  end
+let pop_min t =
+  if t.size = 0 then invalid_arg "Heap.pop_min: empty heap";
+  let keys = t.keys and data = t.data in
+  let top = data.(0) in
+  let size = t.size - 1 in
+  t.size <- size;
+  if size > 0 then begin
+    (* the last element drops from the root into the hole, which sinks
+       toward the smaller child while that child is strictly smaller *)
+    let key = keys.(size) in
+    let v = data.(size) in
+    let i = ref 0 in
+    let sinking = ref true in
+    while !sinking do
+      let l = (2 * !i) + 1 in
+      let r = l + 1 in
+      let c =
+        if l < size && keys.(l) < key then
+          if r < size && keys.(r) < keys.(l) then r else l
+        else if r < size && keys.(r) < key then r
+        else -1
+      in
+      if c < 0 then sinking := false
+      else begin
+        keys.(!i) <- keys.(c);
+        data.(!i) <- data.(c);
+        i := c
+      end
+    done;
+    keys.(!i) <- key;
+    data.(!i) <- v
+  end;
+  top

@@ -1,22 +1,23 @@
-(** Minimal binary min-heap keyed by integer time: the event queue of the
-    timing engine. *)
+(** Binary min-heap of int payloads keyed by integer time: the event queue
+    of the timing engine.  It stores only immediates (the engine queues
+    warp-slot indices), so no operation allocates or pays the write
+    barrier, apart from doubling the arrays when full. *)
 
-type 'a t
+type t
 
-(** [create ~dummy] is an empty heap; [dummy] fills unused payload slots
-    (it is never returned by {!pop}), which keeps the payload array
-    unboxed — no ['a option] wrapper per stored event. *)
-val create : dummy:'a -> 'a t
-val is_empty : 'a t -> bool
-val length : 'a t -> int
-val add : 'a t -> key:int -> 'a -> unit
+val create : unit -> t
+val is_empty : t -> bool
+val add : t -> key:int -> int -> unit
 
-(** The minimum key currently stored.  Only meaningful when the heap is
-    non-empty ([is_empty t = false]); reading an empty heap's minimum
-    returns an unspecified value.  [add t ~key v] followed by [pop t]
-    returns [v] whenever [key < min_key t] held before the [add] — the
-    engine's event-coalescing shortcut relies on exactly that. *)
-val min_key : 'a t -> int
+(** The minimum key currently stored.  [add t ~key v] followed by
+    [pop_min t] returns [v] whenever [key < min_key t] held before the
+    [add] — the engine's event-coalescing shortcut relies on exactly that.
+    Among equal keys the pop order is that of the textbook swap-based
+    binary heap (strict comparisons in both sifts).
+    @raise Invalid_argument on an empty heap. *)
+val min_key : t -> int
 
-(** Pop the minimum-key element, if any. *)
-val pop : 'a t -> (int * 'a) option
+(** Remove the minimum-key entry and return its payload; read its key
+    with {!min_key} first.
+    @raise Invalid_argument on an empty heap. *)
+val pop_min : t -> int

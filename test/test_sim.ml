@@ -303,47 +303,38 @@ let test_trace_builder () =
     (fun i e -> Alcotest.(check bool) "in order" true (e = ev i))
     got
 
-let test_flat_round_trip () =
-  (* One warp exercising every event shape the simulator emits: plain
-     ALU, predicate destinations, shared-memory transactions, fused
-     smem+ALU, global loads and stores with per-lane transaction lists,
-     and a barrier.  Flattening then re-inflating must be the identity —
-     that is what lets the timing engine replay the packed form while
-     every oracle and pretty-printer keeps consuming events. *)
-  let w =
-    [|
-      { Trace.cls = I.Class_ii; dst = 3; srcs = [| 1; 2 |];
-        mem = Trace.No_mem; bar = false };
-      { Trace.cls = I.Class_iii; dst = Trace.pred_reg_base + 2;
-        srcs = [| 3 |]; mem = Trace.No_mem; bar = false };
-      { Trace.cls = I.Class_mem; dst = 4; srcs = [||];
-        mem = Trace.Smem 16; bar = false };
-      { Trace.cls = I.Class_ii; dst = 5; srcs = [| 4; 3 |];
-        mem = Trace.Smem 2; bar = false };
-      { Trace.cls = I.Class_mem; dst = 9; srcs = [| 4 |];
-        mem = Trace.Smem_atomic 16; bar = false };
-      { Trace.cls = I.Class_mem; dst = 6; srcs = [| 5 |];
-        mem = Trace.Gmem_load [| (0, 64); (128, 32); (4096, 128) |];
-        bar = false };
-      { Trace.cls = I.Class_mem; dst = Trace.no_reg; srcs = [| 6 |];
-        mem = Trace.Gmem_store [| (256, 64) |]; bar = false };
-      { Trace.cls = I.Class_ctrl; dst = Trace.no_reg; srcs = [||];
-        mem = Trace.No_mem; bar = true };
-      { Trace.cls = I.Class_mem; dst = 7; srcs = [||];
-        mem = Trace.Gmem_load [||]; bar = false };
-    |]
+(* The timing engine interns warp traces under [Trace.key].  1000 warps of
+   one length that differ at every event must key apart ([Hashtbl.hash]
+   stops before it reaches past the array's event pointers, so it gives
+   them all one value), and the key is a function of content alone. *)
+let test_trace_key () =
+  let len = 200 in
+  let warp j =
+    Array.init len (fun i ->
+        let mem =
+          match i mod 4 with
+          | 0 -> Trace.Gmem_load [| ((64 * i) + (4096 * j), 64) |]
+          | 1 -> Trace.Smem (1 + (i mod 16))
+          | 2 -> Trace.Smem_atomic 2
+          | _ -> Trace.No_mem
+        in
+        { Trace.cls = I.Class_ii; dst = (i + j) mod 128; srcs = [| j / 128 |];
+          mem; bar = false })
   in
-  let f = Trace.Flat.of_warp w in
-  Alcotest.(check int) "flat length" (Array.length w) (Trace.Flat.length f);
-  let back = Trace.Flat.to_events f in
-  Alcotest.(check int) "round-trip length" (Array.length w)
-    (Array.length back);
-  Array.iteri
-    (fun i e ->
-      Alcotest.(check bool)
-        (Printf.sprintf "event %d survives the round trip" i)
-        true (e = back.(i)))
-    w
+  let warps = Array.init 1000 warp in
+  let keys = Hashtbl.create 1024 in
+  Array.iter (fun w -> Hashtbl.replace keys (Trace.key w) ()) warps;
+  let distinct = Hashtbl.length keys in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d distinct keys for 1000 distinct warps" distinct)
+    true (distinct >= 900);
+  Array.iter
+    (fun w ->
+      Alcotest.(check int) "same array, same key" (Trace.key w) (Trace.key w);
+      Alcotest.(check int) "equal content, same key" (Trace.key w)
+        (Trace.key (Array.copy w)))
+    warps;
+  Alcotest.(check int) "empty trace" (Trace.key [||]) (Trace.key [||])
 
 (* --- Raw ISA semantics ---------------------------------------------------- *)
 
@@ -779,7 +770,7 @@ let () =
           Alcotest.test_case "trace collection" `Quick test_trace_collection;
           Alcotest.test_case "trace registers" `Quick test_trace_registers;
           Alcotest.test_case "trace builder" `Quick test_trace_builder;
-          Alcotest.test_case "flat round trip" `Quick test_flat_round_trip;
+          Alcotest.test_case "trace key" `Quick test_trace_key;
           Alcotest.test_case "block sampling" `Quick
             test_block_sampling_scales;
         ] );

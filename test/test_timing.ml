@@ -457,6 +457,273 @@ let test_replay_counters () =
   Alcotest.(check bool) "replay ticks advance" true
     (read "engine.replay_ticks" > ticks0)
 
+(* --- pinned schedules --------------------------------------------------------- *)
+
+(* [heterogeneous_grid 40]'s replay, pinned.  Busy equality with
+   [expected_busy] holds whatever order the engine gives equal-time
+   events, and the serial-vs-parallel check runs the same queue on both
+   sides, so only a golden notices a change of tie order.  A queue that
+   breaks ties the other way (a non-strict sift-up) moves these to
+   4077 / 3848 / 8216; a grid of identical warps would not notice, since
+   ties between symmetric warps do not change the result. *)
+let test_schedule_goldens () =
+  let blocks = heterogeneous_grid 40 in
+  let full =
+    Engine.run ~homogeneous:false ~spec ~max_resident_blocks:4 blocks
+  in
+  Alcotest.(check int) "cycles" 4065 full.Engine.cycles;
+  Alcotest.(check int) "alu busy" 28_800 full.Engine.alu_busy_cycles;
+  Alcotest.(check int) "smem busy" 0 full.Engine.smem_busy_cycles;
+  Alcotest.(check int) "atomic busy" 2550 full.Engine.atomic_busy_cycles;
+  Alcotest.(check int) "gmem busy" 840 full.Engine.gmem_busy_cycles;
+  let sampled =
+    Engine.run ~homogeneous:false
+      ~sample:{ Engine.target = Engine.Fraction 0.3; seed = 7 }
+      ~spec ~max_resident_blocks:4 blocks
+  in
+  match sampled.Engine.sampled with
+  | None -> Alcotest.fail "expected a sampled estimate"
+  | Some e ->
+    Alcotest.(check int) "sampled cycles_low" 3840 e.Engine.cycles_low;
+    Alcotest.(check int) "sampled cycles_high" 8190 e.Engine.cycles_high
+
+(* One warp with every event shape the cook distinguishes: plain ALU, a
+   predicate destination, plain and fused shared access, an atomic, a
+   multi-transaction global load, a store, a barrier and an empty load. *)
+let every_kind_warp () =
+  [|
+    { Trace.cls = I.Class_ii; dst = 3; srcs = [| 1; 2 |];
+      mem = Trace.No_mem; bar = false };
+    { Trace.cls = I.Class_iii; dst = Trace.pred_reg_base + 2;
+      srcs = [| 3 |]; mem = Trace.No_mem; bar = false };
+    { Trace.cls = I.Class_mem; dst = 4; srcs = [||];
+      mem = Trace.Smem 16; bar = false };
+    { Trace.cls = I.Class_ii; dst = 5; srcs = [| 4; 3 |];
+      mem = Trace.Smem 2; bar = false };
+    { Trace.cls = I.Class_mem; dst = 9; srcs = [| 4 |];
+      mem = Trace.Smem_atomic 16; bar = false };
+    { Trace.cls = I.Class_mem; dst = 6; srcs = [| 5 |];
+      mem = Trace.Gmem_load [| (0, 64); (128, 32); (4096, 128) |];
+      bar = false };
+    { Trace.cls = I.Class_mem; dst = Trace.no_reg; srcs = [| 6 |];
+      mem = Trace.Gmem_store [| (256, 64) |]; bar = false };
+    { Trace.cls = I.Class_ctrl; dst = Trace.no_reg; srcs = [||];
+      mem = Trace.No_mem; bar = true };
+    { Trace.cls = I.Class_mem; dst = 7; srcs = [||];
+      mem = Trace.Gmem_load [||]; bar = false };
+  |]
+
+(* Replaying that warp charges each pipeline exactly what the summation
+   oracle says, which pins the cost the cook assigns to every event kind.
+   Twelve blocks (two clusters carry two) of a shared and a distinct copy
+   of the warp exercise the interning too. *)
+let test_every_kind_busy () =
+  let shared = every_kind_warp () in
+  let blocks =
+    Array.init 12 (fun b ->
+        { Trace.block = b; warps = [| shared; every_kind_warp (); shared |] })
+  in
+  let r = Engine.run ~homogeneous:false ~spec ~max_resident_blocks:4 blocks in
+  let e = Engine.expected_busy ~spec blocks in
+  Alcotest.(check int) "alu busy" e.Engine.alu_cycles r.Engine.alu_busy_cycles;
+  Alcotest.(check int) "smem busy" e.Engine.smem_cycles
+    r.Engine.smem_busy_cycles;
+  Alcotest.(check int) "atomic busy" e.Engine.atomic_cycles
+    r.Engine.atomic_busy_cycles;
+  Alcotest.(check int) "gmem busy" e.Engine.gmem_cycles
+    r.Engine.gmem_busy_cycles;
+  Alcotest.(check bool) "every pipeline charged" true
+    (e.Engine.alu_cycles > 0 && e.Engine.smem_cycles > 0
+    && e.Engine.atomic_cycles > 0 && e.Engine.gmem_cycles > 0);
+  Alcotest.(check int) "every warp retired" (12 * 3) r.Engine.warps_retired
+
+(* --- event queue ------------------------------------------------------------ *)
+
+(* The textbook swap-based heap, the reference for the queue's pop order:
+   equal keys must leave in exactly its order, because the engine's
+   schedule depends on which of two equal-time warps goes first. *)
+module Ref_heap = struct
+  type t = { mutable keys : int array; mutable data : int array; mutable size : int }
+
+  let create () = { keys = Array.make 4 0; data = Array.make 4 0; size = 0 }
+
+  let swap t i j =
+    let k = t.keys.(i) and d = t.data.(i) in
+    t.keys.(i) <- t.keys.(j);
+    t.data.(i) <- t.data.(j);
+    t.keys.(j) <- k;
+    t.data.(j) <- d
+
+  let rec sift_up t i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if t.keys.(i) < t.keys.(parent) then begin
+        swap t i parent;
+        sift_up t parent
+      end
+    end
+
+  let rec sift_down t i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < t.size && t.keys.(l) < t.keys.(!smallest) then smallest := l;
+    if r < t.size && t.keys.(r) < t.keys.(!smallest) then smallest := r;
+    if !smallest <> i then begin
+      swap t i !smallest;
+      sift_down t !smallest
+    end
+
+  let add t ~key v =
+    if t.size = Array.length t.keys then begin
+      t.keys <- Array.append t.keys t.keys;
+      t.data <- Array.append t.data t.data
+    end;
+    t.keys.(t.size) <- key;
+    t.data.(t.size) <- v;
+    t.size <- t.size + 1;
+    sift_up t (t.size - 1)
+
+  let pop t =
+    let key = t.keys.(0) and v = t.data.(0) in
+    t.size <- t.size - 1;
+    t.keys.(0) <- t.keys.(t.size);
+    t.data.(0) <- t.data.(t.size);
+    if t.size > 0 then sift_down t 0;
+    (key, v)
+end
+
+(* Seeded random add/pop sequences over a handful of distinct keys (so
+   nearly every comparison is a tie): half the runs draw keys from a small
+   range, half push event times at or shortly after the current minimum,
+   as the engine does. *)
+let test_heap_tie_order () =
+  let module H = Gpu_timing.Heap in
+  let rng = Random.State.make [| 2011 |] in
+  for run = 1 to 200 do
+    let h = H.create () and r = Ref_heap.create () in
+    let next = ref 0 in
+    let pop () =
+      let key = H.min_key h in
+      let v = H.pop_min h in
+      let key', v' = Ref_heap.pop r in
+      if key <> key' || v <> v' then
+        Alcotest.failf "run %d: popped (%d, %d), reference (%d, %d)" run key
+          v key' v'
+    in
+    for _ = 1 to 400 do
+      if H.is_empty h || Random.State.int rng 5 < 3 then begin
+        let key =
+          if run mod 2 = 0 then Random.State.int rng 6
+          else if H.is_empty h then 0
+          else H.min_key h + Random.State.int rng 3
+        in
+        H.add h ~key !next;
+        Ref_heap.add r ~key !next;
+        incr next
+      end
+      else pop ()
+    done;
+    while not (H.is_empty h) do
+      pop ()
+    done;
+    Alcotest.(check int) "both drained" 0 r.Ref_heap.size
+  done
+
+let test_heap_empty_raises () =
+  let module H = Gpu_timing.Heap in
+  let h = H.create () in
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s on an empty heap returned" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "min_key" (fun () -> H.min_key h);
+  raises "pop_min" (fun () -> H.pop_min h);
+  H.add h ~key:5 1;
+  Alcotest.(check int) "payload" 1 (H.pop_min h);
+  Alcotest.(check bool) "drained" true (H.is_empty h);
+  raises "min_key after draining" (fun () -> H.min_key h);
+  raises "pop_min after draining" (fun () -> H.pop_min h)
+
+(* --- allocation budget ------------------------------------------------------ *)
+
+(* Words allocated per replayed event, cooking included.  Arrays longer
+   than 256 words skip the minor heap, so minor words alone would miss
+   most of a cook: this counts minor + major - promoted.  The minor count
+   comes from [Gc.minor_words], which reads the allocation pointer; on
+   OCaml 5 the [Gc.quick_stat] and [Gc.counters] minor counts are only
+   brought up to date at minor collections. *)
+let words_per_event run =
+  let events = Gpu_obs.Metrics.counter "engine.events_replayed" in
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let e0 = Gpu_obs.Metrics.value events in
+  let w0 = words () in
+  run ();
+  let w1 = words () in
+  (w1 -. w0) /. float_of_int (Gpu_obs.Metrics.value events - e0)
+
+(* A [len]-event warp whose registers depend on [seed], so warps of
+   different seeds differ at every event: dependent arithmetic, plain and
+   fused shared accesses, a global load every 16 events and a barrier
+   every 50. *)
+let mixed_warp ~seed len =
+  let r k = (seed + k) mod 120 in
+  Array.init len (fun i ->
+      if i mod 50 = 49 then
+        { Trace.cls = I.Class_ctrl; dst = Trace.no_reg; srcs = [||];
+          mem = Trace.No_mem; bar = true }
+      else if i mod 16 = 0 then
+        { Trace.cls = I.Class_mem; dst = r i; srcs = [| r (i + 1) |];
+          mem = Trace.Gmem_load [| (64 * i, 64) |]; bar = false }
+      else if i mod 8 = 3 then
+        { Trace.cls = I.Class_ii; dst = r i; srcs = [| r (i + 3); r i |];
+          mem = Trace.Smem 2; bar = false }
+      else alu_event ~dst:(r i) ~srcs:[| r (i + 7) |] I.Class_ii)
+
+let test_replay_allocation_budget () =
+  let jobs = Gpu_parallel.Pool.current_jobs () in
+  (* serial replay: every word is allocated on this domain *)
+  Gpu_parallel.Pool.set_jobs 1;
+  Fun.protect ~finally:(fun () -> Gpu_parallel.Pool.set_jobs jobs)
+  @@ fun () ->
+  (* Budgets leave >= 2x headroom over the measured 0.86 and 8.4 words:
+     per-launch state (a [warp_state] and its 141-word scoreboard) and,
+     in the second grid, the cook's seven arrays.  A boxed [(key, warp)]
+     per pop would cost 5 words an event on its own. *)
+  let check name ~budget per_event =
+    if per_event > budget then
+      Alcotest.failf "%s allocates %.2f words per replayed event (budget %.1f)"
+        name per_event budget
+  in
+  (* One 8-warp block replicated (physically shared) over 200 blocks: 8
+     cooks spread over 320 000 replayed events, so what shows is the
+     per-event and per-launch cost of the scheduler. *)
+  let block = Array.init 8 (fun w -> mixed_warp ~seed:w 200) in
+  let homogeneous =
+    Array.init 200 (fun b -> { Trace.block = b; warps = block })
+  in
+  check "replicated block" ~budget:2.0
+    (words_per_event (fun () ->
+         ignore
+           (Engine.run ~homogeneous:false ~spec ~max_resident_blocks:4
+              homogeneous)));
+  (* 1000 distinct warps of one length, every one cooked. *)
+  let distinct =
+    Array.init 250 (fun b ->
+        {
+          Trace.block = b;
+          warps = Array.init 4 (fun w -> mixed_warp ~seed:((4 * b) + w) 200);
+        })
+  in
+  check "1000 distinct warps" ~budget:17.
+    (words_per_event (fun () ->
+         ignore
+           (Engine.run ~homogeneous:false ~spec ~max_resident_blocks:4
+              distinct)))
+
 let () =
   Alcotest.run "timing"
     [
@@ -492,6 +759,21 @@ let () =
           Alcotest.test_case "sampled replay bounds" `Quick
             test_sampled_bounds;
           Alcotest.test_case "replay counters" `Quick test_replay_counters;
+          Alcotest.test_case "schedule goldens" `Quick test_schedule_goldens;
+          Alcotest.test_case "every event kind's busy cost" `Quick
+            test_every_kind_busy;
+        ] );
+      ( "event queue",
+        [
+          Alcotest.test_case "tie order matches the swap heap" `Quick
+            test_heap_tie_order;
+          Alcotest.test_case "empty heap raises" `Quick
+            test_heap_empty_raises;
+        ] );
+      ( "hot path",
+        [
+          Alcotest.test_case "allocation budget" `Quick
+            test_replay_allocation_budget;
         ] );
       ( "timeline tracks",
         [
