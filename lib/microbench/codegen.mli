@@ -1,7 +1,18 @@
 (** Synthetic native-code microbenchmarks — the paper's CUBIN generator
     (Figure 1).  Emitted directly in the native ISA, bypassing the
     compiler, exactly as the paper patches binaries to sidestep compiler
-    interference. *)
+    interference.
+
+    Warp homogeneity, which calibration relies on to simulate one warp per
+    block ({!Runner.warp_trace}):
+    - every warp of an {!instruction_chain} or {!shared_copy} block
+      executes the same trace (same events, same registers, same
+      conflict-adjusted shared transactions), whatever the block size;
+    - an {!instruction_chain}'s trace does not depend on the warp count:
+      the program does not read its thread or block index;
+    - a {!shared_copy}'s program does depend on the warp count, through
+      the [4 * threads] offset of its destination region, so it is built
+      and simulated once per block size. *)
 
 (** [instruction_chain ~cls ~n]: [n] dependent instructions of an
     arithmetic cost class; a single warp exposes the full pipeline latency

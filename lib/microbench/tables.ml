@@ -13,11 +13,16 @@
    automatically when evaluating architectural variants.
 
    Calibration is expensive (160 instruction and shared-memory
-   microbenchmarks, each a marginal pair of one-block functional+timing
-   simulations, plus the global-memory points), so this module attacks the
-   cost on three fronts, all preserving bit-identical
+   microbenchmarks, each a marginal pair of timing replays of a one-block
+   launch, plus the global-memory points), so this module attacks the
+   cost on four fronts, all preserving bit-identical
    results (the measurements are pure integer-cycle functions of the
    spec):
+   - every warp of an instruction or shared-memory microbenchmark block
+     executes the same trace ([Codegen]), so a point simulates one warp
+     and replays it shared by the block's warps, and the chains, which do
+     not depend on the warp count, are simulated once per table: 72 warp
+     simulations per table instead of 5280;
    - the grid of independent measurements fans out over the
      [Gpu_parallel] domain pool, with results placed by index;
    - tables persist to a versioned on-disk cache ([Calib_cache]), so a
@@ -109,40 +114,51 @@ let disk_cache_enabled () = Atomic.get disk_enabled
 
 let chain_length = 384
 
-(* Marginal measurement: the cycle difference between a 2n-chain and an
-   n-chain isolates steady-state throughput from pipeline fill and launch
-   effects. *)
-let measure_instr_throughput ~spec ~cls ~warps =
-  M.incr instr_smem_measured;
-  let run n =
-    let program = Codegen.instruction_chain ~cls ~n in
-    let k = Runner.wrap ~param_regs:[] ~smem_bytes:0 program in
-    Runner.measure_cycles ~spec ~grid:1 ~block:(32 * warps) ~args:[] k
-  in
-  let d = run (2 * chain_length) - run chain_length in
+(* Marginal measurement: the cycle difference between a 2n-long and an
+   n-long run isolates steady-state throughput from pipeline fill and
+   launch effects.  [work] is what the extra n adds, in the rate's
+   units. *)
+let marginal_rate ~(spec : Gpu_hw.Spec.t) ~work ~short ~long =
+  let d = long - short in
   if d <= 0 then invalid_arg "Tables: non-positive marginal cycles";
-  float_of_int (chain_length * warps)
-  *. spec.Gpu_hw.Spec.core_clock_ghz
-  *. float_of_int spec.Gpu_hw.Spec.num_sms
+  float_of_int work
+  *. spec.core_clock_ghz
+  *. float_of_int spec.num_sms
   /. float_of_int d
+
+(* The trace every warp of a block of [program] executes ([Codegen]). *)
+let warp_trace ~spec ~smem_bytes program =
+  Runner.warp_trace ~spec (Runner.wrap ~param_regs:[] ~smem_bytes program)
+
+(* The traces of a class's short and long chain. *)
+let chain_pair ~spec cls =
+  let trace n =
+    warp_trace ~spec ~smem_bytes:0 (Codegen.instruction_chain ~cls ~n)
+  in
+  (trace chain_length, trace (2 * chain_length))
+
+let instr_rate ~spec ~warps (short, long) =
+  M.incr instr_smem_measured;
+  let run = Runner.replay_warp ~spec ~warps in
+  marginal_rate ~spec ~work:(chain_length * warps) ~short:(run short)
+    ~long:(run long)
+
+let measure_instr_throughput ~spec ~cls ~warps =
+  instr_rate ~spec ~warps (chain_pair ~spec cls)
 
 let copy_pairs = 256
 
+(* The copy's program depends on the warp count, so each point simulates
+   its own warp. *)
 let measure_smem_bandwidth ~spec ~warps =
   M.incr instr_smem_measured;
-  let threads = 32 * warps in
   let run n =
-    let program, smem_bytes = Codegen.shared_copy ~threads ~n in
-    let k = Runner.wrap ~param_regs:[] ~smem_bytes program in
-    Runner.measure_cycles ~spec ~grid:1 ~block:threads ~args:[] k
+    let program, smem_bytes = Codegen.shared_copy ~threads:(32 * warps) ~n in
+    Runner.replay_warp ~spec ~warps (warp_trace ~spec ~smem_bytes program)
   in
-  let d = run (2 * copy_pairs) - run copy_pairs in
-  if d <= 0 then invalid_arg "Tables: non-positive marginal cycles";
   (* each pair moves a warp's 128 read + 128 written bytes *)
-  float_of_int (copy_pairs * warps * 256)
-  *. spec.Gpu_hw.Spec.core_clock_ghz
-  *. float_of_int spec.Gpu_hw.Spec.num_sms
-  /. float_of_int d
+  marginal_rate ~spec ~work:(copy_pairs * warps * 256)
+    ~short:(run copy_pairs) ~long:(run (2 * copy_pairs))
 
 (* Total-time measurement for global memory: the latency tail is part of
    what Figure 3 shows (small configurations cannot cover the memory
@@ -183,15 +199,20 @@ let of_parts spec instr smem gmem_entries =
 let build ?jobs (spec : Gpu_hw.Spec.t) =
   let classes = Array.of_list arithmetic_classes in
   let n_instr = num_classes * max_warps in
+  (* The chains do not depend on the warp count: simulate each class's
+     pair once, then replay it at every warp count. *)
+  let chains =
+    Pool.parallel_init ?jobs num_classes (fun c -> chain_pair ~spec classes.(c))
+  in
   (* One flat deterministic grid: slots [0, n_instr) are class x warps in
      row-major order, the rest the shared-memory sweep.  Results land by
      index, so the parallel tables are bit-identical to serial ones. *)
   let flat =
     Pool.parallel_init ?jobs (n_instr + max_warps) (fun i ->
         if i < n_instr then
-          measure_instr_throughput ~spec
-            ~cls:classes.(i / max_warps)
+          instr_rate ~spec
             ~warps:((i mod max_warps) + 1)
+            chains.(i / max_warps)
         else measure_smem_bandwidth ~spec ~warps:(i - n_instr + 1))
   in
   let instr =

@@ -168,11 +168,14 @@ let run_simulated ?spec ~n ~tile a b =
    is exact because every block does identical work. *)
 let analyze ?spec ?(measure = false) ?(sample = 4) ?replay_sample ?timeline ?ctx
     ~n ~tile () =
-  let a = ("a", Array.make (n * n) 0l) in
-  let b = ("b", Array.make (n * n) 0l) in
-  let c = ("c", Array.make (n * n) 0l) in
+  (* One zero buffer serves a, b and c: the simulator copies each argument
+     into its own device region, the analysis reads no value back, and the
+     copy-out writes only changed words (a zero product leaves c zero), so
+     the buffer stays zero.  Three 1M-word buffers at n = 1024 would
+     otherwise linger for the major GC. *)
+  let zeros = Array.make (n * n) 0l in
   Gpu_model.Workflow.analyze ?spec ~sample ?replay_sample ~measure ?timeline
     ?ctx
     ~grid:(grid ~n ~tile) ~block:threads_per_block
-    ~args:[ a; b; c ]
+    ~args:[ ("a", zeros); ("b", zeros); ("c", zeros) ]
     (kernel ~n ~tile)

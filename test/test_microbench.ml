@@ -1,16 +1,23 @@
 (* Tests for the microbenchmark layer: the fitted throughput tables must
    reproduce the shapes of Figure 2 (instruction throughput and shared
    bandwidth vs warps) and Figure 3 (global bandwidth vs blocks, with the
-   cluster sawtooth). *)
+   cluster sawtooth), and one simulated warp must time exactly as the full
+   block it stands for. *)
 
 module Tables = Gpu_microbench.Tables
+module Runner = Gpu_microbench.Runner
+module Codegen = Gpu_microbench.Codegen
 module Spec = Gpu_hw.Spec
 module I = Gpu_isa.Instr
 
 let spec = Spec.gtx285
 
-(* built once per process; shared with the other heavyweight suites *)
-let tables = Tables.for_spec spec
+(* Calibrated in process, never read from or written to the disk cache,
+   so every case checks this build's tables and the global-memory
+   counters start from nothing. *)
+let tables =
+  Tables.set_disk_cache false;
+  Tables.for_spec spec
 
 let test_peaks_bounded () =
   List.iter
@@ -94,19 +101,20 @@ let test_figure3_shape () =
   Alcotest.(check bool) "few transactions cannot cover latency" true
     (low < 0.8 *. high)
 
+(* (20, 128, 32) is a configuration no other case queries. *)
 let test_gmem_memoized () =
-  let t0 = Unix.gettimeofday () in
-  let a = Tables.gmem_bandwidth tables ~blocks:20 ~threads:128
-      ~txns_per_thread:32
+  let lookup () =
+    let before = (Tables.counters ()).Tables.gmem_measurements in
+    let bw =
+      Tables.gmem_bandwidth tables ~blocks:20 ~threads:128 ~txns_per_thread:32
+    in
+    (bw, (Tables.counters ()).Tables.gmem_measurements - before)
   in
-  let mid = Unix.gettimeofday () in
-  let b = Tables.gmem_bandwidth tables ~blocks:20 ~threads:128
-      ~txns_per_thread:32
-  in
-  let t1 = Unix.gettimeofday () in
+  let a, first = lookup () in
+  let b, second = lookup () in
   Alcotest.(check (float 1e-9)) "same answer" a b;
-  Alcotest.(check bool) "second lookup is cached" true
-    (t1 -. mid < (mid -. t0) /. 10.0 +. 0.001)
+  Alcotest.(check int) "first lookup measures" 1 first;
+  Alcotest.(check int) "second lookup is cached" 0 second
 
 let test_table_class_mapping () =
   (* memory and control instructions are priced at class II issue rates *)
@@ -125,6 +133,113 @@ let test_warp_clamping () =
     (Tables.instr_throughput tables I.Class_ii ~warps:32)
     (Tables.instr_throughput tables I.Class_ii ~warps:40)
 
+(* --- one warp stands for the block ---------------------------------------- *)
+
+(* The calibration programs at Tables' chain length and copy pair count
+   and at twice them: the marginal pair of every table point. *)
+type bench = Chain of I.cost_class * int | Copy of int
+
+let chain_length = 384
+let copy_pairs = 256
+
+let benches =
+  List.concat_map
+    (fun cls -> [ Chain (cls, chain_length); Chain (cls, 2 * chain_length) ])
+    Tables.arithmetic_classes
+  @ [ Copy copy_pairs; Copy (2 * copy_pairs) ]
+
+let bench_name = function
+  | Chain (cls, n) -> Printf.sprintf "%s chain of %d" (I.cost_class_name cls) n
+  | Copy n -> Printf.sprintf "shared copy of %d pairs" n
+
+let kernel ~warps = function
+  | Chain (cls, n) ->
+    Runner.wrap ~param_regs:[] ~smem_bytes:0 (Codegen.instruction_chain ~cls ~n)
+  | Copy n ->
+    let program, smem_bytes = Codegen.shared_copy ~threads:(32 * warps) ~n in
+    Runner.wrap ~param_regs:[] ~smem_bytes program
+
+(* For each warp count: the full block's cycles (every warp simulated) and
+   the one-warp path's.  A chain's one trace serves every warp count, as
+   in [Tables.build]; a copy's program changes with the warp count. *)
+let full_and_one_warp spec bench warps =
+  let one_warp = Runner.warp_trace ~spec in
+  let chain =
+    match bench with
+    | Chain _ -> Some (one_warp (kernel ~warps:1 bench))
+    | Copy _ -> None
+  in
+  List.map
+    (fun w ->
+      let k = kernel ~warps:w bench in
+      let full =
+        Runner.measure_cycles ~spec ~grid:1 ~block:(32 * w) ~args:[] k
+      in
+      let trace = match chain with Some t -> t | None -> one_warp k in
+      (w, full, Runner.replay_warp ~spec ~warps:w trace))
+    warps
+
+(* Every warp count on the GTX 285; on the rest of the fleet both ends,
+   small counts, powers of two and an odd one.  banks17 changes bank
+   conflicts and earlyrelease the engine's warp slots. *)
+let test_one_warp_stands_for_block () =
+  let every = List.init Tables.max_warps (fun i -> i + 1) in
+  let cases =
+    List.concat_map
+      (fun (name, s) ->
+        let warps =
+          if name = "baseline" then every else [ 1; 2; 3; 8; 16; 31; 32 ]
+        in
+        List.map (fun b -> (name, s, b, warps)) benches)
+      Spec.fleet
+  in
+  let runs =
+    Gpu_parallel.Pool.parallel_map
+      (fun (name, s, b, warps) -> ((name, b), full_and_one_warp s b warps))
+      cases
+  in
+  List.iter
+    (fun ((name, b), rows) ->
+      List.iter
+        (fun (w, full, one) ->
+          if full <> one then
+            Alcotest.failf "%s, %s at %d warps: full block %d cycles, one \
+                            warp %d"
+              name (bench_name b) w full one)
+        rows)
+    runs;
+  (* The GTX 285 table, rebuilt from the full blocks' cycles by the
+     marginal formula, equals the calibrated one at every point. *)
+  let full b =
+    Array.of_list
+      (List.map (fun (_, c, _) -> c) (List.assoc ("baseline", b) runs))
+  in
+  let check what ~work ~short ~long w got =
+    let want =
+      float_of_int (work * w)
+      *. spec.Spec.core_clock_ghz
+      *. float_of_int spec.Spec.num_sms
+      /. float_of_int (long.(w - 1) - short.(w - 1))
+    in
+    if got <> want then
+      Alcotest.failf "%s at %d warps: table %h, full blocks %h" what w got want
+  in
+  List.iter
+    (fun cls ->
+      let short = full (Chain (cls, chain_length))
+      and long = full (Chain (cls, 2 * chain_length)) in
+      for w = 1 to Tables.max_warps do
+        check (I.cost_class_name cls) ~work:chain_length ~short ~long w
+          (Tables.instr_throughput tables cls ~warps:w)
+      done)
+    Tables.arithmetic_classes;
+  let short = full (Copy copy_pairs) and long = full (Copy (2 * copy_pairs)) in
+  for w = 1 to Tables.max_warps do
+    (* each pair moves a warp's 128 read + 128 written bytes *)
+    check "shared copy" ~work:(copy_pairs * 256) ~short ~long w
+      (Tables.smem_bandwidth tables ~warps:w)
+  done
+
 let () =
   Alcotest.run "microbench"
     [
@@ -141,5 +256,10 @@ let () =
           Alcotest.test_case "memoization" `Quick test_gmem_memoized;
           Alcotest.test_case "class mapping" `Quick test_table_class_mapping;
           Alcotest.test_case "warp clamping" `Quick test_warp_clamping;
+        ] );
+      ( "runner",
+        [
+          Alcotest.test_case "one warp stands for the block" `Slow
+            test_one_warp_stands_for_block;
         ] );
     ]

@@ -265,7 +265,10 @@ let heterogeneous_grid n_blocks =
       })
 
 let test_parallel_bit_identical () =
+  let jobs = Gpu_parallel.Pool.current_jobs () in
   Gpu_parallel.Pool.set_jobs 4;
+  Fun.protect ~finally:(fun () -> Gpu_parallel.Pool.set_jobs jobs)
+  @@ fun () ->
   let blocks = heterogeneous_grid 37 in
   let events =
     Array.fold_left (fun a b -> a + Trace.event_count b) 0 blocks
