@@ -472,8 +472,9 @@ let fig12 () =
 let whatif () =
   header "What-if" "architectural improvements the paper argues for";
   let args_mm () =
-    [ ("a", Array.make (1024 * 1024) 0l); ("b", Array.make (1024 * 1024) 0l);
-      ("c", Array.make (1024 * 1024) 0l) ]
+    List.map
+      (fun p -> (p, Gpu_sim.Memory.zeros (1024 * 1024)))
+      [ "a"; "b"; "c" ]
   in
   let mm8 =
     Gpu_model.Whatif.run ~base:spec
@@ -497,12 +498,12 @@ let whatif () =
     (Fmt.str "%a" Gpu_model.Whatif.pp mm32);
   let words = 512 * 512 in
   let args_cr () =
-    let a =
-      List.map (fun p -> (p, Array.make words 0l))
-        [ "a"; "b"; "c"; "d"; "x" ]
-    in
-    Array.fill (List.assoc "b" a) 0 words (Int32.bits_of_float 1.0);
-    a
+    List.map
+      (fun p ->
+        ( p,
+          if p = "b" then Gpu_sim.Memory.const_float words 1.0
+          else Gpu_sim.Memory.zeros words ))
+      [ "a"; "b"; "c"; "d"; "x" ]
   in
   let cr17 =
     Gpu_model.Whatif.run ~base:spec
@@ -518,7 +519,7 @@ let whatif () =
     Gpu_model.Whatif.run ~base:spec
       ~variants:[ Spec.with_min_segment 16 spec ]
       ~grid ~block
-      ~args:(Spmv.args m Spmv.Ell (Array.make (Spmv.rows m) 1.0))
+      ~args:(Spmv.buffers m Spmv.Ell (Array.make (Spmv.rows m) 1.0))
       (Spmv.kernel m Spmv.Ell)
   in
   Printf.printf "SpMV ELL, 16-byte transactions (5.3):\n%s\n"

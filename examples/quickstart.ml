@@ -46,7 +46,7 @@ let () =
   let y = Array.make n 1.0 in
   let xa = Gpu_sim.Sim.float_arg "x" x in
   let ya = Gpu_sim.Sim.float_arg "y" y in
-  let _ = Gpu_sim.Sim.run ~grid ~block ~args:[ xa; ya ] compiled in
+  let _ = Gpu_sim.Sim.launch ~grid ~block ~args:[ xa; ya ] compiled in
   let y' = Gpu_sim.Sim.read_floats ya in
   assert (y'.(42) = (2.5 *. 42.0) +. 1.0);
   Printf.printf "functional check passed: y[42] = %g\n\n" y'.(42);
@@ -55,7 +55,7 @@ let () =
      A 2-block sample is exact because all blocks do identical work. *)
   let report =
     Gpu_model.Workflow.analyze ~sample:2 ~measure:true ~grid ~block
-      ~args:[ ("x", Array.make n 0l); ("y", Array.make n 0l) ]
+      ~args:[ ("x", Gpu_sim.Memory.zeros n); ("y", Gpu_sim.Memory.zeros n) ]
       kernel
   in
   Fmt.pr "%a@." Gpu_model.Workflow.pp report

@@ -25,7 +25,9 @@ type outcome = {
 let run ?(base = Gpu_hw.Spec.gtx285) ?jobs ~variants ?sample ~grid ~block
     ~args kernel =
   let analyze spec =
-    let args = List.map (fun (name, buf) -> (name, Array.copy buf)) args in
+    let args =
+      List.map (fun (name, buf) -> (name, Gpu_sim.Memory.copy buf)) args
+    in
     Workflow.analyze ~spec ?sample ~grid ~block ~args kernel
   in
   match Gpu_parallel.Pool.parallel_map ?jobs analyze (base :: variants) with

@@ -13,7 +13,8 @@ type outcome = {
 
 (** Returns the baseline report and one outcome per variant (in variant
     order).  Baseline and variants are evaluated in parallel on the
-    domain pool, one per task, each against a private copy of [args] —
+    domain pool, one per task, each against a private copy of every
+    buffer in [args] ({!Gpu_sim.Memory.copy}) —
     so every spec is analyzed on identical inputs regardless of
     evaluation order, and results are deterministic. *)
 val run :
@@ -23,7 +24,7 @@ val run :
   ?sample:int ->
   grid:int ->
   block:int ->
-  args:(string * int32 array) list ->
+  args:(string * Gpu_sim.Memory.buffer) list ->
   Gpu_kernel.Ir.t ->
   Workflow.report * outcome list
 

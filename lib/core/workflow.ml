@@ -162,8 +162,8 @@ let analyze_result ?(spec = Spec.gtx285) ?sample ?replay_sample
     in
     let r =
       run_stage ~attrs "functional-sim" (fun () ->
-          Gpu_sim.Sim.run_result ~collect_trace:measure ?block_ids ~spec ~grid
-            ~block ~args k
+          Gpu_sim.Sim.launch_result ~collect_trace:measure ?block_ids ~spec
+            ~grid ~block ~args k
           |> Result.map_error (fun (f : Gpu_sim.Sim.failure) -> f.diag))
     in
     let scale = Gpu_sim.Sim.scale_factor r in

@@ -46,7 +46,9 @@ val replicate_traces :
 val traces_homogeneous : Gpu_sim.Trace.block_trace list -> bool
 
 (** [analyze_result ~grid ~block ~args kernel] runs the full workflow,
-    totally: the first failing stage (compile, occupancy, launch,
+    totally.  [args] binds each kernel parameter to a buffer, as in
+    {!Gpu_sim.Sim.launch}: the functional simulation copies the results
+    back into it.  The first failing stage (compile, occupancy, launch,
     simulation, model, trace replay) surfaces as its diagnostic, and its
     span closes tagged with [diag.severity]/[diag.stage].  On success the
     report is paired with the pooled warnings of the occupancy
@@ -73,7 +75,7 @@ val analyze_result :
   ?ctx:Gpu_obs.Trace_ctx.t ->
   grid:int ->
   block:int ->
-  args:(string * int32 array) list ->
+  args:(string * Gpu_sim.Memory.buffer) list ->
   Gpu_kernel.Ir.t ->
   (report * Gpu_diag.Diag.t list, Gpu_diag.Diag.t) result
 
@@ -88,7 +90,7 @@ val analyze :
   ?ctx:Gpu_obs.Trace_ctx.t ->
   grid:int ->
   block:int ->
-  args:(string * int32 array) list ->
+  args:(string * Gpu_sim.Memory.buffer) list ->
   Gpu_kernel.Ir.t ->
   report
 

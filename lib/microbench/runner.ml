@@ -26,12 +26,12 @@ let relaxed (spec : Gpu_hw.Spec.t) =
 
 let block_trace ~spec ~grid ~block ~args k =
   let r =
-    Gpu_sim.Sim.run ~collect_trace:true ~block_ids:[ 0 ] ~spec:(relaxed spec)
+    Gpu_sim.Sim.launch ~collect_trace:true ~block_ids:[ 0 ] ~spec:(relaxed spec)
       ~grid ~block ~args k
   in
   match r.traces with
   | [ t ] -> t
-  (* invariant, not input-reachable: [run ~block_ids:[0]] with
+  (* invariant, not input-reachable: [launch ~block_ids:[0]] with
      [collect_trace] yields exactly one trace *)
   | _ -> failwith "Runner: expected one block trace"
 

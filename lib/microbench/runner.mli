@@ -35,7 +35,7 @@ val measure_cycles :
   spec:Gpu_hw.Spec.t ->
   grid:int ->
   block:int ->
-  args:(string * int32 array) list ->
+  args:(string * Gpu_sim.Memory.buffer) list ->
   ?max_resident:int ->
   Gpu_kernel.Compile.compiled ->
   int

@@ -169,7 +169,7 @@ let measure_gmem_bandwidth ~spec ~blocks ~threads ~txns_per_thread =
     Codegen.global_stream ~blocks ~threads ~txns_per_thread
   in
   let k = Runner.wrap ~param_regs:[ ("buf", 0) ] ~smem_bytes:0 program in
-  let args = [ ("buf", Array.make words 0l) ] in
+  let args = [ ("buf", Gpu_sim.Memory.zeros words) ] in
   let cycles =
     Runner.measure_cycles ~spec ~grid:blocks ~block:threads ~args
       ~max_resident:spec.Gpu_hw.Spec.max_blocks_per_sm k

@@ -414,7 +414,7 @@ let decode program (instr : I.t) =
     kc;
   }
 
-(* A program decoded for one [Sim.run], with the run's scratch buffers:
+(* A program decoded for one [Sim.launch], with the run's scratch buffers:
    the staged lane addresses of the current memory instruction and the
    bank/coalescing tallies.  Owned by the run, so concurrent runs on
    several domains never share them. *)

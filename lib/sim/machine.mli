@@ -3,7 +3,7 @@
     divergence uses a reconvergence stack driven by the post-dominator
     labels in conditional branches, and a block's warps run round-robin
     between barriers.  Executing a warp-instruction allocates nothing but
-    the trace event it records (DESIGN §18).  Most users want {!Sim.run}
+    the trace event it records (DESIGN §18).  Most users want {!Sim.launch}
     instead. *)
 
 exception Stuck of string

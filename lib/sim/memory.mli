@@ -1,6 +1,7 @@
 (** Global device memory: a flat buffer of unboxed 32-bit words addressed
     by byte, with the driver-side buffer allocator (the cudaMalloc analog;
-    bases are 256-byte aligned, which matters for coalescing). *)
+    bases are 256-byte aligned, which matters for coalescing), and the
+    host-side argument buffers that are copied in and out of it. *)
 
 type t
 
@@ -23,6 +24,59 @@ val store64 : t -> int -> int64 -> unit
     transaction (ECC/Xid-style errors on real devices). *)
 val poison : t -> addr:int -> width:int -> unit
 
+(** {2 Argument buffers}
+
+    A kernel argument: a mutable array of 32-bit words, stored unboxed in
+    device-memory layout, so copying it in or out is one blit.  A float
+    word holds the single-precision bits of the value ([Int32.bits_of_float]
+    rounds to nearest); an integer word holds the low 32 bits.
+
+    The constructors write every word in one loop inside this module and
+    allocate only the buffer: no [int32] or [float] crosses the module
+    boundary per word, which would box on every call (DESIGN §18).  Build
+    layouts with [init], [init2] and [gather_floats], whose callbacks
+    return [int]s. *)
+
+type buffer
+
+(** [zeros n]: [n] zero words (also [0.0] as floats). *)
+val zeros : int -> buffer
+
+(** [const_float n x]: [n] words, each holding [x]. *)
+val const_float : int -> float -> buffer
+
+val of_floats : float array -> buffer
+val of_ints : int array -> buffer
+val of_int32s : int32 array -> buffer
+
+(** [init n f]: word [i] holds the low 32 bits of [f i]. *)
+val init : int -> (int -> int) -> buffer
+
+(** [init2 ~outer ~inner f]: [outer * inner] words, word [o * inner + i]
+    holding the low 32 bits of [f o i] — a layout stored outer-major.
+    [f] is called once per word, in no specified order (the builder
+    writes cache-sized tiles, so a layout that transposes its source
+    stays cache-friendly). *)
+val init2 : outer:int -> inner:int -> (int -> int -> int) -> buffer
+
+(** [gather_floats ~outer ~inner src index]: [outer * inner] words, word
+    [o * inner + i] holding [src.(index o i)] — a float layout that
+    reorders [src], written like {!init2}. *)
+val gather_floats :
+  outer:int -> inner:int -> float array -> (int -> int -> int) -> buffer
+
+(** Number of words. *)
+val length : buffer -> int
+
+(** Word [i], sign-extended.  Raises [Invalid_argument] out of range. *)
+val get_int : buffer -> int -> int
+
+val to_floats : buffer -> float array
+val to_int32s : buffer -> int32 array
+val copy : buffer -> buffer
+
+(** {2 Device allocation} *)
+
 val alignment : int
 
 type allocation = { base : int; length : int (** words *) }
@@ -31,10 +85,11 @@ type allocation = { base : int; length : int (** words *) }
     aligned bases; returns the allocations and total bytes needed. *)
 val layout : int list -> allocation list * int
 
-val copy_in : t -> allocation -> int32 array -> unit
+(** Copy a buffer into its allocation (one blit).  Raises
+    [Invalid_argument] when the lengths differ. *)
+val copy_in : t -> allocation -> buffer -> unit
 
-(** Write a buffer back to the caller's array; only words that differ are
-    stored, so unchanged inputs cost no allocation. *)
-val copy_out : t -> allocation -> int32 array -> unit
-val floats_to_words : float array -> int32 array
-val words_to_floats : int32 array -> float array
+(** Copy an allocation back into a buffer (one blit).  When one buffer
+    backs several allocations, the caller copies them out in order and
+    the last one wins. *)
+val copy_out : t -> allocation -> buffer -> unit

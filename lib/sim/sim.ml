@@ -26,7 +26,7 @@ let scale_factor r =
   if r.blocks_run = 0 then 0.0
   else float_of_int r.grid /. float_of_int r.blocks_run
 
-(* The shared worker behind [run] and [run_result]: [stats] and
+(* The shared worker behind [launch] and [launch_result]: [stats] and
    [completed] live outside so that on a mid-run fault the caller still
    holds the statistics accumulated up to the fault point (they stay
    internally consistent — counters only ever grow, and a fault aborts
@@ -44,7 +44,8 @@ let run_into ?(collect_trace = false) ?block_ids
   if k.smem_bytes > spec.Gpu_hw.Spec.smem_per_sm then
     launch_error "kernel needs %d B of shared memory, device SM has %d B"
       k.smem_bytes spec.Gpu_hw.Spec.smem_per_sm;
-  (* Bind arguments in parameter order. *)
+  (* Bind arguments in parameter order.  Every name must be a parameter
+     and bound once: [List.assoc_opt] would silently drop a repeat. *)
   let buffers =
     List.map
       (fun (name, _reg) ->
@@ -53,13 +54,17 @@ let run_into ?(collect_trace = false) ?block_ids
         | None -> launch_error "missing kernel argument %s" name)
       k.param_regs
   in
-  List.iter
-    (fun (name, _) ->
-      if not (List.mem_assoc name k.param_regs) then
-        launch_error "unknown kernel argument %s" name)
-    args;
+  ignore
+    (List.fold_left
+       (fun seen (name, _) ->
+         if not (List.mem_assoc name k.param_regs) then
+           launch_error "unknown kernel argument %s" name;
+         if List.mem name seen then
+           launch_error "duplicate kernel argument %s" name;
+         name :: seen)
+       [] args);
   let allocs, bytes =
-    Memory.layout (List.map (fun (_, d) -> Array.length d) buffers)
+    Memory.layout (List.map (fun (_, d) -> Memory.length d) buffers)
   in
   let gmem = Memory.create ~bytes in
   List.iter2 (fun (_, data) a -> Memory.copy_in gmem a data) buffers allocs;
@@ -105,7 +110,8 @@ let run_into ?(collect_trace = false) ?block_ids
       incr completed)
     ids;
   current_block := None;
-  (* Copy results back to the caller's arrays. *)
+  (* Copy results back in parameter order: a buffer bound to several
+     parameters ends up holding the last one's region. *)
   List.iter2 (fun (_, data) a -> Memory.copy_out gmem a data) buffers allocs;
   {
     stats;
@@ -115,7 +121,7 @@ let run_into ?(collect_trace = false) ?block_ids
     block;
   }
 
-let run ?collect_trace ?block_ids ?spec ?max_warp_instructions
+let launch ?collect_trace ?block_ids ?spec ?max_warp_instructions
     ?inject_stuck_at ?poison ~grid ~block ~args k =
   run_into ?collect_trace ?block_ids ?spec ?max_warp_instructions
     ?inject_stuck_at ?poison ~stats:(Stats.create ()) ~completed:(ref 0)
@@ -127,11 +133,11 @@ type failure = {
   blocks_completed : int;
 }
 
-(* The [Result] face of [run]: launch validation failures are [Launch]
+(* The [Result] face of [launch]: launch validation failures are [Launch]
    diagnostics; mid-run traps ([Machine.Stuck], [Memory.Fault], injected
    faults) are [Exec] diagnostics located at the block being simulated,
    with the statistics accumulated up to the fault point preserved. *)
-let run_result ?collect_trace ?block_ids ?spec ?max_warp_instructions
+let launch_result ?collect_trace ?block_ids ?spec ?max_warp_instructions
     ?inject_stuck_at ?poison ~grid ~block ~args k =
   let stats = Stats.create () in
   let completed = ref 0 in
@@ -173,10 +179,29 @@ let run_result ?collect_trace ?block_ids ?spec ?max_warp_instructions
   | Error diag ->
     Error { diag; partial_stats = stats; blocks_completed = !completed }
 
-(* Convenience wrappers for float-typed buffers. *)
-let float_arg name (xs : float array) = (name, Memory.floats_to_words xs)
+(* The [int32 array] face: each array crosses as a buffer, and after the
+   run only the words the kernel changed are stored back, in parameter
+   order, so an unchanged slot keeps its box. *)
+let run ?collect_trace ?block_ids ?spec ?max_warp_instructions
+    ?inject_stuck_at ?poison ~grid ~block ~args
+    (k : Gpu_kernel.Compile.compiled) =
+  let bound = List.map (fun (name, a) -> (name, Memory.of_int32s a)) args in
+  let r =
+    launch ?collect_trace ?block_ids ?spec ?max_warp_instructions
+      ?inject_stuck_at ?poison ~grid ~block ~args:bound k
+  in
+  List.iter
+    (fun (name, _) ->
+      let a = List.assoc name args and b = List.assoc name bound in
+      for i = 0 to Array.length a - 1 do
+        let v = Memory.get_int b i in
+        if v <> Int32.to_int a.(i) then a.(i) <- Int32.of_int v
+      done)
+    k.param_regs;
+  r
 
-let int_arg name (xs : int array) =
-  (name, Array.map Int32.of_int xs)
+let float_arg name xs = (name, Memory.of_floats xs)
 
-let read_floats (_, words) = Memory.words_to_floats words
+let int_arg name xs = (name, Memory.of_ints xs)
+
+let read_floats (_, b) = Memory.to_floats b

@@ -19,15 +19,64 @@ type result = {
 (** [grid /. blocks_run]: multiply sampled counts by this. *)
 val scale_factor : result -> float
 
-(** [run ~grid ~block ~args k] simulates the launch.  [args] binds each
-    kernel parameter name to a caller-owned buffer (copied in before and
-    out after).  Raises {!Launch_error} on bad launches and
-    {!Machine.Stuck} / {!Memory.Fault} on kernel misbehaviour.
+(** [launch ~grid ~block ~args k] simulates the launch.  [args] binds
+    each kernel parameter name, once, to a caller-owned buffer: it is
+    copied into its own device region before the run and copied back
+    after it.  Regions are copied back in parameter order, so a buffer
+    bound to several parameters ends up holding the last one's region.
+    Raises {!Launch_error} on bad launches (including a missing, unknown
+    or repeated argument name) and {!Machine.Stuck} / {!Memory.Fault} on
+    kernel misbehaviour.
 
-    Fault injection (both also accepted by {!run_result}):
+    Fault injection (both also accepted by {!launch_result}):
     [inject_stuck_at n] traps deterministically at a warp's [n]-th issued
     instruction; [poison] marks global-memory byte ranges
     [(addr, width)] whose transactions fault on access. *)
+val launch :
+  ?collect_trace:bool ->
+  ?block_ids:int list ->
+  ?spec:Gpu_hw.Spec.t ->
+  ?max_warp_instructions:int ->
+  ?inject_stuck_at:int ->
+  ?poison:(int * int) list ->
+  grid:int ->
+  block:int ->
+  args:(string * Memory.buffer) list ->
+  Gpu_kernel.Compile.compiled ->
+  result
+
+(** What {!launch_result} returns instead of raising: the diagnostic, plus
+    the statistics accumulated up to the fault point (internally
+    consistent — a trap never half-counts an instruction) and the number
+    of blocks that completed before the fault.  Nothing is copied back
+    into the buffers. *)
+type failure = {
+  diag : Gpu_diag.Diag.t;
+  partial_stats : Stats.t;
+  blocks_completed : int;
+}
+
+(** Like {!launch} but total: launch-validation failures surface as
+    [Launch] diagnostics, mid-run traps as [Exec] diagnostics located at
+    the faulting block.  No exception escapes. *)
+val launch_result :
+  ?collect_trace:bool ->
+  ?block_ids:int list ->
+  ?spec:Gpu_hw.Spec.t ->
+  ?max_warp_instructions:int ->
+  ?inject_stuck_at:int ->
+  ?poison:(int * int) list ->
+  grid:int ->
+  block:int ->
+  args:(string * Memory.buffer) list ->
+  Gpu_kernel.Compile.compiled ->
+  (result, failure) Stdlib.result
+
+(** {!launch} on [int32 array] arguments, which exists only for the
+    repository benchmark (perfbench), whose walks build their inputs this
+    way.  Each array is converted to a buffer, and after the run each word
+    the kernel changed is stored back into it, in parameter order; an
+    unchanged slot keeps its box. *)
 val run :
   ?collect_trace:bool ->
   ?block_ids:int list ->
@@ -41,34 +90,8 @@ val run :
   Gpu_kernel.Compile.compiled ->
   result
 
-(** What {!run_result} returns instead of raising: the diagnostic, plus
-    the statistics accumulated up to the fault point (internally
-    consistent — a trap never half-counts an instruction) and the number
-    of blocks that completed before the fault. *)
-type failure = {
-  diag : Gpu_diag.Diag.t;
-  partial_stats : Stats.t;
-  blocks_completed : int;
-}
-
-(** Like {!run} but total: launch-validation failures surface as [Launch]
-    diagnostics, mid-run traps as [Exec] diagnostics located at the
-    faulting block.  No exception escapes. *)
-val run_result :
-  ?collect_trace:bool ->
-  ?block_ids:int list ->
-  ?spec:Gpu_hw.Spec.t ->
-  ?max_warp_instructions:int ->
-  ?inject_stuck_at:int ->
-  ?poison:(int * int) list ->
-  grid:int ->
-  block:int ->
-  args:(string * int32 array) list ->
-  Gpu_kernel.Compile.compiled ->
-  (result, failure) Stdlib.result
-
 (** {2 Buffer helpers} *)
 
-val float_arg : string -> float array -> string * int32 array
-val int_arg : string -> int array -> string * int32 array
-val read_floats : string * int32 array -> float array
+val float_arg : string -> float array -> string * Memory.buffer
+val int_arg : string -> int array -> string * Memory.buffer
+val read_floats : string * Memory.buffer -> float array

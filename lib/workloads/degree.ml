@@ -85,14 +85,14 @@ let run_simulated ?spec ?(threads = 128) ?(nodes = 64) ?(items = 4) src dst =
   let dst_a = Gpu_sim.Sim.int_arg "dst" dst in
   let counts = Gpu_sim.Sim.int_arg "counts" (Array.make (grid * nodes) 0) in
   let _ =
-    Gpu_sim.Sim.run ?spec ~grid ~block:threads
+    Gpu_sim.Sim.launch ?spec ~grid ~block:threads
       ~args:[ src_a; dst_a; counts ] k
   in
   let partials = snd counts in
   Array.init nodes (fun v ->
       let t = ref 0 in
       for g = 0 to grid - 1 do
-        t := !t + Int32.to_int partials.((g * nodes) + v)
+        t := !t + Gpu_sim.Memory.get_int partials ((g * nodes) + v)
       done;
       !t)
 
@@ -103,14 +103,14 @@ let analyze ?spec ?(measure = false) ?(sample = 2) ?replay_sample ?timeline ?ctx
     ?(threads = 128) ?(nodes = 64) ?(items = 4) ?(hub = 0.3) ~blocks () =
   let epb = edges_per_block ~threads ~items in
   let endpoint salt i =
-    if float_of_int ((i + salt) mod 100) < hub *. 100.0 then 0l
-    else Int32.of_int ((i * 13) + salt)
+    if float_of_int ((i + salt) mod 100) < hub *. 100.0 then 0
+    else (i * 13) + salt
   in
   let args =
     [
-      ("src", Array.init (blocks * epb) (endpoint 0));
-      ("dst", Array.init (blocks * epb) (endpoint 37));
-      ("counts", Array.make (blocks * nodes) 0l);
+      ("src", Gpu_sim.Memory.init (blocks * epb) (endpoint 0));
+      ("dst", Gpu_sim.Memory.init (blocks * epb) (endpoint 37));
+      ("counts", Gpu_sim.Memory.zeros (blocks * nodes));
     ]
   in
   Gpu_model.Workflow.analyze ?spec ~sample ?replay_sample ?timeline ?ctx

@@ -82,14 +82,14 @@ let run_simulated ?spec ?(threads = 128) ?(bins = 64) ?(items = 4) xs =
   let k = Gpu_kernel.Compile.compile (kernel ~threads ~bins ~items) in
   let input = Gpu_sim.Sim.int_arg "input" xs in
   let counts = Gpu_sim.Sim.int_arg "counts" (Array.make (grid * bins) 0) in
-  let _ = Gpu_sim.Sim.run ?spec ~grid ~block:threads
+  let _ = Gpu_sim.Sim.launch ?spec ~grid ~block:threads
       ~args:[ input; counts ] k
   in
   let partials = snd counts in
   Array.init bins (fun b ->
       let t = ref 0 in
       for g = 0 to grid - 1 do
-        t := !t + Int32.to_int partials.((g * bins) + b)
+        t := !t + Gpu_sim.Memory.get_int partials ((g * bins) + b)
       done;
       !t)
 
@@ -99,13 +99,12 @@ let analyze ?spec ?(measure = false) ?(sample = 2) ?replay_sample ?timeline ?ctx
     ?(threads = 128) ?(bins = 64) ?(items = 4) ?(skew = 0.8) ~blocks () =
   let epb = elements_per_block ~threads ~items in
   let value i =
-    if float_of_int (i mod 100) < skew *. 100.0 then 0l
-    else Int32.of_int (i * 7)
+    if float_of_int (i mod 100) < skew *. 100.0 then 0 else i * 7
   in
   let args =
     [
-      ("input", Array.init (blocks * epb) value);
-      ("counts", Array.make (blocks * bins) 0l);
+      ("input", Gpu_sim.Memory.init (blocks * epb) value);
+      ("counts", Gpu_sim.Memory.zeros (blocks * bins));
     ]
   in
   Gpu_model.Workflow.analyze ?spec ~sample ?replay_sample ?timeline ?ctx

@@ -159,7 +159,7 @@ let run_simulated ?spec ~n ~tile a b =
   let bb = Gpu_sim.Sim.float_arg "b" b in
   let cc = Gpu_sim.Sim.float_arg "c" (Array.make (n * n) 0.0) in
   let _ =
-    Gpu_sim.Sim.run ?spec ~grid:(grid ~n ~tile) ~block:threads_per_block
+    Gpu_sim.Sim.launch ?spec ~grid:(grid ~n ~tile) ~block:threads_per_block
       ~args:[ aa; bb; cc ] k
   in
   Gpu_sim.Sim.read_floats cc
@@ -169,11 +169,11 @@ let run_simulated ?spec ~n ~tile a b =
 let analyze ?spec ?(measure = false) ?(sample = 4) ?replay_sample ?timeline ?ctx
     ~n ~tile () =
   (* One zero buffer serves a, b and c: the simulator copies each argument
-     into its own device region, the analysis reads no value back, and the
-     copy-out writes only changed words (a zero product leaves c zero), so
-     the buffer stays zero.  Three 1M-word buffers at n = 1024 would
-     otherwise linger for the major GC. *)
-  let zeros = Array.make (n * n) 0l in
+     into its own device region, the analysis reads no value back, and c,
+     the last region copied back, is a zero product, so the buffer stays
+     zero.  A [Bytes] buffer holds no pointers and the GC never scans it,
+     so the sharing only saves allocating two more (8 MB at n = 1024). *)
+  let zeros = Gpu_sim.Memory.zeros (n * n) in
   Gpu_model.Workflow.analyze ?spec ~sample ?replay_sample ~measure ?timeline
     ?ctx
     ~grid:(grid ~n ~tile) ~block:threads_per_block

@@ -77,14 +77,14 @@ let run_simulated ?spec ?(threads = 128) ~n xs =
   let x = Gpu_sim.Sim.float_arg "x" xs in
   let a = Gpu_sim.Sim.float_arg "a" (Array.make n 0.0) in
   let _ =
-    Gpu_sim.Sim.run ?spec ~grid:(n / threads) ~block:threads
+    Gpu_sim.Sim.launch ?spec ~grid:(n / threads) ~block:threads
       ~args:[ x; a ] k
   in
   Gpu_sim.Sim.read_floats a
 
 let analyze ?spec ?(measure = false) ?(sample = 2) ?(threads = 128) ~n () =
-  let args = [ ("x", Array.make n (Int32.bits_of_float 1.0));
-               ("a", Array.make n 0l) ]
+  let args =
+    [ ("x", Gpu_sim.Memory.const_float n 1.0); ("a", Gpu_sim.Memory.zeros n) ]
   in
   Gpu_model.Workflow.analyze ?spec ~sample ~measure ~grid:(n / threads)
     ~block:threads ~args

@@ -164,7 +164,7 @@ let run_simulated ?spec ?(threads = 128) variant xs =
       let input = Gpu_sim.Sim.float_arg "input" data in
       let partials = Gpu_sim.Sim.float_arg "partials" (Array.make grid 0.0) in
       let _ =
-        Gpu_sim.Sim.run ?spec ~grid ~block:threads
+        Gpu_sim.Sim.launch ?spec ~grid ~block:threads
           ~args:[ input; partials ] k
       in
       let p = Gpu_sim.Sim.read_floats partials in
@@ -181,8 +181,8 @@ let analyze ?spec ?(measure = false) ?(sample = 2) ?replay_sample ?timeline ?ctx
   let epb = elements_per_block ~threads in
   let args =
     [
-      ("input", Array.make (blocks * epb) (Int32.bits_of_float 1.0));
-      ("partials", Array.make blocks 0l);
+      ("input", Gpu_sim.Memory.const_float (blocks * epb) 1.0);
+      ("partials", Gpu_sim.Memory.zeros blocks);
     ]
   in
   Gpu_model.Workflow.analyze ?spec ~sample ?replay_sample ?timeline ?ctx

@@ -100,7 +100,7 @@ let run_simulated ?spec ?(threads = 128) xs =
   let output = Gpu_sim.Sim.float_arg "output" (Array.make n 0.0) in
   let sums = Gpu_sim.Sim.float_arg "sums" (Array.make grid 0.0) in
   let _ =
-    Gpu_sim.Sim.run ?spec ~grid ~block:threads
+    Gpu_sim.Sim.launch ?spec ~grid ~block:threads
       ~args:[ input; output; sums ] scan
   in
   if grid = 1 then Gpu_sim.Sim.read_floats output
@@ -115,7 +115,7 @@ let run_simulated ?spec ?(threads = 128) xs =
     let off = Gpu_sim.Sim.float_arg "offsets" offsets in
     let add = Gpu_kernel.Compile.compile (offset_kernel ~threads) in
     let _ =
-      Gpu_sim.Sim.run ?spec ~grid ~block:threads
+      Gpu_sim.Sim.launch ?spec ~grid ~block:threads
         ~args:[ ("output", snd output); off ]
         add
     in
@@ -126,9 +126,9 @@ let analyze ?spec ?(measure = false) ?(sample = 2) ?(threads = 128) ~blocks
     () =
   let args =
     [
-      ("input", Array.make (blocks * threads) (Int32.bits_of_float 1.0));
-      ("output", Array.make (blocks * threads) 0l);
-      ("sums", Array.make blocks 0l);
+      ("input", Gpu_sim.Memory.const_float (blocks * threads) 1.0);
+      ("output", Gpu_sim.Memory.zeros (blocks * threads));
+      ("sums", Gpu_sim.Memory.zeros blocks);
     ]
   in
   Gpu_model.Workflow.analyze ?spec ~sample ~measure ~grid:blocks

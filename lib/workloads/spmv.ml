@@ -88,47 +88,41 @@ let reference m x =
 
 (* --- Storage layouts --------------------------------------------------- *)
 
-(* Scalar ELL, column-major: entry e of row r at [e * n + r]. *)
-let ell_arrays m =
-  let n = rows m in
+(* Each layout is stored outer-major and written straight into an
+   argument buffer ([Memory.init2], [Memory.gather_floats]): the
+   functions below map a storage position (outer index, inner index) to
+   the matrix entry or column it holds.  They are closures over the
+   matrix's shape, so a builder pays no per-word list walk for [k_blocks]
+   and no division by a runtime size. *)
+
+module Memory = Gpu_sim.Memory
+
+(* Scalar ELL, column-major: entry e of row r at [e * n + r].  Row 3r+i's
+   entry 3ki+j is entry (i, j) of block (r, ki), in column 3c+j where c is
+   the block's column. *)
+let ell_entry m =
   let k = k_blocks m in
-  let e_per_row = k * block_dim in
-  let data = Array.make (e_per_row * n) 0.0 in
-  let cols = Array.make (e_per_row * n) 0 in
-  for r = 0 to m.block_rows - 1 do
-    for i = 0 to block_dim - 1 do
-      let row = (block_dim * r) + i in
-      for ki = 0 to k - 1 do
-        let c = m.block_cols.((r * k) + ki) in
-        for j = 0 to block_dim - 1 do
-          let e = (ki * block_dim) + j in
-          data.((e * n) + row) <-
-            m.blocks.((((r * k) + ki) * entries_per_block)
-                      + (block_dim * i) + j);
-          cols.((e * n) + row) <- (block_dim * c) + j
-        done
-      done
-    done
-  done;
-  (data, cols, e_per_row)
+  fun e row ->
+    ((((row / block_dim * k) + (e / block_dim)) * entries_per_block)
+    + (block_dim * (row mod block_dim)))
+    + (e mod block_dim)
+
+let ell_column m =
+  let k = k_blocks m in
+  fun e row ->
+    (block_dim * m.block_cols.((row / block_dim * k) + (e / block_dim)))
+    + (e mod block_dim)
 
 (* Blocked ELL with interleaved matrix: block-column index of block b of
-   thread t at [b * T + t]; entry u of that block at [(b * 9 + u) * T + t]. *)
-let bell_arrays m =
-  let t_count = m.block_rows in
+   thread t at [b * T + t]; entry u of that block at [(b * 9 + u) * T + t],
+   which is entry [(t * k + b) * 9 + u = t * 9k + (b * 9 + u)]. *)
+let bell_column m =
   let k = k_blocks m in
-  let bcol = Array.make (k * t_count) 0 in
-  let bdata = Array.make (k * entries_per_block * t_count) 0.0 in
-  for t = 0 to t_count - 1 do
-    for b = 0 to k - 1 do
-      bcol.((b * t_count) + t) <- m.block_cols.((t * k) + b);
-      for u = 0 to entries_per_block - 1 do
-        bdata.((((b * entries_per_block) + u) * t_count) + t) <-
-          m.blocks.((((t * k) + b) * entries_per_block) + u)
-      done
-    done
-  done;
-  (bdata, bcol)
+  fun b t -> m.block_cols.((t * k) + b)
+
+let bell_entry m =
+  let stride = k_blocks m * entries_per_block in
+  fun q t -> (t * stride) + q
 
 (* Component-major ("interleaved") vector: x'[j * R + c] = x[3c + j]. *)
 let interleave_vector m x =
@@ -276,39 +270,41 @@ let check_launchable m fmt =
       (Printf.sprintf "Spmv: %d work items not divisible into %d-thread \
                        blocks" work divisor)
 
-let args m fmt x =
+let buffers m fmt x =
   check_launchable m fmt;
+  let k = k_blocks m and n = rows m and t_count = m.block_rows in
+  let y = ("y", Memory.zeros n) in
   match fmt with
   | Ell ->
-    let data, cols, _ = ell_arrays m in
+    let outer = k * block_dim in
     [
-      Gpu_sim.Sim.float_arg "data" data;
-      Gpu_sim.Sim.int_arg "cols" cols;
-      Gpu_sim.Sim.float_arg "x" x;
-      Gpu_sim.Sim.float_arg "y" (Array.make (rows m) 0.0);
+      ("data", Memory.gather_floats ~outer ~inner:n m.blocks (ell_entry m));
+      ("cols", Memory.init2 ~outer ~inner:n (ell_column m));
+      ("x", Memory.of_floats x);
+      y;
     ]
-  | Bell_im ->
-    let bdata, bcol = bell_arrays m in
+  | Bell_im | Bell_imiv ->
     [
-      Gpu_sim.Sim.float_arg "bdata" bdata;
-      Gpu_sim.Sim.int_arg "bcol" bcol;
-      Gpu_sim.Sim.float_arg "x" x;
-      Gpu_sim.Sim.float_arg "y" (Array.make (rows m) 0.0);
-    ]
-  | Bell_imiv ->
-    let bdata, bcol = bell_arrays m in
-    [
-      Gpu_sim.Sim.float_arg "bdata" bdata;
-      Gpu_sim.Sim.int_arg "bcol" bcol;
-      Gpu_sim.Sim.float_arg "x" (interleave_vector m x);
-      Gpu_sim.Sim.float_arg "y" (Array.make (rows m) 0.0);
+      ( "bdata",
+        Memory.gather_floats ~outer:(k * entries_per_block) ~inner:t_count
+          m.blocks (bell_entry m) );
+      ("bcol", Memory.init2 ~outer:k ~inner:t_count (bell_column m));
+      ( "x",
+        if fmt = Bell_imiv then
+          Memory.gather_floats ~outer:block_dim ~inner:t_count x (fun j c ->
+              (block_dim * c) + j)
+        else Memory.of_floats x );
+      y;
     ]
 
+let args m fmt x =
+  List.map (fun (name, b) -> (name, Memory.to_int32s b)) (buffers m fmt x)
+
 let run_simulated ?spec m fmt x =
-  let a = args m fmt x in
+  let a = buffers m fmt x in
   let grid, block = launch m fmt in
   let compiled = Gpu_kernel.Compile.compile (kernel m fmt) in
-  let _ = Gpu_sim.Sim.run ?spec ~grid ~block ~args:a compiled in
+  let _ = Gpu_sim.Sim.launch ?spec ~grid ~block ~args:a compiled in
   let y = Gpu_sim.Sim.read_floats (List.nth a 3) in
   match fmt with Ell | Bell_im -> y | Bell_imiv -> deinterleave_vector m y
 
@@ -317,7 +313,7 @@ let run_simulated ?spec m fmt x =
 let analyze ?spec ?(measure = false) ?sample ?replay_sample ?timeline ?ctx m fmt
     =
   let x = Array.make (rows m) 1.0 in
-  let a = args m fmt x in
+  let a = buffers m fmt x in
   let grid, block = launch m fmt in
   Gpu_model.Workflow.analyze ?spec ?sample ?replay_sample ~measure ?timeline
     ?ctx
@@ -331,11 +327,10 @@ let vector_gather_addresses m fmt =
   let out = ref [] in
   (match fmt with
   | Ell ->
-    let _, cols, e_per_row = ell_arrays m in
-    let n = rows m in
-    for e = 0 to e_per_row - 1 do
-      for row = 0 to n - 1 do
-        out := (4 * cols.((e * n) + row)) :: !out
+    let col = ell_column m in
+    for e = 0 to (k * block_dim) - 1 do
+      for row = 0 to rows m - 1 do
+        out := (4 * col e row) :: !out
       done
     done
   | Bell_im ->

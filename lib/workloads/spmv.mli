@@ -32,8 +32,7 @@ val reference : matrix -> float array -> float array
 
 (** {2 Storage layouts} *)
 
-val ell_arrays : matrix -> float array * int array * int
-val bell_arrays : matrix -> float array * int array
+(** Component-major vector, [x'.(j * block_rows + c) = x.(3c + j)]. *)
 val interleave_vector : matrix -> float array -> float array
 val deinterleave_vector : matrix -> float array -> float array
 
@@ -49,8 +48,15 @@ val kernel : matrix -> format -> Gpu_kernel.Ir.t
 (** (grid, block) for a launch. *)
 val launch : matrix -> format -> int * int
 
-(** Kernel arguments for multiplying by [x] (vector pre-interleaved for
-    BELL+IMIV). *)
+(** Kernel arguments for multiplying by [x], in parameter order: the
+    matrix in the format's layout, its column indices, [x]
+    (pre-interleaved for BELL+IMIV) and a zero result [y].  Each layout is
+    written straight into its buffer, allocating only the buffers. *)
+val buffers :
+  matrix -> format -> float array -> (string * Gpu_sim.Memory.buffer) list
+
+(** {!buffers} as [int32 array]s, for the repository benchmark's walk
+    (perfbench), which runs {!Gpu_sim.Sim.run}. *)
 val args : matrix -> format -> float array -> (string * int32 array) list
 
 (** y = A x on the functional simulator (de-interleaved as needed). *)

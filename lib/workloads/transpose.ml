@@ -114,14 +114,17 @@ let run_simulated ?spec ~n variant xs =
   let input = Gpu_sim.Sim.float_arg "input" xs in
   let output = Gpu_sim.Sim.float_arg "output" (Array.make (n * n) 0.0) in
   let _ =
-    Gpu_sim.Sim.run ?spec ~grid:(grid ~n) ~block:threads_per_block
+    Gpu_sim.Sim.launch ?spec ~grid:(grid ~n) ~block:threads_per_block
       ~args:[ input; output ] k
   in
   Gpu_sim.Sim.read_floats output
 
 let analyze ?spec ?(measure = false) ?(sample = 2) ~n variant =
   let args =
-    [ ("input", Array.make (n * n) 0l); ("output", Array.make (n * n) 0l) ]
+    [
+      ("input", Gpu_sim.Memory.zeros (n * n));
+      ("output", Gpu_sim.Memory.zeros (n * n));
+    ]
   in
   Gpu_model.Workflow.analyze ?spec ~sample ~measure ~grid:(grid ~n)
     ~block:threads_per_block ~args

@@ -245,7 +245,7 @@ let run_simulated ?spec ~n ~padded systems =
   let dd = Gpu_sim.Sim.float_arg "d" (flat (fun (_, _, _, d) -> d)) in
   let xx = Gpu_sim.Sim.float_arg "x" (Array.make (nsys * n) 0.0) in
   let _ =
-    Gpu_sim.Sim.run ?spec ~grid:nsys ~block:(threads ~n)
+    Gpu_sim.Sim.launch ?spec ~grid:nsys ~block:(threads ~n)
       ~args:[ aa; bb; cc; dd; xx ]
       k
   in
@@ -257,12 +257,19 @@ let run_simulated ?spec ~n ~padded systems =
 let analyze ?spec ?(measure = false) ?(sample = 2) ?replay_sample ?timeline ?ctx
     ~nsys ~n ~padded () =
   let words = nsys * n in
+  (* All-zero coefficients would divide by zero in rcp; load b = 1.  One
+     zero buffer serves the other four arguments, as in [Matmul.analyze]:
+     each gets its own device region and no value is read back. *)
+  let zeros = Gpu_sim.Memory.zeros words in
   let args =
-    List.map (fun p -> (p, Array.make words 0l)) [ "a"; "b"; "c"; "d"; "x" ]
+    [
+      ("a", zeros);
+      ("b", Gpu_sim.Memory.const_float words 1.0);
+      ("c", zeros);
+      ("d", zeros);
+      ("x", zeros);
+    ]
   in
-  (* All-zero coefficients would divide by zero in rcp; load b = 1. *)
-  let b_arg = List.assoc "b" args in
-  Array.fill b_arg 0 words (Int32.bits_of_float 1.0);
   Gpu_model.Workflow.analyze ?spec ~sample ?replay_sample ~measure ?timeline
     ?ctx
     ~grid:nsys ~block:(threads ~n) ~args (kernel ~n ~padded)

@@ -13,6 +13,15 @@ module Ir = Gpu_kernel.Ir
 module Sim = Gpu_sim.Sim
 module Stats = Gpu_sim.Stats
 
+(* Calibrate against a private cache directory, never the user's: tables an
+   earlier build wrote there would stand in for this build's measurements.
+   The gpuperf commands the suite runs inherit it. *)
+let () =
+  Unix.putenv "GPUPERF_CACHE_DIR"
+    (Filename.concat
+       (Filename.get_temp_dir_name ())
+       (Printf.sprintf "gpuperf-diag-test-cache-%d" (Unix.getpid ())))
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -356,19 +365,19 @@ let loop_kernel =
 
 let vadd_args n =
   [
-    ("a", Array.init n Int32.of_int);
-    ("b", Array.init n Int32.of_int);
-    ("c", Array.make n 0l);
+    ("a", Gpu_sim.Memory.init n Fun.id);
+    ("b", Gpu_sim.Memory.init n Fun.id);
+    ("c", Gpu_sim.Memory.zeros n);
   ]
 
 let total_issued stats = Stats.total_issued (Stats.total stats)
 
 let test_injected_trap () =
   let k = Gpu_kernel.Compile.compile loop_kernel in
-  let args = [ ("out", Array.make 128 0l) ] in
+  let args = [ ("out", Gpu_sim.Memory.zeros 128) ] in
   let issued_at n =
     match
-      Sim.run_result ~inject_stuck_at:n ~grid:4 ~block:32 ~args k
+      Sim.launch_result ~inject_stuck_at:n ~grid:4 ~block:32 ~args k
     with
     | Ok _ -> Alcotest.fail "injected trap did not fire"
     | Error f ->
@@ -394,8 +403,8 @@ let test_injected_trap () =
   (* a trap point beyond the program's dynamic length never fires, and the
      run matches an uninstrumented one *)
   match
-    ( Sim.run_result ~inject_stuck_at:1_000_000 ~grid:4 ~block:32 ~args k,
-      Sim.run_result ~grid:4 ~block:32 ~args k )
+    ( Sim.launch_result ~inject_stuck_at:1_000_000 ~grid:4 ~block:32 ~args k,
+      Sim.launch_result ~grid:4 ~block:32 ~args k )
   with
   | Ok a, Ok b ->
     Alcotest.(check int) "hook is inert when unreached"
@@ -406,7 +415,7 @@ let test_injected_trap () =
 let test_poisoned_memory () =
   let k = Gpu_kernel.Compile.compile vadd in
   (match
-     Sim.run_result ~poison:[ (0, 4096) ] ~grid:2 ~block:32
+     Sim.launch_result ~poison:[ (0, 4096) ] ~grid:2 ~block:32
        ~args:(vadd_args 64) k
    with
   | Ok _ -> Alcotest.fail "poisoned transaction did not fault"
@@ -419,7 +428,7 @@ let test_poisoned_memory () =
       f.Sim.blocks_completed);
   (* poison outside every transaction is inert *)
   match
-    Sim.run_result ~poison:[ (1 lsl 20, 64) ] ~grid:2 ~block:32
+    Sim.launch_result ~poison:[ (1 lsl 20, 64) ] ~grid:2 ~block:32
       ~args:(vadd_args 64) k
   with
   | Ok _ -> ()
@@ -427,11 +436,15 @@ let test_poisoned_memory () =
 
 let test_launch_failures () =
   let k = Gpu_kernel.Compile.compile vadd in
-  let expect_launch what run =
+  let expect_launch ?says what run =
     match run () with
     | Ok _ -> Alcotest.fail (what ^ ": accepted")
     | Error f ->
       well_formed what f.Sim.diag;
+      Option.iter
+        (fun m ->
+          Alcotest.(check string) (what ^ ": message") m f.Sim.diag.D.message)
+        says;
       Alcotest.(check bool) (what ^ ": launch stage") true
         (f.Sim.diag.D.stage = D.Launch);
       Alcotest.(check int) (what ^ ": nothing ran") 0 f.Sim.blocks_completed;
@@ -439,21 +452,27 @@ let test_launch_failures () =
         (total_issued f.Sim.partial_stats)
   in
   expect_launch "zero-block grid" (fun () ->
-      Sim.run_result ~grid:0 ~block:32 ~args:(vadd_args 32) k);
+      Sim.launch_result ~grid:0 ~block:32 ~args:(vadd_args 32) k);
   expect_launch "zero-thread block" (fun () ->
-      Sim.run_result ~grid:1 ~block:0 ~args:(vadd_args 32) k);
+      Sim.launch_result ~grid:1 ~block:0 ~args:(vadd_args 32) k);
   expect_launch "oversized block" (fun () ->
-      Sim.run_result ~grid:1 ~block:4096 ~args:(vadd_args 32) k);
+      Sim.launch_result ~grid:1 ~block:4096 ~args:(vadd_args 32) k);
   expect_launch "missing argument" (fun () ->
-      Sim.run_result ~grid:1 ~block:32
-        ~args:[ ("a", Array.make 32 0l) ]
+      Sim.launch_result ~grid:1 ~block:32
+        ~args:[ ("a", Gpu_sim.Memory.zeros 32) ]
         k);
   expect_launch "unknown argument" (fun () ->
-      Sim.run_result ~grid:1 ~block:32
-        ~args:(("zz", Array.make 4 0l) :: vadd_args 32)
+      Sim.launch_result ~grid:1 ~block:32
+        ~args:(("zz", Gpu_sim.Memory.zeros 4) :: vadd_args 32)
+        k);
+  (* binding by name could only ever use one of the two buffers *)
+  expect_launch "duplicate argument" ~says:"duplicate kernel argument c"
+    (fun () ->
+      Sim.launch_result ~grid:1 ~block:32
+        ~args:(vadd_args 32 @ [ ("c", Gpu_sim.Memory.zeros 32) ])
         k);
   expect_launch "block id outside grid" (fun () ->
-      Sim.run_result ~block_ids:[ 7 ] ~grid:2 ~block:32 ~args:(vadd_args 64)
+      Sim.launch_result ~block_ids:[ 7 ] ~grid:2 ~block:32 ~args:(vadd_args 64)
         k)
 
 let test_memory_fault_diag () =
@@ -467,7 +486,9 @@ let test_memory_fault_diag () =
   in
   let k = Gpu_kernel.Compile.compile wild in
   match
-    Sim.run_result ~grid:1 ~block:32 ~args:[ ("out", Array.make 8 0l) ] k
+    Sim.launch_result ~grid:1 ~block:32
+      ~args:[ ("out", Gpu_sim.Memory.zeros 8) ]
+      k
   with
   | Ok _ -> Alcotest.fail "out-of-bounds store did not fault"
   | Error f ->
@@ -625,7 +646,11 @@ let test_workflow_result () =
         (List.length tagged))
     [
       ("broken", broken, [], D.Compile, "compile");
-      ("wild", wild, [ ("out", Array.make 8 0l) ], D.Exec, "functional-sim");
+      ( "wild",
+        wild,
+        [ ("out", Gpu_sim.Memory.zeros 8) ],
+        D.Exec,
+        "functional-sim" );
     ]
 
 (* --- gpuperf exit codes -------------------------------------------------- *)

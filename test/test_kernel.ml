@@ -11,7 +11,7 @@ let compile = Compile.compile
 let run_scalar_kernel k args =
   (* one thread, one block *)
   let compiled = compile k in
-  let r = Gpu_sim.Sim.run ~grid:1 ~block:1 ~args compiled in
+  let r = Gpu_sim.Sim.launch ~grid:1 ~block:1 ~args compiled in
   ignore r
 
 let test_saxpy_shape () =
@@ -227,9 +227,9 @@ let prop_compiled_arithmetic =
             ];
         }
       in
-      let out = ("out", Array.make 1 0l) in
+      let out = ("out", Gpu_sim.Memory.zeros 1) in
       run_scalar_kernel kernel [ out ];
-      (snd out).(0) = eval_ref args e)
+      Int32.of_int (Gpu_sim.Memory.get_int (snd out) 0) = eval_ref args e)
 
 let () =
   Alcotest.run "kernel"

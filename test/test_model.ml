@@ -8,6 +8,14 @@ module Component = Gpu_model.Component
 module Workflow = Gpu_model.Workflow
 module Stats = Gpu_sim.Stats
 
+(* Calibrate against a private cache directory, never the user's: tables an
+   earlier build wrote there would stand in for this build's measurements. *)
+let () =
+  Unix.putenv "GPUPERF_CACHE_DIR"
+    (Filename.concat
+       (Filename.get_temp_dir_name ())
+       (Printf.sprintf "gpuperf-model-test-cache-%d" (Unix.getpid ())))
+
 let spec = Gpu_hw.Spec.gtx285
 
 (* --- Component arithmetic ----------------------------------------------- *)
@@ -44,7 +52,7 @@ let test_compute_bound_kernel () =
         @ [ Ir.St_global ("y", Ir.Tid, Ir.v "a") ];
     }
   in
-  let y = ("y", Array.make (120 * 256) 0l) in
+  let y = ("y", Gpu_sim.Memory.zeros (120 * 256)) in
   let r = analyze k [ y ] in
   Alcotest.(check string) "instruction bound" "instruction pipeline"
     (Component.name r.Workflow.analysis.Model.bottleneck);
@@ -72,7 +80,7 @@ let test_smem_bound_kernel () =
         @ [ Ir.St_global ("y", Ir.Tid, Ir.v "a") ];
     }
   in
-  let y = ("y", Array.make (120 * 64) 0l) in
+  let y = ("y", Gpu_sim.Memory.zeros (120 * 64)) in
   let r = analyze ~block:64 k [ y ] in
   let a = r.Workflow.analysis in
   Alcotest.(check string) "shared bound" "shared memory"
@@ -114,8 +122,8 @@ let test_gmem_bound_kernel () =
     }
   in
   let words = 120 * 256 * 16 * 16 in
-  let x = ("x", Array.make words 0l) in
-  let y = ("y", Array.make (120 * 256) 0l) in
+  let x = ("x", Gpu_sim.Memory.zeros words) in
+  let y = ("y", Gpu_sim.Memory.zeros (120 * 256)) in
   let r = analyze k [ x; y ] in
   let a = r.Workflow.analysis in
   Alcotest.(check string) "global bound" "global memory"
@@ -146,7 +154,7 @@ let barrier_kernel =
   }
 
 let test_stage_split () =
-  let y = ("y", Array.make (8 * 512) 0l) in
+  let y = ("y", Gpu_sim.Memory.zeros (8 * 512)) in
   (* large shared demand: one resident block -> serialized stages *)
   let k = { barrier_kernel with Ir.shared = [ ("s", 3000) ] } in
   let r = Workflow.analyze ~spec ~grid:8 ~block:512 ~args:[ y ] k in
@@ -163,7 +171,7 @@ let test_stage_split () =
     a.Model.predicted_seconds
 
 let test_overlapped_total () =
-  let y = ("y", Array.make (120 * 512) 0l) in
+  let y = ("y", Gpu_sim.Memory.zeros (120 * 512)) in
   let r = Workflow.analyze ~spec ~grid:120 ~block:512 ~args:[ y ]
       barrier_kernel
   in
@@ -175,7 +183,7 @@ let test_overlapped_total () =
     a.Model.predicted_seconds
 
 let test_measured_comparison () =
-  let y = ("y", Array.make (120 * 512) 0l) in
+  let y = ("y", Gpu_sim.Memory.zeros (120 * 512)) in
   let r =
     Workflow.analyze ~spec ~measure:true ~sample:2 ~grid:120 ~block:512
       ~args:[ y ] barrier_kernel
@@ -204,8 +212,8 @@ let test_nonfinite_inputs_rejected () =
   let compiled = Gpu_kernel.Compile.compile k in
   let occ = Workflow.occupancy_of ~spec ~block:64 compiled in
   let r =
-    Gpu_sim.Sim.run ~spec ~grid:8 ~block:64
-      ~args:[ ("y", Array.make (8 * 64) 0l) ]
+    Gpu_sim.Sim.launch ~spec ~grid:8 ~block:64
+      ~args:[ ("y", Gpu_sim.Memory.zeros (8 * 64)) ]
       compiled
   in
   let tables = Gpu_microbench.Tables.for_spec spec in
@@ -282,8 +290,8 @@ let test_spec_derived_transaction_bytes () =
   let compiled = Gpu_kernel.Compile.compile k in
   let occ = Workflow.occupancy_of ~spec ~block:64 compiled in
   let r =
-    Gpu_sim.Sim.run ~spec ~grid:8 ~block:64
-      ~args:[ ("y", Array.make (8 * 64) 0l) ]
+    Gpu_sim.Sim.launch ~spec ~grid:8 ~block:64
+      ~args:[ ("y", Gpu_sim.Memory.zeros (8 * 64)) ]
       compiled
   in
   let tables = Gpu_microbench.Tables.for_spec spec in
@@ -338,7 +346,7 @@ let test_warp_size_factors_baseline_identical () =
         @ [ Ir.St_global ("y", Ir.Tid, Ir.v "a") ];
     }
   in
-  let y = ("y", Array.make (120 * 256) 0l) in
+  let y = ("y", Gpu_sim.Memory.zeros (120 * 256)) in
   let r = analyze k [ y ] in
   let a = r.Workflow.analysis in
   Alcotest.(check int) "baseline warp size is 32" 32
@@ -377,11 +385,11 @@ let hetero_kernel =
       ];
   }
 
-let hetero_args () = [ ("y", Array.make (10 * 64) 0l) ]
+let hetero_args () = [ ("y", Gpu_sim.Memory.zeros (10 * 64)) ]
 
 let test_replicate_traces_even () =
   let sim =
-    Gpu_sim.Sim.run ~collect_trace:true ~block_ids:[ 0; 1; 2 ] ~spec
+    Gpu_sim.Sim.launch ~collect_trace:true ~block_ids:[ 0; 1; 2 ] ~spec
       ~grid:10 ~block:64 ~args:(hetero_args ())
       (Gpu_kernel.Compile.compile hetero_kernel)
   in
@@ -408,7 +416,7 @@ let test_replicate_traces_even () =
 
 let test_traces_homogeneous () =
   let run k block_ids =
-    (Gpu_sim.Sim.run ~collect_trace:true ~block_ids ~spec ~grid:10 ~block:64
+    (Gpu_sim.Sim.launch ~collect_trace:true ~block_ids ~spec ~grid:10 ~block:64
        ~args:(hetero_args ())
        (Gpu_kernel.Compile.compile k))
       .Gpu_sim.Sim.traces
@@ -434,7 +442,7 @@ let test_heterogeneous_replay_simulates_grid () =
   (* and the busy totals match the analytic summation over the whole
      replicated grid *)
   let sim =
-    Gpu_sim.Sim.run ~collect_trace:true ~block_ids:[ 0; 1; 2 ] ~spec
+    Gpu_sim.Sim.launch ~collect_trace:true ~block_ids:[ 0; 1; 2 ] ~spec
       ~grid:10 ~block:64 ~args:(hetero_args ())
       (Gpu_kernel.Compile.compile hetero_kernel)
   in
@@ -455,7 +463,7 @@ let test_workflow_spans_and_timeline () =
   Gpu_obs.Span.clear ();
   Gpu_obs.Span.set_enabled true;
   let tl = Gpu_obs.Timeline.create ~capacity:(1 lsl 16) () in
-  let y = ("y", Array.make (120 * 512) 0l) in
+  let y = ("y", Gpu_sim.Memory.zeros (120 * 512)) in
   let r =
     Fun.protect
       ~finally:(fun () -> Gpu_obs.Span.set_enabled false)
@@ -513,7 +521,7 @@ let test_whatif_prime_banks () =
         @ [ Ir.St_global ("y", Ir.Tid, Ir.v "a") ];
     }
   in
-  let args () = [ ("y", Array.make (120 * 128) 0l) ] in
+  let args () = [ ("y", Gpu_sim.Memory.zeros (120 * 128)) ] in
   let baseline, outcomes =
     Gpu_model.Whatif.run ~base:spec
       ~variants:[ Gpu_hw.Spec.with_banks 17 spec ]

@@ -11,6 +11,14 @@ module Ledger = Gpu_report.Ledger
 module Render = Gpu_report.Render
 module Jsonx = Gpu_report.Jsonx
 
+(* Calibrate against a private cache directory, never the user's: tables an
+   earlier build wrote there would stand in for this build's measurements. *)
+let () =
+  Unix.putenv "GPUPERF_CACHE_DIR"
+    (Filename.concat
+       (Filename.get_temp_dir_name ())
+       (Printf.sprintf "gpuperf-report-test-cache-%d" (Unix.getpid ())))
+
 (* One calibrated, measured report shared by every test: a small matmul
    with a timeline so the engine's per-stage busy counters populate. *)
 let report =

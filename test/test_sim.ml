@@ -4,15 +4,17 @@
 
 module Ir = Gpu_kernel.Ir
 module Sim = Gpu_sim.Sim
+module Memory = Gpu_sim.Memory
 module Stats = Gpu_sim.Stats
 module I = Gpu_isa.Instr
 
 let compile = Gpu_kernel.Compile.compile
 
 let run ?(grid = 1) ?(block = 32) ?collect_trace k args =
-  Sim.run ?collect_trace ~grid ~block ~args (compile k) ~spec:Gpu_hw.Spec.gtx285
+  Sim.launch ?collect_trace ~grid ~block ~args (compile k)
+    ~spec:Gpu_hw.Spec.gtx285
 
-let ints a = Array.map Int32.to_int a
+let ints b = Array.init (Memory.length b) (Memory.get_int b)
 
 let test_vector_add () =
   let k =
@@ -31,9 +33,9 @@ let test_vector_add () =
     }
   in
   let n = 96 in
-  let a = ("a", Array.init n Int32.of_int) in
-  let b = ("b", Array.init n (fun i -> Int32.of_int (10 * i))) in
-  let c = ("c", Array.make n 0l) in
+  let a = ("a", Memory.init n Fun.id) in
+  let b = ("b", Memory.init n (fun i -> 10 * i)) in
+  let c = ("c", Memory.zeros n) in
   let _ = run ~grid:3 ~block:32 k [ a; b; c ] in
   Array.iteri
     (fun i v -> Alcotest.(check int) "sum" (11 * i) v)
@@ -54,7 +56,7 @@ let test_if_else_divergence () =
         ];
     }
   in
-  let out = ("out", Array.make 32 0l) in
+  let out = ("out", Memory.zeros 32) in
   let _ = run k [ out ] in
   Array.iteri
     (fun t v ->
@@ -89,7 +91,7 @@ let test_nested_divergence () =
         ];
     }
   in
-  let out = ("out", Array.make 32 0l) in
+  let out = ("out", Memory.zeros 32) in
   let _ = run k [ out ] in
   Array.iteri
     (fun t v ->
@@ -123,7 +125,7 @@ let test_data_dependent_loop () =
         ];
     }
   in
-  let out = ("out", Array.make 64 0l) in
+  let out = ("out", Memory.zeros 64) in
   let _ = run ~block:64 k [ out ] in
   Array.iteri
     (fun t v -> Alcotest.(check int) "triangular number" (t * (t + 1) / 2) v)
@@ -146,7 +148,7 @@ let test_barrier_communication () =
         ];
     }
   in
-  let out = ("out", Array.make 64 0l) in
+  let out = ("out", Memory.zeros 64) in
   let _ = run ~block:64 k [ out ] in
   Array.iteri
     (fun t v -> Alcotest.(check int) "reversed" (63 - t) v)
@@ -161,9 +163,9 @@ let test_partial_warp () =
       body = [ Ir.St_global ("out", Ir.Tid, Ir.(Tid + i 1)) ];
     }
   in
-  let out = ("out", Array.make 40 0l) in
+  let out = ("out", Memory.zeros 40) in
   let _ = run ~block:40 k [ out ] in
-  Alcotest.(check int) "lane 39 wrote" 40 (Int32.to_int (snd out).(39))
+  Alcotest.(check int) "lane 39 wrote" 40 (Memory.get_int (snd out) 39)
 
 let test_float_ops () =
   let k =
@@ -181,7 +183,7 @@ let test_float_ops () =
         ];
     }
   in
-  let out = ("out", Array.make 32 0l) in
+  let out = ("out", Memory.zeros 32) in
   let _ = run k [ out ] in
   Array.iteri
     (fun t v -> Alcotest.(check int) "t*t+1" ((t * t) + 1) v)
@@ -202,9 +204,9 @@ let test_sfu_rcp () =
         ];
     }
   in
-  let out = ("out", Array.make 32 0l) in
+  let out = ("out", Memory.zeros 32) in
   let _ = run k [ out ] in
-  Alcotest.(check int) "1/0.25 * 10 = 40" 40 (Int32.to_int (snd out).(0))
+  Alcotest.(check int) "1/0.25 * 10 = 40" 40 (Memory.get_int (snd out) 0)
 
 (* --- Statistics (the info extractor) ------------------------------------ *)
 
@@ -223,7 +225,7 @@ let straight_line_kernel =
   }
 
 let test_stats_counts () =
-  let x = ("x", Array.make 32 0l) in
+  let x = ("x", Memory.zeros 32) in
   let r = run straight_line_kernel [ x ] in
   Alcotest.(check int) "two stages" 2 (Stats.num_stages r.Sim.stats);
   let s0 = Stats.stage r.Sim.stats 0 in
@@ -254,7 +256,7 @@ let test_stats_density () =
         ];
     }
   in
-  let x = ("x", Array.make 32 0l) in
+  let x = ("x", Memory.zeros 32) in
   let r = run k [ x ] in
   let total = Stats.total r.Sim.stats in
   Alcotest.(check int) "one MAD" 1 total.Stats.mads;
@@ -262,7 +264,7 @@ let test_stats_density () =
     (Stats.computational_density total < 1.0)
 
 let test_trace_collection () =
-  let x = ("x", Array.make 32 0l) in
+  let x = ("x", Memory.zeros 32) in
   let r = run ~collect_trace:true straight_line_kernel [ x ] in
   match r.Sim.traces with
   | [ t ] ->
@@ -352,9 +354,9 @@ let run_raw ?(block = 32) ~out_words lines =
       srcmap = [||];
     }
   in
-  let out = ("out", Array.make out_words 0l) in
-  let _ = Sim.run ~grid:1 ~block ~args:[ out ] k in
-  snd out
+  let out = ("out", Memory.zeros out_words) in
+  let _ = Sim.launch ~grid:1 ~block ~args:[ out ] k in
+  Memory.to_int32s (snd out)
 
 let ins op = Gpu_isa.Program.Instr (I.mk op)
 
@@ -455,8 +457,9 @@ let test_load64_roundtrip () =
       0l; 0l;
     |]
   in
-  let out = ("out", buf) in
-  let _ = Sim.run ~grid:1 ~block:32 ~args:[ out ] k in
+  let out = ("out", Memory.of_int32s buf) in
+  let _ = Sim.launch ~grid:1 ~block:32 ~args:[ out ] k in
+  let buf = Memory.to_int32s (snd out) in
   let lo = Int64.logand (Int64.of_int32 buf.(2)) 0xFFFFFFFFL in
   let hi = Int64.shift_left (Int64.of_int32 buf.(3)) 32 in
   Alcotest.(check (float 1e-12)) "3*3+3" 12.0
@@ -568,7 +571,7 @@ let test_trace_registers () =
   in
   let k = Gpu_microbench.Runner.wrap ~param_regs:[] ~smem_bytes:16 program in
   let res =
-    Sim.run ~collect_trace:true ~spec:Gpu_hw.Spec.gtx285 ~grid:1 ~block:32
+    Sim.launch ~collect_trace:true ~spec:Gpu_hw.Spec.gtx285 ~grid:1 ~block:32
       ~args:[] k
   in
   let expected =
@@ -609,9 +612,9 @@ let test_lane_and_warp_ids () =
       }
   in
   (* indirectly checks warp decomposition: 3 warps of a 96-thread block *)
-  let out = ("out", Array.make 96 0l) in
-  let _ = Sim.run ~grid:1 ~block:96 ~args:[ out ] k in
-  Alcotest.(check int) "tid 95" 95 (Int32.to_int (snd out).(95))
+  let out = ("out", Memory.zeros 96) in
+  let _ = Sim.launch ~grid:1 ~block:96 ~args:[ out ] k in
+  Alcotest.(check int) "tid 95" 95 (Memory.get_int (snd out) 95)
 
 (* --- Launch validation --------------------------------------------------- *)
 
@@ -625,17 +628,161 @@ let test_launch_errors () =
        with Sim.Launch_error _ -> true)
   in
   expect "missing argument" (fun () ->
-      Sim.run ~grid:1 ~block:32 ~args:[] k);
+      Sim.launch ~grid:1 ~block:32 ~args:[] k);
   expect "unknown argument" (fun () ->
+      Sim.launch ~grid:1 ~block:32
+        ~args:[ ("x", Memory.zeros 32); ("bogus", Memory.zeros 0) ]
+        k);
+  expect "duplicate argument" (fun () ->
+      Sim.launch ~grid:1 ~block:32
+        ~args:[ ("x", Memory.zeros 32); ("x", Memory.zeros 32) ]
+        k);
+  expect "duplicate argument, int32 face" (fun () ->
       Sim.run ~grid:1 ~block:32
-        ~args:[ ("x", Array.make 32 0l); ("bogus", [||]) ]
+        ~args:[ ("x", Array.make 32 0l); ("x", Array.make 32 0l) ]
         k);
   expect "oversized block" (fun () ->
-      Sim.run ~grid:1 ~block:4096 ~args:[ ("x", Array.make 32 0l) ] k);
+      Sim.launch ~grid:1 ~block:4096 ~args:[ ("x", Memory.zeros 32) ] k);
   expect "bad block id" (fun () ->
-      Sim.run ~grid:1 ~block:32 ~block_ids:[ 5 ]
-        ~args:[ ("x", Array.make 32 0l) ]
+      Sim.launch ~grid:1 ~block:32 ~block_ids:[ 5 ]
+        ~args:[ ("x", Memory.zeros 32) ]
         k)
+
+(* --- Argument buffers --------------------------------------------------- *)
+
+let bits = Int64.bits_of_float
+
+(* Words cross [Memory]'s constructors and readers bit-exactly: floats
+   that are exact in single precision (a NaN payload, -0.0, a subnormal,
+   infinities) and ints that wrap to their low 32 bits. *)
+let test_buffer_round_trips () =
+  let words = [| 0x7fc12345l; 0x80000000l; 1l; 0x7f800000l; 0xff800000l;
+                 0x3f800000l; 0xc0600000l; Int32.min_int; Int32.max_int |]
+  in
+  let floats = Array.map Int32.float_of_bits words in
+  Alcotest.(check bool) "NaN payload kept by the host float" true
+    (Float.is_nan floats.(0));
+  Alcotest.(check (array int32)) "of_floats writes the f32 bits" words
+    (Memory.to_int32s (Memory.of_floats floats));
+  Alcotest.(check (array int64)) "to_floats reads them back"
+    (Array.map bits floats)
+    (Array.map bits (Memory.to_floats (Memory.of_int32s words)));
+  Alcotest.(check (array int64)) "gather_floats is an indexed of_floats"
+    (Array.map bits (Array.init 9 (fun p -> floats.(8 - p))))
+    (Array.map bits
+       (Memory.to_floats
+          (Memory.gather_floats ~outer:3 ~inner:3 floats (fun o i ->
+               8 - ((3 * o) + i)))));
+  Alcotest.(check (array int64)) "const_float" [| bits (-0.0); bits (-0.0) |]
+    (Array.map bits (Memory.to_floats (Memory.const_float 2 (-0.0))));
+  let ints =
+    [| 0; -1; 5; -7; 1 lsl 31; (1 lsl 32) + 5; -(1 lsl 31) - 1; max_int;
+       min_int |]
+  in
+  let wrapped = Array.map (fun i -> Int32.to_int (Int32.of_int i)) ints in
+  Alcotest.(check (array int)) "of_ints keeps the low 32 bits, get_int \
+                                sign-extends" wrapped
+    (let b = Memory.of_ints ints in
+     Array.init (Memory.length b) (Memory.get_int b));
+  Alcotest.(check (array int32)) "init = of_ints"
+    (Memory.to_int32s (Memory.of_ints ints))
+    (Memory.to_int32s (Memory.init (Array.length ints) (Array.get ints)));
+  Alcotest.(check (array int32)) "init2 is outer-major"
+    (Memory.to_int32s (Memory.of_ints ints))
+    (Memory.to_int32s
+       (Memory.init2 ~outer:3 ~inner:3 (fun o i -> ints.((3 * o) + i))));
+  Alcotest.(check (array int32)) "zeros" [| 0l; 0l; 0l |]
+    (Memory.to_int32s (Memory.zeros 3));
+  Alcotest.(check int) "length" 9 (Memory.length (Memory.of_int32s words));
+  let b = Memory.of_int32s words in
+  let c = Memory.copy b in
+  let _ =
+    Sim.launch ~grid:1 ~block:32 ~args:[ ("x", Memory.zeros 32); ("y", b) ]
+      (compile
+         {
+           Ir.name = "clobber";
+           params = [ "x"; "y" ];
+           shared = [];
+           body =
+             [
+               Ir.If
+                 (Ir.(Tid < i 9), [ Ir.St_global ("y", Ir.Tid, Ir.i 3) ], []);
+             ];
+         })
+  in
+  Alcotest.(check (array int32)) "a launch writes the buffer back"
+    (Array.make 9 3l) (Memory.to_int32s b);
+  Alcotest.(check (array int32)) "a copy is independent" words
+    (Memory.to_int32s c);
+  Alcotest.check_raises "get_int out of range"
+    (Invalid_argument "Memory.get_int") (fun () ->
+      ignore (Memory.get_int b 9))
+
+(* [Sim.run]'s [int32 array] face stores back only the words the kernel
+   changed: an unchanged slot keeps its box. *)
+let test_int32_face_write_back () =
+  let k =
+    compile
+      {
+        Ir.name = "half";
+        params = [ "inp"; "out" ];
+        shared = [];
+        body =
+          [
+            Ir.If
+              ( Ir.(Tid < i 16),
+                [
+                  Ir.St_global
+                    ("out", Ir.Tid, Ir.(Ld_global ("inp", Tid) + i 1));
+                ],
+                [] );
+          ];
+      }
+  in
+  let inp = Array.init 32 (fun i -> Int32.of_int (1000 + i)) in
+  let out = Array.init 32 (fun i -> Int32.of_int (-i - 1)) in
+  let inp0 = Array.copy inp and out0 = Array.copy out in
+  let _ = Sim.run ~grid:1 ~block:32 ~args:[ ("inp", inp); ("out", out) ] k in
+  Array.iteri
+    (fun i v ->
+      if i < 16 then
+        Alcotest.(check int32) (Printf.sprintf "out.(%d) written" i)
+          (Int32.of_int (1001 + i)) v
+      else
+        Alcotest.(check bool) (Printf.sprintf "out.(%d) same box" i) true
+          (v == out0.(i)))
+    out;
+  Array.iteri
+    (fun i v ->
+      Alcotest.(check bool) (Printf.sprintf "inp.(%d) same box" i) true
+        (v == inp0.(i)))
+    inp
+
+(* One buffer bound to several parameters gets a device region per
+   parameter, and the regions are copied back in parameter order: the last
+   one wins, on both faces. *)
+let test_shared_buffer_copy_out () =
+  let k =
+    compile
+      {
+        Ir.name = "two";
+        params = [ "a"; "b" ];
+        shared = [];
+        body =
+          [
+            Ir.St_global ("a", Ir.Tid, Ir.i 7);
+            Ir.If (Ir.(Tid = i 0), [ Ir.St_global ("b", Ir.i 1, Ir.i 9) ], []);
+          ];
+      }
+  in
+  let expected = Array.init 32 (fun i -> if i = 1 then 9 else i) in
+  let buf = Memory.init 32 Fun.id in
+  let _ = Sim.launch ~grid:1 ~block:32 ~args:[ ("b", buf); ("a", buf) ] k in
+  Alcotest.(check (array int)) "buffer holds b's region" expected (ints buf);
+  let arr = Array.init 32 Int32.of_int in
+  let _ = Sim.run ~grid:1 ~block:32 ~args:[ ("b", arr); ("a", arr) ] k in
+  Alcotest.(check (array int)) "int32 array holds b's region" expected
+    (Array.map Int32.to_int arr)
 
 let test_memory_fault () =
   let k =
@@ -648,7 +795,7 @@ let test_memory_fault () =
   in
   Alcotest.(check bool) "out-of-bounds store faults" true
     (try
-       ignore (run k [ ("x", Array.make 4 0l) ]);
+       ignore (run k [ ("x", Memory.zeros 4) ]);
        false
      with Gpu_sim.Memory.Fault _ -> true)
 
@@ -669,8 +816,8 @@ let test_runaway_guard () =
   Alcotest.(check bool) "infinite loop detected" true
     (try
        ignore
-         (Sim.run ~max_warp_instructions:100_000 ~grid:1 ~block:32
-            ~args:[ ("x", Array.make 4 0l) ]
+         (Sim.launch ~max_warp_instructions:100_000 ~grid:1 ~block:32
+            ~args:[ ("x", Memory.zeros 4) ]
             (compile k));
        false
      with Gpu_sim.Machine.Stuck _ -> true)
@@ -686,11 +833,11 @@ let test_block_sampling_scales () =
       body = [ Ir.St_global ("x", Ir.(imad Ctaid Ntid Tid), Ir.Tid) ];
     }
   in
-  let x = ("x", Array.make (32 * 8) 0l) in
+  let x = ("x", Memory.zeros (32 * 8)) in
   let full = run ~grid:8 ~block:32 k [ x ] in
   let sampled =
-    Sim.run ~grid:8 ~block:32 ~block_ids:[ 0; 1 ]
-      ~args:[ ("x", Array.make (32 * 8) 0l) ]
+    Sim.launch ~grid:8 ~block:32 ~block_ids:[ 0; 1 ]
+      ~args:[ ("x", Memory.zeros (32 * 8)) ]
       (compile k)
   in
   let tf = Stats.total full.Sim.stats in
@@ -714,7 +861,7 @@ let words_per_warp_instr ~block ?(args = []) (program, smem_bytes) =
   let spec = Gpu_microbench.Runner.relaxed Gpu_hw.Spec.gtx285 in
   let before = Gc.minor_words () in
   let r =
-    Sim.run ~collect_trace:true ~block_ids:[ 0 ] ~spec ~grid:1 ~block ~args k
+    Sim.launch ~collect_trace:true ~block_ids:[ 0 ] ~spec ~grid:1 ~block ~args k
   in
   let words = Gc.minor_words () -. before in
   words /. float_of_int (Stats.total_issued (Stats.total r.Sim.stats))
@@ -741,7 +888,7 @@ let test_allocation_budget () =
   in
   check "global stream" ~budget:100.
     (words_per_warp_instr ~block:256
-       ~args:[ ("buf", Array.make words 0l) ]
+       ~args:[ ("buf", Memory.zeros words) ]
        (program, 0))
 
 let () =
@@ -791,6 +938,15 @@ let () =
           Alcotest.test_case "launch errors" `Quick test_launch_errors;
           Alcotest.test_case "memory fault" `Quick test_memory_fault;
           Alcotest.test_case "runaway guard" `Quick test_runaway_guard;
+        ] );
+      ( "arguments",
+        [
+          Alcotest.test_case "buffer round trips" `Quick
+            test_buffer_round_trips;
+          Alcotest.test_case "int32 face write-back" `Quick
+            test_int32_face_write_back;
+          Alcotest.test_case "shared buffer copy-out" `Quick
+            test_shared_buffer_copy_out;
         ] );
       ( "hot path",
         [
