@@ -21,6 +21,8 @@
 
 let word_size = 4
 
+let word_shift = 2 (* log2 word_size *)
+
 (* Per-bank tallies: the distinct words seen in each bank (plain accesses)
    or the accesses landing there (atomics), with bank [b]'s distinct words
    at [words.(b * slots ..)].  A scratch belongs to its caller — one
@@ -53,53 +55,95 @@ let negative addr =
 let positive ~what who n =
   if n <= 0 then invalid_arg (Printf.sprintf "Bank.%s: %s must be > 0" who what)
 
-(* Degree of one issue group, whose active lanes are the bits of [gmask]
-   (bit 0 = lane [start]): the maximum over banks of the distinct words
-   addressed there when [distinct], else of every lane-word access with
-   multiplicity (atomics: same-word accesses cannot broadcast).  Words
-   [addr/4 .. (addr+width-1)/4] of each active lane are tallied. *)
-let group_degree s ~distinct ~width ~banks addrs start gmask =
-  let tally = s.tally and words = s.words and slots = s.slots in
-  let degree = ref 0 in
+(* The bank holding word [w]: a mask when [banks] is a power of two
+   ([bmask = banks - 1]), else a division (the prime-bank proposal's 17). *)
+let[@inline] bank ~banks ~bmask w =
+  if bmask >= 0 then w land bmask else w mod banks
+
+(* One pass over the group's lane-words deciding that its degree is 1:
+   every lane-word is the same word (a broadcast), or no two fall in the
+   same bank (the bank set is a bitmask, so [banks <= Sys.int_size]).
+   Both are the common conflict-free shapes, and both leave every bank
+   with at most one distinct word.  The pass stops at the first lane-word
+   that rules both out, and raises on a negative address in lane order
+   before it, as the tally does. *)
+let conflict_free ~width ~banks ~bmask addrs start gmask =
+  let first = ref (-1) and same = ref true in
+  let seen = ref 0 and apart = ref true in
   let m = ref gmask and lane = ref start in
-  while !m <> 0 do
+  while !m <> 0 && (!same || !apart) do
     if !m land 1 <> 0 then begin
       let addr = addrs.(!lane) in
       if addr < 0 then negative addr;
-      for w = addr / word_size to (addr + width - 1) / word_size do
-        let b = w mod banks in
-        let n = tally.(b) in
-        let k = ref 0 in
-        if distinct then begin
-          let base = b * slots in
-          while !k < n && words.(base + !k) <> w do
-            incr k
-          done;
-          if !k = n then words.(base + n) <- w
-        end
-        else k := n;
-        if !k = n then begin
-          tally.(b) <- n + 1;
-          if n + 1 > !degree then degree := n + 1
-        end
+      for w = addr lsr word_shift to (addr + width - 1) lsr word_shift do
+        if !first < 0 then first := w else if w <> !first then same := false;
+        let bit = 1 lsl bank ~banks ~bmask w in
+        if !seen land bit <> 0 then apart := false;
+        seen := !seen lor bit
       done
     end;
     m := !m lsr 1;
     incr lane
   done;
-  for b = 0 to banks - 1 do
-    tally.(b) <- 0
-  done;
-  !degree
+  !same || !apart
+
+(* Degree of one issue group, whose active lanes are the bits of [gmask]
+   (bit 0 = lane [start]): the maximum over banks of the distinct words
+   addressed there when [distinct], else of every lane-word access with
+   multiplicity (atomics: same-word accesses cannot broadcast).  Words
+   [addr/4 .. (addr+width-1)/4] of each active lane are tallied; a
+   non-negative address makes those shifts. *)
+let group_degree s ~distinct ~width ~banks ~bmask addrs start gmask =
+  if
+    distinct && banks <= Sys.int_size
+    && conflict_free ~width ~banks ~bmask addrs start gmask
+  then 1
+  else begin
+    let tally = s.tally and words = s.words and slots = s.slots in
+    let degree = ref 0 in
+    let m = ref gmask and lane = ref start in
+    while !m <> 0 do
+      if !m land 1 <> 0 then begin
+        let addr = addrs.(!lane) in
+        if addr < 0 then negative addr;
+        for w = addr lsr word_shift to (addr + width - 1) lsr word_shift
+        do
+          let b = bank ~banks ~bmask w in
+          let n = tally.(b) in
+          let k = ref 0 in
+          if distinct then begin
+            let base = b * slots in
+            while !k < n && words.(base + !k) <> w do
+              incr k
+            done;
+            if !k = n then words.(base + n) <- w
+          end
+          else k := n;
+          if !k = n then begin
+            tally.(b) <- n + 1;
+            if n + 1 > !degree then degree := n + 1
+          end
+        done
+      end;
+      m := !m lsr 1;
+      incr lane
+    done;
+    for b = 0 to banks - 1 do
+      tally.(b) <- 0
+    done;
+    !degree
+  end
 
 let walk s ~distinct ~width ~banks ~group addrs mask =
   reserve s ~banks ~group ~width;
+  let bmask = if banks land (banks - 1) = 0 then banks - 1 else -1 in
   let total = ref 0 and start = ref 0 in
   while Lanes.more mask ~start:!start do
     let gmask = Lanes.group_mask mask ~start:!start ~group in
     if gmask <> 0 then
       total :=
-        !total + group_degree s ~distinct ~width ~banks addrs !start gmask;
+        !total
+        + group_degree s ~distinct ~width ~banks ~bmask addrs !start gmask;
     start := !start + group
   done;
   !total
@@ -131,42 +175,60 @@ let atomic_conflicts s ~width ~banks ~group addrs ~mask =
   positive ~what:"width" "atomic_degree" width;
   walk s ~distinct:false ~width ~banks ~group addrs mask
 
-(* Conflict-free transaction count for the same access: the widest active
-   lane's word count per group with at least one active lane (a multi-word
-   access needs that many transactions even without conflicts). *)
-let ideal ~width ~group addrs ~mask =
-  positive ~what:"group" "ideal_warp_transactions" group;
-  positive ~what:"width" "ideal_warp_transactions" width;
-  let total = ref 0 and start = ref 0 in
-  while Lanes.more mask ~start:!start do
-    let m = ref (Lanes.group_mask mask ~start:!start ~group)
-    and lane = ref !start
-    and widest = ref 0 in
-    while !m <> 0 do
-      if !m land 1 <> 0 then begin
-        let a = addrs.(!lane) in
-        let words = ((a + width - 1) / word_size) - (a / word_size) + 1 in
-        if words > !widest then widest := words
-      end;
-      m := !m lsr 1;
-      incr lane
-    done;
-    total := !total + !widest;
-    start := !start + group
-  done;
-  !total
-
-(* Contention-free floor for an atomic access: one transaction per group
-   with at least one active lane — the count a conflict-free, fully
-   diverged-address atomic would achieve. *)
-let ideal_atomic ~group ~mask =
-  positive ~what:"group" "ideal_warp_atomic_transactions" group;
+(* Issue groups of [group] lanes with at least one active lane. *)
+let active_groups ~group mask =
   let total = ref 0 and start = ref 0 in
   while Lanes.more mask ~start:!start do
     if Lanes.group_mask mask ~start:!start ~group <> 0 then incr total;
     start := !start + group
   done;
   !total
+
+(* Conflict-free transaction count for the same access: the widest active
+   lane's word count per group with at least one active lane (a multi-word
+   access needs that many transactions even without conflicts).  When
+   every active address is non-negative and word-aligned — the OR of them
+   all has neither the sign bit nor a low bit set — every lane spans the
+   same [(width - 1) / 4 + 1] words, so the count is that times the
+   active groups. *)
+let ideal ~width ~group addrs ~mask =
+  positive ~what:"group" "ideal_warp_transactions" group;
+  positive ~what:"width" "ideal_warp_transactions" width;
+  let any = ref 0 and m = ref mask and lane = ref 0 in
+  while !m <> 0 do
+    if !m land 1 <> 0 then any := !any lor addrs.(!lane);
+    m := !m lsr 1;
+    incr lane
+  done;
+  if !any land (min_int lor (word_size - 1)) = 0 then
+    (((width - 1) / word_size) + 1) * active_groups ~group mask
+  else begin
+    let total = ref 0 and start = ref 0 in
+    while Lanes.more mask ~start:!start do
+      let m = ref (Lanes.group_mask mask ~start:!start ~group)
+      and lane = ref !start
+      and widest = ref 0 in
+      while !m <> 0 do
+        if !m land 1 <> 0 then begin
+          let a = addrs.(!lane) in
+          let words = ((a + width - 1) / word_size) - (a / word_size) + 1 in
+          if words > !widest then widest := words
+        end;
+        m := !m lsr 1;
+        incr lane
+      done;
+      total := !total + !widest;
+      start := !start + group
+    done;
+    !total
+  end
+
+(* Contention-free floor for an atomic access: one transaction per group
+   with at least one active lane — the count a conflict-free, fully
+   diverged-address atomic would achieve. *)
+let ideal_atomic ~group ~mask =
+  positive ~what:"group" "ideal_warp_atomic_transactions" group;
+  active_groups ~group mask
 
 (* --- [int option array] entry points ------------------------------------ *)
 

@@ -66,7 +66,7 @@ let serve_group c s ~width addrs start gmask k =
       incr leader
     done;
     let seg = c.max_segment in
-    let base = addrs.(start + !leader) / seg * seg in
+    let base = addrs.(start + !leader) land lnot (seg - 1) in
     (* Step 2: which pending lanes fall entirely inside it.  The leader
        always leaves [pending], so the loop ends even for an access that
        straddles its segment. *)
@@ -103,16 +103,20 @@ let serve_group c s ~width addrs start gmask k =
 
 (* The counting core: serve the active lanes of [mask] in issue groups of
    [c.group] threads.  Transactions land in [s] in service order; returns
-   how many. *)
+   how many.  The width and the segment sizes are powers of two, and
+   every active address is checked non-negative before a group is
+   served, so the alignment test and the segment bases are masks. *)
 let serve c s ~width addrs ~mask =
   check_config c;
+  if width <= 0 || width land (width - 1) <> 0 then
+    invalid_arg "Coalesce.group_transactions: width must be a power of two";
   if width > c.max_segment then
     invalid_arg "Coalesce.group_transactions: access wider than a segment";
   let m = ref mask and lane = ref 0 in
   while !m <> 0 do
     (if !m land 1 <> 0 then
        let a = addrs.(!lane) in
-       if a < 0 || a mod width <> 0 then misaligned ());
+       if a < 0 || a land (width - 1) <> 0 then misaligned ());
     m := !m lsr 1;
     incr lane
   done;

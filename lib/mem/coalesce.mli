@@ -23,8 +23,9 @@ val scratch : unit -> scratch
 
 (** [serve c s ~width addrs ~mask] serves the active lanes of [mask] (in the
     {!Lanes} form) in issue groups of [c.group] threads, writing the
-    transactions into [s] in service order, and returns how many.  Active
-    addresses must be width-aligned.  Allocates nothing. *)
+    transactions into [s] in service order, and returns how many.  [width]
+    must be a power of two and active addresses width-aligned.  Allocates
+    nothing. *)
 val serve : config -> scratch -> width:int -> int array -> mask:int -> int
 
 (** {2 [int option array] entry points}

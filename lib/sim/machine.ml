@@ -20,7 +20,8 @@
    - every opcode runs a direct, closure-free lane loop;
    - memory instructions stage their lane addresses into the run's [int]
      buffer and hand it with the lane mask to the allocation-free
-     [Bank]/[Coalesce] core.
+     [Bank]/[Coalesce] core; a global access hands [Memory] the whole
+     lane set, which it checks and then moves in one call.
    The per-lane code and its value conversions ([Conv]) live in this one
    compilation unit on purpose: the build compiles modules [-opaque], so a
    helper in another module taking or returning [int64], [int32] or
@@ -204,12 +205,13 @@ let pop_reconverged w =
 
 (* --- Shared-memory access --------------------------------------------- *)
 
+(* [width] is 4, so the alignment test is a mask, not a division. *)
 let shared_check block addr width =
   let bytes = Bytes.length block.shared in
   if addr < 0 || addr + width > bytes then
     stuck "block %d: shared access at %#x outside [0, %#x)" block.bid addr
       bytes;
-  if addr mod width <> 0 then
+  if addr land (width - 1) <> 0 then
     stuck "block %d: misaligned shared access at %#x" block.bid addr
 
 let[@inline] shared_load32 block addr =
@@ -239,31 +241,31 @@ let[@inline] exec_ibinop op (a : int32) b =
   | I.Shl -> shift_left a (to_int (logand b 31l))
   | I.Shr -> shift_right a (to_int (logand b 31l))
 
+(* The float operations return the exact double; [of_f32] rounds it to
+   single precision once, when it becomes a register value. *)
 let[@inline] exec_fbinop op (a : float) b =
-  round_f32
-    (match op with
-    | I.Fadd -> a +. b
-    | I.Fsub -> a -. b
-    | I.Fmul -> a *. b
-    | I.Fmin -> if a <= b then a else b
-    | I.Fmax -> if a >= b then a else b)
+  match op with
+  | I.Fadd -> a +. b
+  | I.Fsub -> a -. b
+  | I.Fmul -> a *. b
+  | I.Fmin -> if a <= b then a else b
+  | I.Fmax -> if a >= b then a else b
 
 let[@inline] exec_dbinop op a b =
   match op with I.Dadd -> a +. b | I.Dmul -> a *. b
 
 let[@inline] exec_sfu op a =
-  round_f32
-    (match op with
-    | I.Rcp -> 1.0 /. a
-    | I.Rsqrt -> 1.0 /. sqrt a
-    | I.Sin -> sin a
-    | I.Cos -> cos a
-    | I.Lg2 -> log a /. log 2.0
-    | I.Ex2 -> Float.pow 2.0 a)
+  match op with
+  | I.Rcp -> 1.0 /. a
+  | I.Rsqrt -> 1.0 /. sqrt a
+  | I.Sin -> sin a
+  | I.Cos -> cos a
+  | I.Lg2 -> log a /. log 2.0
+  | I.Ex2 -> Float.pow 2.0 a
 
 let[@inline] exec_cvt op x =
   match op with
-  | I.I2f -> of_f32 (round_f32 (Int32.to_float (to_i32 x)))
+  | I.I2f -> of_f32 (Int32.to_float (to_i32 x))
   | I.F2i -> of_i32 (Int32.of_float (to_f32 x))
   | I.F2i_rni -> of_i32 (Int32.of_float (Float.round (to_f32 x)))
 
@@ -325,7 +327,7 @@ let broadcast v =
 let slot = function
   | Some (I.Reg (I.R r)) -> (r * row, None)
   | Some (I.Imm v) -> (0, broadcast (of_i32 v))
-  | Some (I.Fimm f) -> (0, broadcast (of_f32 (round_f32 f)))
+  | Some (I.Fimm f) -> (0, broadcast (of_f32 f))
   | None -> (0, None)
 
 let reg_id (I.R r) = r
@@ -575,7 +577,7 @@ let execute run ~gmem ~stats:st block w d ~pc em =
         let x = to_f32 (operand sa xa lane)
         and y = to_f32 (operand sb xb lane)
         and z = to_f32 (operand sc xc lane) in
-        set64 regs (o + (8 * lane)) (of_f32 (round_f32 ((x *. y) +. z)))
+        set64 regs (o + (8 * lane)) (of_f32 ((x *. y) +. z))
     done;
     record cfg w d
   | I.Dop (op, dr, _, _) ->
@@ -642,7 +644,7 @@ let execute run ~gmem ~stats:st block w d ~pc em =
         let b = Int32.float_of_bits (shared_load32 block addrs.(lane)) in
         let x = to_f32 (operand sa xa lane)
         and z = to_f32 (operand sc xc lane) in
-        set64 regs (o + (8 * lane)) (of_f32 (round_f32 ((x *. b) +. z)))
+        set64 regs (o + (8 * lane)) (of_f32 ((x *. b) +. z))
       end
     done;
     count_smem run st block w d ~pc ~width:4 em
@@ -668,26 +670,12 @@ let execute run ~gmem ~stats:st block w d ~pc em =
     count_smem run st block w d ~pc ~width em
   | I.Ld (I.Global, width, dr, m) ->
     stage_addresses run w em m;
-    let addrs = run.addrs and o = reg_id dr * row in
-    for lane = 0 to lanes - 1 do
-      if enabled em lane then
-        set64 regs
-          (o + (8 * lane))
-          (if width = 8 then Memory.load64 gmem addrs.(lane)
-           else of_int (Memory.load32 gmem addrs.(lane)))
-    done;
+    Memory.load_lanes gmem ~width run.addrs ~mask:em regs
+      ~reg:(reg_id dr * row);
     count_gmem run st block w d ~pc ~width ~store:false em
   | I.St (I.Global, width, m, _) ->
     stage_addresses run w em m;
-    let addrs = run.addrs in
-    for lane = 0 to lanes - 1 do
-      if enabled em lane then
-        if width = 8 then
-          Memory.store64 gmem addrs.(lane) (operand sa xa lane)
-        else
-          Memory.store32 gmem addrs.(lane)
-            (Int64.to_int (operand sa xa lane))
-    done;
+    Memory.store_lanes gmem ~width run.addrs ~mask:em sa ~reg:xa;
     count_gmem run st block w d ~pc ~width ~store:true em
   | I.Atom (op, dr, m, _, swap) ->
     (match (op, swap) with

@@ -3,10 +3,11 @@
    alignment (as cudaMalloc does), which matters for coalescing behavior.
 
    Words live unboxed in [Bytes] (native byte order; only this module reads
-   them back), and 32-bit loads and stores cross the module boundary as
-   immediate [int]s, so the interpreter's per-lane accesses allocate
-   nothing.  Kernel arguments use the same layout ([buffer]), so copying
-   one in or out of device memory is one blit. *)
+   them back).  The interpreter hands over a warp's whole access — its
+   lanes' addresses and the register row — so the per-lane accesses
+   allocate nothing and cross no module boundary.  Kernel arguments use
+   the same layout ([buffer]), so copying one in or out of device memory
+   is one blit. *)
 
 external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
 external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
@@ -38,32 +39,64 @@ let rec check_poison addr width = function
       fault "poisoned global memory transaction at %#x (injected fault)" addr;
     check_poison addr width rest
 
+(* [width] is 4 or 8, so the alignment test is a mask, not a division. *)
 let check t addr width =
   if addr < 0 || addr + width > size_bytes t then
     fault "global memory access at %#x (width %d) outside [0, %#x)" addr
       width (size_bytes t);
-  if addr mod width <> 0 then
+  if addr land (width - 1) <> 0 then
     fault "misaligned global memory access at %#x (width %d)" addr width;
   check_poison addr width t.poisoned
 
-let load32 t addr =
-  check t addr 4;
-  Int32.to_int (get32 t.bytes addr)
+(* --- Lane sets ----------------------------------------------------------- *)
 
-let store32 t addr v =
-  check t addr 4;
-  set32 t.bytes addr (Int32.of_int v)
+(* Every active lane is checked, in lane order, before any word moves: the
+   first bad lane raises with its own message, and a faulting store leaves
+   memory as it was. *)
 
-let load64 t addr =
-  check t addr 8;
-  let lo = Int64.logand (Int64.of_int32 (get32 t.bytes addr)) 0xFFFF_FFFFL in
-  let hi = Int64.of_int32 (get32 t.bytes (addr + 4)) in
-  Int64.logor lo (Int64.shift_left hi 32)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
-let store64 t addr v =
-  check t addr 8;
-  set32 t.bytes addr (Int64.to_int32 v);
-  set32 t.bytes (addr + 4) (Int64.to_int32 (Int64.shift_right_logical v 32))
+let check_lanes t ~width addrs mask =
+  if width <> 4 && width <> 8 then
+    invalid_arg "Memory: lane access width must be 4 or 8";
+  let m = ref mask and lane = ref 0 in
+  while !m <> 0 do
+    if !m land 1 <> 0 then check t addrs.(!lane) width;
+    m := !m lsr 1;
+    incr lane
+  done
+
+let load_lanes t ~width addrs ~mask regs ~reg =
+  check_lanes t ~width addrs mask;
+  let b = t.bytes in
+  let m = ref mask and lane = ref 0 in
+  while !m <> 0 do
+    (if !m land 1 <> 0 then
+       let a = addrs.(!lane) and o = reg + (8 * !lane) in
+       let lo = Int64.logand (Int64.of_int32 (get32 b a)) 0xFFFF_FFFFL in
+       if width = 8 then
+         let hi = Int64.of_int32 (get32 b (a + 4)) in
+         set64 regs o (Int64.logor lo (Int64.shift_left hi 32))
+       else set64 regs o lo);
+    m := !m lsr 1;
+    incr lane
+  done
+
+let store_lanes t ~width addrs ~mask regs ~reg =
+  check_lanes t ~width addrs mask;
+  let b = t.bytes in
+  let m = ref mask and lane = ref 0 in
+  while !m <> 0 do
+    (if !m land 1 <> 0 then
+       let a = addrs.(!lane) in
+       let v = get64 regs (reg + (8 * !lane)) in
+       set32 b a (Int64.to_int32 v);
+       if width = 8 then
+         set32 b (a + 4) (Int64.to_int32 (Int64.shift_right_logical v 32)));
+    m := !m lsr 1;
+    incr lane
+  done
 
 (* --- Argument buffers ---------------------------------------------------- *)
 

@@ -10,19 +10,33 @@ exception Fault of string
 val create : bytes:int -> t
 val size_bytes : t -> int
 
-(** Loads and stores raise {!Fault} on out-of-bounds, misaligned or
-    poisoned accesses.  32-bit words cross as immediates: [load32] returns
-    the word sign-extended, [store32] stores the low 32 bits. *)
-val load32 : t -> int -> int
-
-val store32 : t -> int -> int -> unit
-val load64 : t -> int -> int64
-val store64 : t -> int -> int64 -> unit
-
 (** Fault injection: mark a byte range as failing, so any overlapping
     access raises {!Fault} — a deterministic stand-in for a failing memory
     transaction (ECC/Xid-style errors on real devices). *)
 val poison : t -> addr:int -> width:int -> unit
+
+(** {2 Lane sets}
+
+    One warp's access: lane [l] is active when bit [l] of [mask] is set,
+    and reads or writes [width] (4 or 8) bytes at byte address
+    [addrs.(l)].  Its register is the 8 bytes at [reg + 8 * l] of [regs]
+    (a register row of the interpreter's register file).
+
+    Every active lane is checked first, in lane order: the first lane
+    whose access is out of bounds, misaligned or poisoned raises {!Fault},
+    and then no word has moved.  Raises [Invalid_argument] on another
+    width. *)
+
+(** A 4-byte load zero-extends the word into the register; an 8-byte
+    load reads the word at [a] as the low half and [a + 4] as the high
+    half. *)
+val load_lanes :
+  t -> width:int -> int array -> mask:int -> Bytes.t -> reg:int -> unit
+
+(** A 4-byte store writes the register's low 32 bits; an 8-byte store
+    writes the low half at [a] and the high half at [a + 4]. *)
+val store_lanes :
+  t -> width:int -> int array -> mask:int -> Bytes.t -> reg:int -> unit
 
 (** {2 Argument buffers}
 

@@ -7,7 +7,14 @@
    Both sifts move a hole instead of swapping, and make exactly the
    comparisons of the textbook swap-based heap in the same order, so equal
    keys pop in the same order as they always have: the engine's schedule
-   depends on that tie order. *)
+   depends on that tie order.
+
+   Every key slot at or beyond [size] holds the sentinel [max_int], so the
+   sift-down reads both children of a node with a left child without
+   testing whether the right one exists, and picks the smaller with
+   [Bool.to_int] instead of a branch (DESIGN §14).  A missing right child
+   reads [max_int], which is never strictly below its sibling, so the
+   choice and the sinking test come out as the bounds-tested sift's. *)
 
 type t = {
   mutable keys : int array;
@@ -15,7 +22,8 @@ type t = {
   mutable size : int;
 }
 
-let create () = { keys = Array.make 64 0; data = Array.make 64 0; size = 0 }
+let create () =
+  { keys = Array.make 64 max_int; data = Array.make 64 0; size = 0 }
 
 let is_empty t = t.size = 0
 
@@ -25,7 +33,7 @@ let min_key t =
 
 let grow t =
   let n = Array.length t.keys in
-  let keys = Array.make (2 * n) 0 in
+  let keys = Array.make (2 * n) max_int in
   let data = Array.make (2 * n) 0 in
   Array.blit t.keys 0 keys 0 n;
   Array.blit t.data 0 data 0 n;
@@ -59,28 +67,24 @@ let pop_min t =
   let top = data.(0) in
   let size = t.size - 1 in
   t.size <- size;
+  let key = keys.(size) and v = data.(size) in
+  keys.(size) <- max_int;
   if size > 0 then begin
     (* the last element drops from the root into the hole, which sinks
-       toward the smaller child while that child is strictly smaller *)
-    let key = keys.(size) in
-    let v = data.(size) in
-    let i = ref 0 in
-    let sinking = ref true in
-    while !sinking do
-      let l = (2 * !i) + 1 in
-      let r = l + 1 in
-      let c =
-        if l < size && keys.(l) < key then
-          if r < size && keys.(r) < keys.(l) then r else l
-        else if r < size && keys.(r) < key then r
-        else -1
-      in
-      if c < 0 then sinking := false
-      else begin
-        keys.(!i) <- keys.(c);
+       toward the smaller child while that child is strictly smaller; a
+       right child at [size] is the sentinel, so [r <= size] needs no
+       test, and a node whose left child is past the end stops *)
+    let i = ref 0 and l = ref 1 in
+    while !l < size do
+      let c = !l + Bool.to_int (keys.(!l + 1) < keys.(!l)) in
+      let kc = keys.(c) in
+      if kc < key then begin
+        keys.(!i) <- kc;
         data.(!i) <- data.(c);
-        i := c
+        i := c;
+        l := (2 * c) + 1
       end
+      else l := size
     done;
     keys.(!i) <- key;
     data.(!i) <- v

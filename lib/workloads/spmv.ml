@@ -321,39 +321,37 @@ let analyze ?spec ?(measure = false) ?sample ?replay_sample ?timeline ?ctx m fmt
 
 (* --- Figure 11a: bytes moved per matrix entry -------------------------- *)
 
-(* The vector-gather word addresses in half-warp issue order. *)
+(* The vector-gather word addresses in half-warp issue order, written
+   into an array sized up front: entry column [e] (ELL) or block [b] and
+   component [j] (BELL) gathers once per row or block-row. *)
 let vector_gather_addresses m fmt =
   let k = k_blocks m in
-  let out = ref [] in
-  (match fmt with
+  match fmt with
   | Ell ->
-    let col = ell_column m in
+    let n = rows m and col = ell_column m in
+    let out = Array.make (k * block_dim * n) 0 in
     for e = 0 to (k * block_dim) - 1 do
-      for row = 0 to rows m - 1 do
-        out := (4 * col e row) :: !out
+      for row = 0 to n - 1 do
+        out.((e * n) + row) <- 4 * col e row
       done
-    done
-  | Bell_im ->
+    done;
+    out
+  | Bell_im | Bell_imiv ->
     (* one access instruction serves the same j for a half-warp of
        consecutive threads, so j is the outer loop *)
+    let t_count = m.block_rows and interleaved = fmt = Bell_imiv in
+    let out = Array.make (k * block_dim * t_count) 0 in
     for b = 0 to k - 1 do
       for j = 0 to block_dim - 1 do
-        for t = 0 to m.block_rows - 1 do
+        let o = ((b * block_dim) + j) * t_count in
+        for t = 0 to t_count - 1 do
           let c = m.block_cols.((t * k) + b) in
-          out := (4 * ((block_dim * c) + j)) :: !out
+          out.(o + t) <-
+            4 * (if interleaved then (j * t_count) + c else (block_dim * c) + j)
         done
       done
-    done
-  | Bell_imiv ->
-    for b = 0 to k - 1 do
-      for j = 0 to block_dim - 1 do
-        for t = 0 to m.block_rows - 1 do
-          let c = m.block_cols.((t * k) + b) in
-          out := (4 * ((j * m.block_rows) + c)) :: !out
-        done
-      done
-    done);
-  Array.of_list (List.rev !out)
+    done;
+    out
 
 (* Bytes moved per matrix entry for each traffic component, at a given
    transaction-size granularity (32, 16 or 4 bytes in the paper's
@@ -385,22 +383,22 @@ let bytes_per_entry ?(granularity = 32) m fmt =
     | Bell_im | Bell_imiv ->
       4.0 *. float_of_int (m.block_rows * k) /. nnz_f
   in
+  (* Each half-warp of 16 consecutive gathers (the last may be short)
+     moves one segment per distinct segment it touches: an address counts
+     when no earlier address of its half-warp shares its segment. *)
   let addrs = vector_gather_addresses m fmt in
+  let segments = Array.make 16 0 in
   let total = ref 0 in
-  let segments = Hashtbl.create 32 in
-  let fill = ref 0 in
-  Array.iter
-    (fun a ->
-      Hashtbl.replace segments (a / granularity) ();
-      incr fill;
-      if !fill = 16 then begin
-        total := !total + (Hashtbl.length segments * granularity);
-        Hashtbl.reset segments;
-        fill := 0
-      end)
+  Array.iteri
+    (fun i a ->
+      let slot = i mod 16 and seg = a / granularity in
+      segments.(slot) <- seg;
+      let j = ref 0 in
+      while segments.(!j) <> seg do
+        incr j
+      done;
+      if !j = slot then total := !total + granularity)
     addrs;
-  if !fill > 0 then
-    total := !total + (Hashtbl.length segments * granularity);
   {
     matrix_bytes;
     index_bytes;

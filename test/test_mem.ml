@@ -347,6 +347,284 @@ let prop_conflict_degree_bounds =
       let d = B.conflict_degree ~banks:16 a in
       if actives = 0 then d = 0 else d >= 1 && d <= min actives 16)
 
+(* --- Counting core against the reference ---------------------------------- *)
+
+(* The per-lane algorithms the counting core had before its shortcuts,
+   kept as the reference its fast paths must equal on every lane set,
+   exceptions included: a division for every bank, word and segment base,
+   a per-bank tally for every group (no conflict-free pass), the
+   widest-lane scan for the ideal count, and the [mod] alignment test. *)
+module Ref_mem = struct
+  let word_size = 4
+
+  (* The active lanes of each issue group, in lane order. *)
+  let groups ~group ~lanes mask =
+    List.init
+      ((lanes + group - 1) / group)
+      (fun g ->
+        List.filter
+          (fun l -> l < lanes && mask land (1 lsl l) <> 0)
+          (List.init group (fun i -> (g * group) + i)))
+
+  let degree ~distinct ~width ~banks addrs lanes =
+    let per_bank = Array.make banks [] in
+    List.iter
+      (fun l ->
+        let a = addrs.(l) in
+        if a < 0 then
+          invalid_arg (Printf.sprintf "Bank: negative address %d" a);
+        for w = a / word_size to (a + width - 1) / word_size do
+          let b = w mod banks in
+          if not (distinct && List.mem w per_bank.(b)) then
+            per_bank.(b) <- w :: per_bank.(b)
+        done)
+      lanes;
+    Array.fold_left (fun d ws -> max d (List.length ws)) 0 per_bank
+
+  let conflicts ~distinct ~width ~banks ~group addrs mask =
+    List.fold_left
+      (fun n lanes -> n + degree ~distinct ~width ~banks addrs lanes)
+      0
+      (groups ~group ~lanes:(Array.length addrs) mask)
+
+  let ideal ~width ~group addrs mask =
+    List.fold_left
+      (fun n lanes ->
+        n
+        + List.fold_left
+            (fun m l ->
+              let a = addrs.(l) in
+              max m (((a + width - 1) / word_size) - (a / word_size) + 1))
+            0 lanes)
+      0
+      (groups ~group ~lanes:(Array.length addrs) mask)
+
+  let misaligned () =
+    invalid_arg "Coalesce.group_transactions: addresses must be width-aligned"
+
+  (* Transactions in service order, as (base, size) pairs. *)
+  let coalesce (c : C.config) ~width addrs mask =
+    let groups = groups ~group:c.C.group ~lanes:(Array.length addrs) mask in
+    List.iter
+      (List.iter (fun l ->
+           let a = addrs.(l) in
+           if a < 0 || a mod width <> 0 then misaligned ()))
+      groups;
+    let serve lanes =
+      let rec go pending acc =
+        match pending with
+        | [] -> List.rev acc
+        | leader :: _ ->
+          let seg = c.C.max_segment in
+          let base = addrs.(leader) / seg * seg in
+          let inside l =
+            let a = addrs.(l) in
+            a >= base && a + width <= base + seg
+          in
+          let members = List.filter inside pending in
+          let lo =
+            List.fold_left (fun m l -> min m addrs.(l)) max_int members
+          and hi =
+            List.fold_left (fun m l -> max m (addrs.(l) + width)) 0 members
+          in
+          let rec shrink tbase tsize =
+            let half = tsize / 2 in
+            if half < c.C.min_segment then (tbase, tsize)
+            else if hi <= tbase + half then shrink tbase half
+            else if lo >= tbase + half then shrink (tbase + half) half
+            else (tbase, tsize)
+          in
+          let served l = l = leader || inside l in
+          go
+            (List.filter (fun l -> not (served l)) pending)
+            (shrink base seg :: acc)
+      in
+      go lanes []
+    in
+    List.concat_map serve groups
+end
+
+type lane_set = {
+  width : int;
+  banks : int;
+  group : int;
+  addrs : int array; (* 32 lanes *)
+  mask : int;
+}
+
+let pp_lane_set ls =
+  Printf.sprintf "width %d banks %d group %d mask %#x addrs [%s]" ls.width
+    ls.banks ls.group ls.mask
+    (String.concat "; " (Array.to_list (Array.map string_of_int ls.addrs)))
+
+(* Lane shapes the simulator meets — broadcast, consecutive words,
+   strided, random, duplicated words — plus negative and misaligned
+   addresses, at widths 4 and 8, over 16, 17 or 32 banks in groups of 16
+   or 32, under full, half-warp, random and single-lane masks. *)
+let gen_lane_set =
+  let open QCheck.Gen in
+  let* width = oneofl [ 4; 8 ] in
+  let* banks = oneofl [ 16; 17; 32 ] in
+  let* group = oneofl [ 16; 32 ] in
+  let* base = map (fun w -> width * w) (int_bound 1023) in
+  let* stride = oneofl [ 2; 3; 4; 8; 16; 17; 32 ] in
+  let lanes f = return (Array.init 32 f) in
+  let* shape =
+    oneof
+      [
+        lanes (fun _ -> base);
+        lanes (fun i -> base + (width * i));
+        lanes (fun i -> base + (stride * width * i));
+        array_repeat 32 (map (fun w -> width * w) (int_bound 1023));
+        array_repeat 32 (map (fun w -> base + (width * w)) (int_bound 3));
+      ]
+  in
+  let* bad = int_bound 3 in
+  let* bad_lanes = list_repeat bad (int_bound 31) in
+  let* spoil = oneofl [ `Negative; `Misaligned ] in
+  let* offset = oneofl [ 1; 2; 3; 4; 6 ] in
+  let addrs = Array.copy shape in
+  List.iter
+    (fun l ->
+      addrs.(l) <-
+        (match spoil with
+        | `Negative -> -offset - (width * l)
+        | `Misaligned -> addrs.(l) + offset))
+    bad_lanes;
+  let* mask =
+    oneof
+      [
+        return 0xFFFF_FFFF;
+        oneofl [ 0xFFFF; 0xFFFF_0000; 0 ];
+        map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xFFFF)
+          (int_bound 0xFFFF);
+        map (fun l -> 1 lsl l) (int_bound 31);
+      ]
+  in
+  return { width; banks; group; addrs; mask }
+
+let outcome f =
+  match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let prop_core_matches_reference =
+  QCheck.Test.make ~count:3000
+    ~name:"bank, ideal and coalescing core equal the reference"
+    (QCheck.make ~print:pp_lane_set gen_lane_set)
+    (fun ({ width; banks; group; addrs; mask } as ls) ->
+      let agree what got want =
+        if got <> want then
+          QCheck.Test.fail_reportf "%s differs on %s" what (pp_lane_set ls)
+      in
+      let scratch = B.scratch () in
+      agree "conflicts"
+        (outcome (fun () ->
+             B.conflicts scratch ~width ~banks ~group addrs ~mask))
+        (outcome (fun () ->
+             Ref_mem.conflicts ~distinct:true ~width ~banks ~group addrs mask));
+      agree "atomic_conflicts"
+        (outcome (fun () ->
+             B.atomic_conflicts scratch ~width ~banks ~group addrs ~mask))
+        (outcome (fun () ->
+             Ref_mem.conflicts ~distinct:false ~width ~banks ~group addrs
+               mask));
+      agree "ideal"
+        (outcome (fun () -> B.ideal ~width ~group addrs ~mask))
+        (outcome (fun () -> Ref_mem.ideal ~width ~group addrs mask));
+      List.iter
+        (fun min_segment ->
+          let c = { C.group; min_segment; max_segment = 128 } in
+          let s = C.scratch () in
+          agree
+            (Printf.sprintf "serve (min segment %d)" min_segment)
+            (outcome (fun () ->
+                 let n = C.serve c s ~width addrs ~mask in
+                 List.init n (fun i -> (s.C.bases.(i), s.C.sizes.(i)))))
+            (outcome (fun () -> Ref_mem.coalesce c ~width addrs mask)))
+        [ 8; 32 ];
+      true)
+
+(* --- Global memory lane sets --------------------------------------------- *)
+
+module Memory = Gpu_sim.Memory
+
+let fault_text f =
+  match f () with
+  | () -> Alcotest.fail "expected a memory fault"
+  | exception Memory.Fault m -> m
+
+(* A lane set with two bad lanes faults with the first one's message, in
+   lane order, whichever check each one fails; a store that faults has
+   written no lane, not even the good lanes before the bad one. *)
+let test_lane_set_first_fault () =
+  let mem = Memory.create ~bytes:1024 in
+  let regs = Bytes.make (8 * 32) '\001' in
+  let addrs = Array.init 32 (fun l -> 4 * l) in
+  let mask = 0xFFFF in
+  let with_bad pairs =
+    let a = Array.copy addrs in
+    List.iter (fun (l, x) -> a.(l) <- x) pairs;
+    a
+  in
+  let both f a = f mem ~width:4 a ~mask regs ~reg:0 in
+  List.iter
+    (fun (pairs, want) ->
+      Alcotest.(check string) "load" want
+        (fault_text (fun () -> both Memory.load_lanes (with_bad pairs)));
+      Alcotest.(check string) "store" want
+        (fault_text (fun () -> both Memory.store_lanes (with_bad pairs))))
+    [
+      ( [ (3, 0x102); (7, 0x1000) ],
+        "misaligned global memory access at 0x102 (width 4)" );
+      ( [ (3, 0x1000); (7, 0x102) ],
+        "global memory access at 0x1000 (width 4) outside [0, 0x400)" );
+      ( [ (3, 0x3fe); (9, 0x2) ],
+        "global memory access at 0x3fe (width 4) outside [0, 0x400)" );
+    ];
+  (* inactive lanes are never checked *)
+  both Memory.load_lanes (with_bad [ (20, 0x1000) ]);
+  (* nothing moved: reading the lanes back gives the zeros [create]
+     wrote, not the 0x01 bytes of the register row *)
+  let back = Bytes.make (8 * 32) '\255' in
+  Memory.load_lanes mem ~width:8 (Array.init 32 (fun l -> 8 * l)) ~mask
+    back ~reg:0;
+  Alcotest.(check bool) "faulting stores wrote nothing" true
+    (Bytes.for_all (fun c -> c = '\000') (Bytes.sub back 0 (8 * 16)));
+  Memory.poison mem ~addr:0x20 ~width:4;
+  Alcotest.(check string) "poison"
+    "poisoned global memory transaction at 0x20 (injected fault)"
+    (fault_text (fun () -> both Memory.load_lanes (with_bad [ (12, 0x7) ])));
+  Alcotest.(check bool) "other widths rejected" true
+    (match Memory.load_lanes mem ~width:2 addrs ~mask regs ~reg:0 with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
+(* The same through a kernel: lane [t] stores at word [t * t * t] of a
+   32-word buffer, so lanes 4 and 5 are out of bounds.  The fault names
+   lane 4's address, as the per-lane loop always did, and
+   [launch_result] copies nothing back. *)
+let test_kernel_first_fault () =
+  let module Ir = Gpu_kernel.Ir in
+  let k =
+    Gpu_kernel.Compile.compile
+      {
+        Ir.name = "cubes";
+        params = [ "x" ];
+        shared = [];
+        body = [ Ir.St_global ("x", Ir.(Tid * Tid * Tid), Ir.Int 7) ];
+      }
+  in
+  let x = Memory.zeros 32 in
+  match
+    Gpu_sim.Sim.launch_result ~grid:1 ~block:32 ~args:[ ("x", x) ] k
+  with
+  | Ok _ -> Alcotest.fail "out-of-bounds lanes did not fault"
+  | Error f ->
+    Alcotest.(check string) "first bad lane"
+      "global memory access at 0x100 (width 4) outside [0, 0x80)"
+      f.Gpu_sim.Sim.diag.Gpu_diag.Diag.message;
+    Alcotest.(check (array int)) "nothing copied back" (Array.make 32 0)
+      (Array.init 32 (Memory.get_int x))
+
 (* --- Cache model --------------------------------------------------------- *)
 
 let test_cache_hits_on_reuse () =
@@ -428,6 +706,15 @@ let () =
             test_negative_address_rejected;
           QCheck_alcotest.to_alcotest prop_warp_walkers_match_slices;
           QCheck_alcotest.to_alcotest prop_atomic_bounds;
+        ] );
+      ( "counting core",
+        [ QCheck_alcotest.to_alcotest prop_core_matches_reference ] );
+      ( "global lane sets",
+        [
+          Alcotest.test_case "first bad lane faults" `Quick
+            test_lane_set_first_fault;
+          Alcotest.test_case "kernel fault names the first bad lane" `Quick
+            test_kernel_first_fault;
         ] );
       ( "cache",
         [

@@ -595,41 +595,62 @@ module Ref_heap = struct
     (key, v)
 end
 
+(* Replays [ops] seeded add/pop steps (an add with probability
+   [adds]/5, or whenever the heap is empty) on the queue and on
+   [Ref_heap], keys drawn by [key], then drains both; every pop must
+   agree on key and payload. *)
+let heap_agrees ~run ~rng ~ops ~adds key =
+  let module H = Gpu_timing.Heap in
+  let h = H.create () and r = Ref_heap.create () in
+  let next = ref 0 and peak = ref 0 in
+  let pop () =
+    let key = H.min_key h in
+    let v = H.pop_min h in
+    let key', v' = Ref_heap.pop r in
+    if key <> key' || v <> v' then
+      Alcotest.failf "run %d: popped (%d, %d), reference (%d, %d)" run key v
+        key' v'
+  in
+  for _ = 1 to ops do
+    if H.is_empty h || Random.State.int rng 5 < adds then begin
+      let key = key h in
+      H.add h ~key !next;
+      Ref_heap.add r ~key !next;
+      incr next;
+      peak := max !peak r.Ref_heap.size
+    end
+    else pop ()
+  done;
+  while not (H.is_empty h) do
+    pop ()
+  done;
+  Alcotest.(check int) "both drained" 0 r.Ref_heap.size;
+  !peak
+
 (* Seeded random add/pop sequences over a handful of distinct keys (so
    nearly every comparison is a tie): half the runs draw keys from a small
    range, half push event times at or shortly after the current minimum,
-   as the engine does. *)
+   as the engine does.  Then runs at the key range's edges — negative
+   keys, 0 and [max_int - k], where [max_int] equals the sentinel that
+   fills the slots past the end — and runs that mostly add, so the queue
+   grows past 64 and 128 entries and [grow] doubles it twice. *)
 let test_heap_tie_order () =
   let module H = Gpu_timing.Heap in
   let rng = Random.State.make [| 2011 |] in
   for run = 1 to 200 do
-    let h = H.create () and r = Ref_heap.create () in
-    let next = ref 0 in
-    let pop () =
-      let key = H.min_key h in
-      let v = H.pop_min h in
-      let key', v' = Ref_heap.pop r in
-      if key <> key' || v <> v' then
-        Alcotest.failf "run %d: popped (%d, %d), reference (%d, %d)" run key
-          v key' v'
-    in
-    for _ = 1 to 400 do
-      if H.is_empty h || Random.State.int rng 5 < 3 then begin
-        let key =
-          if run mod 2 = 0 then Random.State.int rng 6
-          else if H.is_empty h then 0
-          else H.min_key h + Random.State.int rng 3
-        in
-        H.add h ~key !next;
-        Ref_heap.add r ~key !next;
-        incr next
-      end
-      else pop ()
-    done;
-    while not (H.is_empty h) do
-      pop ()
-    done;
-    Alcotest.(check int) "both drained" 0 r.Ref_heap.size
+    ignore
+      (heap_agrees ~run ~rng ~ops:400 ~adds:3 (fun h ->
+           if run mod 2 = 0 then Random.State.int rng 6
+           else if H.is_empty h then 0
+           else H.min_key h + Random.State.int rng 3))
+  done;
+  let edges = [| min_int; -7; -1; 0; max_int - 2; max_int - 1; max_int |] in
+  let edge _ = edges.(Random.State.int rng (Array.length edges)) in
+  for run = 201 to 300 do
+    let adds = if run mod 2 = 0 then 4 else 3 in
+    let peak = heap_agrees ~run ~rng ~ops:400 ~adds edge in
+    if adds = 4 && peak <= 128 then
+      Alcotest.failf "run %d peaked at %d entries, not past 128" run peak
   done
 
 let test_heap_empty_raises () =

@@ -262,7 +262,49 @@ let test_spmv_layouts () =
     ];
   Alcotest.(check (array int)) "ELL gathers read the ELL columns"
     (Array.map (fun c -> 4 * Int32.to_int c) cols)
-    (Spmv.vector_gather_addresses m Spmv.Ell)
+    (Spmv.vector_gather_addresses m Spmv.Ell);
+  (* BELL: block [b]'s component [j] is gathered for every block-row [t]
+     in turn, at its block column [c = bcol.(b * T + t)]: word [3c + j] of
+     the plain vector, word [j * T + c] of the interleaved one *)
+  let t_count = m.Spmv.block_rows in
+  let bell word =
+    Array.init
+      (Array.length bcol * 3)
+      (fun i ->
+        let b = i / (3 * t_count) and j = i / t_count mod 3 in
+        let t = i mod t_count in
+        4 * word j (Int32.to_int bcol.((b * t_count) + t)))
+  in
+  Alcotest.(check (array int)) "BELL+IM gathers read the block columns"
+    (bell (fun j c -> (3 * c) + j))
+    (Spmv.vector_gather_addresses m Spmv.Bell_im);
+  Alcotest.(check (array int))
+    "BELL+IMIV gathers read the interleaved vector"
+    (bell (fun j c -> (j * t_count) + c))
+    (Spmv.vector_gather_addresses m Spmv.Bell_imiv);
+  (* Figure 11a's vector bytes: distinct segments per 16 consecutive
+     gathers, counted here by sorting each half-warp *)
+  List.iter
+    (fun fmt ->
+      let addrs = Spmv.vector_gather_addresses m fmt in
+      let n = Array.length addrs in
+      List.iter
+        (fun g ->
+          let segments = ref 0 in
+          for h = 0 to (n - 1) / 16 do
+            let half_warp = Array.sub addrs (16 * h) (min 16 (n - (16 * h))) in
+            segments :=
+              !segments
+              + List.length
+                  (List.sort_uniq compare
+                     (Array.to_list (Array.map (fun a -> a / g) half_warp)))
+          done;
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "%s vector bytes at %d B" (Spmv.format_name fmt) g)
+            (float_of_int (!segments * g) /. float_of_int (Spmv.nnz m))
+            (Spmv.bytes_per_entry ~granularity:g m fmt).Spmv.vector_bytes)
+        [ 32; 16; 4 ])
+    [ Spmv.Ell; Spmv.Bell_im; Spmv.Bell_imiv ]
 
 (* Words allocated on this domain: minor + major - promoted, as in
    test_timing's replay budget (buffers skip the minor heap). *)
@@ -588,6 +630,60 @@ let test_registry_reduce_names () =
     [ "reduce"; "reduce-atomic" ]
     [ R.label tree; R.label atomic ]
 
+(* --- Replay schedules of the paper kernels -------------------------------- *)
+
+(* The timing replay of each paper kernel at a reduced size, through the
+   workload's public [analyze ~measure:true]: cycles and the four busy
+   counters, pinned.  Matmul and CR take the homogeneous single-cluster
+   replay, SpMV the heterogeneous per-cluster one, so together they cover
+   both replay paths on real kernel traces; any change to the event
+   queue's tie order or to a simulated transaction count moves them. *)
+let test_paper_schedule_goldens () =
+  let m = Spmv.generate ~block_rows:2048 ~offsets:Spmv.qcd_offsets () in
+  List.iter
+    (fun (name, analyze, (cycles, alu, smem, atomic, gmem)) ->
+      let r : Workflow.report = analyze () in
+      match r.Workflow.measured with
+      | None -> Alcotest.failf "%s: no replay" name
+      | Some e ->
+        let module E = Gpu_timing.Engine in
+        let check what want got =
+          Alcotest.(check int) (name ^ " " ^ what) want got
+        in
+        check "cycles" cycles e.E.cycles;
+        check "alu busy" alu e.E.alu_busy_cycles;
+        check "smem busy" smem e.E.smem_busy_cycles;
+        check "atomic busy" atomic e.E.atomic_busy_cycles;
+        check "gmem busy" gmem e.E.gmem_busy_cycles)
+    [
+      ( "matmul-8",
+        (fun () -> Matmul.analyze ~measure:true ~n:256 ~tile:8 ()),
+        (201373, 315224, 270400, 0, 109408) );
+      ( "matmul-16",
+        (fun () -> Matmul.analyze ~measure:true ~n:256 ~tile:16 ()),
+        (207263, 299208, 291200, 0, 65856) );
+      ( "matmul-32",
+        (fun () -> Matmul.analyze ~measure:true ~n:256 ~tile:32 ()),
+        (281778, 322016, 332800, 0, 46592) );
+      ( "cr",
+        (fun () ->
+          Tridiag.analyze ~measure:true ~nsys:64 ~n:256 ~padded:false ()),
+        (29449, 26410, 32795, 0, 3920) );
+      ( "cr-nbc",
+        (fun () ->
+          Tridiag.analyze ~measure:true ~nsys:64 ~n:256 ~padded:true ()),
+        (39744, 31478, 10028, 0, 3920) );
+      ( "spmv-ell",
+        (fun () -> Spmv.analyze ~measure:true m Spmv.Ell),
+        (66319, 277248, 0, 0, 373824) );
+      ( "spmv-bell+im",
+        (fun () -> Spmv.analyze ~measure:true m Spmv.Bell_im),
+        (91652, 67584, 0, 0, 230682) );
+      ( "spmv-bell+imiv",
+        (fun () -> Spmv.analyze ~measure:true m Spmv.Bell_imiv),
+        (81686, 64256, 0, 0, 161716) );
+    ]
+
 let () =
   Alcotest.run "workloads"
     [
@@ -654,6 +750,11 @@ let () =
           Alcotest.test_case "figure 11b/12 ranking" `Quick
             test_spmv_bottleneck_and_ranking;
           Alcotest.test_case "texture cache" `Quick test_spmv_cache_helps;
+        ] );
+      ( "replay schedules",
+        [
+          Alcotest.test_case "paper-kernel schedule goldens" `Quick
+            test_paper_schedule_goldens;
         ] );
       ( "registry",
         [
