@@ -10,7 +10,9 @@
      worst one line; the ledger survives);
    - rotation by rename at a line cap bounds the file, and run ids
      continue across it (the rotated file is consulted when the live one
-     is empty). *)
+     is empty);
+   - an append does not reload the file its own last append left
+     untouched: the tail index below remembers what that file holds. *)
 
 module D = Gpu_diag.Diag
 module J = Gpu_obs.Json_text
@@ -294,30 +296,146 @@ let rec mkdir_p dir =
 let last_run records =
   List.fold_left (fun acc r -> max acc r.run) 0 records
 
+(* --- the tail index ------------------------------------------------------ *)
+
+(* What this process's last append to a path left there: the file's
+   identity after the write, and its valid-record count and largest run
+   id as [load] would find them.  The entry keeps the file open, which
+   pins its inode: a file deleted and recreated at the path cannot reuse
+   the inode number while the entry lives, so an equal device and inode
+   mean the same file, and an equal size and mtime mean nothing was
+   appended to it since. *)
+type tail = {
+  fd : Unix.file_descr;  (** open for appending *)
+  dev : int;
+  ino : int;
+  size : int;
+  mtime : float;
+  count : int;
+  last : int;
+}
+
+let tails : (string, tail) Hashtbl.t = Hashtbl.create 8
+let tails_lock = Mutex.create ()
+
+(* A process appends to a handful of ledgers (one per workload label);
+   past this many paths the index starts over rather than hold more
+   descriptors. *)
+let max_tails = 32
+
+let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let unchanged path t =
+  match Unix.stat path with
+  | st ->
+    st.Unix.st_dev = t.dev && st.Unix.st_ino = t.ino
+    && st.Unix.st_size = t.size && st.Unix.st_mtime = t.mtime
+  | exception Unix.Unix_error _ -> false
+
+(* The live file as the next append needs it: valid-record count,
+   largest run id (0 without a valid record), size in bytes, and whether
+   it ends a line, which an empty file does: a line appended to a file
+   that does not runs into its last line. *)
+type live = { l_count : int; l_last : int; l_size : int; ends_line : bool }
+
+let load_live path =
+  (* The size is taken before the load: a writer appending in between
+     makes the size check after our write fail, never pass. *)
+  let size =
+    match Unix.stat path with
+    | st -> st.Unix.st_size
+    | exception Unix.Unix_error _ -> 0
+  in
+  let records, _ = load ~path in
+  let ends_line =
+    size = 0
+    ||
+    try
+      In_channel.with_open_bin path (fun ic ->
+          In_channel.seek ic (Int64.of_int (size - 1));
+          In_channel.input_char ic = Some '\n')
+    with Sys_error _ -> false
+  in
+  { l_count = List.length records; l_last = last_run records; l_size = size;
+    ends_line }
+
 let append ?(max_records = 512) ~path record =
   try
+    Mutex.protect tails_lock @@ fun () ->
     mkdir_p (Filename.dirname path);
-    let existing, _ = load ~path in
+    (* The entry leaves the table while this append runs; its descriptor
+       is closed below or goes back in a new entry. *)
+    let cached = Hashtbl.find_opt tails path in
+    Hashtbl.remove tails path;
+    let live, kept =
+      match cached with
+      | Some t when unchanged path t ->
+        ( { l_count = t.count; l_last = t.last; l_size = t.size;
+            ends_line = true },
+          Some t.fd )
+      | _ ->
+        Option.iter (fun t -> close_noerr t.fd) cached;
+        (load_live path, None)
+    in
     (* Run ids survive rotation: an empty live file falls back on the
        rotated one for the last id. *)
     let prior =
-      match existing with
-      | [] ->
+      if live.l_count > 0 then live.l_last
+      else
         let rotated, _ = load ~path:(path ^ ".1") in
         last_run rotated
-      | l -> last_run l
     in
-    if List.length existing >= max_records then
-      Sys.rename path (path ^ ".1");
+    let live, kept =
+      if live.l_count >= max_records then begin
+        Option.iter close_noerr kept;
+        Sys.rename path (path ^ ".1");
+        ({ l_count = 0; l_last = 0; l_size = 0; ends_line = true }, None)
+      end
+      else (live, kept)
+    in
+    let fd =
+      match kept with
+      | Some fd -> fd
+      | None ->
+        Unix.openfile path
+          [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ]
+          0o644
+    in
     let record = { record with run = prior + 1 } in
-    let oc =
-      open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
+    let json = to_json record in
+    let line = json ^ "\n" in
+    let st =
+      match
+        ignore (Unix.write_substring fd line 0 (String.length line));
+        Unix.fstat fd
+      with
+      | st -> st
+      | exception e ->
+        close_noerr fd;
+        raise e
     in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc (to_json record);
-        output_char oc '\n');
+    (* Keep the entry only when the file is exactly the one [live]
+       described plus this line, and the line reads back as a record, so
+       the entry agrees with what [load] would find. *)
+    (match of_json_line json with
+    | Some written
+      when live.ends_line
+           && st.Unix.st_size = live.l_size + String.length line ->
+      if Hashtbl.length tails >= max_tails then begin
+        Hashtbl.iter (fun _ t -> close_noerr t.fd) tails;
+        Hashtbl.reset tails
+      end;
+      Hashtbl.replace tails path
+        {
+          fd;
+          dev = st.Unix.st_dev;
+          ino = st.Unix.st_ino;
+          size = st.Unix.st_size;
+          mtime = st.Unix.st_mtime;
+          count = live.l_count + 1;
+          last = max live.l_last written.run;
+        }
+    | Some _ | None -> close_noerr fd);
     Ok record
   with
   | Sys_error m ->

@@ -70,7 +70,15 @@ val of_json_line : string -> record option
     consulting the rotated file when the live one is empty).  Creates
     parent directories.  At [max_records] lines (default 512) the live
     file rotates to [path ^ ".1"] first.  Returns the record as written.
-    I/O failures degrade to an [Error] diagnostic. *)
+    I/O failures degrade to an [Error] diagnostic.
+
+    The id and the record count come from a per-process tail index when
+    the file is exactly as this process's last append to [path] left it
+    (same device, inode, size and mtime), so an append costs the same at
+    any ledger size; in every other case from a full {!load}, which makes
+    ids, rotation points and file bytes those of loading every time.  The
+    index keeps each indexed file open between appends.  Appends within
+    one process are serialized. *)
 val append :
   ?max_records:int -> path:string -> record ->
   (record, Gpu_diag.Diag.t) result

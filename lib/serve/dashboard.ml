@@ -8,9 +8,6 @@ module Log = Gpu_obs.Log
 module Render = Gpu_report.Render
 module Ledger = Gpu_report.Ledger
 
-let workloads =
-  [ "matmul"; "tridiag"; "spmv"; "reduce"; "histogram"; "degree" ]
-
 let counter_value name =
   match List.assoc_opt name (Metrics.snapshot_counters ()) with
   | Some v -> v
@@ -95,8 +92,8 @@ let status_blocks () =
 let ledger_blocks () =
   let rows =
     List.filter_map
-      (fun workload ->
-        match Ledger.default_path ~workload with
+      (fun label ->
+        match Ledger.default_path ~workload:label with
         | None -> None
         | Some path ->
           let records, _warnings = Ledger.load ~path in
@@ -113,12 +110,12 @@ let ledger_blocks () =
             in
             Some
               [
-                workload;
+                label;
                 string_of_int s.Ledger.runs;
                 med s.Ledger.median_abs_error;
                 pct s.Ledger.latest_error;
               ])
-      workloads
+      Gpu_workloads.Registry.labels
   in
   if rows = [] then [ Render.Para "No ledger records yet." ]
   else

@@ -27,6 +27,11 @@ let g_conns = Metrics.gauge "serve.connections"
 let latency_buckets = [| 0.001; 0.005; 0.02; 0.1; 0.5; 2.0; 10.0; 60.0 |]
 let h_latency = Metrics.histogram ~buckets:latency_buckets "serve.request.latency_s"
 
+(* The accuracy-ledger append [finish] makes before it responds: after
+   [elapsed_ms] is stamped, so the request histograms do not see it. *)
+let h_ledger_append =
+  Metrics.histogram ~buckets:latency_buckets "serve.ledger.append_s"
+
 let all_statuses =
   [
     P.Completed; P.Failed; P.Timed_out; P.Overloaded; P.Shutting_down;
@@ -102,6 +107,7 @@ type t = {
   mutable next_conn : int;
   mutable inflight : inflight list;
   mutable log_sink : Log.sink option;
+  read_buf : Bytes.t;  (** every connection's reads; loop-domain only *)
   ledger_env : string * string;  (** (git, host), sampled once at create *)
   mutable recent : (string * Trace_ctx.t) list;
       (** last {!recent_cap} finished requests, most recent first;
@@ -180,6 +186,7 @@ let create cfg =
           next_conn = 0;
           inflight = [];
           log_sink;
+          read_buf = Bytes.create 65536;
           ledger_env;
           recent = [];
           started = Unix.gettimeofday ();
@@ -294,7 +301,10 @@ let finish t infl ?ledger resp =
         ~workload:(Registry.label infl.req.P.params)
     with
     | Some path -> (
-      match Gpu_report.Ledger.append ~path record with
+      let t0 = Unix.gettimeofday () in
+      let appended = Gpu_report.Ledger.append ~path record in
+      Metrics.observe h_ledger_append (Unix.gettimeofday () -. t0);
+      match appended with
       | Ok _ -> ()
       | Error d ->
         Log.event Log.Warn ~component:"serve.ledger"
@@ -661,7 +671,7 @@ let accept_pending t =
   done
 
 let read_conn t conn =
-  let buf = Bytes.create 65536 in
+  let buf = t.read_buf in
   let continue = ref true in
   while !continue && not conn.dead do
     match Unix.read conn.fd buf 0 (Bytes.length buf) with

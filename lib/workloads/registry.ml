@@ -39,6 +39,10 @@ module type S = sig
       separate ledgers. *)
   val label : params -> string
 
+  (** Every {!label} once, in wire order, with ["reduce-atomic"] right
+      after ["reduce"]: the names of all the accuracy ledgers. *)
+  val labels : string list
+
   (** Canonical SpMV format names (ell, bell+im, bell+imiv), the ones
       {!to_fields} writes. *)
   val spmv_format_names : string list
@@ -201,6 +205,14 @@ include (
       ]
 
     let names = List.map fst decoders
+
+    (* The wire names and the one label [label] adds, the atomic
+       reduce's. *)
+    let labels =
+      List.concat_map
+        (fun n -> if n = "reduce" then [ n; "reduce-atomic" ] else [ n ])
+        names
+
     let jint i = Jsonx.Num (float_of_int i)
 
     let to_fields = function

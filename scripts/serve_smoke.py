@@ -14,8 +14,10 @@ includes one past-deadline and one malformed request, then validates
 the /dashboard HTML with a real parser, the JSONL log schema (every
 line carries level/component/trace_id), that every wire response
 carries a trace id, that the timeout request's wire response and its
-access-log line share one, and that the serve-path accuracy ledger
-records are stamped with the originating request's trace id.
+access-log line share one, that the serve-path accuracy ledger
+records are stamped with the originating request's trace id, and that
+the matmul ledger's run ids are 1..N in file order (so run it on an
+empty cache directory, as CI does).
 """
 
 import json
@@ -372,6 +374,15 @@ def dashboard_drill(proc, port, log_path):
         len(stamped) == len(wire_ids),
         f"ledger records stamped with the requests' trace ids "
         f"({len(stamped)}/{len(wire_ids)})",
+    )
+    # Appends after the first answer from the ledger's tail index rather
+    # than a reload; run ids must still count up from 1 in file order.
+    # The drill starts on an empty cache directory, so the file holds
+    # this daemon's records alone.
+    runs = [json.loads(ln)["run"] for ln in open(ledger) if ln.strip()]
+    check(
+        runs == list(range(1, len(runs) + 1)),
+        f"matmul ledger run ids are 1..{len(runs)} in file order",
     )
     print("dashboard smoke: all checks passed")
 

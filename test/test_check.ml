@@ -19,13 +19,7 @@ module Diff = Gpu_check.Diff
 module Shrink = Gpu_check.Shrink
 module Harness = Gpu_check.Harness
 
-(* Calibrate against a private cache directory, never the user's: tables an
-   earlier build wrote there would stand in for this build's measurements. *)
-let () =
-  Unix.putenv "GPUPERF_CACHE_DIR"
-    (Filename.concat
-       (Filename.get_temp_dir_name ())
-       (Printf.sprintf "gpuperf-check-test-cache-%d" (Unix.getpid ())))
+let (_ : string) = Private_cache.use "check"
 
 let spec = Gpu_hw.Spec.gtx285
 

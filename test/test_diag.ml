@@ -13,14 +13,8 @@ module Ir = Gpu_kernel.Ir
 module Sim = Gpu_sim.Sim
 module Stats = Gpu_sim.Stats
 
-(* Calibrate against a private cache directory, never the user's: tables an
-   earlier build wrote there would stand in for this build's measurements.
-   The gpuperf commands the suite runs inherit it. *)
-let () =
-  Unix.putenv "GPUPERF_CACHE_DIR"
-    (Filename.concat
-       (Filename.get_temp_dir_name ())
-       (Printf.sprintf "gpuperf-diag-test-cache-%d" (Unix.getpid ())))
+(* The gpuperf commands the suite runs inherit the private cache. *)
+let (_ : string) = Private_cache.use "diag"
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in

@@ -8,13 +8,7 @@ module Component = Gpu_model.Component
 module Workflow = Gpu_model.Workflow
 module Stats = Gpu_sim.Stats
 
-(* Calibrate against a private cache directory, never the user's: tables an
-   earlier build wrote there would stand in for this build's measurements. *)
-let () =
-  Unix.putenv "GPUPERF_CACHE_DIR"
-    (Filename.concat
-       (Filename.get_temp_dir_name ())
-       (Printf.sprintf "gpuperf-model-test-cache-%d" (Unix.getpid ())))
+let (_ : string) = Private_cache.use "model"
 
 let spec = Gpu_hw.Spec.gtx285
 

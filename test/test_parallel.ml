@@ -11,16 +11,7 @@ module Spec = Gpu_hw.Spec
 module I = Gpu_isa.Instr
 module Diag = Gpu_diag.Diag
 
-(* Point the disk cache at a private directory before anything touches
-   Tables, so these tests neither read nor pollute the user's cache. *)
-let cache_dir =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "gpuperf-test-cache-%d" (Unix.getpid ()))
-  in
-  Unix.putenv "GPUPERF_CACHE_DIR" d;
-  d
+let cache_dir = Private_cache.use "parallel"
 
 let spec = Spec.gtx285
 

@@ -11,13 +11,7 @@ module Ledger = Gpu_report.Ledger
 module Render = Gpu_report.Render
 module Jsonx = Gpu_report.Jsonx
 
-(* Calibrate against a private cache directory, never the user's: tables an
-   earlier build wrote there would stand in for this build's measurements. *)
-let () =
-  Unix.putenv "GPUPERF_CACHE_DIR"
-    (Filename.concat
-       (Filename.get_temp_dir_name ())
-       (Printf.sprintf "gpuperf-report-test-cache-%d" (Unix.getpid ())))
+let cache_dir = Private_cache.use "report"
 
 (* One calibrated, measured report shared by every test: a small matmul
    with a timeline so the engine's per-stage busy counters populate. *)
@@ -238,6 +232,184 @@ let test_ledger_summary_and_regression () =
   Alcotest.(check bool) "under 3 measured runs stays silent" true
     (Ledger.regression [ mk_record ~error:(Some 0.9) 1 ] = None)
 
+(* --- the tail index ------------------------------------------------------- *)
+
+(* Words allocated by [f ()], counted as test_timing counts them: minor +
+   major - promoted, the minor count read from the allocation pointer. *)
+let words_allocated f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  f ();
+  words () -. w0
+
+(* A record the size of a real one: four components, each with a busy
+   time and an error. *)
+let full_record =
+  let comp c =
+    { Ledger.comp = c; c_predicted_s = 2.5e-5; c_busy_s = Some 2.4e-5;
+      c_error = Some 0.0417 }
+  in
+  {
+    (mk_record 0) with
+    Ledger.components =
+      List.map comp [ "instruction"; "shared"; "atomic"; "global" ];
+    trace_id = Some "0123456789abcdef";
+  }
+
+(* An append answers from the tail index, so its cost does not grow with
+   the ledger: a full load of 500 records allocates over a million words. *)
+let test_ledger_append_words () =
+  let path = temp_ledger () in
+  Fun.protect ~finally:(fun () -> cleanup path) @@ fun () ->
+  let append () = Result.get_ok (Ledger.append ~path full_record) in
+  for _ = 1 to 500 do
+    ignore (append ())
+  done;
+  let words = words_allocated (fun () -> ignore (append ())) in
+  let records, _ = Ledger.load ~path in
+  Alcotest.(check (list int)) "run ids" (List.init 501 succ)
+    (List.map (fun r -> r.Ledger.run) records);
+  if words > 20_000. then
+    Alcotest.failf
+      "one append to a 500-record ledger allocated %.0f words (budget 20 000)"
+      words
+
+(* The append the tail index replaced, kept as the reference: it loads
+   the live file (and the rotated one when the live one has no valid
+   record) before every append. *)
+let reference_append ~max_records ~path record =
+  let last_run = List.fold_left (fun acc r -> max acc r.Ledger.run) 0 in
+  let existing, _ = Ledger.load ~path in
+  let prior =
+    match existing with
+    | [] -> last_run (fst (Ledger.load ~path:(path ^ ".1")))
+    | l -> last_run l
+  in
+  if List.length existing >= max_records then Sys.rename path (path ^ ".1");
+  let record = { record with Ledger.run = prior + 1 } in
+  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc (Ledger.to_json record);
+      output_char oc '\n');
+  record
+
+type step =
+  | Append
+  | Append_nan  (** predicted_s = nan is written as null: no read-back *)
+  | External of int  (** another writer's valid record with this run id *)
+  | Raw of string  (** another writer's corrupt, blank or torn line *)
+  | Delete  (** the live file disappears *)
+
+let pp_step = function
+  | Append -> "append"
+  | Append_nan -> "append-nan"
+  | External r -> Printf.sprintf "external %d" r
+  | Raw s -> Printf.sprintf "raw %S" s
+  | Delete -> "delete"
+
+let external_line run = Ledger.to_json (mk_record run) ^ "\n"
+
+let gen_steps =
+  let open QCheck.Gen in
+  let torn =
+    let line = external_line 7 in
+    map
+      (fun k -> Raw (String.sub line 0 k))
+      (int_range 1 (String.length line - 1))
+  in
+  pair (int_range 1 4)
+    (list_size (int_range 1 40)
+       (frequency
+          [
+            (8, return Append);
+            (1, return Append_nan);
+            ( 2,
+              map
+                (fun r -> External r)
+                (oneof
+                   [
+                     int_range (-2) 40;
+                     (* 2^53 reads back; past it a run id does not *)
+                     oneofl [ 9_007_199_254_740_992; max_int ];
+                   ]) );
+            ( 1,
+              oneofl
+                [ Raw "{ not json\n"; Raw "{\"schema\":999}\n"; Raw "\n" ] );
+            (1, torn);
+            (1, return Delete);
+          ]))
+
+let read_opt path =
+  if Sys.file_exists path then
+    Some (In_channel.with_open_bin path In_channel.input_all)
+  else None
+
+(* Random interleavings of appends with other writers' appends, torn
+   lines and deletions, at small rotation caps: the tail-indexed append
+   returns the run ids the reference does, rotates at the same points and
+   leaves the same bytes in the live and rotated files. *)
+let prop_tail_index_matches_full_load =
+  let dir = Filename.concat cache_dir "tail-index" in
+  let ref_path = Filename.concat dir "reference.jsonl"
+  and new_path = Filename.concat dir "indexed.jsonl" in
+  QCheck.Test.make ~count:300 ~name:"tail index agrees with a full load"
+    (QCheck.make
+       ~print:(fun (cap, steps) ->
+         Printf.sprintf "max_records %d: %s" cap
+           (String.concat "; " (List.map pp_step steps)))
+       ~shrink:QCheck.Shrink.(pair nil list)
+       gen_steps)
+    (fun (max_records, steps) ->
+      if not (Sys.file_exists cache_dir) then Sys.mkdir cache_dir 0o755;
+      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+      cleanup ref_path;
+      cleanup new_path;
+      let both f = f ref_path; f new_path in
+      let raw s path =
+        let oc =
+          open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
+        in
+        output_string oc s;
+        close_out oc
+      in
+      let append record =
+        let want =
+          (reference_append ~max_records ~path:ref_path record).Ledger.run
+        in
+        match Ledger.append ~max_records ~path:new_path record with
+        | Ok got when got.Ledger.run = want -> ()
+        | Ok got ->
+          QCheck.Test.fail_reportf "run id %d, reference %d" got.Ledger.run
+            want
+        | Error d ->
+          QCheck.Test.fail_reportf "append failed: %s"
+            (Gpu_diag.Diag.to_string d)
+      in
+      List.iteri
+        (fun i step ->
+          (match step with
+          | Append -> append (mk_record 0)
+          | Append_nan ->
+            append { (mk_record 0) with Ledger.predicted_s = Float.nan }
+          | External run -> both (raw (external_line run))
+          | Raw s -> both (raw s)
+          | Delete -> both (fun p -> if Sys.file_exists p then Sys.remove p));
+          List.iter
+            (fun suffix ->
+              if read_opt (ref_path ^ suffix) <> read_opt (new_path ^ suffix)
+              then
+                QCheck.Test.fail_reportf "after step %d (%s): %s differs" i
+                  (pp_step step)
+                  (if suffix = "" then "live file" else "rotated file"))
+            [ ""; ".1" ])
+        steps;
+      true)
+
 (* --- jsonx --------------------------------------------------------------- *)
 
 let test_jsonx_roundtrip () =
@@ -450,6 +622,14 @@ let () =
             test_ledger_append_unwritable;
           Alcotest.test_case "summary and regression" `Quick
             test_ledger_summary_and_regression;
+        ] );
+      ( "tail index",
+        [
+          Alcotest.test_case "append allocation is flat" `Quick
+            test_ledger_append_words;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick
+            ~rand:(Random.State.make [| 21 |])
+            prop_tail_index_matches_full_load;
         ] );
       ( "jsonx",
         [

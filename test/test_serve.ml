@@ -14,10 +14,7 @@ module Jsonx = Gpu_report.Jsonx
    closed test socket must not kill the binary. *)
 let () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  Unix.putenv "GPUPERF_CACHE_DIR"
-    (Filename.concat
-       (Filename.get_temp_dir_name ())
-       (Printf.sprintf "gpuperf-serve-test-cache-%d" (Unix.getpid ())));
+  ignore (Private_cache.use "serve");
   Gpu_parallel.Pool.set_jobs 2
 
 let ok_or_fail what = function
@@ -438,6 +435,58 @@ let test_serve_reduce_ledger () =
     [ "reduce-atomic" ]
     (List.map (fun r -> r.Gpu_report.Ledger.workload) records)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let test_serve_dashboard_labels () =
+  Lazy.force warm;
+  with_server ~write_ledger:true @@ fun _t ep ->
+  with_client ep @@ fun c ->
+  let req =
+    { (small_matmul ~id:"da" ()) with
+      P.params = P.Reduce { r_blocks = 64; r_atomic = true } }
+  in
+  let resp = ok_or_fail "request" (Client.request c req) in
+  Alcotest.(check bool) "completed" true (resp.P.status = P.Completed);
+  let page =
+    Gpu_serve.Dashboard.html ~uptime_s:1.0 ~draining:false ~degraded:false
+      ~queue_depth:0 ~queue_cap:1 ~connections:1 ()
+  in
+  Alcotest.(check bool) "accuracy table has a reduce-atomic row" true
+    (contains page "<tr><td>reduce-atomic</td>")
+
+let test_serve_ledger_append_metric () =
+  Lazy.force warm;
+  let appends () =
+    match
+      List.find_opt
+        (fun h -> h.Gpu_obs.Metrics.hs_name = "serve.ledger.append_s")
+        (Gpu_obs.Metrics.snapshot_histograms ())
+    with
+    | Some h -> h.Gpu_obs.Metrics.hs_count
+    | None -> 0
+  in
+  let requests ~write_ledger =
+    with_server ~write_ledger @@ fun _t ep ->
+    with_client ep @@ fun c ->
+    List.iter
+      (fun id ->
+        let before = appends () in
+        let resp =
+          ok_or_fail "request" (Client.request c (small_matmul ~id ()))
+        in
+        Alcotest.(check bool) "completed" true (resp.P.status = P.Completed);
+        Alcotest.(check int)
+          (Printf.sprintf "%s: appends observed (ledger %b)" id write_ledger)
+          (if write_ledger then 1 else 0)
+          (appends () - before))
+      [ "m1"; "m2"; "m3" ]
+  in
+  requests ~write_ledger:true;
+  requests ~write_ledger:false
+
 let test_serve_deadline_zero () =
   with_server @@ fun _t ep ->
   with_client ep @@ fun c ->
@@ -631,11 +680,6 @@ let test_serve_ops_and_http () =
   Alcotest.(check bool)
     "/metrics is OpenMetrics with serve counters" true
     (String.sub metrics 0 12 = "HTTP/1.0 200");
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool)
     "serve counters exported" true
     (contains metrics "serve_requests");
@@ -728,6 +772,10 @@ let () =
             test_serve_markdown;
           Alcotest.test_case "atomic reduce keeps its own ledger" `Quick
             test_serve_reduce_ledger;
+          Alcotest.test_case "dashboard lists every ledger label" `Quick
+            test_serve_dashboard_labels;
+          Alcotest.test_case "ledger appends are observed" `Quick
+            test_serve_ledger_append_metric;
           Alcotest.test_case "0ms deadline expires at admission" `Quick
             test_serve_deadline_zero;
           Alcotest.test_case "watchdog answers past-deadline compute" `Quick

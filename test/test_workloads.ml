@@ -10,13 +10,7 @@ module Component = Gpu_model.Component
 module Workflow = Gpu_model.Workflow
 module Stats = Gpu_sim.Stats
 
-(* Calibrate against a private cache directory, never the user's: tables an
-   earlier build wrote there would stand in for this build's measurements. *)
-let () =
-  Unix.putenv "GPUPERF_CACHE_DIR"
-    (Filename.concat
-       (Filename.get_temp_dir_name ())
-       (Printf.sprintf "gpuperf-workloads-test-cache-%d" (Unix.getpid ())))
+let (_ : string) = Private_cache.use "workloads"
 
 let rng = Random.State.make [| 2024 |]
 
@@ -630,6 +624,19 @@ let test_registry_reduce_names () =
     [ "reduce"; "reduce-atomic" ]
     [ R.label tree; R.label atomic ]
 
+(* [labels] is stated by hand next to [label]; every parameter set's label
+   must be one of them, each once. *)
+let test_registry_labels () =
+  Alcotest.(check (list string)) "wire order, atomic reduce after reduce"
+    [ "matmul"; "tridiag"; "spmv"; "reduce"; "reduce-atomic"; "histogram";
+      "degree" ]
+    R.labels;
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (R.label p ^ " is a ledger label") true
+        (List.mem (R.label p) R.labels))
+    (List.map snd wire_defaults @ non_defaults)
+
 (* --- Replay schedules of the paper kernels -------------------------------- *)
 
 (* The timing replay of each paper kernel at a reduced size, through the
@@ -763,5 +770,6 @@ let () =
             test_registry_roundtrip;
           Alcotest.test_case "reduce name and label" `Quick
             test_registry_reduce_names;
+          Alcotest.test_case "ledger labels" `Quick test_registry_labels;
         ] );
     ]
