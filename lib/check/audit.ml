@@ -15,7 +15,12 @@
        arrive as exceptions;
      - strategy determinism: the same case rerun without a timeline —
        which lets the engine fan clusters out over the domain pool —
-       must reproduce every counter of the serial run bit-identically.
+       must reproduce every counter of the serial run bit-identically;
+     - cluster reuse: the case replicated cyclically over more blocks
+       than the device has clusters, sharing warp arrays the way
+       [Workflow.replicate_traces] does, replays each distinct cluster
+       once without a timeline and every cluster with one, and the two
+       must agree on every counter.
 
    The only slack is on the arithmetic pipeline's upper bound: the last
    issue may hold the pipe past the completion horizon by up to its own
@@ -38,26 +43,42 @@ module Timeline = Gpu_obs.Timeline
    matches. *)
 let cycles_of_ticks t = (t + Engine.ticks_per_cycle - 1) / Engine.ticks_per_cycle
 
+(* A timeline no replay of [blocks] can overflow: a fused smem event emits
+   at most 3 slices, barrier slices are bounded by the bar-flagged events,
+   and each warp adds one retire marker — 4x the events plus one per warp
+   covers it all. *)
+let timeline_for (blocks : Gpu_sim.Trace.block_trace array) =
+  let events =
+    Array.fold_left (fun acc b -> acc + Gpu_sim.Trace.event_count b) 0 blocks
+  in
+  let warps =
+    Array.fold_left
+      (fun acc (b : Gpu_sim.Trace.block_trace) ->
+        acc + Array.length b.Gpu_sim.Trace.warps)
+      0 blocks
+  in
+  Timeline.create ~capacity:((4 * events) + warps + 64) ()
+
+(* The counters two replays of one grid must agree on. *)
+let counters (r : Engine.result) =
+  [
+    ("cycles", r.cycles);
+    ("alu busy", r.alu_busy_cycles);
+    ("smem busy", r.smem_busy_cycles);
+    ("atomic busy", r.atomic_busy_cycles);
+    ("gmem busy", r.gmem_busy_cycles);
+    ("warps launched", r.warps_launched);
+    ("warps retired", r.warps_retired);
+    ("blocks retired", r.blocks_retired);
+    ("blocks unlaunched", r.blocks_unlaunched);
+  ]
+
 let check ~(spec : Gpu_hw.Spec.t) (c : Case.t) : (unit, string) result =
   match Case.validate c with
   | Error m -> Error ("invalid case: " ^ m)
   | Ok () -> (
     let traces = Case.traces c in
-    (* Capacity: a fused smem event emits at most 3 slices, barrier slices
-       are bounded by the bar-flagged events, and each warp adds one
-       retire marker — 4x the events plus one per warp covers it all. *)
-    let events =
-      Array.fold_left
-        (fun acc b -> acc + Gpu_sim.Trace.event_count b)
-        0 traces
-    in
-    let warps =
-      Array.fold_left
-        (fun acc (b : Gpu_sim.Trace.block_trace) ->
-          acc + Array.length b.Gpu_sim.Trace.warps)
-        0 traces
-    in
-    let tl = Timeline.create ~capacity:((4 * events) + warps + 64) () in
+    let tl = timeline_for traces in
     match
       Engine.run ~homogeneous:false ~timeline:tl ~spec
         ~max_resident_blocks:c.max_resident traces
@@ -73,6 +94,15 @@ let check ~(spec : Gpu_hw.Spec.t) (c : Case.t) : (unit, string) result =
         Format.kasprintf
           (fun m -> if not cond then problems := m :: !problems)
           fmt
+      in
+      (* Another replay [p] of the grid [r] replayed must reproduce
+         [r]'s counters exactly and carry no sampled estimate. *)
+      let agree ~what ~against (r : Engine.result) (p : Engine.result) =
+        List.iter2
+          (fun (name, v) (_, v') ->
+            ensure (v = v') "%s %s = %d, %s says %d" what name v' against v)
+          (counters r) (counters p);
+        ensure (p.sampled = None) "%s reported a sampled estimate" what
       in
       let total_warps = Case.num_warps c in
       let total_blocks = Case.num_blocks c in
@@ -169,23 +199,28 @@ let check ~(spec : Gpu_hw.Spec.t) (c : Case.t) : (unit, string) result =
        with
       | exception e ->
         ensure false "parallel path raised %s" (Printexc.to_string e)
-      | p ->
-        let same name v v' =
-          ensure (v = v') "parallel path %s = %d, serial says %d" name v' v
-        in
-        same "cycles" r.cycles p.Engine.cycles;
-        same "alu busy" r.alu_busy_cycles p.Engine.alu_busy_cycles;
-        same "smem busy" r.smem_busy_cycles p.Engine.smem_busy_cycles;
-        same "atomic busy" r.atomic_busy_cycles p.Engine.atomic_busy_cycles;
-        same "gmem busy" r.gmem_busy_cycles p.Engine.gmem_busy_cycles;
-        same "warps launched" r.warps_launched p.Engine.warps_launched;
-        same "warps retired" r.warps_retired p.Engine.warps_retired;
-        same "blocks retired" r.blocks_retired p.Engine.blocks_retired;
-        same "blocks unlaunched" r.blocks_unlaunched
-          p.Engine.blocks_unlaunched;
-        ensure
-          (p.Engine.sampled = None)
-          "unsampled replay reported a sampled estimate");
+      | p -> agree ~what:"parallel path" ~against:"serial" r p);
+      (* Cluster reuse: past one block per cluster the cyclic replicas
+         make clusters recur, which only the run without a recorder may
+         answer from an identical cluster. *)
+      let replicated =
+        let n = Array.length traces in
+        Array.init
+          (n + Gpu_hw.Spec.num_clusters spec + 1)
+          (fun b -> { traces.(b mod n) with Gpu_sim.Trace.block = b })
+      in
+      (match
+         let run ?timeline () =
+           Engine.run ~homogeneous:false ?timeline ~spec
+             ~max_resident_blocks:c.max_resident replicated
+         in
+         (run ~timeline:(timeline_for replicated) (), run ())
+       with
+      | exception e ->
+        ensure false "replicated grid raised %s" (Printexc.to_string e)
+      | full, reused ->
+        agree ~what:"replicated grid, reused replay"
+          ~against:"its timeline run" full reused);
       match !problems with
       | [] -> Ok ()
       | ps ->

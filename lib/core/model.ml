@@ -86,6 +86,7 @@ type t = {
   computational_density : float;
   coalescing_efficiency : float;
   bank_conflict_penalty : float;
+  atomic_contention_penalty : float;
   predicted_gflops : float;
   warnings : Gpu_diag.Diag.t list;
       (* out-of-calibrated-range conditions: the prediction stands, with
@@ -115,9 +116,9 @@ let load_balance ~spec ~grid =
 (* Global-memory transactions per thread over the whole program: the
    configuration the matched synthetic benchmark reproduces (Section 4.3).
    [gmem_accesses] counts warp-level accesses, so the per-thread figure
-   multiplies by the device's warp size. *)
-let txns_per_thread inp =
-  let total = Stats.total inp.stats in
+   multiplies by the device's warp size.  [total] is every stage folded
+   into one. *)
+let txns_per_thread inp (total : Stats.stage) =
   if total.Stats.gmem_accesses = 0 then 0
   else
     let threads = inp.in_grid * inp.in_block in
@@ -296,7 +297,7 @@ let analyze_stage inp ~program_txns_per_thread ~stage_index
    caps of [Tables.gmem_bandwidth], and statistics from at least one
    simulated block).  Outside that domain the model still computes, but the
    result is extrapolation: report it, don't abort on it. *)
-let range_warnings inp ~program_txns_per_thread =
+let range_warnings inp ~total ~program_txns_per_thread =
   let module D = Gpu_diag.Diag in
   let w ?(severity = D.Warning) cond fmt =
     Format.kasprintf
@@ -304,7 +305,6 @@ let range_warnings inp ~program_txns_per_thread =
       fmt
   in
   let spec = inp.in_spec in
-  let total = Stats.total inp.stats in
   List.concat
     [
       w
@@ -359,7 +359,10 @@ let analyze inp =
       (max 1 ((inp.in_grid + spec.Spec.num_sms - 1) / spec.Spec.num_sms))
   in
   let serialized = resident = 1 in
-  let program_txns_per_thread = txns_per_thread inp in
+  (* Every stage folded into one, merged once: the per-pc arrays make the
+     merge the costliest step of the whole-program figures below. *)
+  let all = Stats.total inp.stats in
+  let program_txns_per_thread = txns_per_thread inp all in
   let stages =
     Array.to_list
       (Array.mapi
@@ -408,7 +411,6 @@ let analyze inp =
     totals.Component.instruction +. totals.Component.shared
     +. totals.Component.atomic +. totals.Component.global
   in
-  let all = Stats.total inp.stats in
   let density = Stats.computational_density all in
   let predicted_gflops =
     (* [mads] counts warp-level instructions: warp_size lanes x 2 flops. *)
@@ -418,7 +420,7 @@ let analyze inp =
       *. float_of_int spec.Spec.warp_size
       *. 2.0 /. predicted_seconds /. 1e9
   in
-  let warnings = range_warnings inp ~program_txns_per_thread in
+  let warnings = range_warnings inp ~total:all ~program_txns_per_thread in
   let confidence =
     if
       List.exists
@@ -442,6 +444,7 @@ let analyze inp =
     computational_density = density;
     coalescing_efficiency = Stats.coalescing_efficiency all;
     bank_conflict_penalty = Stats.bank_conflict_penalty all;
+    atomic_contention_penalty = Stats.atomic_contention_penalty all;
     predicted_gflops;
     warnings;
     confidence;

@@ -64,6 +64,9 @@ type t = {
   computational_density : float;
   coalescing_efficiency : float;
   bank_conflict_penalty : float;
+  atomic_contention_penalty : float;
+      (** serialized / contention-free atomic transactions over the whole
+          program; 1.0 without atomics *)
   predicted_gflops : float;
   warnings : Gpu_diag.Diag.t list;
       (** out-of-calibrated-range conditions; [Warning] severity degrades
@@ -84,10 +87,6 @@ type inputs = {
 
 (** Effective device-throughput fraction for a possibly unbalanced grid. *)
 val load_balance : spec:Gpu_hw.Spec.t -> grid:int -> float
-
-(** Global transactions per thread over the whole program (the synthetic
-    benchmark's configuration, Section 4.3). *)
-val txns_per_thread : inputs -> int
 
 (** Raises [Invalid_argument] on degenerate launch geometry (non-positive
     grid or block), a non-finite or negative [scale], or statistics that

@@ -12,7 +12,7 @@ module I = Gpu_isa.Instr
 type row = {
   pc : int;
   src : string;
-  instr : string;
+  instr : string Lazy.t;
   cls : I.cost_class;
   count : int;
   seconds : float;
@@ -41,7 +41,9 @@ let order rows =
 
 let share ~total seconds = if total > 0.0 then seconds /. total else 0.0
 
-let analyze_stage ~(report : Gpu_model.Workflow.report) ~balance
+let unknown_instr = Lazy.from_val "?"
+
+let analyze_stage ~(report : Gpu_model.Workflow.report) ~balance ~instrs
     (sa : Model.stage_analysis) (s : Stats.stage) =
   let code = Gpu_isa.Program.code report.compiled.program in
   let srcmap = report.compiled.srcmap in
@@ -57,8 +59,8 @@ let analyze_stage ~(report : Gpu_model.Workflow.report) ~balance
     in
     let instr, cls =
       if pc >= 0 && pc < Array.length code then
-        (Fmt.str "%a" I.pp code.(pc), I.classify code.(pc))
-      else ("?", I.Class_ii)
+        (instrs.(pc), I.classify code.(pc))
+      else (unknown_instr, I.Class_ii)
     in
     (src, instr, cls)
   in
@@ -180,9 +182,18 @@ let of_report (report : Gpu_model.Workflow.report) =
     Model.load_balance ~spec:analysis.Model.spec ~grid:analysis.Model.grid
   in
   let stat_stages = Array.to_list (Stats.stages report.stats) in
+  (* Disassembling a pc costs more than the rest of its row, and a report
+     shows only the top few rows of each table: each pc's text is
+     formatted the first time a shown row needs it, once for every row
+     and stage that shares the pc. *)
+  let instrs =
+    Array.map
+      (fun i -> lazy (Fmt.str "%a" I.pp i))
+      (Gpu_isa.Program.code report.compiled.program)
+  in
   let stages =
     List.map2
-      (fun sa s -> analyze_stage ~report ~balance sa s)
+      (fun sa s -> analyze_stage ~report ~balance ~instrs sa s)
       analysis.Model.stages stat_stages
   in
   let covered =

@@ -13,7 +13,9 @@
 type row = {
   pc : int;
   src : string;  (** IR statement path, or ["<asm>"] when unmapped *)
-  instr : string;  (** disassembled instruction *)
+  instr : string Lazy.t;
+      (** disassembled instruction, formatted when first forced; rows of
+          the same pc share one value *)
   cls : Gpu_isa.Instr.cost_class;
   count : int;  (** issued instructions, smem txns, or gmem bytes *)
   seconds : float;  (** this pc's share of the component's stage time *)

@@ -334,8 +334,8 @@ let unchanged path t =
 
 (* The live file as the next append needs it: valid-record count,
    largest run id (0 without a valid record), size in bytes, and whether
-   it ends a line, which an empty file does: a line appended to a file
-   that does not runs into its last line. *)
+   it ends a line, which an empty file does.  One that does not ends in a
+   torn line, which the append ends before writing its record. *)
 type live = { l_count : int; l_last : int; l_size : int; ends_line : bool }
 
 let load_live path =
@@ -403,7 +403,10 @@ let append ?(max_records = 512) ~path record =
     in
     let record = { record with run = prior + 1 } in
     let json = to_json record in
-    let line = json ^ "\n" in
+    (* After a torn last line (a writer that died mid-record) the record
+       starts a line of its own: glued to the torn one, it would read back
+       as one corrupt line, and the next append would reuse its run id. *)
+    let line = (if live.ends_line then "" else "\n") ^ json ^ "\n" in
     let st =
       match
         ignore (Unix.write_substring fd line 0 (String.length line));
@@ -418,9 +421,7 @@ let append ?(max_records = 512) ~path record =
        described plus this line, and the line reads back as a record, so
        the entry agrees with what [load] would find. *)
     (match of_json_line json with
-    | Some written
-      when live.ends_line
-           && st.Unix.st_size = live.l_size + String.length line ->
+    | Some written when st.Unix.st_size = live.l_size + String.length line ->
       if Hashtbl.length tails >= max_tails then begin
         Hashtbl.iter (fun _ t -> close_noerr t.fd) tails;
         Hashtbl.reset tails

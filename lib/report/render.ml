@@ -205,7 +205,7 @@ let hotspot_tables inp =
                     [
                       string_of_int r.Attribution.pc;
                       r.Attribution.src;
-                      r.Attribution.instr;
+                      Lazy.force r.Attribution.instr;
                       Gpu_isa.Instr.cost_class_name r.Attribution.cls;
                       string_of_int r.Attribution.count;
                       us r.Attribution.seconds;
@@ -256,9 +256,7 @@ let efficiency_section inp =
         ( "bank-conflict penalty",
           Printf.sprintf "%.2fx" a.Model.bank_conflict_penalty );
         ( "atomic-contention penalty",
-          Printf.sprintf "%.2fx"
-            (Gpu_sim.Stats.atomic_contention_penalty
-               (Gpu_sim.Stats.total inp.report.Workflow.stats)) );
+          Printf.sprintf "%.2fx" a.Model.atomic_contention_penalty );
       ];
   ]
 
@@ -719,7 +717,9 @@ let attribution_json top (att : Attribution.t) =
                                           ("pc", jint r.Attribution.pc);
                                           ("src", Jsonx.Str r.Attribution.src);
                                           ( "instr",
-                                            Jsonx.Str r.Attribution.instr );
+                                            Jsonx.Str
+                                              (Lazy.force
+                                                 r.Attribution.instr) );
                                           ( "class",
                                             Jsonx.Str
                                               (Gpu_isa.Instr.cost_class_name

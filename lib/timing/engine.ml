@@ -36,10 +36,12 @@
    heap of int warp-slot indices into a per-cluster slot table.  On top of
    that, consecutive events of a warp that would re-enter the event queue
    strictly before every queued event are coalesced into one heap
-   transaction (provably the same schedule as push-then-pop), and on the
-   heterogeneous path independent clusters fan out over the domain pool
-   with a deterministic cluster-order reduction — bit-identical to the
-   serial fold.  [?sample] replays a seeded subset of clusters and
+   transaction (provably the same schedule as push-then-pop).  On the
+   heterogeneous path each distinct cluster — distinct by the cooked warps
+   its SMs queue — is simulated once and its output reused for every
+   identical cluster, and the distinct clusters fan out over the domain
+   pool with a deterministic cluster-order reduction — bit-identical to
+   the serial fold.  [?sample] replays a seeded subset of clusters and
    extrapolates (see {!sampled_estimate}).
 
    Observability: [run ?timeline] optionally records every pipeline busy
@@ -49,7 +51,9 @@
    tick counters, which the lib/check audit asserts.  With no timeline the
    recording paths are a [None] match per event — no allocation, no
    measurable cost.  Because the recorder's stage accumulators are shared
-   mutable state, a timeline forces the serial cluster path. *)
+   mutable state, a timeline forces the serial cluster path, and it
+   simulates every cluster, identical or not, so each records its own
+   slices. *)
 
 module Trace = Gpu_sim.Trace
 module Metrics = Gpu_obs.Metrics
@@ -884,6 +888,19 @@ let distribute (spec : Gpu_hw.Spec.t) (blocks : _ array) =
       Array.init spec.sms_per_cluster (fun i ->
           per_sm.((c * spec.sms_per_cluster) + i)))
 
+(* Two clusters replay identically when their SMs queue the same cooked
+   warps in the same order: a cluster's schedule reads nothing else but
+   the run's device parameters and residency limit (its index and the
+   block ids only name timeline tracks).  Physical equality suffices,
+   since the cooker interns every shared warp array, and a replicated
+   grid shares them. *)
+let same_cluster (a : cblock list array) b =
+  let same_block (x : cblock) y =
+    Array.length x.cwarps = Array.length y.cwarps
+    && Array.for_all2 ( == ) x.cwarps y.cwarps
+  in
+  Array.for_all2 (List.equal same_block) a b
+
 (* --- sampled cluster selection ------------------------------------------ *)
 
 (* splitmix64, inlined so sampling is deterministic for a seed without a
@@ -959,10 +976,12 @@ let m_gmem_busy = Metrics.counter "engine.busy.gmem_cycles"
 
 (* Replay-throughput observability: events replayed (trace events
    processed by the scheduler), total simulated ticks (summed cluster end
-   times) and how many clusters went through the parallel fan-out. *)
+   times), how many distinct clusters went through the parallel fan-out,
+   and how many clusters were answered from an identical one. *)
 let m_events_replayed = Metrics.counter "engine.events_replayed"
 let m_replay_ticks = Metrics.counter "engine.replay_ticks"
 let m_clusters_parallel = Metrics.counter "engine.clusters_parallel"
+let m_clusters_reused = Metrics.counter "engine.clusters_reused"
 
 let run ?(homogeneous = false) ?timeline ?sample ~(spec : Gpu_hw.Spec.t)
     ~max_resident_blocks (blocks : Trace.block_trace array) =
@@ -1031,32 +1050,50 @@ let run ?(homogeneous = false) ?timeline ?sample ~(spec : Gpu_hw.Spec.t)
       selected
   in
   let nsel = Array.length selected in
+  (* Distinct clusters: [slot.(i)] is the index in [distinct] of the
+     first selected cluster that queues the same cooked warps as cluster
+     [i], SM by SM and block by block.  Only the distinct ones run; the
+     rest reuse their output.  A recording timeline keeps every cluster
+     distinct, since each records its own slices under its own pid. *)
+  let distinct = Array.make nsel 0 and ndistinct = ref 0 in
+  let slot =
+    Array.init nsel (fun i ->
+        let rec find k =
+          if k = !ndistinct then begin
+            distinct.(k) <- i;
+            incr ndistinct;
+            k
+          end
+          else if
+            Option.is_none rc
+            && same_cluster (snd selected.(distinct.(k))) (snd selected.(i))
+          then k
+          else find (k + 1)
+        in
+        find 0)
+  in
+  let ndistinct = !ndistinct in
   (* The recorder's stage accumulators are unsynchronized shared state, so
      a timeline pins the run to the serial path; otherwise independent
      clusters fan out over the domain pool.  Reduction below runs in
      cluster order over [outs], so serial and parallel runs fold the very
      same per-cluster results in the very same order: bit-identical. *)
   let use_parallel =
-    Option.is_none rc && nsel > 1 && Pool.current_jobs () > 1
+    Option.is_none rc && ndistinct > 1 && Pool.current_jobs () > 1
   in
-  let outs =
-    if use_parallel then
-      Pool.parallel_init nsel (fun i ->
-          let cluster_index, cl = selected.(i) in
-          run_cluster p None ~cluster_index
-            ~max_resident:max_resident_blocks cl)
-    else
-      Array.map
-        (fun (cluster_index, cl) ->
-          run_cluster p rc ~cluster_index ~max_resident:max_resident_blocks
-            cl)
-        selected
+  let simulate i =
+    let cluster_index, cl = selected.(distinct.(i)) in
+    run_cluster p rc ~cluster_index ~max_resident:max_resident_blocks cl
   in
+  let simulated =
+    if use_parallel then Pool.parallel_init ndistinct simulate
+    else Array.init ndistinct simulate
+  in
+  let outs = Array.map (fun k -> simulated.(k)) slot in
   let ticks = ref 0 in
   let alu = ref 0 and smem = ref 0 and atomic = ref 0 and gmem = ref 0 in
   let launched = ref 0 and retired = ref 0 in
   let blocks_retired = ref 0 and unlaunched = ref 0 in
-  let events = ref 0 and replay_ticks = ref 0 in
   Array.iter
     (fun o ->
       if o.co_end > !ticks then ticks := o.co_end;
@@ -1067,10 +1104,16 @@ let run ?(homogeneous = false) ?timeline ?sample ~(spec : Gpu_hw.Spec.t)
       launched := !launched + o.co_launched;
       retired := !retired + o.co_retired;
       blocks_retired := !blocks_retired + o.co_blocks_retired;
-      unlaunched := !unlaunched + o.co_unlaunched;
+      unlaunched := !unlaunched + o.co_unlaunched)
+    outs;
+  (* The throughput counters measure the scheduler's work, so a reused
+     cluster adds nothing to them. *)
+  let events = ref 0 and replay_ticks = ref 0 in
+  Array.iter
+    (fun o ->
       events := !events + o.co_events;
       replay_ticks := !replay_ticks + o.co_end)
-    outs;
+    simulated;
   let cycles = (!ticks + ticks_per_cycle - 1) / ticks_per_cycle in
   let to_cycles busy = (busy + ticks_per_cycle - 1) / ticks_per_cycle in
   let sampled =
@@ -1115,7 +1158,8 @@ let run ?(homogeneous = false) ?timeline ?sample ~(spec : Gpu_hw.Spec.t)
   Metrics.add m_gmem_busy (to_cycles !gmem);
   Metrics.add m_events_replayed !events;
   Metrics.add m_replay_ticks !replay_ticks;
-  if use_parallel then Metrics.add m_clusters_parallel nsel;
+  if use_parallel then Metrics.add m_clusters_parallel ndistinct;
+  Metrics.add m_clusters_reused (nsel - ndistinct);
   {
     cycles;
     seconds = float_of_int cycles /. (spec.core_clock_ghz *. 1e9);

@@ -110,14 +110,21 @@ type sample = { target : sample_target; seed : int }
     shortcut or [sample]'s subset) are cooked at all; nothing is cached
     across calls.  The replay allocates nothing per event.  Consecutive
     events of one warp that would re-enter the event queue strictly
-    before every queued event coalesce into one heap transaction; and on
-    the heterogeneous path without a timeline the independent clusters
-    fan out over the {!Gpu_parallel.Pool} domain pool with a
-    deterministic cluster-order reduction.  All three preserve the exact
-    schedule: results are bit-identical to the serial, uncoalesced
-    engine.  [sample] instead trades exactness for speed — it replays a
-    seeded subset of clusters and reports the extrapolation in
-    {!result.sampled} (a timeline still records, but only the sampled
+    before every queued event coalesce into one heap transaction.  On the
+    heterogeneous path without a timeline, clusters whose SMs queue the
+    same cooked warps block for block (physically shared warp arrays, as
+    a replicated grid has) are simulated once, and every identical
+    cluster reuses that output; the distinct clusters fan out over the
+    {!Gpu_parallel.Pool} domain pool with a deterministic cluster-order
+    reduction.  A timeline simulates every cluster under its own pid.
+    All of these preserve the exact schedule: results are bit-identical
+    to the serial, uncoalesced engine that simulates every cluster.
+    [engine.clusters_reused] counts the reused clusters;
+    [engine.events_replayed] and [engine.replay_ticks] count only what
+    was simulated, and [engine.clusters_parallel] only the distinct
+    clusters fanned out.  [sample] instead trades exactness for speed —
+    it replays a seeded subset of clusters and reports the extrapolation
+    in {!result.sampled} (a timeline still records, but only the sampled
     clusters' slices, so the lib/check tiling audit only applies to full
     replays). *)
 val run :

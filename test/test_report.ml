@@ -21,6 +21,17 @@ let report =
      Gpu_workloads.Matmul.analyze ~measure:true ~timeline:tl ~n:128 ~tile:16
        ())
 
+(* Words allocated by [f ()], counted as test_timing counts them: minor +
+   major - promoted, the minor count read from the allocation pointer. *)
+let words_allocated f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  f ();
+  words () -. w0
+
 (* --- attribution --------------------------------------------------------- *)
 
 let test_attribution_tiles () =
@@ -81,12 +92,24 @@ let test_attribution_srcmap () =
   Alcotest.(check bool) "every instruction row carries a source path" true
     (srcs <> [] && List.for_all (fun s -> s <> "" && s <> "<asm>") srcs)
 
+(* Building an attribution disassembles nothing: a row's instruction text
+   is formatted only when a rendered row forces it.  Tridiag 64x256 has
+   17 stages and 696 sites; formatting every site's text would allocate
+   539 k words. *)
+let test_attribution_words () =
+  let r = Gpu_workloads.Tridiag.analyze ~nsys:64 ~n:256 ~padded:false () in
+  let words = words_allocated (fun () -> ignore (Attribution.of_report r)) in
+  if words > 100_000. then
+    Alcotest.failf
+      "tridiag 64x256's attribution allocated %.0f words (budget 100 000)"
+      words
+
 let test_top_folds () =
   let mk pc seconds =
     {
       Attribution.pc;
       src = "s";
-      instr = "i";
+      instr = lazy "i";
       cls = Gpu_isa.Instr.Class_ii;
       count = 1;
       seconds;
@@ -201,6 +224,28 @@ let test_ledger_corrupt_line_recovery () =
         r.Ledger.schema)
     records
 
+(* A writer that died mid-record leaves a torn last line.  The next
+   append ends it first, so its record is neither glued to the torn one
+   nor lost, and the append after it takes a fresh run id. *)
+let test_ledger_torn_line () =
+  let path = temp_ledger () in
+  Fun.protect ~finally:(fun () -> cleanup path) @@ fun () ->
+  let second = Ledger.to_json (mk_record 2) in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Ledger.to_json (mk_record 1));
+      output_char oc '\n';
+      output_string oc (String.sub second 0 100));
+  let append () =
+    (Result.get_ok (Ledger.append ~path (mk_record 0))).Ledger.run
+  in
+  let a = append () in
+  let b = append () in
+  Alcotest.(check (list int)) "appended run ids" [ 2; 3 ] [ a; b ];
+  let records, warnings = Ledger.load ~path in
+  Alcotest.(check (list int)) "runs read back" [ 1; 2; 3 ]
+    (List.map (fun r -> r.Ledger.run) records);
+  Alcotest.(check int) "the torn line warns" 1 (List.length warnings)
+
 let test_ledger_append_unwritable () =
   match Ledger.append ~path:"/dev/null/nope/ledger.jsonl" (mk_record 0) with
   | Ok _ -> Alcotest.fail "append into /dev/null should fail"
@@ -233,17 +278,6 @@ let test_ledger_summary_and_regression () =
     (Ledger.regression [ mk_record ~error:(Some 0.9) 1 ] = None)
 
 (* --- the tail index ------------------------------------------------------- *)
-
-(* Words allocated by [f ()], counted as test_timing counts them: minor +
-   major - promoted, the minor count read from the allocation pointer. *)
-let words_allocated f =
-  let words () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. major -. promoted
-  in
-  let w0 = words () in
-  f ();
-  words () -. w0
 
 (* A record the size of a real one: four components, each with a busy
    time and an error. *)
@@ -279,7 +313,8 @@ let test_ledger_append_words () =
 
 (* The append the tail index replaced, kept as the reference: it loads
    the live file (and the rotated one when the live one has no valid
-   record) before every append. *)
+   record) before every append, and ends a torn last line before writing
+   its own. *)
 let reference_append ~max_records ~path record =
   let last_run = List.fold_left (fun acc r -> max acc r.Ledger.run) 0 in
   let existing, _ = Ledger.load ~path in
@@ -289,11 +324,20 @@ let reference_append ~max_records ~path record =
     | l -> last_run l
   in
   if List.length existing >= max_records then Sys.rename path (path ^ ".1");
+  let torn =
+    Sys.file_exists path
+    && In_channel.with_open_bin path (fun ic ->
+           let n = In_channel.length ic in
+           n > 0L
+           && (In_channel.seek ic (Int64.pred n);
+               In_channel.input_char ic <> Some '\n'))
+  in
   let record = { record with Ledger.run = prior + 1 } in
   let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
+      if torn then output_char oc '\n';
       output_string oc (Ledger.to_json record);
       output_char oc '\n');
   record
@@ -607,6 +651,8 @@ let () =
           Alcotest.test_case "rows carry source paths" `Quick
             test_attribution_srcmap;
           Alcotest.test_case "top folds the tail" `Quick test_top_folds;
+          Alcotest.test_case "instruction text is lazy" `Quick
+            test_attribution_words;
         ] );
       ( "ledger",
         [
@@ -618,6 +664,8 @@ let () =
             test_ledger_rotation_continues_runs;
           Alcotest.test_case "corrupt lines recover" `Quick
             test_ledger_corrupt_line_recovery;
+          Alcotest.test_case "torn last line is ended" `Quick
+            test_ledger_torn_line;
           Alcotest.test_case "unwritable path degrades" `Quick
             test_ledger_append_unwritable;
           Alcotest.test_case "summary and regression" `Quick

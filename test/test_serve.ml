@@ -487,6 +487,26 @@ let test_serve_ledger_append_metric () =
   requests ~write_ledger:true;
   requests ~write_ledger:false
 
+(* A measured histogram request at the default parameters replays two
+   sampled blocks replicated over the grid, so its ten clusters are four
+   distinct ones: the daemon's replay answers the other six from those. *)
+let test_serve_reuses_clusters () =
+  Lazy.force warm;
+  let reused () =
+    Gpu_obs.Metrics.value (Gpu_obs.Metrics.counter "engine.clusters_reused")
+  in
+  with_server @@ fun _t ep ->
+  with_client ep @@ fun c ->
+  let before = reused () in
+  ok_or_fail "send"
+    (Client.send_line c
+       {|{"id":"hist","workload":"histogram","measure":true}|});
+  let resp =
+    ok_or_fail "parse" (P.parse_response (ok_or_fail "recv" (Client.recv_line c)))
+  in
+  Alcotest.(check bool) "completed" true (resp.P.status = P.Completed);
+  Alcotest.(check bool) "clusters reused" true (reused () > before)
+
 let test_serve_deadline_zero () =
   with_server @@ fun _t ep ->
   with_client ep @@ fun c ->
@@ -683,6 +703,9 @@ let test_serve_ops_and_http () =
   Alcotest.(check bool)
     "serve counters exported" true
     (contains metrics "serve_requests");
+  Alcotest.(check bool)
+    "cluster reuse exported" true
+    (contains metrics "engine_clusters_reused");
   let missing = http "/nope" in
   Alcotest.(check bool)
     "unknown endpoint is 404" true
@@ -776,6 +799,8 @@ let () =
             test_serve_dashboard_labels;
           Alcotest.test_case "ledger appends are observed" `Quick
             test_serve_ledger_append_metric;
+          Alcotest.test_case "histogram replay reuses clusters" `Quick
+            test_serve_reuses_clusters;
           Alcotest.test_case "0ms deadline expires at admission" `Quick
             test_serve_deadline_zero;
           Alcotest.test_case "watchdog answers past-deadline compute" `Quick

@@ -460,6 +460,121 @@ let test_replay_counters () =
   Alcotest.(check bool) "replay ticks advance" true
     (read "engine.replay_ticks" > ticks0)
 
+(* --- distinct clusters ------------------------------------------------------ *)
+
+(* [kinds] heterogeneous blocks repeated cyclically over [n] blocks, each
+   replica sharing its sample's warp arrays the way
+   [Workflow.replicate_traces] builds a grid.  With 3 kinds, cluster c
+   holds kind (c + i) mod 3 on its i-th SM; over 64 blocks clusters 0-3
+   hold 7 blocks and 4-9 hold 6, so the ten clusters are six distinct
+   ones: {0, 3}, {1}, {2}, {4, 7}, {5, 8} and {6, 9}. *)
+let cyclic_grid ~kinds n =
+  let samples = heterogeneous_grid kinds in
+  Array.init n (fun b -> { samples.(b mod kinds) with Trace.block = b })
+
+(* The same grid with every warp array copied: nothing is shared, so no
+   cluster can be recognised as a repeat. *)
+let unshared blocks =
+  Array.map
+    (fun (bt : Trace.block_trace) ->
+      { bt with Trace.warps = Array.map Array.copy bt.Trace.warps })
+    blocks
+
+(* Replaying each distinct cluster once and reusing its output for the
+   identical ones changes no result field: the shared grid replays like
+   its timeline run (which simulates every cluster) and like its unshared
+   copy, on one job and on two, and so does a sampled replay of 5
+   clusters, which at this seed holds a repeat.  Only the replays that
+   can see the sharing reuse, and a reused cluster adds no replayed
+   events. *)
+let test_distinct_clusters () =
+  let module M = Gpu_obs.Metrics in
+  let counter name = M.value (M.counter name) in
+  let jobs = Gpu_parallel.Pool.current_jobs () in
+  Fun.protect ~finally:(fun () -> Gpu_parallel.Pool.set_jobs jobs)
+  @@ fun () ->
+  let grid = cyclic_grid ~kinds:3 64 in
+  let copies = unshared grid in
+  let events_of clusters =
+    let n = ref 0 in
+    Array.iteri
+      (fun b bt ->
+        if List.mem (b mod 10) clusters then n := !n + Trace.event_count bt)
+      grid;
+    !n
+  in
+  let events = events_of (List.init 10 Fun.id) in
+  let distinct_events = events_of [ 0; 1; 2; 4; 5; 6 ] in
+  let sample = { Engine.target = Engine.Fraction 0.5; seed = 11 } in
+  (* A replay's result, and how far it moved the reuse, event and
+     fan-out counters. *)
+  let replay ?timeline ?sample blocks =
+    let names =
+      [
+        "engine.clusters_reused";
+        "engine.events_replayed";
+        "engine.clusters_parallel";
+      ]
+    in
+    let before = List.map counter names in
+    let r =
+      Engine.run ~homogeneous:false ?timeline ?sample ~spec
+        ~max_resident_blocks:4 blocks
+    in
+    (r, List.map2 (fun n b -> counter n - b) names before)
+  in
+  let fields (r : Engine.result) =
+    [
+      r.Engine.cycles;
+      r.Engine.alu_busy_cycles;
+      r.Engine.smem_busy_cycles;
+      r.Engine.atomic_busy_cycles;
+      r.Engine.gmem_busy_cycles;
+      r.Engine.sms_simulated;
+      r.Engine.clusters_simulated;
+      r.Engine.warps_launched;
+      r.Engine.warps_retired;
+      r.Engine.blocks_retired;
+      r.Engine.blocks_unlaunched;
+    ]
+  in
+  List.iter
+    (fun j ->
+      Gpu_parallel.Pool.set_jobs j;
+      let at what = Printf.sprintf "%s, %d job(s)" what j in
+      let same what (a : Engine.result) (b : Engine.result) =
+        Alcotest.(check (list int)) (at what) (fields a) (fields b);
+        Alcotest.(check bool) (at (what ^ ", sampled estimate")) true
+          (a.Engine.sampled = b.Engine.sampled)
+      in
+      let moved what want got =
+        Alcotest.(check (list int))
+          (at (what ^ ": reused, events, fanned out"))
+          want got
+      in
+      let tl = Gpu_obs.Timeline.create ~capacity:((4 * events) + 1000) () in
+      let shared, m_shared = replay grid in
+      let recorded, m_recorded = replay ~timeline:tl grid in
+      let copied, m_copied = replay copies in
+      let sampled, m_sampled = replay ~sample grid in
+      let sampled_copies, m_sampled_copies = replay ~sample copies in
+      same "timeline" shared recorded;
+      same "unshared" shared copied;
+      same "sampled" sampled sampled_copies;
+      Alcotest.(check int) (at "ten clusters") 10
+        shared.Engine.clusters_simulated;
+      Alcotest.(check bool) (at "a sampled subset") true
+        (sampled.Engine.sampled <> None);
+      let fanned n = if j > 1 then n else 0 in
+      moved "shared" [ 4; distinct_events; fanned 6 ] m_shared;
+      moved "timeline" [ 0; events; 0 ] m_recorded;
+      moved "unshared" [ 0; events; fanned 10 ] m_copied;
+      Alcotest.(check bool) (at "the sample reuses") true
+        (List.hd m_sampled > 0);
+      Alcotest.(check int) (at "sampled copies reuse none") 0
+        (List.hd m_sampled_copies))
+    [ 1; 2 ]
+
 (* --- pinned schedules --------------------------------------------------------- *)
 
 (* [heterogeneous_grid 40]'s replay, pinned.  Busy equality with
@@ -713,7 +828,7 @@ let test_replay_allocation_budget () =
   Gpu_parallel.Pool.set_jobs 1;
   Fun.protect ~finally:(fun () -> Gpu_parallel.Pool.set_jobs jobs)
   @@ fun () ->
-  (* Budgets leave >= 2x headroom over the measured 0.86 and 8.4 words:
+  (* Budgets leave headroom over the measured 1.47 and 8.4 words:
      per-launch state (a [warp_state] and its 141-word scoreboard) and,
      in the second grid, the cook's seven arrays.  A boxed [(key, warp)]
      per pop would cost 5 words an event on its own. *)
@@ -722,9 +837,11 @@ let test_replay_allocation_budget () =
       Alcotest.failf "%s allocates %.2f words per replayed event (budget %.1f)"
         name per_event budget
   in
-  (* One 8-warp block replicated (physically shared) over 200 blocks: 8
-     cooks spread over 320 000 replayed events, so what shows is the
-     per-event and per-launch cost of the scheduler. *)
+  (* One 8-warp block replicated (physically shared) over 200 blocks:
+     the ten clusters are identical, so one replays 32 000 events and the
+     other nine reuse its output.  What shows is the per-event and
+     per-launch cost of the scheduler, plus each of the 200 blocks' cooked
+     record and queue cell. *)
   let block = Array.init 8 (fun w -> mixed_warp ~seed:w 200) in
   let homogeneous =
     Array.init 200 (fun b -> { Trace.block = b; warps = block })
@@ -783,6 +900,8 @@ let () =
           Alcotest.test_case "sampled replay bounds" `Quick
             test_sampled_bounds;
           Alcotest.test_case "replay counters" `Quick test_replay_counters;
+          Alcotest.test_case "distinct clusters replay once" `Quick
+            test_distinct_clusters;
           Alcotest.test_case "schedule goldens" `Quick test_schedule_goldens;
           Alcotest.test_case "every event kind's busy cost" `Quick
             test_every_kind_busy;
