@@ -591,9 +591,10 @@ let check_cmd =
       let s = Gpu_check.Harness.run ~progress:(Fmt.epr "%s@.") cfg in
       Fmt.pr
         "seed %d: %d coalesce + %d bank + %d atomic oracle comparisons, %d \
-         engine audits, %d model differentials (band %.2fx)@."
+         engine audits (%d fast-forwarded), %d model differentials (band \
+         %.2fx)@."
         seed s.coalesce_cases s.bank_cases s.atomic_cases s.audit_cases
-        s.diff_cases tol;
+        s.audit_fast_forwarded s.diff_cases tol;
       if Gpu_check.Harness.ok s then Fmt.pr "all properties hold@."
       else begin
         List.iter

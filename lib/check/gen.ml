@@ -161,11 +161,18 @@ let gen_ev r =
       { txns = range r 1 32; dst = gen_dst r; srcs = gen_srcs r }
   | _ -> Case.Alu { cls = pick r work_classes; dst = gen_dst r; srcs = gen_srcs r }
 
+(* A loop: [body] repeated [reps] times. *)
+let repeat reps body = Array.concat (List.init reps (fun _ -> body))
+
 (* Heterogeneous grid exercising every scheduling path: empty warps (the
    slot-return shape), warps whose final stage is empty (the
    barrier-final retirement shape), uneven per-block structure, and
    occupancy limits small enough to keep blocks queued behind each
-   other. *)
+   other.  In one case in three every stage loops, its events a body
+   repeated 20-100 times: the steady state the engine fast-forwards, so
+   the audit compares fast-forwarded replays with their timeline runs.
+   That draw comes last, so the other cases are the ones this generator
+   always made. *)
 let gen_audit_case r =
   let nblocks = range r 1 24 in
   let blocks =
@@ -182,7 +189,22 @@ let gen_audit_case r =
         in
         { Case.nstages; warps })
   in
-  { Case.max_resident = range r 1 8; uniform = false; blocks }
+  let c = { Case.max_resident = range r 1 8; uniform = false; blocks } in
+  if R.int r 3 <> 0 then c
+  else begin
+    let reps = range r 20 100 in
+    let loop = function
+      | Case.Empty -> Case.Empty
+      | Case.Stages stages -> Case.Stages (Array.map (repeat reps) stages)
+    in
+    {
+      c with
+      blocks =
+        Array.map
+          (fun (b : Case.block) -> { b with warps = Array.map loop b.warps })
+          blocks;
+    }
+  end
 
 (* --- uniform cases for the model differential ----------------------------
    The throughput model assumes a homogeneous, reasonably saturated grid

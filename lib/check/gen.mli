@@ -25,7 +25,9 @@ val gen_bank_access : rng -> Oracle.access
 val gen_atomic_access : rng -> Oracle.access
 
 (** Heterogeneous grid exercising every engine scheduling path: empty
-    warps, barrier-final warps, uneven blocks, tight residency limits. *)
+    warps, barrier-final warps, uneven blocks, tight residency limits.
+    One case in three loops: each stage's events are a random body
+    repeated 20–100 times, the steady state the engine fast-forwards. *)
 val gen_audit_case : rng -> Case.t
 
 (** Homogeneous saturated grid of dependent chains — the domain the

@@ -30,6 +30,7 @@ type summary = {
   bank_cases : int;
   atomic_cases : int;
   audit_cases : int;
+  audit_fast_forwarded : int;
   diff_cases : int;
   shrink_evals : int;
   failures : failure list;
@@ -103,10 +104,18 @@ let run ?(progress = fun _ -> ()) cfg =
   (* engine invariant audit, with shrinking *)
   let naudit = audit_budget cfg.cases in
   progress (Printf.sprintf "engine audit: %d random grids" naudit);
+  (* A grid fast-forwarded when one of its audit's replays kept a skip:
+     the audit then compared a fast-forwarded replay with its timeline
+     run. *)
+  let fast_forwards = Gpu_obs.Metrics.counter "engine.fast_forwards" in
+  let fast_forwarded = ref 0 in
   for i = 0 to naudit - 1 do
     let r = Gen.sub_rng ~seed:cfg.seed ~tag:tag_audit i in
     let c = Gen.gen_audit_case r in
-    match Audit.check ~spec c with
+    let before = Gpu_obs.Metrics.value fast_forwards in
+    let verdict = Audit.check ~spec c in
+    if Gpu_obs.Metrics.value fast_forwards > before then incr fast_forwarded;
+    match verdict with
     | Ok () -> ()
     | Error _ ->
       let shrunk, evals = Shrink.minimize ~fails:(Audit.fails ~spec) c in
@@ -163,6 +172,7 @@ let run ?(progress = fun _ -> ()) cfg =
     bank_cases = cfg.cases;
     atomic_cases = cfg.cases;
     audit_cases = naudit;
+    audit_fast_forwarded = !fast_forwarded;
     diff_cases = ndiff;
     shrink_evals = !shrink_evals;
     failures = List.rev !failures;

@@ -24,6 +24,8 @@ type summary = {
   bank_cases : int;
   atomic_cases : int;
   audit_cases : int;
+  audit_fast_forwarded : int;
+      (** audited grids one of whose replays kept a fast-forward *)
   diff_cases : int;
   shrink_evals : int;
   failures : failure list;

@@ -4,15 +4,18 @@
     interference.
 
     Warp homogeneity, which calibration relies on to simulate one warp per
-    block ({!Runner.warp_trace}):
+    table row ({!Runner.warp_trace}):
     - every warp of an {!instruction_chain} or {!shared_copy} block
       executes the same trace (same events, same registers, same
       conflict-adjusted shared transactions), whatever the block size;
     - an {!instruction_chain}'s trace does not depend on the warp count:
       the program does not read its thread or block index;
-    - a {!shared_copy}'s program does depend on the warp count, through
-      the [4 * threads] offset of its destination region, so it is built
-      and simulated once per block size. *)
+    - a {!shared_copy}'s program depends on the warp count only through
+      the [4 * threads] offset of its destination region, and warp 0's
+      trace does not depend on it: the offset is word-aligned, so it
+      moves no lane's bank relative to another's, and it changes no
+      register.  One simulation per copy length stands for every warp
+      count. *)
 
 (** [instruction_chain ~cls ~n]: [n] dependent instructions of an
     arithmetic cost class; a single warp exposes the full pipeline latency

@@ -20,9 +20,11 @@
    spec):
    - every warp of an instruction or shared-memory microbenchmark block
      executes the same trace ([Codegen]), so a point simulates one warp
-     and replays it shared by the block's warps, and the chains, which do
-     not depend on the warp count, are simulated once per table: 72 warp
-     simulations per table instead of 5280;
+     and replays it shared by the block's warps, and since none of those
+     traces depends on the warp count, each chain and each copy length is
+     simulated once per table: 10 warp simulations per table instead of
+     5280, and the timing replay fast-forwards each point's steady state
+     ([Gpu_timing.Engine]);
    - the grid of independent measurements fans out over the
      [Gpu_parallel] domain pool, with results placed by index;
    - tables persist to a versioned on-disk cache ([Calib_cache]), so a
@@ -137,28 +139,33 @@ let chain_pair ~spec cls =
   in
   (trace chain_length, trace (2 * chain_length))
 
-let instr_rate ~spec ~warps (short, long) =
-  M.incr instr_smem_measured;
-  let run = Runner.replay_warp ~spec ~warps in
-  marginal_rate ~spec ~work:(chain_length * warps) ~short:(run short)
-    ~long:(run long)
-
-let measure_instr_throughput ~spec ~cls ~warps =
-  instr_rate ~spec ~warps (chain_pair ~spec cls)
-
 let copy_pairs = 256
 
-(* The copy's program depends on the warp count, so each point simulates
-   its own warp. *)
-let measure_smem_bandwidth ~spec ~warps =
-  M.incr instr_smem_measured;
-  let run n =
-    let program, smem_bytes = Codegen.shared_copy ~threads:(32 * warps) ~n in
-    Runner.replay_warp ~spec ~warps (warp_trace ~spec ~smem_bytes program)
+(* The traces of the copy's short and long run.  Only the destination
+   offset depends on the warp count, and warp 0's trace does not
+   ([Codegen]), so the one-warp block's trace stands for every count. *)
+let copy_pair ~spec =
+  let trace n =
+    let program, smem_bytes = Codegen.shared_copy ~threads:32 ~n in
+    warp_trace ~spec ~smem_bytes program
   in
-  (* each pair moves a warp's 128 read + 128 written bytes *)
-  marginal_rate ~spec ~work:(copy_pairs * warps * 256)
-    ~short:(run copy_pairs) ~long:(run (2 * copy_pairs))
+  (trace copy_pairs, trace (2 * copy_pairs))
+
+(* One table point: the marginal rate of a short and long trace pair
+   replayed at [warps], [work] per warp. *)
+let pair_rate ~spec ~work ~warps (short, long) =
+  M.incr instr_smem_measured;
+  let run = Runner.replay_warp ~spec ~warps in
+  marginal_rate ~spec ~work:(work * warps) ~short:(run short) ~long:(run long)
+
+(* each pair moves a warp's 128 read + 128 written bytes *)
+let smem_work = copy_pairs * 256
+
+let measure_instr_throughput ~spec ~cls ~warps =
+  pair_rate ~spec ~work:chain_length ~warps (chain_pair ~spec cls)
+
+let measure_smem_bandwidth ~spec ~warps =
+  pair_rate ~spec ~work:smem_work ~warps (copy_pair ~spec)
 
 (* Total-time measurement for global memory: the latency tail is part of
    what Figure 3 shows (small configurations cannot cover the memory
@@ -199,21 +206,23 @@ let of_parts spec instr smem gmem_entries =
 let build ?jobs (spec : Gpu_hw.Spec.t) =
   let classes = Array.of_list arithmetic_classes in
   let n_instr = num_classes * max_warps in
-  (* The chains do not depend on the warp count: simulate each class's
-     pair once, then replay it at every warp count. *)
-  let chains =
-    Pool.parallel_init ?jobs num_classes (fun c -> chain_pair ~spec classes.(c))
+  (* No trace depends on the warp count: simulate each class's chain pair
+     and the copy pair once, then replay them at every warp count. *)
+  let pairs =
+    Pool.parallel_init ?jobs (num_classes + 1) (fun c ->
+        if c < num_classes then chain_pair ~spec classes.(c)
+        else copy_pair ~spec)
   in
-  (* One flat deterministic grid: slots [0, n_instr) are class x warps in
-     row-major order, the rest the shared-memory sweep.  Results land by
-     index, so the parallel tables are bit-identical to serial ones. *)
+  (* One flat deterministic grid: row r of [max_warps] slots replays
+     [pairs.(r)], the chains' rows first, then the shared-memory sweep.
+     Results land by index, so the parallel tables are bit-identical to
+     serial ones. *)
   let flat =
     Pool.parallel_init ?jobs (n_instr + max_warps) (fun i ->
-        if i < n_instr then
-          instr_rate ~spec
-            ~warps:((i mod max_warps) + 1)
-            chains.(i / max_warps)
-        else measure_smem_bandwidth ~spec ~warps:(i - n_instr + 1))
+        pair_rate ~spec
+          ~work:(if i < n_instr then chain_length else smem_work)
+          ~warps:((i mod max_warps) + 1)
+          pairs.(i / max_warps))
   in
   let instr =
     Array.init num_classes (fun c -> Array.sub flat (c * max_warps) max_warps)

@@ -37,12 +37,14 @@
    that, consecutive events of a warp that would re-enter the event queue
    strictly before every queued event are coalesced into one heap
    transaction (provably the same schedule as push-then-pop).  On the
-   heterogeneous path each distinct cluster — distinct by the cooked warps
-   its SMs queue — is simulated once and its output reused for every
-   identical cluster, and the distinct clusters fan out over the domain
-   pool with a deterministic cluster-order reduction — bit-identical to
-   the serial fold.  [?sample] replays a seeded subset of clusters and
-   extrapolates (see {!sampled_estimate}).
+   heterogeneous path each distinct cluster — distinct by the warp arrays
+   its SMs queue, keyed before anything is cooked — is simulated once and
+   its output reused for every identical cluster, and the distinct
+   clusters fan out over the domain pool with a deterministic
+   cluster-order reduction — bit-identical to the serial fold.  A cluster
+   that settles into a steady state skips its repeating periods exactly
+   (the steady-state fast-forward below).  [?sample] replays a seeded
+   subset of clusters and extrapolates (see {!sampled_estimate}).
 
    Observability: [run ?timeline] optionally records every pipeline busy
    interval and warp hold/park interval into a [Gpu_obs.Timeline], plus a
@@ -53,7 +55,7 @@
    measurable cost.  Because the recorder's stage accumulators are shared
    mutable state, a timeline forces the serial cluster path, and it
    simulates every cluster, identical or not, so each records its own
-   slices. *)
+   slices, and turns the fast-forward off, so every event is recorded. *)
 
 module Trace = Gpu_sim.Trace
 module Metrics = Gpu_obs.Metrics
@@ -190,11 +192,40 @@ type cooked = {
   hold : int array; (* warp hold ticks counted from the event's start *)
   mdst : int array; (* [map_reg]-mapped destination slot, or -1 *)
   msrcs : int array; (* mapped sources, event by event *)
+  used : int array;
+      (* the mapped registers some event names, ascending: the only
+         scoreboard entries the replay ever reads *)
 }
 
+(* The distinct registers [mdst] and [msrcs] name, marked in [scratch]
+   (one byte per register slot, all zero on entry and on exit). *)
+let used_regs scratch ~mdst ~msrcs =
+  let count = ref 0 in
+  let mark regs =
+    for i = 0 to Array.length regs - 1 do
+      let r = regs.(i) in
+      if r >= 0 && Bytes.get scratch r = '\000' then begin
+        Bytes.set scratch r '\001';
+        incr count
+      end
+    done
+  in
+  mark mdst;
+  mark msrcs;
+  let used = Array.make !count 0 in
+  let j = ref 0 in
+  for r = 0 to reg_slots - 1 do
+    if Bytes.get scratch r <> '\000' then begin
+      Bytes.set scratch r '\000';
+      used.(!j) <- r;
+      incr j
+    end
+  done;
+  used
+
 (* One pass over the events after sizing [msrcs]: only the arrays the
-   replay loop reads are allocated. *)
-let cook p (wt : Trace.warp_trace) =
+   replay loop reads are allocated, plus the [used] register list. *)
+let cook p scratch (wt : Trace.warp_trace) =
   let n = Array.length wt in
   let nsrcs = ref 0 in
   for i = 0 to n - 1 do
@@ -253,7 +284,8 @@ let cook p (wt : Trace.warp_trace) =
         gmem i txns
   done;
   soff.(n) <- !si;
-  { n; kind; soff; occ; busy; hold; mdst; msrcs }
+  let used = used_regs scratch ~mdst ~msrcs in
+  { n; kind; soff; occ; busy; hold; mdst; msrcs; used }
 
 (* A block lowered to its cooked warps: what the scheduler queues. *)
 type cblock = { cbid : int; cwarps : cooked array }
@@ -275,16 +307,18 @@ end)
    block cooked through the same cooker shares cooks for physically
    shared warp arrays, no matter which cluster the blocks land on.  [run]
    makes one cooker per call and feeds it only the blocks it will
-   actually simulate, so a sampled replay never cooks the blocks it
-   skips.  Nothing outlives the call: every production caller replays
-   traces it has just simulated, so a cross-run cache would never hit. *)
+   actually simulate, so neither a sampled replay's skipped clusters nor
+   a repeated cluster is cooked.  Nothing outlives the call: every
+   production caller replays traces it has just simulated, so a
+   cross-run cache would never hit. *)
 let cooker p =
   let table = WT.create 64 in
+  let scratch = Bytes.make reg_slots '\000' in
   let cook_warp wt =
     match WT.find_opt table wt with
     | Some c -> c
     | None ->
-      let c = cook p wt in
+      let c = cook p scratch wt in
       WT.add table wt c;
       c
   in
@@ -297,6 +331,8 @@ type cluster_state = {
   mutable gmem_free : int;
   mutable gmem_busy : int;
   mutable events : int; (* events replayed in this cluster *)
+  mutable skipped : int; (* events a fast-forward accounted for instead *)
+  mutable changes : int; (* block launches plus warp retirements *)
   pid : int; (* timeline process id: original cluster index + 1 *)
 }
 
@@ -498,6 +534,7 @@ let rec launch_block p rc q sm (cb : cblock) now =
     }
   in
   sm.warps_launched <- sm.warps_launched + Array.length cb.cwarps;
+  sm.cluster.changes <- sm.cluster.changes + 1;
   for wid = 0 to Array.length cb.cwarps - 1 do
     let ck = cb.cwarps.(wid) in
     let w =
@@ -556,6 +593,7 @@ and warp_finished p rc q w now =
   let block_done = block.live = 0 in
   sm.free_warp_slots <- sm.free_warp_slots + 1;
   sm.warps_retired <- sm.warps_retired + 1;
+  sm.cluster.changes <- sm.cluster.changes + 1;
   (match rc with
   | None -> ()
   | Some r -> rec_warp r w ~name:"retire" ~start:now ~dur:0);
@@ -775,6 +813,437 @@ let process p rc q w now0 =
   done;
   !horizon
 
+(* --- steady-state fast-forward ------------------------------------------- *)
+
+(* A replay whose warps loop settles into a steady state: after a few
+   rounds each round repeats the one before it, shifted in time.  The
+   fast-forward (DESIGN §14) simulates one such period, proves it repeats,
+   and applies the remaining whole periods at once.  It is exact:
+
+   - Shift invariance.  The schedule reads times only through [max] with a
+     time at or after [now] and [+] with constants, so a state whose every
+     time moves by D evolves exactly as before, moved by D.  A time at or
+     before [now] (a register ready long ago, an idle pipe) is
+     interchangeable with any other such time, so the signatures below
+     store it as 0.
+   - The heap as a set.  A pop whose minimum key is unique returns that
+     entry whatever the array layout, and every other heap use reads only
+     the minimum key.  Between two checkpoints with no tied pop (one that
+     leaves its key at the root) the schedule is therefore a function of
+     the set of (slot, key) pairs, and two checkpoints are compared as
+     sets.
+   - The period.  Checkpoints are the pops of warp slot 0.  Two
+     checkpoints C and C' form a period when nothing launched or retired
+     and no pop tied between them, every time-valued field is equal
+     relative to [now] (queued keys, parked links, [ready], the
+     registers the warp's trace names, each SM's pipes, the cluster's
+     global pipe), and each warp's next events equal its events one
+     period back.  Each later period then repeats it shifted by
+     D = T(C') - T(C), so k periods are applied at once: D*k added to
+     every time (heap keys in place), each warp's [idx] advanced by k
+     times its events per period, busy and event counters by k times the
+     period's, and the end time raised to the period's highest horizon
+     plus D*k.  [w.stage] and [w.park_t] feed only a timeline, and a
+     recording timeline turns the fast-forward off.
+   - Rollback.  After a skip the heap keeps C''s layout, which pops
+     exactly as the simulated heap would until the next tied pop; a tied
+     pop after a skip aborts the cluster ([Rollback]), and [run] replays
+     it without fast-forward.
+
+   Cost: a Brent cycle search over a compact signature (heap size, the
+   next key, the launch-or-retirement count, pipe cursors, slot 0's next
+   event) kept in two reused buffers, so a checkpoint that matches
+   nothing costs O(SMs) and allocates nothing.  When the compact
+   signature repeats, the full slot state is snapshotted and compared one
+   candidate period later, and at a few multiples of it while no tie,
+   launch or retirement intervenes; a failed candidate pauses the search
+   for a doubling number of checkpoints, which bounds the snapshots to a
+   logarithm of the checkpoints.  Pops are watched for ties only from a
+   candidate's first checkpoint on, and for good after a skip, so a
+   replay that never settles pays one test per pop: is it slot 0, or is
+   the watch on. *)
+
+exception Rollback of int (* events simulated before the tied pop *)
+
+type ff = {
+  saved : int array; (* compact signature at the Brent save point *)
+  cur : int array; (* the current checkpoint's, reused *)
+  mutable have_saved : bool;
+  mutable power : int;
+  mutable lam : int; (* checkpoints since the save *)
+  mutable pause : int; (* checkpoints to let pass after a failed period *)
+  mutable backoff : int;
+  mutable watch : bool; (* pops are checked for ties *)
+  (* A candidate period starting at checkpoint C: *)
+  mutable verify_left : int; (* checkpoints until C'; 0 when idle *)
+  mutable mult : int; (* C' is [mult] candidate periods after C *)
+  vsig : int array; (* compact signature at C *)
+  busy0 : int array;
+      (* at C: per SM alu, smem and atomic busy, then gmem busy and the
+         simulated event count *)
+  mutable t0 : int; (* [now] at C *)
+  mutable end_c : int; (* the end time at C *)
+  mutable tied : int; (* tied pops since C *)
+  mutable snap : int array; (* slot states at C, grown on demand *)
+  mutable qkey : int array;
+      (* per slot: its key relative to [now] if queued, -1 parked, -2
+         free *)
+  mutable delta : int array; (* per slot: events consumed over the period *)
+  mutable skips : int; (* once one is applied, a tied pop rolls back *)
+  mutable end_time : int;
+      (* the replay's end time, handed in and out of [ff_step]; from C
+         until the candidate is decided, the highest horizon since C *)
+}
+
+let make_ff ~nsms =
+  let len = 6 + (2 * nsms) in
+  {
+    saved = Array.make len 0;
+    cur = Array.make len 0;
+    have_saved = false;
+    power = 1;
+    lam = 0;
+    pause = 0;
+    backoff = 1;
+    watch = false;
+    verify_left = 0;
+    mult = 0;
+    vsig = Array.make len 0;
+    busy0 = Array.make ((3 * nsms) + 2) 0;
+    t0 = 0;
+    end_c = 0;
+    tied = 0;
+    snap = [||];
+    qkey = [||];
+    delta = [||];
+    skips = 0;
+    end_time = 0;
+  }
+
+(* A time relative to [now], every time at or before [now] stored as 0. *)
+let rel now t = if t > now then t - now else 0
+
+(* The compact signature of the checkpoint where [w] (slot 0) was popped
+   at [now]. *)
+let fill_sig q sms cl w now buf =
+  let h = q.heap in
+  buf.(0) <- Heap.size h;
+  buf.(1) <- (if Heap.is_empty h then -1 else Heap.min_key h - now);
+  buf.(2) <- cl.changes;
+  buf.(3) <- rel now cl.gmem_free;
+  buf.(4) <- w.ck.kind.(w.idx);
+  buf.(5) <- w.ck.mdst.(w.idx);
+  for s = 0 to Array.length sms - 1 do
+    buf.(6 + (2 * s)) <- rel now sms.(s).alu_free;
+    buf.(7 + (2 * s)) <- rel now sms.(s).smem_free
+  done
+
+let rec same_ints a b i =
+  i = Array.length a || (a.(i) = b.(i) && same_ints a b (i + 1))
+
+(* [qkey] for the checkpoint at [now]: slot 0 was just popped with key
+   [now]. *)
+let fill_qkey ff q now =
+  let n = q.used in
+  if Array.length ff.qkey < n then begin
+    ff.qkey <- Array.make (Array.length q.slots) 0;
+    ff.delta <- Array.make (Array.length q.slots) 0
+  end;
+  let qk = ff.qkey in
+  Array.fill qk 0 n (-1);
+  for i = 0 to q.nfree - 1 do
+    qk.(q.free.(i)) <- -2
+  done;
+  Heap.iter q.heap (fun s k -> qk.(s) <- k - now);
+  qk.(0) <- 0 (* the popped warp: its key was [now] *)
+
+(* Per slot, its [qkey] code, then unless free: its parked link, its
+   block's arrival count and parked-chain head, [ready], [idx] and its
+   used registers. *)
+let take_snapshot ff q now =
+  fill_qkey ff q now;
+  let qk = ff.qkey in
+  let size = ref 0 in
+  for s = 0 to q.used - 1 do
+    size :=
+      !size + if qk.(s) = -2 then 1 else 6 + Array.length q.slots.(s).ck.used
+  done;
+  if Array.length ff.snap < !size then ff.snap <- Array.make (2 * !size) 0;
+  let snap = ff.snap in
+  let pos = ref 0 in
+  for s = 0 to q.used - 1 do
+    let c = qk.(s) in
+    snap.(!pos) <- c;
+    if c = -2 then incr pos
+    else begin
+      let w = q.slots.(s) in
+      let p = !pos in
+      snap.(p + 1) <- (if c = -1 then w.next_parked else -1);
+      snap.(p + 2) <- w.block.waiting;
+      snap.(p + 3) <- w.block.parked;
+      snap.(p + 4) <- rel now w.ready;
+      snap.(p + 5) <- w.idx;
+      let u = w.ck.used in
+      for j = 0 to Array.length u - 1 do
+        snap.(p + 6 + j) <- rel now w.regs.(u.(j))
+      done;
+      pos := p + 6 + Array.length u
+    end
+  done
+
+(* Whether the slots stand as they did at the snapshot, relative to
+   [now]; fills [delta] with the events each slot consumed since.  Runs
+   only when the compact signatures agree, so the same slots are live and
+   queue the same cooked warps. *)
+let same_as_snapshot ff q now =
+  fill_qkey ff q now;
+  let snap = ff.snap and qk = ff.qkey in
+  let ok = ref true and pos = ref 0 and s = ref 0 in
+  while !ok && !s < q.used do
+    let c = qk.(!s) in
+    if snap.(!pos) <> c then ok := false
+    else if c = -2 then incr pos
+    else begin
+      let w = q.slots.(!s) in
+      let p = !pos in
+      ok :=
+        snap.(p + 1) = (if c = -1 then w.next_parked else -1)
+        && snap.(p + 2) = w.block.waiting
+        && snap.(p + 3) = w.block.parked
+        && snap.(p + 4) = rel now w.ready;
+      ff.delta.(!s) <- w.idx - snap.(p + 5);
+      let u = w.ck.used in
+      let j = ref 0 in
+      while !ok && !j < Array.length u do
+        ok := snap.(p + 6 + !j) = rel now w.regs.(u.(!j));
+        incr j
+      done;
+      pos := p + 6 + Array.length u
+    end;
+    incr s
+  done;
+  !ok
+
+(* Events [i] and [j] of one cooked warp cost the same and name the same
+   registers: everything [process] reads of an event. *)
+let same_event ck i j =
+  ck.kind.(i) = ck.kind.(j)
+  && ck.occ.(i) = ck.occ.(j)
+  && ck.busy.(i) = ck.busy.(j)
+  && ck.hold.(i) = ck.hold.(j)
+  && ck.mdst.(i) = ck.mdst.(j)
+  &&
+  let a = ck.soff.(i) and b = ck.soff.(j) in
+  let len = ck.soff.(i + 1) - a in
+  len = ck.soff.(j + 1) - b
+  &&
+  let k = ref 0 in
+  while !k < len && ck.msrcs.(a + !k) = ck.msrcs.(b + !k) do
+    incr k
+  done;
+  !k = len
+
+(* The first event at or after [from] (below [stop]) that differs from the
+   event [lag] before it, or [stop]. *)
+let first_break ck ~lag from stop =
+  let i = ref from in
+  while !i < stop && same_event ck !i (!i - lag) do
+    incr i
+  done;
+  !i
+
+let no_cook =
+  {
+    n = 0;
+    kind = [||];
+    soff = [| 0 |];
+    occ = [||];
+    busy = [||];
+    hold = [||];
+    mdst = [||];
+    msrcs = [||];
+    used = [||];
+  }
+
+(* How many more periods every live warp's trace repeats the verified one
+   for, stopping before any warp's last event.  Warps replicating one
+   cooked trace at one lag share a scan: [lo, hi) is a stretch known free
+   of breaks, [hi] the break that ends it. *)
+let periods ff q =
+  let k = ref max_int in
+  let m_ck = ref no_cook and m_lag = ref 0 and lo = ref 0 and hi = ref 0 in
+  for s = 0 to q.used - 1 do
+    let d = ff.delta.(s) in
+    if ff.qkey.(s) <> -2 && d > 0 then begin
+      let w = q.slots.(s) in
+      let ck = w.ck and from = w.idx in
+      let same = ck == !m_ck && d = !m_lag in
+      let r =
+        if same && from >= !lo && from <= !hi then !hi
+        else if same && from < !lo then begin
+          let i = first_break ck ~lag:d from !lo in
+          if i = !lo then begin
+            lo := from;
+            !hi
+          end
+          else i
+        end
+        else begin
+          let i = first_break ck ~lag:d from ck.n in
+          m_ck := ck;
+          m_lag := d;
+          lo := from;
+          hi := i;
+          i
+        end
+      in
+      (* periods m with idx(C) + m*d <= min r (n - 1), the verified one
+         included *)
+      let m = (min r (ck.n - 1) - (from - d)) / d in
+      if m - 1 < !k then k := m - 1
+    end
+  done;
+  if !k = max_int then 0 else !k
+
+(* Apply [k] more periods of length [now - t0] at once; returns the
+   shifted [now]. *)
+let apply_skip ff q sms cl ~k now =
+  let dt = k * (now - ff.t0) in
+  Heap.shift q.heap dt;
+  for s = 0 to q.used - 1 do
+    if ff.qkey.(s) <> -2 then begin
+      let w = q.slots.(s) in
+      w.ready <- w.ready + dt;
+      let u = w.ck.used in
+      for j = 0 to Array.length u - 1 do
+        w.regs.(u.(j)) <- w.regs.(u.(j)) + dt
+      done;
+      w.idx <- w.idx + (k * ff.delta.(s))
+    end
+  done;
+  let b = ff.busy0 in
+  for i = 0 to Array.length sms - 1 do
+    let sm = sms.(i) in
+    sm.alu_free <- sm.alu_free + dt;
+    sm.smem_free <- sm.smem_free + dt;
+    sm.alu_busy <- sm.alu_busy + (k * (sm.alu_busy - b.(3 * i)));
+    sm.smem_busy <- sm.smem_busy + (k * (sm.smem_busy - b.((3 * i) + 1)));
+    sm.atomic_busy <-
+      sm.atomic_busy + (k * (sm.atomic_busy - b.((3 * i) + 2)))
+  done;
+  let nb = 3 * Array.length sms in
+  cl.gmem_free <- cl.gmem_free + dt;
+  cl.gmem_busy <- cl.gmem_busy + (k * (cl.gmem_busy - b.(nb)));
+  cl.skipped <- cl.skipped + (k * (cl.events - b.(nb + 1)));
+  (* the skipped periods' highest horizon is the verified one's, moved *)
+  ff.end_time <- max ff.end_c (ff.end_time + dt);
+  ff.skips <- ff.skips + 1;
+  ff.watch <- true;
+  now + dt
+
+(* Candidate multiples tried before a candidate period is given up. *)
+let max_mult = 8
+
+let restart ff =
+  ff.have_saved <- false;
+  ff.power <- 1;
+  ff.lam <- 0;
+  ff.watch <- ff.skips > 0
+
+(* Called at each pop of slot 0 ([w], popped at [now]) before it is
+   processed; returns the time to process it at, later than [now] when a
+   skip was applied. *)
+let checkpoint ff q sms cl w now =
+  if ff.pause > 0 then begin
+    ff.pause <- ff.pause - 1;
+    now
+  end
+  else if ff.verify_left > 0 then begin
+    ff.verify_left <- ff.verify_left - 1;
+    if ff.verify_left > 0 then now
+    else begin
+      fill_sig q sms cl w now ff.cur;
+      let k =
+        if
+          ff.tied = 0
+          && same_ints ff.cur ff.vsig 0
+          && same_as_snapshot ff q now
+        then periods ff q
+        else 0
+      in
+      if k >= 1 then begin
+        restart ff;
+        ff.backoff <- 1;
+        apply_skip ff q sms cl ~k now
+      end
+      else if ff.mult < max_mult && ff.tied = 0 && ff.cur.(2) = ff.vsig.(2)
+      then begin
+        (* No tie and no launch or retirement yet: the true period may
+           be a multiple of the candidate (warps at another phase of
+           their loop bodies), so look one candidate period further. *)
+        ff.mult <- ff.mult + 1;
+        ff.verify_left <- ff.lam;
+        now
+      end
+      else begin
+        ff.end_time <- max ff.end_c ff.end_time;
+        restart ff;
+        ff.pause <- ff.backoff;
+        ff.backoff <- 2 * ff.backoff;
+        now
+      end
+    end
+  end
+  else begin
+    fill_sig q sms cl w now ff.cur;
+    if ff.have_saved && same_ints ff.cur ff.saved 0 then begin
+      (* a candidate period of [lam] checkpoints: this is C *)
+      Array.blit ff.cur 0 ff.vsig 0 (Array.length ff.cur);
+      take_snapshot ff q now;
+      let b = ff.busy0 in
+      Array.iteri
+        (fun i sm ->
+          b.(3 * i) <- sm.alu_busy;
+          b.((3 * i) + 1) <- sm.smem_busy;
+          b.((3 * i) + 2) <- sm.atomic_busy)
+        sms;
+      b.(3 * Array.length sms) <- cl.gmem_busy;
+      b.((3 * Array.length sms) + 1) <- cl.events;
+      ff.t0 <- now;
+      ff.end_c <- ff.end_time;
+      ff.end_time <- 0;
+      ff.tied <- 0;
+      ff.watch <- true;
+      ff.mult <- 1;
+      ff.verify_left <- ff.lam
+    end
+    else begin
+      if not ff.have_saved then begin
+        Array.blit ff.cur 0 ff.saved 0 (Array.length ff.cur);
+        ff.have_saved <- true;
+        ff.lam <- 0
+      end
+      else if ff.lam = ff.power then begin
+        Array.blit ff.cur 0 ff.saved 0 (Array.length ff.cur);
+        ff.power <- 2 * ff.power;
+        ff.lam <- 0
+      end;
+      ff.lam <- ff.lam + 1
+    end;
+    now
+  end
+
+(* The fast-forward's share of a pop of [w] at [now]: the tie watch, then
+   the checkpoint when [w] is slot 0.  A tied pop leaves its key at the
+   root. *)
+let ff_step ff q sms cl w ~fast_forward now =
+  if ff.watch && (not (Heap.is_empty q.heap)) && Heap.min_key q.heap = now
+  then begin
+    if ff.skips > 0 then raise (Rollback cl.events);
+    ff.tied <- ff.tied + 1
+  end;
+  if fast_forward && w.slot = 0 then checkpoint ff q sms cl w now else now
+
 (* What one simulated cluster reports back to the reduction. *)
 type cluster_out = {
   co_end : int; (* latest completion horizon, ticks *)
@@ -786,16 +1255,26 @@ type cluster_out = {
   co_retired : int;
   co_blocks_retired : int;
   co_unlaunched : int;
-  co_events : int;
+  co_events : int; (* simulated, a rolled-back attempt's included *)
+  co_skipped : int; (* accounted for by the kept fast-forwards *)
+  co_fast_forwards : int;
+  co_rollbacks : int;
 }
 
 (* Simulate one cluster: [sm_blocks.(i)] is the ordered block queue of the
    cluster's i-th SM; [cluster_index] is its device-wide index (timeline
    pid - 1).  Touches nothing outside its own freshly built state, which
    is what makes the cluster fan-out safe. *)
-let run_cluster p rc ~cluster_index ~max_resident sm_blocks =
+let run_cluster p rc ~fast_forward ~cluster_index ~max_resident sm_blocks =
   let cluster =
-    { gmem_free = 0; gmem_busy = 0; events = 0; pid = cluster_index + 1 }
+    {
+      gmem_free = 0;
+      gmem_busy = 0;
+      events = 0;
+      skipped = 0;
+      changes = 0;
+      pid = cluster_index + 1;
+    }
   in
   let q = make_queue () in
   (match rc with
@@ -846,6 +1325,7 @@ let run_cluster p rc ~cluster_index ~max_resident sm_blocks =
         sm)
       sm_blocks
   in
+  let ff = make_ff ~nsms:(Array.length sms) in
   let end_time = ref 0 in
   let guard = ref 0 in
   while not (Heap.is_empty q.heap) do
@@ -853,9 +1333,20 @@ let run_cluster p rc ~cluster_index ~max_resident sm_blocks =
     let w = q.slots.(Heap.pop_min q.heap) in
     incr guard;
     if !guard > 2_000_000_000 then failwith "Engine: runaway simulation";
+    let now =
+      if w.slot = 0 || ff.watch then begin
+        ff.end_time <- !end_time;
+        let now = ff_step ff q sms cluster w ~fast_forward now in
+        end_time := ff.end_time;
+        now
+      end
+      else now
+    in
     let horizon = process p rc q w now in
     if horizon > !end_time then end_time := horizon
   done;
+  (* a candidate still undecided holds only its period's horizons *)
+  if ff.verify_left > 0 then end_time := max !end_time ff.end_c;
   let sum f = Array.fold_left (fun acc sm -> acc + f sm) 0 sms in
   {
     co_end = !end_time;
@@ -868,7 +1359,22 @@ let run_cluster p rc ~cluster_index ~max_resident sm_blocks =
     co_blocks_retired = sum (fun sm -> sm.blocks_retired);
     co_unlaunched = sum (fun sm -> List.length sm.pending);
     co_events = cluster.events;
+    co_skipped = cluster.skipped;
+    co_fast_forwards = ff.skips;
+    co_rollbacks = 0;
   }
+
+(* A cluster with the fast-forward on unless a timeline records; a tied
+   pop after a skip replays it with the fast-forward off. *)
+let simulate_cluster p rc ~cluster_index ~max_resident sm_blocks =
+  let run fast_forward =
+    run_cluster p rc ~fast_forward ~cluster_index ~max_resident sm_blocks
+  in
+  match run (Option.is_none rc) with
+  | out -> out
+  | exception Rollback events ->
+    let out = run false in
+    { out with co_events = out.co_events + events; co_rollbacks = 1 }
 
 (* Distribute grid blocks uniformly over the *clusters* first (block b goes
    to cluster b mod num_clusters, as the paper infers from the period-10
@@ -891,13 +1397,14 @@ let distribute (spec : Gpu_hw.Spec.t) (blocks : _ array) =
 (* Two clusters replay identically when their SMs queue the same cooked
    warps in the same order: a cluster's schedule reads nothing else but
    the run's device parameters and residency limit (its index and the
-   block ids only name timeline tracks).  Physical equality suffices,
-   since the cooker interns every shared warp array, and a replicated
-   grid shares them. *)
-let same_cluster (a : cblock list array) b =
-  let same_block (x : cblock) y =
-    Array.length x.cwarps = Array.length y.cwarps
-    && Array.for_all2 ( == ) x.cwarps y.cwarps
+   block ids only name timeline tracks).  The cooker interns warp arrays
+   by physical identity, so two blocks cook to the same warps exactly
+   when they share their warp arrays, as a replicated grid's do: the
+   clusters are keyed on the trace blocks, before anything is cooked. *)
+let same_cluster (a : Trace.block_trace list array) b =
+  let same_block (x : Trace.block_trace) (y : Trace.block_trace) =
+    Array.length x.warps = Array.length y.warps
+    && Array.for_all2 ( == ) x.warps y.warps
   in
   Array.for_all2 (List.equal same_block) a b
 
@@ -983,6 +1490,15 @@ let m_replay_ticks = Metrics.counter "engine.replay_ticks"
 let m_clusters_parallel = Metrics.counter "engine.clusters_parallel"
 let m_clusters_reused = Metrics.counter "engine.clusters_reused"
 
+(* Steady-state fast-forward: events applied without being simulated,
+   skips applied, and clusters replayed again after a tied pop followed a
+   skip.  [engine.events_replayed] counts only simulated events, so with
+   no rollback replayed plus skipped is the simulated clusters' trace
+   events. *)
+let m_events_skipped = Metrics.counter "engine.events_skipped"
+let m_fast_forwards = Metrics.counter "engine.fast_forwards"
+let m_ff_rollbacks = Metrics.counter "engine.ff_rollbacks"
+
 let run ?(homogeneous = false) ?timeline ?sample ~(spec : Gpu_hw.Spec.t)
     ~max_resident_blocks (blocks : Trace.block_trace array) =
   if Array.length blocks = 0 then invalid_arg "Engine.run: no blocks";
@@ -1040,15 +1556,6 @@ let run ?(homogeneous = false) ?timeline ?sample ~(spec : Gpu_hw.Spec.t)
         (Array.map (fun i -> selected.(i)) chosen, Some k)
     | Some _ | None -> (selected, None)
   in
-  (* Decode exactly the blocks that will run: the clusters sampling
-     skipped are never cooked.  One cooker across the selection keeps
-     replicated warp arrays decoded once grid-wide. *)
-  let selected =
-    let cook_block = cooker p in
-    Array.map
-      (fun (ci, cl) -> (ci, Array.map (List.map cook_block) cl))
-      selected
-  in
   let nsel = Array.length selected in
   (* Distinct clusters: [slot.(i)] is the index in [distinct] of the
      first selected cluster that queues the same cooked warps as cluster
@@ -1073,6 +1580,16 @@ let run ?(homogeneous = false) ?timeline ?sample ~(spec : Gpu_hw.Spec.t)
         find 0)
   in
   let ndistinct = !ndistinct in
+  (* Decode exactly the blocks that will run: the distinct clusters of
+     the selection, so neither the clusters sampling skipped nor the
+     repeats of a distinct one are cooked.  One cooker across them keeps
+     replicated warp arrays decoded once grid-wide. *)
+  let cooked =
+    let cook_block = cooker p in
+    Array.init ndistinct (fun k ->
+        let ci, cl = selected.(distinct.(k)) in
+        (ci, Array.map (List.map cook_block) cl))
+  in
   (* The recorder's stage accumulators are unsynchronized shared state, so
      a timeline pins the run to the serial path; otherwise independent
      clusters fan out over the domain pool.  Reduction below runs in
@@ -1082,8 +1599,8 @@ let run ?(homogeneous = false) ?timeline ?sample ~(spec : Gpu_hw.Spec.t)
     Option.is_none rc && ndistinct > 1 && Pool.current_jobs () > 1
   in
   let simulate i =
-    let cluster_index, cl = selected.(distinct.(i)) in
-    run_cluster p rc ~cluster_index ~max_resident:max_resident_blocks cl
+    let cluster_index, cl = cooked.(i) in
+    simulate_cluster p rc ~cluster_index ~max_resident:max_resident_blocks cl
   in
   let simulated =
     if use_parallel then Pool.parallel_init ndistinct simulate
@@ -1109,10 +1626,14 @@ let run ?(homogeneous = false) ?timeline ?sample ~(spec : Gpu_hw.Spec.t)
   (* The throughput counters measure the scheduler's work, so a reused
      cluster adds nothing to them. *)
   let events = ref 0 and replay_ticks = ref 0 in
+  let skipped = ref 0 and fast_forwards = ref 0 and rollbacks = ref 0 in
   Array.iter
     (fun o ->
       events := !events + o.co_events;
-      replay_ticks := !replay_ticks + o.co_end)
+      replay_ticks := !replay_ticks + o.co_end;
+      skipped := !skipped + o.co_skipped;
+      fast_forwards := !fast_forwards + o.co_fast_forwards;
+      rollbacks := !rollbacks + o.co_rollbacks)
     simulated;
   let cycles = (!ticks + ticks_per_cycle - 1) / ticks_per_cycle in
   let to_cycles busy = (busy + ticks_per_cycle - 1) / ticks_per_cycle in
@@ -1158,6 +1679,9 @@ let run ?(homogeneous = false) ?timeline ?sample ~(spec : Gpu_hw.Spec.t)
   Metrics.add m_gmem_busy (to_cycles !gmem);
   Metrics.add m_events_replayed !events;
   Metrics.add m_replay_ticks !replay_ticks;
+  Metrics.add m_events_skipped !skipped;
+  Metrics.add m_fast_forwards !fast_forwards;
+  Metrics.add m_ff_rollbacks !rollbacks;
   if use_parallel then Metrics.add m_clusters_parallel ndistinct;
   Metrics.add m_clusters_reused (nsel - ndistinct);
   {

@@ -106,23 +106,33 @@ type sample = { target : sample_target; seed : int }
     Throughput: every distinct warp trace (by physical identity — the
     workflow's cyclic replication shares warp arrays across blocks) is
     cooked once per call into packed cost arrays before replay, and only
-    the blocks actually selected for simulation (after the homogeneous
-    shortcut or [sample]'s subset) are cooked at all; nothing is cached
-    across calls.  The replay allocates nothing per event.  Consecutive
-    events of one warp that would re-enter the event queue strictly
-    before every queued event coalesce into one heap transaction.  On the
-    heterogeneous path without a timeline, clusters whose SMs queue the
-    same cooked warps block for block (physically shared warp arrays, as
-    a replicated grid has) are simulated once, and every identical
-    cluster reuses that output; the distinct clusters fan out over the
-    {!Gpu_parallel.Pool} domain pool with a deterministic cluster-order
-    reduction.  A timeline simulates every cluster under its own pid.
-    All of these preserve the exact schedule: results are bit-identical
-    to the serial, uncoalesced engine that simulates every cluster.
+    the blocks that will be simulated (after the homogeneous shortcut or
+    [sample]'s subset, and only the first of identical clusters) are
+    cooked at all; nothing is cached across calls.  The replay allocates
+    nothing per event.  Consecutive events of one warp that would
+    re-enter the event queue strictly before every queued event coalesce
+    into one heap transaction.  On the heterogeneous path without a
+    timeline, clusters whose SMs queue the same warp arrays block for
+    block (physically shared, as a replicated grid's are) are simulated
+    once, and every identical cluster reuses that output; the distinct
+    clusters fan out over the {!Gpu_parallel.Pool} domain pool with a
+    deterministic cluster-order reduction.  Without a timeline, a
+    cluster whose warps settle into a steady state (each round repeating
+    the one before, shifted in time, with no tied pop, launch or
+    retirement) simulates one period, checks that it repeats, and
+    applies the remaining whole periods at once; a tied pop after such a
+    skip replays the cluster without it.  A timeline simulates every
+    event of every cluster, each cluster under its own pid.  All of these preserve
+    the exact schedule: results are bit-identical to the serial,
+    uncoalesced engine that simulates every event of every cluster.
     [engine.clusters_reused] counts the reused clusters;
     [engine.events_replayed] and [engine.replay_ticks] count only what
-    was simulated, and [engine.clusters_parallel] only the distinct
-    clusters fanned out.  [sample] instead trades exactness for speed —
+    was simulated, [engine.clusters_parallel] only the distinct clusters
+    fanned out, [engine.events_skipped] the events the kept skips
+    accounted for, [engine.fast_forwards] those skips and
+    [engine.ff_rollbacks] the clusters replayed again; without a
+    rollback, replayed plus skipped events are the simulated clusters'
+    trace events.  [sample] instead trades exactness for speed —
     it replays a seeded subset of clusters and reports the extrapolation
     in {!result.sampled} (a timeline still records, but only the sampled
     clusters' slices, so the lib/check tiling audit only applies to full

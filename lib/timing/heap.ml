@@ -26,6 +26,7 @@ let create () =
   { keys = Array.make 64 max_int; data = Array.make 64 0; size = 0 }
 
 let is_empty t = t.size = 0
+let size t = t.size
 
 let min_key t =
   if t.size = 0 then invalid_arg "Heap.min_key: empty heap";
@@ -90,3 +91,15 @@ let pop_min t =
     data.(!i) <- v
   end;
   top
+
+let iter t f =
+  for i = 0 to t.size - 1 do
+    f t.data.(i) t.keys.(i)
+  done
+
+(* Adding one constant to every key keeps every parent at or below its
+   children, so the layout stays a valid heap. *)
+let shift t d =
+  for i = 0 to t.size - 1 do
+    t.keys.(i) <- t.keys.(i) + d
+  done

@@ -7,6 +7,10 @@ type t
 
 val create : unit -> t
 val is_empty : t -> bool
+
+(** Number of stored entries. *)
+val size : t -> int
+
 val add : t -> key:int -> int -> unit
 
 (** The minimum key currently stored.  [add t ~key v] followed by
@@ -21,3 +25,10 @@ val min_key : t -> int
     with {!min_key} first.
     @raise Invalid_argument on an empty heap. *)
 val pop_min : t -> int
+
+(** [iter t f] calls [f payload key] on every entry, in layout order. *)
+val iter : t -> (int -> int -> unit) -> unit
+
+(** [shift t d] adds [d] to every key in place; the layout stays a valid
+    heap and the pop order among the entries is unchanged. *)
+val shift : t -> int -> unit

@@ -160,24 +160,48 @@ let kernel ~warps = function
     Runner.wrap ~param_regs:[] ~smem_bytes program
 
 (* For each warp count: the full block's cycles (every warp simulated) and
-   the one-warp path's.  A chain's one trace serves every warp count, as
-   in [Tables.build]; a copy's program changes with the warp count. *)
+   the one-warp path's.  As in [Tables.build], the one-warp block's trace
+   serves every warp count, the copy's included. *)
 let full_and_one_warp spec bench warps =
-  let one_warp = Runner.warp_trace ~spec in
-  let chain =
-    match bench with
-    | Chain _ -> Some (one_warp (kernel ~warps:1 bench))
-    | Copy _ -> None
-  in
+  let trace = Runner.warp_trace ~spec (kernel ~warps:1 bench) in
   List.map
     (fun w ->
-      let k = kernel ~warps:w bench in
       let full =
-        Runner.measure_cycles ~spec ~grid:1 ~block:(32 * w) ~args:[] k
+        Runner.measure_cycles ~spec ~grid:1 ~block:(32 * w) ~args:[]
+          (kernel ~warps:w bench)
       in
-      let trace = match chain with Some t -> t | None -> one_warp k in
       (w, full, Runner.replay_warp ~spec ~warps:w trace))
     warps
+
+(* The copy's program changes with the warp count (its destination
+   offset), but warp 0's trace does not, on any fleet profile and at
+   either length: [Tables.build] simulates it once per length. *)
+let test_copy_trace_shared () =
+  let cases =
+    List.concat_map
+      (fun (name, s) ->
+        List.map (fun n -> (name, s, n)) [ copy_pairs; 2 * copy_pairs ])
+      Spec.fleet
+  in
+  let differing =
+    Gpu_parallel.Pool.parallel_map
+      (fun (name, s, n) ->
+        let trace w = Runner.warp_trace ~spec:s (kernel ~warps:w (Copy n)) in
+        let shared = trace 1 in
+        List.filter_map
+          (fun w ->
+            if trace w = shared then None
+            else
+              Some
+                (Printf.sprintf "%s, copy of %d pairs at %d warps" name n w))
+          (List.init (Tables.max_warps - 1) (fun i -> i + 2)))
+      cases
+  in
+  match List.concat differing with
+  | [] -> ()
+  | first :: _ as all ->
+    Alcotest.failf "%d warp-0 traces differ from the shared one, first: %s"
+      (List.length all) first
 
 (* Every warp count on the GTX 285; on the rest of the fleet both ends,
    small counts, powers of two and an odd one.  banks17 changes bank
@@ -261,5 +285,7 @@ let () =
         [
           Alcotest.test_case "one warp stands for the block" `Slow
             test_one_warp_stands_for_block;
+          Alcotest.test_case "one copy trace for every warp count" `Quick
+            test_copy_trace_shared;
         ] );
     ]

@@ -784,6 +784,153 @@ let test_heap_empty_raises () =
   raises "min_key after draining" (fun () -> H.min_key h);
   raises "pop_min after draining" (fun () -> H.pop_min h)
 
+(* --- steady-state fast-forward --------------------------------------------- *)
+
+let counter name = Gpu_obs.Metrics.(value (counter name))
+
+(* Every field of a result but [stages_busy], which only a timeline run
+   fills. *)
+let result_fields (r : Engine.result) =
+  [
+    r.Engine.cycles;
+    r.Engine.alu_busy_cycles;
+    r.Engine.smem_busy_cycles;
+    r.Engine.atomic_busy_cycles;
+    r.Engine.gmem_busy_cycles;
+    r.Engine.sms_simulated;
+    r.Engine.clusters_simulated;
+    r.Engine.warps_launched;
+    r.Engine.warps_retired;
+    r.Engine.blocks_retired;
+    r.Engine.blocks_unlaunched;
+  ]
+
+type ff_moved = {
+  replayed : int;
+  skipped : int;
+  fast_forwards : int;
+  rollbacks : int;
+}
+
+(* A replay with the fast-forward on, and the same replay with a
+   timeline, which turns it off and simulates every event: both results,
+   and how far the first moved the engine's counters. *)
+let replay_both ?(spec = spec) ?(homogeneous = true) ~max_resident blocks =
+  let names =
+    [
+      "engine.events_replayed";
+      "engine.events_skipped";
+      "engine.fast_forwards";
+      "engine.ff_rollbacks";
+    ]
+  in
+  let before = List.map counter names in
+  let fast =
+    Engine.run ~homogeneous ~spec ~max_resident_blocks:max_resident blocks
+  in
+  let moved =
+    match List.map2 (fun n b -> counter n - b) names before with
+    | [ replayed; skipped; fast_forwards; rollbacks ] ->
+      { replayed; skipped; fast_forwards; rollbacks }
+    | _ -> assert false
+  in
+  let timeline = Gpu_obs.Timeline.create ~capacity:64 () in
+  let full =
+    Engine.run ~homogeneous ~timeline ~spec ~max_resident_blocks:max_resident
+      blocks
+  in
+  (fast, full, moved)
+
+(* The warp traces calibration replays: each class's chain at both
+   lengths, and the shared-memory copy at both pair counts. *)
+let calibration_traces spec =
+  let trace ~smem_bytes program =
+    Gpu_microbench.Runner.warp_trace ~spec
+      (Gpu_microbench.Runner.wrap ~param_regs:[] ~smem_bytes program)
+  in
+  let chain cls n =
+    ( Printf.sprintf "%s chain of %d" (I.cost_class_name cls) n,
+      trace ~smem_bytes:0 (Gpu_microbench.Codegen.instruction_chain ~cls ~n) )
+  in
+  let copy n =
+    let program, smem_bytes =
+      Gpu_microbench.Codegen.shared_copy ~threads:32 ~n
+    in
+    (Printf.sprintf "copy of %d pairs" n, trace ~smem_bytes program)
+  in
+  List.concat_map
+    (fun cls -> [ chain cls 384; chain cls 768 ])
+    [ I.Class_i; I.Class_ii; I.Class_iii; I.Class_iv ]
+  @ [ copy 256; copy 512 ]
+
+(* Every calibration replay, on GT200 and volta-like, at every warp
+   count: the fast-forwarded replay equals its timeline run in every
+   result field, skips part of its trace whenever more than one warp
+   runs (one warp coalesces its whole trace into one activation and is
+   never popped again), and accounts for every event without a
+   rollback. *)
+let test_calibration_fast_forward () =
+  List.iter
+    (fun (s : Gpu_hw.Spec.t) ->
+      List.iter
+        (fun (name, trace) ->
+          for w = 1 to 32 do
+            let at = Printf.sprintf "%s, %s at %d warps" s.name name w in
+            let block = { Trace.block = 0; warps = Array.make w trace } in
+            let fast, full, m =
+              replay_both ~spec:s ~max_resident:1 [| block |]
+            in
+            Alcotest.(check (list int)) at (result_fields full)
+              (result_fields fast);
+            Alcotest.(check int) (at ^ ": no rollback") 0 m.rollbacks;
+            Alcotest.(check int)
+              (at ^ ": replayed + skipped")
+              (w * Array.length trace)
+              (m.replayed + m.skipped);
+            if w >= 2 && m.fast_forwards = 0 then
+              Alcotest.failf "%s: no fast-forward" at
+          done)
+        (calibration_traces s))
+    [ Gpu_hw.Spec.gtx285; Gpu_hw.Spec.volta_like ]
+
+(* Two warps sharing a long chain that fast-forwards, then a barrier:
+   its release queues both warps at one key, so the next pop is tied
+   after the skip.  The replay rolls back, and the rerun without
+   fast-forward equals the timeline run. *)
+let test_rollback_after_skip () =
+  let bar =
+    { (alu_event ~dst:Trace.no_reg I.Class_ctrl) with Trace.bar = true }
+  in
+  let warp =
+    Array.concat [ dependent_chain 400; [| bar |]; dependent_chain 4 ]
+  in
+  let block = { Trace.block = 0; warps = [| warp; warp |] } in
+  let fast, full, m = replay_both ~max_resident:1 [| block |] in
+  Alcotest.(check (list int)) "equals the timeline run" (result_fields full)
+    (result_fields fast);
+  Alcotest.(check int) "one rollback" 1 m.rollbacks;
+  Alcotest.(check int) "the kept replay skipped nothing" 0 m.skipped;
+  Alcotest.(check int) "and kept no fast-forward" 0 m.fast_forwards;
+  Alcotest.(check bool) "the rerun simulated every event" true
+    (m.replayed > 2 * Array.length warp)
+
+(* Two warps of latency-bound global loads, then an exit: the skip lands
+   on the exit, which retires before the skipped loads complete, so only
+   the skipped periods' highest horizon, moved by the skip, sets the end
+   time. *)
+let test_skipped_horizon_sets_end () =
+  let load =
+    { Trace.cls = I.Class_mem; dst = 5; srcs = [||];
+      mem = Trace.Gmem_load [| (0, 64) |]; bar = false }
+  in
+  let warp = Array.append (Array.make 200 load) [| exit_event |] in
+  let block = { Trace.block = 0; warps = [| warp; warp |] } in
+  let fast, full, m = replay_both ~max_resident:1 [| block |] in
+  Alcotest.(check (list int)) "equals the timeline run" (result_fields full)
+    (result_fields fast);
+  Alcotest.(check bool) "fast-forwarded" true (m.fast_forwards > 0);
+  Alcotest.(check int) "no rollback" 0 m.rollbacks
+
 (* --- allocation budget ------------------------------------------------------ *)
 
 (* Words allocated per replayed event, cooking included.  Arrays longer
@@ -822,16 +969,61 @@ let mixed_warp ~seed len =
           mem = Trace.Smem 2; bar = false }
       else alu_event ~dst:(r i) ~srcs:[| r (i + 7) |] I.Class_ii)
 
+(* Words allocated by one call. *)
+let words_of run =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  run ();
+  words () -. w0
+
+(* A replay that fast-forwards allocates per warp and per event of its
+   one distinct trace (the cook: 7 words an event of a one-source chain),
+   not per event replayed: thirty more warps cost a few hundred words
+   each, and four times the trace length costs its cook alone, while the
+   replayed events grow by 30 * 4000 and 32 * 12000. *)
+let test_fast_forward_allocation () =
+  let jobs = Gpu_parallel.Pool.current_jobs () in
+  Gpu_parallel.Pool.set_jobs 1;
+  Fun.protect ~finally:(fun () -> Gpu_parallel.Pool.set_jobs jobs)
+  @@ fun () ->
+  let replay ~warps ~n =
+    let trace = dependent_chain n in
+    let blocks = [| { Trace.block = 0; warps = Array.make warps trace } |] in
+    let skipped = counter "engine.events_skipped" in
+    let words =
+      words_of (fun () ->
+          ignore
+            (Engine.run ~homogeneous:true ~spec ~max_resident_blocks:1 blocks))
+    in
+    let skipped = counter "engine.events_skipped" - skipped in
+    if skipped < 9 * warps * n / 10 then
+      Alcotest.failf "%d warps of %d events skipped only %d" warps n skipped;
+    words
+  in
+  let a = replay ~warps:2 ~n:4000 in
+  let b = replay ~warps:32 ~n:4000 in
+  let c = replay ~warps:32 ~n:16000 in
+  let per_warp = (b -. a) /. 30. and per_event = (c -. b) /. 12000. in
+  if per_warp > 400. then
+    Alcotest.failf "%.0f words per added warp (budget 400)" per_warp;
+  if per_event > 8. then
+    Alcotest.failf "%.2f words per added event of the trace (budget 8)"
+      per_event
+
 let test_replay_allocation_budget () =
   let jobs = Gpu_parallel.Pool.current_jobs () in
   (* serial replay: every word is allocated on this domain *)
   Gpu_parallel.Pool.set_jobs 1;
   Fun.protect ~finally:(fun () -> Gpu_parallel.Pool.set_jobs jobs)
   @@ fun () ->
-  (* Budgets leave headroom over the measured 1.47 and 8.4 words:
+  (* Budgets leave headroom over the measured 1.33 and 9.0 words:
      per-launch state (a [warp_state] and its 141-word scoreboard) and,
-     in the second grid, the cook's seven arrays.  A boxed [(key, warp)]
-     per pop would cost 5 words an event on its own. *)
+     in the second grid, the cook's seven arrays and its [used] register
+     list.  A boxed [(key, warp)] per pop would cost 5 words an event on
+     its own. *)
   let check name ~budget per_event =
     if per_event > budget then
       Alcotest.failf "%s allocates %.2f words per replayed event (budget %.1f)"
@@ -839,9 +1031,10 @@ let test_replay_allocation_budget () =
   in
   (* One 8-warp block replicated (physically shared) over 200 blocks:
      the ten clusters are identical, so one replays 32 000 events and the
-     other nine reuse its output.  What shows is the per-event and
-     per-launch cost of the scheduler, plus each of the 200 blocks' cooked
-     record and queue cell. *)
+     other nine reuse its output without being cooked.  What shows is the
+     per-event and per-launch cost of the scheduler, plus the simulated
+     cluster's 20 cooked block records and each of the 200 blocks' queue
+     cell.  The warps differ at every event, so nothing fast-forwards. *)
   let block = Array.init 8 (fun w -> mixed_warp ~seed:w 200) in
   let homogeneous =
     Array.init 200 (fun b -> { Trace.block = b; warps = block })
@@ -917,6 +1110,17 @@ let () =
         [
           Alcotest.test_case "allocation budget" `Quick
             test_replay_allocation_budget;
+          Alcotest.test_case "fast-forward allocates per warp" `Quick
+            test_fast_forward_allocation;
+        ] );
+      ( "fast-forward",
+        [
+          Alcotest.test_case "calibration replays equal their timeline runs"
+            `Quick test_calibration_fast_forward;
+          Alcotest.test_case "a tied pop after a skip rolls back" `Quick
+            test_rollback_after_skip;
+          Alcotest.test_case "skipped horizons set the end time" `Quick
+            test_skipped_horizon_sets_end;
         ] );
       ( "timeline tracks",
         [
