@@ -27,6 +27,10 @@ let stage_span ?ctx ~attrs name f =
 
 type launch = { grid : int; block : int }
 
+(* Warp-instructions the functional-sim stage ran without computing their
+   lane values ([Sim.launch_result] is the statistics face). *)
+let m_counted_only = Gpu_obs.Metrics.counter "sim.counted_only"
+
 type report = {
   kernel_name : string;
   compiled : Gpu_kernel.Compile.compiled;
@@ -166,6 +170,7 @@ let analyze_result ?(spec = Spec.gtx285) ?sample ?replay_sample
             ~grid ~block ~args k
           |> Result.map_error (fun (f : Gpu_sim.Sim.failure) -> f.diag))
     in
+    Gpu_obs.Metrics.add m_counted_only r.counted_only;
     let scale = Gpu_sim.Sim.scale_factor r in
     let tables =
       stage_span ?ctx ~attrs "calibrate" (fun () ->

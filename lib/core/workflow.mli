@@ -47,13 +47,16 @@ val traces_homogeneous : Gpu_sim.Trace.block_trace list -> bool
 
 (** [analyze_result ~grid ~block ~args kernel] runs the full workflow,
     totally.  [args] binds each kernel parameter to a buffer, as in
-    {!Gpu_sim.Sim.launch}: the functional simulation copies the results
-    back into it.  The first failing stage (compile, occupancy, launch,
-    simulation, model, trace replay) surfaces as its diagnostic, and its
-    span closes tagged with [diag.severity]/[diag.stage].  On success the
-    report is paired with the pooled warnings of the occupancy
-    calculator, the model (also in [report.analysis.warnings]) and a
-    sampled replay.
+    {!Gpu_sim.Sim.launch}.  The functional simulation is the statistics
+    face, {!Gpu_sim.Sim.launch_result}: it computes only the values its
+    statistics and traces observe, adds the warp-instructions that
+    skipped theirs to the [sim.counted_only] counter, and never writes
+    [args], which still hold their inputs afterwards.  The first failing
+    stage (compile, occupancy, launch, simulation, model, trace replay)
+    surfaces as its diagnostic, and its span closes tagged with
+    [diag.severity]/[diag.stage].  On success the report is paired with
+    the pooled warnings of the occupancy calculator, the model (also in
+    [report.analysis.warnings]) and a sampled replay.
 
     [sample] limits functional simulation to the first n blocks (exact
     for block-homogeneous workloads; statistics are scaled, traces

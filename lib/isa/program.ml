@@ -8,7 +8,25 @@ type t = {
   name : string;
   code : Instr.t array;
   labels : (string * int) list; (* label -> pc of the following instruction *)
+  max_reg : int; (* highest general register named, -1 if none *)
 }
+
+(* Highest general-purpose register index used, or -1 if none.  The register
+   demand of a kernel is [max_reg + 1]; occupancy computations use it.
+   Computed once per program: the simulator sizes its per-run liveness
+   sets by it. *)
+let highest_reg code =
+  let top acc = function
+    | Instr.Gpr (R i) -> max acc i
+    | Instr.Prd _ -> acc
+  in
+  Array.fold_left
+    (fun acc (i : Instr.t) ->
+      let acc =
+        match Instr.writes i.op with Some w -> top acc w | None -> acc
+      in
+      List.fold_left top acc (Instr.reads i.op))
+    (-1) code
 
 exception Unknown_label of string
 
@@ -33,7 +51,7 @@ let of_lines ~name lines =
     | _ -> ()
   in
   Array.iter check code;
-  { name; code; labels }
+  { name; code; labels; max_reg = highest_reg code }
 
 let name t = t.name
 
@@ -50,20 +68,7 @@ let labels_at t pc = List.filter_map
     (fun (l, p) -> if p = pc then Some l else None)
     t.labels
 
-(* Highest general-purpose register index used, or -1 if none.  The register
-   demand of a kernel is [max_reg + 1]; occupancy computations use it. *)
-let max_reg t =
-  let top acc = function
-    | Instr.Gpr (R i) -> max acc i
-    | Instr.Prd _ -> acc
-  in
-  Array.fold_left
-    (fun acc (i : Instr.t) ->
-      let acc =
-        match Instr.writes i.op with Some w -> top acc w | None -> acc
-      in
-      List.fold_left top acc (Instr.reads i.op))
-    (-1) t.code
+let max_reg t = t.max_reg
 
 let register_demand t = max_reg t + 1
 

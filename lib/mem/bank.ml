@@ -175,8 +175,14 @@ let atomic_conflicts s ~width ~banks ~group addrs ~mask =
   positive ~what:"width" "atomic_degree" width;
   walk s ~distinct:false ~width ~banks ~group addrs mask
 
-(* Issue groups of [group] lanes with at least one active lane. *)
-let active_groups ~group mask =
+(* Issue groups of [group] lanes with at least one active lane.  It is
+   also both counts of a one-word access whose active lanes all address
+   the same aligned word: each active group is one broadcast transaction
+   ([conflicts]' degree 1) needing one word ([ideal]'s count), so the
+   simulator takes it for such a shared access instead of walking the
+   lanes twice. *)
+let active_groups ~group ~mask =
+  positive ~what:"group" "active_groups" group;
   let total = ref 0 and start = ref 0 in
   while Lanes.more mask ~start:!start do
     if Lanes.group_mask mask ~start:!start ~group <> 0 then incr total;
@@ -201,7 +207,7 @@ let ideal ~width ~group addrs ~mask =
     incr lane
   done;
   if !any land (min_int lor (word_size - 1)) = 0 then
-    (((width - 1) / word_size) + 1) * active_groups ~group mask
+    (((width - 1) / word_size) + 1) * active_groups ~group ~mask
   else begin
     let total = ref 0 and start = ref 0 in
     while Lanes.more mask ~start:!start do
@@ -228,7 +234,7 @@ let ideal ~width ~group addrs ~mask =
    diverged-address atomic would achieve. *)
 let ideal_atomic ~group ~mask =
   positive ~what:"group" "ideal_warp_atomic_transactions" group;
-  active_groups ~group mask
+  active_groups ~group ~mask
 
 (* --- [int option array] entry points ------------------------------------ *)
 

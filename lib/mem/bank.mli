@@ -42,6 +42,13 @@ val atomic_conflicts :
     active group, the word count of its widest active lane. *)
 val ideal : width:int -> group:int -> int array -> mask:int -> int
 
+(** [active_groups ~group ~mask]: the issue groups of [group] lanes with
+    at least one active lane.  For a one-word access whose active lanes
+    all address the same aligned word it equals both {!conflicts} and
+    {!ideal} at width 4, at any bank count, without reading the
+    addresses: the simulator's broadcast count. *)
+val active_groups : group:int -> mask:int -> int
+
 (** Contention-free floor for an atomic access: one transaction per group
     with at least one active lane. *)
 val ideal_atomic : group:int -> mask:int -> int

@@ -24,16 +24,17 @@ let wrap ~param_regs ~smem_bytes program : Gpu_kernel.Compile.compiled =
 let relaxed (spec : Gpu_hw.Spec.t) =
   { spec with max_threads_per_block = 32 * spec.warp_size }
 
+(* Only the trace is read, so the statistics face simulates it. *)
 let block_trace ~spec ~grid ~block ~args k =
-  let r =
-    Gpu_sim.Sim.launch ~collect_trace:true ~block_ids:[ 0 ] ~spec:(relaxed spec)
-      ~grid ~block ~args k
-  in
-  match r.traces with
-  | [ t ] -> t
-  (* invariant, not input-reachable: [launch ~block_ids:[0]] with
+  match
+    Gpu_sim.Sim.launch_result ~collect_trace:true ~block_ids:[ 0 ]
+      ~spec:(relaxed spec) ~grid ~block ~args k
+  with
+  | Error f -> Gpu_diag.Diag.fail f.Gpu_sim.Sim.diag
+  | Ok { traces = [ t ]; _ } -> t
+  (* invariant, not input-reachable: [launch_result ~block_ids:[0]] with
      [collect_trace] yields exactly one trace *)
-  | _ -> failwith "Runner: expected one block trace"
+  | Ok _ -> failwith "Runner: expected one block trace"
 
 let warp_trace ~(spec : Gpu_hw.Spec.t) k =
   let bt = block_trace ~spec ~grid:1 ~block:spec.warp_size ~args:[] k in

@@ -214,13 +214,6 @@ let shared_check block addr width =
   if addr land (width - 1) <> 0 then
     stuck "block %d: misaligned shared access at %#x" block.bid addr
 
-let[@inline] shared_load32 block addr =
-  shared_check block addr 4;
-  get32 block.shared addr
-
-let[@inline] shared_store32 block addr v =
-  shared_check block addr 4;
-  set32 block.shared addr v
 
 (* --- ALU semantics ---------------------------------------------------- *)
 
@@ -295,6 +288,7 @@ let[@inline] compare_values cmp ty (a : t) (b : t) =
 (* One instruction, decoded once per run. *)
 type decoded = {
   op : I.op;
+  needed : bool; (* computes its lane values (see [prepare]) *)
   cls : I.cost_class;
   guard : int; (* guard predicate register, or -1 *)
   sense : bool; (* lanes run where the guard equals this *)
@@ -317,17 +311,26 @@ type decoded = {
   kc : Bytes.t option;
 }
 
-let broadcast v =
-  let b = Bytes.create row in
-  for lane = 0 to lanes - 1 do
-    set64 b (8 * lane) v
-  done;
-  Some b
+(* The broadcast row of an immediate, one per distinct value in a run:
+   [rows] belongs to one [prepare], and no lane loop writes an operand
+   row, so the pcs of one run share it. *)
+module Rows = Hashtbl.Make (Int64)
 
-let slot = function
+let broadcast rows v =
+  match Rows.find_opt rows v with
+  | Some b -> Some b
+  | None ->
+    let b = Bytes.create row in
+    for lane = 0 to lanes - 1 do
+      set64 b (8 * lane) v
+    done;
+    Rows.add rows v b;
+    Some b
+
+let slot rows = function
   | Some (I.Reg (I.R r)) -> (r * row, None)
-  | Some (I.Imm v) -> (0, broadcast (of_i32 v))
-  | Some (I.Fimm f) -> (0, broadcast (of_f32 f))
+  | Some (I.Imm v) -> (0, broadcast rows (of_i32 v))
+  | Some (I.Fimm f) -> (0, broadcast rows (of_f32 f))
   | None -> (0, None)
 
 let reg_id (I.R r) = r
@@ -340,16 +343,16 @@ let trace_id = function
    of the trace format: the operation's reads, last first, then the
    guard. *)
 let trace_regs (instr : I.t) =
-  let guard =
-    match instr.pred with Some (p, _) -> [ trace_id (I.Prd p) ] | None -> []
-  in
-  ( Option.fold ~none:Trace.no_reg ~some:trace_id (I.writes instr.op),
-    List.fold_left (fun acc r -> trace_id r :: acc) guard (I.reads instr.op) )
+  let reads = I.reads instr.op in
+  let n = List.length reads in
+  let srcs = Array.make (if Option.is_none instr.pred then n else n + 1) 0 in
+  List.iteri (fun i r -> srcs.(n - 1 - i) <- trace_id r) reads;
+  Option.iter (fun (p, _) -> srcs.(n) <- trace_id (I.Prd p)) instr.pred;
+  (Option.fold ~none:Trace.no_reg ~some:trace_id (I.writes instr.op), srcs)
 
-let decode program (instr : I.t) =
+let decode program rows ~needed (instr : I.t) =
   let cls = I.classify instr in
   let dst, srcs = trace_regs instr in
-  let srcs = Array.of_list srcs in
   let pc = Gpu_isa.Program.target_pc program in
   let target, reconv =
     match instr.op with
@@ -374,12 +377,13 @@ let decode program (instr : I.t) =
     | I.Mov_sreg _ | I.Ld _ | I.Bra _ | I.Bra_pred _ | I.Bar | I.Exit ->
       (None, None, None)
   in
-  let xa, ka = slot a and xb, kb = slot b and xc, kc = slot c in
+  let xa, ka = slot rows a and xb, kb = slot rows b and xc, kc = slot rows c in
   let guard, sense =
     match instr.pred with Some (I.P p, s) -> (p, s) | None -> (-1, true)
   in
   {
     op = instr.op;
+    needed;
     cls;
     guard;
     sense;
@@ -426,16 +430,31 @@ type run = {
   addrs : int array;
   bank : Bank.scratch;
   coal : Coalesce.scratch;
+  mutable counted_only : int; (* warp-instructions that skipped values *)
 }
 
-let prepare cfg program =
+(* A statistics launch ([values = false]) computes only what
+   [Relevance.needed] marks; a values launch computes every pc. *)
+let prepare ~values cfg program =
+  let code = Gpu_isa.Program.code program in
+  let needed =
+    if values then Array.make (Array.length code) true
+    else Relevance.needed program
+  in
+  let rows = Rows.create 16 in
   {
     cfg;
-    code = Array.map (decode program) (Gpu_isa.Program.code program);
+    code =
+      Array.mapi
+        (fun pc instr -> decode program rows ~needed:needed.(pc) instr)
+        code;
     addrs = Array.make lanes 0;
     bank = Bank.scratch ();
     coal = Coalesce.scratch ();
+    counted_only = 0;
   }
+
+let counted_only run = run.counted_only
 
 (* --- Instruction execution -------------------------------------------- *)
 
@@ -450,14 +469,34 @@ let[@inline] operand src x lane = get64 src (x + (8 * lane))
 let[@inline] enabled em lane = em land (1 lsl lane) <> 0
 
 (* Stage the enabled lanes' addresses of a memory access into [run.addrs];
-   a negative address raises before any lane executes. *)
+   a negative address raises before any lane executes.  Returns the first
+   enabled lane when every enabled lane has its address (a broadcast),
+   else -1 (also when no lane is enabled). *)
 let stage_addresses run w em (m : I.maddr) =
   let addrs = run.addrs and regs = w.regs in
   let base = reg_id m.base * row and offset = m.offset in
+  let first = ref (-1) and same = ref true in
   for lane = 0 to lanes - 1 do
-    if enabled em lane then
-      addrs.(lane) <- to_address (get64 regs (base + (8 * lane))) + offset
-  done
+    if enabled em lane then begin
+      let a = to_address (get64 regs (base + (8 * lane))) + offset in
+      addrs.(lane) <- a;
+      if !first < 0 then first := lane
+      else if a <> addrs.(!first) then same := false
+    end
+  done;
+  if !same then !first else -1
+
+(* Check a 32-bit shared access before any word moves: the one address
+   of a broadcast ([one >= 0], see [stage_addresses]) once, else every
+   enabled lane in lane order, so the first bad lane raises with its own
+   message.  Nothing a faulting run leaves behind is observable: [launch]
+   raises and [launch_result] copies nothing back. *)
+let check_shared block addrs em one =
+  if one >= 0 then shared_check block addrs.(one) 4
+  else
+    for lane = 0 to lanes - 1 do
+      if enabled em lane then shared_check block addrs.(lane) 4
+    done
 
 (* Record the shared event of a non-memory instruction. *)
 let record cfg w d = if cfg.collect_trace then Trace.add w.trace d.event
@@ -477,6 +516,20 @@ let count_smem run st block w d ~pc ~width em =
   let ideal = Bank.ideal ~width ~group run.addrs ~mask:em in
   Stats.count_smem st ~stage:block.stage ~pc ~txns ~ideal;
   if run.cfg.collect_trace then record_mem w d (Trace.Smem txns)
+
+(* A 32-bit shared access.  When its enabled lanes all address one
+   checked word, every active issue group is one transaction, and so is
+   its ideal: what the tally would find, without walking the lanes. *)
+let count_shared run st block w d ~pc em one =
+  if one < 0 then count_smem run st block w d ~pc ~width:4 em
+  else begin
+    let n =
+      Bank.active_groups ~group:run.cfg.spec.Gpu_hw.Spec.coalesce_threads
+        ~mask:em
+    in
+    Stats.count_smem st ~stage:block.stage ~pc ~txns:n ~ideal:n;
+    if run.cfg.collect_trace then record_mem w d (Trace.Smem n)
+  end
 
 let count_atomic run st block w d ~pc em =
   let spec = run.cfg.spec in
@@ -509,14 +562,104 @@ let count_gmem run st block w d ~pc ~width ~store em =
 
 (* Run the lanes of a straight-line (non-control) instruction.  A memory
    instruction counts its accesses and records its own event; the others
-   record their pc's static event. *)
+   record their pc's static event.  A pc that is not [needed] does all of
+   that, with every check a memory access makes, but computes no lane
+   value: nothing it would compute can raise or reach what a run
+   observes. *)
 let execute run ~gmem ~stats:st block w d ~pc em =
   let cfg = run.cfg in
   let regs = w.regs in
   let sa = source regs d.ka and sb = source regs d.kb in
   let sc = source regs d.kc in
   let xa = d.xa and xb = d.xb and xc = d.xc in
+  if not d.needed then run.counted_only <- run.counted_only + 1;
   match d.op with
+  | I.Fmad_smem (dr, _, m, _) ->
+    let one = stage_addresses run w em m in
+    let addrs = run.addrs and o = reg_id dr * row in
+    check_shared block addrs em one;
+    if d.needed then
+      for lane = 0 to lanes - 1 do
+        if enabled em lane then
+          let b = Int32.float_of_bits (get32 block.shared addrs.(lane)) in
+          let x = to_f32 (operand sa xa lane)
+          and z = to_f32 (operand sc xc lane) in
+          set64 regs (o + (8 * lane)) (of_f32 ((x *. b) +. z))
+      done;
+    count_shared run st block w d ~pc em one
+  | I.Ld (I.Shared, width, dr, m) ->
+    if width <> 4 then stuck "shared loads must be 32-bit";
+    let one = stage_addresses run w em m in
+    let addrs = run.addrs and o = reg_id dr * row in
+    check_shared block addrs em one;
+    if d.needed then
+      for lane = 0 to lanes - 1 do
+        if enabled em lane then
+          set64 regs
+            (o + (8 * lane))
+            (of_i32 (get32 block.shared addrs.(lane)))
+      done;
+    count_shared run st block w d ~pc em one
+  | I.St (I.Shared, width, m, _) ->
+    if width <> 4 then stuck "shared stores must be 32-bit";
+    let one = stage_addresses run w em m in
+    let addrs = run.addrs in
+    check_shared block addrs em one;
+    (* lane order: of lanes storing to one word, the last one's value *)
+    if d.needed then
+      for lane = 0 to lanes - 1 do
+        if enabled em lane then
+          set32 block.shared addrs.(lane) (to_i32 (operand sa xa lane))
+      done;
+    count_shared run st block w d ~pc em one
+  | I.Ld (I.Global, width, dr, m) ->
+    ignore (stage_addresses run w em m);
+    if d.needed then
+      Memory.load_lanes gmem ~width run.addrs ~mask:em regs
+        ~reg:(reg_id dr * row)
+    else Memory.check_lanes gmem ~width run.addrs ~mask:em;
+    count_gmem run st block w d ~pc ~width ~store:false em
+  | I.St (I.Global, width, m, _) ->
+    ignore (stage_addresses run w em m);
+    if d.needed then
+      Memory.store_lanes gmem ~width run.addrs ~mask:em sa ~reg:xa
+    else Memory.check_lanes gmem ~width run.addrs ~mask:em;
+    count_gmem run st block w d ~pc ~width ~store:true em
+  | I.Atom (op, dr, m, _, swap) ->
+    (match (op, swap) with
+    | I.Acas, None -> stuck "atom.cas needs a swap operand"
+    | (I.Aadd | I.Amin | I.Amax), Some _ ->
+      stuck "atom.%s takes no swap operand" (I.name I.atomic_ops op)
+    | I.Acas, Some _ | (I.Aadd | I.Amin | I.Amax), None -> ());
+    let one = stage_addresses run w em m in
+    let addrs = run.addrs and o = reg_id dr * row in
+    check_shared block addrs em one;
+    (* Lanes perform their read-modify-writes in lane order, each one
+       observing the previous lane's write — the serialization the
+       transaction count below charges for, also when every lane has one
+       address.  The destination is written before the sources are read,
+       so a source aliasing it sees the old value. *)
+    if d.needed then
+      for lane = 0 to lanes - 1 do
+        if enabled em lane then begin
+          let a = addrs.(lane) in
+          let old = get32 block.shared a in
+          set64 regs (o + (8 * lane)) (of_i32 old);
+          let src = to_i32 (operand sa xa lane) in
+          let nv =
+            match op with
+            | I.Aadd -> Int32.add old src
+            | I.Amin -> if old <= src then old else src
+            | I.Amax -> if old >= src then old else src
+            | I.Acas ->
+              if old = src then to_i32 (operand sb xb lane) else old
+          in
+          set32 block.shared a nv
+        end
+      done;
+    count_atomic run st block w d ~pc em
+  | I.Bra _ | I.Bra_pred _ | I.Bar | I.Exit -> () (* see [step] *)
+  | _ when not d.needed -> record cfg w d
   | I.Mov (dr, _) ->
     let o = reg_id dr * row in
     for lane = 0 to lanes - 1 do
@@ -636,79 +779,6 @@ let execute run ~gmem ~stats:st block w d ~pc em =
            else operand sb xb lane)
     done;
     record cfg w d
-  | I.Fmad_smem (dr, _, m, _) ->
-    stage_addresses run w em m;
-    let addrs = run.addrs and o = reg_id dr * row in
-    for lane = 0 to lanes - 1 do
-      if enabled em lane then begin
-        let b = Int32.float_of_bits (shared_load32 block addrs.(lane)) in
-        let x = to_f32 (operand sa xa lane)
-        and z = to_f32 (operand sc xc lane) in
-        set64 regs (o + (8 * lane)) (of_f32 ((x *. b) +. z))
-      end
-    done;
-    count_smem run st block w d ~pc ~width:4 em
-  | I.Ld (I.Shared, width, dr, m) ->
-    if width <> 4 then stuck "shared loads must be 32-bit";
-    stage_addresses run w em m;
-    let addrs = run.addrs and o = reg_id dr * row in
-    for lane = 0 to lanes - 1 do
-      if enabled em lane then
-        set64 regs
-          (o + (8 * lane))
-          (of_i32 (shared_load32 block addrs.(lane)))
-    done;
-    count_smem run st block w d ~pc ~width em
-  | I.St (I.Shared, width, m, _) ->
-    if width <> 4 then stuck "shared stores must be 32-bit";
-    stage_addresses run w em m;
-    let addrs = run.addrs in
-    for lane = 0 to lanes - 1 do
-      if enabled em lane then
-        shared_store32 block addrs.(lane) (to_i32 (operand sa xa lane))
-    done;
-    count_smem run st block w d ~pc ~width em
-  | I.Ld (I.Global, width, dr, m) ->
-    stage_addresses run w em m;
-    Memory.load_lanes gmem ~width run.addrs ~mask:em regs
-      ~reg:(reg_id dr * row);
-    count_gmem run st block w d ~pc ~width ~store:false em
-  | I.St (I.Global, width, m, _) ->
-    stage_addresses run w em m;
-    Memory.store_lanes gmem ~width run.addrs ~mask:em sa ~reg:xa;
-    count_gmem run st block w d ~pc ~width ~store:true em
-  | I.Atom (op, dr, m, _, swap) ->
-    (match (op, swap) with
-    | I.Acas, None -> stuck "atom.cas needs a swap operand"
-    | (I.Aadd | I.Amin | I.Amax), Some _ ->
-      stuck "atom.%s takes no swap operand" (I.name I.atomic_ops op)
-    | I.Acas, Some _ | (I.Aadd | I.Amin | I.Amax), None -> ());
-    stage_addresses run w em m;
-    let addrs = run.addrs and o = reg_id dr * row in
-    (* Lanes perform their read-modify-writes in lane order, each one
-       observing the previous lane's write — the serialization the
-       transaction count below charges for.  The destination is written
-       before the sources are read, so a source aliasing it sees the old
-       value. *)
-    for lane = 0 to lanes - 1 do
-      if enabled em lane then begin
-        let a = addrs.(lane) in
-        let old = shared_load32 block a in
-        set64 regs (o + (8 * lane)) (of_i32 old);
-        let src = to_i32 (operand sa xa lane) in
-        let nv =
-          match op with
-          | I.Aadd -> Int32.add old src
-          | I.Amin -> if old <= src then old else src
-          | I.Amax -> if old >= src then old else src
-          | I.Acas ->
-            if old = src then to_i32 (operand sb xb lane) else old
-        in
-        shared_store32 block a nv
-      end
-    done;
-    count_atomic run st block w d ~pc em
-  | I.Bra _ | I.Bra_pred _ | I.Bar | I.Exit -> () (* see [step] *)
 
 (* Execute one warp-instruction. *)
 let step run ~gmem ~stats:st block w =

@@ -47,7 +47,18 @@ end
     Owned by one run: never share one between domains. *)
 type run
 
-val prepare : config -> Gpu_isa.Program.t -> run
+(** [prepare ~values cfg program] decodes [program].  With [values] every
+    instruction computes its lane values.  Without, only the pcs
+    {!Relevance.needed} marks do; the others still issue, check, count
+    and record exactly as they would, so statistics, traces and faults
+    are the same, but registers and memory then hold unspecified
+    values. *)
+val prepare : values:bool -> config -> Gpu_isa.Program.t -> run
+
+(** Warp-instructions that ran without computing their lane values so
+    far (always 0 for a [values] run); control instructions compute none
+    on either face and are not counted. *)
+val counted_only : run -> int
 
 type block
 

@@ -57,7 +57,7 @@ let check t addr width =
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
-let check_lanes t ~width addrs mask =
+let check_lanes t ~width addrs ~mask =
   if width <> 4 && width <> 8 then
     invalid_arg "Memory: lane access width must be 4 or 8";
   let m = ref mask and lane = ref 0 in
@@ -68,7 +68,7 @@ let check_lanes t ~width addrs mask =
   done
 
 let load_lanes t ~width addrs ~mask regs ~reg =
-  check_lanes t ~width addrs mask;
+  check_lanes t ~width addrs ~mask;
   let b = t.bytes in
   let m = ref mask and lane = ref 0 in
   while !m <> 0 do
@@ -84,7 +84,7 @@ let load_lanes t ~width addrs ~mask regs ~reg =
   done
 
 let store_lanes t ~width addrs ~mask regs ~reg =
-  check_lanes t ~width addrs mask;
+  check_lanes t ~width addrs ~mask;
   let b = t.bytes in
   let m = ref mask and lane = ref 0 in
   while !m <> 0 do

@@ -27,6 +27,11 @@ val poison : t -> addr:int -> width:int -> unit
     and then no word has moved.  Raises [Invalid_argument] on another
     width. *)
 
+(** [check_lanes t ~width addrs ~mask]: the checks {!load_lanes} and
+    {!store_lanes} make before moving a word, alone — for an access whose
+    values are not computed. *)
+val check_lanes : t -> width:int -> int array -> mask:int -> unit
+
 (** A 4-byte load zero-extends the word into the register; an 8-byte
     load reads the word at [a] as the low half and [a + 4] as the high
     half. *)

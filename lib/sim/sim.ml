@@ -20,6 +20,7 @@ type result = {
   blocks_run : int;
   grid : int;
   block : int;
+  counted_only : int;
 }
 
 let scale_factor r =
@@ -31,8 +32,11 @@ let scale_factor r =
    holds the statistics accumulated up to the fault point (they stay
    internally consistent — counters only ever grow, and a fault aborts
    before the faulting instruction's own counts are partially applied
-   beyond the current warp-instruction). *)
-let run_into ?(collect_trace = false) ?block_ids
+   beyond the current warp-instruction).  With [values] every lane value
+   is computed and the results are copied back into [args]; without,
+   only what the statistics, traces and faults observe is computed
+   ([Machine.prepare]) and [args] are only read. *)
+let run_into ~values ?(collect_trace = false) ?block_ids
     ?(spec = Gpu_hw.Spec.gtx285) ?max_warp_instructions ?inject_stuck_at
     ?(poison = []) ~stats ~completed ~current_block ~grid ~block ~args
     (k : Gpu_kernel.Compile.compiled) =
@@ -73,7 +77,7 @@ let run_into ?(collect_trace = false) ?block_ids
     List.map2 (fun (name, _) a -> (name, a.Memory.base)) buffers allocs
   in
   let run =
-    Machine.prepare
+    Machine.prepare ~values
       (Machine.config ~collect_trace ?max_warp_instructions ?inject_stuck_at
          spec)
       k.program
@@ -112,18 +116,20 @@ let run_into ?(collect_trace = false) ?block_ids
   current_block := None;
   (* Copy results back in parameter order: a buffer bound to several
      parameters ends up holding the last one's region. *)
-  List.iter2 (fun (_, data) a -> Memory.copy_out gmem a data) buffers allocs;
+  if values then
+    List.iter2 (fun (_, data) a -> Memory.copy_out gmem a data) buffers allocs;
   {
     stats;
     traces = List.rev !traces;
     blocks_run = List.length ids;
     grid;
     block;
+    counted_only = Machine.counted_only run;
   }
 
 let launch ?collect_trace ?block_ids ?spec ?max_warp_instructions
     ?inject_stuck_at ?poison ~grid ~block ~args k =
-  run_into ?collect_trace ?block_ids ?spec ?max_warp_instructions
+  run_into ~values:true ?collect_trace ?block_ids ?spec ?max_warp_instructions
     ?inject_stuck_at ?poison ~stats:(Stats.create ()) ~completed:(ref 0)
     ~current_block:(ref None) ~grid ~block ~args k
 
@@ -133,10 +139,12 @@ type failure = {
   blocks_completed : int;
 }
 
-(* The [Result] face of [launch]: launch validation failures are [Launch]
-   diagnostics; mid-run traps ([Machine.Stuck], [Memory.Fault], injected
-   faults) are [Exec] diagnostics located at the block being simulated,
-   with the statistics accumulated up to the fault point preserved. *)
+(* The statistics face: it computes only what its statistics, traces and
+   faults observe and never writes [args].  Launch validation failures
+   are [Launch] diagnostics; mid-run traps ([Machine.Stuck],
+   [Memory.Fault], injected faults) are [Exec] diagnostics located at the
+   block being simulated, with the statistics accumulated up to the fault
+   point preserved. *)
 let launch_result ?collect_trace ?block_ids ?spec ?max_warp_instructions
     ?inject_stuck_at ?poison ~grid ~block ~args k =
   let stats = Stats.create () in
@@ -171,9 +179,9 @@ let launch_result ?collect_trace ?block_ids ?spec ?max_warp_instructions
   in
   match
     Gpu_diag.Diag.protect ~stage:D.Exec ~convert (fun () ->
-        run_into ?collect_trace ?block_ids ?spec ?max_warp_instructions
-          ?inject_stuck_at ?poison ~stats ~completed ~current_block ~grid
-          ~block ~args k)
+        run_into ~values:false ?collect_trace ?block_ids ?spec
+          ?max_warp_instructions ?inject_stuck_at ?poison ~stats ~completed
+          ~current_block ~grid ~block ~args k)
   with
   | Ok r -> Ok r
   | Error diag ->

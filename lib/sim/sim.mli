@@ -14,14 +14,18 @@ type result = {
   blocks_run : int;
   grid : int;
   block : int;
+  counted_only : int;
+      (** warp-instructions that ran without computing their lane values
+          (0 from {!launch}; see {!launch_result}) *)
 }
 
 (** [grid /. blocks_run]: multiply sampled counts by this. *)
 val scale_factor : result -> float
 
-(** [launch ~grid ~block ~args k] simulates the launch.  [args] binds
-    each kernel parameter name, once, to a caller-owned buffer: it is
-    copied into its own device region before the run and copied back
+(** [launch ~grid ~block ~args k] simulates the launch, computing every
+    lane value: the values face, for callers that read results.  [args]
+    binds each kernel parameter name, once, to a caller-owned buffer: it
+    is copied into its own device region before the run and copied back
     after it.  Regions are copied back in parameter order, so a buffer
     bound to several parameters ends up holding the last one's region.
     Raises {!Launch_error} on bad launches (including a missing, unknown
@@ -56,9 +60,14 @@ type failure = {
   blocks_completed : int;
 }
 
-(** Like {!launch} but total: launch-validation failures surface as
-    [Launch] diagnostics, mid-run traps as [Exec] diagnostics located at
-    the faulting block.  No exception escapes. *)
+(** The statistics face of {!launch}, and total.  It returns the same
+    statistics, traces and faults as {!launch}, bit for bit, but computes
+    only the lane values that reach an address, a guard or a branch
+    ({!Relevance}); [counted_only] says how many warp-instructions skipped
+    theirs.  It never writes [args]: each buffer is only copied in.
+    Launch-validation failures surface as [Launch] diagnostics, mid-run
+    traps as [Exec] diagnostics located at the faulting block.  No
+    exception escapes. *)
 val launch_result :
   ?collect_trace:bool ->
   ?block_ids:int list ->

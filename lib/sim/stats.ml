@@ -70,20 +70,15 @@ let empty_stage () =
     site_gmem_bytes = [||];
   }
 
-(* Add [v] at index [pc], growing the dense array geometrically so a long
-   program doesn't reallocate per instruction. *)
-let site_add arr pc v =
-  let arr =
-    if pc < Array.length arr then arr
-    else begin
-      let n = max (pc + 1) (max 16 (2 * Array.length arr)) in
-      let a = Array.make n 0 in
-      Array.blit arr 0 a 0 (Array.length arr);
-      a
-    end
-  in
-  arr.(pc) <- arr.(pc) + v;
-  arr
+(* [arr] grown geometrically to hold index [pc], so a long program doesn't
+   reallocate per instruction.  A count assigns the site field only when
+   it grows: storing a pointer field on every count would pay the write
+   barrier ([caml_modify]) each time. *)
+let grow arr pc =
+  let n = max (pc + 1) (max 16 (2 * Array.length arr)) in
+  let a = Array.make n 0 in
+  Array.blit arr 0 a 0 (Array.length arr);
+  a
 
 type t = { mutable stages : stage array }
 
@@ -112,7 +107,11 @@ let count_issue t ~stage:i ~pc cls =
   let s = stage t i in
   let k = class_index cls in
   s.issued.(k) <- s.issued.(k) + 1;
-  if pc >= 0 then s.site_issued <- site_add s.site_issued pc 1
+  if pc >= 0 then begin
+    if pc >= Array.length s.site_issued then
+      s.site_issued <- grow s.site_issued pc;
+    s.site_issued.(pc) <- s.site_issued.(pc) + 1
+  end
 
 let count_mad t ~stage:i =
   let s = stage t i in
@@ -123,14 +122,22 @@ let count_smem t ~stage:i ~pc ~txns ~ideal =
   s.smem_accesses <- s.smem_accesses + 1;
   s.smem_txns <- s.smem_txns + txns;
   s.smem_ideal_txns <- s.smem_ideal_txns + ideal;
-  if pc >= 0 then s.site_smem_txns <- site_add s.site_smem_txns pc txns
+  if pc >= 0 then begin
+    if pc >= Array.length s.site_smem_txns then
+      s.site_smem_txns <- grow s.site_smem_txns pc;
+    s.site_smem_txns.(pc) <- s.site_smem_txns.(pc) + txns
+  end
 
 let count_atomic t ~stage:i ~pc ~txns ~ideal =
   let s = stage t i in
   s.atomic_accesses <- s.atomic_accesses + 1;
   s.atomic_txns <- s.atomic_txns + txns;
   s.atomic_ideal_txns <- s.atomic_ideal_txns + ideal;
-  if pc >= 0 then s.site_atomic_txns <- site_add s.site_atomic_txns pc txns
+  if pc >= 0 then begin
+    if pc >= Array.length s.site_atomic_txns then
+      s.site_atomic_txns <- grow s.site_atomic_txns pc;
+    s.site_atomic_txns.(pc) <- s.site_atomic_txns.(pc) + txns
+  end
 
 let count_gmem t ~stage:i ~pc ~txns ~bytes ~requested =
   let s = stage t i in
@@ -138,7 +145,11 @@ let count_gmem t ~stage:i ~pc ~txns ~bytes ~requested =
   s.gmem_txns <- s.gmem_txns + txns;
   s.gmem_transferred_bytes <- s.gmem_transferred_bytes + bytes;
   s.gmem_requested_bytes <- s.gmem_requested_bytes + requested;
-  if pc >= 0 then s.site_gmem_bytes <- site_add s.site_gmem_bytes pc bytes
+  if pc >= 0 then begin
+    if pc >= Array.length s.site_gmem_bytes then
+      s.site_gmem_bytes <- grow s.site_gmem_bytes pc;
+    s.site_gmem_bytes.(pc) <- s.site_gmem_bytes.(pc) + bytes
+  end
 
 let count_barrier t ~stage:i =
   let s = stage t i in

@@ -169,8 +169,8 @@ let run_simulated ?spec ~n ~tile a b =
 let analyze ?spec ?(measure = false) ?(sample = 4) ?replay_sample ?timeline ?ctx
     ~n ~tile () =
   (* One zero buffer serves a, b and c: the simulator copies each argument
-     into its own device region, the analysis reads no value back, and c,
-     the last region copied back, is a zero product, so the buffer stays
+     into its own device region, and the analysis runs the statistics face
+     ([Sim.launch_result]), which copies nothing back, so the buffer stays
      zero.  A [Bytes] buffer holds no pointers and the GC never scans it,
      so the sharing only saves allocating two more (8 MB at n = 1024). *)
   let zeros = Gpu_sim.Memory.zeros (n * n) in

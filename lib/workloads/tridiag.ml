@@ -259,7 +259,7 @@ let analyze ?spec ?(measure = false) ?(sample = 2) ?replay_sample ?timeline ?ctx
   let words = nsys * n in
   (* All-zero coefficients would divide by zero in rcp; load b = 1.  One
      zero buffer serves the other four arguments, as in [Matmul.analyze]:
-     each gets its own device region and no value is read back. *)
+     each gets its own device region and nothing is copied back. *)
   let zeros = Gpu_sim.Memory.zeros words in
   let args =
     [

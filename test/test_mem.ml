@@ -506,6 +506,47 @@ let gen_lane_set =
 let outcome f =
   match f () with v -> Ok v | exception Invalid_argument m -> Error m
 
+(* One-address lane sets: every active lane reads the same aligned word,
+   inactive lanes hold anything (negative and misaligned included).  The
+   simulator's broadcast shortcut must equal what the counting core finds
+   for them, over 16, 32 and the prime 17 banks, under partial masks. *)
+let gen_broadcast_set =
+  let open QCheck.Gen in
+  let* banks = oneofl [ 16; 17; 32 ] in
+  let* group = oneofl [ 16; 32 ] in
+  let* word = int_bound 4095 in
+  let* junk = array_repeat 32 (int_range (-64) 16_383) in
+  let* mask =
+    oneof
+      [
+        return 0xFFFF_FFFF;
+        oneofl [ 0xFFFF; 0xFFFF_0000; 0x1; 0x8000_0000; 0 ];
+        map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xFFFF)
+          (int_bound 0xFFFF);
+        map (fun l -> 1 lsl l) (int_bound 31);
+      ]
+  in
+  let addrs =
+    Array.mapi
+      (fun l j -> if mask land (1 lsl l) <> 0 then 4 * word else j)
+      junk
+  in
+  return { width = 4; banks; group; addrs; mask }
+
+let prop_broadcast_shortcut =
+  QCheck.Test.make ~count:2000
+    ~name:"broadcast shortcut equals conflicts and ideal"
+    (QCheck.make ~print:pp_lane_set gen_broadcast_set)
+    (fun ({ width; banks; group; addrs; mask } as ls) ->
+      let n = B.active_groups ~group ~mask in
+      let conflicts =
+        B.conflicts (B.scratch ()) ~width ~banks ~group addrs ~mask
+      and ideal = B.ideal ~width ~group addrs ~mask in
+      if n <> conflicts || n <> ideal then
+        QCheck.Test.fail_reportf "broadcast %d, conflicts %d, ideal %d on %s" n
+          conflicts ideal (pp_lane_set ls);
+      true)
+
 let prop_core_matches_reference =
   QCheck.Test.make ~count:3000
     ~name:"bank, ideal and coalescing core equal the reference"
@@ -708,7 +749,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_atomic_bounds;
         ] );
       ( "counting core",
-        [ QCheck_alcotest.to_alcotest prop_core_matches_reference ] );
+        [
+          QCheck_alcotest.to_alcotest prop_core_matches_reference;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 24 |])
+            prop_broadcast_shortcut;
+        ] );
       ( "global lane sets",
         [
           Alcotest.test_case "first bad lane faults" `Quick

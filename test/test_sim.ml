@@ -891,6 +891,411 @@ let test_allocation_budget () =
        ~args:[ ("buf", Memory.zeros words) ]
        (program, 0))
 
+(* --- statistics face ------------------------------------------------------ *)
+
+module Machine = Gpu_sim.Machine
+module Relevance = Gpu_sim.Relevance
+module Program = Gpu_isa.Program
+
+(* One launch driven through [Machine] as [Sim.launch] drives it, on either
+   face, keeping what a fault leaves behind: the statistics so far, the
+   completed blocks' traces and the fault's message. *)
+type face_run = {
+  stages : Stats.stage array;
+  traces : Gpu_sim.Trace.block_trace list;
+  blocks : int;
+  fault : string option;
+}
+
+let max_warp_instructions = 5_000
+
+let run_face ~values ~grid ~block ~args (k : Gpu_kernel.Compile.compiled) =
+  let buffers = List.map (fun (name, _) -> List.assoc name args) k.param_regs in
+  let allocs, bytes = Memory.layout (List.map Memory.length buffers) in
+  let gmem = Memory.create ~bytes in
+  List.iter2 (Fun.flip (Memory.copy_in gmem)) buffers allocs;
+  let run =
+    Machine.prepare ~values
+      (Machine.config ~collect_trace:true ~max_warp_instructions
+         Gpu_hw.Spec.gtx285)
+      k.program
+  in
+  let stats = Stats.create () and traces = ref [] and blocks = ref 0 in
+  let fault =
+    match
+      for bid = 0 to grid - 1 do
+        let blk =
+          Machine.make_block ~bid ~grid ~nthreads:block
+            ~smem_bytes:k.smem_bytes ~nregs:(max 1 k.reg_demand)
+        in
+        List.iter2
+          (fun (_, r) (a : Memory.allocation) ->
+            Machine.set_param blk (I.R r) (Gpu_sim.Value.of_int a.base))
+          k.param_regs allocs;
+        Machine.run_block run ~gmem ~stats blk;
+        traces := Machine.trace blk :: !traces;
+        incr blocks
+      done
+    with
+    | () -> None
+    | exception (Machine.Stuck m | Memory.Fault m | Invalid_argument m) ->
+      Some m
+  in
+  { stages = Stats.stages stats; traces = List.rev !traces; blocks = !blocks;
+    fault }
+
+(* Random kernels over three 64-word arguments — [inp] holds small data,
+   [idx] indices, [out] results — and a 64-word shared array, on two
+   blocks of 64 (or 48) threads.  Indices are masked into range, loaded
+   from [idx], converted with [F2i] or chosen by [Select]; one in a few
+   dozen is far out of range.  Loops run a data-dependent count, branches
+   test loaded data, and a barrier separates shared stores from the loads
+   that read other warps' words.  Guards the compiler never emits are
+   added after compiling: a predicate set from the thread id or from
+   loaded data guards some straight-line instructions. *)
+module Kernels = struct
+  let words = 64
+
+  let pick st l = List.nth l (Random.State.int st (List.length l))
+
+  let masked e = Ir.Ibin (Ir.And, e, Ir.Int (words - 1))
+
+  let rec int_exp st vars depth =
+    let leaf () =
+      match Random.State.int st (if vars = [] then 3 else 5) with
+      | 0 -> Ir.Int (Random.State.int st 70)
+      | 1 -> Ir.Tid
+      | 2 -> Ir.Ctaid
+      | _ -> Ir.Var (pick st vars)
+    in
+    if depth = 0 then leaf ()
+    else
+      let sub () = int_exp st vars (depth - 1) in
+      match Random.State.int st 12 with
+      | 0 | 1 | 2 -> leaf ()
+      | 3 | 4 ->
+        let op = pick st Ir.[ Add; Sub; Mul24; And; Or; Xor; Min; Max; Shr ] in
+        Ir.Ibin (op, sub (), sub ())
+      | 5 -> Ir.Imad (sub (), sub (), sub ())
+      | 6 | 7 -> Ir.Ld_global ("inp", index st vars (depth - 1))
+      | 8 -> Ir.Ld_shared ("s", index st vars (depth - 1))
+      | 9 -> Ir.F2i (float_exp st vars (depth - 1))
+      | _ -> Ir.Select (cond st vars (depth - 1), sub (), sub ())
+
+  and float_exp st vars depth =
+    let sub () = float_exp st vars (max 0 (depth - 1)) in
+    match Random.State.int st (if depth = 0 then 2 else 6) with
+    | 0 -> Ir.I2f (int_exp st vars 0)
+    | 1 -> Ir.Float (float (Random.State.int st 9) /. 4.0)
+    | 2 -> Ir.Fbin (pick st Ir.[ Fadd; Fsub; Fmul; Fmin; Fmax ], sub (), sub ())
+    | 3 -> Ir.Fmad (sub (), sub (), sub ())
+    | 4 -> Ir.Sfu (pick st Ir.[ Rcp; Rsqrt; Sin; Ex2 ], sub ())
+    | _ -> Ir.I2f (int_exp st vars (depth - 1))
+
+  and index st vars depth =
+    match Random.State.int st 40 with
+    | 0 -> Ir.Ibin (Ir.Add, masked (int_exp st vars 0), Ir.Int 4000)
+    | 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 ->
+      masked (Ir.Ld_global ("idx", masked (int_exp st vars depth)))
+    | 9 | 10 | 11 | 12 ->
+      masked
+        (Ir.F2i
+           (Ir.Fbin (Ir.Fmul, Ir.I2f (int_exp st vars depth), Ir.Float 0.5)))
+    | 13 | 14 | 15 ->
+      Ir.Select
+        ( cond st vars depth,
+          masked (int_exp st vars depth),
+          masked (int_exp st vars depth) )
+    | _ -> masked (int_exp st vars depth)
+
+  and cond st vars depth =
+    Ir.Cmp
+      ( pick st Ir.[ Lt; Le; Eq; Ne; Gt; Ge ],
+        Ir.S32,
+        int_exp st vars depth,
+        int_exp st vars depth )
+
+  let value st vars =
+    if Random.State.bool st then int_exp st vars 2
+    else Ir.F2i (float_exp st vars 2)
+
+  let fresh =
+    let n = ref 0 in
+    fun prefix ->
+      incr n;
+      Printf.sprintf "%s%d" prefix !n
+
+  let rec stmts st vars ~depth n =
+    if n = 0 then []
+    else
+      let s, vars' = stmt st vars ~depth in
+      s :: stmts st vars' ~depth (n - 1)
+
+  and stmt st vars ~depth =
+    match Random.State.int st 11 with
+    | 0 | 1 ->
+      let v = fresh "v" in
+      (Ir.Let (v, int_exp st vars 2), v :: vars)
+    | 2 | 3 -> (Ir.St_global ("out", index st vars 1, value st vars), vars)
+    | 4 -> (Ir.St_shared ("s", index st vars 1, value st vars), vars)
+    | 5 ->
+      let op = pick st Ir.[ Atomic_add; Atomic_min; Atomic_max ] in
+      (Ir.Atom_shared (op, "s", index st vars 1, int_exp st vars 1), vars)
+    | 6 when depth > 0 ->
+      let test =
+        Ir.Cmp
+          ( pick st Ir.[ Lt; Gt; Eq ],
+            Ir.S32,
+            Ir.Ld_global ("inp", index st vars 1),
+            Ir.Int (Random.State.int st 64) )
+      in
+      ( Ir.If
+          ( test,
+            stmts st vars ~depth:(depth - 1) 2,
+            stmts st vars ~depth:(depth - 1) 2 ),
+        vars )
+    | 7 when depth > 0 ->
+      let i = fresh "i" in
+      let trips =
+        Ir.Ibin (Ir.And, Ir.Ld_global ("inp", index st vars 1), Ir.Int 3)
+      in
+      ( Ir.For (i, Ir.Int 0, trips, stmts st (i :: vars) ~depth:(depth - 1) 3),
+        vars )
+    | 8 | 9 ->
+      ( Ir.Assign ("acc", Ir.Ibin (Ir.Add, Ir.Var "acc", int_exp st vars 1)),
+        vars )
+    | _ -> (Ir.St_global ("out", index st vars 0, Ir.Var "acc"), vars)
+
+  let kernel st =
+    let phase () = stmts st [ "acc" ] ~depth:2 (2 + Random.State.int st 4) in
+    let first = phase () in
+    let second = phase () in
+    {
+      Ir.name = "faces";
+      params = [ "inp"; "idx"; "out" ];
+      shared = [ ("s", words) ];
+      body =
+        (Ir.Local ("acc", Ir.Int 0) :: first) @ (Ir.Sync :: second)
+        @ [ Ir.St_global ("out", masked Ir.Tid, Ir.Var "acc") ];
+    }
+
+  (* Guard some straight-line instructions with p1 (set from the thread
+     id) or p2 (set from loaded words). *)
+  let with_guards st (k : Gpu_kernel.Compile.compiled) =
+    let p = k.program in
+    let code = Program.code p in
+    let lines = ref [] in
+    let emit l = lines := l :: !lines in
+    let setp p r =
+      I.mk
+        (I.Setp
+           ( I.Lt, I.S32, I.P p, I.Reg r,
+             I.Imm (Int32.of_int (Random.State.int st 64)) ))
+    in
+    Array.iteri
+      (fun pc (i : I.t) ->
+        List.iter (fun l -> emit (Program.Label l)) (Program.labels_at p pc);
+        let i =
+          match i.op with
+          | I.Bra _ | I.Bra_pred _ | I.Bar | I.Exit -> i
+          | _ when Random.State.int st 6 = 0 ->
+            { i with pred = Some (I.P (1 + Random.State.int st 2),
+                                  Random.State.bool st) }
+          | _ -> i
+        in
+        emit (Program.Instr i);
+        match i.op with
+        | I.Mov_sreg (d, I.Tid_x) -> emit (Program.Instr (setp 1 d))
+        | I.Ld (I.Global, _, d, _) when Random.State.bool st ->
+          emit (Program.Instr (setp 2 d))
+        | _ -> ())
+      code;
+    List.iter
+      (fun l -> emit (Program.Label l))
+      (Program.labels_at p (Array.length code));
+    { k with program = Program.of_lines ~name:"faces" (List.rev !lines) }
+end
+
+type face_case = {
+  seed : int;
+  block : int;
+  guards : bool;
+}
+
+let face_case_gen =
+  QCheck.Gen.(
+    map3
+      (fun seed block guards -> { seed; block; guards })
+      (int_bound 1_000_000) (oneofl [ 64; 48 ]) bool)
+
+let face_kernel c =
+  let st = Random.State.make [| c.seed |] in
+  let k = Gpu_kernel.Compile.compile (Kernels.kernel st) in
+  if c.guards then Kernels.with_guards st k else k
+
+let print_face_case c =
+  Printf.sprintf "seed %d block %d guards %b\n%s" c.seed c.block c.guards
+    (Program.to_string (face_kernel c).program)
+
+let face_args c =
+  let st = Random.State.make [| c.seed + 1 |] in
+  let data bound =
+    Memory.init Kernels.words (fun _ -> Random.State.int st bound)
+  in
+  [ ("inp", data 64); ("idx", data 1000); ("out", Memory.zeros Kernels.words) ]
+
+(* Both faces of random kernels agree on every statistic (the per-pc
+   sites included), every trace event, the blocks run and any fault's
+   message and partial statistics; the public faces agree with them, and
+   the statistics face leaves its arguments as they were. *)
+let prop_faces_agree =
+  QCheck.Test.make ~count:300 ~name:"statistics face equals values face"
+    (QCheck.make ~print:print_face_case face_case_gen)
+    (fun c ->
+      let k = face_kernel c in
+      let grid = 2 and block = c.block in
+      let v = run_face ~values:true ~grid ~block ~args:(face_args c) k in
+      let s = run_face ~values:false ~grid ~block ~args:(face_args c) k in
+      let differ what = QCheck.Test.fail_reportf "faces differ: %s" what in
+      if v.fault <> s.fault then differ "fault";
+      if v.stages <> s.stages then differ "statistics";
+      if v.traces <> s.traces then differ "traces";
+      if v.blocks <> s.blocks then differ "blocks run";
+      let args = face_args c in
+      (match
+         Sim.launch_result ~collect_trace:true ~max_warp_instructions ~grid
+           ~block ~args k
+       with
+      | Ok r ->
+        if v.fault <> None then differ "launch_result ran to the end";
+        if Stats.stages r.stats <> v.stages || r.traces <> v.traces then
+          differ "launch_result";
+        if List.map (fun (_, b) -> ints b) args
+           <> List.map (fun (_, b) -> ints b) (face_args c)
+        then differ "launch_result wrote its arguments"
+      | Error f ->
+        if Some f.Sim.diag.Gpu_diag.Diag.message <> v.fault then
+          differ "launch_result's fault";
+        if Stats.stages f.partial_stats <> v.stages then
+          differ "launch_result's partial statistics";
+        if f.blocks_completed <> v.blocks then differ "blocks completed");
+      (match
+         Sim.launch ~collect_trace:true ~max_warp_instructions ~grid ~block
+           ~args:(face_args c) k
+       with
+      | r ->
+        if Stats.stages r.stats <> v.stages || r.traces <> v.traces then
+          differ "launch"
+      | exception
+          (Gpu_sim.Machine.Stuck m | Memory.Fault m | Invalid_argument m) ->
+        if Some m <> v.fault then differ "launch's fault");
+      true)
+
+(* Hand-written programs for the relevance pass: the pcs it must mark, and
+   both faces agreeing on them. *)
+let relevance_case ~name ~smem listing ~needed ~skipped =
+  let program = Gpu_isa.Asm.parse listing in
+  let marks = Relevance.needed program in
+  List.iter
+    (fun pc ->
+      Alcotest.(check bool) (Printf.sprintf "%s: pc %d needed" name pc) true
+        marks.(pc))
+    needed;
+  List.iter
+    (fun pc ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: pc %d skipped" name pc)
+        false marks.(pc))
+    skipped;
+  let k =
+    Gpu_microbench.Runner.wrap ~param_regs:[] ~smem_bytes:smem program
+  in
+  let v = run_face ~values:true ~grid:1 ~block:64 ~args:[] k in
+  let s = run_face ~values:false ~grid:1 ~block:64 ~args:[] k in
+  Alcotest.(check (option string)) (name ^ ": no fault") None v.fault;
+  Alcotest.(check bool)
+    (name ^ ": statistics agree") true (v.stages = s.stages);
+  Alcotest.(check bool) (name ^ ": traces agree") true (v.traces = s.traces)
+
+let test_relevance_guarded_write () =
+  (* lanes >= 16 keep 4 * tid: the guarded move must not kill pc 1 *)
+  relevance_case ~name:"guarded write" ~smem:256
+    {|
+    mov.b32 $r1, %tid.x
+    shl.b32 $r2, $r1, 2
+    set.lt.s32 $p1, $r1, 16
+    @$p1 mov.b32 $r2, 0
+    ld.shared.b32 $r3, [$r2]
+    exit
+    |}
+    ~needed:[ 0; 1; 2; 3 ] ~skipped:[ 4 ]
+
+let test_relevance_through_shared () =
+  (* r4 reaches an address only by a store and a load of shared memory *)
+  relevance_case ~name:"through shared" ~smem:256
+    {|
+    mov.b32 $r1, %tid.x
+    shl.b32 $r2, $r1, 2
+    mul24.s32 $r4, $r1, 3
+    and.b32 $r4, $r4, 63
+    shl.b32 $r4, $r4, 2
+    st.shared.b32 [$r2], $r4
+    bar.sync 0
+    ld.shared.b32 $r5, [$r2]
+    ld.shared.b32 $r6, [$r5]
+    mul24.s32 $r7, $r1, $r1
+    exit
+    |}
+    ~needed:[ 0; 1; 2; 3; 4; 5; 7 ] ~skipped:[ 8; 9 ]
+
+let test_relevance_atomic_old_value () =
+  (* the counter's old value indexes the load after it *)
+  relevance_case ~name:"atomic old value" ~smem:256
+    {|
+    mov.b32 $r1, %tid.x
+    and.b32 $r2, $r1, 3
+    shl.b32 $r2, $r2, 2
+    atom.shared.add.b32 $r3, [$r2], 1
+    and.b32 $r3, $r3, 15
+    shl.b32 $r3, $r3, 2
+    ld.shared.b32 $r4, [$r3+64]
+    atom.shared.max.b32 $r5, [$r2], $r1
+    exit
+    |}
+    ~needed:[ 0; 1; 2; 3; 4; 5; 7 ] ~skipped:[ 6 ]
+
+let test_relevance_selp_predicate () =
+  (* p1 reaches the address only as selp's predicate *)
+  relevance_case ~name:"selp predicate" ~smem:256
+    {|
+    mov.b32 $r1, %tid.x
+    set.lt.s32 $p1, $r1, 8
+    shl.b32 $r2, $r1, 2
+    selp.b32 $r3, $r2, 0, $p1
+    ld.shared.b32 $r4, [$r3]
+    exit
+    |}
+    ~needed:[ 0; 1; 2; 3 ] ~skipped:[ 4 ]
+
+(* The property above is only as strong as its kernels: over 100 of them,
+   with and without guards, some must run to the end while skipping
+   values and some must fault (measured: 40 and 53 of 100). *)
+let test_face_kernels_reach () =
+  let skipping = ref 0 and faults = ref 0 in
+  for seed = 0 to 99 do
+    let c = { seed; block = 64; guards = seed mod 2 = 0 } in
+    match
+      Sim.launch_result ~max_warp_instructions ~grid:2 ~block:64
+        ~args:(face_args c) (face_kernel c)
+    with
+    | Ok r -> if r.counted_only > 0 then incr skipping
+    | Error _ -> incr faults
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d skip values, %d fault" !skipping !faults)
+    true
+    (!skipping >= 20 && !faults >= 10)
+
 let () =
   Alcotest.run "sim"
     [
@@ -953,4 +1358,20 @@ let () =
           Alcotest.test_case "allocation budget" `Quick
             test_allocation_budget;
         ] );
+      ( "statistics face",
+        [
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 24 |])
+            prop_faces_agree;
+          Alcotest.test_case "random kernels skip and fault" `Quick
+            test_face_kernels_reach;
+          Alcotest.test_case "guarded write keeps a value" `Quick
+            test_relevance_guarded_write;
+          Alcotest.test_case "value through shared memory" `Quick
+            test_relevance_through_shared;
+          Alcotest.test_case "atomic old value as index" `Quick
+            test_relevance_atomic_old_value;
+          Alcotest.test_case "selp predicate" `Quick
+            test_relevance_selp_predicate;
+        ] );
     ]
+

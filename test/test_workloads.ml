@@ -691,6 +691,189 @@ let test_paper_schedule_goldens () =
         (81686, 64256, 0, 0, 161716) );
     ]
 
+(* --- Statistics face ----------------------------------------------------- *)
+
+module Memory = Gpu_sim.Memory
+module Sim = Gpu_sim.Sim
+module Nbody = Gpu_workloads.Nbody
+
+(* Every workload's kernel at a reduced size, with its launch and
+   arguments as its [analyze] builds them, but with distinct nonzero words
+   where [analyze] passes zeros, so a write would show. *)
+let face_inputs () =
+  let words n = Memory.init n (fun i -> (i * 37) land 1023) in
+  let floats n = Memory.of_floats (Array.init n (fun i -> float (i mod 7))) in
+  let m = small_matrix in
+  let spmv fmt =
+    let grid, block = Spmv.launch m fmt in
+    ( "spmv " ^ Spmv.format_name fmt,
+      Spmv.kernel m fmt,
+      grid,
+      block,
+      Spmv.buffers m fmt (Array.make (Spmv.rows m) 1.0),
+      None )
+  in
+  [
+    ( "matmul 16",
+      Matmul.kernel ~n:64 ~tile:16,
+      Matmul.grid ~n:64 ~tile:16,
+      Matmul.threads_per_block,
+      [ ("a", floats 4096); ("b", floats 4096); ("c", words 4096) ],
+      Some 4 );
+    ( "tridiag 64",
+      Tridiag.kernel ~n:64 ~padded:false,
+      4,
+      Tridiag.threads ~n:64,
+      [
+        ("a", floats 256);
+        ("b", Memory.const_float 256 1.0);
+        ("c", floats 256);
+        ("d", floats 256);
+        ("x", words 256);
+      ],
+      Some 2 );
+    ( "tridiag 64 padded",
+      Tridiag.kernel ~n:64 ~padded:true,
+      4,
+      Tridiag.threads ~n:64,
+      [
+        ("a", floats 256);
+        ("b", Memory.const_float 256 1.0);
+        ("c", floats 256);
+        ("d", floats 256);
+        ("x", words 256);
+      ],
+      Some 2 );
+    spmv Spmv.Ell;
+    spmv Spmv.Bell_im;
+    spmv Spmv.Bell_imiv;
+    ( "reduce",
+      Reduce.kernel ~threads:128 Reduce.Sequential,
+      4,
+      128,
+      [
+        ("input", floats (4 * Reduce.elements_per_block ~threads:128));
+        ("partials", words 4);
+      ],
+      Some 2 );
+    ( "reduce atomic",
+      Reduce.kernel ~threads:128 Reduce.Atomic,
+      4,
+      128,
+      [
+        ("input", floats (4 * Reduce.elements_per_block ~threads:128));
+        ("partials", words 4);
+      ],
+      Some 2 );
+    ( "histogram",
+      Histogram.kernel ~threads:128 ~bins:64 ~items:4,
+      4,
+      128,
+      [
+        ( "input",
+          Memory.init
+            (4 * Histogram.elements_per_block ~threads:128 ~items:4)
+            (fun i -> if i mod 5 = 0 then 0 else i * 7) );
+        ("counts", words (4 * 64));
+      ],
+      Some 2 );
+    ( "degree",
+      Degree.kernel ~threads:128 ~nodes:64 ~items:4,
+      4,
+      128,
+      (let e = 4 * Degree.edges_per_block ~threads:128 ~items:4 in
+       [
+         ("src", Memory.init e (fun i -> i * 13));
+         ("dst", Memory.init e (fun i -> (i * 13) + 37));
+         ("counts", words (4 * 64));
+       ]),
+      Some 2 );
+    ( "nbody",
+      Nbody.kernel ~n:256 ~threads:128,
+      2,
+      128,
+      [ ("x", floats 256); ("a", words 256) ],
+      None );
+    ( "scan",
+      Scan.scan_kernel ~threads:128,
+      4,
+      128,
+      [ ("input", floats 512); ("output", words 512); ("sums", words 4) ],
+      Some 2 );
+    ( "transpose tiled",
+      Transpose.kernel ~n:64 Transpose.Tiled,
+      Transpose.grid ~n:64,
+      Transpose.threads_per_block,
+      [ ("input", floats 4096); ("output", words 4096) ],
+      Some 2 );
+  ]
+
+let counted_only = Gpu_obs.Metrics.counter "sim.counted_only"
+
+(* [Workflow.analyze] runs the statistics face: its statistics equal a
+   values launch's on the same inputs, its traces equal that launch's
+   (through [Sim.launch_result], the face the workflow calls), it adds the
+   skipped warp-instructions to [sim.counted_only], and it leaves every
+   argument buffer holding its input. *)
+let test_statistics_face () =
+  List.iter
+    (fun (name, ir, grid, block, args, sample) ->
+      let inputs = List.map (fun (n, b) -> (n, Memory.copy b)) args in
+      let copies () = List.map (fun (n, b) -> (n, Memory.copy b)) inputs in
+      let before = Gpu_obs.Metrics.value counted_only in
+      let report = Workflow.analyze ?sample ~grid ~block ~args ir in
+      let added = Gpu_obs.Metrics.value counted_only - before in
+      List.iter2
+        (fun (arg, b) (_, b0) ->
+          Alcotest.(check (array int32))
+            (Printf.sprintf "%s: %s untouched" name arg)
+            (Memory.to_int32s b0) (Memory.to_int32s b))
+        args inputs;
+      let block_ids =
+        Option.map (fun n -> List.init (min n grid) Fun.id) sample
+      in
+      let k = report.Workflow.compiled in
+      let values =
+        Sim.launch ~collect_trace:true ?block_ids ~grid ~block
+          ~args:(copies ()) k
+      in
+      Alcotest.(check bool)
+        (name ^ ": workflow statistics") true
+        (Stats.stages report.Workflow.stats = Stats.stages values.Sim.stats);
+      match
+        Sim.launch_result ~collect_trace:true ?block_ids ~grid ~block
+          ~args:(copies ()) k
+      with
+      | Error f ->
+        Alcotest.fail (name ^ ": " ^ f.Sim.diag.Gpu_diag.Diag.message)
+      | Ok r ->
+        Alcotest.(check bool)
+          (name ^ ": traces") true (r.traces = values.traces);
+        Alcotest.(check bool)
+          (name ^ ": statistics") true
+          (Stats.stages r.stats = Stats.stages values.stats);
+        Alcotest.(check int) (name ^ ": blocks") values.blocks_run r.blocks_run;
+        Alcotest.(check int) (name ^ ": values face skips nothing") 0
+          values.counted_only;
+        Alcotest.(check int) (name ^ ": counter") r.counted_only added)
+    (face_inputs ());
+  (* matmul's shared-operand MADs feed only the stored results *)
+  let before = Gpu_obs.Metrics.value counted_only in
+  let report =
+    Workflow.analyze ~sample:1 ~grid:(Matmul.grid ~n:64 ~tile:16)
+      ~block:Matmul.threads_per_block
+      ~args:
+        [ ("a", Memory.zeros 4096); ("b", Memory.zeros 4096);
+          ("c", Memory.zeros 4096) ]
+      (Matmul.kernel ~n:64 ~tile:16)
+  in
+  let skipped = Gpu_obs.Metrics.value counted_only - before in
+  let issued = Stats.total_issued (Stats.total report.Workflow.stats) in
+  Alcotest.(check bool)
+    (Printf.sprintf "matmul skips most values (%d of %d)" skipped issued)
+    true
+    (2 * skipped > issued)
+
 let () =
   Alcotest.run "workloads"
     [
@@ -757,6 +940,11 @@ let () =
           Alcotest.test_case "figure 11b/12 ranking" `Quick
             test_spmv_bottleneck_and_ranking;
           Alcotest.test_case "texture cache" `Quick test_spmv_cache_helps;
+        ] );
+      ( "statistics face",
+        [
+          Alcotest.test_case "workflow equals a values launch" `Quick
+            test_statistics_face;
         ] );
       ( "replay schedules",
         [
