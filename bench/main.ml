@@ -23,6 +23,7 @@ module I = Gpu_isa.Instr
 module Model = Gpu_model.Model
 module Component = Gpu_model.Component
 module Workflow = Gpu_model.Workflow
+module Whatif = Gpu_model.Whatif
 module Stats = Gpu_sim.Stats
 module Matmul = Gpu_workloads.Matmul
 module Tridiag = Gpu_workloads.Tridiag
@@ -471,59 +472,47 @@ let fig12 () =
 
 let whatif () =
   header "What-if" "architectural improvements the paper argues for";
-  let args_mm () =
+  (* the baseline against one variant, both on the same argument buffers *)
+  let compare title ?sample ~grid ~block ~args kernel variant =
+    Printf.printf "%s\n%s\n" title
+      (Fmt.str "%a" Whatif.pp
+         (Whatif.run
+            (fun spec ->
+              Workflow.analyze ~spec ?sample ~grid ~block ~args kernel)
+            [ ("baseline", spec); ("variant", variant) ]))
+  in
+  let args_mm =
     List.map
       (fun p -> (p, Gpu_sim.Memory.zeros (1024 * 1024)))
       [ "a"; "b"; "c" ]
   in
-  let mm8 =
-    Gpu_model.Whatif.run ~base:spec
-      ~variants:[ Spec.with_max_blocks 16 spec ]
-      ~sample:2
-      ~grid:(Matmul.grid ~n:1024 ~tile:8)
-      ~block:Matmul.threads_per_block ~args:(args_mm ())
-      (Matmul.kernel ~n:1024 ~tile:8)
-  in
-  Printf.printf "matmul 8x8, 16 resident blocks (5.1):\n%s\n"
-    (Fmt.str "%a" Gpu_model.Whatif.pp mm8);
-  let mm32 =
-    Gpu_model.Whatif.run ~base:spec
-      ~variants:[ Spec.with_smem 32768 (Spec.with_registers 32768 spec) ]
-      ~sample:2
-      ~grid:(Matmul.grid ~n:1024 ~tile:32)
-      ~block:Matmul.threads_per_block ~args:(args_mm ())
-      (Matmul.kernel ~n:1024 ~tile:32)
-  in
-  Printf.printf "matmul 32x32, doubled registers+smem (5.1):\n%s\n"
-    (Fmt.str "%a" Gpu_model.Whatif.pp mm32);
+  compare "matmul 8x8, 16 resident blocks (5.1):" ~sample:2
+    ~grid:(Matmul.grid ~n:1024 ~tile:8)
+    ~block:Matmul.threads_per_block ~args:args_mm
+    (Matmul.kernel ~n:1024 ~tile:8)
+    (Spec.with_max_blocks 16 spec);
+  compare "matmul 32x32, doubled registers+smem (5.1):" ~sample:2
+    ~grid:(Matmul.grid ~n:1024 ~tile:32)
+    ~block:Matmul.threads_per_block ~args:args_mm
+    (Matmul.kernel ~n:1024 ~tile:32)
+    (Spec.with_smem 32768 (Spec.with_registers 32768 spec));
   let words = 512 * 512 in
-  let args_cr () =
-    List.map
-      (fun p ->
-        ( p,
-          if p = "b" then Gpu_sim.Memory.const_float words 1.0
-          else Gpu_sim.Memory.zeros words ))
-      [ "a"; "b"; "c"; "d"; "x" ]
-  in
-  let cr17 =
-    Gpu_model.Whatif.run ~base:spec
-      ~variants:[ Spec.with_banks 17 spec ]
-      ~sample:2 ~grid:512 ~block:256 ~args:(args_cr ())
-      (Tridiag.kernel ~n:512 ~padded:false)
-  in
-  Printf.printf "cyclic reduction, 17 banks (5.2):\n%s\n"
-    (Fmt.str "%a" Gpu_model.Whatif.pp cr17);
+  compare "cyclic reduction, 17 banks (5.2):" ~sample:2 ~grid:512 ~block:256
+    ~args:
+      (List.map
+         (fun p ->
+           ( p,
+             if p = "b" then Gpu_sim.Memory.const_float words 1.0
+             else Gpu_sim.Memory.zeros words ))
+         [ "a"; "b"; "c"; "d"; "x" ])
+    (Tridiag.kernel ~n:512 ~padded:false)
+    (Spec.with_banks 17 spec);
   let m = qcd () in
   let grid, block = Spmv.launch m Spmv.Ell in
-  let ell16 =
-    Gpu_model.Whatif.run ~base:spec
-      ~variants:[ Spec.with_min_segment 16 spec ]
-      ~grid ~block
-      ~args:(Spmv.buffers m Spmv.Ell (Array.make (Spmv.rows m) 1.0))
-      (Spmv.kernel m Spmv.Ell)
-  in
-  Printf.printf "SpMV ELL, 16-byte transactions (5.3):\n%s\n"
-    (Fmt.str "%a" Gpu_model.Whatif.pp ell16)
+  compare "SpMV ELL, 16-byte transactions (5.3):" ~grid ~block
+    ~args:(Spmv.buffers m Spmv.Ell (Array.make (Spmv.rows m) 1.0))
+    (Spmv.kernel m Spmv.Ell)
+    (Spec.with_min_segment 16 spec)
 
 (* --- Extras: the model applied to further data-parallel primitives -------- *)
 
@@ -666,43 +655,24 @@ let atomic () =
 let devices () =
   header "Devices" "one workload across the device fleet: predicted time, \
                     speedup, bottleneck shifts (DESIGN §16)";
-  let sweep title reports =
+  let sweep title analyze =
     Printf.printf "%s\n" title;
-    let base =
-      match reports with
-      | (_, r) :: _ -> r.Workflow.analysis.Model.predicted_seconds
-      | [] -> nan
-    in
-    let base_bn =
-      match reports with
-      | (_, r) :: _ -> r.Workflow.analysis.Model.bottleneck
-      | [] -> Component.Instruction_pipeline
-    in
     List.iter
-      (fun (name, (r : Workflow.report)) ->
-        let a = r.Workflow.analysis in
+      (fun (o : Whatif.outcome) ->
+        let a = o.report.Workflow.analysis in
         Printf.printf
-          "  %-14s pred %9.4f ms   speedup %6.2fx   %-22s %s\n" name
+          "  %-14s pred %9.4f ms   speedup %6.2fx   %-22s %s\n" o.device
           (1e3 *. a.Model.predicted_seconds)
-          (base /. a.Model.predicted_seconds)
+          o.speedup
           (Component.name a.Model.bottleneck)
-          (if a.Model.bottleneck <> base_bn then "<- shift" else "")
-      )
-      reports
+          (if o.shifted then "<- shift" else ""))
+      (Whatif.run analyze Spec.fleet)
   in
-  let fleet = Spec.fleet in
-  sweep "matmul 16x16, n=1024:"
-    (List.map
-       (fun (name, spec) ->
-         (name, Matmul.analyze ~spec ~measure:false ~n:1024 ~tile:16 ()))
-       fleet);
-  sweep "histogram skew=0.8, 256 blocks:"
-    (List.map
-       (fun (name, spec) ->
-         ( name,
-           Gpu_workloads.Histogram.analyze ~spec ~measure:false ~skew:0.8
-             ~blocks:256 () ))
-       fleet);
+  sweep "matmul 16x16, n=1024:" (fun spec ->
+      Matmul.analyze ~spec ~measure:false ~n:1024 ~tile:16 ());
+  sweep "histogram skew=0.8, 256 blocks:" (fun spec ->
+      Gpu_workloads.Histogram.analyze ~spec ~measure:false ~skew:0.8
+        ~blocks:256 ());
   Printf.printf
     "committed reference numbers: EXPERIMENTS.md, Device fleet\n"
 

@@ -25,10 +25,13 @@ let spec = Gpu_hw.Spec.gtx285
 
 (* --- uniform error rendering --------------------------------------------- *)
 
-let color_stderr = lazy (Unix.isatty Unix.stderr)
+(* Read once at startup, not lazily: calibration diagnostics arrive from
+   several pool domains at once, and a [Lazy.t] forced concurrently
+   raises [CamlinternalLazy.Undefined]. *)
+let color_stderr = Unix.isatty Unix.stderr
 
 let print_diag d =
-  prerr_endline (D.render ~color:(Lazy.force color_stderr) ~prefix:"gpuperf" d)
+  prerr_endline (D.render ~color:color_stderr ~prefix:"gpuperf" d)
 
 (* Stage attribution for exceptions escaping the raising APIs that the
    workload drivers still use internally.  [D.protect] falls back on a
@@ -344,7 +347,7 @@ let replay_sample_of = function
   | Some f ->
     if not (f > 0.0 && f <= 1.0) then
       D.fail (D.error D.Cli "--replay-sample %g is outside (0, 1]" f);
-    Some { Gpu_timing.Engine.target = Gpu_timing.Engine.Fraction f; seed = 0 }
+    Some { Gpu_timing.Engine.fraction = f; seed = 0 }
 
 let analyze_cmd =
   let run params measure rsample metrics mfmt jobs no_cache =
@@ -374,7 +377,9 @@ let whatif_cmd =
   let variant_arg =
     Arg.(
       non_empty
-      & opt_all (enum variant_specs) []
+      & opt_all
+          (enum (List.map (fun ((name, _) as d) -> (name, d)) variant_specs))
+          []
       & info [ "variant" ]
           ~doc:
             ("Device variant (repeatable): "
@@ -385,31 +390,18 @@ let whatif_cmd =
     guard D.Cli @@ fun () ->
     apply_calibration_opts jobs no_cache;
     let params = or_fail params in
-    (* one variant per pool task: the per-variant table re-fit dominates *)
-    match
-      Gpu_parallel.Pool.parallel_map
-        (fun dev -> R.analyze ~spec:dev params)
-        (spec :: variants)
-    with
-    | [] -> assert false (* parallel_map preserves length *)
-    | base :: reports ->
-      let t0 =
-        base.Gpu_model.Workflow.analysis.Gpu_model.Model.predicted_seconds
-      in
-      Fmt.pr "%-40s %8.4f ms  %s@." spec.Gpu_hw.Spec.name (1e3 *. t0)
-        (Gpu_model.Component.name
-           base.Gpu_model.Workflow.analysis.Gpu_model.Model.bottleneck);
-      List.iter2
-        (fun dev r ->
-          let t =
-            r.Gpu_model.Workflow.analysis.Gpu_model.Model.predicted_seconds
-          in
-          Fmt.pr "%-40s %8.4f ms  %s (%.2fx)@." dev.Gpu_hw.Spec.name
-            (1e3 *. t)
-            (Gpu_model.Component.name
-               r.Gpu_model.Workflow.analysis.Gpu_model.Model.bottleneck)
-            (t0 /. t))
-        variants reports
+    let open Gpu_model in
+    List.iteri
+      (fun i (o : Whatif.outcome) ->
+        let a = o.report.Workflow.analysis in
+        Fmt.pr "%-40s %8.4f ms  %s" a.Model.spec.Gpu_hw.Spec.name
+          (1e3 *. a.Model.predicted_seconds)
+          (Component.name a.Model.bottleneck);
+        if i > 0 then Fmt.pr " (%.2fx)" o.speedup;
+        Fmt.pr "@.")
+      (Whatif.run
+         (fun spec -> R.analyze ~spec params)
+         (List.hd Gpu_hw.Spec.fleet :: variants))
   in
   Cmd.v
     (Cmd.info "whatif"
@@ -690,14 +682,7 @@ let trace_cmd =
 let render_fmt =
   Arg.(
     value
-    & opt
-        (enum
-           [
-             ("md", Gpu_report.Render.Md);
-             ("html", Gpu_report.Render.Html);
-             ("json", Gpu_report.Render.Json);
-           ])
-        Gpu_report.Render.Md
+    & opt (enum Gpu_report.Render.formats) Gpu_report.Render.Md
     & info [ "format" ] ~docv:"FMT" ~doc:"Report format: md, html or json")
 
 let report_cmd =
@@ -749,26 +734,9 @@ let report_cmd =
     let whatif =
       if no_whatif then []
       else
-        let reports =
-          Gpu_parallel.Pool.parallel_map
-            (fun (_, dev) -> R.analyze ~spec:dev params)
-            variant_specs
-        in
-        let t0 =
-          base.Gpu_model.Workflow.analysis.Gpu_model.Model.predicted_seconds
-        in
-        List.map2
-          (fun (name, _) r ->
-            let a = r.Gpu_model.Workflow.analysis in
-            let t = a.Gpu_model.Model.predicted_seconds in
-            {
-              Gpu_report.Render.variant = name;
-              w_predicted_s = t;
-              speedup = t0 /. t;
-              w_bottleneck =
-                Gpu_model.Component.name a.Gpu_model.Model.bottleneck;
-            })
-          variant_specs reports
+        Gpu_model.Whatif.run ~baseline:base
+          (fun spec -> R.analyze ~spec params)
+          variant_specs
     in
     let attribution = Gpu_report.Attribution.of_report base in
     let ledger_file =
@@ -840,30 +808,14 @@ let sweep_devices_cmd =
     guard D.Cli @@ fun () ->
     apply_calibration_opts jobs no_cache;
     let params = or_fail params in
-    (* One device per pool task: each non-baseline spec pays its own
-       microbenchmark calibration on first contact, after which the
-       fingerprinted on-disk cache makes re-sweeps cheap. *)
-    let fleet = Gpu_hw.Spec.fleet in
-    let reports =
-      Gpu_parallel.Pool.parallel_map
-        (fun (_, dev) -> R.analyze ~spec:dev params)
-        fleet
-    in
-    let baseline =
-      match reports with r :: _ -> r | [] -> assert false
-    in
-    let rows =
-      List.map2
-        (fun (name, _) r ->
-          Gpu_report.Render.sweep_row ~device:name ~baseline r)
-        fleet reports
-    in
+    (* Each non-baseline spec pays its own microbenchmark calibration on
+       first contact, after which the fingerprinted on-disk cache makes
+       re-sweeps cheap. *)
     let doc =
-      Gpu_report.Render.render_sweep fmt
-        {
-          Gpu_report.Render.sweep_workload = R.label params;
-          sweep_rows = rows;
-        }
+      Gpu_report.Render.render_sweep fmt ~workload:(R.label params)
+        (Gpu_model.Whatif.run
+           (fun spec -> R.analyze ~spec params)
+           Gpu_hw.Spec.fleet)
     in
     match out with
     | None -> print_string doc

@@ -192,8 +192,6 @@ let pp ppf c =
         b.warps)
     c.blocks
 
-let to_text_string c = Fmt.str "@[<v>%a@]" pp c
-
 (* --- serialization -------------------------------------------------------
    A line-oriented replayable format: [gpuperf check --replay FILE] parses
    it back.  Shrunk reproducers are dumped in this format. *)

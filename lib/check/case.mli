@@ -43,7 +43,6 @@ val validate : t -> (unit, string) result
 val traces : t -> Gpu_sim.Trace.block_trace array
 
 val pp : Format.formatter -> t -> unit
-val to_text_string : t -> string
 
 (** Replayable line-oriented serialization ([gpuperf check --replay]). *)
 val to_string : t -> string

@@ -1,32 +1,33 @@
-(** Architectural what-if engine: re-run the full workflow against device
-    variants and compare predictions — the way the paper argues its
-    architectural improvements (Sections 5.1-5.3).  Variants are
-    re-simulated, not re-priced: bank counts change conflict statistics,
+(** The device comparison: analyse one workload on a list of devices and
+    compare each prediction with a baseline's — the way the paper argues
+    its architectural improvements (Sections 5.1-5.3), and the way
+    [gpuperf sweep-devices] compares GPU generations.  Devices are
+    re-analysed, not re-priced: bank counts change conflict statistics,
     segment sizes change coalescing, and the microbenchmark tables are
-    re-fit to the variant device. *)
+    re-fit to each device. *)
 
 type outcome = {
-  spec : Gpu_hw.Spec.t;
+  device : string;  (** the device's name in the list given to {!run} *)
   report : Workflow.report;
-  speedup : float;  (** baseline predicted time / variant predicted time *)
+  speedup : float;
+      (** baseline predicted time / this predicted time; [infinity] when
+          this prediction is zero *)
+  shifted : bool;  (** the bottleneck class differs from the baseline's *)
 }
 
-(** Returns the baseline report and one outcome per variant (in variant
-    order).  Baseline and variants are evaluated in parallel on the
-    domain pool, one per task, each against a private copy of every
-    buffer in [args] ({!Gpu_sim.Memory.copy}) —
-    so every spec is analyzed on identical inputs regardless of
-    evaluation order, and results are deterministic. *)
+(** [run ?baseline analyze devices] is one outcome per device, in list
+    order, each from [analyze spec] on its own pool task.  The baseline
+    is [baseline] when given, else the first device's report (whose
+    outcome then has speedup 1 and no shift).  [analyze] may close over
+    one set of argument buffers for every device: the workflow's
+    functional simulation never writes its arguments
+    ({!Workflow.analyze_result}). *)
 val run :
-  ?base:Gpu_hw.Spec.t ->
-  ?jobs:int ->
-  variants:Gpu_hw.Spec.t list ->
-  ?sample:int ->
-  grid:int ->
-  block:int ->
-  args:(string * Gpu_sim.Memory.buffer) list ->
-  Gpu_kernel.Ir.t ->
-  Workflow.report * outcome list
+  ?baseline:Workflow.report ->
+  (Gpu_hw.Spec.t -> Workflow.report) ->
+  (string * Gpu_hw.Spec.t) list ->
+  outcome list
 
-val pp_outcome : Format.formatter -> outcome -> unit
-val pp : Format.formatter -> Workflow.report * outcome list -> unit
+(** One line per outcome — spec name, prediction, speedup, bottleneck —
+    the first marked as the baseline. *)
+val pp : Format.formatter -> outcome list -> unit

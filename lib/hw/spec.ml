@@ -227,12 +227,6 @@ let gmem_bytes_per_cycle_per_cluster t =
   /. float_of_int (num_clusters t)
   /. t.core_clock_ghz
 
-(* Issue occupancy (cycles the functional units are held) of one warp
-   instruction of a class: warp_size / units. *)
-let issue_cycles t cls =
-  let u = units_for t cls in
-  (t.warp_size + u - 1) / u
-
 (* --- Architectural variants ------------------------------------------ *)
 
 let with_name name t = { t with name }

@@ -85,9 +85,6 @@ val peak_gmem_bandwidth : t -> float
 
 val gmem_bytes_per_cycle_per_cluster : t -> float
 
-(** Cycles one warp instruction of a class holds its functional units. *)
-val issue_cycles : t -> Gpu_isa.Instr.cost_class -> int
-
 val with_name : string -> t -> t
 val with_max_blocks : int -> t -> t
 val with_banks : int -> t -> t

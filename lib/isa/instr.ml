@@ -131,10 +131,6 @@ let classify_op = function
 
 let classify { op; _ } = classify_op op
 
-let is_memory i = match classify i with Class_mem -> true | _ -> false
-
-let is_barrier i = match i.op with Bar -> true | _ -> false
-
 (* --- Register roles ---------------------------------------------------- *)
 
 type reg_ref = Gpr of reg | Prd of pred

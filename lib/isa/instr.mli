@@ -90,8 +90,6 @@ val mk : ?pred:pred * bool -> op -> t
 
 val classify_op : op -> cost_class
 val classify : t -> cost_class
-val is_memory : t -> bool
-val is_barrier : t -> bool
 
 (** {2 Register roles} *)
 

@@ -81,9 +81,6 @@ type t = {
   body : stmt list;
 }
 
-let shared_bytes k =
-  4 * List.fold_left (fun acc (_, words) -> acc + words) 0 k.shared
-
 (* --- Convenience constructors (the embedded DSL surface) -------------- *)
 
 let i n = Int n
@@ -101,13 +98,10 @@ let ( *. ) a b = Fbin (Fmul, a, b)
 let fmad a b c = Fmad (a, b, c)
 let shared_addr arr idx = Shared_addr (arr, idx)
 let fmad_at a addr off c = Fmad_at (a, addr, off, c)
-let ld_shared_at addr off = Ld_shared_at (addr, off)
 let global_addr arr idx = Global_addr (arr, idx)
 let ld_global_at addr off = Ld_global_at (addr, off)
 let imad a b c = Imad (a, b, c)
 let atomic_add arr idx value = Atom_shared (Atomic_add, arr, idx, value)
-let atomic_min arr idx value = Atom_shared (Atomic_min, arr, idx, value)
-let atomic_max arr idx value = Atom_shared (Atomic_max, arr, idx, value)
 let ( < ) a b = Cmp (Lt, S32, a, b)
 let ( <= ) a b = Cmp (Le, S32, a, b)
 let ( > ) a b = Cmp (Gt, S32, a, b)

@@ -72,9 +72,6 @@ type t = {
   body : stmt list;
 }
 
-(** Total static shared memory of a kernel, bytes. *)
-val shared_bytes : t -> int
-
 (** {2 DSL constructors} — designed for local [Ir.(...)] opens; the
     arithmetic and comparison operators shadow the stdlib ones. *)
 
@@ -96,13 +93,10 @@ val ( *. ) : exp -> exp -> exp
 val fmad : exp -> exp -> exp -> exp
 val shared_addr : string -> exp -> exp
 val fmad_at : exp -> exp -> int -> exp -> exp
-val ld_shared_at : exp -> int -> exp
 val global_addr : string -> exp -> exp
 val ld_global_at : exp -> int -> exp
 val imad : exp -> exp -> exp -> exp
 val atomic_add : string -> exp -> exp -> stmt
-val atomic_min : string -> exp -> exp -> stmt
-val atomic_max : string -> exp -> exp -> stmt
 val ( < ) : exp -> exp -> cond
 val ( <= ) : exp -> exp -> cond
 val ( > ) : exp -> exp -> cond

@@ -247,8 +247,6 @@ let conflict_degree ?(width = word_size) ~banks addresses =
     ~group:(max 1 (Array.length addrs))
     addrs ~mask
 
-let transactions = conflict_degree
-
 let warp_transactions ?(width = word_size) ~banks ~group addresses =
   let addrs, mask = stage addresses in
   conflicts (scratch ()) ~width ~banks ~group addrs ~mask

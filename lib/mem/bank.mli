@@ -60,9 +60,6 @@ val ideal_atomic : group:int -> mask:int -> int
 (** {!conflicts} of one access group (the whole array). *)
 val conflict_degree : ?width:int -> banks:int -> int option array -> int
 
-(** Serialized transactions to serve one access group (= conflict degree). *)
-val transactions : ?width:int -> banks:int -> int option array -> int
-
 (** {!conflicts} of a warp access split into groups of [group] lanes
     (half-warps on real hardware). *)
 val warp_transactions :

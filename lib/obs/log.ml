@@ -26,20 +26,18 @@ let level_rank = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 
 type value = S of string | I of int | F of float | B of bool
 
-type sink = { oc : out_channel; m : Mutex.t; owned : bool }
+type sink = { oc : out_channel; m : Mutex.t }
 
 let open_file ?(append = true) path =
   let flags =
     if append then [ Open_wronly; Open_creat; Open_append ]
     else [ Open_wronly; Open_creat; Open_trunc ]
   in
-  { oc = open_out_gen flags 0o644 path; m = Mutex.create (); owned = true }
-
-let of_channel oc = { oc; m = Mutex.create (); owned = false }
+  { oc = open_out_gen flags 0o644 path; m = Mutex.create () }
 
 let close s =
   Mutex.lock s.m;
-  (if s.owned then close_out s.oc else flush s.oc);
+  close_out s.oc;
   Mutex.unlock s.m
 
 (* Global switchboard: a default sink (serve points it at the access

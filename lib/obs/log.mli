@@ -16,10 +16,6 @@ type sink
 (** Open (default: append to) a JSONL file.  Raises [Sys_error]. *)
 val open_file : ?append:bool -> string -> sink
 
-(** Wrap a channel the caller keeps ownership of ({!close} flushes but
-    does not close it). *)
-val of_channel : out_channel -> sink
-
 val close : sink -> unit
 
 (** The process-default sink used when {!event} gets no explicit one.

@@ -2,20 +2,17 @@
 
    Zero-cost when off: [with_] checks one atomic flag and tail-calls the
    body.  When on, a span records its wall time (microseconds since the
-   first-enabled epoch), caller attributes, free-form annotations added
-   from inside the span, and the delta of every registered counter across
-   its extent — so "calibrate" shows exactly how many microbenchmarks it
-   measured and whether the disk cache hit.
+   first-enabled epoch), caller attributes and the delta of every
+   registered counter across its extent — so "calibrate" shows exactly
+   how many microbenchmarks it measured and whether the disk cache hit.
 
-   Open spans nest per domain (a Domain.DLS stack); completed spans land
-   in one mutex-guarded list in completion order. *)
+   Completed spans land in one mutex-guarded list in completion order. *)
 
 type completed = {
   name : string;
   start_us : float;
   dur_us : float;
   attrs : (string * string) list;
-  annots : string list;
   deltas : (string * int) list; (* nonzero counter deltas *)
 }
 
@@ -27,17 +24,6 @@ let enabled () = Atomic.get enabled_flag
    relative to it, so trace-event ts values stay small. *)
 let epoch = lazy (Unix.gettimeofday ())
 let now_us () = (Unix.gettimeofday () -. Lazy.force epoch) *. 1e6
-
-type frame = {
-  f_name : string;
-  f_attrs : (string * string) list;
-  t0 : float;
-  c0 : (string * int) list;
-  mutable notes : string list; (* reversed *)
-}
-
-let stack : frame list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
 
 let completed_lock = Mutex.create ()
 let completed_spans : completed list ref = ref [] (* reversed *)
@@ -52,12 +38,6 @@ let clear () =
   Mutex.lock completed_lock;
   completed_spans := [];
   Mutex.unlock completed_lock
-
-let annot msg =
-  if Atomic.get enabled_flag then
-    match !(Domain.DLS.get stack) with
-    | [] -> ()
-    | f :: _ -> f.notes <- msg :: f.notes
 
 (* Merge two sorted (name, value) snapshots into nonzero deltas; counters
    registered mid-span count from zero. *)
@@ -91,28 +71,17 @@ let exn_attrs = function
 let with_ ?(attrs = []) name f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
-    let st = Domain.DLS.get stack in
-    let frame =
-      {
-        f_name = name;
-        f_attrs = attrs;
-        t0 = now_us ();
-        c0 = Metrics.snapshot_counters ();
-        notes = [];
-      }
-    in
-    st := frame :: !st;
+    let c0 = Metrics.snapshot_counters () in
+    let t0 = now_us () in
     let record extra_attrs =
-      (match !st with [] -> () | _ :: rest -> st := rest);
       let t1 = now_us () in
-      let deltas = diff_counters frame.c0 (Metrics.snapshot_counters ()) in
+      let deltas = diff_counters c0 (Metrics.snapshot_counters ()) in
       let c =
         {
-          name = frame.f_name;
-          start_us = frame.t0;
-          dur_us = t1 -. frame.t0;
-          attrs = frame.f_attrs @ extra_attrs;
-          annots = List.rev frame.notes;
+          name;
+          start_us = t0;
+          dur_us = t1 -. t0;
+          attrs = attrs @ extra_attrs;
           deltas;
         }
       in

@@ -2,9 +2,8 @@
 
     Disabled (the default), {!with_} is one atomic load and a tail call.
     Enabled, each span records wall time in microseconds since the
-    first-use epoch, the caller's attributes, annotations added from
-    inside the span, and the delta of every registered {!Metrics}
-    counter across its extent.  Spans nest per domain; completed spans
+    first-use epoch, the caller's attributes and the delta of every
+    registered {!Metrics} counter across its extent.  Completed spans
     accumulate in completion order. *)
 
 type completed = {
@@ -12,7 +11,6 @@ type completed = {
   start_us : float;  (** µs since the tracer's epoch *)
   dur_us : float;
   attrs : (string * string) list;
-  annots : string list;
   deltas : (string * int) list;  (** nonzero counter deltas *)
 }
 
@@ -29,10 +27,6 @@ val now_us : unit -> float
     carrying a {!Gpu_diag.Diag.t} payload gains [diag.severity] and
     [diag.stage] attributes, any other exception an [error] attribute). *)
 val with_ : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-
-(** Attach a note to the innermost open span of this domain (no-op when
-    tracing is off or no span is open). *)
-val annot : string -> unit
 
 (** The attributes {!with_} attaches to a span closed by this exception:
     [diag.severity]/[diag.stage] for {!Gpu_diag.Diag.Diag_error}, a

@@ -134,11 +134,6 @@ let emit_span b ~tid (s : Span.completed) =
   List.iter
     (fun (k, d) -> field ("Δ" ^ k) (string_of_int d))
     s.deltas;
-  if s.annots <> [] then
-    field "annots"
-      ("["
-      ^ String.concat "," (List.map Json_text.quoted s.annots)
-      ^ "]");
   Buffer.add_string b "}},"
 
 let buffer_json ?(scale = 1.0) ?(spans = []) ?(tracks = []) t =

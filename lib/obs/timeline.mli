@@ -53,7 +53,7 @@ val sum_dur : t -> cat:string -> int
 
 (** Trace-event JSON: [ph:"X"] complete events for slices (pid/tid
     tracks, ts sorted) and workflow spans (pid 0 tid 0, µs, with
-    attrs/counter deltas/annotations as args), [ph:"M"] metadata for
+    attrs/counter deltas as args), [ph:"M"] metadata for
     track names.  [tracks] are labelled sibling span tracks on pid 0
     (tids 1..) — [gpuperf trace-serve] exports each captured request's
     span tree as one.  [scale] multiplies slice ts/dur (default 1.0). *)

@@ -89,7 +89,7 @@ let record t ~depth span =
 
 let stage t ?(attrs = []) name ~start_us ~dur_us =
   record t ~depth:0
-    { Span.name; start_us; dur_us; attrs; annots = []; deltas = [] }
+    { Span.name; start_us; dur_us; attrs; deltas = [] }
 
 let span t ?(attrs = []) name f =
   Mutex.lock t.lock;
@@ -108,7 +108,6 @@ let span t ?(attrs = []) name f =
           start_us = t0;
           dur_us = t1 -. t0;
           attrs = attrs @ extra;
-          annots = [];
           deltas = [];
         } )
       :: t.recorded;

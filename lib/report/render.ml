@@ -7,28 +7,18 @@
 module Model = Gpu_model.Model
 module Component = Gpu_model.Component
 module Workflow = Gpu_model.Workflow
+module Whatif = Gpu_model.Whatif
 module Engine = Gpu_timing.Engine
 
 type format = Md | Html | Json
 
-let format_of_string = function
-  | "md" | "markdown" -> Some Md
-  | "html" -> Some Html
-  | "json" -> Some Json
-  | _ -> None
-
-type whatif_row = {
-  variant : string;
-  w_predicted_s : float;
-  speedup : float;
-  w_bottleneck : string;
-}
+let formats = [ ("md", Md); ("html", Html); ("json", Json) ]
 
 type inputs = {
   workload : string;
   report : Workflow.report;
   attribution : Attribution.t;
-  whatif : whatif_row list;
+  whatif : Whatif.outcome list;
   ledger : Ledger.record list;
   ledger_warnings : Gpu_diag.Diag.t list;
   regression : Gpu_diag.Diag.t option;
@@ -84,12 +74,6 @@ let sparkline values =
 
 (* --- document construction ----------------------------------------------- *)
 
-let component_label = function
-  | Component.Instruction_pipeline -> "instruction pipeline"
-  | Component.Shared_memory -> "shared memory"
-  | Component.Atomic -> "atomic serialization"
-  | Component.Global_memory -> "global memory"
-
 let count_header = function
   | Component.Instruction_pipeline -> "issued"
   | Component.Shared_memory | Component.Atomic -> "txns"
@@ -125,7 +109,7 @@ let summary_section inp =
            | Some e -> [ ("model error", signed_pct e) ]
            | None -> []);
            [
-             ("bottleneck", component_label a.Model.bottleneck);
+             ("bottleneck", Component.name a.Model.bottleneck);
              ( "occupancy",
                Printf.sprintf "%d blocks, %d warps/SM (limited by %s)"
                  occ.Gpu_hw.Occupancy.blocks
@@ -159,7 +143,7 @@ let breakdown_section inp =
              ( 3,
                Printf.sprintf "Stage %d — bottleneck: %s (%d warps/SM)"
                  st.Model.index
-                 (component_label st.Model.bottleneck)
+                 (Component.name st.Model.bottleneck)
                  st.Model.active_warps );
            Bars
              (List.map
@@ -196,7 +180,7 @@ let hotspot_tables inp =
                 (Heading
                    ( 3,
                      Printf.sprintf "Stage %d · %s — %s"
-                       st.Attribution.index (component_label c) (us total)
+                       st.Attribution.index (Component.name c) (us total)
                    ));
               let shown, folded = Attribution.top inp.top rows in
               let table_rows =
@@ -263,8 +247,8 @@ let efficiency_section inp =
 let whatif_section inp =
   match inp.whatif with
   | [] -> []
-  | rows ->
-    let base = inp.report.Workflow.analysis.Model.predicted_seconds in
+  | outcomes ->
+    let a = inp.report.Workflow.analysis in
     [
       Heading (2, "What-if: architectural variants");
       Table
@@ -272,17 +256,18 @@ let whatif_section inp =
           headers = [ "variant"; "predicted"; "speedup"; "bottleneck" ];
           aligns = [ L; R; R; L ];
           rows =
-            [ "baseline"; ms base; "1.00x";
-              component_label inp.report.Workflow.analysis.Model.bottleneck ]
+            [ "baseline"; ms a.Model.predicted_seconds; "1.00x";
+              Component.name a.Model.bottleneck ]
             :: List.map
-                 (fun w ->
+                 (fun (o : Whatif.outcome) ->
+                   let a = o.report.Workflow.analysis in
                    [
-                     w.variant;
-                     ms w.w_predicted_s;
-                     Printf.sprintf "%.2fx" w.speedup;
-                     w.w_bottleneck;
+                     o.device;
+                     ms a.Model.predicted_seconds;
+                     Printf.sprintf "%.2fx" o.speedup;
+                     Component.name a.Model.bottleneck;
                    ])
-                 rows;
+                 outcomes;
         };
     ]
 
@@ -618,6 +603,10 @@ let diag_json (d : Gpu_diag.Diag.t) =
 
 let jint i = Jsonx.Num (float_of_int i)
 
+let confidence_name = function
+  | Model.Calibrated -> "calibrated"
+  | Model.Degraded -> "degraded"
+
 let times_json (t : Component.times) =
   Jsonx.Obj
     [
@@ -642,12 +631,8 @@ let report_json ~workload (r : Workflow.report) =
            ("predicted_s", Jsonx.Num a.Model.predicted_seconds);
            ("no_overlap_s", Jsonx.Num a.Model.no_overlap_seconds);
            ("predicted_gflops", Jsonx.Num a.Model.predicted_gflops);
-           ("bottleneck", Jsonx.Str (component_label a.Model.bottleneck));
-           ( "confidence",
-             Jsonx.Str
-               (match a.Model.confidence with
-               | Model.Calibrated -> "calibrated"
-               | Model.Degraded -> "degraded") );
+           ("bottleneck", Jsonx.Str (Component.name a.Model.bottleneck));
+           ("confidence", Jsonx.Str (confidence_name a.Model.confidence));
            ( "occupancy",
              Jsonx.Obj
                [
@@ -671,7 +656,7 @@ let report_json ~workload (r : Workflow.report) =
                       [
                         ("index", jint st.Model.index);
                         ( "bottleneck",
-                          Jsonx.Str (component_label st.Model.bottleneck) );
+                          Jsonx.Str (Component.name st.Model.bottleneck) );
                         ("active_warps", jint st.Model.active_warps);
                         ("times", times_json st.Model.times);
                       ])
@@ -707,7 +692,7 @@ let attribution_json top (att : Attribution.t) =
                          [
                            [
                              ("stage", jint st.Attribution.index);
-                             ("component", Jsonx.Str (component_label c));
+                             ("component", Jsonx.Str (Component.name c));
                              ( "rows",
                                Jsonx.List
                                  (List.map
@@ -755,20 +740,22 @@ let json_of_inputs inp =
           [ ("hotspots", attribution_json inp.top inp.attribution) ];
           (match inp.whatif with
           | [] -> []
-          | rows ->
+          | outcomes ->
             [
               ( "whatif",
                 Jsonx.List
                   (List.map
-                     (fun w ->
+                     (fun (o : Whatif.outcome) ->
+                       let a = o.report.Workflow.analysis in
                        Jsonx.Obj
                          [
-                           ("variant", Jsonx.Str w.variant);
-                           ("predicted_s", Jsonx.Num w.w_predicted_s);
-                           ("speedup", Jsonx.Num w.speedup);
-                           ("bottleneck", Jsonx.Str w.w_bottleneck);
+                           ("variant", Jsonx.Str o.device);
+                           ("predicted_s", Jsonx.Num a.Model.predicted_seconds);
+                           ("speedup", Jsonx.Num o.speedup);
+                           ( "bottleneck",
+                             Jsonx.Str (Component.name a.Model.bottleneck) );
                          ])
-                     rows) );
+                     outcomes) );
             ]);
           (match inp.ledger with
           | [] -> []
@@ -805,81 +792,28 @@ let render fmt inp =
    block-document machinery, so Md/Html/Json cannot drift section-wise
    and identical inputs give byte-identical documents. *)
 
-type sweep_row = {
-  device : string;
-  device_desc : string;
-  d_predicted_s : float;
-  d_speedup : float;
-  d_bottleneck : string;
-  d_shifted : bool;
-  d_gflops : float;
-  d_confidence : string;
-  d_times : Component.times;
-  d_stage_bottlenecks : string list;
-}
+let stage_bottlenecks (a : Model.t) =
+  List.map
+    (fun (st : Model.stage_analysis) ->
+      Component.short_name st.Model.bottleneck)
+    a.Model.stages
 
-let confidence_name = function
-  | Model.Calibrated -> "calibrated"
-  | Model.Degraded -> "degraded"
-
-let sum_stage_times (stages : Model.stage_analysis list) =
-  List.fold_left
-    (fun (acc : Component.times) (st : Model.stage_analysis) ->
-      let t = st.Model.times in
-      {
-        Component.instruction =
-          acc.Component.instruction +. t.Component.instruction;
-        shared = acc.Component.shared +. t.Component.shared;
-        atomic = acc.Component.atomic +. t.Component.atomic;
-        global = acc.Component.global +. t.Component.global;
-      })
-    { Component.instruction = 0.0; shared = 0.0; atomic = 0.0; global = 0.0 }
-    stages
-
-let sweep_row ~device ~(baseline : Workflow.report) (r : Workflow.report) =
-  let a = r.Workflow.analysis in
-  let b = baseline.Workflow.analysis in
-  {
-    device;
-    device_desc = a.Model.spec.Gpu_hw.Spec.name;
-    d_predicted_s = a.Model.predicted_seconds;
-    d_speedup =
-      (if a.Model.predicted_seconds > 0.0 then
-         b.Model.predicted_seconds /. a.Model.predicted_seconds
-       else Float.infinity);
-    d_bottleneck = component_label a.Model.bottleneck;
-    d_shifted = a.Model.bottleneck <> b.Model.bottleneck;
-    d_gflops = a.Model.predicted_gflops;
-    d_confidence = confidence_name a.Model.confidence;
-    d_times = sum_stage_times a.Model.stages;
-    d_stage_bottlenecks =
-      List.map
-        (fun (st : Model.stage_analysis) ->
-          Component.short_name st.Model.bottleneck)
-        a.Model.stages;
-  }
-
-type sweep_inputs = {
-  sweep_workload : string;
-  sweep_rows : sweep_row list;
-}
-
-let sweep_document inp =
-  let shifts = List.filter (fun r -> r.d_shifted) inp.sweep_rows in
+let sweep_document workload (outcomes : Whatif.outcome list) =
+  let shifts = List.filter (fun (o : Whatif.outcome) -> o.shifted) outcomes in
   [
-    Heading
-      (1, Printf.sprintf "gpuperf device sweep — %s" inp.sweep_workload);
+    Heading (1, Printf.sprintf "gpuperf device sweep — %s" workload);
     Para
       (Printf.sprintf
          "One workload, %d device profiles.  Speedups are relative to the \
           baseline prediction; the shift column marks devices whose \
           bottleneck class differs from the baseline's.  %s"
-         (List.length inp.sweep_rows)
+         (List.length outcomes)
          (match shifts with
          | [] -> "No device shifts the bottleneck."
          | l ->
            Printf.sprintf "Bottleneck shifts on: %s."
-             (String.concat ", " (List.map (fun r -> r.device) l))));
+             (String.concat ", "
+                (List.map (fun (o : Whatif.outcome) -> o.device) l))));
     Table
       {
         headers =
@@ -888,18 +822,19 @@ let sweep_document inp =
         aligns = [ L; L; R; R; L; L; R; L ];
         rows =
           List.map
-            (fun r ->
+            (fun (o : Whatif.outcome) ->
+              let a = o.report.Workflow.analysis in
               [
-                r.device;
-                r.device_desc;
-                ms r.d_predicted_s;
-                Printf.sprintf "%.2fx" r.d_speedup;
-                r.d_bottleneck;
-                (if r.d_shifted then "yes" else "");
-                Printf.sprintf "%.1f" r.d_gflops;
-                r.d_confidence;
+                o.device;
+                a.Model.spec.Gpu_hw.Spec.name;
+                ms a.Model.predicted_seconds;
+                Printf.sprintf "%.2fx" o.speedup;
+                Component.name a.Model.bottleneck;
+                (if o.shifted then "yes" else "");
+                Printf.sprintf "%.1f" a.Model.predicted_gflops;
+                confidence_name a.Model.confidence;
               ])
-            inp.sweep_rows;
+            outcomes;
       };
     Heading (2, "Per-component time totals");
     Para
@@ -913,54 +848,58 @@ let sweep_document inp =
         aligns = [ L; R; R; R; R; L ];
         rows =
           List.map
-            (fun r ->
+            (fun (o : Whatif.outcome) ->
+              let a = o.report.Workflow.analysis in
+              let t = a.Model.totals in
               [
-                r.device;
-                us r.d_times.Component.instruction;
-                us r.d_times.Component.shared;
-                us r.d_times.Component.atomic;
-                us r.d_times.Component.global;
-                String.concat " → " r.d_stage_bottlenecks;
+                o.device;
+                us t.Component.instruction;
+                us t.Component.shared;
+                us t.Component.atomic;
+                us t.Component.global;
+                String.concat " → " (stage_bottlenecks a);
               ])
-            inp.sweep_rows;
+            outcomes;
       };
   ]
 
-let sweep_json inp =
+let sweep_json workload (outcomes : Whatif.outcome list) =
   Jsonx.Obj
     [
-      ("workload", Jsonx.Str inp.sweep_workload);
+      ("workload", Jsonx.Str workload);
       ( "devices",
         Jsonx.List
           (List.map
-             (fun r ->
+             (fun (o : Whatif.outcome) ->
+               let a = o.report.Workflow.analysis in
                Jsonx.Obj
                  [
-                   ("device", Jsonx.Str r.device);
-                   ("spec", Jsonx.Str r.device_desc);
-                   ("predicted_s", Jsonx.Num r.d_predicted_s);
-                   ("speedup", Jsonx.Num r.d_speedup);
-                   ("bottleneck", Jsonx.Str r.d_bottleneck);
-                   ("bottleneck_shifted", Jsonx.Bool r.d_shifted);
-                   ("predicted_gflops", Jsonx.Num r.d_gflops);
-                   ("confidence", Jsonx.Str r.d_confidence);
-                   ("times", times_json r.d_times);
+                   ("device", Jsonx.Str o.device);
+                   ("spec", Jsonx.Str a.Model.spec.Gpu_hw.Spec.name);
+                   ("predicted_s", Jsonx.Num a.Model.predicted_seconds);
+                   ("speedup", Jsonx.Num o.speedup);
+                   ( "bottleneck",
+                     Jsonx.Str (Component.name a.Model.bottleneck) );
+                   ("bottleneck_shifted", Jsonx.Bool o.shifted);
+                   ("predicted_gflops", Jsonx.Num a.Model.predicted_gflops);
+                   ( "confidence",
+                     Jsonx.Str (confidence_name a.Model.confidence) );
+                   ("times", times_json a.Model.totals);
                    ( "stage_bottlenecks",
                      Jsonx.List
                        (List.map
                           (fun s -> Jsonx.Str s)
-                          r.d_stage_bottlenecks) );
+                          (stage_bottlenecks a)) );
                  ])
-             inp.sweep_rows) );
+             outcomes) );
     ]
 
-let render_sweep fmt inp =
-  let blocks = sweep_document inp in
+let render_sweep fmt ~workload outcomes =
+  let blocks = sweep_document workload outcomes in
   match fmt with
   | Md -> to_markdown blocks
   | Html ->
     to_html
-      ~title:
-        (Printf.sprintf "gpuperf device sweep — %s" inp.sweep_workload)
+      ~title:(Printf.sprintf "gpuperf device sweep — %s" workload)
       blocks
-  | Json -> Jsonx.encode (sweep_json inp) ^ "\n"
+  | Json -> Jsonx.encode (sweep_json workload outcomes) ^ "\n"

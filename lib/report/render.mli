@@ -10,7 +10,9 @@
 
 type format = Md | Html | Json
 
-val format_of_string : string -> format option
+(** Every format with its name: the one table behind the CLI's
+    [--format] values and the serve wire's ["format"] field. *)
+val formats : (string * format) list
 
 (** {2 Block documents}
 
@@ -43,19 +45,12 @@ val to_html : title:string -> block list -> string
 (** Eight-level unicode sparkline. *)
 val sparkline : float list -> string
 
-(** One architectural what-if outcome, pre-computed by the caller. *)
-type whatif_row = {
-  variant : string;
-  w_predicted_s : float;
-  speedup : float;  (** baseline predicted / variant predicted *)
-  w_bottleneck : string;
-}
-
 type inputs = {
   workload : string;
   report : Gpu_model.Workflow.report;
   attribution : Attribution.t;
-  whatif : whatif_row list;  (** empty section when [] *)
+  whatif : Gpu_model.Whatif.outcome list;
+      (** devices compared with [report]; empty section when [] *)
   ledger : Ledger.record list;
       (** chronological, the current run last; empty = no accuracy
           section body *)
@@ -91,31 +86,8 @@ val json_of_inputs : inputs -> Jsonx.t
     and renders the comparison; like {!render}, the document is a pure
     function of its inputs. *)
 
-type sweep_row = {
-  device : string;  (** fleet key, e.g. ["volta-like"] *)
-  device_desc : string;  (** the spec's display name *)
-  d_predicted_s : float;
-  d_speedup : float;  (** baseline predicted / device predicted *)
-  d_bottleneck : string;
-  d_shifted : bool;  (** bottleneck class differs from the baseline's *)
-  d_gflops : float;
-  d_confidence : string;
-  d_times : Gpu_model.Component.times;
-      (** unoverlapped per-component totals, summed over stages *)
-  d_stage_bottlenecks : string list;  (** short names, stage order *)
-}
-
-(** Build one comparison row from a device's report; [baseline] supplies
-    the reference prediction and bottleneck class. *)
-val sweep_row :
-  device:string ->
-  baseline:Gpu_model.Workflow.report ->
-  Gpu_model.Workflow.report ->
-  sweep_row
-
-type sweep_inputs = {
-  sweep_workload : string;
-  sweep_rows : sweep_row list;  (** baseline first *)
-}
-
-val render_sweep : format -> sweep_inputs -> string
+(** [render_sweep fmt ~workload outcomes]: one row per device, in
+    [outcomes] order (the baseline first), with its prediction, speedup,
+    bottleneck shift and per-component totals. *)
+val render_sweep :
+  format -> workload:string -> Gpu_model.Whatif.outcome list -> string

@@ -12,15 +12,12 @@ let endpoint_name = function
   | Tcp (host, port) -> Printf.sprintf "%s:%d" host port
   | Unix_socket path -> path
 
-type format = Json | Md | Html
+type format = Gpu_report.Render.format = Md | Html | Json
 
-let format_name = function Json -> "json" | Md -> "md" | Html -> "html"
+let format_name f =
+  fst (List.find (fun (_, g) -> g = f) Gpu_report.Render.formats)
 
-let format_of_name = function
-  | "json" -> Some Json
-  | "md" -> Some Md
-  | "html" -> Some Html
-  | _ -> None
+let format_of_name name = List.assoc_opt name Gpu_report.Render.formats
 
 include Registry.Params
 

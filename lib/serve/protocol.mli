@@ -23,8 +23,9 @@ type endpoint =
 
 val endpoint_name : endpoint -> string
 
-(** Rendering of a successful analysis in the response body. *)
-type format = Json | Md | Html
+(** Rendering of a successful analysis in the response body, named as
+    in {!Gpu_report.Render.formats}. *)
+type format = Gpu_report.Render.format = Md | Html | Json
 
 val format_name : format -> string
 

@@ -337,10 +337,7 @@ let replay_sample_under_pressure (infl : inflight) ~now =
   in
   Budget.replay_sample_fraction ~measure:infl.req.P.measure ~remaining_ms
   |> Option.map (fun f ->
-         {
-           Gpu_timing.Engine.target = Gpu_timing.Engine.Fraction f;
-           seed = Hashtbl.hash infl.req.P.id;
-         })
+         { Gpu_timing.Engine.fraction = f; seed = Hashtbl.hash infl.req.P.id })
 
 let render_success t (req : P.request) (report : Gpu_model.Workflow.report) =
   let workload = Registry.name req.P.params in
@@ -372,12 +369,7 @@ let render_success t (req : P.request) (report : Gpu_model.Workflow.report) =
           top = 5;
         }
       in
-      let rf =
-        match f with
-        | P.Md -> Gpu_report.Render.Md
-        | _ -> Gpu_report.Render.Html
-      in
-      (None, Some (Gpu_report.Render.render rf inputs))
+      (None, Some (Gpu_report.Render.render f inputs))
   in
   let diags =
     report.Gpu_model.Workflow.analysis.Gpu_model.Model.warnings

@@ -56,12 +56,6 @@ let finish b = Array.sub b.buf 0 b.count
 let event_count (t : block_trace) =
   Array.fold_left (fun acc w -> acc + Array.length w) 0 t.warps
 
-(* Gmem transaction bytes of one event. *)
-let mem_bytes = function
-  | No_mem | Smem _ | Smem_atomic _ -> 0
-  | Gmem_load txns | Gmem_store txns ->
-    Array.fold_left (fun acc (_, size) -> acc + size) 0 txns
-
 (* --- interning key ------------------------------------------------------- *)
 
 (* [Hashtbl.hash] visits at most 100 values breadth-first, so for a trace

@@ -38,9 +38,6 @@ val finish : builder -> warp_trace
 
 val event_count : block_trace -> int
 
-(** Global-memory transaction bytes of one event (0 for non-gmem). *)
-val mem_bytes : mem -> int
-
 (** A content key for interning warp traces by physical identity: mixes
     the trace length with at most 16 evenly spaced events' destination,
     sources and memory shape.  Equal arrays get equal keys; its cost does

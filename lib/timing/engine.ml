@@ -102,9 +102,7 @@ type result = {
       (* present iff the replay ran on a sampled cluster subset *)
 }
 
-type sample_target = Fraction of float | Max_blocks of int
-
-type sample = { target : sample_target; seed : int }
+type sample = { fraction : float; seed : int }
 
 let reg_slots = 140 (* 128 general registers + mapped predicates *)
 
@@ -1538,17 +1536,9 @@ let run ?(homogeneous = false) ?timeline ?sample ~(spec : Gpu_hw.Spec.t)
     match sample with
     | Some s when (not homogeneous) && nonempty > 1 ->
       let k =
-        match s.target with
-        | Fraction f ->
-          let k =
-            int_of_float (ceil (f *. float_of_int nonempty))
-          in
-          max 1 (min nonempty k)
-        | Max_blocks m ->
-          let per_cluster =
-            max 1 ((Array.length blocks + nonempty - 1) / nonempty)
-          in
-          max 1 (min nonempty (m / per_cluster))
+        max 1
+          (min nonempty
+             (int_of_float (ceil (s.fraction *. float_of_int nonempty))))
       in
       if k >= nonempty then (selected, None)
       else

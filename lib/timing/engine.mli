@@ -69,17 +69,17 @@ type result = {
           headline [cycles] then equals [sampled.cycles_low] *)
 }
 
-(** What a sampled replay simulates: a fraction of the non-empty clusters
-    (rounded up, clamped to [1, all]), or as many whole clusters as fit
-    [Max_blocks] grid blocks. *)
-type sample_target = Fraction of float | Max_blocks of int
-
 (** The seeded cluster subset request: same seed, same subset, on every
     platform.  Applies only to the heterogeneous path ([homogeneous]
     already simulates a single representative cluster) and only when it
     actually shrinks the cluster set; otherwise {!result.sampled} is
     [None] and the replay is exact. *)
-type sample = { target : sample_target; seed : int }
+type sample = {
+  fraction : float;
+      (** of the non-empty clusters to simulate (rounded up, clamped to
+          [1, all]) *)
+  seed : int;
+}
 
 (** [run ~spec ~max_resident_blocks blocks] replays the whole grid's
     traces ([blocks.(b)] is block b).  With [homogeneous:true] only the

@@ -12,12 +12,17 @@ payload, and asserts the cross-device physics the fleet exists to show:
   volta/ampere-like profiles) — at least two distinct bottleneck
   classes across the fleet, at least one row flagged shifted;
 - histogram stays atomic-bound on every device (contention scales with
-  the machine, so no shift) and nothing is flagged shifted.
+  the machine, so no shift) and nothing is flagged shifted;
+- `gpuperf whatif` and the what-if section of `gpuperf report --format
+  json` tell the same device comparison as the sweep: for each workload,
+  every device's speedup (at the two decimals `whatif` prints) and
+  bottleneck agree with its sweep row.
 
 Usage: sweep_smoke.py path/to/gpuperf.exe
 """
 
 import json
+import re
 import subprocess
 import sys
 
@@ -42,10 +47,59 @@ def check(cond, msg):
         print(f"  FAIL: {msg}")
 
 
+def run(exe, *args):
+    out = subprocess.run([exe, *args], check=True, capture_output=True,
+                         text=True)
+    return out.stdout
+
+
 def sweep(exe, workload, extra=()):
-    cmd = [exe, "sweep-devices", workload, "--format", "json", *extra]
-    out = subprocess.run(cmd, check=True, capture_output=True, text=True)
-    return json.loads(out.stdout)
+    return json.loads(run(exe, "sweep-devices", workload, "--format", "json",
+                          *extra))
+
+
+# One `gpuperf whatif` line: spec name, prediction, bottleneck and, past
+# the baseline line, the speedup.
+WHATIF_LINE = re.compile(
+    r"^(?P<spec>.+?) +(?P<ms>\S+) ms  (?P<bottleneck>.+?)"
+    r"(?: \((?P<speedup>\S+)x\))?$")
+
+
+def check_comparisons_agree(exe, workload, extra, rows):
+    """`whatif` over every variant and `report`'s what-if rows against the
+    sweep rows of the same workload."""
+    variants = [r["device"] for r in rows[1:]]
+    args = [a for v in variants for a in ("--variant", v)]
+    lines = run(exe, "whatif", workload, *extra, *args).splitlines()
+    check(len(lines) == len(rows),
+          f"whatif {workload}: one line per device ({len(lines)})")
+    for i, (line, r) in enumerate(zip(lines, rows)):
+        d = r["device"]
+        m = WHATIF_LINE.match(line)
+        check(m is not None, f"whatif {workload} {d}: line parses: {line!r}")
+        if m is None:
+            continue
+        check(m["spec"] == r["spec"], f"whatif {workload} {d}: spec name")
+        check(m["bottleneck"] == r["bottleneck"],
+              f"whatif {workload} {d}: bottleneck {m['bottleneck']!r}")
+        want = None if i == 0 else f"{r['speedup']:.2f}"
+        check(m["speedup"] == want,
+              f"whatif {workload} {d}: speedup {m['speedup']} (sweep {want})")
+
+    report = json.loads(run(exe, "report", workload, *extra, "--format",
+                            "json", "--no-ledger"))
+    check(report.get("bottleneck") == rows[0]["bottleneck"],
+          f"report {workload}: baseline bottleneck")
+    whatif = report.get("whatif", [])
+    check([w.get("variant") for w in whatif] == variants,
+          f"report {workload}: one what-if row per variant")
+    for w, r in zip(whatif, rows[1:]):
+        d = r["device"]
+        check(w.get("speedup") == r["speedup"],
+              f"report {workload} {d}: speedup {w.get('speedup')} "
+              f"(sweep {r['speedup']})")
+        check(w.get("bottleneck") == r["bottleneck"],
+              f"report {workload} {d}: bottleneck")
 
 
 def validate_schema(payload, workload):
@@ -92,6 +146,7 @@ def main():
 
     print("== matmul: bottleneck must shift across generations ==")
     rows = validate_schema(sweep(exe, "matmul", ("--tile", "16")), "matmul")
+    matmul_rows = rows
     classes = {r["bottleneck"] for r in rows}
     check(len(classes) >= 2,
           f"fleet spans >=2 bottleneck classes (got {sorted(classes)})")
@@ -109,6 +164,10 @@ def main():
           "every device is atomic-serialization-bound")
     check(not any(r["bottleneck_shifted"] for r in rows),
           "no device is flagged shifted")
+
+    print("== whatif and report agree with the sweep ==")
+    check_comparisons_agree(exe, "matmul", ("--tile", "16"), matmul_rows)
+    check_comparisons_agree(exe, "histogram", (), rows)
 
     if fail_count:
         sys.exit(f"sweep smoke: {fail_count} check(s) failed")

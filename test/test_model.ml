@@ -6,6 +6,7 @@ module Ir = Gpu_kernel.Ir
 module Model = Gpu_model.Model
 module Component = Gpu_model.Component
 module Workflow = Gpu_model.Workflow
+module Whatif = Gpu_model.Whatif
 module Stats = Gpu_sim.Stats
 
 let (_ : string) = Private_cache.use "model"
@@ -498,37 +499,91 @@ let test_workflow_spans_and_timeline () =
 
 (* --- What-if engine ------------------------------------------------------ *)
 
+(* 32 stride-16 shared loads: 16-way conflicts on 16 banks, none on 17. *)
+let stride16 =
+  {
+    Ir.name = "stride16";
+    params = [ "y" ];
+    shared = [ ("buf", 2048) ];
+    body =
+      [ Ir.Let ("p", Ir.(Tid * i 16)); Ir.Local ("a", Ir.Float 0.0) ]
+      @ List.init 32 (fun _ ->
+            Ir.Assign ("a", Ir.(v "a" +. Ld_shared ("buf", v "p"))))
+      @ [ Ir.St_global ("y", Ir.Tid, Ir.v "a") ];
+  }
+
+let banks17 = ("banks17", Gpu_hw.Spec.with_banks 17 spec)
+
+let analyze_stride16 ~y spec =
+  Workflow.analyze ~spec ~sample:2 ~grid:120 ~block:128 ~args:[ ("y", y) ]
+    stride16
+
 let test_whatif_prime_banks () =
-  (* stride-16 conflicts vanish with 17 banks *)
-  let k =
-    {
-      Ir.name = "stride16";
-      params = [ "y" ];
-      shared = [ ("buf", 2048) ];
-      body =
-        [
-          Ir.Let ("p", Ir.(Tid * i 16));
-          Ir.Local ("a", Ir.Float 0.0);
-        ]
-        @ List.init 32 (fun _ ->
-              Ir.Assign ("a", Ir.(v "a" +. Ld_shared ("buf", v "p"))))
-        @ [ Ir.St_global ("y", Ir.Tid, Ir.v "a") ];
-    }
+  match
+    Whatif.run
+      (analyze_stride16 ~y:(Gpu_sim.Memory.zeros (120 * 128)))
+      [ ("baseline", spec); banks17 ]
+  with
+  | [ baseline; prime ] ->
+    Alcotest.(check bool) "baseline suffers conflicts" true
+      (baseline.Whatif.report.Workflow.analysis.Model
+         .bank_conflict_penalty > 4.0);
+    Alcotest.(check (float 0.01)) "prime banks remove conflicts" 1.0
+      prime.Whatif.report.Workflow.analysis.Model
+        .bank_conflict_penalty;
+    Alcotest.(check bool) "and the prediction improves" true
+      (prime.Whatif.speedup > 1.5)
+  | l -> Alcotest.failf "expected 2 outcomes, got %d" (List.length l)
+
+(* Both devices analyse one set of argument buffers, which must still hold
+   their inputs afterwards; each outcome compares with the baseline by
+   the one rule, whether the baseline is the first device or given. *)
+let test_whatif_shared_buffers () =
+  let y = Gpu_sim.Memory.init (120 * 128) (fun i -> i + 1) in
+  let input = Gpu_sim.Memory.to_int32s y in
+  let analyze = analyze_stride16 ~y in
+  let predicted (r : Workflow.report) =
+    r.Workflow.analysis.Model.predicted_seconds
   in
-  let args () = [ ("y", Gpu_sim.Memory.zeros (120 * 128)) ] in
-  let baseline, outcomes =
-    Gpu_model.Whatif.run ~base:spec
-      ~variants:[ Gpu_hw.Spec.with_banks 17 spec ]
-      ~sample:2 ~grid:120 ~block:128 ~args:(args ()) k
+  let bottleneck (r : Workflow.report) = r.Workflow.analysis.Model.bottleneck in
+  let check_against (b : Workflow.report) (o : Whatif.outcome) =
+    let d = o.Whatif.device in
+    Alcotest.(check (float 0.0))
+      (d ^ ": speedup = baseline / prediction")
+      (predicted b /. predicted o.Whatif.report)
+      o.Whatif.speedup;
+    Alcotest.(check bool)
+      (d ^ ": shifted = bottlenecks differ")
+      (bottleneck b <> bottleneck o.Whatif.report)
+      o.Whatif.shifted
   in
-  let prime = List.hd outcomes in
-  Alcotest.(check bool) "baseline suffers conflicts" true
-    (baseline.Workflow.analysis.Model.bank_conflict_penalty > 4.0);
-  Alcotest.(check (float 0.01)) "prime banks remove conflicts" 1.0
-    prime.Gpu_model.Whatif.report.Workflow.analysis.Model
-      .bank_conflict_penalty;
-  Alcotest.(check bool) "and the prediction improves" true
-    (prime.Gpu_model.Whatif.speedup > 1.5)
+  let outcomes = Whatif.run analyze [ ("baseline", spec); banks17 ] in
+  Alcotest.(check (list string)) "one outcome per device, in order"
+    [ "baseline"; "banks17" ]
+    (List.map (fun (o : Whatif.outcome) -> o.device) outcomes);
+  let first = (List.hd outcomes).Whatif.report in
+  List.iter (check_against first) outcomes;
+  Alcotest.(check (float 0.0)) "the baseline's own speedup" 1.0
+    (List.hd outcomes).Whatif.speedup;
+  Alcotest.(check bool) "prime banks shift the bottleneck" true
+    (List.nth outcomes 1).Whatif.shifted;
+  let prime = (List.nth outcomes 1).Whatif.report in
+  let against_prime =
+    Whatif.run ~baseline:prime analyze [ ("baseline", spec) ]
+  in
+  List.iter (check_against prime) against_prime;
+  Alcotest.(check bool) "slower than the given baseline" true
+    ((List.hd against_prime).Whatif.speedup < 1.0);
+  Alcotest.(check bool) "argument buffer keeps its input" true
+    (Gpu_sim.Memory.to_int32s y = input);
+  (* a zero prediction is unboundedly faster, not undefined *)
+  let zero spec =
+    let r = analyze spec in
+    { r with analysis = { r.Workflow.analysis with predicted_seconds = 0.0 } }
+  in
+  Alcotest.(check (float 0.0)) "zero prediction" Float.infinity
+    (List.hd (Whatif.run ~baseline:first zero [ banks17 ]))
+      .Whatif.speedup
 
 let () =
   Alcotest.run "model"
@@ -576,6 +631,10 @@ let () =
             test_workflow_spans_and_timeline;
         ] );
       ( "what-if",
-        [ Alcotest.test_case "prime banks" `Quick test_whatif_prime_banks ]
+        [
+          Alcotest.test_case "prime banks" `Quick test_whatif_prime_banks;
+          Alcotest.test_case "shared buffers and baselines" `Quick
+            test_whatif_shared_buffers;
+        ]
       );
     ]

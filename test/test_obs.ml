@@ -62,9 +62,7 @@ let test_span_disabled () =
   Span.set_enabled false;
   Span.clear ();
   Alcotest.(check int) "disabled records nothing" 0
-    (Span.with_ "off" (fun () ->
-         Span.annot "ignored";
-         List.length (Span.completed ())))
+    (Span.with_ "off" (fun () -> List.length (Span.completed ())))
 
 let test_span_records () =
   Metrics.reset ();
@@ -77,7 +75,6 @@ let test_span_records () =
       let v =
         Span.with_ ~attrs:[ ("k", "v") ] "outer" (fun () ->
             Span.with_ "inner" (fun () -> Metrics.add c 7);
-            Span.annot "note";
             3)
       in
       Alcotest.(check int) "with_ is transparent" 3 v;
@@ -88,7 +85,6 @@ let test_span_records () =
         Alcotest.(check string) "outer name" "outer" outer.Span.name;
         Alcotest.(check (list (pair string string))) "attrs kept"
           [ ("k", "v") ] outer.Span.attrs;
-        Alcotest.(check (list string)) "annotation" [ "note" ] outer.Span.annots;
         Alcotest.(check (list (pair string int))) "counter delta"
           [ ("test.obs.spandelta", 7) ]
           (List.filter
@@ -199,7 +195,6 @@ let test_json_export () =
         start_us = 1.0;
         dur_us = 2.0;
         attrs = [ ("kernel", "k") ];
-        annots = [];
         deltas = [ ("engine.runs", 1) ];
       };
     ]
@@ -467,7 +462,7 @@ let test_trace_ctx_exn () =
 let test_timeline_tracks () =
   let tl = Timeline.create ~capacity:4 () in
   let span name start_us dur_us =
-    { Span.name; start_us; dur_us; attrs = []; annots = []; deltas = [] }
+    { Span.name; start_us; dur_us; attrs = []; deltas = [] }
   in
   let json =
     Timeline.to_json

@@ -501,10 +501,19 @@ let render_inputs () =
     whatif =
       [
         {
-          Render.variant = "banks17";
-          w_predicted_s = 9.5e-5;
+          Gpu_model.Whatif.device = "banks17";
+          report =
+            {
+              r with
+              analysis =
+                {
+                  r.Workflow.analysis with
+                  Model.predicted_seconds = 9.5e-5;
+                  bottleneck = Gpu_model.Component.Shared_memory;
+                };
+            };
           speedup = 1.05;
-          w_bottleneck = "shared memory";
+          shifted = true;
         };
       ];
     ledger = fixed_ledger;
@@ -536,6 +545,28 @@ let test_golden_md () =
        the golden file if the change is intended)"
       golden_path actual
   end
+
+(* [gpuperf whatif] prints the device comparison itself; its stdout is
+   pinned against a capture, through the private cache. *)
+let test_whatif_cli_golden () =
+  let gpuperf =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat ".." (Filename.concat "bin" "gpuperf.exe"))
+  in
+  let out = Filename.temp_file "whatif_golden" ".actual.txt" in
+  let code =
+    Sys.command
+      (Printf.sprintf
+         "%s whatif histogram --variant banks17 --variant volta-like \
+          >%s 2>/dev/null"
+         gpuperf (Filename.quote out))
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  if read_file out <> read_file "whatif_golden.txt" then
+    Alcotest.failf "gpuperf whatif stdout differs from whatif_golden.txt \
+                    (actual in %s)" out;
+  Sys.remove out
 
 let count_sub s sub =
   let n = String.length sub and l = String.length s in
@@ -579,14 +610,12 @@ let test_md_has_required_sections () =
       "## Accuracy ledger"; "model accuracy regressed";
     ]
 
-let test_format_of_string () =
-  Alcotest.(check bool) "md" true
-    (Render.format_of_string "md" = Some Render.Md);
-  Alcotest.(check bool) "html" true
-    (Render.format_of_string "html" = Some Render.Html);
-  Alcotest.(check bool) "json" true
-    (Render.format_of_string "json" = Some Render.Json);
-  Alcotest.(check bool) "unknown" true (Render.format_of_string "pdf" = None)
+(* The one name table the CLI's --format and the wire's "format" read. *)
+let test_format_names () =
+  Alcotest.(check (list string)) "names" [ "md"; "html"; "json" ]
+    (List.map fst Render.formats);
+  Alcotest.(check bool) "each format once" true
+    (List.map snd Render.formats = [ Render.Md; Render.Html; Render.Json ])
 
 let test_json_render () =
   let doc = Render.render Render.Json (render_inputs ()) in
@@ -691,9 +720,11 @@ let () =
           Alcotest.test_case "html structure" `Quick test_html_structure;
           Alcotest.test_case "required sections" `Quick
             test_md_has_required_sections;
-          Alcotest.test_case "format_of_string" `Quick test_format_of_string;
+          Alcotest.test_case "format names" `Quick test_format_names;
           Alcotest.test_case "json document" `Quick test_json_render;
           Alcotest.test_case "report_json agrees with render" `Quick
             test_report_json_agrees_with_render;
+          Alcotest.test_case "whatif stdout matches golden" `Quick
+            test_whatif_cli_golden;
         ] );
     ]

@@ -313,7 +313,7 @@ let test_sampled_bounds () =
   let full =
     Engine.run ~homogeneous:false ~spec ~max_resident_blocks:4 blocks
   in
-  let s = { Engine.target = Engine.Fraction 0.3; seed = 7 } in
+  let s = { Engine.fraction = 0.3; seed = 7 } in
   let sampled =
     Engine.run ~homogeneous:false ~sample:s ~spec ~max_resident_blocks:4
       blocks
@@ -346,23 +346,9 @@ let test_sampled_bounds () =
   in
   Alcotest.(check int) "seeded determinism" sampled.Engine.cycles
     again.Engine.cycles;
-  (* The exact run carries no estimate, and a Max_blocks budget caps the
-     simulated volume. *)
+  (* The exact run carries no estimate. *)
   Alcotest.(check bool) "full replay is exact" true
-    (full.Engine.sampled = None);
-  let budget =
-    Engine.run ~homogeneous:false
-      ~sample:{ Engine.target = Engine.Max_blocks 8; seed = 1 }
-      ~spec ~max_resident_blocks:4 blocks
-  in
-  match budget.Engine.sampled with
-  | None -> Alcotest.fail "Max_blocks should sample"
-  | Some e ->
-    Alcotest.(check bool)
-      (Printf.sprintf "%d blocks within budget (+1 cluster rounding)"
-         e.Engine.blocks_sampled)
-      true
-      (e.Engine.blocks_sampled <= 12)
+    (full.Engine.sampled = None)
 
 (* --- warp timeline track packing (regression) ----------------------------- *)
 
@@ -505,7 +491,7 @@ let test_distinct_clusters () =
   in
   let events = events_of (List.init 10 Fun.id) in
   let distinct_events = events_of [ 0; 1; 2; 4; 5; 6 ] in
-  let sample = { Engine.target = Engine.Fraction 0.5; seed = 11 } in
+  let sample = { Engine.fraction = 0.5; seed = 11 } in
   (* A replay's result, and how far it moved the reuse, event and
      fan-out counters. *)
   let replay ?timeline ?sample blocks =
@@ -596,7 +582,7 @@ let test_schedule_goldens () =
   Alcotest.(check int) "gmem busy" 840 full.Engine.gmem_busy_cycles;
   let sampled =
     Engine.run ~homogeneous:false
-      ~sample:{ Engine.target = Engine.Fraction 0.3; seed = 7 }
+      ~sample:{ Engine.fraction = 0.3; seed = 7 }
       ~spec ~max_resident_blocks:4 blocks
   in
   match sampled.Engine.sampled with
