@@ -28,8 +28,11 @@ let stage_span ?ctx ~attrs name f =
 type launch = { grid : int; block : int }
 
 (* Warp-instructions the functional-sim stage ran without computing their
-   lane values ([Sim.launch_result] is the statistics face). *)
+   lane values ([Sim.launch_result] is the statistics face), and the
+   count-only shared accesses among them that reused a broadcast's
+   staging. *)
 let m_counted_only = Gpu_obs.Metrics.counter "sim.counted_only"
+let m_staging_reused = Gpu_obs.Metrics.counter "sim.staging_reused"
 
 type report = {
   kernel_name : string;
@@ -171,6 +174,7 @@ let analyze_result ?(spec = Spec.gtx285) ?sample ?replay_sample
           |> Result.map_error (fun (f : Gpu_sim.Sim.failure) -> f.diag))
     in
     Gpu_obs.Metrics.add m_counted_only r.counted_only;
+    Gpu_obs.Metrics.add m_staging_reused r.staging_reused;
     let scale = Gpu_sim.Sim.scale_factor r in
     let tables =
       stage_span ?ctx ~attrs "calibrate" (fun () ->

@@ -50,7 +50,9 @@ val traces_homogeneous : Gpu_sim.Trace.block_trace list -> bool
     {!Gpu_sim.Sim.launch}.  The functional simulation is the statistics
     face, {!Gpu_sim.Sim.launch_result}: it computes only the values its
     statistics and traces observe, adds the warp-instructions that
-    skipped theirs to the [sim.counted_only] counter, and never writes
+    skipped theirs to the [sim.counted_only] counter (and the shared
+    accesses among them that reused a broadcast's staging to
+    [sim.staging_reused]), and never writes
     [args], which still hold their inputs afterwards.  The first failing
     stage (compile, occupancy, launch, simulation, model, trace replay)
     surfaces as its diagnostic, and its span closes tagged with

@@ -1,9 +1,9 @@
 (* Runs a microbenchmark program: functional simulation for its trace, then
    timing simulation.  Two shapes:
    - [warp_trace] + [replay_warp], for programs whose warps all execute
-     the same trace ([Codegen] says which): one warp is simulated, and
-     the block replays that one trace, shared physically by all its warps,
-     so the engine cooks it once;
+     the same trace ([Codegen] says which): one warp is simulated and
+     cooked once ([Engine.cook_warp]), and the block replays that one
+     cooked trace, shared by all its warps, at every warp count;
    - [measure_cycles], for multi-block programs: one block is simulated
      and replicated across the grid (microbenchmarks are
      block-homogeneous by construction). *)
@@ -43,11 +43,8 @@ let warp_trace ~(spec : Gpu_hw.Spec.t) k =
   (* invariant: a one-warp block has one warp trace *)
   | _ -> failwith "Runner.warp_trace: expected one warp trace"
 
-let replay_warp ~spec ~warps trace =
-  let block = { Gpu_sim.Trace.block = 0; warps = Array.make warps trace } in
-  (Gpu_timing.Engine.run ~homogeneous:true ~spec ~max_resident_blocks:1
-     [| block |])
-    .Gpu_timing.Engine.cycles
+let replay_warp ~warps cooked =
+  (Gpu_timing.Engine.replay_shared ~warps cooked).Gpu_timing.Engine.cycles
 
 let measure_cycles ~spec ~grid ~block ~args ?(max_resident = 1) k =
   let proto = block_trace ~spec ~grid ~block ~args k in

@@ -22,12 +22,12 @@ val relaxed : Gpu_hw.Spec.t -> Gpu_hw.Spec.t
 val warp_trace :
   spec:Gpu_hw.Spec.t -> Gpu_kernel.Compile.compiled -> Gpu_sim.Trace.warp_trace
 
-(** Measured cycles of one block of [warps] warps that all execute
-    [trace], replayed alone on the timing simulator.  The warps share the
-    trace physically, so the engine cooks it once; the cycles equal those
-    of a full [warps]-warp block whose warps carry equal traces. *)
-val replay_warp :
-  spec:Gpu_hw.Spec.t -> warps:int -> Gpu_sim.Trace.warp_trace -> int
+(** Measured cycles of one block of [warps] warps that all execute the
+    cooked trace, replayed alone on the timing simulator under the device
+    it was cooked for ({!Gpu_timing.Engine.replay_shared}).  The cycles
+    equal those of a full [warps]-warp block whose warps carry equal
+    traces; cooking the trace once serves every warp count. *)
+val replay_warp : warps:int -> Gpu_timing.Engine.cooked_warp -> int
 
 (** Measured cycles of a [grid]-block launch on the timing simulator:
     block 0 is simulated in full and stands for every block. *)

@@ -22,9 +22,9 @@
      executes the same trace ([Codegen]), so a point simulates one warp
      and replays it shared by the block's warps, and since none of those
      traces depends on the warp count, each chain and each copy length is
-     simulated once per table: 10 warp simulations per table instead of
-     5280, and the timing replay fast-forwards each point's steady state
-     ([Gpu_timing.Engine]);
+     simulated and cooked once per table: 10 warp simulations and 10
+     cooks per table instead of 5280 and 320, and the timing replay
+     fast-forwards each point's steady state ([Gpu_timing.Engine]);
    - the grid of independent measurements fans out over the
      [Gpu_parallel] domain pool, with results placed by index;
    - tables persist to a versioned on-disk cache ([Calib_cache]), so a
@@ -151,21 +151,28 @@ let copy_pair ~spec =
   in
   (trace copy_pairs, trace (2 * copy_pairs))
 
-(* One table point: the marginal rate of a short and long trace pair
+(* A trace pair cooked for replay under [spec]: once, for every warp
+   count. *)
+let cook_pair ~spec (short, long) =
+  let cook = Gpu_timing.Engine.cook_warp ~spec in
+  (cook short, cook long)
+
+(* One table point: the marginal rate of a short and long cooked pair
    replayed at [warps], [work] per warp. *)
 let pair_rate ~spec ~work ~warps (short, long) =
   M.incr instr_smem_measured;
-  let run = Runner.replay_warp ~spec ~warps in
+  let run = Runner.replay_warp ~warps in
   marginal_rate ~spec ~work:(work * warps) ~short:(run short) ~long:(run long)
 
 (* each pair moves a warp's 128 read + 128 written bytes *)
 let smem_work = copy_pairs * 256
 
 let measure_instr_throughput ~spec ~cls ~warps =
-  pair_rate ~spec ~work:chain_length ~warps (chain_pair ~spec cls)
+  pair_rate ~spec ~work:chain_length ~warps
+    (cook_pair ~spec (chain_pair ~spec cls))
 
 let measure_smem_bandwidth ~spec ~warps =
-  pair_rate ~spec ~work:smem_work ~warps (copy_pair ~spec)
+  pair_rate ~spec ~work:smem_work ~warps (cook_pair ~spec (copy_pair ~spec))
 
 (* Total-time measurement for global memory: the latency tail is part of
    what Figure 3 shows (small configurations cannot cover the memory
@@ -206,12 +213,14 @@ let of_parts spec instr smem gmem_entries =
 let build ?jobs (spec : Gpu_hw.Spec.t) =
   let classes = Array.of_list arithmetic_classes in
   let n_instr = num_classes * max_warps in
-  (* No trace depends on the warp count: simulate each class's chain pair
-     and the copy pair once, then replay them at every warp count. *)
+  (* No trace depends on the warp count: simulate and cook each class's
+     chain pair and the copy pair once, then replay them at every warp
+     count. *)
   let pairs =
     Pool.parallel_init ?jobs (num_classes + 1) (fun c ->
-        if c < num_classes then chain_pair ~spec classes.(c)
-        else copy_pair ~spec)
+        cook_pair ~spec
+          (if c < num_classes then chain_pair ~spec classes.(c)
+           else copy_pair ~spec))
   in
   (* One flat deterministic grid: row r of [max_warps] slots replays
      [pairs.(r)], the chains' rows first, then the shared-memory sweep.

@@ -21,7 +21,11 @@
    - memory instructions stage their lane addresses into the run's [int]
      buffer and hand it with the lane mask to the allocation-free
      [Bank]/[Coalesce] core; a global access hands [Memory] the whole
-     lane set, which it checks and then moves in one call.
+     lane set, which it checks and then moves in one call;
+   - a count-only shared access that follows a count-only broadcast
+     through the same base, in the same warp under the same mask, with
+     no needed pc between them, stages its one address without reading
+     the lanes ([stage_counted]).
    The per-lane code and its value conversions ([Conv]) live in this one
    compilation unit on purpose: the build compiles modules [-opaque], so a
    helper in another module taking or returning [int64], [int32] or
@@ -423,18 +427,33 @@ let decode program rows ~needed (instr : I.t) =
 (* A program decoded for one [Sim.launch], with the run's scratch buffers:
    the staged lane addresses of the current memory instruction and the
    bank/coalescing tallies.  Owned by the run, so concurrent runs on
-   several domains never share them. *)
+   several domains never share them.
+
+   [reuse_*] is the last count-only broadcast staging (see
+   [stage_counted]): warp [reuse_warp] of the current block (-1: none)
+   read one address through register [reuse_base] under enabled mask
+   [reuse_mask], whose first lane [reuse_lane] held [reuse_value]. *)
 type run = {
   cfg : config;
   code : decoded array;
+  global_words : bool; (* a pc may load or store a global word *)
   addrs : int array;
   bank : Bank.scratch;
   coal : Coalesce.scratch;
   mutable counted_only : int; (* warp-instructions that skipped values *)
+  mutable staging_reused : int; (* count-only accesses that reused one *)
+  mutable reuse_warp : int;
+  mutable reuse_base : int;
+  mutable reuse_mask : int;
+  mutable reuse_lane : int;
+  mutable reuse_value : int;
 }
 
 (* A statistics launch ([values = false]) computes only what
-   [Relevance.needed] marks; a values launch computes every pc. *)
+   [Relevance.needed] marks; a values launch computes every pc.  A
+   statistics launch moves a global word only through a needed global
+   load: a global store is needed only once global memory is, which takes
+   a load whose destination is live. *)
 let prepare ~values cfg program =
   let code = Gpu_isa.Program.code program in
   let needed =
@@ -442,19 +461,34 @@ let prepare ~values cfg program =
     else Relevance.needed program
   in
   let rows = Rows.create 16 in
+  let code =
+    Array.mapi (fun pc instr -> decode program rows ~needed:needed.(pc) instr)
+      code
+  in
+  let global_load d =
+    d.needed && match d.op with I.Ld (I.Global, _, _, _) -> true | _ -> false
+  in
   {
     cfg;
-    code =
-      Array.mapi
-        (fun pc instr -> decode program rows ~needed:needed.(pc) instr)
-        code;
+    code;
+    global_words = values || Array.exists global_load code;
     addrs = Array.make lanes 0;
     bank = Bank.scratch ();
     coal = Coalesce.scratch ();
     counted_only = 0;
+    staging_reused = 0;
+    reuse_warp = -1;
+    reuse_base = 0;
+    reuse_mask = 0;
+    reuse_lane = 0;
+    reuse_value = 0;
   }
 
 let counted_only run = run.counted_only
+
+let staging_reused run = run.staging_reused
+
+let moves_global_words run = run.global_words
 
 (* --- Instruction execution -------------------------------------------- *)
 
@@ -485,6 +519,42 @@ let stage_addresses run w em (m : I.maddr) =
     end
   done;
   if !same then !first else -1
+
+(* [stage_addresses] for a count-only 32-bit shared access, which reads
+   only the one address of a broadcast.  A count-only instruction writes
+   no register, predicate or memory, and the entry is cleared before
+   every needed pc and at every block start ([execute], [run_block]).  So
+   while it stands, the warp's registers are those of the staging that
+   filled it: under the same enabled mask, its lanes still share
+   [reuse_value] in [reuse_base], and the address through the same base
+   is that value plus this access's offset, staged for the first lane
+   only.  Only a count-only access fills it: a needed one may write its
+   own base after staging ([ld.shared rB, [rB+o]]). *)
+let stage_counted run w em (m : I.maddr) =
+  let base = reg_id m.base in
+  if run.reuse_warp = w.wid && run.reuse_base = base && run.reuse_mask = em
+  then begin
+    run.staging_reused <- run.staging_reused + 1;
+    let lane = run.reuse_lane in
+    run.addrs.(lane) <- run.reuse_value + m.offset;
+    lane
+  end
+  else begin
+    let one = stage_addresses run w em m in
+    if one >= 0 then begin
+      run.reuse_warp <- w.wid;
+      run.reuse_base <- base;
+      run.reuse_mask <- em;
+      run.reuse_lane <- one;
+      run.reuse_value <- run.addrs.(one) - m.offset
+    end;
+    one
+  end
+
+(* The staging of a 32-bit shared load, store or fused MAD: a needed one
+   reads every enabled lane's address. *)
+let stage_shared run w d em m =
+  if d.needed then stage_addresses run w em m else stage_counted run w em m
 
 (* Check a 32-bit shared access before any word moves: the one address
    of a broadcast ([one >= 0], see [stage_addresses]) once, else every
@@ -572,10 +642,11 @@ let execute run ~gmem ~stats:st block w d ~pc em =
   let sa = source regs d.ka and sb = source regs d.kb in
   let sc = source regs d.kc in
   let xa = d.xa and xb = d.xb and xc = d.xc in
-  if not d.needed then run.counted_only <- run.counted_only + 1;
+  if d.needed then run.reuse_warp <- -1
+  else run.counted_only <- run.counted_only + 1;
   match d.op with
   | I.Fmad_smem (dr, _, m, _) ->
-    let one = stage_addresses run w em m in
+    let one = stage_shared run w d em m in
     let addrs = run.addrs and o = reg_id dr * row in
     check_shared block addrs em one;
     if d.needed then
@@ -589,7 +660,7 @@ let execute run ~gmem ~stats:st block w d ~pc em =
     count_shared run st block w d ~pc em one
   | I.Ld (I.Shared, width, dr, m) ->
     if width <> 4 then stuck "shared loads must be 32-bit";
-    let one = stage_addresses run w em m in
+    let one = stage_shared run w d em m in
     let addrs = run.addrs and o = reg_id dr * row in
     check_shared block addrs em one;
     if d.needed then
@@ -602,7 +673,7 @@ let execute run ~gmem ~stats:st block w d ~pc em =
     count_shared run st block w d ~pc em one
   | I.St (I.Shared, width, m, _) ->
     if width <> 4 then stuck "shared stores must be 32-bit";
-    let one = stage_addresses run w em m in
+    let one = stage_shared run w d em m in
     let addrs = run.addrs in
     check_shared block addrs em one;
     (* lane order: of lanes storing to one word, the last one's value *)
@@ -865,6 +936,7 @@ let rec any_at_barrier warps i =
 (* Run all warps of a block to completion, respecting barriers. *)
 let run_block run ~gmem ~stats block =
   let warps = block.warps in
+  run.reuse_warp <- -1;
   while any_unfinished warps 0 do
     (* Run every unfinished warp up to its next barrier (or exit). *)
     for i = 0 to Array.length warps - 1 do

@@ -60,6 +60,22 @@ val prepare : values:bool -> config -> Gpu_isa.Program.t -> run
     on either face and are not counted. *)
 val counted_only : run -> int
 
+(** Count-only 32-bit shared accesses so far that took their one address
+    from the previous count-only broadcast through the same base register
+    in the same warp, under the same enabled mask, with no needed pc run
+    since, instead of staging every lane (always 0 for a [values] run).
+    Such an access writes nothing, so the register still holds the value
+    every enabled lane shared. *)
+val staging_reused : run -> int
+
+(** Whether the run may load or store a global word: always on the
+    [values] face; on the statistics face only when a needed pc is a
+    global load, since a global store is needed only once a needed load
+    reads global memory.  When it is false, every global access is only
+    checked, and {!run_block} may be given a {!Memory.layout_only}
+    memory. *)
+val moves_global_words : run -> bool
+
 type block
 
 val make_block :

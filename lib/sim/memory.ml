@@ -13,7 +13,9 @@ external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
 external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
 
 type t = {
-  bytes : Bytes.t;
+  bytes : Bytes.t; (* empty when not [backed] *)
+  size : int; (* bytes, a multiple of 4 *)
+  backed : bool;
   mutable poisoned : (int * int) list; (* injected-fault byte ranges *)
 }
 
@@ -21,11 +23,31 @@ exception Fault of string
 
 let fault fmt = Printf.ksprintf (fun s -> raise (Fault s)) fmt
 
-let create ~bytes =
-  if bytes < 0 then invalid_arg "Memory.create";
-  { bytes = Bytes.make (4 * ((bytes + 3) / 4)) '\000'; poisoned = [] }
+let words_size name bytes =
+  if bytes < 0 then invalid_arg name;
+  4 * ((bytes + 3) / 4)
 
-let size_bytes t = Bytes.length t.bytes
+let create ~bytes =
+  let size = words_size "Memory.create" bytes in
+  { bytes = Bytes.make size '\000'; size; backed = true; poisoned = [] }
+
+(* A statistics launch that loads no global word needs the checks, which
+   read only the size and the poisoned ranges, and never the words: a
+   count-only access checks its lanes and moves nothing (DESIGN §18,
+   "Layout-only device memory"). *)
+let layout_only ~bytes =
+  let size = words_size "Memory.layout_only" bytes in
+  { bytes = Bytes.empty; size; backed = false; poisoned = [] }
+
+let size_bytes t = t.size
+
+(* The words of a memory that has them.  Reaching a layout-only memory's
+   words is a bug in whoever chose it, so it raises rather than reading
+   zeros. *)
+let contents t =
+  if not t.backed then
+    invalid_arg "Memory: a layout-only memory holds no words";
+  t.bytes
 
 (* Fault injection: a poisoned range models a failing memory transaction —
    any access overlapping it traps, the way an Xid/ECC error would surface
@@ -68,8 +90,8 @@ let check_lanes t ~width addrs ~mask =
   done
 
 let load_lanes t ~width addrs ~mask regs ~reg =
+  let b = contents t in
   check_lanes t ~width addrs ~mask;
-  let b = t.bytes in
   let m = ref mask and lane = ref 0 in
   while !m <> 0 do
     (if !m land 1 <> 0 then
@@ -84,8 +106,8 @@ let load_lanes t ~width addrs ~mask regs ~reg =
   done
 
 let store_lanes t ~width addrs ~mask regs ~reg =
+  let b = contents t in
   check_lanes t ~width addrs ~mask;
-  let b = t.bytes in
   let m = ref mask and lane = ref 0 in
   while !m <> 0 do
     (if !m land 1 <> 0 then
@@ -234,9 +256,9 @@ let layout sizes_in_words =
 let copy_in t alloc (data : buffer) =
   if length data <> alloc.length then
     invalid_arg "Memory.copy_in: size mismatch";
-  Bytes.blit data 0 t.bytes alloc.base (4 * alloc.length)
+  Bytes.blit data 0 (contents t) alloc.base (4 * alloc.length)
 
 let copy_out t alloc (data : buffer) =
   if length data <> alloc.length then
     invalid_arg "Memory.copy_out: size mismatch";
-  Bytes.blit t.bytes alloc.base data 0 (4 * alloc.length)
+  Bytes.blit (contents t) alloc.base data 0 (4 * alloc.length)

@@ -7,7 +7,19 @@ type t
 
 exception Fault of string
 
+(** [create ~bytes]: [bytes] zero bytes, rounded up to whole words. *)
 val create : bytes:int -> t
+
+(** [layout_only ~bytes]: a memory of the same size that holds no words,
+    only its size and its poisoned ranges — for a statistics launch that
+    loads no global word, whose accesses are only checked.  {!size_bytes},
+    {!poison}, {!check_lanes} and every fault message behave as on
+    {!create}.  Its contents are unreachable: {!load_lanes},
+    {!store_lanes}, {!copy_in} and {!copy_out} raise [Invalid_argument]
+    on it, whatever their lanes, so a launch that wrongly chose it fails
+    instead of reading zeros. *)
+val layout_only : bytes:int -> t
+
 val size_bytes : t -> int
 
 (** Fault injection: mark a byte range as failing, so any overlapping

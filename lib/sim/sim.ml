@@ -21,6 +21,7 @@ type result = {
   grid : int;
   block : int;
   counted_only : int;
+  staging_reused : int;
 }
 
 let scale_factor r =
@@ -35,7 +36,8 @@ let scale_factor r =
    beyond the current warp-instruction).  With [values] every lane value
    is computed and the results are copied back into [args]; without,
    only what the statistics, traces and faults observe is computed
-   ([Machine.prepare]) and [args] are only read. *)
+   ([Machine.prepare]) and [args] are only read — not even copied in
+   when no needed pc loads a global word. *)
 let run_into ~values ?(collect_trace = false) ?block_ids
     ?(spec = Gpu_hw.Spec.gtx285) ?max_warp_instructions ?inject_stuck_at
     ?(poison = []) ~stats ~completed ~current_block ~grid ~block ~args
@@ -67,20 +69,28 @@ let run_into ~values ?(collect_trace = false) ?block_ids
            launch_error "duplicate kernel argument %s" name;
          name :: seen)
        [] args);
-  let allocs, bytes =
-    Memory.layout (List.map (fun (_, d) -> Memory.length d) buffers)
-  in
-  let gmem = Memory.create ~bytes in
-  List.iter2 (fun (_, data) a -> Memory.copy_in gmem a data) buffers allocs;
-  List.iter (fun (addr, width) -> Memory.poison gmem ~addr ~width) poison;
-  let param_bases =
-    List.map2 (fun (name, _) a -> (name, a.Memory.base)) buffers allocs
-  in
   let run =
     Machine.prepare ~values
       (Machine.config ~collect_trace ?max_warp_instructions ?inject_stuck_at
          spec)
       k.program
+  in
+  let allocs, bytes =
+    Memory.layout (List.map (fun (_, d) -> Memory.length d) buffers)
+  in
+  (* A statistics run that loads no global word only checks its global
+     accesses, so its memory holds the layout's size and no words. *)
+  let gmem =
+    if Machine.moves_global_words run then begin
+      let m = Memory.create ~bytes in
+      List.iter2 (fun (_, data) a -> Memory.copy_in m a data) buffers allocs;
+      m
+    end
+    else Memory.layout_only ~bytes
+  in
+  List.iter (fun (addr, width) -> Memory.poison gmem ~addr ~width) poison;
+  let param_bases =
+    List.map2 (fun (name, _) a -> (name, a.Memory.base)) buffers allocs
   in
   let ids =
     match block_ids with
@@ -125,6 +135,7 @@ let run_into ~values ?(collect_trace = false) ?block_ids
     grid;
     block;
     counted_only = Machine.counted_only run;
+    staging_reused = Machine.staging_reused run;
   }
 
 let launch ?collect_trace ?block_ids ?spec ?max_warp_instructions

@@ -17,6 +17,9 @@ type result = {
   counted_only : int;
       (** warp-instructions that ran without computing their lane values
           (0 from {!launch}; see {!launch_result}) *)
+  staging_reused : int;
+      (** count-only shared accesses that reused the previous broadcast's
+          staging ({!Machine.staging_reused}; 0 from {!launch}) *)
 }
 
 (** [grid /. blocks_run]: multiply sampled counts by this. *)
@@ -64,7 +67,9 @@ type failure = {
     statistics, traces and faults as {!launch}, bit for bit, but computes
     only the lane values that reach an address, a guard or a branch
     ({!Relevance}); [counted_only] says how many warp-instructions skipped
-    theirs.  It never writes [args]: each buffer is only copied in.
+    theirs.  It never writes [args]: each buffer is only copied in, and
+    only when a needed pc loads a global word; otherwise device memory is
+    {!Memory.layout_only}, its accesses checked and counted as before.
     Launch-validation failures surface as [Launch] diagnostics, mid-run
     traps as [Exec] diagnostics located at the faulting block.  No
     exception escapes. *)

@@ -31,7 +31,9 @@
    replication preserves, interned under the content key [Trace.key] — is
    cooked once per [run] straight from its events: per-event kind codes,
    mapped registers and pipeline costs precomputed from the device
-   parameters.  The replay loop is then index arithmetic over shared
+   parameters.  Calibration, which replays each of its traces at 32 warp
+   counts, cooks each once ([cook_warp]) and replays the cooked warp
+   ([replay_shared]) through the same cluster simulation.  The replay loop is then index arithmetic over shared
    read-only arrays, and allocates nothing per event: the event queue is a
    heap of int warp-slot indices into a per-cluster slot table.  On top of
    that, consecutive events of a warp that would re-enter the event queue
@@ -306,9 +308,8 @@ end)
    shared warp arrays, no matter which cluster the blocks land on.  [run]
    makes one cooker per call and feeds it only the blocks it will
    actually simulate, so neither a sampled replay's skipped clusters nor
-   a repeated cluster is cooked.  Nothing outlives the call: every
-   production caller replays traces it has just simulated, so a
-   cross-run cache would never hit. *)
+   a repeated cluster is cooked.  Nothing outlives the call: a caller
+   that replays one trace again holds its cook instead ([cook_warp]). *)
 let cooker p =
   let table = WT.create 64 in
   let scratch = Bytes.make reg_slots '\000' in
@@ -320,8 +321,10 @@ let cooker p =
       WT.add table wt c;
       c
   in
-  fun (bt : Trace.block_trace) ->
+  let cook_block (bt : Trace.block_trace) =
     { cbid = bt.block; cwarps = Array.map cook_warp bt.warps }
+  in
+  (cook_block, fun () -> WT.length table)
 
 (* --- mutable replay state ------------------------------------------------ *)
 
@@ -1497,6 +1500,127 @@ let m_events_skipped = Metrics.counter "engine.events_skipped"
 let m_fast_forwards = Metrics.counter "engine.fast_forwards"
 let m_ff_rollbacks = Metrics.counter "engine.ff_rollbacks"
 
+(* Warp traces cooked, one per distinct trace of a run and one per
+   [cook_warp]. *)
+let m_warps_cooked = Metrics.counter "engine.warps_cooked"
+
+(* Simulate the distinct clusters [cooked] (device-wide index, SM queues)
+   and reduce the selected clusters' outputs in selection order: selected
+   cluster [i] is [cooked.(slot.(i))], simulated once however many select
+   it.  [sampling] is the sampled cluster count, the non-empty clusters
+   and the sampled blocks of a sampled replay.  Adds the run's counters
+   to the registry once. *)
+let replay p rc ~max_resident ~sampling cooked slot =
+  let spec = p.spec in
+  let ndistinct = Array.length cooked and nsel = Array.length slot in
+  (* The recorder's stage accumulators are unsynchronized shared state, so
+     a timeline pins the run to the serial path; otherwise independent
+     clusters fan out over the domain pool.  Reduction below runs in
+     cluster order over [outs], so serial and parallel runs fold the very
+     same per-cluster results in the very same order: bit-identical. *)
+  let use_parallel =
+    Option.is_none rc && ndistinct > 1 && Pool.current_jobs () > 1
+  in
+  let simulate i =
+    let cluster_index, cl = cooked.(i) in
+    simulate_cluster p rc ~cluster_index ~max_resident cl
+  in
+  let simulated =
+    if use_parallel then Pool.parallel_init ndistinct simulate
+    else Array.init ndistinct simulate
+  in
+  let outs = Array.map (fun k -> simulated.(k)) slot in
+  let ticks = ref 0 in
+  let alu = ref 0 and smem = ref 0 and atomic = ref 0 and gmem = ref 0 in
+  let launched = ref 0 and retired = ref 0 in
+  let blocks_retired = ref 0 and unlaunched = ref 0 in
+  Array.iter
+    (fun o ->
+      if o.co_end > !ticks then ticks := o.co_end;
+      alu := !alu + o.co_alu;
+      smem := !smem + o.co_smem;
+      atomic := !atomic + o.co_atomic;
+      gmem := !gmem + o.co_gmem;
+      launched := !launched + o.co_launched;
+      retired := !retired + o.co_retired;
+      blocks_retired := !blocks_retired + o.co_blocks_retired;
+      unlaunched := !unlaunched + o.co_unlaunched)
+    outs;
+  (* The throughput counters measure the scheduler's work, so a reused
+     cluster adds nothing to them. *)
+  let events = ref 0 and replay_ticks = ref 0 in
+  let skipped = ref 0 and fast_forwards = ref 0 and rollbacks = ref 0 in
+  Array.iter
+    (fun o ->
+      events := !events + o.co_events;
+      replay_ticks := !replay_ticks + o.co_end;
+      skipped := !skipped + o.co_skipped;
+      fast_forwards := !fast_forwards + o.co_fast_forwards;
+      rollbacks := !rollbacks + o.co_rollbacks)
+    simulated;
+  let cycles = (!ticks + ticks_per_cycle - 1) / ticks_per_cycle in
+  let to_cycles busy = (busy + ticks_per_cycle - 1) / ticks_per_cycle in
+  let sampled =
+    match sampling with
+    | None -> None
+    | Some (k, clusters_total, blocks_sampled) ->
+      let ends = Array.map (fun o -> o.co_end) outs in
+      let high_ticks = estimate_high ~ends !ticks in
+      Some
+        {
+          clusters_sampled = k;
+          clusters_total;
+          blocks_sampled;
+          cycles_low = cycles;
+          cycles_high = (high_ticks + ticks_per_cycle - 1) / ticks_per_cycle;
+        }
+  in
+  let stages_busy =
+    match rc with
+    | None -> [||]
+    | Some r ->
+      Array.init r.nstages (fun i ->
+          {
+            alu_ticks = r.st_alu.(i);
+            smem_ticks = r.st_smem.(i);
+            atomic_ticks = r.st_atomic.(i);
+            gmem_ticks = r.st_gmem.(i);
+          })
+  in
+  Metrics.incr m_runs;
+  Metrics.add m_cycles cycles;
+  Metrics.add m_warps_launched !launched;
+  Metrics.add m_warps_retired !retired;
+  Metrics.add m_blocks_retired !blocks_retired;
+  Metrics.add m_blocks_unlaunched !unlaunched;
+  Metrics.add m_alu_busy (to_cycles !alu);
+  Metrics.add m_smem_busy (to_cycles !smem);
+  Metrics.add m_atomic_busy (to_cycles !atomic);
+  Metrics.add m_gmem_busy (to_cycles !gmem);
+  Metrics.add m_events_replayed !events;
+  Metrics.add m_replay_ticks !replay_ticks;
+  Metrics.add m_events_skipped !skipped;
+  Metrics.add m_fast_forwards !fast_forwards;
+  Metrics.add m_ff_rollbacks !rollbacks;
+  if use_parallel then Metrics.add m_clusters_parallel ndistinct;
+  Metrics.add m_clusters_reused (nsel - ndistinct);
+  {
+    cycles;
+    seconds = float_of_int cycles /. (spec.core_clock_ghz *. 1e9);
+    alu_busy_cycles = to_cycles !alu;
+    smem_busy_cycles = to_cycles !smem;
+    atomic_busy_cycles = to_cycles !atomic;
+    gmem_busy_cycles = to_cycles !gmem;
+    sms_simulated = nsel * spec.sms_per_cluster;
+    clusters_simulated = nsel;
+    warps_launched = !launched;
+    warps_retired = !retired;
+    blocks_retired = !blocks_retired;
+    blocks_unlaunched = !unlaunched;
+    stages_busy;
+    sampled;
+  }
+
 let run ?(homogeneous = false) ?timeline ?sample ~(spec : Gpu_hw.Spec.t)
     ~max_resident_blocks (blocks : Trace.block_trace array) =
   if Array.length blocks = 0 then invalid_arg "Engine.run: no blocks";
@@ -1574,122 +1698,44 @@ let run ?(homogeneous = false) ?timeline ?sample ~(spec : Gpu_hw.Spec.t)
      the selection, so neither the clusters sampling skipped nor the
      repeats of a distinct one are cooked.  One cooker across them keeps
      replicated warp arrays decoded once grid-wide. *)
+  let cook_block, cooks = cooker p in
   let cooked =
-    let cook_block = cooker p in
     Array.init ndistinct (fun k ->
         let ci, cl = selected.(distinct.(k)) in
         (ci, Array.map (List.map cook_block) cl))
   in
-  (* The recorder's stage accumulators are unsynchronized shared state, so
-     a timeline pins the run to the serial path; otherwise independent
-     clusters fan out over the domain pool.  Reduction below runs in
-     cluster order over [outs], so serial and parallel runs fold the very
-     same per-cluster results in the very same order: bit-identical. *)
-  let use_parallel =
-    Option.is_none rc && ndistinct > 1 && Pool.current_jobs () > 1
+  Metrics.add m_warps_cooked (cooks ());
+  let sampling =
+    Option.map
+      (fun k ->
+        ( k,
+          nonempty,
+          Array.fold_left (fun acc (_, cl) -> acc + cluster_load cl) 0 selected
+        ))
+      sampling
   in
-  let simulate i =
-    let cluster_index, cl = cooked.(i) in
-    simulate_cluster p rc ~cluster_index ~max_resident:max_resident_blocks cl
-  in
-  let simulated =
-    if use_parallel then Pool.parallel_init ndistinct simulate
-    else Array.init ndistinct simulate
-  in
-  let outs = Array.map (fun k -> simulated.(k)) slot in
-  let ticks = ref 0 in
-  let alu = ref 0 and smem = ref 0 and atomic = ref 0 and gmem = ref 0 in
-  let launched = ref 0 and retired = ref 0 in
-  let blocks_retired = ref 0 and unlaunched = ref 0 in
-  Array.iter
-    (fun o ->
-      if o.co_end > !ticks then ticks := o.co_end;
-      alu := !alu + o.co_alu;
-      smem := !smem + o.co_smem;
-      atomic := !atomic + o.co_atomic;
-      gmem := !gmem + o.co_gmem;
-      launched := !launched + o.co_launched;
-      retired := !retired + o.co_retired;
-      blocks_retired := !blocks_retired + o.co_blocks_retired;
-      unlaunched := !unlaunched + o.co_unlaunched)
-    outs;
-  (* The throughput counters measure the scheduler's work, so a reused
-     cluster adds nothing to them. *)
-  let events = ref 0 and replay_ticks = ref 0 in
-  let skipped = ref 0 and fast_forwards = ref 0 and rollbacks = ref 0 in
-  Array.iter
-    (fun o ->
-      events := !events + o.co_events;
-      replay_ticks := !replay_ticks + o.co_end;
-      skipped := !skipped + o.co_skipped;
-      fast_forwards := !fast_forwards + o.co_fast_forwards;
-      rollbacks := !rollbacks + o.co_rollbacks)
-    simulated;
-  let cycles = (!ticks + ticks_per_cycle - 1) / ticks_per_cycle in
-  let to_cycles busy = (busy + ticks_per_cycle - 1) / ticks_per_cycle in
-  let sampled =
-    match sampling with
-    | None -> None
-    | Some k ->
-      let ends = Array.map (fun o -> o.co_end) outs in
-      let high_ticks = estimate_high ~ends !ticks in
-      Some
-        {
-          clusters_sampled = k;
-          clusters_total = nonempty;
-          blocks_sampled =
-            Array.fold_left
-              (fun acc (_, cl) -> acc + cluster_load cl)
-              0 selected;
-          cycles_low = cycles;
-          cycles_high = (high_ticks + ticks_per_cycle - 1) / ticks_per_cycle;
-        }
-  in
-  let stages_busy =
-    match rc with
-    | None -> [||]
-    | Some r ->
-      Array.init r.nstages (fun i ->
-          {
-            alu_ticks = r.st_alu.(i);
-            smem_ticks = r.st_smem.(i);
-            atomic_ticks = r.st_atomic.(i);
-            gmem_ticks = r.st_gmem.(i);
-          })
-  in
-  Metrics.incr m_runs;
-  Metrics.add m_cycles cycles;
-  Metrics.add m_warps_launched !launched;
-  Metrics.add m_warps_retired !retired;
-  Metrics.add m_blocks_retired !blocks_retired;
-  Metrics.add m_blocks_unlaunched !unlaunched;
-  Metrics.add m_alu_busy (to_cycles !alu);
-  Metrics.add m_smem_busy (to_cycles !smem);
-  Metrics.add m_atomic_busy (to_cycles !atomic);
-  Metrics.add m_gmem_busy (to_cycles !gmem);
-  Metrics.add m_events_replayed !events;
-  Metrics.add m_replay_ticks !replay_ticks;
-  Metrics.add m_events_skipped !skipped;
-  Metrics.add m_fast_forwards !fast_forwards;
-  Metrics.add m_ff_rollbacks !rollbacks;
-  if use_parallel then Metrics.add m_clusters_parallel ndistinct;
-  Metrics.add m_clusters_reused (nsel - ndistinct);
-  {
-    cycles;
-    seconds = float_of_int cycles /. (spec.core_clock_ghz *. 1e9);
-    alu_busy_cycles = to_cycles !alu;
-    smem_busy_cycles = to_cycles !smem;
-    atomic_busy_cycles = to_cycles !atomic;
-    gmem_busy_cycles = to_cycles !gmem;
-    sms_simulated = nsel * spec.sms_per_cluster;
-    clusters_simulated = nsel;
-    warps_launched = !launched;
-    warps_retired = !retired;
-    blocks_retired = !blocks_retired;
-    blocks_unlaunched = !unlaunched;
-    stages_busy;
-    sampled;
-  }
+  replay p rc ~max_resident:max_resident_blocks ~sampling cooked slot
+
+(* One warp trace cooked under one device's parameters, which it carries:
+   what a block of identical warps replays. *)
+type cooked_warp = { params : params; warp : cooked }
+
+let cook_warp ~spec trace =
+  Metrics.incr m_warps_cooked;
+  let p = make_params spec in
+  { params = p; warp = cook p (Bytes.make reg_slots '\000') trace }
+
+(* [run ~homogeneous:true ~max_resident_blocks:1] on one block of [warps]
+   warps sharing one trace: the block lands on SM 0 of cluster 0, the
+   most-loaded cluster, whose other SMs queue nothing, and every warp
+   queues the one cooked trace, as the run's intern table would make
+   them. *)
+let replay_shared ~warps c =
+  if warps <= 0 then invalid_arg "Engine.replay_shared: warps must be positive";
+  let p = c.params in
+  let sms = Array.make p.spec.Gpu_hw.Spec.sms_per_cluster [] in
+  sms.(0) <- [ { cbid = 0; cwarps = Array.make warps c.warp } ];
+  replay p None ~max_resident:1 ~sampling:None [| (0, sms) |] [| 0 |]
 
 (* --- per-stage attribution table --------------------------------------- *)
 

@@ -108,7 +108,9 @@ type sample = {
     cooked once per call into packed cost arrays before replay, and only
     the blocks that will be simulated (after the homogeneous shortcut or
     [sample]'s subset, and only the first of identical clusters) are
-    cooked at all; nothing is cached across calls.  The replay allocates
+    cooked at all; nothing is cached across calls ([engine.warps_cooked]
+    counts the cooks).  A caller that replays one trace many times cooks
+    it once with {!cook_warp} instead.  The replay allocates
     nothing per event.  Consecutive events of one warp that would
     re-enter the event queue strictly before every queued event coalesce
     into one heap transaction.  On the heterogeneous path without a
@@ -145,6 +147,25 @@ val run :
   max_resident_blocks:int ->
   Gpu_sim.Trace.block_trace array ->
   result
+
+(** One warp trace cooked for replay under one device: its per-event
+    costs under that device's parameters, which it carries, so it replays
+    only under the device it was cooked for.  Immutable; share it freely
+    across replays and domains. *)
+type cooked_warp
+
+(** [cook_warp ~spec trace] cooks [trace] once under [spec]'s parameters
+    (about 60 ns an event) and adds 1 to [engine.warps_cooked]. *)
+val cook_warp : spec:Gpu_hw.Spec.t -> Gpu_sim.Trace.warp_trace -> cooked_warp
+
+(** [replay_shared ~warps c] replays one block of [warps] warps that all
+    execute [c]'s trace, alone on its device, without cooking it again.
+    It returns exactly what [run ~homogeneous:true ~spec
+    ~max_resident_blocks:1] returns for that block under the spec [c] was
+    cooked for, through the same cluster simulation (fast-forward
+    included), and adds the same counters, [engine.warps_cooked] aside.
+    Raises [Invalid_argument] unless [warps] is positive. *)
+val replay_shared : warps:int -> cooked_warp -> result
 
 (** The per-barrier-stage bottleneck attribution table recorded in
     {!result.stages_busy} (busy cycles per pipeline and the busiest one),

@@ -168,11 +168,12 @@ let run_simulated ?spec ~n ~tile a b =
    is exact because every block does identical work. *)
 let analyze ?spec ?(measure = false) ?(sample = 4) ?replay_sample ?timeline ?ctx
     ~n ~tile () =
-  (* One zero buffer serves a, b and c: the simulator copies each argument
-     into its own device region, and the analysis runs the statistics face
-     ([Sim.launch_result]), which copies nothing back, so the buffer stays
-     zero.  A [Bytes] buffer holds no pointers and the GC never scans it,
-     so the sharing only saves allocating two more (8 MB at n = 1024). *)
+  (* One zero buffer serves a, b and c: the analysis runs the statistics
+     face ([Sim.launch_result]), which gives each argument its own device
+     region but, since no needed pc loads a global word, reads only the
+     buffer's length and copies nothing in or back.  A [Bytes] buffer
+     holds no pointers and the GC never scans it, so the sharing only
+     saves allocating two more (8 MB at n = 1024). *)
   let zeros = Gpu_sim.Memory.zeros (n * n) in
   Gpu_model.Workflow.analyze ?spec ~sample ?replay_sample ~measure ?timeline
     ?ctx

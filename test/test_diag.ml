@@ -428,6 +428,70 @@ let test_poisoned_memory () =
   | Ok _ -> ()
   | Error f -> Alcotest.fail ("inert poison faulted: " ^ f.Sim.diag.D.message)
 
+(* The values face driven through [Machine] as [Sim.launch] drives it,
+   keeping a fault's message, the statistics so far and the completed
+   blocks, which [Sim.launch] itself does not return. *)
+let values_face_fault ?(poison = []) ~grid ~block ~args
+    (k : Gpu_kernel.Compile.compiled) =
+  let module M = Gpu_sim.Machine in
+  let module Mem = Gpu_sim.Memory in
+  let buffers = List.map (fun (name, _) -> List.assoc name args) k.param_regs in
+  let allocs, bytes = Mem.layout (List.map Mem.length buffers) in
+  let gmem = Mem.create ~bytes in
+  List.iter2 (Fun.flip (Mem.copy_in gmem)) buffers allocs;
+  List.iter (fun (addr, width) -> Mem.poison gmem ~addr ~width) poison;
+  let run = M.prepare ~values:true (M.config Gpu_hw.Spec.gtx285) k.program in
+  let stats = Stats.create () and completed = ref 0 in
+  match
+    for bid = 0 to grid - 1 do
+      let blk =
+        M.make_block ~bid ~grid ~nthreads:block ~smem_bytes:k.smem_bytes
+          ~nregs:(max 1 k.reg_demand)
+      in
+      List.iter2
+        (fun (_, r) (a : Mem.allocation) ->
+          M.set_param blk (I.R r) (Gpu_sim.Value.of_int a.base))
+        k.param_regs allocs;
+      M.run_block run ~gmem ~stats blk;
+      incr completed
+    done
+  with
+  | () -> Alcotest.fail "the values face did not fault"
+  | exception Mem.Fault m -> (m, Stats.stages stats, !completed)
+
+(* vadd's statistics face loads no global word, so its device memory is
+   layout-only: a store past the last buffer and a poisoned load still
+   fault with the values face's message, partial statistics and
+   completed blocks. *)
+let test_layout_only_faults () =
+  let k = Gpu_kernel.Compile.compile vadd in
+  Alcotest.(check bool) "layout-only" false
+    (Gpu_sim.Machine.moves_global_words
+       (Gpu_sim.Machine.prepare ~values:false
+          (Gpu_sim.Machine.config Gpu_hw.Spec.gtx285)
+          k.program));
+  List.iter
+    (fun (what, poison, grid) ->
+      let msg, stages, completed =
+        values_face_fault ~poison ~grid ~block:32 ~args:(vadd_args 64) k
+      in
+      match
+        Sim.launch_result ~poison ~grid ~block:32 ~args:(vadd_args 64) k
+      with
+      | Ok _ -> Alcotest.failf "%s: did not fault" what
+      | Error f ->
+        Alcotest.(check string) (what ^ ": message") msg f.Sim.diag.D.message;
+        Alcotest.(check bool) (what ^ ": exec stage") true
+          (f.Sim.diag.D.stage = D.Exec);
+        Alcotest.(check bool) (what ^ ": partial statistics") true
+          (Stats.stages f.Sim.partial_stats = stages);
+        Alcotest.(check int) (what ^ ": blocks completed") completed
+          f.Sim.blocks_completed)
+    [
+      ("store past the last buffer", [], 3);
+      ("poisoned load", [ (256 + 40, 4) ], 2);
+    ]
+
 let test_launch_failures () =
   let k = Gpu_kernel.Compile.compile vadd in
   let expect_launch ?says what run =
@@ -732,6 +796,8 @@ let () =
         [
           Alcotest.test_case "injected traps" `Quick test_injected_trap;
           Alcotest.test_case "poisoned memory" `Quick test_poisoned_memory;
+          Alcotest.test_case "layout-only memory faults" `Quick
+            test_layout_only_faults;
           Alcotest.test_case "launch failures" `Quick test_launch_failures;
           Alcotest.test_case "memory faults" `Quick test_memory_fault_diag;
         ] );

@@ -163,14 +163,17 @@ let kernel ~warps = function
    the one-warp path's.  As in [Tables.build], the one-warp block's trace
    serves every warp count, the copy's included. *)
 let full_and_one_warp spec bench warps =
-  let trace = Runner.warp_trace ~spec (kernel ~warps:1 bench) in
+  let cooked =
+    Gpu_timing.Engine.cook_warp ~spec
+      (Runner.warp_trace ~spec (kernel ~warps:1 bench))
+  in
   List.map
     (fun w ->
       let full =
         Runner.measure_cycles ~spec ~grid:1 ~block:(32 * w) ~args:[]
           (kernel ~warps:w bench)
       in
-      (w, full, Runner.replay_warp ~spec ~warps:w trace))
+      (w, full, Runner.replay_warp ~warps:w cooked))
     warps
 
 (* The copy's program changes with the warp count (its destination

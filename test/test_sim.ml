@@ -905,20 +905,29 @@ type face_run = {
   traces : Gpu_sim.Trace.block_trace list;
   blocks : int;
   fault : string option;
+  reused : int; (* [Machine.staging_reused] *)
 }
 
 let max_warp_instructions = 5_000
 
+(* Device memory as [Sim] lays it out: layout-only when the run moves no
+   global word. *)
 let run_face ~values ~grid ~block ~args (k : Gpu_kernel.Compile.compiled) =
-  let buffers = List.map (fun (name, _) -> List.assoc name args) k.param_regs in
-  let allocs, bytes = Memory.layout (List.map Memory.length buffers) in
-  let gmem = Memory.create ~bytes in
-  List.iter2 (Fun.flip (Memory.copy_in gmem)) buffers allocs;
   let run =
     Machine.prepare ~values
       (Machine.config ~collect_trace:true ~max_warp_instructions
          Gpu_hw.Spec.gtx285)
       k.program
+  in
+  let buffers = List.map (fun (name, _) -> List.assoc name args) k.param_regs in
+  let allocs, bytes = Memory.layout (List.map Memory.length buffers) in
+  let gmem =
+    if Machine.moves_global_words run then begin
+      let m = Memory.create ~bytes in
+      List.iter2 (Fun.flip (Memory.copy_in m)) buffers allocs;
+      m
+    end
+    else Memory.layout_only ~bytes
   in
   let stats = Stats.create () and traces = ref [] and blocks = ref 0 in
   let fault =
@@ -942,7 +951,7 @@ let run_face ~values ~grid ~block ~args (k : Gpu_kernel.Compile.compiled) =
       Some m
   in
   { stages = Stats.stages stats; traces = List.rev !traces; blocks = !blocks;
-    fault }
+    fault; reused = Machine.staging_reused run }
 
 (* Random kernels over three 64-word arguments — [inp] holds small data,
    [idx] indices, [out] results — and a 64-word shared array, on two
@@ -1079,22 +1088,40 @@ module Kernels = struct
         @ [ Ir.St_global ("out", masked Ir.Tid, Ir.Var "acc") ];
     }
 
-  (* Guard some straight-line instructions with p1 (set from the thread
-     id) or p2 (set from loaded words). *)
-  let with_guards st (k : Gpu_kernel.Compile.compiled) =
+  (* [k] with each instruction [i] replaced by what [f emit i] emits,
+     labels kept where they were. *)
+  let rewrite (k : Gpu_kernel.Compile.compiled) f =
     let p = k.program in
     let code = Program.code p in
     let lines = ref [] in
-    let emit l = lines := l :: !lines in
+    let labels pc =
+      List.iter (fun l -> lines := Program.Label l :: !lines)
+        (Program.labels_at p pc)
+    in
+    let emit i = lines := Program.Instr i :: !lines in
+    Array.iteri
+      (fun pc i ->
+        labels pc;
+        f emit i)
+      code;
+    labels (Array.length code);
+    let program = Program.of_lines ~name:"faces" (List.rev !lines) in
+    {
+      k with
+      program;
+      reg_demand = max k.reg_demand (Program.register_demand program);
+    }
+
+  (* Guard some straight-line instructions with p1 (set from the thread
+     id) or p2 (set from loaded words). *)
+  let with_guards st k =
     let setp p r =
       I.mk
         (I.Setp
            ( I.Lt, I.S32, I.P p, I.Reg r,
              I.Imm (Int32.of_int (Random.State.int st 64)) ))
     in
-    Array.iteri
-      (fun pc (i : I.t) ->
-        List.iter (fun l -> emit (Program.Label l)) (Program.labels_at p pc);
+    rewrite k (fun emit (i : I.t) ->
         let i =
           match i.op with
           | I.Bra _ | I.Bra_pred _ | I.Bar | I.Exit -> i
@@ -1103,38 +1130,60 @@ module Kernels = struct
                                   Random.State.bool st) }
           | _ -> i
         in
-        emit (Program.Instr i);
+        emit i;
         match i.op with
-        | I.Mov_sreg (d, I.Tid_x) -> emit (Program.Instr (setp 1 d))
-        | I.Ld (I.Global, _, d, _) when Random.State.bool st ->
-          emit (Program.Instr (setp 2 d))
+        | I.Mov_sreg (d, I.Tid_x) -> emit (setp 1 d)
+        | I.Ld (I.Global, _, d, _) when Random.State.bool st -> emit (setp 2 d)
         | _ -> ())
-      code;
-    List.iter
-      (fun l -> emit (Program.Label l))
-      (Program.labels_at p (Array.length code));
-    { k with program = Program.of_lines ~name:"faces" (List.rev !lines) }
+
+  (* Up to two count-only probes before and after each 32-bit shared
+     access: loads through its base into a register nothing reads.  A
+     probe after an access follows the access's write to its own base
+     whenever the compiler gave a load its address register
+     ([ld.shared rA, [rA]]: the address temporary is freed before the
+     destination is picked); a probe before one follows the needed write
+     that computed the base, after the probes through the previous value
+     of the same temporary; guards added after vary the masks. *)
+  let with_probes st (k : Gpu_kernel.Compile.compiled) =
+    let sink = I.R (Program.max_reg k.program + 1) in
+    rewrite k (fun emit (i : I.t) ->
+        let probe (m : I.maddr) =
+          for _ = 1 to Random.State.int st 3 do
+            let offset = m.offset + (4 * Random.State.int st 3) in
+            emit (I.mk (I.Ld (I.Shared, 4, sink, { m with offset })))
+          done
+        in
+        match i.op with
+        | I.Ld (I.Shared, _, _, m) | I.St (I.Shared, _, m, _)
+        | I.Fmad_smem (_, _, m, _) ->
+          probe m;
+          emit i;
+          probe m
+        | _ -> emit i)
 end
 
 type face_case = {
   seed : int;
   block : int;
   guards : bool;
+  probes : bool;
 }
 
 let face_case_gen =
   QCheck.Gen.(
     map3
-      (fun seed block guards -> { seed; block; guards })
-      (int_bound 1_000_000) (oneofl [ 64; 48 ]) bool)
+      (fun seed block (guards, probes) -> { seed; block; guards; probes })
+      (int_bound 1_000_000) (oneofl [ 64; 48 ]) (pair bool bool))
 
 let face_kernel c =
   let st = Random.State.make [| c.seed |] in
   let k = Gpu_kernel.Compile.compile (Kernels.kernel st) in
+  let k = if c.probes then Kernels.with_probes st k else k in
   if c.guards then Kernels.with_guards st k else k
 
 let print_face_case c =
-  Printf.sprintf "seed %d block %d guards %b\n%s" c.seed c.block c.guards
+  Printf.sprintf "seed %d block %d guards %b probes %b\n%s" c.seed c.block
+    c.guards c.probes
     (Program.to_string (face_kernel c).program)
 
 let face_args c =
@@ -1277,13 +1326,231 @@ let test_relevance_selp_predicate () =
     |}
     ~needed:[ 0; 1; 2; 3 ] ~skipped:[ 4 ]
 
+(* --- broadcast staging reuse ---------------------------------------------- *)
+
+(* A hand-written program on both faces: statistics, traces and any fault
+   agree, and the statistics face reused a broadcast's staging exactly
+   [reused] times. *)
+let reuse_case ~name ?(grid = 1) ?(block = 64) ?fault listing ~reused =
+  let program = Gpu_isa.Asm.parse listing in
+  let k = Gpu_microbench.Runner.wrap ~param_regs:[] ~smem_bytes:4096 program in
+  let v = run_face ~values:true ~grid ~block ~args:[] k in
+  let s = run_face ~values:false ~grid ~block ~args:[] k in
+  Alcotest.(check (option string)) (name ^ ": fault") fault v.fault;
+  Alcotest.(check (option string)) (name ^ ": faults agree") v.fault s.fault;
+  Alcotest.(check bool) (name ^ ": statistics agree") true (v.stages = s.stages);
+  Alcotest.(check bool) (name ^ ": traces agree") true (v.traces = s.traces);
+  Alcotest.(check int) (name ^ ": stagings reused") reused s.reused;
+  Alcotest.(check int) (name ^ ": values face reuses none") 0 v.reused
+
+let test_reuse_needed_write () =
+  (* r1 is one address per warp until the needed add spreads it over the
+     lanes, 16 words apart: one bank, so the last access is a 16-way
+     conflict where a stale broadcast would count one transaction *)
+  reuse_case ~name:"needed write between"
+    {|
+    mov.b32 $r1, 0
+    ld.shared.b32 $r5, [$r1]
+    ld.shared.b32 $r5, [$r1+4]
+    mov.b32 $r2, %tid.x
+    shl.b32 $r2, $r2, 6
+    add.s32 $r1, $r1, $r2
+    ld.shared.b32 $r5, [$r1]
+    ld.shared.b32 $r5, [$r1+4]
+    exit
+    |}
+    ~reused:2
+
+let test_reuse_load_writes_base () =
+  (* the needed load replaces its own base with the planted 8192, so the
+     access after it is out of range: a staging kept from before the load
+     would still read word 1 *)
+  reuse_case ~name:"load writes its base"
+    ~fault:"block 0: shared access at 0x2004 outside [0, 0x1000)"
+    {|
+    mov.b32 $r1, %tid.x
+    shl.b32 $r2, $r1, 2
+    mov.b32 $r3, 8192
+    st.shared.b32 [$r2], $r3
+    bar.sync 0
+    mov.b32 $r4, 0
+    ld.shared.b32 $r6, [$r4+4]
+    ld.shared.b32 $r6, [$r4+8]
+    ld.shared.b32 $r4, [$r4]
+    ld.shared.b32 $r6, [$r4+4]
+    exit
+    |}
+    ~reused:1
+
+let test_reuse_guard_changes_mask () =
+  (* lanes 0-7 share address 0 and the others do not: the guarded access
+     is a broadcast, the unguarded one through the same base tallies
+     (lanes 0-7 on word 1, the rest 16 words apart, all in bank 1) *)
+  reuse_case ~name:"guard changes the mask"
+    {|
+    mov.b32 $r1, %tid.x
+    shl.b32 $r2, $r1, 6
+    set.lt.s32 $p1, $r1, 8
+    @$p1 mov.b32 $r2, 0
+    @$p1 ld.shared.b32 $r5, [$r2]
+    @$p1 ld.shared.b32 $r5, [$r2+8]
+    ld.shared.b32 $r5, [$r2+4]
+    @$p1 ld.shared.b32 $r5, [$r2+12]
+    exit
+    |}
+    ~reused:2
+
+let test_reuse_warps_differ () =
+  (* warp 0 reads through 0, warp 1 through 2048, at the same pcs; after
+     the barrier warp 0 runs first while warp 1's staging is the last one
+     made, and warp 1's own access then leaves the 4096-byte array *)
+  reuse_case ~name:"warps differ"
+    ~fault:"block 0: shared access at 0x1000 outside [0, 0x1000)"
+    {|
+    mov.b32 $r1, %warpid
+    mul24.s32 $r1, $r1, 2048
+    ld.shared.b32 $r5, [$r1]
+    ld.shared.b32 $r5, [$r1+4]
+    bar.sync 0
+    ld.shared.b32 $r5, [$r1+2048]
+    exit
+    |}
+    ~reused:2
+
+let test_reuse_second_block () =
+  (* every block starts with r1 = 0, and block 0 ends having staged 3072
+     through r1: a staging kept into block 1 would read 5120 *)
+  reuse_case ~name:"second block" ~grid:2 ~block:32
+    {|
+    ld.shared.b32 $r5, [$r1+2048]
+    mov.b32 $r1, 3072
+    ld.shared.b32 $r5, [$r1]
+    ld.shared.b32 $r5, [$r1+4]
+    exit
+    |}
+    ~reused:2
+
+(* --- layout-only device memory ----------------------------------------- *)
+
+(* Same size, checks, poison and fault messages as a full memory; every
+   accessor of its words raises, even for a lane set that moves none. *)
+let test_layout_only_memory () =
+  let full = Memory.create ~bytes:250 and bare = Memory.layout_only ~bytes:250 in
+  Alcotest.(check int) "size" (Memory.size_bytes full) (Memory.size_bytes bare);
+  List.iter (fun m -> Memory.poison m ~addr:64 ~width:4) [ full; bare ];
+  let fault m ~width addrs ~mask =
+    match Memory.check_lanes m ~width addrs ~mask with
+    | () -> None
+    | exception Memory.Fault msg -> Some msg
+  in
+  let lanes f = Array.init 32 f in
+  List.iter
+    (fun (what, width, addrs, mask) ->
+      Alcotest.(check (option string)) what
+        (fault full ~width addrs ~mask)
+        (fault bare ~width addrs ~mask))
+    [
+      ("in range", 4, lanes (fun l -> 4 * l), 0xFFFF);
+      ("poisoned", 4, lanes (fun l -> 4 * l), 0x1_FFFF);
+      ("out of range", 8, lanes (fun l -> 248 - (8 * l)), 1);
+      ("misaligned", 8, lanes (fun l -> 4 * l), 2);
+      ("no lane", 4, lanes (fun _ -> 1 lsl 20), 0);
+    ];
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s reached a layout-only memory's words" what
+    | exception Invalid_argument _ -> ()
+  in
+  let regs = Bytes.make 256 '\000' and addrs = lanes (fun l -> 4 * l) in
+  raises "load_lanes" (fun () ->
+      Memory.load_lanes bare ~width:4 addrs ~mask:1 regs ~reg:0);
+  raises "store_lanes" (fun () ->
+      Memory.store_lanes bare ~width:4 addrs ~mask:0 regs ~reg:0);
+  let alloc = List.hd (fst (Memory.layout [ 8 ])) in
+  raises "copy_in" (fun () -> Memory.copy_in bare alloc (Memory.zeros 8));
+  raises "copy_out" (fun () -> Memory.copy_out bare alloc (Memory.zeros 8))
+
+(* A loaded word that reaches an address makes the load needed, and such
+   a statistics launch gets the words: an index past [inp] faults exactly
+   as on the values face.  A copy's loads are count-only, so it does not. *)
+let test_needed_global_load_full_memory () =
+  let kernel index =
+    {
+      Ir.name = "gather";
+      params = [ "inp"; "idx"; "out" ];
+      shared = [];
+      body = [ Ir.St_global ("out", Ir.Tid, Ir.Ld_global ("inp", index)) ];
+    }
+  in
+  let gather = compile (kernel (Ir.Ld_global ("idx", Ir.Tid)))
+  and copy = compile (kernel Ir.Tid) in
+  let moves (k : Gpu_kernel.Compile.compiled) =
+    Machine.moves_global_words
+      (Machine.prepare ~values:false (Machine.config Gpu_hw.Spec.gtx285)
+         k.program)
+  in
+  Alcotest.(check bool) "gather loads words" true (moves gather);
+  Alcotest.(check bool) "copy loads none" false (moves copy);
+  let args far =
+    [
+      ("inp", Memory.init 32 Fun.id);
+      ("idx", Memory.init 32 (fun i -> if i = 5 then far else 31 - i));
+      ("out", Memory.zeros 32);
+    ]
+  in
+  (match Sim.launch_result ~grid:1 ~block:32 ~args:(args 7) gather with
+  | Ok r ->
+    let v = Sim.launch ~grid:1 ~block:32 ~args:(args 7) gather in
+    Alcotest.(check bool) "statistics agree" true
+      (Stats.stages r.stats = Stats.stages v.stats)
+  | Error f -> Alcotest.fail f.Sim.diag.Gpu_diag.Diag.message);
+  let values_fault =
+    match Sim.launch ~grid:1 ~block:32 ~args:(args 100_000) gather with
+    | _ -> None
+    | exception Memory.Fault m -> Some m
+  in
+  match Sim.launch_result ~grid:1 ~block:32 ~args:(args 100_000) gather with
+  | Ok _ -> Alcotest.fail "an index past every buffer did not fault"
+  | Error f ->
+    Alcotest.(check (option string)) "the values face's fault" values_fault
+      (Some f.Sim.diag.Gpu_diag.Diag.message)
+
+(* One block of the matmul n = 1024 statistics launch lays out three
+   4 MiB arguments: a full device memory would allocate 1.5 Mi words
+   (12 MiB) straight in the major heap, which [Gc.minor_words] misses.
+   Measured with the words: 1.83-1.94 M; layout-only: 0.26-0.47 M, most
+   of it the per-stage statistics of 129 stages. *)
+let test_layout_only_allocation () =
+  let module Matmul = Gpu_workloads.Matmul in
+  let n = 1024 and tile = 16 in
+  let k = compile (Matmul.kernel ~n ~tile) in
+  let zeros = Memory.zeros (n * n) in
+  let args = [ ("a", zeros); ("b", zeros); ("c", zeros) ] in
+  let before = Gc.allocated_bytes () in
+  let r =
+    Sim.launch_result ~block_ids:[ 0 ] ~grid:(Matmul.grid ~n ~tile)
+      ~block:Matmul.threads_per_block ~args k
+  in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  Alcotest.(check bool) "ran" true (Result.is_ok r);
+  if words > float_of_int (768 * 1024) then
+    Alcotest.failf "a one-block statistics launch allocated %.0f words" words
+
 (* The property above is only as strong as its kernels: over 100 of them,
-   with and without guards, some must run to the end while skipping
-   values and some must fault (measured: 40 and 53 of 100). *)
+   with and without guards and probes, some must run to the end while
+   skipping values, some must fault, and some must reuse a broadcast's
+   staging (measured: 38, 57 and 25 of 100). *)
 let test_face_kernels_reach () =
-  let skipping = ref 0 and faults = ref 0 in
+  let skipping = ref 0 and faults = ref 0 and reusing = ref 0 in
   for seed = 0 to 99 do
-    let c = { seed; block = 64; guards = seed mod 2 = 0 } in
+    let c =
+      { seed; block = 64; guards = seed mod 2 = 0; probes = seed mod 4 < 2 }
+    in
+    let s =
+      run_face ~values:false ~grid:2 ~block:64 ~args:(face_args c)
+        (face_kernel c)
+    in
+    if s.reused > 0 then incr reusing;
     match
       Sim.launch_result ~max_warp_instructions ~grid:2 ~block:64
         ~args:(face_args c) (face_kernel c)
@@ -1292,9 +1559,10 @@ let test_face_kernels_reach () =
     | Error _ -> incr faults
   done;
   Alcotest.(check bool)
-    (Printf.sprintf "%d skip values, %d fault" !skipping !faults)
+    (Printf.sprintf "%d skip values, %d fault, %d reuse" !skipping !faults
+       !reusing)
     true
-    (!skipping >= 20 && !faults >= 10)
+    (!skipping >= 20 && !faults >= 10 && !reusing >= 10)
 
 let () =
   Alcotest.run "sim"
@@ -1364,6 +1632,22 @@ let () =
             prop_faces_agree;
           Alcotest.test_case "random kernels skip and fault" `Quick
             test_face_kernels_reach;
+          Alcotest.test_case "reuse: needed write between" `Quick
+            test_reuse_needed_write;
+          Alcotest.test_case "reuse: load writes its base" `Quick
+            test_reuse_load_writes_base;
+          Alcotest.test_case "reuse: guard changes the mask" `Quick
+            test_reuse_guard_changes_mask;
+          Alcotest.test_case "reuse: warps differ" `Quick
+            test_reuse_warps_differ;
+          Alcotest.test_case "reuse: second block" `Quick
+            test_reuse_second_block;
+          Alcotest.test_case "layout-only memory" `Quick
+            test_layout_only_memory;
+          Alcotest.test_case "needed global load keeps the words" `Quick
+            test_needed_global_load_full_memory;
+          Alcotest.test_case "layout-only allocation bound" `Quick
+            test_layout_only_allocation;
           Alcotest.test_case "guarded write keeps a value" `Quick
             test_relevance_guarded_write;
           Alcotest.test_case "value through shared memory" `Quick

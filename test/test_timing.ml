@@ -879,6 +879,92 @@ let test_calibration_fast_forward () =
         (calibration_traces s))
     [ Gpu_hw.Spec.gtx285; Gpu_hw.Spec.volta_like ]
 
+(* Every counter a replay moves in the registry. *)
+let engine_counters =
+  [
+    "engine.runs"; "engine.cycles"; "engine.warps.launched";
+    "engine.warps.retired"; "engine.blocks.retired";
+    "engine.blocks.unlaunched"; "engine.busy.alu_cycles";
+    "engine.busy.smem_cycles"; "engine.busy.atomic_cycles";
+    "engine.busy.gmem_cycles"; "engine.events_replayed";
+    "engine.replay_ticks"; "engine.clusters_parallel";
+    "engine.clusters_reused"; "engine.events_skipped";
+    "engine.fast_forwards"; "engine.ff_rollbacks"; "engine.warps_cooked";
+  ]
+
+(* [f ()] and how far it moved each of [engine_counters]. *)
+let moving f =
+  let before = List.map counter engine_counters in
+  let r = f () in
+  (r, List.map2 (fun n b -> counter n - b) engine_counters before)
+
+(* Only [engine.warps_cooked] moved, by [n]. *)
+let cooks n =
+  List.map
+    (fun name -> if name = "engine.warps_cooked" then n else 0)
+    engine_counters
+
+(* Every calibration trace on every fleet profile, cooked once: replayed
+   by [replay_shared] at every warp count it equals [run] on the full
+   block in every result field and moves every counter [run] moves by
+   the same amount, the fast-forward's included, except that only [run]
+   cooks. *)
+let test_replay_shared () =
+  List.iter
+    (fun (pname, s) ->
+      List.iter
+        (fun (name, trace) ->
+          let cooked, moved =
+            moving (fun () -> Engine.cook_warp ~spec:s trace)
+          in
+          Alcotest.(check (list int)) (name ^ ": one cook") (cooks 1) moved;
+          for w = 1 to 32 do
+            let at = Printf.sprintf "%s, %s at %d warps" pname name w in
+            let block = { Trace.block = 0; warps = Array.make w trace } in
+            let full, by_run =
+              moving (fun () ->
+                  Engine.run ~homogeneous:true ~spec:s ~max_resident_blocks:1
+                    [| block |])
+            in
+            let shared, by_shared =
+              moving (fun () -> Engine.replay_shared ~warps:w cooked)
+            in
+            Alcotest.(check (list int)) at (result_fields full)
+              (result_fields shared);
+            Alcotest.(check bool) (at ^ ": whole result") true (full = shared);
+            Alcotest.(check (list int)) (at ^ ": counters")
+              (List.map2 ( - ) by_run (cooks 1))
+              by_shared
+          done)
+        (calibration_traces s))
+    Gpu_hw.Spec.fleet
+
+(* A cooked warp carries its device: cooked under each fleet profile,
+   one chain replays as [run] does under that profile, and the profiles
+   do not all agree, so no other device's parameters could stand in.
+   There is no spec to pass at replay time. *)
+let test_cooked_warp_keeps_device () =
+  let _, chain = List.nth (calibration_traces spec) 2 in
+  let cycles =
+    List.map
+      (fun (pname, s) ->
+        let block = { Trace.block = 0; warps = Array.make 8 chain } in
+        let want =
+          Engine.run ~homogeneous:true ~spec:s ~max_resident_blocks:1
+            [| block |]
+        in
+        let got = Engine.replay_shared ~warps:8 (Engine.cook_warp ~spec:s chain) in
+        Alcotest.(check bool) (pname ^ ": replays under its own device") true
+          (want = got);
+        got.Engine.cycles)
+      Gpu_hw.Spec.fleet
+  in
+  Alcotest.(check bool) "profiles differ" true
+    (List.exists (fun c -> c <> List.hd cycles) cycles);
+  match Engine.replay_shared ~warps:0 (Engine.cook_warp ~spec chain) with
+  | _ -> Alcotest.fail "a block of no warps replayed"
+  | exception Invalid_argument _ -> ()
+
 (* Two warps sharing a long chain that fast-forwards, then a barrier:
    its release queues both warps at one key, so the next pop is tied
    after the skip.  The replay rolls back, and the rerun without
@@ -1103,6 +1189,10 @@ let () =
         [
           Alcotest.test_case "calibration replays equal their timeline runs"
             `Quick test_calibration_fast_forward;
+          Alcotest.test_case "replay_shared equals run" `Quick
+            test_replay_shared;
+          Alcotest.test_case "a cooked warp keeps its device" `Quick
+            test_cooked_warp_keeps_device;
           Alcotest.test_case "a tied pop after a skip rolls back" `Quick
             test_rollback_after_skip;
           Alcotest.test_case "skipped horizons set the end time" `Quick
