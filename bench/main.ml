@@ -209,7 +209,7 @@ let fig4 () =
     "meas ms" "GFLOPS";
   List.iter
     (fun tile ->
-      let r = Matmul.analyze ~measure:true ~n:1024 ~tile () in
+      let r = Workflow.analyze ~measure:true (Matmul.input ~n:1024 ~tile) in
       let total = Stats.total r.Workflow.stats in
       let sc x = float_of_int x *. r.Workflow.scale /. 1e6 in
       let a = r.Workflow.analysis in
@@ -260,13 +260,10 @@ let fig5 () =
 
 let cr_reports =
   Memo.once (fun () ->
-      let cr =
-        Tridiag.analyze ~measure:true ~nsys:512 ~n:512 ~padded:false ()
+      let cr padded =
+        Workflow.analyze ~measure:true (Tridiag.input ~nsys:512 ~n:512 ~padded)
       in
-      let nbc =
-        Tridiag.analyze ~measure:true ~nsys:512 ~n:512 ~padded:true ()
-      in
-      (cr, nbc))
+      (cr false, cr true))
 
 let fig6 () =
   header "Figure 6" "per-step breakdown, CR vs CR-NBC (512 systems x 512 \
@@ -421,7 +418,7 @@ let spmv_reports =
   Memo.once (fun () ->
       let m = qcd () in
       List.map
-        (fun fmt -> (fmt, Spmv.analyze ~measure:true m fmt))
+        (fun fmt -> (fmt, Workflow.analyze ~measure:true (Spmv.input m fmt)))
         [ Spmv.Ell; Spmv.Bell_im; Spmv.Bell_imiv ])
 
 let fig11b () =
@@ -433,7 +430,7 @@ let fig11b () =
     (fun (fmt, (r : Workflow.report)) ->
       let a = r.Workflow.analysis in
       let meas = Option.get r.Workflow.measured in
-      let r16 = Spmv.analyze ~spec:seg16 m fmt in
+      let r16 = Workflow.analyze ~spec:seg16 (Spmv.input m fmt) in
       Printf.printf
         "%-10s instr %6.4f  shared %6.4f  global %6.4f ms | pred %6.4f  \
          meas %6.4f ms (%s-bound) | 16B txns: pred %6.4f ms\n"
@@ -472,46 +469,27 @@ let fig12 () =
 
 let whatif () =
   header "What-if" "architectural improvements the paper argues for";
-  (* the baseline against one variant, both on the same argument buffers *)
-  let compare title ?sample ~grid ~block ~args kernel variant =
+  (* the baseline against one variant, both on the same input *)
+  let compare title input variant =
     Printf.printf "%s\n%s\n" title
       (Fmt.str "%a" Whatif.pp
          (Whatif.run
-            (fun spec ->
-              Workflow.analyze ~spec ?sample ~grid ~block ~args kernel)
+            (fun spec -> Workflow.analyze ~spec input)
             [ ("baseline", spec); ("variant", variant) ]))
   in
-  let args_mm =
-    List.map
-      (fun p -> (p, Gpu_sim.Memory.zeros (1024 * 1024)))
-      [ "a"; "b"; "c" ]
+  (* the matmul rows sample two blocks, not the workload's four *)
+  let matmul tile =
+    { (Matmul.input ~n:1024 ~tile) with Workflow.sample = Some 2 }
   in
-  compare "matmul 8x8, 16 resident blocks (5.1):" ~sample:2
-    ~grid:(Matmul.grid ~n:1024 ~tile:8)
-    ~block:Matmul.threads_per_block ~args:args_mm
-    (Matmul.kernel ~n:1024 ~tile:8)
+  compare "matmul 8x8, 16 resident blocks (5.1):" (matmul 8)
     (Spec.with_max_blocks 16 spec);
-  compare "matmul 32x32, doubled registers+smem (5.1):" ~sample:2
-    ~grid:(Matmul.grid ~n:1024 ~tile:32)
-    ~block:Matmul.threads_per_block ~args:args_mm
-    (Matmul.kernel ~n:1024 ~tile:32)
+  compare "matmul 32x32, doubled registers+smem (5.1):" (matmul 32)
     (Spec.with_smem 32768 (Spec.with_registers 32768 spec));
-  let words = 512 * 512 in
-  compare "cyclic reduction, 17 banks (5.2):" ~sample:2 ~grid:512 ~block:256
-    ~args:
-      (List.map
-         (fun p ->
-           ( p,
-             if p = "b" then Gpu_sim.Memory.const_float words 1.0
-             else Gpu_sim.Memory.zeros words ))
-         [ "a"; "b"; "c"; "d"; "x" ])
-    (Tridiag.kernel ~n:512 ~padded:false)
+  compare "cyclic reduction, 17 banks (5.2):"
+    (Tridiag.input ~nsys:512 ~n:512 ~padded:false)
     (Spec.with_banks 17 spec);
-  let m = qcd () in
-  let grid, block = Spmv.launch m Spmv.Ell in
-  compare "SpMV ELL, 16-byte transactions (5.3):" ~grid ~block
-    ~args:(Spmv.buffers m Spmv.Ell (Array.make (Spmv.rows m) 1.0))
-    (Spmv.kernel m Spmv.Ell)
+  compare "SpMV ELL, 16-byte transactions (5.3):"
+    (Spmv.input (qcd ()) Spmv.Ell)
     (Spec.with_min_segment 16 spec)
 
 (* --- Extras: the model applied to further data-parallel primitives -------- *)
@@ -520,7 +498,8 @@ let extras () =
   header "Extras" "reduction, scan and transpose under the model (not in \
                    the paper; the library as a downstream user would use \
                    it)";
-  let show name (r : Workflow.report) =
+  let show name input =
+    let r = Workflow.analyze ~measure:true input in
     let a = r.Workflow.analysis in
     let meas =
       match r.Workflow.measured with
@@ -538,24 +517,18 @@ let extras () =
       (100.0 *. a.Model.coalescing_efficiency)
   in
   show "reduce/interleaved"
-    (Gpu_workloads.Reduce.analyze ~measure:true ~blocks:4096
-       Gpu_workloads.Reduce.Interleaved);
+    (Gpu_workloads.Reduce.input ~blocks:4096 Gpu_workloads.Reduce.Interleaved);
   show "reduce/sequential"
-    (Gpu_workloads.Reduce.analyze ~measure:true ~blocks:4096
-       Gpu_workloads.Reduce.Sequential);
-  show "scan (1M elements)"
-    (Gpu_workloads.Scan.analyze ~measure:true ~blocks:8192 ());
+    (Gpu_workloads.Reduce.input ~blocks:4096 Gpu_workloads.Reduce.Sequential);
+  show "scan (1M elements)" (Gpu_workloads.Scan.input ~blocks:8192 ());
   show "transpose/naive"
-    (Gpu_workloads.Transpose.analyze ~measure:true ~n:1024
-       Gpu_workloads.Transpose.Naive);
+    (Gpu_workloads.Transpose.input ~n:1024 Gpu_workloads.Transpose.Naive);
   show "transpose/tiled"
-    (Gpu_workloads.Transpose.analyze ~measure:true ~n:1024
-       Gpu_workloads.Transpose.Tiled);
+    (Gpu_workloads.Transpose.input ~n:1024 Gpu_workloads.Transpose.Tiled);
   show "transpose/padded"
-    (Gpu_workloads.Transpose.analyze ~measure:true ~n:1024
+    (Gpu_workloads.Transpose.input ~n:1024
        Gpu_workloads.Transpose.Tiled_padded);
-  show "nbody (15360 bodies)"
-    (Gpu_workloads.Nbody.analyze ~measure:true ~n:15360 ())
+  show "nbody (15360 bodies)" (Gpu_workloads.Nbody.input ~n:15360 ())
 
 (* --- Ablation: sensitivity to the timing calibration ----------------------- *)
 
@@ -574,9 +547,10 @@ let ablation () =
        Spec.with_name "abl gmem1100" { spec with Spec.gmem_latency = 1100 });
     ]
   in
+  let input = Matmul.input ~n:1024 ~tile:16 in
   List.iter
     (fun (name, dev) ->
-      let r = Matmul.analyze ~spec:dev ~measure:true ~n:1024 ~tile:16 () in
+      let r = Workflow.analyze ~spec:dev ~measure:true input in
       let m = Option.get r.Workflow.measured in
       Printf.printf "%-22s pred %6.2f ms  meas %6.2f ms  (%s-bound)\n" name
         (1e3 *. r.Workflow.analysis.Model.predicted_seconds)
@@ -602,7 +576,8 @@ let atomic () =
   let module H = Gpu_workloads.Histogram in
   let module D = Gpu_workloads.Degree in
   let module R = Gpu_workloads.Reduce in
-  let row name (r : Workflow.report) =
+  let row name input =
+    let r = Workflow.analyze ~measure:true input in
     let a = r.Workflow.analysis in
     let t = a.Model.totals in
     let pen =
@@ -631,16 +606,14 @@ let atomic () =
     (fun skew ->
       row
         (Printf.sprintf "histogram skew=%.1f" skew)
-        (H.analyze ~measure:true ~skew ~blocks:256 ()))
+        (H.input ~skew ~blocks:256 ()))
     [ 0.0; 0.5; 0.8; 1.0 ];
   List.iter
     (fun hub ->
-      row
-        (Printf.sprintf "degree hub=%.1f" hub)
-        (D.analyze ~measure:true ~hub ~blocks:256 ()))
+      row (Printf.sprintf "degree hub=%.1f" hub) (D.input ~hub ~blocks:256 ()))
     [ 0.0; 0.3; 1.0 ];
-  row "reduce tree" (R.analyze ~measure:true ~blocks:512 R.Sequential);
-  row "reduce atomic" (R.analyze ~measure:true ~blocks:512 R.Atomic);
+  row "reduce tree" (R.input ~blocks:512 R.Sequential);
+  row "reduce atomic" (R.input ~blocks:512 R.Atomic);
   Printf.printf
     "committed reference numbers: EXPERIMENTS.md, Atomic contention\n"
 
@@ -655,7 +628,7 @@ let atomic () =
 let devices () =
   header "Devices" "one workload across the device fleet: predicted time, \
                     speedup, bottleneck shifts (DESIGN §16)";
-  let sweep title analyze =
+  let sweep title input =
     Printf.printf "%s\n" title;
     List.iter
       (fun (o : Whatif.outcome) ->
@@ -666,13 +639,11 @@ let devices () =
           o.speedup
           (Component.name a.Model.bottleneck)
           (if o.shifted then "<- shift" else ""))
-      (Whatif.run analyze Spec.fleet)
+      (Whatif.run (fun spec -> Workflow.analyze ~spec input) Spec.fleet)
   in
-  sweep "matmul 16x16, n=1024:" (fun spec ->
-      Matmul.analyze ~spec ~measure:false ~n:1024 ~tile:16 ());
-  sweep "histogram skew=0.8, 256 blocks:" (fun spec ->
-      Gpu_workloads.Histogram.analyze ~spec ~measure:false ~skew:0.8
-        ~blocks:256 ());
+  sweep "matmul 16x16, n=1024:" (Matmul.input ~n:1024 ~tile:16);
+  sweep "histogram skew=0.8, 256 blocks:"
+    (Gpu_workloads.Histogram.input ~skew:0.8 ~blocks:256 ());
   Printf.printf
     "committed reference numbers: EXPERIMENTS.md, Device fleet\n"
 
@@ -692,11 +663,12 @@ let validation () =
       (1e3 *. m.Gpu_timing.Engine.seconds)
       (100.0 *. Option.get (Workflow.prediction_error r))
   in
+  let measured input = Workflow.analyze ~measure:true input in
   List.iter
     (fun tile ->
       row
         (Printf.sprintf "matmul %dx%d" tile tile)
-        (Matmul.analyze ~measure:true ~n:1024 ~tile ()))
+        (measured (Matmul.input ~n:1024 ~tile)))
     [ 8; 16; 32 ];
   let cr, nbc = cr_reports () in
   row "cyclic reduction" cr;
@@ -705,17 +677,19 @@ let validation () =
     (fun (fmt, r) -> row ("spmv " ^ Spmv.format_name fmt) r)
     (spmv_reports ());
   row "reduce interleaved"
-    (Gpu_workloads.Reduce.analyze ~measure:true ~blocks:4096
-       Gpu_workloads.Reduce.Interleaved);
+    (measured
+       (Gpu_workloads.Reduce.input ~blocks:4096
+          Gpu_workloads.Reduce.Interleaved));
   row "reduce sequential"
-    (Gpu_workloads.Reduce.analyze ~measure:true ~blocks:4096
-       Gpu_workloads.Reduce.Sequential);
-  row "scan" (Gpu_workloads.Scan.analyze ~measure:true ~blocks:8192 ());
+    (measured
+       (Gpu_workloads.Reduce.input ~blocks:4096
+          Gpu_workloads.Reduce.Sequential));
+  row "scan" (measured (Gpu_workloads.Scan.input ~blocks:8192 ()));
   List.iter
     (fun v ->
       row
         ("transpose " ^ Gpu_workloads.Transpose.variant_name v)
-        (Gpu_workloads.Transpose.analyze ~measure:true ~n:1024 v))
+        (measured (Gpu_workloads.Transpose.input ~n:1024 v)))
     Gpu_workloads.Transpose.[ Naive; Tiled; Tiled_padded ];
   Printf.printf
     "err = (pred - meas) / meas; pred assumes perfect overlap (the paper's \

@@ -81,14 +81,14 @@ let no_cache_arg =
         ~doc:"Bypass the on-disk calibration cache (see \
               $(b,GPUPERF_CACHE_DIR))")
 
-(* Route the library's cache/calibration diagnostics to stderr so users
-   can tell a slow cold calibration from a warm cache hit, and apply the
-   parallelism/cache overrides.  [jobs] is already validated by
-   [jobs_conv]. *)
-let apply_calibration_opts jobs no_cache =
-  Option.iter Gpu_parallel.Pool.set_jobs jobs;
-  if no_cache then Gpu_microbench.Tables.set_disk_cache false;
-  Gpu_microbench.Tables.set_on_diag print_diag
+(* [--jobs] and [--no-cache], yielding the function that applies them
+   ([jobs] is already validated by [jobs_conv]). *)
+let calibration_opts =
+  let apply jobs no_cache () =
+    Option.iter Gpu_parallel.Pool.set_jobs jobs;
+    if no_cache then Gpu_microbench.Tables.set_disk_cache false
+  in
+  Term.(const apply $ jobs_arg $ no_cache_arg)
 
 (* --- metrics ------------------------------------------------------------- *)
 
@@ -108,18 +108,39 @@ let metrics_format_arg =
     & info [ "metrics-format" ] ~docv:"FMT"
         ~doc:"Metrics dump format: text, json or openmetrics")
 
-(* Dump even when the command fails: the counters are most interesting
-   exactly when something went wrong. *)
-let with_metrics metrics fmt f =
-  if not metrics then f ()
-  else
-    let dump =
-      match fmt with
-      | `Text -> Gpu_obs.Metrics.dump_text
-      | `Json -> Gpu_obs.Metrics.dump_json
-      | `Openmetrics -> Gpu_obs.Metrics.dump_openmetrics
-    in
-    Fun.protect ~finally:(fun () -> prerr_string (dump ())) f
+(* [--metrics] and [--metrics-format], yielding the wrapper every
+   subcommand runs in.  It dumps even when the command fails: the
+   counters are most interesting exactly when something went wrong. *)
+let with_metrics :
+    ((unit -> (unit, D.t) result) -> (unit, D.t) result) Term.t =
+  let wrap metrics fmt f =
+    if not metrics then f ()
+    else
+      let dump =
+        match fmt with
+        | `Text -> Gpu_obs.Metrics.dump_text
+        | `Json -> Gpu_obs.Metrics.dump_json
+        | `Openmetrics -> Gpu_obs.Metrics.dump_openmetrics
+      in
+      Fun.protect ~finally:(fun () -> prerr_string (dump ())) f
+  in
+  Term.(const wrap $ metrics_arg $ metrics_format_arg)
+
+(* The prologue of a table-driven subcommand: the metrics wrapper, then
+   [guard stage], then the calibration options, with the library's
+   cache/calibration diagnostics routed to stderr so users can tell a
+   slow cold calibration from a warm cache hit.  [serve] and
+   [trace-serve] take {!with_metrics} and {!calibration_opts} instead:
+   the daemon installs its own diagnostic sink. *)
+let calibrated stage =
+  let prologue with_metrics apply_opts f =
+    with_metrics @@ fun () ->
+    guard stage @@ fun () ->
+    apply_opts ();
+    Gpu_microbench.Tables.set_on_diag print_diag;
+    f ()
+  in
+  Term.(const prologue $ with_metrics $ calibration_opts)
 
 (* --- occupancy ----------------------------------------------------------- *)
 
@@ -137,8 +158,8 @@ let occupancy_cmd =
     Arg.(value & flag & info [ "sweep" ]
            ~doc:"Tabulate occupancy across block sizes")
   in
-  let run metrics mfmt threads regs smem sweep =
-    with_metrics metrics mfmt @@ fun () ->
+  let run with_metrics threads regs smem sweep =
+    with_metrics @@ fun () ->
     let demand t =
       {
         Gpu_hw.Occupancy.threads_per_block = t;
@@ -181,9 +202,7 @@ let occupancy_cmd =
   in
   Cmd.v
     (Cmd.info "occupancy" ~doc:"Resident blocks and warps for a kernel shape")
-    Term.(
-      const run $ metrics_arg $ metrics_format_arg $ threads $ regs $ smem
-      $ sweep)
+    Term.(const run $ with_metrics $ threads $ regs $ smem $ sweep)
 
 (* --- microbench ---------------------------------------------------------- *)
 
@@ -195,10 +214,8 @@ let microbench_cmd =
       & info [ "gmem" ]
           ~doc:"Global benchmark: blocks,threads,transactions-per-thread")
   in
-  let run metrics mfmt jobs no_cache gmem =
-    with_metrics metrics mfmt @@ fun () ->
-    guard D.Model @@ fun () ->
-    apply_calibration_opts jobs no_cache;
+  let run calibrated gmem =
+    calibrated @@ fun () ->
     let t = Gpu_microbench.Tables.for_spec spec in
     match gmem with
     | Some (b, th, m) ->
@@ -227,9 +244,7 @@ let microbench_cmd =
   Cmd.v
     (Cmd.info "microbench"
        ~doc:"Fit and print the microbenchmark throughput tables")
-    Term.(
-      const run $ metrics_arg $ metrics_format_arg $ jobs_arg $ no_cache_arg
-      $ gmem)
+    Term.(const run $ calibrated D.Model $ gmem)
 
 (* --- workload parameters (shared by the workload subcommands) ------------ *)
 
@@ -350,12 +365,13 @@ let replay_sample_of = function
     Some { Gpu_timing.Engine.fraction = f; seed = 0 }
 
 let analyze_cmd =
-  let run params measure rsample metrics mfmt jobs no_cache =
-    with_metrics metrics mfmt @@ fun () ->
-    guard D.Cli @@ fun () ->
-    apply_calibration_opts jobs no_cache;
+  let run calibrated params measure rsample =
+    calibrated @@ fun () ->
     let replay_sample = replay_sample_of rsample in
-    let r = R.analyze ?replay_sample ~spec ~measure (or_fail params) in
+    let r =
+      Gpu_model.Workflow.analyze ?replay_sample ~spec ~measure
+        (R.input (or_fail params))
+    in
     Fmt.pr "%a@." Gpu_model.Workflow.pp r;
     match r.Gpu_model.Workflow.measured with
     | Some m ->
@@ -368,8 +384,8 @@ let analyze_cmd =
     (Cmd.info "analyze"
        ~doc:"Run the full Figure-1 workflow on a case-study workload")
     Term.(
-      const run $ params_term () $ measure_flag $ replay_sample_arg
-      $ metrics_arg $ metrics_format_arg $ jobs_arg $ no_cache_arg)
+      const run $ calibrated D.Cli $ params_term () $ measure_flag
+      $ replay_sample_arg)
 
 (* --- whatif -------------------------------------------------------------- *)
 
@@ -385,11 +401,9 @@ let whatif_cmd =
             ("Device variant (repeatable): "
             ^ String.concat ", " (List.map fst variant_specs)))
   in
-  let run params variants metrics mfmt jobs no_cache =
-    with_metrics metrics mfmt @@ fun () ->
-    guard D.Cli @@ fun () ->
-    apply_calibration_opts jobs no_cache;
-    let params = or_fail params in
+  let run calibrated params variants =
+    calibrated @@ fun () ->
+    let input = R.input (or_fail params) in
     let open Gpu_model in
     List.iteri
       (fun i (o : Whatif.outcome) ->
@@ -400,15 +414,13 @@ let whatif_cmd =
         if i > 0 then Fmt.pr " (%.2fx)" o.speedup;
         Fmt.pr "@.")
       (Whatif.run
-         (fun spec -> R.analyze ~spec params)
+         (fun spec -> Workflow.analyze ~spec input)
          (List.hd Gpu_hw.Spec.fleet :: variants))
   in
   Cmd.v
     (Cmd.info "whatif"
        ~doc:"Re-analyze a workload on architectural variants")
-    Term.(
-      const run $ params_term () $ variant_arg $ metrics_arg
-      $ metrics_format_arg $ jobs_arg $ no_cache_arg)
+    Term.(const run $ calibrated D.Cli $ params_term () $ variant_arg)
 
 (* --- disasm / asm --------------------------------------------------------- *)
 
@@ -428,8 +440,8 @@ let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
 
 let disasm_cmd =
-  let run metrics mfmt file =
-    with_metrics metrics mfmt @@ fun () ->
+  let run with_metrics file =
+    with_metrics @@ fun () ->
     match guard D.Cli (fun () -> read_file file) with
     | Error _ as e -> e
     | Ok data ->
@@ -441,7 +453,7 @@ let disasm_cmd =
   in
   Cmd.v
     (Cmd.info "disasm" ~doc:"Disassemble a kernel image (the Decuda analog)")
-    Term.(const run $ metrics_arg $ metrics_format_arg $ file_arg)
+    Term.(const run $ with_metrics $ file_arg)
 
 let asm_cmd =
   let out =
@@ -450,8 +462,8 @@ let asm_cmd =
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"OUT" ~doc:"Output kernel image")
   in
-  let run metrics mfmt file out =
-    with_metrics metrics mfmt @@ fun () ->
+  let run with_metrics file out =
+    with_metrics @@ fun () ->
     match guard D.Cli (fun () -> read_file file) with
     | Error _ as e -> e
     | Ok src ->
@@ -466,7 +478,7 @@ let asm_cmd =
   in
   Cmd.v
     (Cmd.info "asm" ~doc:"Assemble a listing to a kernel image (cudasm)")
-    Term.(const run $ metrics_arg $ metrics_format_arg $ file_arg $ out)
+    Term.(const run $ with_metrics $ file_arg $ out)
 
 (* --- coalesce -------------------------------------------------------------- *)
 
@@ -481,8 +493,8 @@ let coalesce_cmd =
   let segment =
     Arg.(value & opt int 32 & info [ "segment" ] ~doc:"Minimum segment bytes")
   in
-  let run metrics mfmt addresses segment =
-    with_metrics metrics mfmt @@ fun () ->
+  let run with_metrics addresses segment =
+    with_metrics @@ fun () ->
     if List.length addresses > 16 then
       Error
         (D.error D.Cli "expected at most 16 addresses, got %d"
@@ -508,7 +520,7 @@ let coalesce_cmd =
   Cmd.v
     (Cmd.info "coalesce"
        ~doc:"Run the memory-transaction simulator on an address list")
-    Term.(const run $ metrics_arg $ metrics_format_arg $ addresses $ segment)
+    Term.(const run $ with_metrics $ addresses $ segment)
 
 (* --- check ----------------------------------------------------------------- *)
 
@@ -562,10 +574,8 @@ let check_cmd =
             "Device profile to check (any fleet name accepted by \
              $(b,whatif --variant), plus $(b,baseline))")
   in
-  let run seed cases tol out replay device metrics mfmt jobs no_cache =
-    with_metrics metrics mfmt @@ fun () ->
-    guard D.Timing @@ fun () ->
-    apply_calibration_opts jobs no_cache;
+  let run calibrated seed cases tol out replay device =
+    calibrated @@ fun () ->
     let spec = device in
     if tol < 1.0 then
       D.fail (D.error D.Cli "--tol must be >= 1.0, got %g" tol);
@@ -613,8 +623,8 @@ let check_cmd =
          "Property-based checking: brute-force memory oracles, engine \
           invariant audit, model-vs-engine differential")
     Term.(
-      const run $ seed $ cases $ tol $ out $ replay $ device $ metrics_arg
-      $ metrics_format_arg $ jobs_arg $ no_cache_arg)
+      const run $ calibrated D.Timing $ seed $ cases $ tol $ out $ replay
+      $ device)
 
 (* --- trace ----------------------------------------------------------------- *)
 
@@ -637,16 +647,14 @@ let trace_cmd =
             "Timeline ring-buffer capacity; past it the oldest slices are \
              dropped (and reported)")
   in
-  let run params out capacity metrics mfmt jobs no_cache =
-    with_metrics metrics mfmt @@ fun () ->
-    guard D.Cli @@ fun () ->
-    apply_calibration_opts jobs no_cache;
+  let run calibrated params out capacity =
+    calibrated @@ fun () ->
     if capacity < 1 then
       D.fail (D.error D.Cli "--trace-capacity must be >= 1, got %d" capacity);
-    let params = or_fail params in
+    let input = R.input (or_fail params) in
     let tl = Gpu_obs.Timeline.create ~capacity () in
     Gpu_obs.Span.set_enabled true;
-    let r = R.analyze ~spec ~measure:true ~timeline:tl params in
+    let r = Gpu_model.Workflow.analyze ~spec ~measure:true ~timeline:tl input in
     let oc = open_out_bin out in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
@@ -672,8 +680,8 @@ let trace_cmd =
          "Run the workflow with span + engine-timeline tracing and export \
           Chrome trace-event JSON")
     Term.(
-      const run $ params_term ~with_n:true () $ out $ capacity $ metrics_arg
-      $ metrics_format_arg $ jobs_arg $ no_cache_arg)
+      const run $ calibrated D.Cli $ params_term ~with_n:true () $ out
+      $ capacity)
 
 (* --- report ---------------------------------------------------------------- *)
 
@@ -719,23 +727,23 @@ let report_cmd =
       & info [ "no-whatif" ]
           ~doc:"Skip the architectural-variant what-if section")
   in
-  let run params fmt top out ledger_path no_ledger no_whatif metrics mfmt
-      jobs no_cache =
-    with_metrics metrics mfmt @@ fun () ->
-    guard D.Cli @@ fun () ->
-    apply_calibration_opts jobs no_cache;
+  let run calibrated params fmt top out ledger_path no_ledger no_whatif =
+    calibrated @@ fun () ->
     if top < 1 then D.fail (D.error D.Cli "--top must be >= 1, got %d" top);
     let params = or_fail params in
     let workload_name = R.label params in
+    let input = R.input params in
     (* A timeline on the measured run populates the engine's per-stage
        busy counters for the report's stage summary. *)
     let tl = Gpu_obs.Timeline.create () in
-    let base = R.analyze ~timeline:tl ~spec ~measure:true params in
+    let base =
+      Gpu_model.Workflow.analyze ~timeline:tl ~spec ~measure:true input
+    in
     let whatif =
       if no_whatif then []
       else
         Gpu_model.Whatif.run ~baseline:base
-          (fun spec -> R.analyze ~spec params)
+          (fun spec -> Gpu_model.Workflow.analyze ~spec input)
           variant_specs
     in
     let attribution = Gpu_report.Attribution.of_report base in
@@ -788,10 +796,9 @@ let report_cmd =
           per-stage breakdown, hotspot attribution, what-if deltas and the \
           accuracy-ledger trend")
     Term.(
-      const run
+      const run $ calibrated D.Cli
       $ params_term ~spmv_flag:"spmv-format" ~with_n:true ()
-      $ render_fmt $ top $ out $ ledger_path $ no_ledger $ no_whatif
-      $ metrics_arg $ metrics_format_arg $ jobs_arg $ no_cache_arg)
+      $ render_fmt $ top $ out $ ledger_path $ no_ledger $ no_whatif)
 
 (* --- sweep-devices -------------------------------------------------------- *)
 
@@ -803,18 +810,17 @@ let sweep_devices_cmd =
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:"Write the comparison to $(docv) instead of stdout")
   in
-  let run params fmt out metrics mfmt jobs no_cache =
-    with_metrics metrics mfmt @@ fun () ->
-    guard D.Cli @@ fun () ->
-    apply_calibration_opts jobs no_cache;
+  let run calibrated params fmt out =
+    calibrated @@ fun () ->
     let params = or_fail params in
+    let input = R.input params in
     (* Each non-baseline spec pays its own microbenchmark calibration on
        first contact, after which the fingerprinted on-disk cache makes
        re-sweeps cheap. *)
     let doc =
       Gpu_report.Render.render_sweep fmt ~workload:(R.label params)
         (Gpu_model.Whatif.run
-           (fun spec -> R.analyze ~spec params)
+           (fun spec -> Gpu_model.Workflow.analyze ~spec input)
            Gpu_hw.Spec.fleet)
     in
     match out with
@@ -831,8 +837,8 @@ let sweep_devices_cmd =
           a per-device comparison: predicted time, speedup, component \
           totals and bottleneck-classification shifts")
     Term.(
-      const run $ params_term ~spmv_flag:"spmv-format" () $ render_fmt $ out
-      $ metrics_arg $ metrics_format_arg $ jobs_arg $ no_cache_arg)
+      const run $ calibrated D.Cli $ params_term ~spmv_flag:"spmv-format" ()
+      $ render_fmt $ out)
 
 (* --- serve ----------------------------------------------------------------- *)
 
@@ -907,10 +913,10 @@ let serve_cmd =
           ~doc:"Do not append accuracy-ledger records for completed \
                 analyses")
   in
-  let run host port unix_path queue default_deadline max_request_kb
-      max_working_set_mb drain_timeout access_log no_ledger metrics mfmt
-      jobs no_cache =
-    with_metrics metrics mfmt @@ fun () ->
+  let run with_metrics apply_calibration_opts host port unix_path queue
+      default_deadline max_request_kb max_working_set_mb drain_timeout
+      access_log no_ledger =
+    with_metrics @@ fun () ->
     guard D.Cli @@ fun () ->
     if queue < 1 then
       D.fail (D.error D.Cli "--queue must be >= 1, got %d" queue);
@@ -919,10 +925,9 @@ let serve_cmd =
         (D.error D.Cli "--max-request-kb must be >= 1, got %d" max_request_kb);
     if drain_timeout <= 0. then
       D.fail (D.error D.Cli "--drain-timeout must be positive");
-    Option.iter Gpu_parallel.Pool.set_jobs jobs;
-    if no_cache then Gpu_microbench.Tables.set_disk_cache false;
     (* [Server.create] installs its own calibration-diag sink (the
-       degradation tracker), so skip [apply_calibration_opts]. *)
+       degradation tracker), so only the options are applied. *)
+    apply_calibration_opts ();
     let endpoint =
       match unix_path with
       | Some path -> Gpu_serve.Protocol.Unix_socket path
@@ -969,10 +974,9 @@ let serve_cmd =
           socket).  Exits 0 on a clean SIGTERM/SIGINT drain, 1 on a \
           fatal fault or drain timeout.")
     Term.(
-      const run $ host $ port $ unix_path $ queue $ default_deadline
-      $ max_request_kb $ max_working_set_mb $ drain_timeout $ access_log
-      $ no_ledger $ metrics_arg $ metrics_format_arg $ jobs_arg
-      $ no_cache_arg)
+      const run $ with_metrics $ calibration_opts $ host $ port $ unix_path
+      $ queue $ default_deadline $ max_request_kb $ max_working_set_mb
+      $ drain_timeout $ access_log $ no_ledger)
 
 (* --- trace-serve ----------------------------------------------------------- *)
 
@@ -1006,13 +1010,13 @@ let trace_serve_cmd =
             "Also run the timing simulator per request (adds the \
              timing-replay stage to the tracks)")
   in
-  let run params measure requests out metrics mfmt jobs no_cache =
-    with_metrics metrics mfmt @@ fun () ->
+  let run with_metrics apply_calibration_opts params measure requests out =
+    with_metrics @@ fun () ->
     guard D.Cli @@ fun () ->
     if requests < 1 then
       D.fail (D.error D.Cli "--requests must be >= 1, got %d" requests);
-    Option.iter Gpu_parallel.Pool.set_jobs jobs;
-    if no_cache then Gpu_microbench.Tables.set_disk_cache false;
+    (* the daemon installs its own calibration-diag sink, as in [serve] *)
+    apply_calibration_opts ();
     let params = or_fail params in
     let module SP = Gpu_serve.Protocol in
     Gpu_obs.Span.set_enabled true;
@@ -1092,8 +1096,8 @@ let trace_serve_cmd =
           wire protocol, and export each captured request's span tree as \
           a Perfetto track next to the workflow spans")
     Term.(
-      const run $ params_term ~with_n:true () $ measure $ requests $ out
-      $ metrics_arg $ metrics_format_arg $ jobs_arg $ no_cache_arg)
+      const run $ with_metrics $ calibration_opts
+      $ params_term ~with_n:true () $ measure $ requests $ out)
 
 (* --- main ------------------------------------------------------------------ *)
 

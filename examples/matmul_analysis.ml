@@ -15,7 +15,9 @@ let () =
   Printf.printf
     "Dense matrix multiply, %dx%d, tiles mapped to 64-thread blocks.\n\n" n n;
   let reports =
-    List.map (fun tile -> (tile, Matmul.analyze ~measure:true ~n ~tile ()))
+    List.map
+      (fun tile ->
+        (tile, Workflow.analyze ~measure:true (Matmul.input ~n ~tile)))
       [ 8; 16; 32 ]
   in
   List.iter
@@ -51,7 +53,7 @@ let () =
      instruction pipeline to shared memory, and 16x16 wins.\n\n";
   (* The architectural fix the paper proposes: more resident blocks. *)
   let spec16 = Gpu_hw.Spec.with_max_blocks 16 Gpu_hw.Spec.gtx285 in
-  let r8 = Matmul.analyze ~spec:spec16 ~n ~tile:8 () in
+  let r8 = Workflow.analyze ~spec:spec16 (Matmul.input ~n ~tile:8) in
   Printf.printf
     "what-if (16 resident blocks): 8x8 tile now runs %d warps and the \
      model predicts %.2f ms\n"

@@ -54,8 +54,13 @@ let () =
   (* 3. Full analysis: dynamic statistics -> throughput model -> report.
      A 2-block sample is exact because all blocks do identical work. *)
   let report =
-    Gpu_model.Workflow.analyze ~sample:2 ~measure:true ~grid ~block
-      ~args:[ ("x", Gpu_sim.Memory.zeros n); ("y", Gpu_sim.Memory.zeros n) ]
-      kernel
+    Gpu_model.Workflow.analyze ~measure:true
+      {
+        Gpu_model.Workflow.kernel;
+        grid;
+        block;
+        args = [ ("x", Gpu_sim.Memory.zeros n); ("y", Gpu_sim.Memory.zeros n) ];
+        sample = Some 2;
+      }
   in
   Fmt.pr "%a@." Gpu_model.Workflow.pp report

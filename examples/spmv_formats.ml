@@ -56,7 +56,7 @@ let () =
     "GFLOPS" "bottleneck";
   List.iter
     (fun fmt ->
-      let r = Spmv.analyze ~measure:true m fmt in
+      let r = Workflow.analyze ~measure:true (Spmv.input m fmt) in
       let a = r.Workflow.analysis in
       let meas = Option.get r.Workflow.measured in
       Printf.printf "%-10s %10.4f %10.4f %8.1f %s\n" (Spmv.format_name fmt)

@@ -17,7 +17,9 @@ let () =
                  per system.\n\n" nsys n;
 
   (* 1. Diagnose the baseline. *)
-  let cr = Tridiag.analyze ~measure:true ~nsys ~n ~padded:false () in
+  let cr =
+    Workflow.analyze ~measure:true (Tridiag.input ~nsys ~n ~padded:false)
+  in
   let a = cr.Workflow.analysis in
   Printf.printf "baseline CR: predicted %.3f ms, bottleneck %s, \
                  bank-conflict penalty %.2fx\n"
@@ -52,7 +54,9 @@ let () =
     (a.Model.predicted_seconds /. conflict_free_estimate);
 
   (* 3. Implement the padding (one word per 16) and re-analyze. *)
-  let nbc = Tridiag.analyze ~measure:true ~nsys ~n ~padded:true () in
+  let nbc =
+    Workflow.analyze ~measure:true (Tridiag.input ~nsys ~n ~padded:true)
+  in
   let b = nbc.Workflow.analysis in
   Printf.printf
     "\nCR-NBC (padded): predicted %.3f ms, bottleneck %s, penalty %.2fx\n"
@@ -70,7 +74,9 @@ let () =
 
   (* 4. The architectural alternative: prime bank count. *)
   let prime = Gpu_hw.Spec.with_banks 17 Gpu_hw.Spec.gtx285 in
-  let cr17 = Tridiag.analyze ~spec:prime ~nsys ~n ~padded:false () in
+  let cr17 =
+    Workflow.analyze ~spec:prime (Tridiag.input ~nsys ~n ~padded:false)
+  in
   Printf.printf
     "\nwhat-if, 17 banks (no software change): penalty %.2fx, predicted \
      %.3f ms\n"

@@ -14,8 +14,8 @@
 
    Evaluation fans out over the domain pool, one device per task: table
    re-fits dominate the cost and are independent per spec.  The caller's
-   [analyze] may share one set of argument buffers across devices: the
-   workflow's functional simulation never writes its arguments. *)
+   [analyze] may share one workflow input across devices: the workflow's
+   functional simulation never writes its arguments. *)
 
 type outcome = {
   device : string;

@@ -19,9 +19,8 @@ type outcome = {
     order, each from [analyze spec] on its own pool task.  The baseline
     is [baseline] when given, else the first device's report (whose
     outcome then has speedup 1 and no shift).  [analyze] may close over
-    one set of argument buffers for every device: the workflow's
-    functional simulation never writes its arguments
-    ({!Workflow.analyze_result}). *)
+    one {!Workflow.input} for every device: the workflow's functional
+    simulation never writes its arguments ({!Workflow.analyze}). *)
 val run :
   ?baseline:Workflow.report ->
   (Gpu_hw.Spec.t -> Workflow.report) ->

@@ -27,6 +27,14 @@ let stage_span ?ctx ~attrs name f =
 
 type launch = { grid : int; block : int }
 
+type input = {
+  kernel : Gpu_kernel.Ir.t;
+  grid : int;
+  block : int;
+  args : (string * Gpu_sim.Memory.buffer) list;
+  sample : int option;
+}
+
 (* Warp-instructions the functional-sim stage ran without computing their
    lane values ([Sim.launch_result] is the statistics face), and the
    count-only shared accesses among them that reused a broadcast's
@@ -138,102 +146,81 @@ let replay_sample_warning (m : Gpu_timing.Engine.result) =
     ]
 
 (* The one pipeline.  Each stage runs its total [_result] face inside the
-   stage's span; a failing stage raises its diagnostic inside the span
-   (which then closes tagged with diag.severity/diag.stage) and the
-   handler at the bottom turns it back into [Error].  Out-of-range
-   warnings from the occupancy calculator, the model and a sampled
-   replay are pooled into one list alongside the report. *)
-let analyze_result ?(spec = Spec.gtx285) ?sample ?replay_sample
-    ?(measure = false) ?timeline ?ctx ~grid ~block ~args kernel =
-  let module D = Gpu_diag.Diag in
+   stage's span, and a failing stage raises its diagnostic inside the
+   span, which then closes tagged with diag.severity/diag.stage. *)
+let analyze ?(spec = Spec.gtx285) ?(measure = false) ?replay_sample ?timeline
+    ?ctx { kernel; grid; block; args; sample } =
   let run_stage ~attrs name f =
     stage_span ?ctx ~attrs name (fun () ->
-        match f () with Ok v -> v | Error d -> D.fail d)
+        match f () with Ok v -> v | Error d -> Gpu_diag.Diag.fail d)
   in
-  match
-    let k =
-      run_stage
-        ~attrs:[ ("kernel", kernel.Gpu_kernel.Ir.name) ]
-        "compile"
-        (fun () -> Gpu_kernel.Compile.compile_result kernel)
-    in
-    let attrs = span_attrs ~grid ~block k in
-    let occupancy, occ_warnings =
-      run_stage ~attrs "extract" (fun () ->
-          Gpu_hw.Occupancy.compute_result ~spec (demand_of ~spec ~block k))
-    in
-    let block_ids =
-      match sample with
-      | Some n when n < grid -> Some (List.init (max n 0) Fun.id)
-      | Some _ | None -> None
-    in
-    let r =
-      run_stage ~attrs "functional-sim" (fun () ->
-          Gpu_sim.Sim.launch_result ~collect_trace:measure ?block_ids ~spec
-            ~grid ~block ~args k
-          |> Result.map_error (fun (f : Gpu_sim.Sim.failure) -> f.diag))
-    in
-    Gpu_obs.Metrics.add m_counted_only r.counted_only;
-    Gpu_obs.Metrics.add m_staging_reused r.staging_reused;
-    let scale = Gpu_sim.Sim.scale_factor r in
-    let tables =
-      stage_span ?ctx ~attrs "calibrate" (fun () ->
-          Gpu_microbench.Tables.for_spec spec)
-    in
-    let analysis =
-      run_stage ~attrs "model" (fun () ->
-          Model.analyze_result
-            {
-              Model.in_spec = spec;
-              tables;
-              stats = r.stats;
-              scale;
-              in_grid = grid;
-              in_block = block;
-              in_occupancy = occupancy;
-              blocks_run = r.blocks_run;
-            })
-    in
-    let measured =
-      if measure then
-        run_stage ~attrs "timing-replay" (fun () ->
-            D.protect ~stage:D.Timing (fun () ->
-                let traces = replicate_traces ~grid r.traces in
-                Some
-                  (Gpu_timing.Engine.run
-                     ~homogeneous:(replay_homogeneous ~grid r)
-                     ?timeline ?sample:replay_sample ~spec
-                     ~max_resident_blocks:occupancy.Gpu_hw.Occupancy.blocks
-                     traces)))
-      else None
-    in
-    let replay_warnings =
-      match measured with
-      | Some m -> replay_sample_warning m
-      | None -> []
-    in
-    ( {
-        kernel_name = Gpu_isa.Program.name k.program;
-        compiled = k;
-        launch = { grid; block };
-        stats = r.stats;
-        scale;
-        analysis;
-        measured;
-      },
-      occ_warnings @ analysis.Model.warnings @ replay_warnings )
-  with
-  | v -> Ok v
-  | exception D.Diag_error d -> Error d
-
-let analyze ?spec ?sample ?replay_sample ?measure ?timeline ?ctx ~grid
-    ~block ~args kernel =
-  match
-    analyze_result ?spec ?sample ?replay_sample ?measure ?timeline ?ctx ~grid
-      ~block ~args kernel
-  with
-  | Ok (report, _warnings) -> report
-  | Error d -> Gpu_diag.Diag.fail d
+  let k =
+    run_stage
+      ~attrs:[ ("kernel", kernel.Gpu_kernel.Ir.name) ]
+      "compile"
+      (fun () -> Gpu_kernel.Compile.compile_result kernel)
+  in
+  let attrs = span_attrs ~grid ~block k in
+  (* The occupancy calculator's range warnings (a partial warp, one
+     resident block, ...) are dropped here: no output shows them. *)
+  let occupancy, _range_warnings =
+    run_stage ~attrs "extract" (fun () ->
+        Gpu_hw.Occupancy.compute_result ~spec (demand_of ~spec ~block k))
+  in
+  let block_ids =
+    match sample with
+    | Some n when n < grid -> Some (List.init (max n 0) Fun.id)
+    | Some _ | None -> None
+  in
+  let r =
+    run_stage ~attrs "functional-sim" (fun () ->
+        Gpu_sim.Sim.launch_result ~collect_trace:measure ?block_ids ~spec
+          ~grid ~block ~args k
+        |> Result.map_error (fun (f : Gpu_sim.Sim.failure) -> f.diag))
+  in
+  Gpu_obs.Metrics.add m_counted_only r.counted_only;
+  Gpu_obs.Metrics.add m_staging_reused r.staging_reused;
+  let scale = Gpu_sim.Sim.scale_factor r in
+  let tables =
+    stage_span ?ctx ~attrs "calibrate" (fun () ->
+        Gpu_microbench.Tables.for_spec spec)
+  in
+  let analysis =
+    run_stage ~attrs "model" (fun () ->
+        Model.analyze_result
+          {
+            Model.in_spec = spec;
+            tables;
+            stats = r.stats;
+            scale;
+            in_grid = grid;
+            in_block = block;
+            in_occupancy = occupancy;
+            blocks_run = r.blocks_run;
+          })
+  in
+  let measured =
+    if measure then
+      run_stage ~attrs "timing-replay" (fun () ->
+          Gpu_diag.Diag.protect ~stage:Gpu_diag.Diag.Timing (fun () ->
+              let traces = replicate_traces ~grid r.traces in
+              Some
+                (Gpu_timing.Engine.run
+                   ~homogeneous:(replay_homogeneous ~grid r)
+                   ?timeline ?sample:replay_sample ~spec
+                   ~max_resident_blocks:occupancy.Gpu_hw.Occupancy.blocks
+                   traces)))
+    else None
+  in
+  {
+    kernel_name = Gpu_isa.Program.name k.program;
+    compiled = k;
+    launch = { grid; block };
+    stats = r.stats;
+    scale;
+    analysis;
+    measured;
+  }
 
 let measured_seconds report =
   Option.map (fun (r : Gpu_timing.Engine.result) -> r.seconds)

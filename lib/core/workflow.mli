@@ -10,6 +10,22 @@
 
 type launch = { grid : int; block : int }
 
+(** What to analyse: a kernel with its launch and argument buffers.  Each
+    workload module builds one ([Matmul.input], ...); {!analyze} takes
+    the options. *)
+type input = {
+  kernel : Gpu_kernel.Ir.t;
+  grid : int;
+  block : int;
+  args : (string * Gpu_sim.Memory.buffer) list;
+      (** each kernel parameter bound to a buffer, as in
+          {!Gpu_sim.Sim.launch} *)
+  sample : int option;
+      (** functionally simulate only the first n blocks: exact for
+          block-homogeneous workloads (statistics are scaled, traces
+          replicated); [None] simulates the whole grid *)
+}
+
 type report = {
   kernel_name : string;
   compiled : Gpu_kernel.Compile.compiled;
@@ -45,64 +61,42 @@ val replicate_traces :
     single-cluster [homogeneous] fast path. *)
 val traces_homogeneous : Gpu_sim.Trace.block_trace list -> bool
 
-(** [analyze_result ~grid ~block ~args kernel] runs the full workflow,
-    totally.  [args] binds each kernel parameter to a buffer, as in
-    {!Gpu_sim.Sim.launch}.  The functional simulation is the statistics
-    face, {!Gpu_sim.Sim.launch_result}: it computes only the values its
+(** [analyze input] runs the full workflow on [input] and raises
+    {!Gpu_diag.Diag.Diag_error} with the first failing stage's
+    diagnostic (compile, occupancy, launch, simulation, model, trace
+    replay); with spans on, that stage's span closes tagged with
+    [diag.severity]/[diag.stage].  The model's own out-of-range warnings
+    are in [report.analysis.warnings]; a sampled replay's is
+    {!replay_sample_warning}.
+
+    The functional simulation is the statistics face,
+    {!Gpu_sim.Sim.launch_result}: it computes only the values its
     statistics and traces observe, adds the warp-instructions that
     skipped theirs to the [sim.counted_only] counter (and the shared
     accesses among them that reused a broadcast's staging to
-    [sim.staging_reused]), and never writes
-    [args], which still hold their inputs afterwards.  The first failing
-    stage (compile, occupancy, launch, simulation, model, trace replay)
-    surfaces as its diagnostic, and its span closes tagged with
-    [diag.severity]/[diag.stage].  On success the report is paired with
-    the pooled warnings of the occupancy calculator, the model (also in
-    [report.analysis.warnings]) and a sampled replay.
+    [sim.staging_reused]), and never writes [input.args], so one input
+    serves any number of analyses.
 
-    [sample] limits functional simulation to the first n blocks (exact
-    for block-homogeneous workloads; statistics are scaled, traces
-    replicated).  [measure] additionally replays the traces on the
-    timing simulator; [replay_sample] makes that replay simulate a
-    seeded subset of clusters ({!Gpu_timing.Engine.sample}) — the
-    measurement is then an extrapolation carried in
-    [report.measured.sampled], with a degraded-confidence warning;
-    [timeline] is handed to {!Gpu_timing.Engine.run} to record the
-    replay's per-pipeline busy intervals and warp states; [ctx] is a
+    [measure] additionally replays the traces on the timing simulator;
+    [replay_sample] makes that replay simulate a seeded subset of
+    clusters ({!Gpu_timing.Engine.sample}) — the measurement is then an
+    extrapolation carried in [report.measured.sampled]; [timeline] is
+    handed to {!Gpu_timing.Engine.run} to record the replay's
+    per-pipeline busy intervals and warp states; [ctx] is a
     request-scoped {!Gpu_obs.Trace_ctx} every stage also records into
     (the serve daemon threads one per request). *)
-val analyze_result :
-  ?spec:Gpu_hw.Spec.t ->
-  ?sample:int ->
-  ?replay_sample:Gpu_timing.Engine.sample ->
-  ?measure:bool ->
-  ?timeline:Gpu_obs.Timeline.t ->
-  ?ctx:Gpu_obs.Trace_ctx.t ->
-  grid:int ->
-  block:int ->
-  args:(string * Gpu_sim.Memory.buffer) list ->
-  Gpu_kernel.Ir.t ->
-  (report * Gpu_diag.Diag.t list, Gpu_diag.Diag.t) result
-
-(** {!analyze_result} without the warnings, raising
-    {!Gpu_diag.Diag.Diag_error} with the failing stage's diagnostic. *)
 val analyze :
   ?spec:Gpu_hw.Spec.t ->
-  ?sample:int ->
-  ?replay_sample:Gpu_timing.Engine.sample ->
   ?measure:bool ->
+  ?replay_sample:Gpu_timing.Engine.sample ->
   ?timeline:Gpu_obs.Timeline.t ->
   ?ctx:Gpu_obs.Trace_ctx.t ->
-  grid:int ->
-  block:int ->
-  args:(string * Gpu_sim.Memory.buffer) list ->
-  Gpu_kernel.Ir.t ->
+  input ->
   report
 
 (** The degraded-confidence warning a sampled timing replay carries
-    (empty when the replay was exact).  {!analyze_result} appends it
-    automatically; the serve daemon reuses it for replays it sampled
-    under deadline pressure. *)
+    (empty when the replay was exact), which the CLI prints and the
+    serve daemon returns with the response. *)
 val replay_sample_warning : Gpu_timing.Engine.result -> Gpu_diag.Diag.t list
 
 val measured_seconds : report -> float option

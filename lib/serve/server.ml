@@ -408,9 +408,14 @@ let compute t infl =
     let { P.device; measure; sample; params; _ } = infl.req in
     match
       D.protect ~stage:D.Exec (fun () ->
-          Registry.analyze
+          let input = Registry.input params in
+          (* A request's [sample] overrides the workload's own. *)
+          let input =
+            if Option.is_some sample then { input with sample } else input
+          in
+          Gpu_model.Workflow.analyze
             ?spec:(P.device_of_name device)
-            ~measure ?sample ?replay_sample ~ctx:infl.ctx params)
+            ~measure ?replay_sample ~ctx:infl.ctx input)
     with
     | Ok report ->
       let confidence, body, rendered, diags =

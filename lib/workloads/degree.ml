@@ -99,8 +99,7 @@ let run_simulated ?spec ?(threads = 128) ?(nodes = 64) ?(items = 4) src dst =
 (* [hub]: fraction of edge endpoints attached to node 0 — the skew of
    the synthetic degree distribution (0.0 = uniform ring, 1.0 = star
    graph, every increment on one word). *)
-let analyze ?spec ?(measure = false) ?(sample = 2) ?replay_sample ?timeline ?ctx
-    ?(threads = 128) ?(nodes = 64) ?(items = 4) ?(hub = 0.3) ~blocks () =
+let input ?(threads = 128) ?(nodes = 64) ?(items = 4) ?(hub = 0.3) ~blocks () =
   let epb = edges_per_block ~threads ~items in
   let endpoint salt i =
     if float_of_int ((i + salt) mod 100) < hub *. 100.0 then 0
@@ -113,7 +112,10 @@ let analyze ?spec ?(measure = false) ?(sample = 2) ?replay_sample ?timeline ?ctx
       ("counts", Gpu_sim.Memory.zeros (blocks * nodes));
     ]
   in
-  Gpu_model.Workflow.analyze ?spec ~sample ?replay_sample ?timeline ?ctx
-    ~measure
-    ~grid:blocks ~block:threads ~args
-    (kernel ~threads ~nodes ~items)
+  {
+    Gpu_model.Workflow.kernel = kernel ~threads ~nodes ~items;
+    grid = blocks;
+    block = threads;
+    args;
+    sample = Some 2;
+  }

@@ -19,12 +19,10 @@ val run_simulated :
   ?spec:Gpu_hw.Spec.t -> ?threads:int -> ?nodes:int -> ?items:int ->
   int array -> int array -> int array
 
-(** [analyze ~blocks ()] runs the full workflow on a synthetic edge
-    list; [hub] (default 0.3) is the fraction of endpoints attached to
-    node 0 — 0.0 a uniform ring, 1.0 a star graph. *)
-val analyze :
-  ?spec:Gpu_hw.Spec.t -> ?measure:bool -> ?sample:int ->
-  ?replay_sample:Gpu_timing.Engine.sample ->
-  ?timeline:Gpu_obs.Timeline.t -> ?ctx:Gpu_obs.Trace_ctx.t -> ?threads:int ->
-  ?nodes:int -> ?items:int -> ?hub:float -> blocks:int -> unit ->
-  Gpu_model.Workflow.report
+(** [input ~blocks ()] is the workflow input for a synthetic edge list
+    with a 2-block sample; [hub] (default 0.3) is the fraction of
+    endpoints attached to node 0 — 0.0 a uniform ring, 1.0 a star
+    graph. *)
+val input :
+  ?threads:int -> ?nodes:int -> ?items:int -> ?hub:float -> blocks:int ->
+  unit -> Gpu_model.Workflow.input

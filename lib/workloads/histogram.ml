@@ -95,8 +95,7 @@ let run_simulated ?spec ?(threads = 128) ?(bins = 64) ?(items = 4) xs =
 
 (* [skew]: 0.0 = uniform bins (conflict-light), 1.0 = everything in one
    bin (every half-warp fully serialized). *)
-let analyze ?spec ?(measure = false) ?(sample = 2) ?replay_sample ?timeline ?ctx
-    ?(threads = 128) ?(bins = 64) ?(items = 4) ?(skew = 0.8) ~blocks () =
+let input ?(threads = 128) ?(bins = 64) ?(items = 4) ?(skew = 0.8) ~blocks () =
   let epb = elements_per_block ~threads ~items in
   let value i =
     if float_of_int (i mod 100) < skew *. 100.0 then 0 else i * 7
@@ -107,7 +106,10 @@ let analyze ?spec ?(measure = false) ?(sample = 2) ?replay_sample ?timeline ?ctx
       ("counts", Gpu_sim.Memory.zeros (blocks * bins));
     ]
   in
-  Gpu_model.Workflow.analyze ?spec ~sample ?replay_sample ?timeline ?ctx
-    ~measure
-    ~grid:blocks ~block:threads ~args
-    (kernel ~threads ~bins ~items)
+  {
+    Gpu_model.Workflow.kernel = kernel ~threads ~bins ~items;
+    grid = blocks;
+    block = threads;
+    args;
+    sample = Some 2;
+  }

@@ -19,12 +19,9 @@ val run_simulated :
   ?spec:Gpu_hw.Spec.t -> ?threads:int -> ?bins:int -> ?items:int ->
   int array -> int array
 
-(** [analyze ~blocks ()] runs the full analysis workflow on a synthetic
-    input: [skew] (default 0.8) is the fraction of elements landing in
-    bin 0 — 0.0 is uniform, 1.0 serializes every half-warp. *)
-val analyze :
-  ?spec:Gpu_hw.Spec.t -> ?measure:bool -> ?sample:int ->
-  ?replay_sample:Gpu_timing.Engine.sample ->
-  ?timeline:Gpu_obs.Timeline.t -> ?ctx:Gpu_obs.Trace_ctx.t -> ?threads:int ->
-  ?bins:int -> ?items:int -> ?skew:float -> blocks:int -> unit ->
-  Gpu_model.Workflow.report
+(** [input ~blocks ()] is the workflow input on synthetic data, with a
+    2-block sample: [skew] (default 0.8) is the fraction of elements
+    landing in bin 0 — 0.0 is uniform, 1.0 serializes every half-warp. *)
+val input :
+  ?threads:int -> ?bins:int -> ?items:int -> ?skew:float -> blocks:int ->
+  unit -> Gpu_model.Workflow.input

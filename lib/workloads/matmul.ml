@@ -164,10 +164,9 @@ let run_simulated ?spec ~n ~tile a b =
   in
   Gpu_sim.Sim.read_floats cc
 
-(* Analysis entry point for the Section 5.1 experiments: one sampled block
-   is exact because every block does identical work. *)
-let analyze ?spec ?(measure = false) ?(sample = 4) ?replay_sample ?timeline ?ctx
-    ~n ~tile () =
+(* What the Section 5.1 experiments analyse: a small block sample is exact
+   because every block does identical work. *)
+let input ~n ~tile =
   (* One zero buffer serves a, b and c: the analysis runs the statistics
      face ([Sim.launch_result]), which gives each argument its own device
      region but, since no needed pc loads a global word, reads only the
@@ -175,8 +174,13 @@ let analyze ?spec ?(measure = false) ?(sample = 4) ?replay_sample ?timeline ?ctx
      holds no pointers and the GC never scans it, so the sharing only
      saves allocating two more (8 MB at n = 1024). *)
   let zeros = Gpu_sim.Memory.zeros (n * n) in
-  Gpu_model.Workflow.analyze ?spec ~sample ?replay_sample ~measure ?timeline
-    ?ctx
-    ~grid:(grid ~n ~tile) ~block:threads_per_block
-    ~args:[ ("a", zeros); ("b", zeros); ("c", zeros) ]
-    (kernel ~n ~tile)
+  {
+    Gpu_model.Workflow.kernel = kernel ~n ~tile;
+    grid = grid ~n ~tile;
+    block = threads_per_block;
+    args = [ ("a", zeros); ("b", zeros); ("c", zeros) ];
+    sample = Some 4;
+  }
+
+let analyze ?spec ?measure ~n ~tile () =
+  Gpu_model.Workflow.analyze ?spec ?measure (input ~n ~tile)

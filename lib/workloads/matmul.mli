@@ -22,16 +22,14 @@ val run_simulated :
   ?spec:Gpu_hw.Spec.t -> n:int -> tile:int -> float array -> float array ->
   float array
 
-(** Full analysis for the Section 5.1 experiments; a small block sample is
-    exact because every block does identical work.  [timeline] records
-    the timing replay's busy intervals (needs [measure:true]). *)
+(** The workflow input for the Section 5.1 experiments: the kernel, its
+    launch, zero matrices and a 4-block sample, exact because every block
+    does identical work. *)
+val input : n:int -> tile:int -> Gpu_model.Workflow.input
+
+(** [Gpu_model.Workflow.analyze ?spec ?measure (input ~n ~tile)], for the
+    repository benchmark (perfbench), which calls it; every other caller
+    analyses {!input}. *)
 val analyze :
-  ?spec:Gpu_hw.Spec.t ->
-  ?measure:bool ->
-  ?sample:int ->
-  ?replay_sample:Gpu_timing.Engine.sample ->
-  ?timeline:Gpu_obs.Timeline.t -> ?ctx:Gpu_obs.Trace_ctx.t ->
-  n:int ->
-  tile:int ->
-  unit ->
+  ?spec:Gpu_hw.Spec.t -> ?measure:bool -> n:int -> tile:int -> unit ->
   Gpu_model.Workflow.report

@@ -82,10 +82,14 @@ let run_simulated ?spec ?(threads = 128) ~n xs =
   in
   Gpu_sim.Sim.read_floats a
 
-let analyze ?spec ?(measure = false) ?(sample = 2) ?(threads = 128) ~n () =
+let input ?(threads = 128) ~n () =
   let args =
     [ ("x", Gpu_sim.Memory.const_float n 1.0); ("a", Gpu_sim.Memory.zeros n) ]
   in
-  Gpu_model.Workflow.analyze ?spec ~sample ~measure ~grid:(n / threads)
-    ~block:threads ~args
-    (kernel ~n ~threads)
+  {
+    Gpu_model.Workflow.kernel = kernel ~n ~threads;
+    grid = n / threads;
+    block = threads;
+    args;
+    sample = Some 2;
+  }

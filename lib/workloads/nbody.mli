@@ -9,6 +9,6 @@ val reference : n:int -> float array -> float array
 val run_simulated :
   ?spec:Gpu_hw.Spec.t -> ?threads:int -> n:int -> float array -> float array
 
-val analyze :
-  ?spec:Gpu_hw.Spec.t -> ?measure:bool -> ?sample:int -> ?threads:int ->
-  n:int -> unit -> Gpu_model.Workflow.report
+(** The workflow input for [n] bodies in blocks of [threads] (default
+    128), with a 2-block sample. *)
+val input : ?threads:int -> n:int -> unit -> Gpu_model.Workflow.input

@@ -176,8 +176,7 @@ let run_simulated ?spec ?(threads = 128) variant xs =
   in
   go (Array.map Gpu_sim.Value.round_f32 xs)
 
-let analyze ?spec ?(measure = false) ?(sample = 2) ?replay_sample ?timeline ?ctx
-    ?(threads = 128) ~blocks variant =
+let input ?(threads = 128) ~blocks variant =
   let epb = elements_per_block ~threads in
   let args =
     [
@@ -185,7 +184,10 @@ let analyze ?spec ?(measure = false) ?(sample = 2) ?replay_sample ?timeline ?ctx
       ("partials", Gpu_sim.Memory.zeros blocks);
     ]
   in
-  Gpu_model.Workflow.analyze ?spec ~sample ?replay_sample ?timeline ?ctx
-    ~measure
-    ~grid:blocks ~block:threads ~args
-    (kernel ~threads variant)
+  {
+    Gpu_model.Workflow.kernel = kernel ~threads variant;
+    grid = blocks;
+    block = threads;
+    args;
+    sample = Some 2;
+  }

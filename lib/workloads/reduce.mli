@@ -23,8 +23,7 @@ val reference : float array -> float
 val run_simulated :
   ?spec:Gpu_hw.Spec.t -> ?threads:int -> variant -> float array -> float
 
-val analyze :
-  ?spec:Gpu_hw.Spec.t -> ?measure:bool -> ?sample:int ->
-  ?replay_sample:Gpu_timing.Engine.sample ->
-  ?timeline:Gpu_obs.Timeline.t -> ?ctx:Gpu_obs.Trace_ctx.t -> ?threads:int ->
-  blocks:int -> variant -> Gpu_model.Workflow.report
+(** The workflow input for [blocks] blocks of [threads] (default 128)
+    reducing ones into per-block partials, with a 2-block sample. *)
+val input :
+  ?threads:int -> blocks:int -> variant -> Gpu_model.Workflow.input

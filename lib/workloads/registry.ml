@@ -1,7 +1,7 @@
 (* The served workloads — matmul, tridiag, spmv, reduce, histogram and
    degree — defined once.  The CLI, the daemon's wire protocol and its
    admission budget read the parameter variant, the wire names, the codec
-   with its defaults and range checks, the analysis dispatch and the
+   with its defaults and range checks, the analysis input and the
    working-set estimate from here; a CLI flag is just another spelling of
    a wire key.  nbody, scan and transpose are reachable only through their
    own modules.
@@ -70,18 +70,11 @@ module type S = sig
       it by its bytes per element. *)
   val working_set_elements : params -> int
 
-  (** Run the Figure-1 workflow on the workload
-      ({!Gpu_model.Workflow.analyze}; the spmv matrix is
-      {!Spmv.qcd_like}).  Raises as the workload's own [analyze] does. *)
-  val analyze :
-    ?spec:Gpu_hw.Spec.t ->
-    ?measure:bool ->
-    ?sample:int ->
-    ?replay_sample:Gpu_timing.Engine.sample ->
-    ?timeline:Gpu_obs.Timeline.t ->
-    ?ctx:Gpu_obs.Trace_ctx.t ->
-    params ->
-    Gpu_model.Workflow.report
+  (** What {!Gpu_model.Workflow.analyze} runs for the workload: the
+      workload's own [input] (the spmv matrix is {!Spmv.qcd_like}).
+      Raises as that [input] does, e.g. on a matmul tile the kernel
+      cannot take. *)
+  val input : params -> Gpu_model.Workflow.input
 end
 
 include (
@@ -280,26 +273,16 @@ include (
         (* src + dst endpoint arrays + per-block partial degree vectors *)
         d_blocks * ((2 * 128 * 4) + nodes)
 
-    let analyze ?spec ?measure ?sample ?replay_sample ?timeline ?ctx =
-      function
-      | Matmul { n; tile } ->
-        Matmul.analyze ?spec ?measure ?sample ?replay_sample ?timeline ?ctx
-          ~n ~tile ()
-      | Tridiag { nsys; n; padded } ->
-        Tridiag.analyze ?spec ?measure ?sample ?replay_sample ?timeline ?ctx
-          ~nsys ~n ~padded ()
-      | Spmv { spmv_format } ->
-        Spmv.analyze ?spec ?measure ?sample ?replay_sample ?timeline ?ctx
-          (Spmv.qcd_like ()) spmv_format
+    let input = function
+      | Matmul { n; tile } -> Matmul.input ~n ~tile
+      | Tridiag { nsys; n; padded } -> Tridiag.input ~nsys ~n ~padded
+      | Spmv { spmv_format } -> Spmv.input (Spmv.qcd_like ()) spmv_format
       | Reduce { r_blocks; r_atomic } ->
-        Reduce.analyze ?spec ?measure ?sample ?replay_sample ?timeline ?ctx
-          ~blocks:r_blocks
+        Reduce.input ~blocks:r_blocks
           (if r_atomic then Reduce.Atomic else Reduce.Sequential)
       | Histogram { h_blocks; bins; skew } ->
-        Histogram.analyze ?spec ?measure ?sample ?replay_sample ?timeline
-          ?ctx ~blocks:h_blocks ~bins ~skew ()
+        Histogram.input ~blocks:h_blocks ~bins ~skew ()
       | Degree { d_blocks; nodes; hub } ->
-        Degree.analyze ?spec ?measure ?sample ?replay_sample ?timeline ?ctx
-          ~blocks:d_blocks ~nodes ~hub ()
+        Degree.input ~blocks:d_blocks ~nodes ~hub ()
   end :
     S)

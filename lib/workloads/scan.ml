@@ -122,8 +122,7 @@ let run_simulated ?spec ?(threads = 128) xs =
     Gpu_sim.Sim.read_floats output
   end
 
-let analyze ?spec ?(measure = false) ?(sample = 2) ?(threads = 128) ~blocks
-    () =
+let input ?(threads = 128) ~blocks () =
   let args =
     [
       ("input", Gpu_sim.Memory.const_float (blocks * threads) 1.0);
@@ -131,5 +130,10 @@ let analyze ?spec ?(measure = false) ?(sample = 2) ?(threads = 128) ~blocks
       ("sums", Gpu_sim.Memory.zeros blocks);
     ]
   in
-  Gpu_model.Workflow.analyze ?spec ~sample ~measure ~grid:blocks
-    ~block:threads ~args (scan_kernel ~threads)
+  {
+    Gpu_model.Workflow.kernel = scan_kernel ~threads;
+    grid = blocks;
+    block = threads;
+    args;
+    sample = Some 2;
+  }

@@ -12,6 +12,6 @@ val reference : float array -> float array
 val run_simulated :
   ?spec:Gpu_hw.Spec.t -> ?threads:int -> float array -> float array
 
-val analyze :
-  ?spec:Gpu_hw.Spec.t -> ?measure:bool -> ?sample:int -> ?threads:int ->
-  blocks:int -> unit -> Gpu_model.Workflow.report
+(** The workflow input for the per-block scan kernel over [blocks] blocks
+    of [threads] (default 128), with a 2-block sample. *)
+val input : ?threads:int -> blocks:int -> unit -> Gpu_model.Workflow.input

@@ -308,16 +308,16 @@ let run_simulated ?spec m fmt x =
   let y = Gpu_sim.Sim.read_floats (List.nth a 3) in
   match fmt with Ell | Bell_im -> y | Bell_imiv -> deinterleave_vector m y
 
-(* Analysis entry point.  Rows differ in their gather targets, so by
-   default every block is simulated (exact statistics). *)
-let analyze ?spec ?(measure = false) ?sample ?replay_sample ?timeline ?ctx m fmt
-    =
+(* What the analysis multiplies: a vector of ones.  Rows differ in their
+   gather targets, so every block is simulated (exact statistics). *)
+let input m fmt =
   let x = Array.make (rows m) 1.0 in
-  let a = buffers m fmt x in
+  let args = buffers m fmt x in
   let grid, block = launch m fmt in
-  Gpu_model.Workflow.analyze ?spec ?sample ?replay_sample ~measure ?timeline
-    ?ctx
-    ~grid ~block ~args:a (kernel m fmt)
+  { Gpu_model.Workflow.kernel = kernel m fmt; grid; block; args; sample = None }
+
+let analyze ?spec ?measure m fmt =
+  Gpu_model.Workflow.analyze ?spec ?measure (input m fmt)
 
 (* --- Figure 11a: bytes moved per matrix entry -------------------------- *)
 

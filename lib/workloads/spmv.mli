@@ -63,16 +63,16 @@ val args : matrix -> format -> float array -> (string * int32 array) list
 val run_simulated :
   ?spec:Gpu_hw.Spec.t -> matrix -> format -> float array -> float array
 
-(** Full analysis; rows differ in gather targets, so by default every
-    block is simulated (exact statistics). *)
+(** The workflow input for multiplying by a vector of ones; rows differ in
+    gather targets, so every block is simulated (no sample: exact
+    statistics). *)
+val input : matrix -> format -> Gpu_model.Workflow.input
+
+(** [Gpu_model.Workflow.analyze ?spec ?measure (input m fmt)], for the
+    repository benchmark (perfbench), which calls it; every other caller
+    analyses {!input}. *)
 val analyze :
-  ?spec:Gpu_hw.Spec.t ->
-  ?measure:bool ->
-  ?sample:int ->
-  ?replay_sample:Gpu_timing.Engine.sample ->
-  ?timeline:Gpu_obs.Timeline.t -> ?ctx:Gpu_obs.Trace_ctx.t ->
-  matrix ->
-  format ->
+  ?spec:Gpu_hw.Spec.t -> ?measure:bool -> matrix -> format ->
   Gpu_model.Workflow.report
 
 (** {2 Figure 11a / Figure 12 analytics} *)

@@ -119,13 +119,17 @@ let run_simulated ?spec ~n variant xs =
   in
   Gpu_sim.Sim.read_floats output
 
-let analyze ?spec ?(measure = false) ?(sample = 2) ~n variant =
+let input ~n variant =
   let args =
     [
       ("input", Gpu_sim.Memory.zeros (n * n));
       ("output", Gpu_sim.Memory.zeros (n * n));
     ]
   in
-  Gpu_model.Workflow.analyze ?spec ~sample ~measure ~grid:(grid ~n)
-    ~block:threads_per_block ~args
-    (kernel ~n variant)
+  {
+    Gpu_model.Workflow.kernel = kernel ~n variant;
+    grid = grid ~n;
+    block = threads_per_block;
+    args;
+    sample = Some 2;
+  }

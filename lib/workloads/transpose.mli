@@ -16,6 +16,5 @@ val reference : n:int -> float array -> float array
 val run_simulated :
   ?spec:Gpu_hw.Spec.t -> n:int -> variant -> float array -> float array
 
-val analyze :
-  ?spec:Gpu_hw.Spec.t -> ?measure:bool -> ?sample:int -> n:int -> variant ->
-  Gpu_model.Workflow.report
+(** The workflow input for an n x n transpose, with a 2-block sample. *)
+val input : n:int -> variant -> Gpu_model.Workflow.input

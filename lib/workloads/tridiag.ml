@@ -251,14 +251,12 @@ let run_simulated ?spec ~n ~padded systems =
   in
   Gpu_sim.Sim.read_floats xx
 
-(* Analysis entry point for the Section 5.2 experiments (512 systems of
-   512 equations in the paper).  Blocks are homogeneous, so a small sample
-   is exact. *)
-let analyze ?spec ?(measure = false) ?(sample = 2) ?replay_sample ?timeline ?ctx
-    ~nsys ~n ~padded () =
+(* What the Section 5.2 experiments analyse (512 systems of 512 equations
+   in the paper).  Blocks are homogeneous, so a small sample is exact. *)
+let input ~nsys ~n ~padded =
   let words = nsys * n in
   (* All-zero coefficients would divide by zero in rcp; load b = 1.  One
-     zero buffer serves the other four arguments, as in [Matmul.analyze]:
+     zero buffer serves the other four arguments, as in [Matmul.input]:
      each gets its own device region and nothing is copied back. *)
   let zeros = Gpu_sim.Memory.zeros words in
   let args =
@@ -270,6 +268,13 @@ let analyze ?spec ?(measure = false) ?(sample = 2) ?replay_sample ?timeline ?ctx
       ("x", zeros);
     ]
   in
-  Gpu_model.Workflow.analyze ?spec ~sample ?replay_sample ~measure ?timeline
-    ?ctx
-    ~grid:nsys ~block:(threads ~n) ~args (kernel ~n ~padded)
+  {
+    Gpu_model.Workflow.kernel = kernel ~n ~padded;
+    grid = nsys;
+    block = threads ~n;
+    args;
+    sample = Some 2;
+  }
+
+let analyze ?spec ?measure ~nsys ~n ~padded () =
+  Gpu_model.Workflow.analyze ?spec ?measure (input ~nsys ~n ~padded)

@@ -36,16 +36,14 @@ val run_simulated :
   (float array * float array * float array * float array) list ->
   float array
 
-(** Full analysis at the paper's scale (e.g. 512 systems of 512
-    equations); blocks are homogeneous so a small sample is exact. *)
+(** The workflow input for [nsys] systems of [n] equations (512 x 512 at
+    the paper's scale): b = 1 and every other coefficient zero, with a
+    2-block sample, exact because blocks are homogeneous. *)
+val input : nsys:int -> n:int -> padded:bool -> Gpu_model.Workflow.input
+
+(** [Gpu_model.Workflow.analyze ?spec ?measure (input ~nsys ~n ~padded)],
+    for the repository benchmark (perfbench), which calls it; every other
+    caller analyses {!input}. *)
 val analyze :
-  ?spec:Gpu_hw.Spec.t ->
-  ?measure:bool ->
-  ?sample:int ->
-  ?replay_sample:Gpu_timing.Engine.sample ->
-  ?timeline:Gpu_obs.Timeline.t -> ?ctx:Gpu_obs.Trace_ctx.t ->
-  nsys:int ->
-  n:int ->
-  padded:bool ->
-  unit ->
-  Gpu_model.Workflow.report
+  ?spec:Gpu_hw.Spec.t -> ?measure:bool -> nsys:int -> n:int ->
+  padded:bool -> unit -> Gpu_model.Workflow.report

@@ -637,22 +637,25 @@ let test_model_edges () =
 (* --- end-to-end workflow ------------------------------------------------- *)
 
 let test_workflow_result () =
+  let input kernel ~grid ~block args =
+    { Gpu_model.Workflow.kernel; grid; block; args; sample = None }
+  in
   (* success: finite prediction, calibrated confidence surface *)
   (match
-     Gpu_model.Workflow.analyze_result ~grid:8 ~block:64
-       ~args:(vadd_args 512) vadd
+     Gpu_model.Workflow.analyze
+       (input vadd ~grid:8 ~block:64 (vadd_args 512))
    with
-  | Error d -> Alcotest.fail ("vadd workflow failed: " ^ d.D.message)
-  | Ok (report, _warnings) ->
+  | exception D.Diag_error d ->
+    Alcotest.fail ("vadd workflow failed: " ^ d.D.message)
+  | report ->
     let a = report.Gpu_model.Workflow.analysis in
     Alcotest.(check bool) "prediction is finite" true
       (Float.is_finite a.Gpu_model.Model.predicted_seconds);
     Alcotest.(check bool) "prediction is positive" true
       (a.Gpu_model.Model.predicted_seconds > 0.0));
-  (* Failures surface with their stage intact through both faces: the
-     raising [analyze] raises exactly the diagnostic [analyze_result]
-     returns, and with spans on the failing stage's span closes tagged
-     with it. *)
+  (* Failures surface with their stage intact: [analyze] raises the
+     failing stage's diagnostic, and with spans on, that stage's span
+     closes tagged with its stage and severity. *)
   let broken =
     {
       Ir.name = "broken";
@@ -671,33 +674,28 @@ let test_workflow_result () =
   in
   List.iter
     (fun (what, kernel, args, stage, span) ->
-      let failure =
-        match
-          Gpu_model.Workflow.analyze_result ~grid:1 ~block:32 ~args kernel
-        with
-        | Ok _ -> Alcotest.failf "%s kernel analyzed" what
-        | Error d -> d
-      in
-      Alcotest.(check string) (what ^ ": result stage") (D.stage_name stage)
-        (D.stage_name failure.D.stage);
       Gpu_obs.Span.clear ();
       Gpu_obs.Span.set_enabled true;
-      let raised =
+      let failure =
         Fun.protect
           ~finally:(fun () -> Gpu_obs.Span.set_enabled false)
           (fun () ->
-            match Gpu_model.Workflow.analyze ~grid:1 ~block:32 ~args kernel with
-            | _ -> Alcotest.failf "%s kernel analyzed by the raising face" what
+            match
+              Gpu_model.Workflow.analyze (input kernel ~grid:1 ~block:32 args)
+            with
+            | _ -> Alcotest.failf "%s kernel analyzed" what
             | exception D.Diag_error d -> d)
       in
-      Alcotest.(check bool) (what ^ ": raises the same diagnostic") true
-        (raised = failure);
+      well_formed what failure;
+      Alcotest.(check string) (what ^ ": raised stage") (D.stage_name stage)
+        (D.stage_name failure.D.stage);
       let tagged =
         List.filter
           (fun (c : Gpu_obs.Span.completed) ->
+            let tag key = List.assoc_opt key c.Gpu_obs.Span.attrs in
             c.Gpu_obs.Span.name = span
-            && List.assoc_opt "diag.stage" c.Gpu_obs.Span.attrs
-               = Some (D.stage_name stage))
+            && tag "diag.stage" = Some (D.stage_name stage)
+            && tag "diag.severity" = Some "error")
           (Gpu_obs.Span.completed ())
       in
       Alcotest.(check int) (what ^ ": " ^ span ^ " span tagged") 1

@@ -31,7 +31,7 @@ let test_bottleneck_selection () =
 (* --- Synthetic kernels driving each bottleneck -------------------------- *)
 
 let analyze ?(grid = 120) ?(block = 256) kernel args =
-  Workflow.analyze ~spec ~sample:2 ~grid ~block ~args kernel
+  Workflow.analyze ~spec { kernel; grid; block; args; sample = Some 2 }
 
 let test_compute_bound_kernel () =
   (* a long dependent MAD chain with almost no memory traffic *)
@@ -148,11 +148,24 @@ let barrier_kernel =
       ];
   }
 
+(* [barrier_kernel] on 120 blocks of 512 threads, two of them simulated *)
+let barrier_input y =
+  {
+    Workflow.kernel = barrier_kernel;
+    grid = 120;
+    block = 512;
+    args = [ y ];
+    sample = Some 2;
+  }
+
 let test_stage_split () =
   let y = ("y", Gpu_sim.Memory.zeros (8 * 512)) in
   (* large shared demand: one resident block -> serialized stages *)
   let k = { barrier_kernel with Ir.shared = [ ("s", 3000) ] } in
-  let r = Workflow.analyze ~spec ~grid:8 ~block:512 ~args:[ y ] k in
+  let r =
+    Workflow.analyze ~spec
+      { kernel = k; grid = 8; block = 512; args = [ y ]; sample = None }
+  in
   let a = r.Workflow.analysis in
   Alcotest.(check int) "three stages" 3 (List.length a.Model.stages);
   Alcotest.(check bool) "serialized with one resident block" true
@@ -167,8 +180,15 @@ let test_stage_split () =
 
 let test_overlapped_total () =
   let y = ("y", Gpu_sim.Memory.zeros (120 * 512)) in
-  let r = Workflow.analyze ~spec ~grid:120 ~block:512 ~args:[ y ]
-      barrier_kernel
+  let r =
+    Workflow.analyze ~spec
+      {
+        kernel = barrier_kernel;
+        grid = 120;
+        block = 512;
+        args = [ y ];
+        sample = None;
+      }
   in
   let a = r.Workflow.analysis in
   Alcotest.(check bool) "multiple resident blocks overlap stages" false
@@ -179,10 +199,7 @@ let test_overlapped_total () =
 
 let test_measured_comparison () =
   let y = ("y", Gpu_sim.Memory.zeros (120 * 512)) in
-  let r =
-    Workflow.analyze ~spec ~measure:true ~sample:2 ~grid:120 ~block:512
-      ~args:[ y ] barrier_kernel
-  in
+  let r = Workflow.analyze ~spec ~measure:true (barrier_input y) in
   match (Workflow.measured_seconds r, Workflow.prediction_error r) with
   | Some m, Some e ->
     Alcotest.(check bool) "measured time positive" true (m > 0.0);
@@ -427,8 +444,14 @@ let test_traces_homogeneous () =
    measured time and the conservation counters. *)
 let test_heterogeneous_replay_simulates_grid () =
   let r =
-    Workflow.analyze ~spec ~measure:true ~sample:3 ~grid:10 ~block:64
-      ~args:(hetero_args ()) hetero_kernel
+    Workflow.analyze ~spec ~measure:true
+      {
+        kernel = hetero_kernel;
+        grid = 10;
+        block = 64;
+        args = hetero_args ();
+        sample = Some 3;
+      }
   in
   let m = Option.get r.Workflow.measured in
   (* 10 blocks of 2 warps each; pre-fix this was one block's 2 warps *)
@@ -463,8 +486,7 @@ let test_workflow_spans_and_timeline () =
     Fun.protect
       ~finally:(fun () -> Gpu_obs.Span.set_enabled false)
       (fun () ->
-        Workflow.analyze ~spec ~measure:true ~sample:2 ~timeline:tl
-          ~grid:120 ~block:512 ~args:[ y ] barrier_kernel)
+        Workflow.analyze ~spec ~measure:true ~timeline:tl (barrier_input y))
   in
   let names =
     List.map (fun s -> s.Gpu_obs.Span.name) (Gpu_obs.Span.completed ())
@@ -490,10 +512,7 @@ let test_workflow_spans_and_timeline () =
   Alcotest.(check bool) "per-stage attribution populated" true
     (Array.length m.Engine.stages_busy > 0);
   (* without a timeline the same run records no attribution *)
-  let r' =
-    Workflow.analyze ~spec ~measure:true ~sample:2 ~grid:120 ~block:512
-      ~args:[ y ] barrier_kernel
-  in
+  let r' = Workflow.analyze ~spec ~measure:true (barrier_input y) in
   Alcotest.(check int) "no timeline, no attribution" 0
     (Array.length (Option.get r'.Workflow.measured).Engine.stages_busy)
 
@@ -515,8 +534,14 @@ let stride16 =
 let banks17 = ("banks17", Gpu_hw.Spec.with_banks 17 spec)
 
 let analyze_stride16 ~y spec =
-  Workflow.analyze ~spec ~sample:2 ~grid:120 ~block:128 ~args:[ ("y", y) ]
-    stride16
+  Workflow.analyze ~spec
+    {
+      kernel = stride16;
+      grid = 120;
+      block = 128;
+      args = [ ("y", y) ];
+      sample = Some 2;
+    }
 
 let test_whatif_prime_banks () =
   match

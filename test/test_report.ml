@@ -18,8 +18,8 @@ let cache_dir = Private_cache.use "report"
 let report =
   lazy
     (let tl = Gpu_obs.Timeline.create () in
-     Gpu_workloads.Matmul.analyze ~measure:true ~timeline:tl ~n:128 ~tile:16
-       ())
+     Workflow.analyze ~measure:true ~timeline:tl
+       (Gpu_workloads.Matmul.input ~n:128 ~tile:16))
 
 (* Words allocated by [f ()], counted as test_timing counts them: minor +
    major - promoted, the minor count read from the allocation pointer. *)
@@ -97,7 +97,9 @@ let test_attribution_srcmap () =
    17 stages and 696 sites; formatting every site's text would allocate
    539 k words. *)
 let test_attribution_words () =
-  let r = Gpu_workloads.Tridiag.analyze ~nsys:64 ~n:256 ~padded:false () in
+  let r =
+    Workflow.analyze (Gpu_workloads.Tridiag.input ~nsys:64 ~n:256 ~padded:false)
+  in
   let words = words_allocated (fun () -> ignore (Attribution.of_report r)) in
   if words > 100_000. then
     Alcotest.failf
@@ -546,27 +548,47 @@ let test_golden_md () =
       golden_path actual
   end
 
-(* [gpuperf whatif] prints the device comparison itself; its stdout is
-   pinned against a capture, through the private cache. *)
-let test_whatif_cli_golden () =
-  let gpuperf =
-    Filename.concat
-      (Filename.dirname Sys.executable_name)
-      (Filename.concat ".." (Filename.concat "bin" "gpuperf.exe"))
-  in
-  let out = Filename.temp_file "whatif_golden" ".actual.txt" in
-  let code =
-    Sys.command
-      (Printf.sprintf
-         "%s whatif histogram --variant banks17 --variant volta-like \
-          >%s 2>/dev/null"
-         gpuperf (Filename.quote out))
-  in
-  Alcotest.(check int) "exit code" 0 code;
-  if read_file out <> read_file "whatif_golden.txt" then
-    Alcotest.failf "gpuperf whatif stdout differs from whatif_golden.txt \
-                    (actual in %s)" out;
+let gpuperf =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat ".." (Filename.concat "bin" "gpuperf.exe"))
+
+(* Runs each [gpuperf] command line in turn, through the private cache,
+   and compares their stdout, concatenated, with [golden], a capture. *)
+let check_cli_golden golden commands =
+  let out = Filename.temp_file "cli_golden" ".actual.txt" in
+  List.iter
+    (fun args ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s >>%s 2>/dev/null" gpuperf args
+             (Filename.quote out))
+      in
+      Alcotest.(check int) (args ^ ": exit code") 0 code)
+    commands;
+  if read_file out <> read_file golden then
+    Alcotest.failf "gpuperf stdout differs from %s (actual in %s)" golden out;
   Sys.remove out
+
+(* [gpuperf whatif] prints the device comparison itself. *)
+let test_whatif_cli_golden () =
+  check_cli_golden "whatif_golden.txt"
+    [ "whatif histogram --variant banks17 --variant volta-like" ]
+
+(* [gpuperf analyze] on every served workload, measured where the
+   replay is cheap. *)
+let test_analyze_cli_golden () =
+  check_cli_golden "analyze_golden.txt"
+    [
+      "analyze matmul --tile 32";
+      "analyze tridiag --measure";
+      "analyze tridiag --padded --measure";
+      "analyze spmv --format bell+im";
+      "analyze reduce --measure";
+      "analyze reduce --atomic --measure";
+      "analyze histogram --measure";
+      "analyze degree --measure";
+    ]
 
 let count_sub s sub =
   let n = String.length sub and l = String.length s in
@@ -726,5 +748,7 @@ let () =
             test_report_json_agrees_with_render;
           Alcotest.test_case "whatif stdout matches golden" `Quick
             test_whatif_cli_golden;
+          Alcotest.test_case "analyze stdout matches golden" `Quick
+            test_analyze_cli_golden;
         ] );
     ]

@@ -507,6 +507,29 @@ let test_serve_reuses_clusters () =
   Alcotest.(check bool) "completed" true (resp.P.status = P.Completed);
   Alcotest.(check bool) "clusters reused" true (reused () > before)
 
+(* A request's [sample] replaces the workload's own block sample: the
+   model notes the scale it applied, 256x from one of the histogram's 256
+   blocks where the workload's 2-block sample gives 128x. *)
+let test_serve_sample_override () =
+  Lazy.force warm;
+  with_server @@ fun _t ep ->
+  with_client ep @@ fun c ->
+  let check_note sample note =
+    let req =
+      {
+        (small_matmul ~id:"sample" ()) with
+        P.params = P.Histogram { h_blocks = 256; bins = 64; skew = 0.8 };
+        sample;
+      }
+    in
+    let resp = ok_or_fail "request" (Client.request c req) in
+    Alcotest.(check bool) "completed" true (resp.P.status = P.Completed);
+    Alcotest.(check bool) note true
+      (List.exists (fun (d : D.t) -> contains d.D.message note) resp.P.diags)
+  in
+  check_note (Some 1) "statistics scaled 256x from a 1-block sample";
+  check_note None "statistics scaled 128x from a 2-block sample"
+
 let test_serve_deadline_zero () =
   with_server @@ fun _t ep ->
   with_client ep @@ fun c ->
@@ -801,6 +824,8 @@ let () =
             test_serve_ledger_append_metric;
           Alcotest.test_case "histogram replay reuses clusters" `Quick
             test_serve_reuses_clusters;
+          Alcotest.test_case "a request's sample reaches the analysis" `Quick
+            test_serve_sample_override;
           Alcotest.test_case "0ms deadline expires at admission" `Quick
             test_serve_deadline_zero;
           Alcotest.test_case "watchdog answers past-deadline compute" `Quick

@@ -12,6 +12,8 @@ module Stats = Gpu_sim.Stats
 
 let (_ : string) = Private_cache.use "workloads"
 
+let analysis input = (Workflow.analyze input).Workflow.analysis
+
 let rng = Random.State.make [| 2024 |]
 
 let rand () = Gpu_sim.Value.round_f32 (Random.State.float rng 2.0 -. 1.0)
@@ -39,7 +41,7 @@ let test_matmul_counts () =
      tile size; global accesses fall 4.75M -> 2.65M -> 1.61M *)
   List.iter
     (fun (tile, gmem_millions) ->
-      let r = Matmul.analyze ~n:1024 ~tile () in
+      let r = Workflow.analyze (Matmul.input ~n:1024 ~tile) in
       let total = Stats.total r.Workflow.stats in
       let scaled x = float_of_int x *. r.Workflow.scale /. 1e6 in
       Alcotest.(check (float 0.01)) "MAD count is n^3/32" 33.554
@@ -58,7 +60,7 @@ let test_matmul_occupancy () =
   (* Table 2: resident blocks 8 / 8 / 3 *)
   List.iter
     (fun (tile, blocks, warps) ->
-      let r = Matmul.analyze ~n:1024 ~tile () in
+      let r = Workflow.analyze (Matmul.input ~n:1024 ~tile) in
       let o = r.Workflow.analysis.Model.occupancy in
       Alcotest.(check int)
         (Printf.sprintf "tile %d resident blocks" tile)
@@ -72,7 +74,7 @@ let test_matmul_bottlenecks () =
   (* Figure 4b: 8 and 16 instruction-bound; 32 shifts to shared memory *)
   let bottleneck tile =
     Component.name
-      (Matmul.analyze ~n:1024 ~tile ()).Workflow.analysis.Model.bottleneck
+      (analysis (Matmul.input ~n:1024 ~tile)).Model.bottleneck
   in
   Alcotest.(check string) "8x8" "instruction pipeline" (bottleneck 8);
   Alcotest.(check string) "16x16" "instruction pipeline" (bottleneck 16);
@@ -80,7 +82,7 @@ let test_matmul_bottlenecks () =
 
 let test_matmul_16_fastest () =
   let time tile =
-    (Matmul.analyze ~n:1024 ~tile ()).Workflow.analysis.Model
+    (analysis (Matmul.input ~n:1024 ~tile)).Model
       .predicted_seconds
   in
   let t8 = time 8 and t16 = time 16 and t32 = time 32 in
@@ -128,7 +130,7 @@ let prop_cr_matches_thomas =
 let test_cr_conflicts () =
   (* CR suffers doubling conflicts; padding removes them (Figure 7) *)
   let penalty padded =
-    (Tridiag.analyze ~nsys:512 ~n:512 ~padded ()).Workflow.analysis.Model
+    (analysis (Tridiag.input ~nsys:512 ~n:512 ~padded)).Model
       .bank_conflict_penalty
   in
   Alcotest.(check bool) "CR conflicts severe" true (penalty false > 3.0);
@@ -137,7 +139,7 @@ let test_cr_conflicts () =
 let test_cr_stage_story () =
   (* Figure 6a: stage 0 global-bound; later forward steps shared-bound;
      warps drop 8 -> 4 -> 2 -> 1 *)
-  let r = Tridiag.analyze ~nsys:512 ~n:512 ~padded:false () in
+  let r = Workflow.analyze (Tridiag.input ~nsys:512 ~n:512 ~padded:false) in
   let stages = Array.of_list r.Workflow.analysis.Model.stages in
   Alcotest.(check string) "stage 0 global" "global memory"
     (Component.name stages.(0).Model.bottleneck);
@@ -151,7 +153,7 @@ let test_cr_stage_story () =
 
 let test_cr_nbc_shifts_bottleneck () =
   (* Figure 6b: with no conflicts every solve step is instruction-bound *)
-  let r = Tridiag.analyze ~nsys:512 ~n:512 ~padded:true () in
+  let r = Workflow.analyze (Tridiag.input ~nsys:512 ~n:512 ~padded:true) in
   let stages = Array.of_list r.Workflow.analysis.Model.stages in
   List.iter
     (fun idx ->
@@ -163,7 +165,7 @@ let test_cr_nbc_shifts_bottleneck () =
 
 let test_cr_nbc_faster () =
   let time padded =
-    (Tridiag.analyze ~nsys:512 ~n:512 ~padded ()).Workflow.analysis.Model
+    (analysis (Tridiag.input ~nsys:512 ~n:512 ~padded)).Model
       .predicted_seconds
   in
   let speedup = time false /. time true in
@@ -358,7 +360,7 @@ let test_spmv_bottleneck_and_ranking () =
   (* Figure 11b/12: all formats global-memory bound; ELL < BELL+IM <
      BELL+IMIV in performance *)
   let time fmt =
-    let r = Spmv.analyze qcd fmt in
+    let r = Workflow.analyze (Spmv.input qcd fmt) in
     Alcotest.(check string)
       (Spmv.format_name fmt ^ " is global-bound")
       "global memory"
@@ -374,7 +376,7 @@ let test_spmv_bottleneck_and_ranking () =
 let test_spmv_cache_helps () =
   let hit = Spmv.vector_cache_hit_rate qcd Spmv.Ell in
   Alcotest.(check bool) "gathers have reuse" true (hit > 0.3);
-  let r = Spmv.analyze qcd Spmv.Ell in
+  let r = Workflow.analyze (Spmv.input qcd Spmv.Ell) in
   let cached = Spmv.cached_prediction r qcd Spmv.Ell in
   Alcotest.(check bool) "cache prediction is faster" true
     (cached < r.Workflow.analysis.Model.predicted_seconds)
@@ -400,7 +402,7 @@ let test_reduce_correct () =
 let test_reduce_variants_differ () =
   (* the naive tree suffers conflicts; the sequential tree does not *)
   let penalty variant =
-    (Reduce.analyze ~blocks:120 variant).Workflow.analysis.Model
+    (analysis (Reduce.input ~blocks:120 variant)).Model
       .bank_conflict_penalty
   in
   Alcotest.(check bool) "interleaved suffers conflicts" true
@@ -408,7 +410,7 @@ let test_reduce_variants_differ () =
   Alcotest.(check bool) "sequential is conflict-free" true
     (penalty Reduce.Sequential < 1.1);
   let time variant =
-    (Reduce.analyze ~blocks:120 variant).Workflow.analysis.Model
+    (analysis (Reduce.input ~blocks:120 variant)).Model
       .predicted_seconds
   in
   Alcotest.(check bool) "sequential predicted faster" true
@@ -444,7 +446,7 @@ let test_transpose_correct () =
 
 let test_transpose_bottleneck_progression () =
   let n = 1024 in
-  let report variant = (Transpose.analyze ~n variant).Workflow.analysis in
+  let report variant = analysis (Transpose.input ~n variant) in
   let naive = report Transpose.Naive in
   Alcotest.(check string) "naive is global-bound" "global memory"
     (Component.name naive.Model.bottleneck);
@@ -490,7 +492,7 @@ let contention_penalty (r : Workflow.report) =
   Stats.atomic_contention_penalty (Stats.total r.Workflow.stats)
 
 let test_histogram_atomic_bound () =
-  let r = Histogram.analyze ~blocks:256 () in
+  let r = Workflow.analyze (Histogram.input ~blocks:256 ()) in
   Alcotest.(check string) "contended histogram is atomic-bound"
     "atomic serialization"
     (Component.name r.Workflow.analysis.Model.bottleneck);
@@ -500,7 +502,7 @@ let test_histogram_atomic_bound () =
 
 let test_histogram_skew_costs () =
   let time skew =
-    (Histogram.analyze ~skew ~blocks:256 ()).Workflow.analysis.Model
+    (analysis (Histogram.input ~skew ~blocks:256 ())).Model
       .predicted_seconds
   in
   let uniform = time 0.0 and hot = time 1.0 in
@@ -518,7 +520,9 @@ let test_degree_correct () =
   Alcotest.(check (array int)) "degrees match the reference" expect got
 
 let test_degree_hub_contention () =
-  let penalty hub = contention_penalty (Degree.analyze ~hub ~blocks:256 ()) in
+  let penalty hub =
+    contention_penalty (Workflow.analyze (Degree.input ~hub ~blocks:256 ()))
+  in
   let ring = penalty 0.0 and star = penalty 1.0 in
   Alcotest.(check bool)
     (Printf.sprintf "star graph serializes harder (%.2f vs %.2f)" star ring)
@@ -526,7 +530,7 @@ let test_degree_hub_contention () =
     (star > 2.0 *. ring);
   Alcotest.(check string) "star graph is atomic-bound" "atomic serialization"
     (Component.name
-       (Degree.analyze ~hub:1.0 ~blocks:256 ()).Workflow.analysis.Model
+       (analysis (Degree.input ~hub:1.0 ~blocks:256 ())).Model
          .bottleneck)
 
 let test_reduce_atomic_correct () =
@@ -542,7 +546,7 @@ let test_reduce_atomic_charged () =
   (* the single shared accumulator is full contention: the atomic variant
      must pick up an atomic charge the tree variants never see *)
   let atomic_total variant =
-    (Reduce.analyze ~blocks:120 variant).Workflow.analysis.Model.totals
+    (analysis (Reduce.input ~blocks:120 variant)).Model.totals
       .Component.atomic
   in
   Alcotest.(check (float 1e-12)) "tree reduce has no atomic time" 0.0
@@ -563,7 +567,7 @@ let test_nbody_correct () =
     expect
 
 let test_nbody_class_iii () =
-  let r = Gpu_workloads.Nbody.analyze ~n:(128 * 120) () in
+  let r = Workflow.analyze (Gpu_workloads.Nbody.input ~n:(128 * 120) ()) in
   let total = Stats.total r.Workflow.stats in
   let iii = Stats.issued_of total Gpu_isa.Instr.Class_iii in
   Alcotest.(check bool) "rsqrt-heavy inner loop" true
@@ -639,17 +643,18 @@ let test_registry_labels () =
 
 (* --- Replay schedules of the paper kernels -------------------------------- *)
 
-(* The timing replay of each paper kernel at a reduced size, through the
-   workload's public [analyze ~measure:true]: cycles and the four busy
-   counters, pinned.  Matmul and CR take the homogeneous single-cluster
-   replay, SpMV the heterogeneous per-cluster one, so together they cover
-   both replay paths on real kernel traces; any change to the event
-   queue's tie order or to a simulated transaction count moves them. *)
+(* The timing replay of each paper kernel at a reduced size, through
+   [Workflow.analyze ~measure:true] on the workload's [input]: cycles and
+   the four busy counters, pinned.  Matmul and CR take the homogeneous
+   single-cluster replay, SpMV the heterogeneous per-cluster one, so
+   together they cover both replay paths on real kernel traces; any
+   change to the event queue's tie order or to a simulated transaction
+   count moves them. *)
 let test_paper_schedule_goldens () =
   let m = Spmv.generate ~block_rows:2048 ~offsets:Spmv.qcd_offsets () in
   List.iter
-    (fun (name, analyze, (cycles, alu, smem, atomic, gmem)) ->
-      let r : Workflow.report = analyze () in
+    (fun (name, input, (cycles, alu, smem, atomic, gmem)) ->
+      let r = Workflow.analyze ~measure:true (input ()) in
       match r.Workflow.measured with
       | None -> Alcotest.failf "%s: no replay" name
       | Some e ->
@@ -664,30 +669,28 @@ let test_paper_schedule_goldens () =
         check "gmem busy" gmem e.E.gmem_busy_cycles)
     [
       ( "matmul-8",
-        (fun () -> Matmul.analyze ~measure:true ~n:256 ~tile:8 ()),
+        (fun () -> Matmul.input ~n:256 ~tile:8),
         (201373, 315224, 270400, 0, 109408) );
       ( "matmul-16",
-        (fun () -> Matmul.analyze ~measure:true ~n:256 ~tile:16 ()),
+        (fun () -> Matmul.input ~n:256 ~tile:16),
         (207263, 299208, 291200, 0, 65856) );
       ( "matmul-32",
-        (fun () -> Matmul.analyze ~measure:true ~n:256 ~tile:32 ()),
+        (fun () -> Matmul.input ~n:256 ~tile:32),
         (281778, 322016, 332800, 0, 46592) );
       ( "cr",
-        (fun () ->
-          Tridiag.analyze ~measure:true ~nsys:64 ~n:256 ~padded:false ()),
+        (fun () -> Tridiag.input ~nsys:64 ~n:256 ~padded:false),
         (29449, 26410, 32795, 0, 3920) );
       ( "cr-nbc",
-        (fun () ->
-          Tridiag.analyze ~measure:true ~nsys:64 ~n:256 ~padded:true ()),
+        (fun () -> Tridiag.input ~nsys:64 ~n:256 ~padded:true),
         (39744, 31478, 10028, 0, 3920) );
       ( "spmv-ell",
-        (fun () -> Spmv.analyze ~measure:true m Spmv.Ell),
+        (fun () -> Spmv.input m Spmv.Ell),
         (66319, 277248, 0, 0, 373824) );
       ( "spmv-bell+im",
-        (fun () -> Spmv.analyze ~measure:true m Spmv.Bell_im),
+        (fun () -> Spmv.input m Spmv.Bell_im),
         (91652, 67584, 0, 0, 230682) );
       ( "spmv-bell+imiv",
-        (fun () -> Spmv.analyze ~measure:true m Spmv.Bell_imiv),
+        (fun () -> Spmv.input m Spmv.Bell_imiv),
         (81686, 64256, 0, 0, 161716) );
     ]
 
@@ -697,115 +700,75 @@ module Memory = Gpu_sim.Memory
 module Sim = Gpu_sim.Sim
 module Nbody = Gpu_workloads.Nbody
 
-(* Every workload's kernel at a reduced size, with its launch and
-   arguments as its [analyze] builds them, but with distinct nonzero words
-   where [analyze] passes zeros, so a write would show. *)
+(* Every workload's [input] at a reduced size, but with distinct nonzero
+   words where [input] passes zeros, so a write would show. *)
 let face_inputs () =
   let words n = Memory.init n (fun i -> (i * 37) land 1023) in
   let floats n = Memory.of_floats (Array.init n (fun i -> float (i mod 7))) in
   let m = small_matrix in
-  let spmv fmt =
-    let grid, block = Spmv.launch m fmt in
-    ( "spmv " ^ Spmv.format_name fmt,
-      Spmv.kernel m fmt,
-      grid,
-      block,
-      Spmv.buffers m fmt (Array.make (Spmv.rows m) 1.0),
-      None )
+  let spmv fmt = ("spmv " ^ Spmv.format_name fmt, Spmv.input m fmt) in
+  let with_args (input : Workflow.input) args = { input with args } in
+  let tridiag padded =
+    with_args
+      (Tridiag.input ~nsys:4 ~n:64 ~padded)
+      [
+        ("a", floats 256);
+        ("b", Memory.const_float 256 1.0);
+        ("c", floats 256);
+        ("d", floats 256);
+        ("x", words 256);
+      ]
+  in
+  let reduce variant =
+    with_args
+      (Reduce.input ~blocks:4 variant)
+      [
+        ("input", floats (4 * Reduce.elements_per_block ~threads:128));
+        ("partials", words 4);
+      ]
   in
   [
     ( "matmul 16",
-      Matmul.kernel ~n:64 ~tile:16,
-      Matmul.grid ~n:64 ~tile:16,
-      Matmul.threads_per_block,
-      [ ("a", floats 4096); ("b", floats 4096); ("c", words 4096) ],
-      Some 4 );
-    ( "tridiag 64",
-      Tridiag.kernel ~n:64 ~padded:false,
-      4,
-      Tridiag.threads ~n:64,
-      [
-        ("a", floats 256);
-        ("b", Memory.const_float 256 1.0);
-        ("c", floats 256);
-        ("d", floats 256);
-        ("x", words 256);
-      ],
-      Some 2 );
-    ( "tridiag 64 padded",
-      Tridiag.kernel ~n:64 ~padded:true,
-      4,
-      Tridiag.threads ~n:64,
-      [
-        ("a", floats 256);
-        ("b", Memory.const_float 256 1.0);
-        ("c", floats 256);
-        ("d", floats 256);
-        ("x", words 256);
-      ],
-      Some 2 );
+      with_args
+        (Matmul.input ~n:64 ~tile:16)
+        [ ("a", floats 4096); ("b", floats 4096); ("c", words 4096) ] );
+    ("tridiag 64", tridiag false);
+    ("tridiag 64 padded", tridiag true);
     spmv Spmv.Ell;
     spmv Spmv.Bell_im;
     spmv Spmv.Bell_imiv;
-    ( "reduce",
-      Reduce.kernel ~threads:128 Reduce.Sequential,
-      4,
-      128,
-      [
-        ("input", floats (4 * Reduce.elements_per_block ~threads:128));
-        ("partials", words 4);
-      ],
-      Some 2 );
-    ( "reduce atomic",
-      Reduce.kernel ~threads:128 Reduce.Atomic,
-      4,
-      128,
-      [
-        ("input", floats (4 * Reduce.elements_per_block ~threads:128));
-        ("partials", words 4);
-      ],
-      Some 2 );
+    ("reduce", reduce Reduce.Sequential);
+    ("reduce atomic", reduce Reduce.Atomic);
     ( "histogram",
-      Histogram.kernel ~threads:128 ~bins:64 ~items:4,
-      4,
-      128,
-      [
-        ( "input",
-          Memory.init
-            (4 * Histogram.elements_per_block ~threads:128 ~items:4)
-            (fun i -> if i mod 5 = 0 then 0 else i * 7) );
-        ("counts", words (4 * 64));
-      ],
-      Some 2 );
+      with_args
+        (Histogram.input ~blocks:4 ())
+        [
+          ( "input",
+            Memory.init
+              (4 * Histogram.elements_per_block ~threads:128 ~items:4)
+              (fun i -> if i mod 5 = 0 then 0 else i * 7) );
+          ("counts", words (4 * 64));
+        ] );
     ( "degree",
-      Degree.kernel ~threads:128 ~nodes:64 ~items:4,
-      4,
-      128,
-      (let e = 4 * Degree.edges_per_block ~threads:128 ~items:4 in
-       [
-         ("src", Memory.init e (fun i -> i * 13));
-         ("dst", Memory.init e (fun i -> (i * 13) + 37));
-         ("counts", words (4 * 64));
-       ]),
-      Some 2 );
+      let e = 4 * Degree.edges_per_block ~threads:128 ~items:4 in
+      with_args
+        (Degree.input ~blocks:4 ())
+        [
+          ("src", Memory.init e (fun i -> i * 13));
+          ("dst", Memory.init e (fun i -> (i * 13) + 37));
+          ("counts", words (4 * 64));
+        ] );
     ( "nbody",
-      Nbody.kernel ~n:256 ~threads:128,
-      2,
-      128,
-      [ ("x", floats 256); ("a", words 256) ],
-      None );
+      with_args (Nbody.input ~n:256 ()) [ ("x", floats 256); ("a", words 256) ]
+    );
     ( "scan",
-      Scan.scan_kernel ~threads:128,
-      4,
-      128,
-      [ ("input", floats 512); ("output", words 512); ("sums", words 4) ],
-      Some 2 );
+      with_args
+        (Scan.input ~blocks:4 ())
+        [ ("input", floats 512); ("output", words 512); ("sums", words 4) ] );
     ( "transpose tiled",
-      Transpose.kernel ~n:64 Transpose.Tiled,
-      Transpose.grid ~n:64,
-      Transpose.threads_per_block,
-      [ ("input", floats 4096); ("output", words 4096) ],
-      Some 2 );
+      with_args
+        (Transpose.input ~n:64 Transpose.Tiled)
+        [ ("input", floats 4096); ("output", words 4096) ] );
   ]
 
 let counted_only = Gpu_obs.Metrics.counter "sim.counted_only"
@@ -817,11 +780,12 @@ let counted_only = Gpu_obs.Metrics.counter "sim.counted_only"
    argument buffer holding its input. *)
 let test_statistics_face () =
   List.iter
-    (fun (name, ir, grid, block, args, sample) ->
+    (fun (name, (input : Workflow.input)) ->
+      let { Workflow.grid; block; args; sample; _ } = input in
       let inputs = List.map (fun (n, b) -> (n, Memory.copy b)) args in
       let copies () = List.map (fun (n, b) -> (n, Memory.copy b)) inputs in
       let before = Gpu_obs.Metrics.value counted_only in
-      let report = Workflow.analyze ?sample ~grid ~block ~args ir in
+      let report = Workflow.analyze input in
       let added = Gpu_obs.Metrics.value counted_only - before in
       List.iter2
         (fun (arg, b) (_, b0) ->
@@ -860,12 +824,8 @@ let test_statistics_face () =
   (* matmul's shared-operand MADs feed only the stored results *)
   let before = Gpu_obs.Metrics.value counted_only in
   let report =
-    Workflow.analyze ~sample:1 ~grid:(Matmul.grid ~n:64 ~tile:16)
-      ~block:Matmul.threads_per_block
-      ~args:
-        [ ("a", Memory.zeros 4096); ("b", Memory.zeros 4096);
-          ("c", Memory.zeros 4096) ]
-      (Matmul.kernel ~n:64 ~tile:16)
+    Workflow.analyze
+      { (Matmul.input ~n:64 ~tile:16) with Workflow.sample = Some 1 }
   in
   let skipped = Gpu_obs.Metrics.value counted_only - before in
   let issued = Stats.total_issued (Stats.total report.Workflow.stats) in
