@@ -24,6 +24,18 @@ let m_cache_degraded = Metrics.counter "serve.cache.degraded_events"
 let g_depth = Metrics.gauge "serve.queue.depth"
 let g_conns = Metrics.gauge "serve.connections"
 
+(* The daemon's garbage-collector cost: every collection stops the event
+   loop and the worker domain together (DESIGN §13). *)
+let g_minor_gcs = Metrics.gauge "serve.gc.minor_collections"
+let g_major_gcs = Metrics.gauge "serve.gc.major_collections"
+let g_heap_words = Metrics.gauge "serve.gc.heap_words"
+
+let sample_gc_gauges () =
+  let s = Gc.quick_stat () in
+  Metrics.set_gauge g_minor_gcs (float_of_int s.Gc.minor_collections);
+  Metrics.set_gauge g_major_gcs (float_of_int s.Gc.major_collections);
+  Metrics.set_gauge g_heap_words (float_of_int s.Gc.heap_words)
+
 let latency_buckets = [| 0.001; 0.005; 0.02; 0.1; 0.5; 2.0; 10.0; 60.0 |]
 let h_latency = Metrics.histogram ~buckets:latency_buckets "serve.request.latency_s"
 
@@ -66,7 +78,10 @@ type conn = {
   fd : Unix.file_descr;
   c_id : int;
   inbuf : Buffer.t;
-  mutable out : string;  (** bytes awaiting a writable socket *)
+  mutable out : Bytes.t;
+      (** its bytes from [out_pos] to [out_len] await a writable socket *)
+  mutable out_pos : int;
+  mutable out_len : int;
   mutable closing : bool;  (** close once [out] is flushed *)
   mutable http : bool;  (** served an HTTP answer; input now ignored *)
   mutable overflow : bool;  (** discarding an oversized line *)
@@ -220,16 +235,38 @@ let health_json t =
 
 (* --- per-connection output ------------------------------------------------ *)
 
-let send_raw conn s = conn.out <- conn.out ^ s
-let send_line conn s = send_raw conn (s ^ "\n")
+(* Each byte is copied into the queue once: appending copies only the new
+   bytes (and the unsent ones when the queue must move or grow), and a
+   partial write only advances [out_pos]. *)
+let pending conn = conn.out_len - conn.out_pos
+
+let send_raw conn s =
+  let n = String.length s and live = pending conn in
+  if conn.out_len + n > Bytes.length conn.out then begin
+    let dst =
+      if live + n <= Bytes.length conn.out then conn.out
+      else Bytes.create (max (live + n) (2 * Bytes.length conn.out))
+    in
+    Bytes.blit conn.out conn.out_pos dst 0 live;
+    conn.out <- dst;
+    conn.out_pos <- 0;
+    conn.out_len <- live
+  end;
+  Bytes.blit_string s 0 conn.out conn.out_len n;
+  conn.out_len <- conn.out_len + n
+
+let send_line conn s =
+  send_raw conn s;
+  send_raw conn "\n"
 
 let http_response conn ~status ~content_type body =
   Metrics.incr m_http;
   send_raw conn
     (Printf.sprintf
        "HTTP/1.0 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\
-        Connection: close\r\n\r\n%s"
-       status content_type (String.length body) body);
+        Connection: close\r\n\r\n"
+       status content_type (String.length body));
+  send_raw conn body;
   conn.http <- true;
   conn.closing <- true
 
@@ -514,6 +551,7 @@ let handle_op t conn op =
   | "ping" -> send_line conn (Jsonx.encode (Jsonx.Obj [ ("op", Str "pong") ]))
   | "health" -> send_line conn (Jsonx.encode (health_json t))
   | "metrics" ->
+    sample_gc_gauges ();
     send_line conn
       (Jsonx.encode
          (Jsonx.Obj [ ("metrics", Str (Metrics.dump_openmetrics ())) ]))
@@ -534,6 +572,7 @@ let handle_http t conn line =
       http_response conn ~status:"200 OK" ~content_type:"application/json"
         (Jsonx.encode (health_json t) ^ "\n")
     | "/metrics" ->
+      sample_gc_gauges ();
       http_response conn ~status:"200 OK"
         ~content_type:"application/openmetrics-text; version=1.0.0"
         (Metrics.dump_openmetrics ())
@@ -655,7 +694,9 @@ let accept_pending t =
           fd;
           c_id;
           inbuf = Buffer.create 256;
-          out = "";
+          out = Bytes.empty;
+          out_pos = 0;
+          out_len = 0;
           closing = false;
           http = false;
           overflow = false;
@@ -687,15 +728,18 @@ let read_conn t conn =
   if not conn.dead then drain_inbuf t conn
 
 let write_conn t conn =
-  if conn.out <> "" then begin
-    match
-      Unix.write_substring conn.fd conn.out 0 (String.length conn.out)
-    with
-    | n -> conn.out <- String.sub conn.out n (String.length conn.out - n)
+  if pending conn > 0 then begin
+    match Unix.write conn.fd conn.out conn.out_pos (pending conn) with
+    | n ->
+      conn.out_pos <- conn.out_pos + n;
+      if pending conn = 0 then begin
+        conn.out_pos <- 0;
+        conn.out_len <- 0
+      end
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     | exception Unix.Unix_error _ -> close_conn t conn
   end;
-  if (not conn.dead) && conn.closing && conn.out = "" then close_conn t conn
+  if (not conn.dead) && conn.closing && pending conn = 0 then close_conn t conn
 
 let drain_wake_pipe t =
   let buf = Bytes.create 256 in
@@ -722,9 +766,10 @@ let take_completions t =
     cs
 
 let run_watchdog t =
-  (* Backstop refresh of the scheduler-pressure and queue gauges: every
-     tick, even when no request transitions fire. *)
+  (* Backstop refresh of the scheduler-pressure, queue and GC gauges:
+     every tick, even when no request transitions fire. *)
   Gpu_parallel.Pool.sample_gauges ();
+  sample_gc_gauges ();
   Metrics.set_gauge g_depth (float_of_int (queue_depth t));
   let now = Unix.gettimeofday () in
   List.iter
@@ -769,9 +814,8 @@ let cleanup t ~listener_closed =
     (fun _ conn ->
       (* Last-gasp flush of any queued responses, then close. *)
       (try
-         if conn.out <> "" then
-           ignore
-             (Unix.write_substring conn.fd conn.out 0 (String.length conn.out))
+         if pending conn > 0 then
+           ignore (Unix.write conn.fd conn.out conn.out_pos (pending conn))
        with Unix.Unix_error _ -> ());
       try Unix.close conn.fd with Unix.Unix_error _ -> ())
     t.conns;
@@ -809,7 +853,7 @@ let run t =
           in
           let writes =
             Hashtbl.fold
-              (fun _ c acc -> if c.out <> "" then c.fd :: acc else acc)
+              (fun _ c acc -> if pending c > 0 then c.fd :: acc else acc)
               t.conns []
           in
           let readable, writable, _ =
@@ -828,7 +872,7 @@ let run t =
           run_watchdog t;
           Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
           |> List.iter (fun conn ->
-                 if List.mem conn.fd writable || conn.out <> "" then
+                 if List.mem conn.fd writable || pending conn > 0 then
                    write_conn t conn);
           (* Drain phase: done when nothing is in flight and every
              response byte is out (or the drain budget is exhausted). *)
@@ -837,7 +881,7 @@ let run t =
           | Some t0 ->
             let now = Unix.gettimeofday () in
             let flushed =
-              Hashtbl.fold (fun _ c acc -> acc && c.out = "") t.conns true
+              Hashtbl.fold (fun _ c acc -> acc && pending c = 0) t.conns true
             in
             if t.inflight = [] && flushed then finished := Some (Ok ())
             else if now -. t0 > t.cfg.limits.Budget.drain_timeout_s then

@@ -7,7 +7,7 @@
    lanes' addresses and the register row — so the per-lane accesses
    allocate nothing and cross no module boundary.  Kernel arguments use
    the same layout ([buffer]), so copying one in or out of device memory
-   is one blit. *)
+   is one blit, or its recipe run in place. *)
 
 external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
 external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
@@ -122,61 +122,71 @@ let store_lanes t ~width addrs ~mask regs ~reg =
 
 (* --- Argument buffers ---------------------------------------------------- *)
 
-(* A host-side argument: its words in device-memory layout.  Every
-   constructor writes the words in one loop inside this module, so no
-   [int32] or [float] crosses a module boundary per word (under [-opaque]
-   without flambda such a crossing boxes); [init], [init2] and
-   [gather_floats] call back only for [int]s.  The two-index builders
+(* A host-side argument: its words in device-memory layout, or, until
+   someone reads them, the recipe that writes them.  [write dst off]
+   writes every word into [dst] from byte [off], in one loop inside this
+   module, so no [int32] or [float] crosses a module boundary per word
+   (under [-opaque] without flambda such a crossing boxes); [init], [init2]
+   and [gather_floats] call back only for [int]s.  The two-index builders
    hand a layout its outer and inner index, so it needs no division per
-   word. *)
-type buffer = Bytes.t
+   word.
 
-let create_buffer words =
+   A launch copies a recipe straight into its device memory and a
+   layout-only launch never runs it, so an analysis builds each argument
+   word at most once, where the kernel reads it (DESIGN §18, "Argument
+   recipes").  The state changes once, from the recipe to its words (or
+   to the words a values launch copies out); two host reads that race
+   both build equal words, and either may win. *)
+type state = Words of Bytes.t | Recipe of (Bytes.t -> int -> unit)
+
+type buffer = { len : int; mutable state : state }
+
+let checked words =
   if words < 0 then invalid_arg "Memory: negative buffer length";
-  Bytes.create (4 * words)
+  words
+
+let recipe words write = { len = checked words; state = Recipe write }
+
+let eager words write =
+  let b = Bytes.create (4 * checked words) in
+  write b 0;
+  { len = words; state = Words b }
+
+let length b = b.len
 
 let zeros words =
-  let b = create_buffer words in
-  Bytes.fill b 0 (Bytes.length b) '\000';
-  b
-
-let length b = Bytes.length b / 4
+  recipe words (fun dst off -> Bytes.fill dst off (4 * words) '\000')
 
 let const_float words x =
-  let b = create_buffer words in
   let w = Int32.bits_of_float x in
-  for i = 0 to words - 1 do
-    set32 b (4 * i) w
-  done;
-  b
+  recipe words (fun dst off ->
+      for i = 0 to words - 1 do
+        set32 dst (off + (4 * i)) w
+      done)
 
 let of_floats xs =
-  let b = create_buffer (Array.length xs) in
-  for i = 0 to Array.length xs - 1 do
-    set32 b (4 * i) (Int32.bits_of_float xs.(i))
-  done;
-  b
+  eager (Array.length xs) (fun dst off ->
+      for i = 0 to Array.length xs - 1 do
+        set32 dst (off + (4 * i)) (Int32.bits_of_float xs.(i))
+      done)
 
 let of_ints xs =
-  let b = create_buffer (Array.length xs) in
-  for i = 0 to Array.length xs - 1 do
-    set32 b (4 * i) (Int32.of_int xs.(i))
-  done;
-  b
+  eager (Array.length xs) (fun dst off ->
+      for i = 0 to Array.length xs - 1 do
+        set32 dst (off + (4 * i)) (Int32.of_int xs.(i))
+      done)
 
 let of_int32s xs =
-  let b = create_buffer (Array.length xs) in
-  for i = 0 to Array.length xs - 1 do
-    set32 b (4 * i) xs.(i)
-  done;
-  b
+  eager (Array.length xs) (fun dst off ->
+      for i = 0 to Array.length xs - 1 do
+        set32 dst (off + (4 * i)) xs.(i)
+      done)
 
 let init words f =
-  let b = create_buffer words in
-  for i = 0 to words - 1 do
-    set32 b (4 * i) (Int32.of_int (f i))
-  done;
-  b
+  recipe words (fun dst off ->
+      for i = 0 to words - 1 do
+        set32 dst (off + (4 * i)) (Int32.of_int (f i))
+      done)
 
 (* The two-index builders write in tiles of [tile] inner indices, each
    across every outer index: a layout that transposes its source (SpMV's
@@ -187,52 +197,63 @@ let init words f =
    storage order. *)
 let tile = 64
 
-let create_grid ~outer ~inner =
+let grid_words ~outer ~inner =
   if outer < 0 || inner < 0 then invalid_arg "Memory: negative buffer shape";
-  create_buffer (outer * inner)
+  outer * inner
 
 let init2 ~outer ~inner f =
-  let b = create_grid ~outer ~inner in
-  for t = 0 to (inner - 1) / tile do
-    let lo = t * tile in
-    let hi = min inner (lo + tile) - 1 in
-    for o = 0 to outer - 1 do
-      let row = 4 * o * inner in
-      for i = lo to hi do
-        set32 b (row + (4 * i)) (Int32.of_int (f o i))
-      done
-    done
-  done;
-  b
+  recipe (grid_words ~outer ~inner) (fun dst off ->
+      for t = 0 to (inner - 1) / tile do
+        let lo = t * tile in
+        let hi = min inner (lo + tile) - 1 in
+        for o = 0 to outer - 1 do
+          let row = off + (4 * o * inner) in
+          for i = lo to hi do
+            set32 dst (row + (4 * i)) (Int32.of_int (f o i))
+          done
+        done
+      done)
 
 let gather_floats ~outer ~inner src index =
-  let b = create_grid ~outer ~inner in
-  for t = 0 to (inner - 1) / tile do
-    let lo = t * tile in
-    let hi = min inner (lo + tile) - 1 in
-    for o = 0 to outer - 1 do
-      let row = 4 * o * inner in
-      for i = lo to hi do
-        set32 b (row + (4 * i)) (Int32.bits_of_float src.(index o i))
-      done
-    done
-  done;
-  b
+  recipe (grid_words ~outer ~inner) (fun dst off ->
+      for t = 0 to (inner - 1) / tile do
+        let lo = t * tile in
+        let hi = min inner (lo + tile) - 1 in
+        for o = 0 to outer - 1 do
+          let row = off + (4 * o * inner) in
+          for i = lo to hi do
+            set32 dst (row + (4 * i)) (Int32.bits_of_float src.(index o i))
+          done
+        done
+      done)
+
+(* The words, built from the recipe on the first host read. *)
+let words b =
+  match b.state with
+  | Words w -> w
+  | Recipe write ->
+    let w = Bytes.create (4 * b.len) in
+    write w 0;
+    b.state <- Words w;
+    w
 
 let get_int b i =
   if i < 0 || i >= length b then invalid_arg "Memory.get_int";
-  Int32.to_int (get32 b (4 * i))
+  Int32.to_int (get32 (words b) (4 * i))
 
 let to_floats b =
+  let w = words b in
   let xs = Array.create_float (length b) in
   for i = 0 to Array.length xs - 1 do
-    xs.(i) <- Int32.float_of_bits (get32 b (4 * i))
+    xs.(i) <- Int32.float_of_bits (get32 w (4 * i))
   done;
   xs
 
-let to_int32s b = Array.init (length b) (fun i -> get32 b (4 * i))
+let to_int32s b =
+  let w = words b in
+  Array.init (length b) (fun i -> get32 w (4 * i))
 
-let copy = Bytes.copy
+let copy b = { len = b.len; state = Words (Bytes.copy (words b)) }
 
 (* --- Buffer allocation (the driver's cudaMalloc) ---------------------- *)
 
@@ -253,12 +274,24 @@ let layout sizes_in_words =
   in
   (List.rev allocs, top)
 
-let copy_in t alloc (data : buffer) =
+let copy_in t alloc data =
   if length data <> alloc.length then
     invalid_arg "Memory.copy_in: size mismatch";
-  Bytes.blit data 0 (contents t) alloc.base (4 * alloc.length)
+  let dst = contents t in
+  match data.state with
+  | Words w -> Bytes.blit w 0 dst alloc.base (4 * alloc.length)
+  | Recipe write -> write dst alloc.base
 
-let copy_out t alloc (data : buffer) =
+(* Copying out overwrites every word, so a pending recipe is dropped
+   unrun. *)
+let copy_out t alloc data =
   if length data <> alloc.length then
     invalid_arg "Memory.copy_out: size mismatch";
-  Bytes.blit (contents t) alloc.base data 0 (4 * alloc.length)
+  let src = contents t in
+  let w =
+    match data.state with
+    | Words w -> w
+    | Recipe _ -> Bytes.create (4 * alloc.length)
+  in
+  Bytes.blit src alloc.base w 0 (4 * alloc.length);
+  data.state <- Words w

@@ -57,16 +57,29 @@ val store_lanes :
 
 (** {2 Argument buffers}
 
-    A kernel argument: a mutable array of 32-bit words, stored unboxed in
-    device-memory layout, so copying it in or out is one blit.  A float
-    word holds the single-precision bits of the value ([Int32.bits_of_float]
-    rounds to nearest); an integer word holds the low 32 bits.
+    A kernel argument: a mutable array of 32-bit words in device-memory
+    layout.  A float word holds the single-precision bits of the value
+    ([Int32.bits_of_float] rounds to nearest); an integer word holds the
+    low 32 bits.
 
-    The constructors write every word in one loop inside this module and
-    allocate only the buffer: no [int32] or [float] crosses the module
-    boundary per word, which would box on every call (DESIGN §18).  Build
-    layouts with [init], [init2] and [gather_floats], whose callbacks
-    return [int]s. *)
+    [of_floats], [of_ints] and [of_int32s] copy their array at once.
+    [zeros], [const_float], [init], [init2] and [gather_floats] record how
+    to write their words instead: {!copy_in} writes them straight into
+    device memory, a launch that never copies its arguments in (a
+    layout-only statistics launch) never builds them, and the first host
+    read ({!get_int}, {!to_floats}, {!to_int32s}, {!copy}) or a values
+    launch's {!copy_out} replaces the recipe with the words, once.  So a
+    recipe's callback may run once per launch, once more for a host read,
+    or never:
+    - a callback must be total and a pure function of its indices (no
+      state such as a [Random.State]);
+    - a captured source ([gather_floats]'s [src], whatever a callback
+      reads) must not change while the buffer is in use.
+    Two host reads that race build equal words, so either may win.
+
+    Every word is written in one loop inside this module and no [int32]
+    or [float] crosses the module boundary per word, which would box on
+    every call (DESIGN §18); the callbacks return [int]s. *)
 
 type buffer
 
@@ -85,9 +98,9 @@ val init : int -> (int -> int) -> buffer
 
 (** [init2 ~outer ~inner f]: [outer * inner] words, word [o * inner + i]
     holding the low 32 bits of [f o i] — a layout stored outer-major.
-    [f] is called once per word, in no specified order (the builder
-    writes cache-sized tiles, so a layout that transposes its source
-    stays cache-friendly). *)
+    [f] is called once per word written, in no specified order (the
+    builder writes cache-sized tiles, so a layout that transposes its
+    source stays cache-friendly). *)
 val init2 : outer:int -> inner:int -> (int -> int -> int) -> buffer
 
 (** [gather_floats ~outer ~inner src index]: [outer * inner] words, word
@@ -104,6 +117,8 @@ val get_int : buffer -> int -> int
 
 val to_floats : buffer -> float array
 val to_int32s : buffer -> int32 array
+
+(** A buffer holding the same words, independent of the original. *)
 val copy : buffer -> buffer
 
 (** {2 Device allocation} *)
@@ -116,11 +131,12 @@ type allocation = { base : int; length : int (** words *) }
     aligned bases; returns the allocations and total bytes needed. *)
 val layout : int list -> allocation list * int
 
-(** Copy a buffer into its allocation (one blit).  Raises
+(** Copy a buffer into its allocation: one blit, or its recipe run
+    straight into [t] (the buffer keeps its recipe).  Raises
     [Invalid_argument] when the lengths differ. *)
 val copy_in : t -> allocation -> buffer -> unit
 
-(** Copy an allocation back into a buffer (one blit).  When one buffer
-    backs several allocations, the caller copies them out in order and
-    the last one wins. *)
+(** Copy an allocation back into a buffer (one blit; a recipe is dropped
+    unrun).  When one buffer backs several allocations, the caller copies
+    them out in order and the last one wins. *)
 val copy_out : t -> allocation -> buffer -> unit

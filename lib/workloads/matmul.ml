@@ -167,18 +167,12 @@ let run_simulated ?spec ~n ~tile a b =
 (* What the Section 5.1 experiments analyse: a small block sample is exact
    because every block does identical work. *)
 let input ~n ~tile =
-  (* One zero buffer serves a, b and c: the analysis runs the statistics
-     face ([Sim.launch_result]), which gives each argument its own device
-     region but, since no needed pc loads a global word, reads only the
-     buffer's length and copies nothing in or back.  A [Bytes] buffer
-     holds no pointers and the GC never scans it, so the sharing only
-     saves allocating two more (8 MB at n = 1024). *)
-  let zeros = Gpu_sim.Memory.zeros (n * n) in
+  let zeros () = Gpu_sim.Memory.zeros (n * n) in
   {
     Gpu_model.Workflow.kernel = kernel ~n ~tile;
     grid = grid ~n ~tile;
     block = threads_per_block;
-    args = [ ("a", zeros); ("b", zeros); ("c", zeros) ];
+    args = [ ("a", zeros ()); ("b", zeros ()); ("c", zeros ()) ];
     sample = Some 4;
   }
 

@@ -255,17 +255,15 @@ let run_simulated ?spec ~n ~padded systems =
    in the paper).  Blocks are homogeneous, so a small sample is exact. *)
 let input ~nsys ~n ~padded =
   let words = nsys * n in
-  (* All-zero coefficients would divide by zero in rcp; load b = 1.  One
-     zero buffer serves the other four arguments, as in [Matmul.input]:
-     each gets its own device region and nothing is copied back. *)
-  let zeros = Gpu_sim.Memory.zeros words in
+  (* All-zero coefficients would divide by zero in rcp; load b = 1. *)
+  let zeros () = Gpu_sim.Memory.zeros words in
   let args =
     [
-      ("a", zeros);
+      ("a", zeros ());
       ("b", Gpu_sim.Memory.const_float words 1.0);
-      ("c", zeros);
-      ("d", zeros);
-      ("x", zeros);
+      ("c", zeros ());
+      ("d", zeros ());
+      ("x", zeros ());
     ]
   in
   {

@@ -3,8 +3,9 @@
 
 Starts the daemon, throws a burst of traffic at it — good requests,
 past-deadline requests, malformed and oversized lines, an HTTP scrape —
-asserts every structured error payload, validates the OpenMetrics dump,
-then SIGTERMs and asserts a clean drain with exit code 0.
+asserts every structured error payload, validates the OpenMetrics dump
+(including the serve.gc.* gauges), then SIGTERMs and asserts a clean
+drain with exit code 0.
 
 Usage: serve_smoke.py /path/to/gpuperf.exe [--dashboard]
 
@@ -391,6 +392,7 @@ def validate_openmetrics(body):
     """Minimal OpenMetrics shape check: TYPE lines precede their samples,
     sample values parse as floats, counters end in _total."""
     types = {}
+    values = {}
     samples = 0
     for line in body.splitlines():
         if line.startswith("# TYPE"):
@@ -403,7 +405,7 @@ def validate_openmetrics(body):
         if not m:
             fail(f"unparsable metrics line: {line!r}")
         name, _, value = m.groups()
-        float(value)  # raises on garbage
+        values[name] = float(value)  # raises on garbage
         base = re.sub(r"_(total|count|sum|bucket)$", "", name)
         if base not in types and name not in types:
             fail(f"sample {name} has no TYPE declaration")
@@ -413,6 +415,16 @@ def validate_openmetrics(body):
     check(
         len(serve_metrics) >= 5,
         f"serve metrics exported ({len(serve_metrics)} families)",
+    )
+    # The daemon's GC cost, refreshed before every dump: the drill's
+    # requests have run minor collections and grown the heap by now.
+    for family in ("minor_collections", "major_collections", "heap_words"):
+        name = "serve_gc_" + family
+        check(types.get(name) == "gauge", f"{name} gauge exported")
+    check(
+        values["serve_gc_minor_collections"] > 0
+        and values["serve_gc_heap_words"] > 0,
+        "GC gauges are current",
     )
 
 

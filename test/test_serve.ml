@@ -276,10 +276,11 @@ let test_replay_sample_policy () =
 
 (* --- in-process server ---------------------------------------------------- *)
 
-let with_server ?(limits = Budget.default_limits) ?(write_ledger = false) f =
+let with_server ?(endpoint = P.Tcp ("127.0.0.1", 0))
+    ?(limits = Budget.default_limits) ?(write_ledger = false) f =
   let cfg =
     {
-      Server.endpoint = P.Tcp ("127.0.0.1", 0);
+      Server.endpoint;
       limits;
       access_log = None;
       write_ledger;
@@ -734,6 +735,60 @@ let test_serve_ops_and_http () =
     "unknown endpoint is 404" true
     (String.sub missing 0 12 = "HTTP/1.0 404")
 
+(* A response larger than one socket write arrives intact.  On a Unix
+   socket one write takes at most the socket's send buffer; the client
+   reads nothing until several responses are due, so the daemon writes
+   them in pieces, resuming where each write stopped. *)
+let test_serve_large_response () =
+  Lazy.force warm;
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "gpuperf-large-%d.sock" (Unix.getpid ()))
+  in
+  with_server ~endpoint:(P.Unix_socket path) @@ fun _t ep ->
+  let req id =
+    {
+      P.id;
+      params = P.Tridiag { nsys = 64; n = 256; padded = false };
+      device = "baseline";
+      format = P.Html;
+      deadline_ms = None;
+      measure = false;
+      sample = None;
+    }
+  in
+  with_client ep @@ fun c ->
+  let reference =
+    Option.get (ok_or_fail "request" (Client.request c (req "ref"))).P.rendered
+  in
+  let send_buffer =
+    let s = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect ~finally:(fun () -> Unix.close s) (fun () ->
+        Unix.getsockopt_int s Unix.SO_SNDBUF)
+  in
+  let n = 6 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d documents of %d bytes outgrow a %d-byte send buffer"
+       n (String.length reference) send_buffer)
+    true
+    (n * String.length reference > send_buffer);
+  let ids = List.init n string_of_int in
+  List.iter
+    (fun id -> ok_or_fail "send" (Client.send_line c (P.encode_request (req id))))
+    ids;
+  (* Let the responses pile up behind the full buffer before reading. *)
+  Unix.sleepf 0.5;
+  List.iter
+    (fun id ->
+      let r =
+        ok_or_fail "parse" (P.parse_response (ok_or_fail "recv" (Client.recv_line c)))
+      in
+      Alcotest.(check string) "responses in order" id r.P.r_id;
+      Alcotest.(check bool)
+        (id ^ ": document intact") true
+        (r.P.rendered = Some reference))
+    ids
+
 let test_serve_graceful_drain () =
   Lazy.force warm;
   let cfg =
@@ -842,5 +897,7 @@ let () =
             test_serve_ops_and_http;
           Alcotest.test_case "graceful drain" `Quick
             test_serve_graceful_drain;
+          Alcotest.test_case "a large response arrives intact" `Quick
+            test_serve_large_response;
         ] );
     ]

@@ -779,10 +779,85 @@ let test_shared_buffer_copy_out () =
   let buf = Memory.init 32 Fun.id in
   let _ = Sim.launch ~grid:1 ~block:32 ~args:[ ("b", buf); ("a", buf) ] k in
   Alcotest.(check (array int)) "buffer holds b's region" expected (ints buf);
+  (* A recipe fills every region it is bound to: when the kernel writes
+     only [a]'s, [b]'s region still holds the recipe's words, and wins. *)
+  let recipe = Memory.init 32 (fun i -> 50 - i) in
+  let _ =
+    Sim.launch ~grid:1 ~block:32 ~args:[ ("a", recipe); ("b", recipe) ]
+      (compile
+         {
+           Ir.name = "first";
+           params = [ "a"; "b" ];
+           shared = [];
+           body = [ Ir.St_global ("a", Ir.Tid, Ir.i 7) ];
+         })
+  in
+  Alcotest.(check (array int)) "an unwritten last region wins"
+    (Array.init 32 (fun i -> 50 - i)) (ints recipe);
   let arr = Array.init 32 Int32.of_int in
   let _ = Sim.run ~grid:1 ~block:32 ~args:[ ("b", arr); ("a", arr) ] k in
   Alcotest.(check (array int)) "int32 array holds b's region" expected
     (Array.map Int32.to_int arr)
+
+(* Recipes: [zeros], [const_float], [init], [init2] and [gather_floats]
+   write their words where they are needed, and every way of reading them
+   sees the words an eager buffer would hold.  (A recipe bound to two
+   parameters: [test_shared_buffer_copy_out].) *)
+let test_recipes () =
+  let f o i = (o * 1000) - (3 * i) in
+  (* 3 x 70 crosses a tile boundary of the two-index builders *)
+  let expected = Array.init 210 (fun p -> f (p / 70) (p mod 70)) in
+  let device_words b =
+    let allocs, bytes = Memory.layout [ 5; Memory.length b ] in
+    let m = Memory.create ~bytes and a = List.nth allocs 1 in
+    Memory.copy_in m a b;
+    let out = Memory.of_ints (Array.make (Memory.length b) (-1)) in
+    Memory.copy_out m a out;
+    ints out
+  in
+  let r = Memory.init2 ~outer:3 ~inner:70 f in
+  let first = device_words r in
+  Alcotest.(check (array int)) "a recipe copied in writes its words" expected
+    first;
+  Alcotest.(check (array int)) "a second launch copies in the same words"
+    first (device_words r);
+  Alcotest.(check (array int)) "then a host read sees them" expected (ints r);
+  Alcotest.(check (array int)) "and a launch after the read" expected
+    (device_words r);
+  let copy =
+    compile
+      {
+        Ir.name = "copy";
+        params = [ "inp"; "out" ];
+        shared = [];
+        body =
+          [
+            Ir.If
+              ( Ir.(Tid < i 24),
+                [ Ir.St_global ("out", Ir.Tid, Ir.(Ld_global ("inp", Tid) + i 1)) ],
+                [] );
+          ];
+      }
+  in
+  let run inp out =
+    ignore (Sim.launch ~grid:1 ~block:32 ~args:[ ("inp", inp); ("out", out) ] copy)
+  in
+  let inp = Memory.init 32 (fun i -> 100 + i) in
+  let out = Memory.const_float 32 (-2.0) in
+  run inp out;
+  let minus_two = Int32.to_int (Int32.bits_of_float (-2.0)) in
+  let written = Array.init 32 (fun i -> if i < 24 then 101 + i else minus_two) in
+  Alcotest.(check (array int)) "a host read after a launch sees its words"
+    written (ints out);
+  Alcotest.(check (array int)) "the input reads as its recipe"
+    (Array.init 32 (fun i -> 100 + i)) (ints inp);
+  let out = Memory.const_float 32 (-2.0) in
+  let out_copy = Memory.copy out in
+  run inp out;
+  Alcotest.(check (array int)) "a copy is independent of the original"
+    (Array.make 32 minus_two) (ints out_copy);
+  Alcotest.(check (array int)) "and the original takes the launch's words"
+    written (ints out)
 
 let test_memory_fault () =
   let k =
@@ -1189,7 +1264,7 @@ let print_face_case c =
 let face_args c =
   let st = Random.State.make [| c.seed + 1 |] in
   let data bound =
-    Memory.init Kernels.words (fun _ -> Random.State.int st bound)
+    Memory.of_ints (Array.init Kernels.words (fun _ -> Random.State.int st bound))
   in
   [ ("inp", data 64); ("idx", data 1000); ("out", Memory.zeros Kernels.words) ]
 
@@ -1620,6 +1695,7 @@ let () =
             test_int32_face_write_back;
           Alcotest.test_case "shared buffer copy-out" `Quick
             test_shared_buffer_copy_out;
+          Alcotest.test_case "recipes" `Quick test_recipes;
         ] );
       ( "hot path",
         [

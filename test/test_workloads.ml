@@ -313,16 +313,22 @@ let words_allocated f =
   ignore (Sys.opaque_identity (f ()));
   words () -. w0
 
-(* Building a format's arguments allocates the buffers and nothing per
+(* Building a format's arguments and materializing their words (a host
+   read runs each recipe once) allocates the buffers and nothing per
    entry: measured 1.03 / 0.58 / 0.58 words per stored entry (a buffer
    word is half an OCaml word).  Float and int layouts converted to boxed
    [int32] words cost 12.33 / 7.89 / 7.97. *)
 let test_spmv_buffer_allocation () =
   let m = Spmv.generate ~block_rows:1024 ~offsets:Spmv.qcd_offsets () in
   let x = Array.make (Spmv.rows m) 1.0 in
+  let materialized fmt () =
+    let args = Spmv.buffers m fmt x in
+    List.iter (fun (_, b) -> ignore (Gpu_sim.Memory.get_int b 0)) args;
+    args
+  in
   List.iter
     (fun fmt ->
-      let words = words_allocated (fun () -> Spmv.buffers m fmt x) in
+      let words = words_allocated (materialized fmt) in
       let per_entry = words /. float_of_int (Spmv.nnz m) in
       if per_entry > 1.5 then
         Alcotest.failf "%s arguments allocate %.2f words per entry (budget 1.5)"
@@ -771,6 +777,32 @@ let face_inputs () =
         [ ("input", floats 4096); ("output", words 4096) ] );
   ]
 
+(* Words allocated straight into the major heap on this domain: blocks
+   too large for the minor heap, such as argument buffers. *)
+let major_words_allocated f =
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let w0 = direct () in
+  ignore (Sys.opaque_identity (f ()));
+  direct () -. w0
+
+(* A reduce's analysis loads no global word, so its launch gets
+   layout-only memory and never runs its argument recipes: it builds none
+   of its input's 131 072 words, 65 536 heap words as [Bytes].  Measured:
+   about 500 direct major words in all, against 66 309 when the builders
+   wrote every word up front; the bound is a quarter of the input. *)
+let test_reduce_builds_no_argument () =
+  let analyze () =
+    Workflow.analyze (Reduce.input ~blocks:512 Reduce.Sequential)
+  in
+  ignore (analyze ());
+  let words = major_words_allocated analyze in
+  if words >= 16384. then
+    Alcotest.failf "a reduce analysis allocates %.0f major words (bound \
+                    16 384; its input takes 65 536)" words
+
 let counted_only = Gpu_obs.Metrics.counter "sim.counted_only"
 
 (* [Workflow.analyze] runs the statistics face: its statistics equal a
@@ -905,6 +937,8 @@ let () =
         [
           Alcotest.test_case "workflow equals a values launch" `Quick
             test_statistics_face;
+          Alcotest.test_case "an analysis builds no unread argument" `Quick
+            test_reduce_builds_no_argument;
         ] );
       ( "replay schedules",
         [
