@@ -65,9 +65,10 @@ let print_string s =
 
 let print_newline () = print_string "\n"
 
-(* Shared heavyweight artifacts: single-flight memos, not [lazy] —
+(* [Tables.for_spec] shares the calibration per spec; the other
+   heavyweight artifacts below are single-flight memos, not [lazy] —
    concurrent experiments may force them from different domains. *)
-let tables = Memo.once (fun () -> Tables.for_spec spec)
+let tables () = Tables.for_spec spec
 
 let header id title =
   Printf.printf "\n=== %s: %s ===\n%!" id title
@@ -153,13 +154,6 @@ let fig3 () =
   let blocks = [ 1; 2; 4; 6; 8; 10; 11; 14; 17; 20; 21; 25; 30; 31; 35;
                  40; 41; 45; 50; 51; 56 ]
   in
-  (* Batch-measure the whole grid up front: misses run in parallel on the
-     domain pool instead of serially inside the print loop. *)
-  Tables.gmem_prefetch t
-    (List.concat_map
-       (fun (threads, m) ->
-         List.map (fun b -> (b, threads, m)) blocks)
-       configs);
   Printf.printf "%-12s" "blocks";
   List.iter (fun b -> Printf.printf "%6d" b) blocks;
   print_newline ();

@@ -174,7 +174,7 @@ let occupancy_cmd =
         List.fold_left
           (fun invalid t ->
             match Gpu_hw.Occupancy.compute_result ~spec (demand t) with
-            | Ok (o, _) ->
+            | Ok o ->
               Fmt.pr "%8d %8d %8d %10s@." t o.Gpu_hw.Occupancy.blocks
                 o.Gpu_hw.Occupancy.active_warps o.Gpu_hw.Occupancy.limiter;
               invalid
@@ -193,11 +193,12 @@ let occupancy_cmd =
              invalid (List.length sizes))
     end
     else
-      match Gpu_hw.Occupancy.compute_result ~spec (demand threads) with
+      let demand = demand threads in
+      match Gpu_hw.Occupancy.compute_result ~spec demand with
       | Error d -> Error d
-      | Ok (o, warnings) ->
+      | Ok o ->
         Fmt.pr "%a@." Gpu_hw.Occupancy.pp o;
-        List.iter print_diag warnings;
+        List.iter print_diag (Gpu_hw.Occupancy.range_warnings ~spec demand o);
         Ok ()
   in
   Cmd.v

@@ -139,11 +139,10 @@ let run ?(progress = fun _ -> ()) cfg =
   progress
     (Printf.sprintf
        "model differential: %d uniform grids, tolerance %.2fx" ndiff cfg.tol);
-  let tables = lazy (Gpu_microbench.Tables.for_spec spec) in
   for i = 0 to ndiff - 1 do
     let r = Gen.sub_rng ~seed:cfg.seed ~tag:tag_diff i in
     let c = Gen.gen_diff_case ~spec r in
-    let tables = Lazy.force tables in
+    let tables = Gpu_microbench.Tables.for_spec spec in
     match Diff.check ~spec ~tables ~tol:cfg.tol c with
     | Ok _ -> ()
     | Error _ ->

@@ -161,9 +161,7 @@ let analyze ?(spec = Spec.gtx285) ?(measure = false) ?replay_sample ?timeline
       (fun () -> Gpu_kernel.Compile.compile_result kernel)
   in
   let attrs = span_attrs ~grid ~block k in
-  (* The occupancy calculator's range warnings (a partial warp, one
-     resident block, ...) are dropped here: no output shows them. *)
-  let occupancy, _range_warnings =
+  let occupancy =
     run_stage ~attrs "extract" (fun () ->
         Gpu_hw.Occupancy.compute_result ~spec (demand_of ~spec ~block k))
   in

@@ -137,8 +137,7 @@ let compute_result ~spec demand =
     | _ -> None
   in
   Gpu_diag.Diag.protect ~stage:Gpu_diag.Diag.Occupancy ~convert (fun () ->
-      let t = compute ~spec demand in
-      (t, range_warnings ~spec demand t))
+      compute ~spec demand)
 
 (* Active warps on the busiest SM for a whole launch: resident blocks cannot
    exceed the number of blocks actually launched per SM. *)

@@ -26,13 +26,17 @@ exception Invalid_launch of string
     ceiling. *)
 val compute : spec:Spec.t -> demand -> t
 
-(** Like {!compute} but total, and paired with out-of-calibrated-range
-    warnings (partial warps, sub-warp blocks, extreme register budgets,
+(** Like {!compute} but total: an invalid launch is an [Error]
+    diagnostic.  No exception escapes. *)
+val compute_result : spec:Spec.t -> demand -> (t, Gpu_diag.Diag.t) result
+
+(** Out-of-calibrated-range warnings for a computed occupancy (partial
+    warps, sub-warp blocks, extreme register budgets,
     single-resident-block serialization): conditions that degrade the
-    model's confidence without invalidating the Table-2 arithmetic.  No
-    exception escapes. *)
-val compute_result :
-  spec:Spec.t -> demand -> (t * Gpu_diag.Diag.t list, Gpu_diag.Diag.t) result
+    model's confidence without invalidating the Table-2 arithmetic.
+    [gpuperf occupancy] prints them; an analysis does not compute them,
+    since its report already shows what they would say. *)
+val range_warnings : spec:Spec.t -> demand -> t -> Gpu_diag.Diag.t list
 
 val warps_per_block : spec:Spec.t -> demand -> int
 

@@ -29,12 +29,14 @@
      [Gpu_parallel] domain pool, with results placed by index;
    - tables persist to a versioned on-disk cache ([Calib_cache]), so a
      second process skips recalibration entirely;
-   - the global-memory memo table is domain-safe with single-flight
-     misses: concurrent requests for one configuration measure once. *)
+   - the per-spec tables and each table's global-memory points are
+     single-flight [Gpu_parallel.Memo] tables: concurrent requests for one
+     spec or one configuration measure once. *)
 
 module I = Gpu_isa.Instr
 module D = Gpu_diag.Diag
 module Pool = Gpu_parallel.Pool
+module Memo = Gpu_parallel.Memo
 
 let max_warps = 32
 
@@ -50,15 +52,11 @@ let class_index = function
   | I.Class_iii -> 2
   | I.Class_iv -> 3
 
-type gmem_slot = Ready of float | Measuring
-
 type t = {
   spec : Gpu_hw.Spec.t;
   instr : float array array; (* [class_index][w-1] -> Ginstr/s *)
   smem : float array; (* [w-1] -> GB/s *)
-  gmem : (int * int * int, gmem_slot) Hashtbl.t;
-  lock : Mutex.t; (* guards [gmem] *)
-  changed : Condition.t; (* a [Measuring] slot resolved *)
+  gmem : (int * int * int, float) Memo.t;
 }
 
 (* --- observability ------------------------------------------------------ *)
@@ -90,8 +88,8 @@ let counters () =
 
 (* Cache and calibration progress reporting goes through a caller-provided
    sink (the CLI prints to stderr); the library never prints on its own. *)
-let on_diag : (D.t -> unit) ref = ref (fun _ -> ())
-let set_on_diag f = on_diag := f
+let on_diag : (D.t -> unit) Atomic.t = Atomic.make (fun _ -> ())
+let set_on_diag f = Atomic.set on_diag f
 
 (* Every diagnostic also lands in the structured log when a default sink
    is configured (the serve daemon points one at its access log), so
@@ -106,7 +104,7 @@ let emit d =
   Gpu_obs.Log.event (log_level_of d.D.severity) ~component:"calib"
     ~attrs:[ ("stage", Gpu_obs.Log.S (D.stage_name d.D.stage)) ]
     d.D.message;
-  !on_diag d
+  Atomic.get on_diag d
 
 let disk_enabled = Atomic.make true
 let set_disk_cache b = Atomic.set disk_enabled b
@@ -205,19 +203,16 @@ let calibration_constants =
     calibration_version num_classes max_warps chain_length copy_pairs
 
 let of_parts spec instr smem gmem_entries =
-  let gmem = Hashtbl.create 64 in
-  List.iter (fun (k, v) -> Hashtbl.replace gmem k (Ready v)) gmem_entries;
-  { spec; instr; smem; gmem; lock = Mutex.create ();
-    changed = Condition.create () }
+  { spec; instr; smem; gmem = Memo.create ~seed:gmem_entries () }
 
-let build ?jobs (spec : Gpu_hw.Spec.t) =
+let build (spec : Gpu_hw.Spec.t) =
   let classes = Array.of_list arithmetic_classes in
   let n_instr = num_classes * max_warps in
   (* No trace depends on the warp count: simulate and cook each class's
      chain pair and the copy pair once, then replay them at every warp
      count. *)
   let pairs =
-    Pool.parallel_init ?jobs (num_classes + 1) (fun c ->
+    Pool.parallel_init (num_classes + 1) (fun c ->
         cook_pair ~spec
           (if c < num_classes then chain_pair ~spec classes.(c)
            else copy_pair ~spec))
@@ -227,7 +222,7 @@ let build ?jobs (spec : Gpu_hw.Spec.t) =
      Results land by index, so the parallel tables are bit-identical to
      serial ones. *)
   let flat =
-    Pool.parallel_init ?jobs (n_instr + max_warps) (fun i ->
+    Pool.parallel_init (n_instr + max_warps) (fun i ->
         pair_rate ~spec
           ~work:(if i < n_instr then chain_length else smem_work)
           ~warps:((i mod max_warps) + 1)
@@ -241,9 +236,9 @@ let build ?jobs (spec : Gpu_hw.Spec.t) =
 
 (* --- persistence -------------------------------------------------------- *)
 
-(* Snapshot under the table lock, write outside it.  Concurrent writers
-   both go through temp-file + rename, so the file is always complete;
-   a lost update is re-saved by the next miss. *)
+(* Snapshot the finished points, write outside the table's lock.
+   Concurrent writers both go through temp-file + rename, so the file is
+   always complete; a lost update is re-saved by the next miss. *)
 let persist t =
   if disk_cache_enabled () then
     match Calib_cache.path_for t.spec with
@@ -252,15 +247,7 @@ let persist t =
       let fingerprint =
         Calib_cache.fingerprint ~constants:calibration_constants t.spec
       in
-      Mutex.lock t.lock;
-      let gmem_entries =
-        Hashtbl.fold
-          (fun k s acc ->
-            match s with Ready v -> (k, v) :: acc | Measuring -> acc)
-          t.gmem []
-        |> List.sort compare
-      in
-      Mutex.unlock t.lock;
+      let gmem_entries = List.sort compare (Memo.finished t.gmem) in
       let payload =
         { Calib_cache.instr = t.instr; smem = t.smem; gmem = gmem_entries }
       in
@@ -333,120 +320,36 @@ let normalize_gmem_key ~blocks ~threads ~txns_per_thread =
   and txns_per_thread = max 1 (min 256 txns_per_thread) in
   (blocks, threads, txns_per_thread)
 
-(* Single-flight memoization: the first requester of a key measures while
-   holding a [Measuring] placeholder; concurrent requesters of the same
-   key block on [changed] rather than duplicating the measurement. *)
+(* Single-flight: concurrent misses of one key measure once, and the
+   domain that measured a point persists the table once the point is
+   published, so the file includes it. *)
 let gmem_bandwidth t ~blocks ~threads ~txns_per_thread =
-  let key = normalize_gmem_key ~blocks ~threads ~txns_per_thread in
-  Mutex.lock t.lock;
-  let rec obtain () =
-    match Hashtbl.find_opt t.gmem key with
-    | Some (Ready bw) ->
-      Mutex.unlock t.lock;
-      bw
-    | Some Measuring ->
-      Condition.wait t.changed t.lock;
-      obtain ()
-    | None ->
-      Hashtbl.replace t.gmem key Measuring;
-      Mutex.unlock t.lock;
-      let result =
-        let blocks, threads, txns_per_thread = key in
-        try
-          Ok
-            (measure_gmem_bandwidth ~spec:t.spec ~blocks ~threads
-               ~txns_per_thread)
-        with e -> Error (e, Printexc.get_raw_backtrace ())
-      in
-      Mutex.lock t.lock;
-      (match result with
-      | Ok bw -> Hashtbl.replace t.gmem key (Ready bw)
-      | Error _ -> Hashtbl.remove t.gmem key);
-      Condition.broadcast t.changed;
-      Mutex.unlock t.lock;
-      (match result with
-      | Ok bw ->
-        persist t;
-        bw
-      | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-  in
-  obtain ()
-
-let gmem_prefetch ?jobs t configs =
-  let keys =
-    List.sort_uniq compare
-      (List.map
-         (fun (blocks, threads, txns_per_thread) ->
-           normalize_gmem_key ~blocks ~threads ~txns_per_thread)
-         configs)
-  in
-  ignore
-    (Pool.parallel_map ?jobs
-       (fun (blocks, threads, txns_per_thread) ->
-         gmem_bandwidth t ~blocks ~threads ~txns_per_thread)
-       keys)
+  Memo.get t.gmem ~on_fresh:(fun _ -> persist t)
+    (normalize_gmem_key ~blocks ~threads ~txns_per_thread)
+    (fun (blocks, threads, txns_per_thread) ->
+      measure_gmem_bandwidth ~spec:t.spec ~blocks ~threads ~txns_per_thread)
 
 (* --- per-process sharing ------------------------------------------------ *)
 
-let build_or_load ?jobs spec =
+let build_or_load spec =
   match load_from_disk spec with
   | Some t -> t
   | None ->
     emit
       (D.info D.Cache "calibrating %d microbenchmarks for %s (%d jobs)"
          ((num_classes * max_warps) + max_warps)
-         spec.Gpu_hw.Spec.name
-         (match jobs with Some j -> j | None -> Pool.current_jobs ()));
+         spec.Gpu_hw.Spec.name (Pool.current_jobs ()));
     M.incr calibrations;
-    let t = build ?jobs spec in
+    let t = build spec in
     persist t;
     t
 
-(* Build lazily and share per spec: model queries are frequent.  The map
-   is domain-safe with single-flight misses, so e.g. parallel what-if
-   variants naming the same spec calibrate it once. *)
-type cache_slot = Table of t | Building
+(* Build on first use and share per spec: model queries are frequent.
+   Single-flight, so e.g. parallel what-if variants naming the same spec
+   calibrate it once. *)
+let process_tables : (string, t) Memo.t = Memo.create ()
 
-let cache : (string, cache_slot) Hashtbl.t = Hashtbl.create 4
-let cache_lock = Mutex.create ()
-let cache_changed = Condition.create ()
+let clear_process_cache () = Memo.clear process_tables
 
-let clear_process_cache () =
-  Mutex.lock cache_lock;
-  Hashtbl.iter
-    (fun _ s ->
-      match s with
-      | Building -> invalid_arg "Tables: clearing cache during calibration"
-      | Table _ -> ())
-    cache;
-  Hashtbl.reset cache;
-  Mutex.unlock cache_lock
-
-let for_spec ?jobs (spec : Gpu_hw.Spec.t) =
-  Mutex.lock cache_lock;
-  let rec obtain () =
-    match Hashtbl.find_opt cache spec.name with
-    | Some (Table t) ->
-      Mutex.unlock cache_lock;
-      t
-    | Some Building ->
-      Condition.wait cache_changed cache_lock;
-      obtain ()
-    | None ->
-      Hashtbl.replace cache spec.name Building;
-      Mutex.unlock cache_lock;
-      let result =
-        try Ok (build_or_load ?jobs spec)
-        with e -> Error (e, Printexc.get_raw_backtrace ())
-      in
-      Mutex.lock cache_lock;
-      (match result with
-      | Ok t -> Hashtbl.replace cache spec.name (Table t)
-      | Error _ -> Hashtbl.remove cache spec.name);
-      Condition.broadcast cache_changed;
-      Mutex.unlock cache_lock;
-      (match result with
-      | Ok t -> t
-      | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-  in
-  obtain ()
+let for_spec (spec : Gpu_hw.Spec.t) =
+  Memo.get process_tables spec.name (fun _ -> build_or_load spec)

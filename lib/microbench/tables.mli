@@ -17,16 +17,16 @@ val arithmetic_classes : Gpu_isa.Instr.cost_class list
 type t
 
 (** Run the instruction and shared-memory microbenchmark sweeps on the
-    domain pool ([?jobs] overrides the pool's default).  Pure
+    domain pool ({!Gpu_parallel.Pool.set_jobs} sizes it).  Pure
     measurement: never touches the disk cache. *)
-val build : ?jobs:int -> Gpu_hw.Spec.t -> t
+val build : Gpu_hw.Spec.t -> t
 
 (** Like {!build}, but shared per spec name within the process
     (single-flight: concurrent calls for one spec calibrate once) and
     backed by the on-disk cache — a cache hit skips calibration, a
     corrupt or stale file degrades to recalibration with a [Warning]
     sent to {!set_on_diag}'s sink. *)
-val for_spec : ?jobs:int -> Gpu_hw.Spec.t -> t
+val for_spec : Gpu_hw.Spec.t -> t
 
 (** Device-wide Giga warp-instructions per second for a class at a warp
     count (clamped to [1, 32]); memory and control classes are priced at
@@ -39,16 +39,11 @@ val smem_bandwidth : t -> warps:int -> float
 (** Bandwidth the synthetic streaming benchmark of this configuration
     sustains, in GB/s of transferred bytes; measured on demand and
     memoized (domain-safe, single-flight: concurrent misses of one
-    configuration measure once).  Large configurations are folded onto
-    bounded cluster-balanced ones (bandwidth saturates well before the
-    caps). *)
+    configuration measure once; each fresh point is persisted to the
+    disk cache).  Large configurations are folded onto bounded
+    cluster-balanced ones (bandwidth saturates well before the caps). *)
 val gmem_bandwidth : t -> blocks:int -> threads:int -> txns_per_thread:int
   -> float
-
-(** Measure a batch of [(blocks, threads, txns_per_thread)] points in
-    parallel (deduplicated and normalized first), e.g. ahead of a
-    Figure-3-style sweep; each miss is persisted to the disk cache. *)
-val gmem_prefetch : ?jobs:int -> t -> (int * int * int) list -> unit
 
 (** {2 Cache control & observability} *)
 
@@ -63,7 +58,9 @@ val set_on_diag : (Gpu_diag.Diag.t -> unit) -> unit
 val set_disk_cache : bool -> unit
 
 (** Drop the in-process per-spec tables (tests use this to exercise the
-    disk-cache path).  Raises if a calibration is in flight. *)
+    disk-cache path).  Raises [Invalid_argument] while a calibration is
+    in flight; the in-flight calibration and later {!for_spec} calls are
+    unaffected. *)
 val clear_process_cache : unit -> unit
 
 type counters = {

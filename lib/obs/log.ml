@@ -35,10 +35,7 @@ let open_file ?(append = true) path =
   in
   { oc = open_out_gen flags 0o644 path; m = Mutex.create () }
 
-let close s =
-  Mutex.lock s.m;
-  close_out s.oc;
-  Mutex.unlock s.m
+let close s = Mutex.protect s.m (fun () -> close_out s.oc)
 
 (* Global switchboard: a default sink (serve points it at the access
    log so Calib_cache / Pool warnings land in the same file), a level
@@ -109,10 +106,9 @@ let event ?sink ?(trace_id = "") ?(attrs = []) level ~component msg =
         render ~ts:(Unix.gettimeofday ()) ~level ~component ~trace_id
           ~attrs msg
       in
-      Mutex.lock s.m;
-      output_string s.oc line;
-      flush s.oc;
-      Mutex.unlock s.m;
+      Mutex.protect s.m (fun () ->
+          output_string s.oc line;
+          flush s.oc);
       Atomic.incr emitted_n;
       Metrics.incr (Metrics.counter "log.events.emitted")
     end

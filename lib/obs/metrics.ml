@@ -30,16 +30,15 @@ let lock = Mutex.create ()
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 32
 
 let register name make select kind =
-  Mutex.lock lock;
   let m =
-    match Hashtbl.find_opt registry name with
-    | Some m -> m
-    | None ->
-      let m = make () in
-      Hashtbl.add registry name m;
-      m
+    Mutex.protect lock (fun () ->
+        match Hashtbl.find_opt registry name with
+        | Some m -> m
+        | None ->
+          let m = make () in
+          Hashtbl.add registry name m;
+          m)
   in
-  Mutex.unlock lock;
   match select m with
   | Some v -> v
   | None ->
@@ -169,9 +168,10 @@ let percentiles hs = (quantile hs 0.50, quantile hs 0.95, quantile hs 0.99)
 (* --- snapshots and dumps ------------------------------------------------ *)
 
 let all_metrics () =
-  Mutex.lock lock;
-  let l = Hashtbl.fold (fun _ m acc -> m :: acc) registry [] in
-  Mutex.unlock lock;
+  let l =
+    Mutex.protect lock (fun () ->
+        Hashtbl.fold (fun _ m acc -> m :: acc) registry [])
+  in
   List.sort
     (fun a b ->
       let name = function
@@ -199,18 +199,17 @@ let snapshot_histograms () =
     (all_metrics ())
 
 let reset () =
-  Mutex.lock lock;
-  Hashtbl.iter
-    (fun _ m ->
-      match m with
-      | Counter c -> Atomic.set c.c_cell 0
-      | Gauge g -> Atomic.set g.g_cell 0.0
-      | Histogram h ->
-        Array.iter (fun b -> Atomic.set b 0) h.buckets;
-        Atomic.set h.h_count 0;
-        Atomic.set h.h_sum 0.0)
-    registry;
-  Mutex.unlock lock
+  Mutex.protect lock (fun () ->
+      Hashtbl.iter
+        (fun _ m ->
+          match m with
+          | Counter c -> Atomic.set c.c_cell 0
+          | Gauge g -> Atomic.set g.g_cell 0.0
+          | Histogram h ->
+            Array.iter (fun b -> Atomic.set b 0) h.buckets;
+            Atomic.set h.h_count 0;
+            Atomic.set h.h_sum 0.0)
+        registry)
 
 let dump_text () =
   let b = Buffer.create 512 in

@@ -2,7 +2,7 @@
 
    Zero-cost when off: [with_] checks one atomic flag and tail-calls the
    body.  When on, a span records its wall time (microseconds since the
-   first-enabled epoch), caller attributes and the delta of every
+   module's load-time epoch), caller attributes and the delta of every
    registered counter across its extent — so "calibrate" shows exactly
    how many microbenchmarks it measured and whether the disk cache hit.
 
@@ -20,24 +20,19 @@ let enabled_flag = Atomic.make false
 let set_enabled b = Atomic.set enabled_flag b
 let enabled () = Atomic.get enabled_flag
 
-(* Epoch: first interrogation after enabling.  All span timestamps are
-   relative to it, so trace-event ts values stay small. *)
-let epoch = lazy (Unix.gettimeofday ())
-let now_us () = (Unix.gettimeofday () -. Lazy.force epoch) *. 1e6
+(* Epoch: set when the module loads, so every domain reads the same value
+   without forcing anything.  All span timestamps are relative to it, so
+   trace-event ts values stay small. *)
+let epoch = Unix.gettimeofday ()
+let now_us () = (Unix.gettimeofday () -. epoch) *. 1e6
 
 let completed_lock = Mutex.create ()
 let completed_spans : completed list ref = ref [] (* reversed *)
 
 let completed () =
-  Mutex.lock completed_lock;
-  let l = !completed_spans in
-  Mutex.unlock completed_lock;
-  List.rev l
+  List.rev (Mutex.protect completed_lock (fun () -> !completed_spans))
 
-let clear () =
-  Mutex.lock completed_lock;
-  completed_spans := [];
-  Mutex.unlock completed_lock
+let clear () = Mutex.protect completed_lock (fun () -> completed_spans := [])
 
 (* Merge two sorted (name, value) snapshots into nonzero deltas; counters
    registered mid-span count from zero. *)
@@ -85,9 +80,8 @@ let with_ ?(attrs = []) name f =
           deltas;
         }
       in
-      Mutex.lock completed_lock;
-      completed_spans := c :: !completed_spans;
-      Mutex.unlock completed_lock
+      Mutex.protect completed_lock (fun () ->
+          completed_spans := c :: !completed_spans)
     in
     match f () with
     | v ->

@@ -2,7 +2,7 @@
 
     Disabled (the default), {!with_} is one atomic load and a tail call.
     Enabled, each span records wall time in microseconds since the
-    first-use epoch, the caller's attributes and the delta of every
+    module's load-time epoch, the caller's attributes and the delta of every
     registered {!Metrics} counter across its extent.  Completed spans
     accumulate in completion order. *)
 
@@ -17,7 +17,7 @@ type completed = {
 val set_enabled : bool -> unit
 val enabled : unit -> bool
 
-(** Microseconds since the tracer's epoch (first clock interrogation).
+(** Microseconds since the tracer's epoch (set when the module loads).
     {!Trace_ctx} shares this timebase so request spans and global spans
     line up in one trace file. *)
 val now_us : unit -> float

@@ -52,11 +52,10 @@ let create ?(capacity = 1 lsl 20) () =
 let dropped_metric = Metrics.counter "obs.timeline.dropped"
 
 let add t ~pid ~tid ~cat ~name ~ts ~dur =
-  Mutex.lock t.lock;
-  if t.total >= t.capacity then Metrics.incr dropped_metric;
-  t.buf.(t.total mod t.capacity) <- { pid; tid; cat; name; ts; dur };
-  t.total <- t.total + 1;
-  Mutex.unlock t.lock
+  Mutex.protect t.lock (fun () ->
+      if t.total >= t.capacity then Metrics.incr dropped_metric;
+      t.buf.(t.total mod t.capacity) <- { pid; tid; cat; name; ts; dur };
+      t.total <- t.total + 1)
 
 let added t = t.total
 let dropped t = max 0 (t.total - t.capacity)
@@ -79,25 +78,21 @@ let drop_warning t =
             d t.total t.capacity))
 
 let set_process t ~pid name =
-  Mutex.lock t.lock;
-  if Hashtbl.length t.processes < max_track_names then
-    Hashtbl.replace t.processes pid name;
-  Mutex.unlock t.lock
+  Mutex.protect t.lock (fun () ->
+      if Hashtbl.length t.processes < max_track_names then
+        Hashtbl.replace t.processes pid name)
 
 let set_thread t ~pid ~tid name =
-  Mutex.lock t.lock;
-  if Hashtbl.length t.threads < max_track_names then
-    Hashtbl.replace t.threads (pid, tid) name;
-  Mutex.unlock t.lock
+  Mutex.protect t.lock (fun () ->
+      if Hashtbl.length t.threads < max_track_names then
+        Hashtbl.replace t.threads (pid, tid) name)
 
 (* Retained slices in insertion order (the newest [capacity] of them). *)
 let slices t =
-  Mutex.lock t.lock;
-  let n = min t.total t.capacity in
-  let first = t.total - n in
-  let out = Array.init n (fun i -> t.buf.((first + i) mod t.capacity)) in
-  Mutex.unlock t.lock;
-  out
+  Mutex.protect t.lock (fun () ->
+      let n = min t.total t.capacity in
+      let first = t.total - n in
+      Array.init n (fun i -> t.buf.((first + i) mod t.capacity)))
 
 let sum_dur t ~cat =
   Array.fold_left
@@ -140,14 +135,12 @@ let buffer_json ?(scale = 1.0) ?(spans = []) ?(tracks = []) t =
   let b = Buffer.create (1 lsl 16) in
   Buffer.add_string b "{\"traceEvents\":[";
   (* metadata first: process and thread names *)
-  Mutex.lock t.lock;
-  let procs =
-    List.sort compare (Hashtbl.fold (fun k v a -> (k, v) :: a) t.processes [])
+  let names tbl =
+    List.sort compare (Hashtbl.fold (fun k v a -> (k, v) :: a) tbl [])
   in
-  let threads =
-    List.sort compare (Hashtbl.fold (fun k v a -> (k, v) :: a) t.threads [])
+  let procs, threads =
+    Mutex.protect t.lock (fun () -> (names t.processes, names t.threads))
   in
-  Mutex.unlock t.lock;
   if spans <> [] || tracks <> [] then
     emit_metadata b ~pid:span_pid ~tid:None "workflow (wall µs)"
       "process_name";

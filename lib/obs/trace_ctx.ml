@@ -13,8 +13,8 @@
    injector uses): a process-global 64-bit state advanced by the golden
    gamma, output-mixed, printed as 16 hex digits.  splitmix64's output
    function is a bijection, so ids within one process never collide,
-   and the state is seeded from pid ⊕ wall-clock so ids stay distinct
-   across daemon restarts.
+   and the state is seeded from pid ⊕ wall-clock when the module loads,
+   so ids stay distinct across daemon restarts.
 
    Spans recorded here share {!Span}'s epoch and microsecond timebase,
    so a request's track tiles correctly against the global span track
@@ -40,26 +40,15 @@ let mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let state = Atomic.make 0L
-let seeded = Atomic.make false
+let state =
+  Atomic.make
+    (Int64.logxor
+       (Int64.of_int (Unix.getpid ()))
+       (Int64.bits_of_float (Unix.gettimeofday ())))
 
-let set_seed seed =
-  Atomic.set state (Int64.of_int seed);
-  Atomic.set seeded true
+let set_seed seed = Atomic.set state (Int64.of_int seed)
 
 let next_id () =
-  if not (Atomic.get seeded) then begin
-    (* First use: derive a seed that differs across processes and
-       restarts.  A race here at worst reseeds once more — ids stay
-       unique either way because the advance below is atomic. *)
-    let s =
-      Int64.logxor
-        (Int64.of_int (Unix.getpid ()))
-        (Int64.bits_of_float (Unix.gettimeofday ()))
-    in
-    Atomic.set state s;
-    Atomic.set seeded true
-  end;
   let rec advance () =
     let cur = Atomic.get state in
     let next = Int64.add cur golden in
@@ -83,35 +72,29 @@ let id t = t.id
 let created_us t = t.created_us
 
 let record t ~depth span =
-  Mutex.lock t.lock;
-  t.recorded <- (depth, span) :: t.recorded;
-  Mutex.unlock t.lock
+  Mutex.protect t.lock (fun () -> t.recorded <- (depth, span) :: t.recorded)
 
 let stage t ?(attrs = []) name ~start_us ~dur_us =
   record t ~depth:0
     { Span.name; start_us; dur_us; attrs; deltas = [] }
 
 let span t ?(attrs = []) name f =
-  Mutex.lock t.lock;
-  let d = t.depth in
-  t.depth <- d + 1;
-  Mutex.unlock t.lock;
+  let d =
+    Mutex.protect t.lock (fun () ->
+        let d = t.depth in
+        t.depth <- d + 1;
+        d)
+  in
   let t0 = Span.now_us () in
   let close extra =
     let t1 = Span.now_us () in
-    Mutex.lock t.lock;
-    t.depth <- t.depth - 1;
-    t.recorded <-
-      ( d,
-        {
-          Span.name;
-          start_us = t0;
-          dur_us = t1 -. t0;
-          attrs = attrs @ extra;
-          deltas = [];
-        } )
-      :: t.recorded;
-    Mutex.unlock t.lock
+    let s =
+      { Span.name; start_us = t0; dur_us = t1 -. t0; attrs = attrs @ extra;
+        deltas = [] }
+    in
+    Mutex.protect t.lock (fun () ->
+        t.depth <- t.depth - 1;
+        t.recorded <- (d, s) :: t.recorded)
   in
   match f () with
   | v ->
@@ -127,16 +110,11 @@ let by_start spans =
     (fun a b -> compare a.Span.start_us b.Span.start_us)
     spans
 
-let spans t =
-  Mutex.lock t.lock;
-  let l = t.recorded in
-  Mutex.unlock t.lock;
-  by_start (List.rev_map snd l)
+let recorded t = Mutex.protect t.lock (fun () -> t.recorded)
+let spans t = by_start (List.rev_map snd (recorded t))
 
 let stages t =
-  Mutex.lock t.lock;
-  let l = t.recorded in
-  Mutex.unlock t.lock;
+  let l = recorded t in
   by_start
     (List.filter_map (fun (d, s) -> if d = 0 then Some s else None) l)
 

@@ -17,7 +17,8 @@ val created_us : t -> float
 
 (** Draw the next trace id (16 lowercase hex digits) from the
     process-global splitmix64 sequence.  Ids are unique within a
-    process; the state is seeded from pid ⊕ wall-clock on first use. *)
+    process; the state is seeded from pid ⊕ wall-clock when the module
+    loads. *)
 val next_id : unit -> string
 
 (** Override the id-sequence seed (tests). *)

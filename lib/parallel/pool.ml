@@ -58,22 +58,25 @@ let g_workers = Gpu_obs.Metrics.gauge "pool.workers"
 let note_queue pool =
   Gpu_obs.Metrics.set_gauge g_queue (float_of_int (Queue.length pool.queue))
 
+(* Under [pool.lock]: the next task, or [None] once the pool shuts
+   down. *)
+let rec next_task pool =
+  if pool.shutdown then None
+  else
+    match Queue.take_opt pool.queue with
+    | Some _ as task ->
+      note_queue pool;
+      task
+    | None ->
+      Condition.wait pool.work pool.lock;
+      next_task pool
+
 let rec worker_loop pool =
-  Mutex.lock pool.lock;
-  let rec await () =
-    if pool.shutdown then Mutex.unlock pool.lock
-    else
-      match Queue.take_opt pool.queue with
-      | Some task ->
-        note_queue pool;
-        Mutex.unlock pool.lock;
-        task ();
-        worker_loop pool
-      | None ->
-        Condition.wait pool.work pool.lock;
-        await ()
-  in
-  await ()
+  match Mutex.protect pool.lock (fun () -> next_task pool) with
+  | Some task ->
+    task ();
+    worker_loop pool
+  | None -> ()
 
 let create ~jobs =
   let pool =
@@ -95,10 +98,9 @@ let create ~jobs =
   pool
 
 let destroy pool =
-  Mutex.lock pool.lock;
-  pool.shutdown <- true;
-  Condition.broadcast pool.work;
-  Mutex.unlock pool.lock;
+  Mutex.protect pool.lock (fun () ->
+      pool.shutdown <- true;
+      Condition.broadcast pool.work);
   List.iter Domain.join pool.workers;
   pool.workers <- [];
   Gpu_obs.Metrics.set_gauge g_workers 0.0
@@ -112,27 +114,22 @@ let current_jobs () =
 
 let set_jobs n =
   if n < 1 then invalid_arg "Pool.set_jobs: jobs must be >= 1";
-  Mutex.lock global_lock;
-  requested := Some n;
-  (match !global with
-  | Some p when p.size <> n - 1 ->
-    global := None;
-    destroy p
-  | Some _ | None -> ());
-  Mutex.unlock global_lock
+  Mutex.protect global_lock (fun () ->
+      requested := Some n;
+      match !global with
+      | Some p when p.size <> n - 1 ->
+        global := None;
+        destroy p
+      | Some _ | None -> ())
 
 let get_pool () =
-  Mutex.lock global_lock;
-  let p =
-    match !global with
-    | Some p -> p
-    | None ->
-      let p = create ~jobs:(current_jobs ()) in
-      global := Some p;
-      p
-  in
-  Mutex.unlock global_lock;
-  p
+  Mutex.protect global_lock (fun () ->
+      match !global with
+      | Some p -> p
+      | None ->
+        let p = create ~jobs:(current_jobs ()) in
+        global := Some p;
+        p)
 
 (* --- batches ----------------------------------------------------------- *)
 
@@ -148,12 +145,11 @@ type batch = {
 }
 
 let record_failure batch i e bt =
-  Mutex.lock batch.b_lock;
-  (match batch.failed with
-  | Some (j, _, _) when j <= i -> ()
-  | Some _ | None -> batch.failed <- Some (i, e, bt));
-  batch.next <- batch.total (* stop claiming further chunks *);
-  Mutex.unlock batch.b_lock
+  Mutex.protect batch.b_lock (fun () ->
+      (match batch.failed with
+      | Some (j, _, _) when j <= i -> ()
+      | Some _ | None -> batch.failed <- Some (i, e, bt));
+      batch.next <- batch.total (* stop claiming further chunks *))
 
 (* Batch/chunk volume counters (DESIGN §11): [pool.chunks.stolen] counts
    chunks claimed by helper domains rather than the calling one — the
@@ -163,17 +159,24 @@ let m_items = Gpu_obs.Metrics.counter "pool.items"
 let m_chunks = Gpu_obs.Metrics.counter "pool.chunks.claimed"
 let m_steals = Gpu_obs.Metrics.counter "pool.chunks.stolen"
 
+(* Under [batch.b_lock]: the next unclaimed chunk, or [None] when every
+   chunk is claimed. *)
+let claim_chunk batch =
+  if batch.next >= batch.total then None
+  else begin
+    let lo = batch.next in
+    let hi = min batch.total (lo + batch.chunk) in
+    batch.next <- hi;
+    batch.running <- batch.running + 1;
+    Some (lo, hi)
+  end
+
 let drain batch f =
   let helper = Domain.DLS.get inside_worker in
   let rec claim () =
-    Mutex.lock batch.b_lock;
-    if batch.next >= batch.total then Mutex.unlock batch.b_lock
-    else begin
-      let lo = batch.next in
-      let hi = min batch.total (lo + batch.chunk) in
-      batch.next <- hi;
-      batch.running <- batch.running + 1;
-      Mutex.unlock batch.b_lock;
+    match Mutex.protect batch.b_lock (fun () -> claim_chunk batch) with
+    | None -> ()
+    | Some (lo, hi) ->
       Gpu_obs.Metrics.incr m_chunks;
       if helper then Gpu_obs.Metrics.incr m_steals;
       for i = lo to hi - 1 do
@@ -185,13 +188,11 @@ let drain batch f =
           try f i
           with e -> record_failure batch i e (Printexc.get_raw_backtrace ()))
       done;
-      Mutex.lock batch.b_lock;
-      batch.running <- batch.running - 1;
-      if batch.next >= batch.total && batch.running = 0 then
-        Condition.broadcast batch.b_done;
-      Mutex.unlock batch.b_lock;
+      Mutex.protect batch.b_lock (fun () ->
+          batch.running <- batch.running - 1;
+          if batch.next >= batch.total && batch.running = 0 then
+            Condition.broadcast batch.b_done);
       claim ()
-    end
   in
   claim ()
 
@@ -234,44 +235,47 @@ let run ?jobs n f =
          withdraw the entries no worker claimed. *)
       let helper () =
         drain batch f;
-        Mutex.lock batch.b_lock;
-        batch.helpers <- batch.helpers - 1;
-        if batch.helpers = 0 then Condition.broadcast batch.b_done;
-        Mutex.unlock batch.b_lock
+        Mutex.protect batch.b_lock (fun () ->
+            batch.helpers <- batch.helpers - 1;
+            if batch.helpers = 0 then Condition.broadcast batch.b_done)
       in
-      Mutex.lock p.lock;
-      for _ = 1 to helpers do
-        Queue.add helper p.queue
-      done;
-      note_queue p;
-      Condition.broadcast p.work;
-      Mutex.unlock p.lock;
+      Mutex.protect p.lock (fun () ->
+          for _ = 1 to helpers do
+            Queue.add helper p.queue
+          done;
+          note_queue p;
+          Condition.broadcast p.work);
       drain batch f;
       (* Every chunk is claimed.  Withdraw the helper entries still queued
          (they would only find nothing to do), then wait for the claimed
          ones to finish: when [run] returns, no trace of the batch is left
          in the pool, which is then indistinguishable from a fresh one. *)
-      Mutex.lock p.lock;
-      let withdrawn = ref 0 in
-      let others = Queue.create () in
-      Queue.iter
-        (fun task ->
-          if task == helper then incr withdrawn else Queue.add task others)
-        p.queue;
-      Queue.clear p.queue;
-      Queue.transfer others p.queue;
-      note_queue p;
-      Mutex.unlock p.lock;
-      Mutex.lock batch.b_lock;
-      batch.helpers <- batch.helpers - !withdrawn;
-      while
-        not
-          (batch.next >= batch.total && batch.running = 0 && batch.helpers = 0)
-      do
-        Condition.wait batch.b_done batch.b_lock
-      done;
-      let failed = batch.failed in
-      Mutex.unlock batch.b_lock;
+      let withdrawn =
+        Mutex.protect p.lock (fun () ->
+            let withdrawn = ref 0 in
+            let others = Queue.create () in
+            Queue.iter
+              (fun task ->
+                if task == helper then incr withdrawn
+                else Queue.add task others)
+              p.queue;
+            Queue.clear p.queue;
+            Queue.transfer others p.queue;
+            note_queue p;
+            !withdrawn)
+      in
+      let failed =
+        Mutex.protect batch.b_lock (fun () ->
+            batch.helpers <- batch.helpers - withdrawn;
+            while
+              not
+                (batch.next >= batch.total && batch.running = 0
+                && batch.helpers = 0)
+            do
+              Condition.wait batch.b_done batch.b_lock
+            done;
+            batch.failed)
+      in
       match failed with
       | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
       | None -> ()
@@ -295,29 +299,33 @@ let m_async = Gpu_obs.Metrics.counter "pool.async.submitted"
 let g_async_pending = Gpu_obs.Metrics.gauge "pool.async.pending"
 
 let async_finished () =
-  Mutex.lock async_lock;
-  decr async_outstanding;
-  Gpu_obs.Metrics.set_gauge g_async_pending (float_of_int !async_outstanding);
-  if !async_outstanding = 0 then Condition.broadcast async_done;
-  Mutex.unlock async_lock
+  Mutex.protect async_lock (fun () ->
+      decr async_outstanding;
+      Gpu_obs.Metrics.set_gauge g_async_pending
+        (float_of_int !async_outstanding);
+      if !async_outstanding = 0 then Condition.broadcast async_done)
 
 let async f =
   let task () =
     (try f ()
-     with e ->
+     with e -> (
        (* [f] is responsible for its own reporting; an exception landing
-          here would previously vanish — now it at least leaves a
-          structured warning when a log sink is configured. *)
-       Gpu_obs.Log.event Gpu_obs.Log.Warn ~component:"pool.async"
-         ~attrs:[ ("exn", Gpu_obs.Log.S (Printexc.to_string e)) ]
-         "async task raised past its own error handling");
+          here at least leaves a structured warning when a log sink is
+          configured.  A sink that cannot be written (a full disk) must
+          not raise out of the task either: that would skip
+          [async_finished] and end the worker domain. *)
+       try
+         Gpu_obs.Log.event Gpu_obs.Log.Warn ~component:"pool.async"
+           ~attrs:[ ("exn", Gpu_obs.Log.S (Printexc.to_string e)) ]
+           "async task raised past its own error handling"
+       with Sys_error _ -> ()));
     async_finished ()
   in
-  Mutex.lock async_lock;
-  incr async_outstanding;
-  Gpu_obs.Metrics.incr m_async;
-  Gpu_obs.Metrics.set_gauge g_async_pending (float_of_int !async_outstanding);
-  Mutex.unlock async_lock;
+  Mutex.protect async_lock (fun () ->
+      incr async_outstanding;
+      Gpu_obs.Metrics.incr m_async;
+      Gpu_obs.Metrics.set_gauge g_async_pending
+        (float_of_int !async_outstanding));
   let p = get_pool () in
   if p.size = 0 then begin
     let d =
@@ -325,52 +333,47 @@ let async f =
           Domain.DLS.set inside_worker true;
           task ())
     in
-    Mutex.lock async_lock;
-    async_extra := d :: !async_extra;
-    Mutex.unlock async_lock
+    Mutex.protect async_lock (fun () -> async_extra := d :: !async_extra)
   end
-  else begin
-    Mutex.lock p.lock;
-    Queue.add task p.queue;
-    note_queue p;
-    Condition.signal p.work;
-    Mutex.unlock p.lock
-  end
+  else
+    Mutex.protect p.lock (fun () ->
+        Queue.add task p.queue;
+        note_queue p;
+        Condition.signal p.work)
 
-let pending_async () =
-  Mutex.lock async_lock;
-  let n = !async_outstanding in
-  Mutex.unlock async_lock;
-  n
+let pending_async () = Mutex.protect async_lock (fun () -> !async_outstanding)
 
 let drain_async ?timeout_s () =
   let deadline =
-    Option.map (fun t -> Unix.gettimeofday () +. t) timeout_s
+    match timeout_s with
+    | Some t -> Unix.gettimeofday () +. t
+    | None -> infinity
   in
-  let rec wait () =
-    Mutex.lock async_lock;
-    if !async_outstanding = 0 then begin
+  (* Under [async_lock]: the fallback domains to join once nothing is
+     outstanding.  Without a deadline, wait for that first. *)
+  let drained () =
+    if deadline = infinity then
+      while !async_outstanding > 0 do
+        Condition.wait async_done async_lock
+      done;
+    if !async_outstanding > 0 then None
+    else begin
       let extra = !async_extra in
       async_extra := [];
-      Mutex.unlock async_lock;
+      Some extra
+    end
+  in
+  let rec wait () =
+    match Mutex.protect async_lock drained with
+    | Some extra ->
       List.iter Domain.join extra;
       true
-    end
-    else
-      match deadline with
-      | None ->
-        Condition.wait async_done async_lock;
-        Mutex.unlock async_lock;
-        wait ()
-      | Some d ->
-        Mutex.unlock async_lock;
-        if Unix.gettimeofday () >= d then false
-        else begin
-          (* Mutex/Condition have no timed wait in the stdlib; a short
-             poll bounds the overshoot past the deadline instead. *)
-          Unix.sleepf 0.005;
-          wait ()
-        end
+    | None when Unix.gettimeofday () >= deadline -> false
+    | None ->
+      (* Mutex/Condition have no timed wait in the stdlib; a short poll
+         bounds the overshoot past the deadline instead. *)
+      Unix.sleepf 0.005;
+      wait ()
   in
   wait ()
 
@@ -380,24 +383,14 @@ let drain_async ?timeout_s () =
    exception must leave every worker domain alive and the queue empty. *)
 
 let worker_count () =
-  Mutex.lock global_lock;
-  let n = match !global with Some p -> List.length p.workers | None -> 0 in
-  Mutex.unlock global_lock;
-  n
+  Mutex.protect global_lock (fun () ->
+      match !global with Some p -> List.length p.workers | None -> 0)
 
 let queue_length () =
-  Mutex.lock global_lock;
-  let n =
-    match !global with
-    | Some p ->
-      Mutex.lock p.lock;
-      let n = Queue.length p.queue in
-      Mutex.unlock p.lock;
-      n
-    | None -> 0
-  in
-  Mutex.unlock global_lock;
-  n
+  Mutex.protect global_lock (fun () ->
+      match !global with
+      | Some p -> Mutex.protect p.lock (fun () -> Queue.length p.queue)
+      | None -> 0)
 
 (* Refresh all scheduler gauges from the introspection reads — the
    serve watchdog calls this on its tick so /metrics and /dashboard see

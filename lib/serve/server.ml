@@ -421,10 +421,9 @@ let post_completion t infl ?ledger resp_of_elapsed =
   let now = Unix.gettimeofday () in
   let elapsed_ms = (now -. infl.admitted) *. 1000. in
   let resp = resp_of_elapsed elapsed_ms in
-  Mutex.lock t.lock;
-  t.completions <-
-    { c_infl = infl; c_resp = resp; c_ledger = ledger } :: t.completions;
-  Mutex.unlock t.lock;
+  Mutex.protect t.lock (fun () ->
+      t.completions <-
+        { c_infl = infl; c_resp = resp; c_ledger = ledger } :: t.completions);
   wake t
 
 let compute t infl =
@@ -752,10 +751,12 @@ let drain_wake_pipe t =
   done
 
 let take_completions t =
-  Mutex.lock t.lock;
-  let cs = List.rev t.completions in
-  t.completions <- [];
-  Mutex.unlock t.lock;
+  let cs =
+    Mutex.protect t.lock (fun () ->
+        let cs = List.rev t.completions in
+        t.completions <- [];
+        cs)
+  in
   List.iter
     (fun { c_infl = infl; c_resp = resp; c_ledger } ->
       if infl.responded || Atomic.get infl.cancelled then

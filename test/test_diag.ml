@@ -585,7 +585,8 @@ let test_occupancy_edges () =
   let warns what d pred =
     match Gpu_hw.Occupancy.compute_result ~spec d with
     | Error diag -> Alcotest.fail (what ^ ": rejected: " ^ diag.D.message)
-    | Ok (_, ws) ->
+    | Ok o ->
+      let ws = Gpu_hw.Occupancy.range_warnings ~spec d o in
       Alcotest.(check bool) (what ^ ": warned") true
         (List.exists
            (fun (w : D.t) -> w.D.severity = D.Warning && pred w.D.message)
@@ -595,11 +596,12 @@ let test_occupancy_edges () =
   warns "sub-warp block" (demand 16 16 0) (fun m -> contains m "below one");
   warns "single resident block" (demand 512 32 0) (fun m ->
       contains m "one resident block");
-  match Gpu_hw.Occupancy.compute_result ~spec (demand 256 16 0) with
-  | Ok (o, []) ->
-    Alcotest.(check int) "calibrated shape, no warnings" 32
-      o.Gpu_hw.Occupancy.active_warps
-  | Ok (_, _ :: _) -> Alcotest.fail "calibrated shape warned"
+  let d = demand 256 16 0 in
+  match Gpu_hw.Occupancy.compute_result ~spec d with
+  | Ok o ->
+    Alcotest.(check int) "calibrated shape" 32 o.Gpu_hw.Occupancy.active_warps;
+    Alcotest.(check int) "calibrated shape, no warnings" 0
+      (List.length (Gpu_hw.Occupancy.range_warnings ~spec d o))
   | Error d -> Alcotest.fail ("calibrated shape rejected: " ^ d.D.message)
 
 let test_model_edges () =

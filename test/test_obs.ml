@@ -312,6 +312,37 @@ let prop_quantile_monotone =
       | None, None -> Array.for_all (fun c -> c = 0) counts
       | _ -> false)
 
+(* Spans' first use from racing domains.  The epoch every span is timed
+   against must already be set: a first use that initialized it would
+   race.  Each child process (this binary re-run with [span_race_flag])
+   turns spans on and has four domains open their first span together;
+   an exception in a racer makes [Domain.join] re-raise it, so the child
+   exits nonzero. *)
+let span_race_flag = "--span-race-child"
+
+let span_race_child () =
+  Span.set_enabled true;
+  let ready = Atomic.make 0 in
+  let racer () =
+    Atomic.incr ready;
+    while Atomic.get ready < 4 do
+      Domain.cpu_relax ()
+    done;
+    Span.with_ "race" ignore
+  in
+  List.iter Domain.join (List.init 4 (fun _ -> Domain.spawn racer))
+
+let test_span_first_use_race () =
+  let child =
+    Filename.quote_command Sys.executable_name [ span_race_flag ]
+      ~stdout:Filename.null ~stderr:Filename.null
+  in
+  let failed = ref 0 in
+  for _ = 1 to 20 do
+    if Sys.command child <> 0 then incr failed
+  done;
+  Alcotest.(check int) "child processes whose first spans failed" 0 !failed
+
 (* --- structured log ------------------------------------------------------- *)
 
 module Log = Gpu_obs.Log
@@ -396,6 +427,42 @@ let test_log_threshold_and_sampling () =
   Alcotest.(check int) "drop counter exact" 7 (Log.dropped ());
   Alcotest.(check int) "file agrees with the counters" 3
     (List.length (read_lines path))
+
+(* --- lock release ------------------------------------------------------------
+
+   A critical section that raises must release its lock.  A domain
+   blocked on a held lock cannot be joined, so the second call runs
+   under [Watchdog] and fails after 2 s instead of hanging. *)
+
+(* On /dev/full the first event's flush raises; a second event from
+   another domain must then return (it may raise too), not block. *)
+let test_log_failed_write_releases () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let sink = Log.open_file "/dev/full" in
+  (match Log.event ~sink Log.Info ~component:"test" "first" with
+  | () -> Alcotest.fail "a write to /dev/full succeeded"
+  | exception Sys_error _ -> ());
+  (match
+     Watchdog.run "second event" (fun () ->
+         Log.event ~sink Log.Info ~component:"test" "second")
+   with
+  | Ok () | Error (Sys_error _) -> ()
+  | Error e -> Alcotest.failf "second event raised %s" (Printexc.to_string e));
+  try Log.close sink with Sys_error _ -> ()
+
+(* A metric whose construction raises must leave the registry usable. *)
+let test_metrics_failed_register_releases () =
+  Alcotest.check_raises "decreasing bounds rejected"
+    (Invalid_argument "Metrics.histogram: bounds must be strictly increasing")
+    (fun () ->
+      ignore (Metrics.histogram ~buckets:[| 2.; 1. |] "test.obs.badhist"));
+  match
+    Watchdog.run "later registration" (fun () ->
+        Metrics.counter "test.obs.after_badhist")
+  with
+  | Ok c -> Alcotest.(check int) "registered" 0 (Metrics.value c)
+  | Error e ->
+    Alcotest.failf "later registration raised %s" (Printexc.to_string e)
 
 (* --- trace context -------------------------------------------------------- *)
 
@@ -487,6 +554,12 @@ let test_timeline_tracks () =
     ]
 
 let () =
+  if Array.length Sys.argv = 2 && Sys.argv.(1) = span_race_flag then begin
+    span_race_child ();
+    exit 0
+  end
+
+let () =
   Alcotest.run "obs"
     [
       ( "metrics",
@@ -502,6 +575,8 @@ let () =
           Alcotest.test_case "records nesting, attrs, deltas" `Quick
             test_span_records;
           Alcotest.test_case "records on exception" `Quick test_span_exception;
+          Alcotest.test_case "first use from racing domains" `Quick
+            test_span_first_use_race;
         ] );
       ( "timeline",
         [
@@ -538,5 +613,14 @@ let () =
             test_trace_ctx_breakdown;
           Alcotest.test_case "exception tags diag attrs" `Quick
             test_trace_ctx_exn;
+        ] );
+      (* last: at a lock that stays held, later registrations would
+         block *)
+      ( "lock release",
+        [
+          Alcotest.test_case "log sink after a failed write" `Quick
+            test_log_failed_write_releases;
+          Alcotest.test_case "metrics registry after a failed register"
+            `Quick test_metrics_failed_register_releases;
         ] );
     ]

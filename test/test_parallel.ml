@@ -1,7 +1,8 @@
 (* Tests for the domain pool and the calibration cache: deterministic
-   result ordering, exception funneling, bit-identical serial vs parallel
-   calibration, single-flight global-memory memoization, and the on-disk
-   cache round-trip with fingerprint/corruption rejection. *)
+   result ordering, exception funneling, the single-flight [Memo] table,
+   bit-identical serial vs parallel calibration, single-flight
+   global-memory memoization, and the on-disk cache round-trip with
+   fingerprint/corruption rejection. *)
 
 module Pool = Gpu_parallel.Pool
 module Memo = Gpu_parallel.Memo
@@ -14,6 +15,12 @@ module Diag = Gpu_diag.Diag
 let cache_dir = Private_cache.use "parallel"
 
 let spec = Spec.gtx285
+
+(* Run [f] on a pool of [n] jobs, then restore the job count. *)
+let with_jobs n f =
+  let jobs = Pool.current_jobs () in
+  Pool.set_jobs n;
+  Fun.protect ~finally:(fun () -> Pool.set_jobs jobs) f
 
 (* --- pool ----------------------------------------------------------------- *)
 
@@ -144,6 +151,20 @@ let test_async_swallows_exceptions () =
     "pool alive" [ 2; 4; 6 ]
     (Pool.parallel_map ~jobs:2 (fun x -> 2 * x) [ 1; 2; 3 ])
 
+(* A task whose failure warning cannot be written (the default log sink
+   is on a full disk) must still finish: no exception escapes into the
+   worker, and the drain sees it done. *)
+let test_async_unwritable_log () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let module Log = Gpu_obs.Log in
+  (* the sink is left open: its unflushable line would fail a close *)
+  Log.set_default (Some (Log.open_file "/dev/full"));
+  Fun.protect ~finally:(fun () -> Log.set_default None) @@ fun () ->
+  Pool.async (fun () -> failwith "async task crash");
+  Alcotest.(check bool) "drain completes" true
+    (Pool.drain_async ~timeout_s:2.0 ());
+  Alcotest.(check int) "nothing pending" 0 (Pool.pending_async ())
+
 let test_drain_timeout () =
   let release = Atomic.make false in
   Pool.async (fun () -> while not (Atomic.get release) do Unix.sleepf 0.002 done);
@@ -164,7 +185,161 @@ let test_memo_once () =
   in
   let values = Pool.parallel_map ~jobs:4 (fun _ -> m ()) [ (); (); (); () ] in
   Alcotest.(check (list int)) "all callers see the value" [ 1729; 1729; 1729; 1729 ] values;
-  Alcotest.(check int) "body ran once" 1 (Atomic.get calls)
+  Alcotest.(check int) "body ran once" 1 (Atomic.get calls);
+  let attempts = ref 0 in
+  let flaky =
+    Memo.once (fun () ->
+        incr attempts;
+        if !attempts = 1 then raise (Boom 1) else !attempts)
+  in
+  Alcotest.check_raises "a failure reaches its caller" (Boom 1) (fun () ->
+      ignore (flaky ()));
+  Alcotest.(check int) "and is retried, not cached" 2 (flaky ());
+  Alcotest.(check int) "then the value is shared" 2 (flaky ())
+
+(* --- the keyed single-flight table ------------------------------------------
+
+   Every wait below goes through [Watchdog]: a domain stuck on a lock
+   fails its test after 2 s instead of hanging the suite. *)
+
+(* A latch a computation parks on, so a test can hold it in flight. *)
+let park started release =
+  Atomic.set started true;
+  if not (Watchdog.wait_until ~timeout:10.0 (fun () -> Atomic.get release))
+  then failwith "latch never released"
+
+let test_memo_one_per_key () =
+  let keys = 16 in
+  let counts = Array.init keys (fun _ -> Atomic.make 0) in
+  let t = Memo.create () in
+  let f k =
+    Atomic.incr counts.(k);
+    Unix.sleepf 0.001 (* a window for the other domains to pile up *);
+    k * k
+  in
+  let racers =
+    List.init 4 (fun d ->
+        Watchdog.spawn (fun () ->
+            List.init keys (fun i ->
+                let k = (i + (d * 5)) mod keys in
+                (k, Memo.get t k f))))
+  in
+  List.iteri
+    (fun d r ->
+      List.iter
+        (fun (k, v) -> Alcotest.(check int) "value" (k * k) v)
+        (Watchdog.await_ok (Printf.sprintf "racer %d" d) r))
+    racers;
+  Array.iteri
+    (fun k c ->
+      Alcotest.(check int) (Printf.sprintf "key %d computed once" k) 1
+        (Atomic.get c))
+    counts
+
+let test_memo_failure_retried () =
+  let t = Memo.create () in
+  let attempts = Atomic.make 0 in
+  let started = Atomic.make false and release = Atomic.make false in
+  let f _ =
+    if Atomic.fetch_and_add attempts 1 = 0 then begin
+      park started release;
+      raise (Boom 1)
+    end
+    else 42
+  in
+  let first = Watchdog.spawn (fun () -> Memo.get t "k" f) in
+  Alcotest.(check bool) "first computation started" true
+    (Watchdog.wait_until (fun () -> Atomic.get started));
+  let waiter = Watchdog.spawn (fun () -> Memo.get t "k" f) in
+  Unix.sleepf 0.05 (* let the waiter block on the running computation *);
+  Atomic.set release true;
+  (match Watchdog.await "failing computation" first with
+  | Error (Boom 1) -> ()
+  | Error e -> Alcotest.failf "unexpected %s" (Printexc.to_string e)
+  | Ok _ -> Alcotest.fail "the failing computation returned");
+  Alcotest.(check int) "the waiter retries" 42
+    (Watchdog.await_ok "waiter" waiter);
+  Alcotest.(check int) "the retry is then shared" 42
+    (Memo.get t "k" (fun _ -> Alcotest.fail "recomputed"));
+  Alcotest.(check int) "two attempts in all" 2 (Atomic.get attempts)
+
+let test_memo_clear_in_flight () =
+  let t = Memo.create () in
+  let started = Atomic.make false and release = Atomic.make false in
+  let slow =
+    Watchdog.spawn (fun () ->
+        Memo.get t 1 (fun _ ->
+            park started release;
+            "one"))
+  in
+  Alcotest.(check bool) "computation started" true
+    (Watchdog.wait_until (fun () -> Atomic.get started));
+  (match Watchdog.run "clear" (fun () -> Memo.clear t) with
+  | Error (Invalid_argument _) -> ()
+  | Error e -> Alcotest.failf "clear raised %s" (Printexc.to_string e)
+  | Ok () -> Alcotest.fail "clear during a computation succeeded");
+  Alcotest.(check (list (pair int string))) "nothing finished yet" []
+    (Memo.finished t);
+  Atomic.set release true;
+  Alcotest.(check string) "the computation completes" "one"
+    (Watchdog.await_ok "in-flight computation" slow);
+  Alcotest.(check string) "and is shared" "one"
+    (Watchdog.await_ok "lookup"
+       (Watchdog.spawn (fun () -> Memo.get t 1 (fun _ -> "again"))));
+  Memo.clear t;
+  Alcotest.(check string) "a cleared table computes afresh" "again"
+    (Memo.get t 1 (fun _ -> "again"))
+
+let test_memo_seed_and_snapshot () =
+  let t = Memo.create ~seed:[ (1, "a"); (2, "b") ] () in
+  Alcotest.(check string) "seeded entries are finished" "a"
+    (Memo.get t 1 (fun _ -> Alcotest.fail "seeded key recomputed"));
+  Alcotest.(check string) "a miss computes" "c" (Memo.get t 3 (fun _ -> "c"));
+  let published = ref None in
+  let on_fresh v = published := Some (v, List.assoc_opt 4 (Memo.finished t)) in
+  ignore (Memo.get t 4 ~on_fresh (fun _ -> "d"));
+  Alcotest.(check (option (pair string (option string))))
+    "on_fresh runs after its value is published" (Some ("d", Some "d"))
+    !published;
+  ignore
+    (Memo.get t 4
+       ~on_fresh:(fun _ -> Alcotest.fail "a hit ran on_fresh")
+       (fun _ -> "d"));
+  Alcotest.(check (list (pair int string)))
+    "snapshot of the finished entries"
+    [ (1, "a"); (2, "b"); (3, "c"); (4, "d") ]
+    (List.sort compare (Memo.finished t))
+
+(* Clearing the per-spec tables while a calibration is in flight raises,
+   and must leave that calibration and later lookups working.  The first
+   calibration diagnostic parks the calibrating domain, so the clear
+   lands mid-calibration. *)
+let test_tables_clear_in_flight () =
+  Tables.clear_process_cache ();
+  Tables.set_disk_cache false;
+  let started = Atomic.make false and release = Atomic.make false in
+  Tables.set_on_diag (fun _ ->
+      if not (Atomic.get started) then park started release);
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set release true;
+      Tables.set_on_diag (fun _ -> ());
+      Tables.set_disk_cache true)
+  @@ fun () ->
+  let calibrating = Watchdog.spawn (fun () -> Tables.for_spec spec) in
+  Alcotest.(check bool) "calibration started" true
+    (Watchdog.wait_until (fun () -> Atomic.get started));
+  (match Watchdog.run "clear_process_cache" Tables.clear_process_cache with
+  | Error (Invalid_argument _) -> ()
+  | Error e -> Alcotest.failf "clear raised %s" (Printexc.to_string e)
+  | Ok () -> Alcotest.fail "clear during a calibration succeeded");
+  Atomic.set release true;
+  let t = Watchdog.await_ok "in-flight for_spec" calibrating in
+  let t' = Watchdog.await_ok "later for_spec" (Watchdog.spawn (fun () ->
+      Tables.for_spec spec)) in
+  Alcotest.(check bool) "the later call shares the calibration" true (t == t');
+  (* this calibration never reached the disk: later tests start cold *)
+  Tables.clear_process_cache ()
 
 (* --- job-count validation (one validator for --jobs and GPUPERF_JOBS) ---- *)
 
@@ -234,12 +409,12 @@ let check_tables_identical msg a b =
   done
 
 let test_serial_parallel_identical () =
-  let serial = Tables.build ~jobs:1 spec in
-  let parallel = Tables.build ~jobs:4 spec in
+  let serial = with_jobs 1 (fun () -> Tables.build spec) in
+  let parallel = with_jobs 4 (fun () -> Tables.build spec) in
   check_tables_identical "serial vs parallel calibration" serial parallel
 
 let test_gmem_single_flight () =
-  let t = Tables.build ~jobs:1 spec in
+  let t = with_jobs 1 (fun () -> Tables.build spec) in
   let before = (Tables.counters ()).Tables.gmem_measurements in
   let query () =
     Tables.gmem_bandwidth t ~blocks:3 ~threads:64 ~txns_per_thread:4
@@ -415,10 +590,11 @@ let test_cache_miss_and_rejection () =
 let test_tables_warm_reload () =
   let diags = ref [] in
   Tables.set_on_diag (fun d -> diags := d :: !diags);
-  let cold = Tables.for_spec ~jobs:2 spec in
+  with_jobs 2 @@ fun () ->
+  let cold = Tables.for_spec spec in
   let c0 = Tables.counters () in
   Tables.clear_process_cache ();
-  let warm = Tables.for_spec ~jobs:2 spec in
+  let warm = Tables.for_spec spec in
   let c1 = Tables.counters () in
   Alcotest.(check int)
     "warm reload skips measurement" 0
@@ -433,7 +609,7 @@ let test_tables_warm_reload () =
   close_out oc;
   diags := [];
   Tables.clear_process_cache ();
-  let rebuilt = Tables.for_spec ~jobs:2 spec in
+  let rebuilt = Tables.for_spec spec in
   let c2 = Tables.counters () in
   Alcotest.(check bool)
     "corrupt cache recalibrates" true
@@ -466,9 +642,21 @@ let () =
             test_async_drain;
           Alcotest.test_case "async swallows exceptions" `Quick
             test_async_swallows_exceptions;
+          Alcotest.test_case "async task with an unwritable log sink"
+            `Quick test_async_unwritable_log;
           Alcotest.test_case "drain_async timeout" `Quick
             test_drain_timeout;
           Alcotest.test_case "memo single-flight" `Quick test_memo_once;
+          Alcotest.test_case "memo table: one computation per key" `Quick
+            test_memo_one_per_key;
+          Alcotest.test_case "memo table: failures retried" `Quick
+            test_memo_failure_retried;
+          Alcotest.test_case "memo table: clear during a computation" `Quick
+            test_memo_clear_in_flight;
+          Alcotest.test_case "memo table: seed and snapshot" `Quick
+            test_memo_seed_and_snapshot;
+          Alcotest.test_case "tables: clear during a calibration" `Quick
+            test_tables_clear_in_flight;
         ] );
       ( "jobs validation",
         [
